@@ -8,14 +8,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use decoupling::Scenario as _;
-use decoupling::{FaultConfig, Mixnet, MixnetConfig};
+use decoupling::{FaultConfig, Mixnet, MixnetConfig, RunOptions};
 
 fn run(config: MixnetConfig) -> decoupling::mixnet::MixnetReport {
     Mixnet::run(&config, config.seed)
 }
 
-fn run_with_faults(config: MixnetConfig, faults: &FaultConfig) -> decoupling::mixnet::MixnetReport {
-    Mixnet::run_with_faults(&config, config.seed, faults)
+fn run_faulted(config: MixnetConfig, faults: &FaultConfig) -> decoupling::mixnet::MixnetReport {
+    Mixnet::run_with(&config, config.seed, &RunOptions::with_faults(faults))
 }
 
 fn config(seed: u64) -> MixnetConfig {
@@ -44,13 +44,13 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
         })
     });
 
-    // Explicit calm: same path through run_with_faults, injector still
+    // Explicit calm: same path through run_faulted, injector still
     // never constructed. Must match mixnet-plain within noise.
     let mut seed = 0u64;
     g.bench_function("mixnet-faults-disabled", |b| {
         b.iter(|| {
             seed += 1;
-            run_with_faults(config(seed), &FaultConfig::calm())
+            run_faulted(config(seed), &FaultConfig::calm())
         })
     });
 
@@ -62,7 +62,7 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 seed += 1;
-                run_with_faults(config(seed), &faults)
+                run_faulted(config(seed), &faults)
             })
         });
     }

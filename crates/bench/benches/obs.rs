@@ -41,7 +41,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.bench_function("odoh-instrumented", |b| {
         b.iter(|| {
             seed += 1;
-            Odoh::run_instrumented(&cfg, seed)
+            Odoh::run_with(&cfg, seed, &RunOptions::observed())
         })
     });
     g.finish();

@@ -8,8 +8,6 @@
 //!   blind-signing / keygen-witness shape);
 //! * `rsa_verify` — PKCS#1 v1.5 verification (`e = 65537`), routed
 //!   through the process-global backend selection;
-//! * `rsa_verify_batch16` — 16 verifications individually vs. combined
-//!   random-weight batch (same modulus);
 //! * `hpke_seal` — single-shot (encap + seal every message) vs. session
 //!   reuse (one encap, then per-message seal only).
 //!
@@ -33,8 +31,8 @@ use serde::Serialize;
 struct OpResult {
     /// Operation name.
     op: String,
-    /// Which implementation: `reference`, `fast`, `individual`,
-    /// `batch`, `single_shot`, `session`.
+    /// Which implementation: `reference`, `fast`, `single_shot`,
+    /// `session`.
     variant: String,
     /// Mean wall-clock nanoseconds per operation.
     ns_per_op: f64,
@@ -50,8 +48,8 @@ struct CryptoBenchReport {
     smoke: bool,
     /// Raw per-op timings.
     ops: Vec<OpResult>,
-    /// Fast-over-reference (or batch-over-individual, session-over-
-    /// single-shot) wall-clock ratios, keyed by operation.
+    /// Fast-over-reference (or session-over-single-shot) wall-clock
+    /// ratios, keyed by operation.
     speedup: BTreeMap<String, f64>,
 }
 
@@ -161,34 +159,6 @@ fn main() {
         }),
     );
     speedup.insert("rsa_verify".to_string(), slow / fast);
-
-    // Batch vs. individual verification, 16 signatures, fast backend.
-    let msgs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![b'b', i]).collect();
-    let sigs: Vec<Vec<u8>> = msgs.iter().map(|m| sk.sign(m).unwrap()).collect();
-    let items: Vec<(&[u8], &[u8])> = msgs
-        .iter()
-        .zip(&sigs)
-        .map(|(m, s)| (m.as_slice(), s.as_slice()))
-        .collect();
-    let indiv = record(
-        "rsa_verify_batch16",
-        "individual",
-        reps_slow,
-        time_ns(reps_slow, || {
-            for (m, s) in &items {
-                pk.verify(m, s).unwrap();
-            }
-        }),
-    );
-    let batch = record(
-        "rsa_verify_batch16",
-        "batch",
-        reps_slow,
-        time_ns(reps_slow, || {
-            assert!(pk.verify_batch(&items).iter().all(|r| r.is_ok()));
-        }),
-    );
-    speedup.insert("rsa_verify_batch16".to_string(), indiv / batch);
 
     // HPKE: single-shot (encap every message) vs. session reuse.
     let kp = hpke::Keypair::generate(&mut rng);

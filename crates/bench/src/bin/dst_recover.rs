@@ -17,7 +17,7 @@
 //!             [--backend fast|reference] [--out PATH]
 //! ```
 
-use decoupling::faults::dst::{sweep_recovery_probe_for_with, RecoverySweepReport};
+use decoupling::faults::dst::{sweep_recovery_probe_for, RecoverySweepReport};
 use decoupling::{ParallelExecutor, SequentialExecutor, SweepBuilder, SweepExecutor};
 
 struct Args {
@@ -25,7 +25,6 @@ struct Args {
     threads: usize,
     seed: u64,
     sequential: bool,
-    queue: decoupling::QueueKind,
     out: Option<String>,
 }
 
@@ -35,7 +34,6 @@ fn parse_args() -> Args {
         threads: 0,
         seed: 20230402,
         sequential: false,
-        queue: decoupling::QueueKind::default(),
         out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -49,13 +47,6 @@ fn parse_args() -> Args {
             "--threads" => args.threads = value("--threads").parse().expect("--threads: integer"),
             "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
             "--sequential" => args.sequential = true,
-            "--queue" => {
-                args.queue = match value("--queue").as_str() {
-                    "wheel" => decoupling::QueueKind::TimerWheel,
-                    "heap" => decoupling::QueueKind::BinaryHeap,
-                    other => panic!("--queue: expected wheel|heap, got {other}"),
-                }
-            }
             "--backend" => {
                 let raw = value("--backend");
                 let kind = dcp_crypto::backend::BackendKind::parse(&raw)
@@ -69,11 +60,7 @@ fn parse_args() -> Args {
     args
 }
 
-fn sweep_all(
-    builder: &SweepBuilder,
-    exec: &impl SweepExecutor,
-    opts: &decoupling::RunOptions,
-) -> Vec<RecoverySweepReport> {
+fn sweep_all(builder: &SweepBuilder, exec: &impl SweepExecutor) -> Vec<RecoverySweepReport> {
     // The same small workloads tests/dst_scenarios.rs smokes, plus Ech.
     let mixnet = decoupling::MixnetConfig {
         senders: 6,
@@ -107,39 +94,34 @@ fn sweep_all(
         seed: 0,
     };
     vec![
-        sweep_recovery_probe_for_with::<decoupling::Blindcash, _>(
+        sweep_recovery_probe_for::<decoupling::Blindcash, _>(
             &decoupling::BlindcashConfig::new(2, 2, 512),
             builder,
             exec,
-            opts,
         ),
-        sweep_recovery_probe_for_with::<decoupling::Mixnet, _>(&mixnet, builder, exec, opts),
-        sweep_recovery_probe_for_with::<decoupling::Privacypass, _>(
+        sweep_recovery_probe_for::<decoupling::Mixnet, _>(&mixnet, builder, exec),
+        sweep_recovery_probe_for::<decoupling::Privacypass, _>(
             &decoupling::PrivacypassConfig::new(3, 2),
             builder,
             exec,
-            opts,
         ),
-        sweep_recovery_probe_for_with::<decoupling::Odoh, _>(
+        sweep_recovery_probe_for::<decoupling::Odoh, _>(
             &decoupling::OdohConfig::new(3, 4),
             builder,
             exec,
-            opts,
         ),
-        sweep_recovery_probe_for_with::<decoupling::Pgpp, _>(&pgpp, builder, exec, opts),
-        sweep_recovery_probe_for_with::<decoupling::Mpr, _>(&mpr, builder, exec, opts),
-        sweep_recovery_probe_for_with::<decoupling::Ppm, _>(&ppm, builder, exec, opts),
-        sweep_recovery_probe_for_with::<decoupling::Vpn, _>(
+        sweep_recovery_probe_for::<decoupling::Pgpp, _>(&pgpp, builder, exec),
+        sweep_recovery_probe_for::<decoupling::Mpr, _>(&mpr, builder, exec),
+        sweep_recovery_probe_for::<decoupling::Ppm, _>(&ppm, builder, exec),
+        sweep_recovery_probe_for::<decoupling::Vpn, _>(
             &decoupling::VpnConfig::new(3, 2),
             builder,
             exec,
-            opts,
         ),
-        sweep_recovery_probe_for_with::<decoupling::Ech, _>(
+        sweep_recovery_probe_for::<decoupling::Ech, _>(
             &decoupling::EchConfig::default().ech(true),
             builder,
             exec,
-            opts,
         ),
     ]
 }
@@ -150,12 +132,11 @@ fn main() {
         .worlds(args.worlds)
         .threads(args.threads);
 
-    let opts = decoupling::RunOptions::dst().with_queue(args.queue);
     let started = std::time::Instant::now();
     let reports = if args.sequential {
-        sweep_all(&builder, &SequentialExecutor, &opts)
+        sweep_all(&builder, &SequentialExecutor)
     } else {
-        sweep_all(&builder, &ParallelExecutor::for_builder(&builder), &opts)
+        sweep_all(&builder, &ParallelExecutor::for_builder(&builder))
     };
     let elapsed = started.elapsed();
 

@@ -614,37 +614,40 @@ pub fn exp_metrics_on(seed: u64, exec: &impl SweepExecutor) -> Vec<dcp_core::Met
         malicious: 0,
         seed,
     };
+    let observed = decoupling::RunOptions::observed();
     let builder = SweepBuilder::new(seed).worlds(8);
     builder
         .run_on(exec, |job| match job.index {
-            0 => decoupling::Blindcash::run_instrumented(
+            0 => decoupling::Blindcash::run_with(
                 &decoupling::BlindcashConfig::new(1, 2, 512),
                 seed,
+                &observed,
             )
             .metrics()
             .clone(),
-            1 => decoupling::Mixnet::run_instrumented(&mixnet, seed)
+            1 => decoupling::Mixnet::run_with(&mixnet, seed, &observed)
                 .metrics()
                 .clone(),
-            2 => decoupling::Privacypass::run_instrumented(
+            2 => decoupling::Privacypass::run_with(
                 &decoupling::PrivacypassConfig::new(1, 2),
                 seed,
+                &observed,
             )
             .metrics()
             .clone(),
-            3 => decoupling::Odoh::run_instrumented(&decoupling::OdohConfig::new(1, 5), seed)
+            3 => decoupling::Odoh::run_with(&decoupling::OdohConfig::new(1, 5), seed, &observed)
                 .metrics()
                 .clone(),
-            4 => decoupling::Pgpp::run_instrumented(&pgpp, seed)
+            4 => decoupling::Pgpp::run_with(&pgpp, seed, &observed)
                 .metrics()
                 .clone(),
-            5 => decoupling::Mpr::run_instrumented(&mpr, seed)
+            5 => decoupling::Mpr::run_with(&mpr, seed, &observed)
                 .metrics()
                 .clone(),
-            6 => decoupling::Ppm::run_instrumented(&ppm, seed)
+            6 => decoupling::Ppm::run_with(&ppm, seed, &observed)
                 .metrics()
                 .clone(),
-            _ => decoupling::Vpn::run_instrumented(&decoupling::VpnConfig::new(1, 2), seed)
+            _ => decoupling::Vpn::run_with(&decoupling::VpnConfig::new(1, 2), seed, &observed)
                 .metrics()
                 .clone(),
         })
@@ -686,6 +689,7 @@ pub fn exp_relay_latency_on(
     exec: &impl SweepExecutor,
 ) -> Vec<RelayLatencyRow> {
     use decoupling::ScenarioReport as _;
+    let observed = decoupling::RunOptions::observed();
     let mpr_rows = max_relays as u64 + 1;
     let builder = SweepBuilder::new(seed).worlds(mpr_rows + 3);
     builder
@@ -699,7 +703,7 @@ pub fn exp_relay_latency_on(
                     geohint: false,
                     seed,
                 };
-                let m = decoupling::Mpr::run_instrumented(&chain, seed)
+                let m = decoupling::Mpr::run_with(&chain, seed, &observed)
                     .metrics()
                     .clone();
                 RelayLatencyRow {
@@ -722,7 +726,7 @@ pub fn exp_relay_latency_on(
                     mix_max_wait_us: None,
                     seed,
                 };
-                let m = decoupling::Mixnet::run_instrumented(&config, seed)
+                let m = decoupling::Mixnet::run_with(&config, seed, &observed)
                     .metrics()
                     .clone();
                 RelayLatencyRow {
@@ -771,6 +775,7 @@ pub fn exp_padding_cost_on(
     exec: &impl SweepExecutor,
 ) -> Vec<PaddingCostRow> {
     use decoupling::ScenarioReport as _;
+    let observed = decoupling::RunOptions::observed();
     let builder = SweepBuilder::new(seed).worlds(levels.len() as u64);
     let run = builder.run_on(exec, |job| {
         let chaff = levels[job.index as usize];
@@ -784,7 +789,7 @@ pub fn exp_padding_cost_on(
             mix_max_wait_us: None,
             seed,
         };
-        let m = decoupling::Mixnet::run_instrumented(&config, seed)
+        let m = decoupling::Mixnet::run_with(&config, seed, &observed)
             .metrics()
             .clone();
         PaddingCostRow {

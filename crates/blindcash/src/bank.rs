@@ -111,44 +111,6 @@ impl Bank {
         Ok(())
     }
 
-    /// Deposit a batch of coins in one pass, returning a per-coin verdict
-    /// in input order.
-    ///
-    /// All coins share the bank's modulus, so signature checking uses
-    /// [`RsaPublicKey::verify_batch`] — one combined random-weight
-    /// identity when everything is valid, automatic fallback that
-    /// pinpoints the bad coins otherwise (fail-closed: a forged coin can
-    /// never ride a batch in). Double-spend checking is sequential in
-    /// input order, exactly as if each coin had been deposited via
-    /// [`Bank::deposit`] one at a time — a serial appearing twice in one
-    /// batch credits the first occurrence and rejects the second.
-    pub fn deposit_batch(
-        &mut self,
-        depositor: UserId,
-        coins: &[Coin],
-    ) -> Vec<Result<(), DepositError>> {
-        let items: Vec<(&[u8], &[u8])> = coins
-            .iter()
-            .map(|c| (c.serial.as_slice(), c.signature.as_slice()))
-            .collect();
-        let verdicts = self.key.public_key().verify_batch(&items);
-        coins
-            .iter()
-            .zip(verdicts)
-            .map(|(coin, verdict)| {
-                if verdict.is_err() {
-                    return Err(DepositError::BadSignature);
-                }
-                if !self.spent.insert(coin.serial) {
-                    return Err(DepositError::DoubleSpend);
-                }
-                self.verifier_log.push(coin.serial);
-                *self.accounts.entry(depositor).or_insert(0) += COIN_VALUE;
-                Ok(())
-            })
-            .collect()
-    }
-
     /// Linkage check used by tests: can the bank connect a deposited serial
     /// to any withdrawal event? With blind signatures the answer must be
     /// "no" — no blinded message in the signer log equals (or contains)
@@ -303,46 +265,6 @@ mod tests {
         assert_eq!(bank.balance(buyer), Some(0), "no second debit");
         bank.deposit(UserId(2), &coin).unwrap();
         assert_eq!(bank.resign(UserId(9), b"x"), Err(CashError::NoSuchAccount));
-    }
-
-    #[test]
-    fn batch_deposit_matches_sequential_semantics() {
-        let (mut rng, mut bank) = setup();
-        let buyer = UserId(1);
-        let seller = UserId(2);
-        bank.open_account(buyer, 10);
-        let mut coins = Vec::new();
-        for _ in 0..4 {
-            let w = Withdrawal::begin(&mut rng, bank.public_key()).unwrap();
-            let bs = bank.withdraw(buyer, w.blinded_msg()).unwrap();
-            coins.push(w.finish(bank.public_key(), &bs).unwrap());
-        }
-        // Forge coin 1, duplicate coin 2's serial at position 3: the
-        // batch must credit exactly coins 0 and 2 and name each failure.
-        coins[1].signature[5] ^= 0x11;
-        coins[3] = coins[2].clone();
-        let verdicts = bank.deposit_batch(seller, &coins);
-        assert_eq!(verdicts[0], Ok(()));
-        assert_eq!(verdicts[1], Err(DepositError::BadSignature));
-        assert_eq!(verdicts[2], Ok(()));
-        assert_eq!(verdicts[3], Err(DepositError::DoubleSpend));
-        assert_eq!(bank.balance(seller), Some(2));
-        assert_eq!(bank.verifier_log.len(), 2);
-        // A later single deposit of an already-batched serial still
-        // double-spends — one ledger, both entry points.
-        assert_eq!(
-            bank.deposit(seller, &coins[0]),
-            Err(DepositError::DoubleSpend)
-        );
-        // All-valid batch takes the combined fast path.
-        let mut more = Vec::new();
-        for _ in 0..3 {
-            let w = Withdrawal::begin(&mut rng, bank.public_key()).unwrap();
-            let bs = bank.withdraw(buyer, w.blinded_msg()).unwrap();
-            more.push(w.finish(bank.public_key(), &bs).unwrap());
-        }
-        assert!(bank.deposit_batch(seller, &more).iter().all(|r| r.is_ok()));
-        assert_eq!(bank.balance(seller), Some(5));
     }
 
     #[test]

@@ -132,18 +132,6 @@ impl Scenario for Blindcash {
     }
 }
 
-/// Multi-seed sweep of [`Blindcash`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &BlindcashConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    Blindcash::sweep(cfg, builder, exec, opts)
-}
-
 impl ScenarioReport {
     /// Derive the §3.1.1 decoupling table for buyer `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {
@@ -744,7 +732,8 @@ mod tests {
 
     #[test]
     fn instrumented_run_counts_rsa_ops() {
-        let report = Blindcash::run_instrumented(&BlindcashConfig::new(1, 2, 512), 7);
+        let report =
+            Blindcash::run_with(&BlindcashConfig::new(1, 2, 512), 7, &RunOptions::observed());
         assert_eq!(report.deposited, 2);
         assert!(report.metrics.wire_accounting_holds());
         assert_eq!(report.metrics.span_count("cycle"), 2);

@@ -268,9 +268,7 @@ pub enum FaultKind {
     /// rather than `p_crash`). This used to be called `RelayChurn` back
     /// when a crash was the *only* churn the injector modeled; the
     /// observability event stream still names the draw `relay_churn` so
-    /// recorded fault logs stay readable, and [`FaultKind::relay_churn`]
-    /// keeps old constructor call sites compiling (with a deprecation
-    /// warning).
+    /// recorded fault logs stay readable.
     RelayCrash {
         /// The crashed relay.
         node: usize,
@@ -320,17 +318,6 @@ pub enum FaultKind {
         /// The leaked key (raw `KeyId` payload).
         key: u64,
     },
-}
-
-impl FaultKind {
-    /// Deprecated constructor for what is now
-    /// [`FaultKind::RelayCrash`]. Enum variants cannot carry rename
-    /// aliases, so the old name survives as this constructor (for code)
-    /// and as the `relay_churn` observability event name (for logs).
-    #[deprecated(since = "0.1.0", note = "renamed to FaultKind::RelayCrash")]
-    pub fn relay_churn(node: usize, until_us: u64) -> FaultKind {
-        FaultKind::RelayCrash { node, until_us }
-    }
 }
 
 /// One timestamped entry of the [`FaultLog`].

@@ -83,7 +83,7 @@ pub use obs::{
 };
 pub use recover::RecoverConfig;
 pub use role::{Endpoint, Role, RoleKind};
-pub use scenario::{QueueKind, RunOptions, Scenario, ScenarioReport};
+pub use scenario::{RunOptions, Scenario, ScenarioReport};
 pub use sweep::{
     derive_seed, SequentialExecutor, SweepBuilder, SweepEntry, SweepExecutor, SweepJob,
     SweepReport, SweepRun,

@@ -1,26 +1,25 @@
 //! The unified [`Scenario`] API: one way to run every §3 system.
 //!
-//! Historically the eight scenario crates grew divergent entrypoints —
-//! `blindcash::run(n_buyers, coins_each, rsa_bits, seed)` took positional
-//! arguments while `mixnet::run(MixnetConfig)` took a config struct, and
-//! only some offered a fault-injecting variant. This module replaces all
-//! of them with one trait:
+//! Every scenario crate implements one trait. A run is
+//! [`Scenario::run_with`] plus a [`RunOptions`] profile;
+//! [`Scenario::run`] is the calm, uninstrumented shorthand and
+//! [`Scenario::sweep`] the multi-seed form:
 //!
 //! ```ignore
-//! use dcp_core::{FaultConfig, Scenario, ScenarioReport};
+//! use dcp_core::{FaultConfig, RunOptions, Scenario, ScenarioReport};
 //! use dcp_odns::{Odoh, OdohConfig};
 //!
-//! let report = Odoh::run(&OdohConfig::new().clients(3).queries_each(4), 42);
+//! let report = Odoh::run(&OdohConfig::new(3, 4), 42);
 //! assert!(report.completed());
-//! let chaotic = Odoh::run_with_faults(&OdohConfig::default(), 42, &FaultConfig::chaos());
+//! let chaos = RunOptions::with_faults(&FaultConfig::chaos());
+//! let chaotic = Odoh::run_with(&OdohConfig::default(), 42, &chaos);
 //! chaotic.world().assert_decoupled_except_user();
 //! ```
 //!
 //! Every implementor keeps its rich, scenario-specific report struct; the
 //! [`ScenarioReport`] trait is the common lens (world, fault log,
 //! metrics, liveness) generic harnesses like DST and the obs property
-//! tests need. The old free-function entrypoints are gone — this trait is
-//! the only way to run a scenario.
+//! tests need.
 
 use crate::faults::{FaultConfig, FaultLog};
 use crate::fleet::FleetConfig;
@@ -29,25 +28,10 @@ use crate::recover::RecoverConfig;
 use crate::sweep::{SweepBuilder, SweepExecutor, SweepRun};
 use crate::world::World;
 
-/// Which event-queue implementation the simulator runs on.
-///
-/// Both produce the *identical* `(time, seq)` total order — the
-/// queue-swap equivalence gate byte-diffs DST probe JSON across the two
-/// — so this is a performance knob, not a semantics knob. The legacy
-/// heap stays selectable until the gate has soaked.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel: O(1) amortised, the default.
-    #[default]
-    TimerWheel,
-    /// The original `BinaryHeap`: O(log n), kept as the reference
-    /// implementation for the equivalence gate.
-    BinaryHeap,
-}
-
-/// How to run a scenario: fault preset, recovery layer, and whether to
-/// install the metrics sink. `Default` is calm, recovery-disabled, and
-/// uninstrumented — the zero-overhead path.
+/// How to run a scenario: fault preset, recovery layer, relay fleet,
+/// metrics sink, and the two population-scale memory bounds. `Default`
+/// is calm, recovery-disabled, and uninstrumented — the zero-overhead
+/// path.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Fault-injection configuration ([`FaultConfig::calm`] = none).
@@ -63,8 +47,6 @@ pub struct RunOptions {
     /// Install a metrics sink so the report's
     /// [`metrics`](ScenarioReport::metrics) is populated.
     pub observe: bool,
-    /// Event-queue implementation (default: [`QueueKind::TimerWheel`]).
-    pub queue: QueueKind,
     /// Record the per-packet [`Trace`](ScenarioReport) (default on: DST
     /// and the traffic-analysis attackers read it). Population-scale runs
     /// turn it off — 10⁸ packet records is unbounded memory.
@@ -82,7 +64,6 @@ impl Default for RunOptions {
             recover: RecoverConfig::default(),
             fleet: FleetConfig::default(),
             observe: false,
-            queue: QueueKind::default(),
             record_trace: true,
             streaming_metrics: false,
         }
@@ -90,29 +71,8 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Calm, uninstrumented (same as `Default`).
-    ///
-    /// Prefer the named profiles — [`RunOptions::interactive`],
-    /// [`RunOptions::population`], [`RunOptions::dst`] — which say *why*
-    /// a run is configured the way it is; `new()` plus the chainable
-    /// setters below remain as the low-level escape hatch for
-    /// combinations the profiles don't name.
+    /// Calm, uninstrumented, full per-packet trace (same as `Default`).
     pub fn new() -> Self {
-        RunOptions::default()
-    }
-
-    // ------------------------------------------------- named profiles --
-    //
-    // One constructor per way the workspace actually runs: tests and
-    // examples poking at a handful of nodes (`interactive`),
-    // population-scale world engines (`population`), and the determinism
-    // probes (`dst`). Each pins every flag; the field-twiddling forms
-    // below are the documented low-level escape hatch.
-
-    /// The interactive profile: calm, uninstrumented, full per-packet
-    /// trace — what tests, examples, and notebook-style exploration
-    /// want. Identical to [`RunOptions::new`], but named for intent.
-    pub fn interactive() -> Self {
         RunOptions::default()
     }
 
@@ -128,16 +88,6 @@ impl RunOptions {
             streaming_metrics: true,
             ..RunOptions::default()
         }
-    }
-
-    /// The DST-probe profile: calm, uninstrumented, full trace — the
-    /// exact-replay configuration the determinism probes byte-diff
-    /// (sequential vs. parallel, wheel vs. heap, fast vs. reference
-    /// crypto backend). Kept distinct from [`RunOptions::interactive`]
-    /// so probe call sites state their intent and can diverge from the
-    /// interactive defaults without touching every test.
-    pub fn dst() -> Self {
-        RunOptions::default()
     }
 
     /// Calm, with the metrics sink installed.
@@ -180,26 +130,6 @@ impl RunOptions {
     /// Replace the relay-fleet configuration (chainable).
     pub fn with_fleet(mut self, fleet: &FleetConfig) -> Self {
         self.fleet = fleet.clone();
-        self
-    }
-
-    /// Select the event-queue implementation (chainable).
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Disable per-packet trace recording (chainable). Reports derived
-    /// from the trace (observer views, latency-from-trace measures) see
-    /// an empty trace; metrics and knowledge ledgers are unaffected.
-    pub fn without_trace(mut self) -> Self {
-        self.record_trace = false;
-        self
-    }
-
-    /// Enable streaming (bounded-memory) metrics folding (chainable).
-    pub fn with_streaming_metrics(mut self) -> Self {
-        self.streaming_metrics = true;
         self
     }
 
@@ -250,12 +180,10 @@ pub trait ScenarioReport {
 
 /// One uniform way to run a §3 scenario.
 ///
-/// Implementors supply [`Scenario::run_with`]; the convenience
-/// entrypoints ([`run`](Scenario::run),
-/// [`run_with_faults`](Scenario::run_with_faults),
-/// [`run_instrumented`](Scenario::run_instrumented)) are provided. A run
-/// must be a pure function of `(config, seed, options)` — the DST
-/// harness replays it and compares.
+/// Implementors supply [`Scenario::run_with`]; [`run`](Scenario::run)
+/// and [`sweep`](Scenario::sweep) are provided. A run must be a pure
+/// function of `(config, seed, options)` — the DST harness replays it
+/// and compares.
 pub trait Scenario {
     /// Scenario parameters. `Default` must be a small, fast workload.
     type Config: Default + Clone;
@@ -270,16 +198,6 @@ pub trait Scenario {
     /// Run fault-free and uninstrumented.
     fn run(cfg: &Self::Config, seed: u64) -> Self::Report {
         Self::run_with(cfg, seed, &RunOptions::default())
-    }
-
-    /// Run under a fault configuration.
-    fn run_with_faults(cfg: &Self::Config, seed: u64, faults: &FaultConfig) -> Self::Report {
-        Self::run_with(cfg, seed, &RunOptions::with_faults(faults))
-    }
-
-    /// Run fault-free with the metrics sink installed.
-    fn run_instrumented(cfg: &Self::Config, seed: u64) -> Self::Report {
-        Self::run_with(cfg, seed, &RunOptions::observed())
     }
 
     /// Run a multi-seed sweep of this scenario on `exec`: one
@@ -356,13 +274,18 @@ mod tests {
         assert_eq!(r.completed_units(), 5);
         assert!(r.completed());
         assert!(!r.metrics().enabled);
-        assert!(Toy::run_instrumented(&0, 0).metrics().enabled);
-        assert!(
-            !Toy::run_with_faults(&0, 0, &FaultConfig::chaos())
-                .metrics()
-                .enabled
-        );
         assert!(!Toy::run(&0, 0).completed());
+        let builder = SweepBuilder::new(9).worlds(3);
+        let swept = Toy::sweep(
+            &2,
+            &builder,
+            &crate::SequentialExecutor,
+            &RunOptions::observed(),
+        );
+        for entry in &swept.entries {
+            assert_eq!(entry.result.completed_units(), 2 + entry.seed);
+            assert!(entry.result.metrics().enabled, "options reach every world");
+        }
     }
 
     #[test]
@@ -385,22 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_and_trace_defaults() {
-        let d = RunOptions::default();
-        assert_eq!(d.queue, QueueKind::TimerWheel);
-        assert!(d.record_trace, "trace stays on unless opted out");
-        assert!(!d.streaming_metrics);
-        let heap = RunOptions::new().with_queue(QueueKind::BinaryHeap);
-        assert_eq!(heap.queue, QueueKind::BinaryHeap);
-        assert!(!RunOptions::new().without_trace().record_trace);
-        assert!(RunOptions::new().with_streaming_metrics().streaming_metrics);
-    }
-
-    #[test]
     fn named_profiles_pin_every_flag() {
-        let i = RunOptions::interactive();
-        assert!(!i.observe && i.record_trace && !i.streaming_metrics);
-        assert!(!i.faults.enabled && !i.recover.enabled && !i.fleet.enabled);
+        let d = RunOptions::new();
+        assert!(!d.observe && d.record_trace && !d.streaming_metrics);
+        assert!(!d.faults.enabled && !d.recover.enabled && !d.fleet.enabled);
 
         let pop = RunOptions::population();
         assert!(pop.observe, "population runs are always instrumented");
@@ -408,20 +319,12 @@ mod tests {
         assert!(pop.streaming_metrics, "metrics fold as they arrive");
         assert!(!pop.faults.enabled && !pop.recover.enabled);
 
-        let dst = RunOptions::dst();
-        assert!(!dst.observe && dst.record_trace && !dst.streaming_metrics);
-        assert_eq!(dst.queue, QueueKind::TimerWheel);
-        assert!(!dst.fleet.enabled, "fleet is opt-in everywhere");
-
-        let fleet = RunOptions::dst().with_fleet(&FleetConfig::standard());
+        let fleet = RunOptions::new().with_fleet(&FleetConfig::standard());
         assert!(fleet.fleet.enabled);
 
-        // The profiles compose with the chainable escape hatches.
-        let custom = RunOptions::population()
-            .observe(false)
-            .with_queue(QueueKind::BinaryHeap);
+        // The profiles compose with the chainable setters.
+        let custom = RunOptions::population().observe(false);
         assert!(!custom.observe && custom.streaming_metrics);
-        assert_eq!(custom.queue, QueueKind::BinaryHeap);
     }
 
     #[test]

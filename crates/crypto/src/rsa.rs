@@ -156,105 +156,6 @@ impl RsaPublicKey {
         Ok(sig)
     }
 
-    /// Verify a batch of PKCS#1 v1.5 SHA-256 signatures sharing this key,
-    /// returning a per-item verdict in input order.
-    ///
-    /// Small-exponent random-weight batching (Bellare–Garay–Rabin): with
-    /// per-item 64-bit weights `t_i` derived Fiat–Shamir-style from the
-    /// whole batch transcript, check
-    /// `(Π s_i^t_i)^e == Π em_i^t_i (mod n)` in two weighted
-    /// multi-exponentiations instead of `len` full public operations.
-    ///
-    /// **Fail-closed:** when every signature is individually valid the
-    /// combined identity holds *deterministically* (each `s_i^e ≡ em_i`),
-    /// so a combined-check mismatch proves at least one bad item — the
-    /// code then falls back to individual verification, which pinpoints
-    /// exactly which items fail. Items that are malformed before the
-    /// arithmetic (wrong length, `s ≥ n`) are rejected up front and
-    /// excluded from the combined check.
-    ///
-    /// Note on economics: with the usual `e = 65537` an individual verify
-    /// is already a short-exponent operation, so batching here trades CPU
-    /// for the pinpointing guarantee roughly evenly; the win grows with
-    /// larger public exponents and with batch size. See
-    /// `docs/PERFORMANCE.md`.
-    pub fn verify_batch(&self, items: &[(&[u8], &[u8])]) -> Vec<Result<()>> {
-        let k = self.modulus_len();
-        if self.validate().is_err() {
-            return vec![Err(CryptoError::BadSignature); items.len()];
-        }
-        let be = backend::active();
-        // Pre-screen: parse each item; structural failures never reach
-        // the combined identity.
-        let mut out: Vec<Result<()>> = Vec::with_capacity(items.len());
-        let mut parsed: Vec<Option<(BigUint, BigUint)>> = Vec::with_capacity(items.len());
-        for (msg, sig) in items {
-            let entry = (|| {
-                if sig.len() != k {
-                    return Err(CryptoError::BadSignature);
-                }
-                let s = BigUint::from_bytes_be(sig);
-                if s >= self.n {
-                    return Err(CryptoError::BadSignature);
-                }
-                let em = BigUint::from_bytes_be(&emsa_pkcs1_v15(msg, k)?);
-                Ok((s, em))
-            })();
-            match entry {
-                Ok(pair) => {
-                    out.push(Ok(()));
-                    parsed.push(Some(pair));
-                }
-                Err(e) => {
-                    out.push(Err(e));
-                    parsed.push(None);
-                }
-            }
-        }
-        // Fiat–Shamir weights over the whole transcript: an item's weight
-        // depends on every signature in the batch, so weights cannot be
-        // chosen before the signatures are.
-        let mut transcript = Vec::new();
-        for (msg, sig) in items {
-            transcript.extend_from_slice(&(msg.len() as u64).to_be_bytes());
-            transcript.extend_from_slice(msg);
-            transcript.extend_from_slice(&(sig.len() as u64).to_be_bytes());
-            transcript.extend_from_slice(sig);
-        }
-        let seed = sha256(&transcript);
-        let weight = |i: usize| {
-            let mut buf = Vec::with_capacity(seed.len() + 8);
-            buf.extend_from_slice(&seed);
-            buf.extend_from_slice(&(i as u64).to_be_bytes());
-            let h = sha256(&buf);
-            // Nonzero 64-bit weight.
-            BigUint::from_bytes_be(&h[..8]).add(&BigUint::one())
-        };
-        let combined = (|| -> Result<bool> {
-            let mut lhs = BigUint::one();
-            let mut rhs = BigUint::one();
-            for (i, entry) in parsed.iter().enumerate() {
-                let Some((s, em)) = entry else { continue };
-                let t = weight(i);
-                lhs = be.mulmod(&lhs, &be.modpow(s, &t, &self.n)?, &self.n)?;
-                rhs = be.mulmod(&rhs, &be.modpow(em, &t, &self.n)?, &self.n)?;
-            }
-            Ok(be.modpow(&lhs, &self.e, &self.n)? == rhs)
-        })();
-        if matches!(combined, Ok(true)) {
-            return out;
-        }
-        // Combined identity failed (or errored): at least one item is bad.
-        // Fall back to individual verification so every failure is
-        // pinpointed rather than poisoning the whole batch.
-        for (i, (msg, sig)) in items.iter().enumerate() {
-            if out[i].is_ok() {
-                out[i] = self.verify(msg, sig);
-            }
-        }
-        out
-    }
-
     /// Serialize as `len(n) ‖ n ‖ e` for transport inside the simulator.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.n.to_bytes_be();
@@ -573,46 +474,6 @@ mod tests {
         let sig = sk.sign(b"abc").unwrap();
         let em = crate::backend::active().modpow_bytes(&sig, &e, &n).unwrap();
         assert_eq!(em, emsa_pkcs1_v15(b"abc", pk.modulus_len()).unwrap());
-    }
-
-    #[test]
-    fn batch_verify_matches_individual_on_mixed_sets() {
-        let sk = test_key();
-        let pk = sk.public_key().clone();
-        let msgs: Vec<Vec<u8>> = (0..5u8).map(|i| vec![b'm', i]).collect();
-        let mut sigs: Vec<Vec<u8>> = msgs.iter().map(|m| sk.sign(m).unwrap()).collect();
-
-        // All valid: batch takes the combined fast path, all Ok.
-        let items: Vec<(&[u8], &[u8])> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| (m.as_slice(), s.as_slice()))
-            .collect();
-        assert!(pk.verify_batch(&items).iter().all(|r| r.is_ok()));
-
-        // Corrupt item 1 (bit flip), truncate item 3 (structural): the
-        // batch must pinpoint exactly those two, matching individual
-        // verification on every item.
-        sigs[1][7] ^= 0x20;
-        sigs[3].pop();
-        let items: Vec<(&[u8], &[u8])> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| (m.as_slice(), s.as_slice()))
-            .collect();
-        let batch = pk.verify_batch(&items);
-        for (i, (msg, sig)) in items.iter().enumerate() {
-            assert_eq!(
-                batch[i].is_ok(),
-                pk.verify(msg, sig).is_ok(),
-                "item {i} batch verdict must match individual"
-            );
-        }
-        assert!(batch[0].is_ok() && batch[2].is_ok() && batch[4].is_ok());
-        assert!(batch[1].is_err() && batch[3].is_err());
-
-        // Empty batch is vacuously fine.
-        assert!(pk.verify_batch(&[]).is_empty());
     }
 
     #[test]

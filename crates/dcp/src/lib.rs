@@ -77,14 +77,14 @@ pub use dcp_worlds as worlds;
 // The unified Scenario API, flattened: everything a driver needs to run,
 // fault, and observe any §3 scenario without reaching into sub-crates.
 pub use dcp_core::{
-    derive_seed, MetricsReport, ObsEvent, ObsSink, QueueKind, RecoverConfig, RunOptions, Scenario,
+    derive_seed, MetricsReport, ObsEvent, ObsSink, RecoverConfig, RunOptions, Scenario,
     ScenarioReport, SequentialExecutor, SweepBuilder, SweepExecutor, SweepJob, SweepRun,
 };
 pub use dcp_faults::dst::{run_scenario_for, sweep_scenario_for, DstReport, DstSweepReport};
 pub use dcp_faults::{FaultConfig, FaultLog};
 pub use dcp_obs::MetricsHandle;
 pub use dcp_runtime::{entities_silent, restricted_fingerprint, FleetConfig, FleetSummary};
-pub use dcp_sweep::{run_sweep, run_sweep_sequential, ParallelExecutor};
+pub use dcp_sweep::ParallelExecutor;
 
 pub use dcp_blindcash::{Blindcash, BlindcashConfig};
 pub use dcp_mixnet::{Mixnet, MixnetConfig};

@@ -150,92 +150,134 @@ pub fn run_scenario<F>(scenario: &str, seed: u64, run: F) -> Vec<DstReport>
 where
     F: Fn(&FaultConfig, u64) -> DstOutcome,
 {
+    let baseline = calm_baseline(scenario, seed, &run);
+    FaultConfig::presets()
+        .iter()
+        .map(|(preset, config)| check_preset(scenario, seed, preset, config, &baseline, &run))
+        .collect()
+}
+
+/// The fault-free run every preset is compared against.
+fn calm_baseline<F>(scenario: &str, seed: u64, run: &F) -> World
+where
+    F: Fn(&FaultConfig, u64) -> DstOutcome,
+{
     let baseline = run(&FaultConfig::calm(), seed);
     assert!(
         baseline.fault_log.is_empty(),
         "{scenario}: calm preset must inject nothing, got {:?}",
         baseline.fault_log.events()
     );
-    let baseline_fp = KnowledgeFingerprint::of(&baseline.world);
+    baseline.world
+}
 
-    let mut reports = Vec::new();
-    for (preset, config) in FaultConfig::presets() {
-        let a = run(&config, seed);
-        let b = run(&config, seed);
+/// Run one preset twice against `baseline` and assert every property the
+/// tier promises (see the module docs); the harsh preset adds the
+/// completion bar.
+fn check_preset<F>(
+    scenario: &str,
+    seed: u64,
+    preset: &str,
+    config: &FaultConfig,
+    baseline: &World,
+    run: &F,
+) -> DstReport
+where
+    F: Fn(&FaultConfig, u64) -> DstOutcome,
+{
+    let a = run(config, seed);
+    let b = run(config, seed);
 
-        // Determinism: identical fault schedule and knowledge tables.
-        assert_eq!(
-            a.fault_log, b.fault_log,
-            "{scenario}/{preset}: FaultLog diverged between two runs of \
-             seed {seed} — the run is not a pure function of (seed, config)"
-        );
-        let fp_a = KnowledgeFingerprint::of(&a.world);
-        let fp_b = KnowledgeFingerprint::of(&b.world);
-        assert_eq!(
-            fp_a, fp_b,
-            "{scenario}/{preset}: knowledge tables diverged between two \
-             runs of seed {seed}"
-        );
+    // Determinism: identical fault schedule and knowledge tables.
+    assert_eq!(
+        a.fault_log, b.fault_log,
+        "{scenario}/{preset}: FaultLog diverged between two runs of \
+         seed {seed} — the run is not a pure function of (seed, config)"
+    );
+    let fp_a = KnowledgeFingerprint::of(&a.world);
+    let fp_b = KnowledgeFingerprint::of(&b.world);
+    assert_eq!(
+        fp_a, fp_b,
+        "{scenario}/{preset}: knowledge tables diverged between two \
+         runs of seed {seed}"
+    );
 
-        // Safety: no coupling the calm run doesn't already have.
-        let fresh = new_couplings(&baseline.world, &a.world);
+    // Safety: no coupling the calm run doesn't already have.
+    let fresh = new_couplings(baseline, &a.world);
+    assert!(
+        fresh.is_empty(),
+        "{scenario}/{preset}: faults created new couplings {fresh:?} \
+         — replay with seed {seed} and config {config:?}"
+    );
+
+    // Privacy of recovery: re-randomized retransmission means no two
+    // attempts of one request ever share a ciphertext, under any tier.
+    assert!(
+        a.retry_linkage.is_empty(),
+        "{scenario}/{preset}: attempts linkable by ciphertext equality \
+         {:?} — replay with seed {seed}",
+        a.retry_linkage
+    );
+
+    let baseline_fp = KnowledgeFingerprint::of(baseline);
+    let tables_match_baseline = fp_a == baseline_fp;
+
+    // The harsh completion bar: every request answered, and the
+    // recovered run's knowledge tables byte-identical to the
+    // fault-free run (retries and failovers taught no entity
+    // anything new).
+    if preset == "harsh" {
         assert!(
-            fresh.is_empty(),
-            "{scenario}/{preset}: faults created new couplings {fresh:?} \
-             — replay with seed {seed} and config {config:?}"
+            a.completed,
+            "{scenario}/harsh: no end-to-end progress despite the \
+             recovery layer — replay with seed {seed}"
         );
-
-        // Privacy of recovery: re-randomized retransmission means no two
-        // attempts of one request ever share a ciphertext, under any tier.
-        assert!(
-            a.retry_linkage.is_empty(),
-            "{scenario}/{preset}: attempts linkable by ciphertext equality \
-             {:?} — replay with seed {seed}",
-            a.retry_linkage
-        );
-
-        let tables_match_baseline = fp_a == baseline_fp;
-
-        // The harsh completion bar: every request answered, and the
-        // recovered run's knowledge tables byte-identical to the
-        // fault-free run (retries and failovers taught no entity
-        // anything new).
-        if preset == "harsh" {
-            assert!(
-                a.completed,
-                "{scenario}/harsh: no end-to-end progress despite the \
-                 recovery layer — replay with seed {seed}"
-            );
-            if let Some(expected) = a.expected_units {
-                assert_eq!(
-                    a.completed_units, expected,
-                    "{scenario}/harsh: completed {}/{} work units — the \
-                     recovery layer failed to finish the workload; replay \
-                     with seed {seed}",
-                    a.completed_units, expected
-                );
-            }
+        if let Some(expected) = a.expected_units {
             assert_eq!(
-                fp_a, baseline_fp,
-                "{scenario}/harsh: recovered run's knowledge tables differ \
-                 from the fault-free baseline — recovery leaked knowledge; \
-                 replay with seed {seed}"
+                a.completed_units, expected,
+                "{scenario}/harsh: completed {}/{} work units — the \
+                 recovery layer failed to finish the workload; replay \
+                 with seed {seed}",
+                a.completed_units, expected
             );
         }
-
-        reports.push(DstReport {
-            scenario: scenario.to_string(),
-            preset: preset.to_string(),
-            seed,
-            faults_injected: a.fault_log.len(),
-            completed: a.completed,
-            completed_units: a.completed_units,
-            expected_units: a.expected_units,
-            tables_match_baseline,
-            new_couplings: fresh,
-        });
+        assert_eq!(
+            fp_a, baseline_fp,
+            "{scenario}/harsh: recovered run's knowledge tables differ \
+             from the fault-free baseline — recovery leaked knowledge; \
+             replay with seed {seed}"
+        );
     }
-    reports
+
+    DstReport {
+        scenario: scenario.to_string(),
+        preset: preset.to_string(),
+        seed,
+        faults_injected: a.fault_log.len(),
+        completed: a.completed,
+        completed_units: a.completed_units,
+        expected_units: a.expected_units,
+        tables_match_baseline,
+        new_couplings: fresh,
+    }
+}
+
+/// Run `S` with the standard recovery layer under `config`: the run
+/// closure of every `*_for` entrypoint below.
+///
+/// Recovery is enabled for the calm baseline too: the baseline must
+/// share the faulted runs' topology and provisioning (backup routes,
+/// retry-headroom token batches) for the table-equality comparison to
+/// mean anything. Calm runs fire zero retries, so this changes no
+/// knowledge.
+fn recovered_run<S: Scenario>(cfg: &S::Config) -> impl Fn(&FaultConfig, u64) -> DstOutcome + '_ {
+    move |config, seed| {
+        DstOutcome::from_report(&S::run_with(
+            cfg,
+            seed,
+            &dcp_core::RunOptions::recovered(config),
+        ))
+    }
 }
 
 /// [`run_scenario`] specialized to the unified [`Scenario`] trait: runs
@@ -243,35 +285,8 @@ where
 /// recovery layer enabled** and checks determinism, baseline-relative
 /// safety, retry unlinkability, and the harsh completion bar. The
 /// canonical way to DST a §3 system.
-///
-/// Recovery is enabled for the calm baseline too: the baseline must
-/// share the faulted runs' topology and provisioning (backup routes,
-/// retry-headroom token batches) for the table-equality comparison to
-/// mean anything. Calm runs fire zero retries, so this changes no
-/// knowledge.
 pub fn run_scenario_for<S: Scenario>(seed: u64, cfg: &S::Config) -> Vec<DstReport> {
-    run_scenario_for_with::<S>(seed, cfg, &dcp_core::RunOptions::default())
-}
-
-/// [`run_scenario_for`] with explicit run plumbing: the fault preset and
-/// recovery layer still come from the battery, but `base`'s simulator
-/// knobs (event queue, trace recording, metrics streaming) are applied
-/// to every run. The queue-swap equivalence gate drives this with
-/// [`QueueKind::BinaryHeap`](dcp_core::QueueKind) vs the timer-wheel
-/// default and byte-diffs the probe JSON.
-pub fn run_scenario_for_with<S: Scenario>(
-    seed: u64,
-    cfg: &S::Config,
-    base: &dcp_core::RunOptions,
-) -> Vec<DstReport> {
-    run_scenario(S::NAME, seed, |config, seed| {
-        let mut opts = dcp_core::RunOptions::recovered(config);
-        opts.queue = base.queue;
-        opts.record_trace = base.record_trace;
-        opts.streaming_metrics = base.streaming_metrics;
-        let report = S::run_with(cfg, seed, &opts);
-        DstOutcome::from_report(&report)
-    })
+    run_scenario(S::NAME, seed, recovered_run::<S>(cfg))
 }
 
 /// The harsh-preset recovery probe for one world: a recovered fault-free
@@ -284,83 +299,16 @@ pub fn run_scenario_for_with<S: Scenario>(
 /// the completion bar, so CI can sweep it over more worlds than the full
 /// battery affords.
 pub fn run_recovery_probe_for<S: Scenario>(seed: u64, cfg: &S::Config) -> DstReport {
-    run_recovery_probe_for_with::<S>(seed, cfg, &dcp_core::RunOptions::default())
-}
-
-/// [`run_recovery_probe_for`] with explicit simulator knobs — see
-/// [`run_scenario_for_with`].
-pub fn run_recovery_probe_for_with<S: Scenario>(
-    seed: u64,
-    cfg: &S::Config,
-    base: &dcp_core::RunOptions,
-) -> DstReport {
-    let run = |config: &FaultConfig, seed: u64| {
-        let mut opts = dcp_core::RunOptions::recovered(config);
-        opts.queue = base.queue;
-        opts.record_trace = base.record_trace;
-        opts.streaming_metrics = base.streaming_metrics;
-        let report = S::run_with(cfg, seed, &opts);
-        DstOutcome::from_report(&report)
-    };
-    let scenario = S::NAME;
-    let baseline = run(&FaultConfig::calm(), seed);
-    assert!(
-        baseline.fault_log.is_empty(),
-        "{scenario}: calm preset must inject nothing"
-    );
-    let baseline_fp = KnowledgeFingerprint::of(&baseline.world);
-
-    let harsh = FaultConfig::harsh();
-    let a = run(&harsh, seed);
-    let b = run(&harsh, seed);
-    assert_eq!(
-        a.fault_log, b.fault_log,
-        "{scenario}/harsh: FaultLog diverged between two runs of seed {seed}"
-    );
-    let fp_a = KnowledgeFingerprint::of(&a.world);
-    assert_eq!(
-        fp_a,
-        KnowledgeFingerprint::of(&b.world),
-        "{scenario}/harsh: knowledge tables diverged between two runs of seed {seed}"
-    );
-    let fresh = new_couplings(&baseline.world, &a.world);
-    assert!(
-        fresh.is_empty(),
-        "{scenario}/harsh: faults created new couplings {fresh:?} — replay with seed {seed}"
-    );
-    assert!(
-        a.retry_linkage.is_empty(),
-        "{scenario}/harsh: attempts linkable by ciphertext equality {:?} — replay with seed {seed}",
-        a.retry_linkage
-    );
-    assert!(
-        a.completed,
-        "{scenario}/harsh: no end-to-end progress despite the recovery layer — seed {seed}"
-    );
-    if let Some(expected) = a.expected_units {
-        assert_eq!(
-            a.completed_units, expected,
-            "{scenario}/harsh: completed {}/{} work units — replay with seed {seed}",
-            a.completed_units, expected
-        );
-    }
-    assert_eq!(
-        fp_a, baseline_fp,
-        "{scenario}/harsh: recovered run's knowledge tables differ from the \
-         fault-free baseline — recovery leaked knowledge; replay with seed {seed}"
-    );
-
-    DstReport {
-        scenario: scenario.to_string(),
-        preset: "harsh".to_string(),
+    let run = recovered_run::<S>(cfg);
+    let baseline = calm_baseline(S::NAME, seed, &run);
+    check_preset(
+        S::NAME,
         seed,
-        faults_injected: a.fault_log.len(),
-        completed: a.completed,
-        completed_units: a.completed_units,
-        expected_units: a.expected_units,
-        tables_match_baseline: true,
-        new_couplings: fresh,
-    }
+        "harsh",
+        &FaultConfig::harsh(),
+        &baseline,
+        &run,
+    )
 }
 
 /// The aggregate of a multi-seed harsh recovery sweep for one scenario —
@@ -399,25 +347,7 @@ where
     S::Config: Sync,
     X: SweepExecutor + ?Sized,
 {
-    sweep_recovery_probe_for_with::<S, X>(cfg, builder, exec, &dcp_core::RunOptions::default())
-}
-
-/// [`sweep_recovery_probe_for`] with explicit simulator knobs — see
-/// [`run_scenario_for_with`].
-pub fn sweep_recovery_probe_for_with<S, X>(
-    cfg: &S::Config,
-    builder: &SweepBuilder,
-    exec: &X,
-    base: &dcp_core::RunOptions,
-) -> RecoverySweepReport
-where
-    S: Scenario,
-    S::Config: Sync,
-    X: SweepExecutor + ?Sized,
-{
-    let run = builder.run_on(exec, |job| {
-        run_recovery_probe_for_with::<S>(job.seed, cfg, base)
-    });
+    let run = builder.run_on(exec, |job| run_recovery_probe_for::<S>(job.seed, cfg));
     let mut report = RecoverySweepReport {
         scenario: S::NAME.to_string(),
         master_seed: builder.master_seed(),
@@ -489,25 +419,7 @@ where
     S::Config: Sync,
     X: SweepExecutor + ?Sized,
 {
-    sweep_scenario_for_with::<S, X>(cfg, builder, exec, &dcp_core::RunOptions::default())
-}
-
-/// [`sweep_scenario_for`] with explicit simulator knobs — see
-/// [`run_scenario_for_with`]. The queue-swap equivalence gate runs the
-/// same sweep under both [`QueueKind`](dcp_core::QueueKind)s and
-/// byte-diffs the serialized aggregates.
-pub fn sweep_scenario_for_with<S, X>(
-    cfg: &S::Config,
-    builder: &SweepBuilder,
-    exec: &X,
-    base: &dcp_core::RunOptions,
-) -> DstSweepReport
-where
-    S: Scenario,
-    S::Config: Sync,
-    X: SweepExecutor + ?Sized,
-{
-    let run = builder.run_on(exec, |job| run_scenario_for_with::<S>(job.seed, cfg, base));
+    let run = builder.run_on(exec, |job| run_scenario_for::<S>(job.seed, cfg));
     let mut report = DstSweepReport {
         scenario: S::NAME.to_string(),
         master_seed: builder.master_seed(),

@@ -234,19 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn relay_churn_name_survives_as_deprecated_constructor() {
-        #[allow(deprecated)]
-        let k = FaultKind::relay_churn(2, 9);
-        assert_eq!(
-            k,
-            FaultKind::RelayCrash {
-                node: 2,
-                until_us: 9
-            }
-        );
-    }
-
-    #[test]
     fn dir_partitions_are_logged_distinctly_but_block_identically() {
         let mut cfg = FaultConfig::harsh_fleet();
         cfg.partition_window_us = 100;

@@ -30,5 +30,5 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{sweep, Mixnet, MixnetConfig, MixnetReport};
+pub use scenario::{Mixnet, MixnetConfig, MixnetReport};
 pub use types::declared_caps;

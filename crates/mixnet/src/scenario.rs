@@ -129,18 +129,6 @@ impl Scenario for Mixnet {
     }
 }
 
-/// Multi-seed sweep of [`Mixnet`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &MixnetConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<MixnetReport> {
-    Mixnet::sweep(cfg, builder, exec, opts)
-}
-
 impl MixnetReport {
     /// Derive the §3.1.2 table for sender `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {
@@ -801,7 +789,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_counts_onion_layers() {
-        let report = Mixnet::run_instrumented(&cfg(), 77);
+        let report = Mixnet::run_with(&cfg(), 77, &RunOptions::observed());
         assert_eq!(report.delivered, 6);
         assert!(report.metrics.wire_accounting_holds());
         assert_eq!(report.metrics.span_count("e2e"), 6);

@@ -32,5 +32,5 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{sweep, ChainConfig, Mpr, ScenarioReport};
+pub use scenario::{ChainConfig, Mpr, ScenarioReport};
 pub use types::declared_caps;

@@ -110,18 +110,6 @@ impl Scenario for Mpr {
     }
 }
 
-/// Multi-seed sweep of [`Mpr`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &ChainConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    Mpr::sweep(cfg, builder, exec, opts)
-}
-
 impl ScenarioReport {
     /// Derive the decoupling table for user `i` over
     /// `User | Relay 1 | … | Relay k | Origin`.
@@ -912,8 +900,8 @@ mod tests {
 
     #[test]
     fn instrumented_run_scales_crypto_with_relays() {
-        let r2 = Mpr::run_instrumented(&cfg(2), 5);
-        let r3 = Mpr::run_instrumented(&cfg(3), 5);
+        let r2 = Mpr::run_with(&cfg(2), 5, &RunOptions::observed());
+        let r3 = Mpr::run_with(&cfg(3), 5, &RunOptions::observed());
         assert!(r2.metrics.wire_accounting_holds());
         assert_eq!(r2.metrics.span_count("fetch"), r2.completed);
         // Each extra relay adds one seal and one open per fetch.

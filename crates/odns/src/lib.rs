@@ -33,7 +33,6 @@ pub mod serve;
 pub mod types;
 
 pub use scenario::{
-    sweep, sweep_direct, DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh,
-    OdohConfig, ScenarioReport,
+    DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig, ScenarioReport,
 };
 pub use types::{declared_caps, direct_declared_caps};

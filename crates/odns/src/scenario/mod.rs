@@ -255,29 +255,6 @@ impl Scenario for Odoh {
     }
 }
 
-/// Multi-seed sweep of [`Odoh`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &OdohConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    Odoh::sweep(cfg, builder, exec, opts)
-}
-
-/// Multi-seed sweep of [`DirectDns`] (the coupled baseline) on `exec` —
-/// see [`sweep`] for the determinism contract.
-pub fn sweep_direct(
-    cfg: &DirectDnsConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    DirectDns::sweep(cfg, builder, exec, opts)
-}
-
 /// Plain DNS (the coupled baseline), optionally striped across several
 /// resolvers (§5.1).
 pub struct DirectDns;
@@ -526,7 +503,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_collects_metrics() {
-        let report = Odoh::run_instrumented(&OdohConfig::new(1, 3), 21);
+        let report = Odoh::run_with(&OdohConfig::new(1, 3), 21, &RunOptions::observed());
         assert_eq!(report.answered, 3);
         assert!(report.metrics.enabled);
         assert_eq!(report.metrics.scenario, "odns");
@@ -555,7 +532,7 @@ mod tests {
     #[test]
     fn instrumentation_does_not_change_outcomes() {
         let plain = run_odoh(1, 3, 27);
-        let inst = Odoh::run_instrumented(&OdohConfig::new(1, 3), 27);
+        let inst = Odoh::run_with(&OdohConfig::new(1, 3), 27, &RunOptions::observed());
         assert_eq!(plain.answered, inst.answered);
         assert_eq!(plain.mean_query_us, inst.mean_query_us);
         assert_eq!(plain.trace.len(), inst.trace.len());
@@ -565,10 +542,10 @@ mod tests {
     #[test]
     fn direct_runs_support_faults_now() {
         use dcp_faults::FaultConfig;
-        let report = DirectDns::run_with_faults(
+        let report = DirectDns::run_with(
             &DirectDnsConfig::new(2, 10, 2),
             29,
-            &FaultConfig::moderate(),
+            &RunOptions::with_faults(&FaultConfig::moderate()),
         );
         assert!(
             !report.fault_log.is_empty(),

@@ -28,5 +28,5 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{sweep, Mode, Pgpp, PgppConfig, PgppReport};
+pub use scenario::{Mode, Pgpp, PgppConfig, PgppReport};
 pub use types::{legacy_declared_caps, pgpp_declared_caps};

@@ -124,18 +124,6 @@ impl Scenario for Pgpp {
     }
 }
 
-/// Multi-seed sweep of [`Pgpp`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &PgppConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<PgppReport> {
-    Pgpp::sweep(cfg, builder, exec, opts)
-}
-
 impl PgppReport {
     /// Derive the §3.2.3 table for user `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {
@@ -897,7 +885,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_counts_voprf_ops() {
-        let report = Pgpp::run_instrumented(&cfg(Mode::Pgpp), 11);
+        let report = Pgpp::run_with(&cfg(Mode::Pgpp), 11, &RunOptions::observed());
         assert!(report.metrics.wire_accounting_holds());
         // 6 users × 6 tokens: blinded, evaluated, finalized once each;
         // redeemed once per attach.
@@ -910,7 +898,7 @@ mod tests {
         );
         assert_eq!(report.metrics.span_count("issuance"), 6);
         // Legacy mode does no token crypto at all.
-        let legacy = Pgpp::run_instrumented(&cfg(Mode::Legacy), 11);
+        let legacy = Pgpp::run_with(&cfg(Mode::Legacy), 11, &RunOptions::observed());
         assert_eq!(legacy.metrics.crypto_total(), 0);
     }
 

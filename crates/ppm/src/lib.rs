@@ -30,6 +30,6 @@ pub mod prio;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{sweep, Ppm, PpmConfig, PpmReport};
+pub use scenario::{Ppm, PpmConfig, PpmReport};
 pub use types::declared_caps;
 pub mod share;

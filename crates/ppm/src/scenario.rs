@@ -143,18 +143,6 @@ impl Scenario for Ppm {
     }
 }
 
-/// Multi-seed sweep of [`Ppm`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &PpmConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<PpmReport> {
-    Ppm::sweep(cfg, builder, exec, opts)
-}
-
 impl PpmReport {
     /// Derive the §3.2.5 table for user `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {
@@ -790,7 +778,7 @@ mod tests {
             malicious: 0,
             seed: 11,
         };
-        let report = Ppm::run_instrumented(&config, config.seed);
+        let report = Ppm::run_with(&config, config.seed, &RunOptions::observed());
         let m = &report.metrics;
         // One share split per client; each of the two aggregators runs
         // round 1 and round 2 once per submission.

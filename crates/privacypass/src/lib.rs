@@ -25,7 +25,7 @@ pub mod protocol;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{sweep, Privacypass, PrivacypassConfig, ScenarioReport};
+pub use scenario::{Privacypass, PrivacypassConfig, ScenarioReport};
 pub use types::declared_caps;
 
 pub use protocol::{Client, Issuer, RedeemError, Token};

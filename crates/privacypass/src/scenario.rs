@@ -123,18 +123,6 @@ impl Scenario for Privacypass {
     }
 }
 
-/// Multi-seed sweep of [`Privacypass`] on `exec`: one independent world
-/// per derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &PrivacypassConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    Privacypass::sweep(cfg, builder, exec, opts)
-}
-
 impl ScenarioReport {
     /// Derive the §3.2.1 table for user `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {
@@ -819,7 +807,8 @@ mod tests {
 
     #[test]
     fn instrumented_run_counts_voprf_ops() {
-        let report = Privacypass::run_instrumented(&PrivacypassConfig::new(2, 2), 7);
+        let report =
+            Privacypass::run_with(&PrivacypassConfig::new(2, 2), 7, &RunOptions::observed());
         let m = &report.metrics;
         // Each client blinds a full batch; the issuer evaluates every
         // blinded element; the client finalizes each evaluation; one

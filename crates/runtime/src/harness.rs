@@ -31,7 +31,6 @@ pub struct Harness {
     seed: u64,
     faults: FaultConfig,
     obs: Option<MetricsHandle>,
-    queue: dcp_core::QueueKind,
     record_trace: bool,
 }
 
@@ -54,18 +53,16 @@ impl Harness {
                 seed,
                 faults: opts.faults.clone(),
                 obs,
-                queue: opts.queue,
                 record_trace: opts.record_trace,
             },
         )
     }
 
     /// Build the simulator over the prepared world: default link set,
-    /// fault injection armed from the run seed, event queue and trace
-    /// recording per the run's [`RunOptions`].
+    /// fault injection armed from the run seed, trace recording per the
+    /// run's [`RunOptions`].
     pub fn network(&self, world: World, link: LinkParams) -> Network {
         let mut net = Network::new(world, self.seed);
-        net.set_queue_kind(self.queue);
         net.set_trace_recording(self.record_trace);
         net.set_default_link(link);
         net.enable_faults(self.faults.clone(), self.seed);

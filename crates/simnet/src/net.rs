@@ -1,10 +1,9 @@
 //! The [`Network`]: event queue, links, taps, and the dispatch loop.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use dcp_core::obs::ObsEvent;
-use dcp_core::{EntityId, QueueKind, World};
+use dcp_core::{EntityId, World};
 use dcp_faults::{buggify, FaultConfig, FaultKind, FaultLog, Injector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,94 +82,17 @@ enum EventKind {
     Timer { token: u64 },
 }
 
-struct Event {
-    time: SimTime,
-    seq: u64,
-    target: NodeId,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// The event queue behind one of two interchangeable engines. Both pop
-/// in ascending `(time, seq)` order; the queue-swap equivalence gate
-/// (tests/queue_equivalence.rs) byte-diffs DST probe JSON across the two
-/// to prove it.
-enum EventQueue {
-    /// Hierarchical timer wheel — O(1) amortised, the default.
-    Wheel(TimerWheel<(NodeId, EventKind)>),
-    /// The original binary heap — the reference implementation.
-    Heap(BinaryHeap<Reverse<Event>>),
-}
-
-impl EventQueue {
-    fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::TimerWheel => EventQueue::Wheel(TimerWheel::new()),
-            QueueKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
-        }
-    }
-
-    fn push(&mut self, e: Event) {
-        match self {
-            EventQueue::Wheel(w) => w.push(e.time.as_us(), e.seq, (e.target, e.kind)),
-            EventQueue::Heap(h) => h.push(Reverse(e)),
-        }
-    }
-
-    /// The earliest queued event's time (its own time, even if it was
-    /// scheduled behind the frontier).
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_time().map(SimTime),
-            EventQueue::Heap(h) => h.peek().map(|Reverse(e)| e.time),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Wheel(w) => w.pop().map(|(time, seq, (target, kind))| Event {
-                time: SimTime(time),
-                seq,
-                target,
-                kind,
-            }),
-            EventQueue::Heap(h) => h.pop().map(|Reverse(e)| e),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Wheel(w) => w.is_empty(),
-            EventQueue::Heap(h) => h.is_empty(),
-        }
-    }
-}
-
 /// The simulator: nodes, links, taps, the shared [`World`], and an event
-/// queue with a total deterministic order.
+/// queue with a total deterministic order: a [`TimerWheel`] keyed by
+/// `(time, seq)`, where `seq` is a per-network counter bumped on every
+/// schedule, so simultaneous events run in the order they were posted.
 pub struct Network {
     nodes: Vec<Option<Box<dyn Node>>>,
     node_entities: Vec<EntityId>,
     links: HashMap<(NodeId, NodeId), LinkParams>,
     default_link: LinkParams,
     taps: Vec<Tap>,
-    queue: EventQueue,
+    queue: TimerWheel<(NodeId, EventKind)>,
     seq: u64,
     now: SimTime,
     world: World,
@@ -205,7 +127,7 @@ impl Network {
             links: HashMap::new(),
             default_link: LinkParams::default(),
             taps: Vec::new(),
-            queue: EventQueue::new(QueueKind::default()),
+            queue: TimerWheel::new(),
             seq: 0,
             now: SimTime::ZERO,
             world,
@@ -229,20 +151,6 @@ impl Network {
         self.relays.push(false);
         self.directories.push(false);
         id
-    }
-
-    /// Select the event-queue implementation. Must be called before any
-    /// event is scheduled — the two engines hold state differently, so a
-    /// mid-run swap has no meaning.
-    ///
-    /// # Panics
-    /// If events are already queued.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        assert!(
-            self.queue.is_empty(),
-            "queue kind must be chosen before scheduling events"
-        );
-        self.queue = EventQueue::new(kind);
     }
 
     /// Enable or disable per-packet trace recording (default on).
@@ -361,12 +269,10 @@ impl Network {
     /// stays exact.
     pub fn into_parts(mut self) -> (World, Trace) {
         if self.world.obs_enabled() {
-            while let Some(event) = self.queue.pop() {
-                if let EventKind::Deliver { ref msg, .. } = event.kind {
-                    self.world.emit_at(
-                        event.time.as_us(),
-                        &ObsEvent::MessageUnserviced { bytes: msg.size() },
-                    );
+            while let Some((time, _, (_, kind))) = self.queue.pop() {
+                if let EventKind::Deliver { msg, .. } = kind {
+                    self.world
+                        .emit_at(time, &ObsEvent::MessageUnserviced { bytes: msg.size() });
                 }
             }
         }
@@ -388,13 +294,7 @@ impl Network {
                 },
             );
         }
-        let seq = self.bump_seq();
-        self.queue.push(Event {
-            time: at,
-            seq,
-            target,
-            kind: EventKind::Deliver { from: target, msg },
-        });
+        self.schedule(at, target, EventKind::Deliver { from: target, msg });
     }
 
     /// Wire-drop accounting: the copy was offered to the wire and lost,
@@ -417,19 +317,14 @@ impl Network {
 
     /// Schedule a timer for `target` at absolute time `at`.
     pub fn post_timer_at(&mut self, target: NodeId, token: u64, at: SimTime) {
-        let seq = self.bump_seq();
-        self.queue.push(Event {
-            time: at,
-            seq,
-            target,
-            kind: EventKind::Timer { token },
-        });
+        self.schedule(at, target, EventKind::Timer { token });
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Queue `kind` for `target` at `at`, behind everything already
+    /// queued for the same instant.
+    fn schedule(&mut self, at: SimTime, target: NodeId, kind: EventKind) {
+        self.queue.push(at.as_us(), self.seq, (target, kind));
         self.seq += 1;
-        s
     }
 
     fn link(&self, a: NodeId, b: NodeId) -> LinkParams {
@@ -455,18 +350,17 @@ impl Network {
         self.start_if_needed();
         let mut processed = 0;
         while let Some(time) = self.queue.peek_time() {
-            if time > deadline {
+            if time > deadline.as_us() {
                 break;
             }
-            let event = self.queue.pop().unwrap();
-            self.now = event.time;
-            self.world.set_obs_now(self.now.as_us());
+            let (at, _, (target, event)) = self.queue.pop().expect("peeked event");
+            self.now = SimTime(at);
+            self.world.set_obs_now(at);
 
             // Crash faults. A down node loses every message and timer
             // that arrives before its restart; a crash triggered *by*
             // this event loses the event itself (the node died holding
             // it). State is preserved across the restart.
-            let target = event.target;
             if self.is_down(target) {
                 if let Some(inj) = self.faults.as_mut() {
                     inj.record(self.now.as_us(), FaultKind::CrashLoss { node: target.0 });
@@ -474,7 +368,7 @@ impl Network {
                 if self.world.obs_enabled() {
                     self.world
                         .emit(&ObsEvent::FaultInjected { kind: "crash_loss" });
-                    if let EventKind::Deliver { ref msg, .. } = event.kind {
+                    if let EventKind::Deliver { ref msg, .. } = event {
                         self.world.emit(&ObsEvent::MessageLostToCrash {
                             node: target.0,
                             bytes: msg.size(),
@@ -484,7 +378,7 @@ impl Network {
                 processed += 1;
                 continue;
             }
-            if matches!(event.kind, EventKind::Deliver { .. }) {
+            if matches!(event, EventKind::Deliver { .. }) {
                 let crashed = if self.relays[target.0] {
                     buggify!(self.faults, p_relay_churn)
                 } else {
@@ -515,7 +409,7 @@ impl Network {
                     if self.world.obs_enabled() {
                         self.world
                             .emit(&ObsEvent::FaultInjected { kind: kind_name });
-                        if let EventKind::Deliver { ref msg, .. } = event.kind {
+                        if let EventKind::Deliver { ref msg, .. } = event {
                             self.world.emit(&ObsEvent::MessageLostToCrash {
                                 node: target.0,
                                 bytes: msg.size(),
@@ -527,13 +421,9 @@ impl Network {
                 }
             }
 
-            match event.kind {
-                EventKind::Deliver { from, msg } => {
-                    self.deliver(event.target, from, msg);
-                }
-                EventKind::Timer { token } => {
-                    self.fire_timer(event.target, token);
-                }
+            match event {
+                EventKind::Deliver { from, msg } => self.deliver(target, from, msg),
+                EventKind::Timer { token } => self.fire_timer(target, token),
             }
             processed += 1;
         }
@@ -770,23 +660,11 @@ impl Network {
                 } else {
                     msg.as_ref().expect("message already sent").clone()
                 };
-                let seq = self.bump_seq();
-                self.queue.push(Event {
-                    time: deliver_time,
-                    seq,
-                    target: to,
-                    kind: EventKind::Deliver { from, msg: payload },
-                });
+                self.schedule(deliver_time, to, EventKind::Deliver { from, msg: payload });
             }
         }
         for (at, token) in timers {
-            let seq = self.bump_seq();
-            self.queue.push(Event {
-                time: at,
-                seq,
-                target: from,
-                kind: EventKind::Timer { token },
-            });
+            self.schedule(at, from, EventKind::Timer { token });
         }
     }
 }
@@ -1193,65 +1071,6 @@ mod tests {
         net.world_mut()
             .observe(ea, &dcp_core::Label::item(item.clone()).sealed(key));
         assert!(net.world().ledger(ea).contains(&item));
-    }
-
-    #[test]
-    fn heap_and_wheel_queues_produce_identical_runs() {
-        // Same seed, same chaos preset, both queue engines: the trace and
-        // fault log must match event for event. (The workspace-level
-        // equivalence gate does this over full DST probe batteries; this
-        // is the fast in-crate canary.)
-        let run = |kind: QueueKind| {
-            let (world, ea, eb) = two_entity_world();
-            let mut net = Network::new(world, 13);
-            net.set_queue_kind(kind);
-            net.enable_faults(FaultConfig::chaos(), 13);
-            net.set_default_link(LinkParams {
-                latency_us: 1000,
-                jitter_us: 700,
-                bytes_per_us: 125,
-            });
-            let echo = net.add_node(Box::new(Echo {
-                entity: eb,
-                echoed: 0,
-            }));
-            let ping = net.add_node(Box::new(Pinger {
-                entity: ea,
-                peer: echo,
-                replies: 0,
-                sent_at: None,
-                rtt: None,
-            }));
-            for i in 0..300 {
-                net.post_at(ping, Message::public(vec![0; 64]), SimTime(i * 977));
-            }
-            let events = net.run();
-            (
-                events,
-                net.fault_log(),
-                net.trace().records().to_vec(),
-                net.now(),
-            )
-        };
-        let wheel = run(QueueKind::TimerWheel);
-        let heap = run(QueueKind::BinaryHeap);
-        assert_eq!(wheel.0, heap.0, "event counts");
-        assert_eq!(wheel.1, heap.1, "fault logs");
-        assert_eq!(wheel.2, heap.2, "packet traces");
-        assert_eq!(wheel.3, heap.3, "final clocks");
-    }
-
-    #[test]
-    #[should_panic(expected = "before scheduling")]
-    fn queue_kind_cannot_change_mid_flight() {
-        let (world, _ea, eb) = two_entity_world();
-        let mut net = Network::new(world, 1);
-        let echo = net.add_node(Box::new(Echo {
-            entity: eb,
-            echoed: 0,
-        }));
-        net.post_at(echo, Message::public(vec![1]), SimTime(0));
-        net.set_queue_kind(QueueKind::BinaryHeap);
     }
 
     #[test]

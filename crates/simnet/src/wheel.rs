@@ -1,21 +1,19 @@
 //! A hierarchical timer wheel with the *exact* `(time, seq)` total order
 //! of a binary heap.
 //!
-//! The simulator's event queue was a `BinaryHeap<Reverse<Event>>`: `O(log
-//! n)` per operation with a comparison-heavy inner loop. Population-scale
-//! worlds (10⁶ users, 10⁸ events) spend most of their time in that queue,
-//! so this module replaces it with a classic hashed-hierarchical timer
-//! wheel (Varghese & Lauck) specialised to the simulator's workload:
-//! near-future timestamps, monotonically advancing cursor, strict
-//! determinism.
+//! A binary heap costs `O(log n)` per operation with a comparison-heavy
+//! inner loop, and population-scale worlds (10⁶ users, 10⁸ events) spend
+//! most of their time in the event queue, so the simulator's queue is a
+//! classic hashed-hierarchical timer wheel (Varghese & Lauck)
+//! specialised to its workload: near-future timestamps, monotonically
+//! advancing cursor, strict determinism.
 //!
-//! **Ordering contract.** `pop` returns entries in ascending `(time,
-//! seq)` order — byte-identical to the heap it replaces — provided every
-//! `push` carries a time no earlier than the last popped entry's time
-//! (the discrete-event invariant: handlers schedule at `now + delay`).
-//! Entries pushed *behind* the cursor are clamped to the cursor for
-//! placement but keep their original time, matching what the heap would
-//! have reported; see `push` for the precise semantics.
+//! **Ordering contract.** `pop` and `peek_time` report entries in
+//! ascending `(time, seq)` order — exactly what a binary heap would
+//! return, which the differential test below checks against a heap
+//! oracle. Entries pushed *behind* the cursor (the simulator's public
+//! `post_at` accepts any time) are clamped to the cursor for placement
+//! but keep their original time; see `push` for the precise semantics.
 //!
 //! Layout: 11 levels × 64 slots, 6 bits per level, covering the full
 //! `u64` microsecond timeline. Level 0 resolves single microseconds;
@@ -286,8 +284,13 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_matches_heap() {
-        // Randomized differential test against BinaryHeap under the
-        // discrete-event invariant (pushes never precede the frontier).
+        // Randomized differential test against BinaryHeap, driving the
+        // wheel the way `Network` does: `peek_time` before every pop (the
+        // `run_until` deadline check), peeks that stop short of a pop (a
+        // deadline hit, after which the wheel may have cascaded past the
+        // last popped time), pushes at or past the frontier (handlers
+        // schedule at `now + delay`), and occasional pushes *behind* it
+        // (the public `post_at`/`post_timer_at` accept any time).
         // Mixed-congruential RNG keeps this dependency-free.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
@@ -300,30 +303,45 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut frontier = 0u64;
-        for round in 0..10_000 {
-            if rng() % 3 != 0 {
-                // Mostly-near, occasionally-far future delays exercise
-                // every level.
-                let delay = match rng() % 10 {
-                    0 => rng() % (1 << 30),
-                    1..=3 => rng() % (1 << 13),
-                    _ => rng() % 64,
-                };
-                let t = frontier + delay;
-                wheel.push(t, seq, round);
-                heap.push(Reverse((t, seq)));
-                seq += 1;
-            } else {
-                let got = wheel.pop().map(|(t, s, _)| (t, s));
-                let want = heap.pop().map(|Reverse(k)| k);
-                assert_eq!(got, want, "divergence at round {round}");
-                if let Some((t, _)) = got {
-                    frontier = t;
+        let mut behind = 0;
+        for round in 0..20_000 {
+            let want_peek = heap.peek().map(|&Reverse((t, _))| t);
+            match rng() % 8 {
+                0..=4 => {
+                    // Mostly-near, occasionally-far future delays exercise
+                    // every level; one push in sixteen lands behind the
+                    // frontier.
+                    let t = if rng() % 16 == 0 {
+                        behind += 1;
+                        frontier.saturating_sub(1 + rng() % 4096)
+                    } else {
+                        frontier
+                            + match rng() % 10 {
+                                0 => rng() % (1 << 30),
+                                1..=3 => rng() % (1 << 13),
+                                _ => rng() % 64,
+                            }
+                    };
+                    wheel.push(t, seq, round);
+                    heap.push(Reverse((t, seq)));
+                    seq += 1;
+                }
+                5 => assert_eq!(wheel.peek_time(), want_peek, "peek at round {round}"),
+                _ => {
+                    assert_eq!(wheel.peek_time(), want_peek, "peek at round {round}");
+                    let got = wheel.pop().map(|(t, s, _)| (t, s));
+                    let want = heap.pop().map(|Reverse(k)| k);
+                    assert_eq!(got, want, "divergence at round {round}");
+                    if let Some((t, _)) = got {
+                        frontier = frontier.max(t);
+                    }
                 }
             }
             assert_eq!(wheel.len(), heap.len());
         }
+        assert!(behind > 100, "behind-frontier pushes exercised: {behind}");
         loop {
+            assert_eq!(wheel.peek_time(), heap.peek().map(|&Reverse((t, _))| t));
             let got = wheel.pop().map(|(t, s, _)| (t, s));
             let want = heap.pop().map(|Reverse(k)| k);
             assert_eq!(got, want);

@@ -2,11 +2,11 @@
 //!
 //! `dcp_core::sweep` defines the contract: a [`SweepBuilder`] describes
 //! a multi-seed sweep, a [`SweepExecutor`] runs the independent worlds,
-//! and the ordered reduction in [`SweepRun`] guarantees that any
+//! and the ordered reduction in [`SweepRun`](dcp_core::SweepRun) guarantees that any
 //! conforming executor yields identical results. This crate supplies the
 //! executor worth having: [`ParallelExecutor`] fans the worlds across
 //! cores with rayon and is **bit-for-bit identical** to
-//! [`SequentialExecutor`] — same `SweepRun`, same fault logs, same
+//! [`SequentialExecutor`](dcp_core::SequentialExecutor) — same `SweepRun`, same fault logs, same
 //! metrics, same JSON bytes — because
 //!
 //! * per-world seeds are *derived* (SplitMix64 closed form), never
@@ -16,10 +16,11 @@
 //! * results are gathered positionally and re-sorted by world index
 //!   before anything folds.
 //!
-//! The crate sits *above* `dcp-core` and *below* nothing: scenario
-//! crates keep their zero-dependency sweep entrypoints by taking
-//! `&dyn`-able [`SweepExecutor`] arguments, and only binaries/harnesses
-//! that actually want parallelism link this crate (and thereby rayon).
+//! The crate sits *above* `dcp-core` and *below* nothing: scenarios
+//! sweep through the provided
+//! [`Scenario::sweep`](dcp_core::Scenario::sweep) over any
+//! [`SweepExecutor`], and only binaries/harnesses that actually want
+//! parallelism link this crate (and thereby rayon).
 //!
 //! ```
 //! use dcp_core::{Scenario, SweepBuilder, SequentialExecutor, RunOptions};
@@ -54,14 +55,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dcp_core::sweep::{SweepBuilder, SweepExecutor, SweepJob, SweepRun};
-use dcp_core::{RunOptions, Scenario, SequentialExecutor};
+use dcp_core::sweep::{SweepBuilder, SweepExecutor, SweepJob};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 /// The rayon-backed executor: runs sweep jobs across threads, gathering
 /// results in job order (rayon's indexed collect), so the downstream
-/// reduction sees exactly what [`SequentialExecutor`] would produce.
+/// reduction sees exactly what
+/// [`SequentialExecutor`](dcp_core::SequentialExecutor) would produce.
 #[derive(Debug, Default)]
 pub struct ParallelExecutor {
     /// `Some` pins the thread count; `None` defers to rayon's ambient
@@ -115,39 +116,11 @@ impl SweepExecutor for ParallelExecutor {
     }
 }
 
-/// Run `builder`'s sweep of scenario `S` in parallel — the one-liner for
-/// binaries and harnesses. Honors the builder's thread cap and is
-/// result-identical to [`Scenario::sweep`] over [`SequentialExecutor`].
-pub fn run_sweep<S: Scenario>(
-    cfg: &S::Config,
-    builder: &SweepBuilder,
-    opts: &RunOptions,
-) -> SweepRun<S::Report>
-where
-    S::Config: Sync,
-    S::Report: Send,
-{
-    S::sweep(cfg, builder, &ParallelExecutor::for_builder(builder), opts)
-}
-
-/// Run `builder`'s sweep of scenario `S` sequentially on the calling
-/// thread — the reference the parallel path is compared against.
-pub fn run_sweep_sequential<S: Scenario>(
-    cfg: &S::Config,
-    builder: &SweepBuilder,
-    opts: &RunOptions,
-) -> SweepRun<S::Report>
-where
-    S::Config: Sync,
-    S::Report: Send,
-{
-    S::sweep(cfg, builder, &SequentialExecutor, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcp_core::sweep::derive_seed;
+    use dcp_core::SequentialExecutor;
     use serde::Serialize as _;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

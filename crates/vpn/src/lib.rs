@@ -25,5 +25,5 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{sweep, sweep_ech, Ech, EchConfig, EchReport, Vpn, VpnConfig, VpnReport};
+pub use scenario::{Ech, EchConfig, EchReport, Vpn, VpnConfig, VpnReport};
 pub use types::{ech_declared_caps, vpn_declared_caps};

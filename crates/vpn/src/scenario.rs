@@ -121,18 +121,6 @@ impl Scenario for Vpn {
     }
 }
 
-/// Multi-seed sweep of [`Vpn`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &VpnConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<VpnReport> {
-    Vpn::sweep(cfg, builder, exec, opts)
-}
-
 impl VpnReport {
     /// Derive the §3.3 table for user `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {
@@ -641,17 +629,6 @@ impl Scenario for Ech {
     }
 }
 
-/// Multi-seed sweep of [`Ech`] on `exec` (see [`sweep`] for the VPN
-/// variant and the determinism contract).
-pub fn sweep_ech(
-    cfg: &EchConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<EchReport> {
-    Ech::sweep(cfg, builder, exec, opts)
-}
-
 impl EchReport {
     /// Derive the table over `Client | Network Observer | TLS Server`.
     pub fn table(&self) -> DecouplingTable {
@@ -884,7 +861,7 @@ mod tests {
 
     #[test]
     fn instrumented_vpn_counts_tunnel_crypto() {
-        let report = Vpn::run_instrumented(&VpnConfig::new(2, 3), 5);
+        let report = Vpn::run_with(&VpnConfig::new(2, 3), 5, &RunOptions::observed());
         let m = &report.metrics;
         // One seal per fetch at the clients, one open per fetch at the
         // VPN's tunnel terminator.
@@ -901,14 +878,14 @@ mod tests {
 
     #[test]
     fn instrumented_ech_counts_handshake_crypto() {
-        let with = Ech::run_instrumented(&EchConfig { ech: true }, 8);
+        let with = Ech::run_with(&EchConfig { ech: true }, 8, &RunOptions::observed());
         assert_eq!(with.metrics.crypto_ops["hpke_seal"], 1);
         assert_eq!(with.metrics.crypto_ops["hpke_open"], 1);
         assert_eq!(with.metrics.span_count("handshake"), 1);
         assert_eq!(with.completed, 1);
 
         // Without ECH the handshake does no tunnel crypto at all.
-        let without = Ech::run_instrumented(&EchConfig { ech: false }, 8);
+        let without = Ech::run_with(&EchConfig { ech: false }, 8, &RunOptions::observed());
         assert_eq!(without.metrics.crypto_total(), 0);
         assert_eq!(without.completed, 1);
     }
@@ -920,7 +897,7 @@ mod tests {
         // (and one decapsulation) per subscriber, while every fetch still
         // pays its per-message seal/open.
         let cfg = VpnConfig::new(2, 3);
-        let calm = Vpn::run_instrumented(&cfg, 5);
+        let calm = Vpn::run_with(&cfg, 5, &RunOptions::observed());
         assert_eq!(calm.metrics.crypto_ops["hpke_encap"], 2);
         assert_eq!(calm.metrics.crypto_ops["hpke_decap"], 2);
         assert_eq!(calm.metrics.crypto_ops["hpke_seal"], 6);

@@ -11,7 +11,7 @@
 
 use decoupling::faults::dst;
 use decoupling::Scenario as _;
-use decoupling::{FaultConfig, Odoh, OdohConfig};
+use decoupling::{FaultConfig, Odoh, OdohConfig, RunOptions};
 
 fn main() {
     let preset = std::env::args().nth(1).unwrap_or_else(|| "chaos".into());
@@ -33,8 +33,8 @@ fn main() {
 
     let seed = 42;
     let cfg = OdohConfig::new(3, 4);
-    let calm = Odoh::run_with_faults(&cfg, seed, &FaultConfig::calm());
-    let run = Odoh::run_with_faults(&cfg, seed, &faults);
+    let calm = Odoh::run(&cfg, seed);
+    let run = Odoh::run_with(&cfg, seed, &RunOptions::with_faults(&faults));
 
     println!("ODoH under {preset:?} (seed {seed}):");
     println!("  queries answered : {}/{}", run.answered, 3 * 4);

@@ -60,20 +60,21 @@ fn reconcile(world: &World, rows: &[(&'static str, KnowledgeCap)], scenario: &st
 /// Run every §3 scenario once at `seed` under `faults` and reconcile its
 /// final world against the owning crate's declared-caps table.
 fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
+    let opts = decoupling::RunOptions::with_faults(faults);
     // DNS, three wirings: ODoH, legacy ODNS, and the coupled direct
     // baseline (whose resolver/origin are declared coupled_by_design —
     // reconciliation documents the coupling rather than hiding it).
-    let odoh = decoupling::Odoh::run_with_faults(&decoupling::OdohConfig::new(2, 3), seed, faults);
+    let odoh = decoupling::Odoh::run_with(&decoupling::OdohConfig::new(2, 3), seed, &opts);
     reconcile(
         odoh.world(),
         &decoupling::odns::declared_caps(),
         &format!("odoh/{label}"),
     );
 
-    let legacy = decoupling::odns::OdnsLegacy::run_with_faults(
+    let legacy = decoupling::odns::OdnsLegacy::run_with(
         &decoupling::odns::OdnsLegacyConfig::new(2, 3),
         seed,
-        faults,
+        &opts,
     );
     reconcile(
         legacy.world(),
@@ -81,14 +82,14 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
         &format!("odns-legacy/{label}"),
     );
 
-    let direct = decoupling::DirectDns::run_with_faults(
+    let direct = decoupling::DirectDns::run_with(
         &decoupling::DirectDnsConfig {
             clients: 2,
             queries_each: 3,
             resolvers: 2,
         },
         seed,
-        faults,
+        &opts,
     );
     reconcile(
         direct.world(),
@@ -99,7 +100,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
     // The §3.3 cautionary tales: the VPN server and the no-ECH TLS
     // server are coupled_by_design, so their rows admit everything —
     // the reconciliation's job is that nothing *else* couples.
-    let vpn = decoupling::Vpn::run_with_faults(&decoupling::VpnConfig::new(2, 2), seed, faults);
+    let vpn = decoupling::Vpn::run_with(&decoupling::VpnConfig::new(2, 2), seed, &opts);
     reconcile(
         vpn.world(),
         &decoupling::vpn::vpn_declared_caps(),
@@ -107,7 +108,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
     );
 
     for ech in [true, false] {
-        let report = decoupling::Ech::run_with_faults(&decoupling::EchConfig { ech }, seed, faults);
+        let report = decoupling::Ech::run_with(&decoupling::EchConfig { ech }, seed, &opts);
         reconcile(
             report.world(),
             &decoupling::vpn::ech_declared_caps(),
@@ -115,11 +116,8 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
         );
     }
 
-    let pp = decoupling::Privacypass::run_with_faults(
-        &decoupling::PrivacypassConfig::new(2, 2),
-        seed,
-        faults,
-    );
+    let pp =
+        decoupling::Privacypass::run_with(&decoupling::PrivacypassConfig::new(2, 2), seed, &opts);
     reconcile(
         pp.world(),
         &decoupling::privacypass::declared_caps(),
@@ -145,7 +143,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
             moves_per_epoch: 2,
             seed,
         };
-        let report = decoupling::Pgpp::run_with_faults(&cfg, seed, faults);
+        let report = decoupling::Pgpp::run_with(&cfg, seed, &opts);
         reconcile(
             report.world(),
             &rows,
@@ -156,7 +154,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
     // MPR with a real chain (relays ≥ 2): a single-relay chain is the
     // coupled degenerate case the paper warns about, and the "Relay" row
     // declares the decoupled union cap.
-    let mpr = decoupling::Mpr::run_with_faults(
+    let mpr = decoupling::Mpr::run_with(
         &decoupling::ChainConfig {
             relays: 2,
             users: 2,
@@ -165,7 +163,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
             seed,
         },
         seed,
-        faults,
+        &opts,
     );
     reconcile(
         mpr.world(),
@@ -173,7 +171,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
         &format!("mpr/{label}"),
     );
 
-    let ppm = decoupling::Ppm::run_with_faults(
+    let ppm = decoupling::Ppm::run_with(
         &decoupling::PpmConfig {
             clients: 4,
             bits: 4,
@@ -181,7 +179,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
             seed,
         },
         seed,
-        faults,
+        &opts,
     );
     reconcile(
         ppm.world(),
@@ -189,7 +187,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
         &format!("ppm/{label}"),
     );
 
-    let mixnet = decoupling::Mixnet::run_with_faults(
+    let mixnet = decoupling::Mixnet::run_with(
         &decoupling::MixnetConfig {
             senders: 4,
             mixes: 2,
@@ -201,7 +199,7 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
             seed,
         },
         seed,
-        faults,
+        &opts,
     );
     reconcile(
         mixnet.world(),
@@ -209,11 +207,8 @@ fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
         &format!("mixnet/{label}"),
     );
 
-    let cash = decoupling::Blindcash::run_with_faults(
-        &decoupling::BlindcashConfig::new(1, 1, 512),
-        seed,
-        faults,
-    );
+    let cash =
+        decoupling::Blindcash::run_with(&decoupling::BlindcashConfig::new(1, 1, 512), seed, &opts);
     reconcile(
         cash.world(),
         &decoupling::blindcash::declared_caps(),

@@ -6,7 +6,7 @@
 //! * **thread invariance** — population engine reports are byte-identical
 //!   whether worlds run sequentially or on a parallel executor at any
 //!   thread count (the `RAYON_NUM_THREADS` axis of the sweep engine);
-//! * **trace opt-out** (`RunOptions::without_trace`) — dropping the
+//! * **trace opt-out** (`RunOptions::record_trace`) — dropping the
 //!   per-packet trace changes *nothing* except the trace itself;
 //! * **streaming metrics** (`RunOptions::population`) — folded
 //!   aggregates equal the itemised ones, with the unbounded vectors
@@ -128,7 +128,11 @@ fn population_reports_are_identical_across_thread_counts() {
 fn trace_opt_out_changes_nothing_but_the_trace() {
     let cfg = OdohConfig::new(3, 4);
     let with_trace = Odoh::run_with(&cfg, 7, &RunOptions::observed());
-    let without = Odoh::run_with(&cfg, 7, &RunOptions::observed().without_trace());
+    let without_opts = RunOptions {
+        record_trace: false,
+        ..RunOptions::observed()
+    };
+    let without = Odoh::run_with(&cfg, 7, &without_opts);
 
     assert!(!with_trace.trace.is_empty(), "default records the trace");
     assert!(without.trace.is_empty(), "opt-out drops the trace");
