@@ -9,9 +9,15 @@
 //! * `rsa_verify` — PKCS#1 v1.5 verification (`e = 65537`), routed
 //!   through the process-global backend selection;
 //! * `hpke_seal` — single-shot (encap + seal every message) vs. session
-//!   reuse (one encap, then per-message seal only).
+//!   reuse (one encap, then per-message seal only);
+//! * `hpke_open` — single-shot (decap + open every message);
+//! * `x25519_base` — a public key from a private scalar, by the Montgomery
+//!   ladder on u = 9 (`x25519(k, &BASEPOINT)`) vs. the Edwards fixed-base
+//!   comb behind `x25519::public_key`;
+//! * `x25519` — the ladder on a variable base (a DH shared secret).
 //!
-//! The `speedup` map summarises fast-over-reference ratios; CI runs
+//! The X25519 and HPKE rows are independent of the bignum backend and of
+//! `--bits`. The `speedup` map summarises fast-over-reference ratios; CI runs
 //! `--smoke` and only checks the binary runs and emits well-formed JSON
 //! (micro-timings on shared runners are noise).
 //!
@@ -23,7 +29,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use dcp_crypto::backend::{self, BackendKind};
-use dcp_crypto::{hpke, rsa};
+use dcp_crypto::{hpke, rsa, x25519};
 use rand::{RngCore, SeedableRng};
 use serde::Serialize;
 
@@ -32,7 +38,7 @@ struct OpResult {
     /// Operation name.
     op: String,
     /// Which implementation: `reference`, `fast`, `single_shot`,
-    /// `session`.
+    /// `session`, `ladder`, `fixed_base`.
     variant: String,
     /// Mean wall-clock nanoseconds per operation.
     ns_per_op: f64,
@@ -48,8 +54,8 @@ struct CryptoBenchReport {
     smoke: bool,
     /// Raw per-op timings.
     ops: Vec<OpResult>,
-    /// Fast-over-reference (or session-over-single-shot) wall-clock
-    /// ratios, keyed by operation.
+    /// Fast-over-reference (or session-over-single-shot,
+    /// fixed-base-over-ladder) wall-clock ratios, keyed by operation.
     speedup: BTreeMap<String, f64>,
 }
 
@@ -180,6 +186,44 @@ fn main() {
         }),
     );
     speedup.insert("hpke_seal_session".to_string(), single / session);
+    let sealed = hpke::seal(&mut rng, &kp.public, b"bench", b"", &[0u8; 256]).unwrap();
+    record(
+        "hpke_open",
+        "single_shot",
+        reps_fast,
+        time_ns(reps_fast, || {
+            hpke::open(&kp, b"bench", b"", &sealed).unwrap();
+        }),
+    );
+
+    // X25519: the fixed basepoint by ladder vs. comb, then a variable base.
+    let mut k = [0u8; 32];
+    rng.fill_bytes(&mut k);
+    let ladder = record(
+        "x25519_base",
+        "ladder",
+        reps_fast,
+        time_ns(reps_fast, || {
+            std::hint::black_box(x25519::x25519(&k, &x25519::BASEPOINT));
+        }),
+    );
+    let comb = record(
+        "x25519_base",
+        "fixed_base",
+        reps_fast,
+        time_ns(reps_fast, || {
+            std::hint::black_box(x25519::public_key(&k));
+        }),
+    );
+    speedup.insert("x25519_base".to_string(), ladder / comb);
+    record(
+        "x25519",
+        "ladder",
+        reps_fast,
+        time_ns(reps_fast, || {
+            std::hint::black_box(x25519::x25519(&k, &kp.public));
+        }),
+    );
 
     let report = CryptoBenchReport {
         bits,

@@ -1,37 +1,51 @@
 //! The Ed25519 twisted Edwards group: −x² + y² = 1 + d·x²y² over
 //! GF(2²⁵⁵ − 19), used as the prime-order group for the VOPRF in
-//! [`crate::oprf`] (the cryptographic heart of Privacy Pass).
+//! [`crate::oprf`] (the cryptographic heart of Privacy Pass) and, through
+//! the birational map to Curve25519, for X25519 public keys.
 //!
 //! Points are held in extended homogeneous coordinates (X : Y : Z : T) with
 //! x = X/Z, y = Y/Z, T = XY/Z. Addition uses the complete `add-2008-hwcd-3`
-//! formulas; doubling uses `dbl-2008-hwcd`. Scalar multiplication is a
-//! straightforward (variable-time) double-and-add — see the crate-level
-//! note on timing.
+//! formulas; doubling uses `dbl-2008-hwcd`. There are two scalar
+//! multiplications:
+//!
+//! * [`EdwardsPoint::mul_base`], `k·B` for the fixed basepoint, is the ref10
+//!   `ge_scalarmult_base` comb: signed radix-16 digits of `k`, a 32×8 table
+//!   of `(j+1)·256^i·B` in affine Niels form that the compiler builds from
+//!   the same const fns, 64 mixed additions and 4 doublings. Every table
+//!   lookup scans all 8 entries and negates conditionally, so the sequence
+//!   of operations does not depend on `k`.
+//! * [`EdwardsPoint::mul`], `k·P` for any point, is a straightforward
+//!   variable-time double-and-add — see the crate-level note on timing.
 
-use crate::field25519::FieldElement;
+use crate::field25519::{bytes_eq, FieldElement};
 use crate::scalar::Scalar;
 use crate::sha256::sha256_multi;
 use crate::{CryptoError, Result};
-use std::sync::OnceLock;
 
 /// Length of a compressed point.
 pub const POINT_LEN: usize = 32;
 
 /// Curve constant d = −121665/121666.
-fn d() -> &'static FieldElement {
-    static D: OnceLock<FieldElement> = OnceLock::new();
-    D.get_or_init(|| {
-        FieldElement::from_u64(121665)
-            .neg()
-            .mul(&FieldElement::from_u64(121666).invert())
-    })
-}
+const D: FieldElement = FieldElement::from_u64(121665)
+    .neg()
+    .mul(&FieldElement::from_u64(121666).invert());
 
 /// 2d, used in point addition.
-fn d2() -> &'static FieldElement {
-    static D2: OnceLock<FieldElement> = OnceLock::new();
-    D2.get_or_init(|| d().add(d()))
-}
+const D2: FieldElement = D.add(&D);
+
+/// The standard basepoint B (y = 4/5, even x).
+const BASEPOINT: EdwardsPoint = {
+    let y = FieldElement::from_u64(4).mul(&FieldElement::from_u64(5).invert());
+    // The canonical encoding has sign bit 0: even x.
+    match EdwardsPoint::decompress(&y.to_bytes()) {
+        Ok(b) => b,
+        Err(_) => panic!("basepoint decompression"),
+    }
+};
+
+/// `BASEPOINT_TABLE[i][j] = (j+1)·256^i·B`, the fixed-base comb's table
+/// (≈30 KB), computed at compile time.
+static BASEPOINT_TABLE: [[AffineNiels; 8]; 32] = basepoint_table();
 
 /// A point on the Ed25519 curve, in extended coordinates.
 #[derive(Clone, Copy, Debug)]
@@ -42,9 +56,118 @@ pub struct EdwardsPoint {
     t: FieldElement,
 }
 
+/// An affine point as (y + x, y − x, 2d·x·y): the addend of a mixed
+/// addition, which then needs neither Z₂ nor the product by 2d.
+#[derive(Clone, Copy)]
+struct AffineNiels {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    xy2d: FieldElement,
+}
+
+impl AffineNiels {
+    const IDENTITY: AffineNiels = AffineNiels {
+        y_plus_x: FieldElement::ONE,
+        y_minus_x: FieldElement::ONE,
+        xy2d: FieldElement::ZERO,
+    };
+
+    /// `digit·P` for `digit` in [−8, 8], where `row[j] = (j+1)·P`. Scans
+    /// all 8 entries and negates by conditional moves, so the work done
+    /// does not depend on `digit`.
+    fn select(row: &[AffineNiels; 8], digit: i8) -> AffineNiels {
+        let sign = digit >> 7; // 0 or −1
+        let abs = ((digit ^ sign) - sign) as u8;
+        let mut t = AffineNiels::IDENTITY;
+        for (j, entry) in (1u8..).zip(row) {
+            let hit = abs == j;
+            t.y_plus_x.cmov(&entry.y_plus_x, hit);
+            t.y_minus_x.cmov(&entry.y_minus_x, hit);
+            t.xy2d.cmov(&entry.xy2d, hit);
+        }
+        // −(x, y) = (−x, y): swap y ± x and negate 2d·x·y.
+        let negative = sign != 0;
+        FieldElement::cswap(negative, &mut t.y_plus_x, &mut t.y_minus_x);
+        let minus_xy2d = t.xy2d.neg();
+        t.xy2d.cmov(&minus_xy2d, negative);
+        t
+    }
+}
+
+/// Build [`BASEPOINT_TABLE`]: the 256 multiples in extended coordinates,
+/// then one batched inversion (Montgomery's trick) of their Z coordinates
+/// to reach affine form.
+const fn basepoint_table() -> [[AffineNiels; 8]; 32] {
+    let mut points = [[EdwardsPoint::identity(); 8]; 32];
+    let mut base = BASEPOINT; // 256^i·B
+    let mut i = 0;
+    while i < 32 {
+        points[i][0] = base;
+        let mut j = 1;
+        while j < 8 {
+            points[i][j] = points[i][j - 1].add(&base);
+            j += 1;
+        }
+        let mut k = 0;
+        while k < 8 {
+            base = base.double();
+            k += 1;
+        }
+        i += 1;
+    }
+
+    // prefix[n] = Z_0·…·Z_{n−1}.
+    let mut prefix = [FieldElement::ONE; 256];
+    let mut acc = FieldElement::ONE;
+    let mut n = 0;
+    while n < 256 {
+        prefix[n] = acc;
+        acc = acc.mul(&points[n / 8][n % 8].z);
+        n += 1;
+    }
+    // inv = 1/(Z_0·…·Z_{n−1}) as n walks back down.
+    let mut inv = acc.invert();
+    let mut table = [[AffineNiels::IDENTITY; 8]; 32];
+    while n > 0 {
+        n -= 1;
+        let p = points[n / 8][n % 8];
+        let zinv = inv.mul(&prefix[n]);
+        inv = inv.mul(&p.z);
+        let x = p.x.mul(&zinv);
+        let y = p.y.mul(&zinv);
+        table[n / 8][n % 8] = AffineNiels {
+            y_plus_x: y.add(&x),
+            y_minus_x: y.sub(&x),
+            xy2d: x.mul(&y).mul(&D2),
+        };
+    }
+    table
+}
+
+/// Signed radix-16 digits of a little-endian `k < 2^255`:
+/// `k = Σ e[i]·16^i` with every `e[i]` in [−8, 8].
+fn radix16(k: &[u8; 32]) -> [i8; 64] {
+    let mut e = [0i8; 64];
+    for (i, byte) in k.iter().enumerate() {
+        e[2 * i] = (byte & 15) as i8;
+        e[2 * i + 1] = (byte >> 4) as i8;
+    }
+    // Recentre each digit from [0, 16) to [−8, 8) by carrying into the
+    // next; the top digit absorbs the last carry and stays in [0, 8]
+    // because k's top bit is clear.
+    let mut carry = 0;
+    for d in &mut e[..63] {
+        *d += carry;
+        carry = (*d + 8) >> 4;
+        *d -= carry << 4;
+    }
+    e[63] += carry;
+    e
+}
+
 impl EdwardsPoint {
     /// The identity (neutral) element.
-    pub fn identity() -> Self {
+    pub const fn identity() -> Self {
         EdwardsPoint {
             x: FieldElement::ZERO,
             y: FieldElement::ONE,
@@ -55,13 +178,7 @@ impl EdwardsPoint {
 
     /// The standard basepoint B (y = 4/5, even x).
     pub fn basepoint() -> Self {
-        static B: OnceLock<EdwardsPoint> = OnceLock::new();
-        *B.get_or_init(|| {
-            let y = FieldElement::from_u64(4).mul(&FieldElement::from_u64(5).invert());
-            let mut enc = y.to_bytes();
-            enc[31] &= 0x7f; // sign bit 0: even x
-            EdwardsPoint::decompress(&enc).expect("basepoint decompression")
-        })
+        BASEPOINT
     }
 
     /// Is this the identity?
@@ -86,12 +203,31 @@ impl EdwardsPoint {
     }
 
     /// Point addition (`add-2008-hwcd-3`, complete for a = −1).
-    pub fn add(&self, other: &Self) -> Self {
+    pub const fn add(&self, other: &Self) -> Self {
         let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
         let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
-        let c = self.t.mul(d2()).mul(&other.t);
+        let c = self.t.mul(&D2).mul(&other.t);
         let dd = self.z.mul(&other.z);
-        let dd = dd.add(&dd);
+        Self::add_finish(a, b, c, dd.add(&dd))
+    }
+
+    /// Mixed addition `self + q` for an affine `q`: [`EdwardsPoint::add`]
+    /// with Z₂ = 1 and 2d·T₂ precomputed, 7 multiplications in place of 9.
+    fn add_affine_niels(&self, q: &AffineNiels) -> Self {
+        let a = self.y.sub(&self.x).mul(&q.y_minus_x);
+        let b = self.y.add(&self.x).mul(&q.y_plus_x);
+        let c = self.t.mul(&q.xy2d);
+        Self::add_finish(a, b, c, self.z.add(&self.z))
+    }
+
+    /// The common tail of both additions, from A = (Y₁−X₁)(Y₂−X₂),
+    /// B = (Y₁+X₁)(Y₂+X₂), C = 2d·T₁T₂ and D = 2Z₁Z₂.
+    const fn add_finish(
+        a: FieldElement,
+        b: FieldElement,
+        c: FieldElement,
+        dd: FieldElement,
+    ) -> Self {
         let e = b.sub(&a);
         let f = dd.sub(&c);
         let g = dd.add(&c);
@@ -110,7 +246,7 @@ impl EdwardsPoint {
     }
 
     /// Point doubling (`dbl-2008-hwcd` with a = −1).
-    pub fn double(&self) -> Self {
+    pub const fn double(&self) -> Self {
         let a = self.x.square();
         let b = self.y.square();
         let c = self.z.square();
@@ -140,9 +276,36 @@ impl EdwardsPoint {
         acc
     }
 
-    /// `k·B` for the standard basepoint.
+    /// `k·B` for the standard basepoint, by the fixed-base comb.
     pub fn mul_base(k: &Scalar) -> Self {
-        EdwardsPoint::basepoint().mul(k)
+        Self::mul_base_bytes(&k.to_bytes())
+    }
+
+    /// `k·B` for a little-endian integer `k < 2^255`: a scalar below ℓ,
+    /// or a clamped X25519 private key.
+    pub(crate) fn mul_base_bytes(k: &[u8; 32]) -> Self {
+        assert!(k[31] < 0x80, "fixed-base comb needs k < 2^255");
+        let e = radix16(k);
+        // Σ e[2i+1]·256^i·B, times 16, plus Σ e[2i]·256^i·B.
+        let mut h = EdwardsPoint::identity();
+        for (row, digits) in BASEPOINT_TABLE.iter().zip(e.chunks_exact(2)) {
+            h = h.add_affine_niels(&AffineNiels::select(row, digits[1]));
+        }
+        h = h.double().double().double().double();
+        for (row, digits) in BASEPOINT_TABLE.iter().zip(e.chunks_exact(2)) {
+            h = h.add_affine_niels(&AffineNiels::select(row, digits[0]));
+        }
+        h
+    }
+
+    /// The Montgomery u-coordinate (1 + y)/(1 − y) = (Z + Y)/(Z − Y) of
+    /// this point on Curve25519, encoded as X25519 encodes it (the identity
+    /// maps to 0, as in the ladder).
+    pub(crate) fn to_montgomery_u(self) -> [u8; 32] {
+        self.z
+            .add(&self.y)
+            .mul(&self.z.sub(&self.y).invert())
+            .to_bytes()
     }
 
     /// Multiply by the cofactor 8 (three doublings), mapping any curve point
@@ -165,15 +328,20 @@ impl EdwardsPoint {
     }
 
     /// Decompress per RFC 8032 §5.1.3. Fails for encodings that are not on
-    /// the curve.
-    pub fn decompress(bytes: &[u8; POINT_LEN]) -> Result<Self> {
+    /// the curve, and for non-canonical ones (y ≥ p).
+    pub const fn decompress(bytes: &[u8; POINT_LEN]) -> Result<Self> {
         let sign = bytes[31] >> 7;
         let y = FieldElement::from_bytes(bytes); // masks the sign bit
+        let mut canonical = y.to_bytes();
+        canonical[31] |= sign << 7;
+        if !bytes_eq(&canonical, bytes) {
+            return Err(CryptoError::InvalidPoint);
+        }
 
         // x² = (y² − 1) / (d·y² + 1)
         let yy = y.square();
         let u = yy.sub(&FieldElement::ONE);
-        let v = d().mul(&yy).add(&FieldElement::ONE);
+        let v = D.mul(&yy).add(&FieldElement::ONE);
 
         // Candidate root: x = u·v³·(u·v⁷)^((p−5)/8)
         let v3 = v.square().mul(&v);
@@ -184,7 +352,7 @@ impl EdwardsPoint {
         if vxx.ct_eq(&u) {
             // x is already a root.
         } else if vxx.ct_eq(&u.neg()) {
-            x = x.mul(&FieldElement::sqrt_m1());
+            x = x.mul(&FieldElement::SQRT_M1);
         } else {
             return Err(CryptoError::InvalidPoint);
         }
@@ -212,7 +380,7 @@ impl EdwardsPoint {
         let xx = x.square();
         let yy = y.square();
         let lhs = yy.sub(&xx);
-        let rhs = FieldElement::ONE.add(&d().mul(&xx).mul(&yy));
+        let rhs = FieldElement::ONE.add(&D.mul(&xx).mul(&yy));
         lhs.ct_eq(&rhs)
     }
 
@@ -254,6 +422,7 @@ impl Eq for EdwardsPoint {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -378,6 +547,76 @@ mod tests {
         let p = EdwardsPoint::random(&mut rng).mul_by_cofactor();
         let l_minus_1 = Scalar::zero().sub(&Scalar::one());
         assert!(p.mul(&l_minus_1).eq_point(&p.neg()));
+    }
+
+    #[test]
+    fn decompress_rejects_non_canonical_y() {
+        // y = p + r for r < 19 fits in 255 bits but is not reduced; RFC
+        // 8032 §5.1.3 rejects all 38 such encodings (either sign bit).
+        for r in 0u8..19 {
+            for sign in [0u8, 0x80] {
+                let mut enc = [0xffu8; 32];
+                enc[0] = 0xed + r;
+                enc[31] = 0x7f | sign;
+                assert_eq!(
+                    EdwardsPoint::decompress(&enc),
+                    Err(CryptoError::InvalidPoint),
+                    "y = p + {r}, sign {sign:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn basepoint_table_matches_runtime_multiples() {
+        let b = EdwardsPoint::basepoint();
+        for (i, row) in BASEPOINT_TABLE.iter().enumerate() {
+            for (j, entry) in row.iter().enumerate() {
+                // (j+1)·256^i as little-endian bytes, below ℓ.
+                let mut k = [0u8; 32];
+                k[i] = j as u8 + 1;
+                let p = b.mul(&Scalar::from_bytes_mod_order(&k));
+                let zinv = p.z.invert();
+                let (x, y) = (p.x.mul(&zinv), p.y.mul(&zinv));
+                assert!(entry.y_plus_x.ct_eq(&y.add(&x)), "[{i}][{j}] y+x");
+                assert!(entry.y_minus_x.ct_eq(&y.sub(&x)), "[{i}][{j}] y-x");
+                assert!(entry.xy2d.ct_eq(&x.mul(&y).mul(&D2)), "[{i}][{j}] 2dxy");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_base_matches_double_and_add_at_the_edges() {
+        let b = EdwardsPoint::basepoint();
+        let l_minus_1 = Scalar::zero().sub(&Scalar::one());
+        // 8 recodes to the digits (−8, 1): the negated lookup.
+        for k in [
+            Scalar::zero(),
+            Scalar::one(),
+            Scalar::from_u64(8),
+            l_minus_1,
+        ] {
+            assert!(EdwardsPoint::mul_base(&k).eq_point(&b.mul(&k)), "{k:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn mul_base_matches_double_and_add(bytes in proptest::collection::vec(any::<u8>(), 64)) {
+            let k = Scalar::from_bytes_mod_order(&bytes);
+            let p = EdwardsPoint::mul_base(&k);
+            prop_assert!(p.eq_point(&EdwardsPoint::basepoint().mul(&k)));
+            prop_assert!(p.is_on_curve());
+        }
+
+        #[test]
+        fn decompress_accepts_only_what_compress_emits(bytes in proptest::collection::vec(any::<u8>(), 32)) {
+            let mut enc = [0u8; 32];
+            enc.copy_from_slice(&bytes);
+            if let Ok(p) = EdwardsPoint::decompress(&enc) {
+                prop_assert_eq!(p.compress(), enc);
+            }
+        }
     }
 
     #[test]

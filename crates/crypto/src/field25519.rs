@@ -4,6 +4,11 @@
 //! representation); products are accumulated in `u128`. Addition and
 //! multiplication keep limbs bounded so no overflow is possible; the only
 //! full reduction happens in [`FieldElement::to_bytes`].
+//!
+//! Everything the curve constants need is a `const fn`, so d, √−1, the
+//! Edwards basepoint and its fixed-base table are computed by the compiler
+//! from the same code that runs at run time. Those fns stay inside the
+//! workspace MSRV (1.75): no `&mut`, no `for` loops, no trait calls.
 
 /// 51-bit limb mask.
 const MASK: u64 = (1u64 << 51) - 1;
@@ -12,52 +17,82 @@ const MASK: u64 = (1u64 << 51) - 1;
 #[derive(Clone, Copy, Debug)]
 pub struct FieldElement(pub(crate) [u64; 5]);
 
+/// Widening limb product.
+const fn m(x: u64, y: u64) -> u128 {
+    x as u128 * y as u128
+}
+
+/// One carry pass: every limb below 2^51, plus the carry out of the top
+/// limb.
+const fn carry(mut h: [u64; 5]) -> ([u64; 5], u64) {
+    let mut c = 0;
+    let mut i = 0;
+    while i < 5 {
+        let t = h[i] + c;
+        h[i] = t & MASK;
+        c = t >> 51;
+        i += 1;
+    }
+    (h, c)
+}
+
+/// Equality of two encodings, without early exit.
+pub(crate) const fn bytes_eq(a: &[u8; 32], b: &[u8; 32]) -> bool {
+    let mut diff = 0;
+    let mut i = 0;
+    while i < 32 {
+        diff |= a[i] ^ b[i];
+        i += 1;
+    }
+    diff == 0
+}
+
 impl FieldElement {
     /// The additive identity.
     pub const ZERO: FieldElement = FieldElement([0, 0, 0, 0, 0]);
     /// The multiplicative identity.
     pub const ONE: FieldElement = FieldElement([1, 0, 0, 0, 0]);
+    /// √(−1) = 2^((p−1)/4), computed at compile time.
+    pub const SQRT_M1: FieldElement = {
+        // (p-1)/4 = 2^253 - 5 = 2*(2^252 - 3) + 1
+        let two = FieldElement::from_u64(2);
+        two.pow22523().square().mul(&two)
+    };
 
     /// Construct from a small integer.
-    pub fn from_u64(v: u64) -> Self {
-        let mut fe = FieldElement([0; 5]);
-        fe.0[0] = v & MASK;
-        fe.0[1] = v >> 51;
-        fe
+    pub const fn from_u64(v: u64) -> Self {
+        FieldElement([v & MASK, v >> 51, 0, 0, 0])
     }
 
     /// Decode 32 little-endian bytes; the top bit (bit 255) is ignored,
     /// per convention.
-    pub fn from_bytes(bytes: &[u8; 32]) -> Self {
-        let load = |i: usize| -> u64 {
-            let mut v = 0u64;
-            for j in (0..8).rev() {
-                v = (v << 8) | bytes[i + j] as u64;
-            }
-            v
-        };
-        let lo0 = load(0);
-        let lo1 = load(6) >> 3;
-        let lo2 = load(12) >> 6;
-        let lo3 = load(19) >> 1;
-        let lo4 = (load(24) >> 12) & ((1u64 << 51) - 1);
-        FieldElement([lo0 & MASK, lo1 & MASK, lo2 & MASK, lo3 & MASK, lo4])
+    pub const fn from_bytes(bytes: &[u8; 32]) -> Self {
+        const fn load(b: &[u8; 32], i: usize) -> u64 {
+            u64::from_le_bytes([
+                b[i],
+                b[i + 1],
+                b[i + 2],
+                b[i + 3],
+                b[i + 4],
+                b[i + 5],
+                b[i + 6],
+                b[i + 7],
+            ])
+        }
+        FieldElement([
+            load(bytes, 0) & MASK,
+            (load(bytes, 6) >> 3) & MASK,
+            (load(bytes, 12) >> 6) & MASK,
+            (load(bytes, 19) >> 1) & MASK,
+            (load(bytes, 24) >> 12) & MASK,
+        ])
     }
 
     /// Encode as 32 little-endian bytes with the canonical (fully reduced)
     /// representative.
-    pub fn to_bytes(self) -> [u8; 32] {
-        let mut h = self.0;
+    pub const fn to_bytes(self) -> [u8; 32] {
         // Two carry passes bring all limbs below 2^52.
-        for _ in 0..2 {
-            let mut c = 0u64;
-            for limb in h.iter_mut() {
-                let t = *limb + c;
-                *limb = t & MASK;
-                c = t >> 51;
-            }
-            h[0] += 19 * c;
-        }
+        let mut h = self.weak_reduce().weak_reduce().0;
         // Compute h + 19, and use its bit 255 as the quotient estimate:
         // q = 1 iff h >= p.
         let mut q = (h[0] + 19) >> 51;
@@ -66,37 +101,39 @@ impl FieldElement {
         q = (h[3] + q) >> 51;
         q = (h[4] + q) >> 51;
         h[0] += 19 * q;
-        let mut c = 0u64;
-        for limb in h.iter_mut() {
-            let t = *limb + c;
-            *limb = t & MASK;
-            c = t >> 51;
-        }
-        // c (the 2^255 bit) is discarded: subtracting p is exactly
-        // "add 19 and drop the 2^255 bit".
+        // The carry out (the 2^255 bit) is discarded: subtracting p is
+        // exactly "add 19 and drop the 2^255 bit".
+        let (h, _) = carry(h);
+        let words = [
+            h[0] | (h[1] << 51),
+            (h[1] >> 13) | (h[2] << 38),
+            (h[2] >> 26) | (h[3] << 25),
+            (h[3] >> 39) | (h[4] << 12),
+        ];
         let mut out = [0u8; 32];
-        let full0 = h[0] | (h[1] << 51);
-        let full1 = (h[1] >> 13) | (h[2] << 38);
-        let full2 = (h[2] >> 26) | (h[3] << 25);
-        let full3 = (h[3] >> 39) | (h[4] << 12);
-        out[0..8].copy_from_slice(&full0.to_le_bytes());
-        out[8..16].copy_from_slice(&full1.to_le_bytes());
-        out[16..24].copy_from_slice(&full2.to_le_bytes());
-        out[24..32].copy_from_slice(&full3.to_le_bytes());
+        let mut i = 0;
+        while i < 32 {
+            out[i] = (words[i / 8] >> (8 * (i % 8))) as u8;
+            i += 1;
+        }
         out
     }
 
     /// `self + other` (no carry needed for freshly reduced inputs).
-    pub fn add(&self, other: &Self) -> Self {
-        let mut out = [0u64; 5];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(&other.0)) {
-            *o = a + b;
-        }
-        FieldElement(out).weak_reduce()
+    pub const fn add(&self, other: &Self) -> Self {
+        let (a, b) = (self.0, other.0);
+        FieldElement([
+            a[0] + b[0],
+            a[1] + b[1],
+            a[2] + b[2],
+            a[3] + b[3],
+            a[4] + b[4],
+        ])
+        .weak_reduce()
     }
 
     /// `self - other` (bias by 2p to avoid underflow).
-    pub fn sub(&self, other: &Self) -> Self {
+    pub const fn sub(&self, other: &Self) -> Self {
         // 2p in radix-51: [2*(2^51-19), 2*(2^51-1), ...]
         const TWO_P: [u64; 5] = [
             0xfffffffffffda,
@@ -105,42 +142,32 @@ impl FieldElement {
             0xffffffffffffe,
             0xffffffffffffe,
         ];
-        let mut out = [0u64; 5];
-        for i in 0..5 {
-            out[i] = self.0[i] + TWO_P[i] - other.0[i];
-        }
-        FieldElement(out).weak_reduce()
+        let (a, b) = (self.0, other.0);
+        FieldElement([
+            a[0] + TWO_P[0] - b[0],
+            a[1] + TWO_P[1] - b[1],
+            a[2] + TWO_P[2] - b[2],
+            a[3] + TWO_P[3] - b[3],
+            a[4] + TWO_P[4] - b[4],
+        ])
+        .weak_reduce()
     }
 
     /// Negation.
-    pub fn neg(&self) -> Self {
+    pub const fn neg(&self) -> Self {
         Self::ZERO.sub(self)
     }
 
-    fn weak_reduce(self) -> Self {
-        let mut h = self.0;
-        let mut c = 0u64;
-        for limb in h.iter_mut() {
-            let t = *limb + c;
-            *limb = t & MASK;
-            c = t >> 51;
-        }
+    const fn weak_reduce(self) -> Self {
+        let (mut h, c) = carry(self.0);
         h[0] += 19 * c;
         FieldElement(h)
     }
 
-    /// Field multiplication.
-    pub fn mul(&self, other: &Self) -> Self {
-        let [a0, a1, a2, a3, a4] = self.0;
-        let [b0, b1, b2, b3, b4] = other.0;
-        let m = |x: u64, y: u64| x as u128 * y as u128;
-
-        let mut r0 = m(a0, b0) + 19 * (m(a1, b4) + m(a2, b3) + m(a3, b2) + m(a4, b1));
-        let mut r1 = m(a0, b1) + m(a1, b0) + 19 * (m(a2, b4) + m(a3, b3) + m(a4, b2));
-        let mut r2 = m(a0, b2) + m(a1, b1) + m(a2, b0) + 19 * (m(a3, b4) + m(a4, b3));
-        let mut r3 = m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + 19 * m(a4, b4);
-        let mut r4 = m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0);
-
+    /// Carry the five `u128` column sums of a product down to 51-bit limbs
+    /// (limb 1 may keep a small excess).
+    const fn reduce_wide(r: [u128; 5]) -> Self {
+        let [mut r0, mut r1, mut r2, mut r3, mut r4] = r;
         let mut c: u128;
         c = r0 >> 51;
         r0 &= MASK as u128;
@@ -164,9 +191,33 @@ impl FieldElement {
         FieldElement([r0 as u64, r1 as u64, r2 as u64, r3 as u64, r4 as u64])
     }
 
-    /// Field squaring.
-    pub fn square(&self) -> Self {
-        self.mul(self)
+    /// Field multiplication.
+    pub const fn mul(&self, other: &Self) -> Self {
+        let [a0, a1, a2, a3, a4] = self.0;
+        let [b0, b1, b2, b3, b4] = other.0;
+        Self::reduce_wide([
+            m(a0, b0) + 19 * (m(a1, b4) + m(a2, b3) + m(a3, b2) + m(a4, b1)),
+            m(a0, b1) + m(a1, b0) + 19 * (m(a2, b4) + m(a3, b3) + m(a4, b2)),
+            m(a0, b2) + m(a1, b1) + m(a2, b0) + 19 * (m(a3, b4) + m(a4, b3)),
+            m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + 19 * m(a4, b4),
+            m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0),
+        ])
+    }
+
+    /// Field squaring: the column sums of [`FieldElement::mul`] with each
+    /// symmetric pair of products taken once and doubled, 15 products in
+    /// place of 25. The result is limb-for-limb `self.mul(self)`.
+    pub const fn square(&self) -> Self {
+        let [a0, a1, a2, a3, a4] = self.0;
+        // Limbs stay below 2^52, so the ×19 fits a u64.
+        let (a3_19, a4_19) = (19 * a3, 19 * a4);
+        Self::reduce_wide([
+            m(a0, a0) + 2 * (m(a1, a4_19) + m(a2, a3_19)),
+            m(a3, a3_19) + 2 * (m(a0, a1) + m(a2, a4_19)),
+            m(a1, a1) + 2 * (m(a0, a2) + m(a4, a3_19)),
+            m(a4, a4_19) + 2 * (m(a0, a3) + m(a1, a2)),
+            m(a2, a2) + 2 * (m(a0, a4) + m(a1, a3)),
+        ])
     }
 
     /// Multiply by a small constant (used for ×121666 in the X25519 ladder).
@@ -187,17 +238,19 @@ impl FieldElement {
     }
 
     /// Repeated squaring: `self^(2^k)`.
-    pub fn pow2k(&self, k: usize) -> Self {
+    pub const fn pow2k(&self, k: usize) -> Self {
         let mut out = *self;
-        for _ in 0..k {
+        let mut i = 0;
+        while i < k {
             out = out.square();
+            i += 1;
         }
         out
     }
 
     /// Shared prefix of the inversion/pow22523 addition chains:
     /// returns `(self^(2^250 - 1), self^11, self^(2^50 - 1))`.
-    fn chain_common(&self) -> (Self, Self, Self) {
+    const fn chain_common(&self) -> (Self, Self, Self) {
         let z = *self;
         let z2 = z.square(); // 2
         let z9 = z2.pow2k(2).mul(&z); // 9
@@ -214,7 +267,7 @@ impl FieldElement {
     }
 
     /// Multiplicative inverse, `self^(p-2)`. Returns zero for zero input.
-    pub fn invert(&self) -> Self {
+    pub const fn invert(&self) -> Self {
         let (z2_250_0, z11, _) = self.chain_common();
         // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11
         z2_250_0.pow2k(5).mul(&z11)
@@ -222,24 +275,24 @@ impl FieldElement {
 
     /// `self^((p-5)/8) = self^(2^252 - 3)`, the exponent used in square-root
     /// extraction (RFC 8032 §5.1.3).
-    pub fn pow22523(&self) -> Self {
+    pub const fn pow22523(&self) -> Self {
         let (z2_250_0, _, _) = self.chain_common();
         // 2^252 - 3 = (2^250 - 1) * 4 + 1
         z2_250_0.pow2k(2).mul(self)
     }
 
     /// Canonical equality (via full reduction).
-    pub fn ct_eq(&self, other: &Self) -> bool {
-        self.to_bytes() == other.to_bytes()
+    pub const fn ct_eq(&self, other: &Self) -> bool {
+        bytes_eq(&self.to_bytes(), &other.to_bytes())
     }
 
     /// Is this the canonical zero?
-    pub fn is_zero(&self) -> bool {
-        self.to_bytes() == [0u8; 32]
+    pub const fn is_zero(&self) -> bool {
+        bytes_eq(&self.to_bytes(), &[0u8; 32])
     }
 
     /// Parity of the canonical representative (bit 0).
-    pub fn is_odd(&self) -> bool {
+    pub const fn is_odd(&self) -> bool {
         self.to_bytes()[0] & 1 == 1
     }
 
@@ -253,11 +306,13 @@ impl FieldElement {
         }
     }
 
-    /// √(-1) = 2^((p-1)/4), computed on first use.
-    pub fn sqrt_m1() -> Self {
-        // (p-1)/4 = 2^253 - 5 = 2*(2^252 - 3) + 1
-        let two = FieldElement::from_u64(2);
-        two.pow22523().square().mul(&two)
+    /// Constant-time-ish conditional assignment: `self = other` when
+    /// `choice` is set (used by the fixed-base comb's table scan).
+    pub(crate) fn cmov(&mut self, other: &Self, choice: bool) {
+        let mask = (choice as u64).wrapping_neg();
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a ^= mask & (*a ^ b);
+        }
     }
 }
 
@@ -330,7 +385,7 @@ mod tests {
 
     #[test]
     fn sqrt_m1_squares_to_minus_one() {
-        let i = FieldElement::sqrt_m1();
+        let i = FieldElement::SQRT_M1;
         let m1 = FieldElement::ZERO.sub(&FieldElement::ONE);
         assert!(i.square().ct_eq(&m1));
     }
@@ -358,10 +413,22 @@ mod tests {
         assert!(a.ct_eq(&fe(2)) && b.ct_eq(&fe(1)));
     }
 
+    /// A full-width element: all five limbs drawn, so the ×19 wrap-around
+    /// columns of `mul`/`square` see nonzero products.
+    fn fe_wide(bytes: &[u8]) -> FieldElement {
+        let mut buf = [0u8; 32];
+        buf.copy_from_slice(bytes);
+        FieldElement::from_bytes(&buf)
+    }
+
+    fn wide() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 32)
+    }
+
     proptest! {
         #[test]
-        fn field_laws(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-            let (a, b, c) = (fe(a), fe(b), fe(c));
+        fn field_laws(a in wide(), b in wide(), c in wide()) {
+            let (a, b, c) = (fe_wide(&a), fe_wide(&b), fe_wide(&c));
             // Commutativity and associativity.
             prop_assert!(a.add(&b).ct_eq(&b.add(&a)));
             prop_assert!(a.mul(&b).ct_eq(&b.mul(&a)));
@@ -371,6 +438,32 @@ mod tests {
             prop_assert!(a.mul(&b.add(&c)).ct_eq(&a.mul(&b).add(&a.mul(&c))));
             // Subtraction inverts addition.
             prop_assert!(a.add(&b).sub(&b).ct_eq(&a));
+            // Squaring is multiplication by self, limb for limb, also on
+            // the unreduced limbs that `add`, `sub` and `mul` hand on.
+            for x in [a, a.add(&b), a.sub(&b), a.mul(&b), a.neg()] {
+                prop_assert_eq!(x.square().0, x.mul(&x).0);
+            }
+            // (a + b)² = a² + 2ab + b².
+            let ab = a.mul(&b);
+            prop_assert!(a.add(&b).square().ct_eq(&a.square().add(&ab.add(&ab)).add(&b.square())));
+        }
+
+        #[test]
+        fn pow2k_and_invert_laws(a in wide(), b in wide(), k in 0usize..12, j in 0usize..12) {
+            let (a, b) = (fe_wide(&a), fe_wide(&b));
+            // pow2k(k) is k squarings, and exponents add.
+            let mut sq = a;
+            for _ in 0..k {
+                sq = sq.mul(&sq);
+            }
+            prop_assert!(a.pow2k(k).ct_eq(&sq));
+            prop_assert!(a.pow2k(j).pow2k(k).ct_eq(&a.pow2k(j + k)));
+            prop_assume!(!a.is_zero() && !b.is_zero());
+            // Inversion: a·a⁻¹ = 1, (a⁻¹)⁻¹ = a, (ab)⁻¹ = a⁻¹b⁻¹.
+            let ai = a.invert();
+            prop_assert!(a.mul(&ai).ct_eq(&FieldElement::ONE));
+            prop_assert!(ai.invert().ct_eq(&a));
+            prop_assert!(a.mul(&b).invert().ct_eq(&ai.mul(&b.invert())));
         }
 
         #[test]

@@ -7,10 +7,12 @@
 //!   [`hkdf`] (RFC 5869).
 //! * [`chacha20`], [`poly1305`], [`aead`] — the RFC 8439 AEAD construction.
 //! * [`field25519`], [`x25519`] — GF(2^255 − 19) arithmetic and the RFC 7748
-//!   Montgomery-ladder Diffie–Hellman function.
+//!   Diffie–Hellman function: the Montgomery ladder for a variable base,
+//!   the Edwards fixed-base comb for public keys.
 //! * [`edwards`] — the Ed25519 twisted Edwards group (point addition,
-//!   doubling, compression, hash-to-group) used as the prime-order group for
-//!   the VOPRF behind Privacy Pass.
+//!   doubling, compression, hash-to-group, the fixed-base comb over a
+//!   compile-time basepoint table) used as the prime-order group for the
+//!   VOPRF behind Privacy Pass and for X25519 public keys.
 //! * [`scalar`] — arithmetic modulo the Ed25519 group order ℓ.
 //! * [`bigint`] — arbitrary-precision unsigned integers (schoolbook +
 //!   Knuth-D division + modular exponentiation), the substrate for RSA.
@@ -37,9 +39,12 @@
 //! This crate exists to *reproduce the architecture* of the systems studied
 //! in "The Decoupling Principle" (HotNets '22) inside a simulator, not to
 //! ship production key material. Field arithmetic avoids secret-dependent
-//! branching where that is cheap (the X25519 ladder is uniform; AEAD tag
-//! comparison is constant-time via [`util::ct_eq`]), but scalar
-//! multiplication in [`edwards`] and all [`bigint`] arithmetic are
+//! branching where that is cheap: the X25519 ladder is uniform, so is the
+//! fixed-base comb behind [`edwards::EdwardsPoint::mul_base`] and
+//! [`x25519::public_key`] (every table lookup scans the whole row), and
+//! AEAD tag comparison is constant-time via [`util::ct_eq`]. Variable-base
+//! scalar multiplication in [`edwards`] ([`edwards::EdwardsPoint::mul`]),
+//! the [`scalar`] arithmetic and all [`bigint`] arithmetic are
 //! variable-time. Each module documents its own stance.
 
 #![forbid(unsafe_code)]

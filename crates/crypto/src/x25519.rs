@@ -1,6 +1,12 @@
-//! X25519 Diffie–Hellman (RFC 7748) over Curve25519, via the Montgomery
-//! ladder with uniform conditional swaps.
+//! X25519 Diffie–Hellman (RFC 7748) over Curve25519.
+//!
+//! [`x25519`] is the Montgomery ladder with uniform conditional swaps, the
+//! only variable-base path. [`public_key`] multiplies the fixed basepoint
+//! instead by the Edwards fixed-base comb
+//! ([`EdwardsPoint::mul_base`](crate::edwards::EdwardsPoint::mul_base))
+//! and maps the result to the u-line; the ladder is its test oracle.
 
+use crate::edwards::EdwardsPoint;
 use crate::field25519::FieldElement;
 
 /// Length of scalars, coordinates, and shared secrets.
@@ -60,9 +66,11 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Derive the public key for a (clamped) private scalar.
+/// Derive the public key for a private scalar (clamped internally):
+/// `x25519(private, &BASEPOINT)`, computed on the birationally equivalent
+/// Edwards curve, whose basepoint maps to u = 9.
 pub fn public_key(private: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
-    x25519(private, &BASEPOINT)
+    EdwardsPoint::mul_base_bytes(&clamp_scalar(*private)).to_montgomery_u()
 }
 
 /// Generate a keypair from a random number generator.
@@ -92,6 +100,7 @@ pub fn shared_secret(
 mod tests {
     use super::*;
     use crate::util::{hex_decode, hex_encode};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn arr(hex: &str) -> [u8; 32] {
@@ -167,6 +176,23 @@ mod tests {
         // u = 0 is a small-order point; the shared secret must be rejected.
         let sk = clamp_scalar([0x42u8; 32]);
         assert!(shared_secret(&sk, &[0u8; 32]).is_none());
+    }
+
+    #[test]
+    fn public_key_matches_ladder_at_the_edges() {
+        for k in [[0u8; 32], [0xffu8; 32]] {
+            assert_eq!(public_key(&k), x25519(&k, &BASEPOINT));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn public_key_matches_ladder(bytes in proptest::collection::vec(any::<u8>(), 32)) {
+            // Unclamped on purpose: both sides clamp.
+            let mut k = [0u8; 32];
+            k.copy_from_slice(&bytes);
+            prop_assert_eq!(public_key(&k), x25519(&k, &BASEPOINT));
+        }
     }
 
     #[test]
