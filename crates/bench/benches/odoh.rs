@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dcp_crypto::hpke;
-use decoupling::dns::{DnsName, Message, RrType};
+use decoupling::dns::{DnsName, Message, Rcode, RrType};
 use decoupling::odns::odoh;
 use decoupling::Scenario as _;
 use rand::SeedableRng;
@@ -16,9 +16,18 @@ fn bench_encapsulation(c: &mut Criterion) {
     g.bench_function("seal-query", |b| {
         b.iter(|| odoh::seal_query(&mut rng, &target.public, &query).unwrap())
     });
-    let (sealed, _) = odoh::seal_query(&mut rng, &target.public, &query).unwrap();
+    let (sealed, client_state) = odoh::seal_query(&mut rng, &target.public, &query).unwrap();
     g.bench_function("open-query", |b| {
         b.iter(|| odoh::open_query(&target, &sealed).unwrap())
+    });
+    let (_, target_state) = odoh::open_query(&target, &sealed).unwrap();
+    let response = Message::response_to(&query, Rcode::NoError);
+    g.bench_function("seal-response", |b| {
+        b.iter(|| odoh::seal_response(&mut rng, &target_state, &response))
+    });
+    let sealed_response = odoh::seal_response(&mut rng, &target_state, &response);
+    g.bench_function("open-response", |b| {
+        b.iter(|| odoh::open_response(&client_state, &sealed_response).unwrap())
     });
     g.bench_function("plain-encode-decode", |b| {
         b.iter(|| Message::decode(&query.encode()).unwrap())

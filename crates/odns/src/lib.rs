@@ -14,8 +14,9 @@
 //! (*Origin* here is the authoritative server that ultimately answers —
 //! it sees the query but only the oblivious resolver's address.)
 //!
-//! * [`odoh`] — ODoH-style encapsulation: the query is HPKE-sealed to the
-//!   target's key and carries an ephemeral response key.
+//! * [`odoh`] — ODoH encapsulation (RFC 9230): the query is HPKE-sealed
+//!   to the target's key, and the response is sealed under a key both
+//!   ends derive from that query's HPKE context.
 //! * [`odns_name`] — the original ODNS trick: the encrypted query hides
 //!   inside the *name itself* (`<hex>.odns.example`), so an unmodified
 //!   recursive resolver routes it to the oblivious authority.

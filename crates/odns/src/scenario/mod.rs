@@ -517,10 +517,19 @@ mod tests {
             report.answered,
             "one query span per answered query"
         );
-        // Client seal + target open per query, plus target seal + client
-        // open per answer.
-        assert_eq!(report.metrics.crypto_ops["hpke_seal"], 6);
-        assert_eq!(report.metrics.crypto_ops["hpke_open"], 6);
+        // Per query, an encapsulation and a seal (client) and a
+        // decapsulation and an open (target); the answer rides the
+        // query's context, so it costs one seal and one open, no KEM.
+        let expected: std::collections::BTreeMap<String, u64> = [
+            ("hpke_decap", 3),
+            ("hpke_encap", 3),
+            ("hpke_open", 6),
+            ("hpke_seal", 6),
+        ]
+        .into_iter()
+        .map(|(op, n)| (op.to_string(), n))
+        .collect();
+        assert_eq!(report.metrics.crypto_ops, expected);
         assert!(report.metrics.knowledge_by_entity.contains_key("Resolver"));
         assert_eq!(
             report.metrics.messages_delivered as usize,

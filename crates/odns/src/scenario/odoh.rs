@@ -52,9 +52,12 @@ pub(crate) fn envelope_label(user: UserId, target_key: dcp_core::KeyId) -> Label
     )
 }
 
-/// The target's response label: sealed to the client's ephemeral key —
+/// The target's response label: sealed under the response key that the
+/// client and the target derive from the query's HPKE context —
 /// intermediaries learn nothing; the client learns its own answer (●,
-/// which it is entitled to).
+/// which it is entitled to). The target derives that key too, but it
+/// sends the response and already knows the answer, so the `KeyId` is
+/// granted to clients only.
 pub(crate) fn response_label(user: UserId, client_resp_key: dcp_core::KeyId) -> Label {
     Label::items([InfoItem::sensitive_data(user, DataKind::DnsQuery)]).sealed(client_resp_key)
 }
@@ -101,6 +104,14 @@ impl OdohClient {
         envelope_label(self.user, self.target_key)
     }
 
+    /// Seal `q` to the target: one HPKE encapsulation and one seal on
+    /// the fresh context, counted the way `vpn` counts a session setup.
+    fn seal(&self, ctx: &mut Ctx, q: &DnsMessage) -> (Vec<u8>, odoh::QueryState) {
+        ctx.world.crypto_op("hpke_encap");
+        ctx.world.crypto_op("hpke_seal");
+        odoh::seal_query(ctx.rng, &self.target_pk, q).expect("seal")
+    }
+
     fn send_next(&mut self, ctx: &mut Ctx) {
         let Some(name) = self.queries.pop() else {
             return;
@@ -113,8 +124,7 @@ impl OdohClient {
         }
         let q = DnsMessage::query(self.next_id, name, RrType::A);
         self.next_id = self.next_id.wrapping_add(1);
-        ctx.world.crypto_op("hpke_seal");
-        let (sealed, state) = odoh::seal_query(ctx.rng, &self.target_pk, &q).expect("seal");
+        let (sealed, state) = self.seal(ctx, &q);
         self.state = Some(state);
         self.sent_at = ctx.now;
         let label = self.envelope_label();
@@ -129,8 +139,7 @@ impl OdohClient {
     fn transmit(&mut self, ctx: &mut Ctx, name: DnsName, sent_at: SimTime, att: Attempt) {
         let q = DnsMessage::query(self.next_id, name.clone(), RrType::A);
         self.next_id = self.next_id.wrapping_add(1);
-        ctx.world.crypto_op("hpke_seal");
-        let (sealed, state) = odoh::seal_query(ctx.rng, &self.target_pk, &q).expect("seal");
+        let (sealed, state) = self.seal(ctx, &q);
         let pick = self
             .failover
             .route_for(att.seq, att.attempt, ctx.now.as_us());
@@ -367,9 +376,9 @@ struct TargetNode {
     kp: hpke::Keypair,
     origin: Endpoint<DnsQuery, Control, AuthOrigin>,
     client_resp_key: dcp_core::KeyId,
-    /// (proxy node, response key, subject) awaiting origin answers
+    /// (proxy node, query state, subject) awaiting origin answers
     /// (FIFO; recovery-disabled path only).
-    pending: Vec<(NodeId, [u8; 32], UserId)>,
+    pending: Vec<(NodeId, odoh::QueryState, UserId)>,
     /// Maps query names to subjects for label construction (the target
     /// cannot name users — this is scenario bookkeeping keyed by what the
     /// target *does* see).
@@ -379,7 +388,7 @@ struct TargetNode {
     /// Recovery path: awaiting origin answers keyed by the hop-local
     /// sequence (echoed by the origin), so drops between target and
     /// origin can never mispair a late answer with the wrong waiter.
-    pending_by_seq: BTreeMap<u64, (NodeId, [u8; 32], UserId)>,
+    pending_by_seq: BTreeMap<u64, (NodeId, odoh::QueryState, UserId)>,
 }
 
 impl Node for TargetNode {
@@ -403,13 +412,11 @@ impl Node for TargetNode {
                 Some(s) => self.pending_by_seq.remove(&s),
                 None => self.pending.pop(),
             };
-            let Some((proxy, resp_pk, user)) = waiter else {
+            let Some((proxy, state, user)) = waiter else {
                 return; // duplicated origin answer: nothing awaits it
             };
             ctx.world.crypto_op("hpke_seal");
-            let Ok(sealed) = odoh::seal_response(ctx.rng, &resp_pk, &resp) else {
-                return; // cannot seal: never answer in plaintext
-            };
+            let sealed = odoh::seal_response(ctx.rng, &state, &resp);
             let label = response_label(user, self.client_resp_key);
             let bytes = match seq {
                 Some(s) => wire::frame(s, &sealed),
@@ -428,8 +435,9 @@ impl Node for TargetNode {
         } else {
             (None, &msg.bytes[..])
         };
+        ctx.world.crypto_op("hpke_decap");
         ctx.world.crypto_op("hpke_open");
-        let Ok((query, resp_pk)) = odoh::open_query(&self.kp, body) else {
+        let Ok((query, state)) = odoh::open_query(&self.kp, body) else {
             return;
         };
         let Some(q0) = query.questions.first() else {
@@ -441,9 +449,9 @@ impl Node for TargetNode {
         };
         match seq {
             Some(s) => {
-                self.pending_by_seq.insert(s, (from, resp_pk, user));
+                self.pending_by_seq.insert(s, (from, state, user));
             }
-            None => self.pending.insert(0, (from, resp_pk, user)),
+            None => self.pending.insert(0, (from, state, user)),
         }
         let label = origin_query_label(user);
         let bytes = match seq {
@@ -454,8 +462,8 @@ impl Node for TargetNode {
     }
 }
 
-/// The target's per-client response key (one `KeyId` stands for "keys only
-/// clients hold"); stored on the node for label construction.
+/// The clients' response key (one `KeyId` stands for "keys only clients
+/// hold"); stored on the node for label construction.
 impl TargetNode {
     fn new(
         entity: EntityId,

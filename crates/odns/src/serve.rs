@@ -73,6 +73,7 @@ impl ServeClient {
         };
         let q = DnsMessage::query(self.next_id, name, RrType::A);
         self.next_id = self.next_id.wrapping_add(1);
+        ctx.crypto_op("hpke_encap");
         ctx.crypto_op("hpke_seal");
         let (sealed, state) = odoh::seal_query(ctx.rng, &self.target_pk, &q).expect("seal");
         let seq = self.next_seq;
@@ -172,13 +173,14 @@ impl WireRole for ServeProxy {
 }
 
 /// The oblivious target: opens queries it cannot attribute, recurses to
-/// the origin, seals answers to the client's ephemeral response key.
+/// the origin, seals answers under the response key it derives from
+/// each query's HPKE context.
 struct ServeTarget {
     kp: dcp_crypto::hpke::Keypair,
     client_resp_key: KeyId,
     subject_of_query: HashMap<String, UserId>,
-    /// tseq → (proxy peer, proxy's seq, client response pk, subject).
-    pending: HashMap<u64, (PeerId, u64, [u8; 32], UserId)>,
+    /// tseq → (proxy peer, proxy's seq, query state, subject).
+    pending: HashMap<u64, (PeerId, u64, odoh::QueryState, UserId)>,
     next_tseq: u64,
 }
 
@@ -191,13 +193,11 @@ impl WireRole for ServeTarget {
             let Ok(resp) = DnsMessage::decode(body) else {
                 return;
             };
-            let Some((proxy, pseq, resp_pk, user)) = self.pending.remove(&tseq) else {
+            let Some((proxy, pseq, state, user)) = self.pending.remove(&tseq) else {
                 return;
             };
             ctx.crypto_op("hpke_seal");
-            let Ok(sealed) = odoh::seal_response(ctx.rng, &resp_pk, &resp) else {
-                return; // cannot seal: never answer in plaintext
-            };
+            let sealed = odoh::seal_response(ctx.rng, &state, &resp);
             let label = response_label(user, self.client_resp_key);
             ctx.send(proxy, WireMsg::response(wire::frame(pseq, &sealed), label));
             return;
@@ -207,8 +207,9 @@ impl WireRole for ServeTarget {
         let Some((pseq, body)) = wire::unframe(&msg.payload) else {
             return;
         };
+        ctx.crypto_op("hpke_decap");
         ctx.crypto_op("hpke_open");
-        let Ok((query, resp_pk)) = odoh::open_query(&self.kp, body) else {
+        let Ok((query, state)) = odoh::open_query(&self.kp, body) else {
             return;
         };
         let Some(q0) = query.questions.first() else {
@@ -219,7 +220,7 @@ impl WireRole for ServeTarget {
         };
         let tseq = self.next_tseq;
         self.next_tseq += 1;
-        self.pending.insert(tseq, (from, pseq, resp_pk, user));
+        self.pending.insert(tseq, (from, pseq, state, user));
         let label = origin_query_label(user);
         ctx.send_to(
             Endpoint::<DnsQuery, Control, AuthOrigin>::new(ORIGIN.index()),
