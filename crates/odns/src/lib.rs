@@ -22,6 +22,9 @@
 //!   recursive resolver routes it to the oblivious authority.
 //! * [`scenario`] — ODoH / direct-DNS runs on the simulator, plus the
 //!   §5.1 striping experiment spreading queries over many resolvers.
+//!   ODoH is written once, as seam roles the simulator hosts.
+//! * [`serve`] — the same ODoH roles as a `ServeSpec` for `dcp-serve`,
+//!   so a served run is checked against its simulated twin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

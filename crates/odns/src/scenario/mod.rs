@@ -2,10 +2,11 @@
 //! §5.1 striping experiment.
 //!
 //! The three wirings live in one submodule each — [`odoh`](self::odoh)
-//! (proxy → target encapsulation), [`direct`](self::direct) (plain DNS,
-//! optionally striped), [`legacy`](self::legacy) (the 2019 name-hiding
-//! protocol) — sharing this hub's report, configs, workload zone, and the
-//! [`OriginNode`] authoritative responder.
+//! (proxy → target encapsulation, written as seam roles that `dcp-serve`
+//! hosts too), [`direct`](self::direct) (plain DNS, optionally striped),
+//! [`legacy`](self::legacy) (the 2019 name-hiding protocol) — sharing
+//! this hub's report, configs and workload zone; the last two also share
+//! the [`OriginNode`] authoritative responder.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -309,7 +310,7 @@ fn build_zone(workload: &ZipfWorkload) -> Zone {
     zone
 }
 
-struct Stats {
+pub(crate) struct Stats {
     answered: usize,
     latencies: Vec<u64>,
     /// Per-resolver distinct names seen (indexed by resolver slot).
@@ -380,13 +381,12 @@ fn assemble(
     expected_queries: usize,
 ) -> ScenarioReport {
     let core = harness.finish(net);
-    let stats = Rc::try_unwrap(stats).map_err(|_| ()).unwrap().into_inner();
-    finish_report(core, stats, users, expected_queries)
+    finish_report(core, &stats.borrow(), users, expected_queries)
 }
 
 fn finish_report(
     core: RunCore,
-    stats: Stats,
+    stats: &Stats,
     users: Vec<UserId>,
     expected_queries: usize,
 ) -> ScenarioReport {
@@ -588,6 +588,55 @@ mod tests {
             "recovery must not change anyone's knowledge ledger"
         );
         assert_eq!(harsh.table(0), calm.table(0));
+    }
+
+    /// Two proxies mint overlapping sequence numbers, so the target must
+    /// key each waiter by its proxy too, or an answer reaches the wrong
+    /// client — and lands in that client's ledger, since a response
+    /// label names the answer's own subject. A target keyed by the proxy
+    /// sequence alone fails at these seeds.
+    #[test]
+    fn backup_proxies_never_cross_answers() {
+        use dcp_faults::dst::KnowledgeFingerprint;
+        use dcp_faults::FaultConfig;
+        let cfg = OdohConfig::new(2, 3).backup_proxies(1);
+        for seed in [0, 36, 43, 45] {
+            let calm = Odoh::run_with(&cfg, seed, &RunOptions::recovered(&FaultConfig::calm()));
+            let harsh = Odoh::run_with(&cfg, seed, &RunOptions::recovered(&FaultConfig::harsh()));
+            assert_eq!(
+                KnowledgeFingerprint::of(&harsh.world),
+                KnowledgeFingerprint::of(&calm.world),
+                "seed {seed}: harsh tables drifted from the calm twin"
+            );
+        }
+    }
+
+    /// Without recovery a drop must not shift answers onto the wrong
+    /// client: every leg is sequence-framed, so no hop pairs answers
+    /// with queries by arrival order. Arrival-order pairing fails at
+    /// these seeds.
+    #[test]
+    fn drops_without_recovery_never_cross_answers() {
+        use dcp_faults::FaultConfig;
+        let opts = RunOptions::with_faults(&FaultConfig::moderate());
+        for seed in [3, 8, 11, 12] {
+            let report = Odoh::run_with(&OdohConfig::new(2, 3), seed, &opts);
+            assert!(!report.fault_log.is_empty(), "seed {seed}: no faults");
+            for e in report.world.entities() {
+                let Some(own) = e.user_domain else { continue };
+                let foreign: Vec<_> = report
+                    .world
+                    .ledger(e.id)
+                    .iter()
+                    .filter(|item| item.subject != own)
+                    .collect();
+                assert!(
+                    foreign.is_empty(),
+                    "seed {seed}: {} holds {foreign:?}",
+                    e.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,44 +1,60 @@
-//! The ODoH wiring: clients HPKE-seal queries through proxy → target →
-//! origin.
+//! The ODoH wiring, written once as seam roles: clients HPKE-seal
+//! queries through proxy → target → origin. [`wiring`] builds the four
+//! roles and the world they write; [`Odoh`] hosts them on the simulator
+//! and [`crate::serve::odoh_serve_spec`] hands the same roles to
+//! `dcp-serve`, so a served run's knowledge tables are byte-comparable to
+//! the simulated twin's by construction.
 //!
-//! The client here is the one wiring in the workspace that does *not*
-//! ride [`dcp_runtime::Driver`]'s canonical timer loop: its retry path
-//! interleaves the circuit breaker (quarantine → retry → failover
-//! observations, in that order) with the attempt, so it drives the raw
-//! [`TimerVerdict`]s the runtime re-exports for exactly this purpose.
+//! ## Sequence numbers on every leg
+//!
+//! Every leg carries an 8-byte hop-local sequence number
+//! (`dcp_runtime::wire` framing), which real sockets need anyway: they
+//! interleave, so answers cannot be paired with queries by arrival
+//! order. Each hop mints its own numbers and maps them back on the
+//! return path — a client-scoped counter forwarded in the clear would
+//! hand the target a stable cross-query pseudonym, undoing the
+//! decoupling. The proxy re-keys with a [`HopMap`]; the target keys its
+//! waiters by `(proxy, proxy seq)`, so backup proxies' numbers never
+//! collide, and mints its own numbers for the origin leg. The run's
+//! [`RecoverConfig`] only arms the client's retries and adds backup
+//! proxies.
+//!
+//! Every decode on this path is fail-closed: a frame that does not
+//! unframe, unseal, or parse is dropped, never answered.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::{
-    DataKind, EntityId, IdentityKind, InfoItem, Label, RecoverConfig, RunOptions, Scenario, UserId,
+    DataKind, IdentityKind, InfoItem, KeyId, Label, ObsEvent, RecoverConfig, RunOptions, Scenario,
+    UserId, World,
 };
 use dcp_crypto::hpke;
 use dcp_dns::workload::ZipfWorkload;
-use dcp_dns::{DnsName, Message as DnsMessage, RrType};
+use dcp_dns::{DnsName, Message as DnsMessage, RrType, Zone};
+use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
-    emit_failover, emit_give_up, emit_quarantine, emit_retry, wire, Attempt, Control, Ctx,
-    Endpoint, Failover, Harness, HopMap, LinkParams, Message, Node, NodeId, ReliableCall, SimTime,
-    TimerVerdict, TypedSend,
+    wire, Attempt, Control, Endpoint, Failover, Harness, HopMap, LinkParams, ReliableCall,
+    TimerVerdict,
 };
 
-use super::{assemble, build_zone, Odoh, OdohConfig, OriginNode, ScenarioReport, Stats, SUFFIX};
+use super::{build_zone, finish_report, Odoh, OdohConfig, ScenarioReport, Stats, SUFFIX};
 use crate::odoh;
 use crate::types::{
     AuthOrigin, DnsQuery, ObliviousProxy, ObliviousQuery, ObliviousTarget, SealedQuery, StubClient,
 };
 
-/// The client's envelope label, shared verbatim by the simulated wiring
-/// and the `dcp serve` twin (`crate::serve`): knowledge tables are a
-/// function of labels and key grants, so sharing the builders is what
-/// makes the two runs byte-comparable.
+/// Peer ids of the target and the origin (see [`wiring`]).
+const TARGET: usize = 1;
+const ORIGIN: usize = 2;
+
+/// The client's envelope label.
 ///
 /// Outer envelope: the proxy knows the client (▲_N) and that a DNS query
 /// happened (⊙). Inner seal: the target reads the query content (⊙/●) of
 /// an anonymous user (△).
-pub(crate) fn envelope_label(user: UserId, target_key: dcp_core::KeyId) -> Label {
+fn envelope_label(user: UserId, target_key: KeyId) -> Label {
     Label::items([
         InfoItem::sensitive_identity(user, IdentityKind::Any),
         InfoItem::plain_data(user, DataKind::DnsQuery),
@@ -52,478 +68,356 @@ pub(crate) fn envelope_label(user: UserId, target_key: dcp_core::KeyId) -> Label
     )
 }
 
-/// The target's response label: sealed under the response key that the
-/// client and the target derive from the query's HPKE context —
-/// intermediaries learn nothing; the client learns its own answer (●,
-/// which it is entitled to). The target derives that key too, but it
-/// sends the response and already knows the answer, so the `KeyId` is
-/// granted to clients only.
-pub(crate) fn response_label(user: UserId, client_resp_key: dcp_core::KeyId) -> Label {
+/// The target's response label: the answer (●) about `user`, sealed
+/// under the response key that the client and the target derive from
+/// the query's HPKE context — intermediaries learn nothing; the client
+/// learns the answer it is entitled to. The target derives that key too,
+/// but it sends the response and already knows the answer, so the
+/// `KeyId` is granted to clients only.
+fn response_label(user: UserId, client_resp_key: KeyId) -> Label {
     Label::items([InfoItem::sensitive_data(user, DataKind::DnsQuery)]).sealed(client_resp_key)
 }
 
 /// The target→origin label: a plaintext recursive query — the origin
 /// sees the query (●) from the resolver's address (△).
-pub(crate) fn origin_query_label(user: UserId) -> Label {
+fn origin_query_label(user: UserId) -> Label {
     Label::items([
         InfoItem::plain_identity(user, IdentityKind::Any),
         InfoItem::sensitive_data(user, DataKind::DnsQuery),
     ])
 }
 
-struct OdohClient {
-    entity: EntityId,
+/// The stub-resolver client: seals each query to the target and sends
+/// it through a proxy, counting an answer only when the response opens
+/// against the matching in-flight call.
+struct Client {
     user: UserId,
-    proxy: Endpoint<SealedQuery, Control, ObliviousProxy>,
     target_pk: [u8; 32],
-    target_key: dcp_core::KeyId,
+    target_key: KeyId,
     queries: Vec<DnsName>,
-    state: Option<odoh::QueryState>,
-    stats: Rc<RefCell<Stats>>,
-    sent_at: SimTime,
     next_id: u16,
-    /// Per-request ARQ (inert when the run's recovery is disabled).
+    /// Per-request ARQ: arms deadlines and retries under recovery, and
+    /// is inert without it.
     arq: ReliableCall,
+    /// Call numbers for runs without recovery, where the ARQ numbers
+    /// nothing.
+    next_seq: u64,
     /// Proxy routes (primary + backups) with the circuit breaker.
     failover: Failover,
     /// RetryLinkage flow id (the client index).
     flow: u64,
-    /// Open reliable calls, keyed by ARQ sequence number.
-    inflight: BTreeMap<u64, OdohInflight>,
+    /// Open calls, keyed by sequence number.
+    inflight: BTreeMap<u64, Inflight>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-struct OdohInflight {
+struct Inflight {
     name: DnsName,
     state: odoh::QueryState,
     route_ordinal: usize,
-    sent_at: SimTime,
+    sent_at: u64,
 }
 
-impl OdohClient {
-    fn envelope_label(&self) -> Label {
-        envelope_label(self.user, self.target_key)
-    }
-
-    /// Seal `q` to the target: one HPKE encapsulation and one seal on
-    /// the fresh context, counted the way `vpn` counts a session setup.
-    fn seal(&self, ctx: &mut Ctx, q: &DnsMessage) -> (Vec<u8>, odoh::QueryState) {
-        ctx.world.crypto_op("hpke_encap");
-        ctx.world.crypto_op("hpke_seal");
-        odoh::seal_query(ctx.rng, &self.target_pk, q).expect("seal")
-    }
-
-    fn send_next(&mut self, ctx: &mut Ctx) {
+impl Client {
+    fn send_next(&mut self, ctx: &mut WireCtx) {
         let Some(name) = self.queries.pop() else {
             return;
         };
-        if self.arq.enabled() {
-            let att = self.arq.begin().expect("enabled ARQ always begins");
-            let sent_at = ctx.now;
-            self.transmit(ctx, name, sent_at, att);
-            return;
-        }
-        let q = DnsMessage::query(self.next_id, name, RrType::A);
-        self.next_id = self.next_id.wrapping_add(1);
-        let (sealed, state) = self.seal(ctx, &q);
-        self.state = Some(state);
-        self.sent_at = ctx.now;
-        let label = self.envelope_label();
-        ctx.send_to(self.proxy, Message::new(sealed, label));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let att = self.arq.begin().unwrap_or(Attempt {
+            seq,
+            attempt: 0,
+            timer_delay_us: 0,
+            token: 0,
+        });
+        let sent_at = ctx.now_us();
+        self.transmit(ctx, name, sent_at, att);
     }
 
-    /// One (re)transmission of reliable call `att.seq`: a *fresh* HPKE
+    /// One (re)transmission of call `att.seq`: a *fresh* HPKE
     /// encapsulation every attempt (re-randomized retransmission — a
     /// replayed ciphertext would let any on-path observer link the
-    /// attempts), framed with the ARQ sequence number outside the
-    /// ciphertext, routed by the failover's deterministic choice.
-    fn transmit(&mut self, ctx: &mut Ctx, name: DnsName, sent_at: SimTime, att: Attempt) {
+    /// attempts), framed with the sequence number outside the
+    /// ciphertext, routed by the failover's deterministic choice. It
+    /// costs one encapsulation and one seal, counted as `vpn` counts a
+    /// tunnel setup.
+    fn transmit(&mut self, ctx: &mut WireCtx, name: DnsName, sent_at: u64, att: Attempt) {
         let q = DnsMessage::query(self.next_id, name.clone(), RrType::A);
         self.next_id = self.next_id.wrapping_add(1);
-        let (sealed, state) = self.seal(ctx, &q);
-        let pick = self
-            .failover
-            .route_for(att.seq, att.attempt, ctx.now.as_us());
+        ctx.crypto_op("hpke_encap");
+        ctx.crypto_op("hpke_seal");
+        let (sealed, state) = odoh::seal_query(ctx.rng, &self.target_pk, &q).expect("seal");
+        let pick = self.failover.route_for(att.seq, att.attempt, ctx.now_us());
         self.stats
-            .borrow_mut()
+            .lock()
+            .expect("no client panicked holding the stats")
             .linkage
             .record(self.flow, att.seq, att.attempt, &sealed);
         self.inflight.insert(
             att.seq,
-            OdohInflight {
+            Inflight {
                 name,
                 state,
                 route_ordinal: pick.ordinal,
                 sent_at,
             },
         );
-        let label = self.envelope_label();
+        let label = envelope_label(self.user, self.target_key);
         // Failover picks among the proxies dynamically; every route plays
         // the same role, so the typed endpoint is built from the pick.
         ctx.send_to(
             Endpoint::<SealedQuery, Control, ObliviousProxy>::new(pick.node),
-            Message::new(wire::frame(att.seq, &sealed), label),
+            WireMsg::data(wire::frame(att.seq, &sealed), label),
         );
-        ctx.set_timer(att.timer_delay_us, att.token);
-    }
-}
-
-// The target_key field is injected at construction; declared separately to
-// keep send_next readable.
-impl OdohClient {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        entity: EntityId,
-        user: UserId,
-        proxy: Endpoint<SealedQuery, Control, ObliviousProxy>,
-        target_pk: [u8; 32],
-        target_key: dcp_core::KeyId,
-        queries: Vec<DnsName>,
-        stats: Rc<RefCell<Stats>>,
-        recover: &RecoverConfig,
-        proxy_routes: &[NodeId],
-        jitter_seed: u64,
-        flow: u64,
-    ) -> Self {
-        OdohClient {
-            entity,
-            user,
-            proxy,
-            target_pk,
-            queries,
-            state: None,
-            stats,
-            sent_at: SimTime::ZERO,
-            next_id: 1,
-            target_key,
-            arq: ReliableCall::new(recover, jitter_seed),
-            failover: Failover::new(proxy_routes.iter().map(|n| n.0).collect(), recover),
-            flow,
-            inflight: BTreeMap::new(),
+        if self.arq.enabled() {
+            ctx.set_timer(att.timer_delay_us, att.token);
         }
     }
 }
 
-impl Node for OdohClient {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::DnsQuery),
-        );
+impl WireRole for Client {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::DnsQuery));
         self.send_next(ctx);
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, _from: PeerId, msg: WireMsg) {
+        // The echoed sequence number selects which call's state to open
+        // against, so a late response to an earlier query can never
+        // clobber a newer one; the state is consumed only once a
+        // response opens against it, so a garbled, duplicated or
+        // superseded response changes nothing.
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Some(call) = self.inflight.get(&seq) else {
+            return;
+        };
+        ctx.crypto_op("hpke_open");
+        match odoh::open_response(&call.state, body) {
+            Ok(resp) if resp.is_response => {}
+            _ => return,
+        }
+        let call = self.inflight.remove(&seq).expect("opened against above");
+        self.arq.complete(seq);
+        self.failover.report_success(call.route_ordinal);
+        let now = ctx.now_us();
+        ctx.span("query", call.sent_at, now);
+        let mut stats = self
+            .stats
+            .lock()
+            .expect("no client panicked holding the stats");
+        stats.answered += 1;
+        stats.latencies.push(now - call.sent_at);
+        drop(stats);
+        ctx.unit_done();
+        self.send_next(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        let node = ctx.me().index();
         match self.arq.on_timer(token) {
             TimerVerdict::NotMine | TimerVerdict::Stale => {}
             TimerVerdict::Retry(att) => {
-                let Some(entry) = self.inflight.get(&att.seq) else {
+                let Some(call) = self.inflight.get(&att.seq) else {
                     return;
                 };
-                let (name, sent_at, prev) =
-                    (entry.name.clone(), entry.sent_at, entry.route_ordinal);
-                if let Some(until) = self.failover.report_failure(prev, ctx.now.as_us()) {
-                    emit_quarantine(ctx.world, ctx.id().0, self.failover.route(prev), until);
+                let (name, sent_at, prev) = (call.name.clone(), call.sent_at, call.route_ordinal);
+                let now = ctx.now_us();
+                if let Some(until_us) = self.failover.report_failure(prev, now) {
+                    ctx.emit(ObsEvent::RecoveryQuarantine {
+                        node,
+                        route: self.failover.route(prev),
+                        until_us,
+                    });
                 }
-                emit_retry(ctx.world, ctx.id().0, att.seq, att.attempt);
-                let pick = self
-                    .failover
-                    .route_for(att.seq, att.attempt, ctx.now.as_us());
+                ctx.emit(ObsEvent::RecoveryRetry {
+                    node,
+                    seq: att.seq,
+                    attempt: att.attempt,
+                });
+                let pick = self.failover.route_for(att.seq, att.attempt, now);
                 if pick.ordinal != prev {
-                    emit_failover(
-                        ctx.world,
-                        ctx.id().0,
-                        att.seq,
-                        self.failover.route(prev),
-                        pick.node,
-                    );
+                    ctx.emit(ObsEvent::RecoveryFailover {
+                        node,
+                        seq: att.seq,
+                        from_route: self.failover.route(prev),
+                        to_route: pick.node,
+                    });
                 }
                 self.transmit(ctx, name, sent_at, att);
             }
             TimerVerdict::Exhausted { seq, attempts } => {
-                emit_give_up(ctx.world, ctx.id().0, seq, attempts);
+                ctx.emit(ObsEvent::RecoveryGiveUp {
+                    node,
+                    seq,
+                    attempts,
+                });
                 self.inflight.remove(&seq);
                 self.send_next(ctx);
             }
         }
     }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        if self.arq.enabled() {
-            // Framed response: the echoed sequence number selects which
-            // call's state to open against, so late responses to an
-            // earlier query can never clobber a newer one.
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let Some(entry) = self.inflight.get(&seq) else {
-                return;
-            };
-            ctx.world.crypto_op("hpke_open");
-            let Ok(resp) = odoh::open_response(&entry.state, body) else {
-                return; // a response to a superseded attempt fails to open
-            };
-            if !resp.is_response {
-                return;
-            }
-            if !self.arq.complete(seq) {
-                return; // duplicated response: counted exactly once
-            }
-            self.failover.report_success(entry.route_ordinal);
-            let sent_at = entry.sent_at;
-            ctx.world.span("query", sent_at.as_us(), ctx.now.as_us());
-            self.inflight.remove(&seq);
-            let mut stats = self.stats.borrow_mut();
-            stats.answered += 1;
-            stats.latencies.push(ctx.now - sent_at);
-            drop(stats);
-            self.send_next(ctx);
-            return;
-        }
-        // Only consume the in-flight state once a response actually opens
-        // against it — duplicated or stale deliveries must not clobber a
-        // newer query's state.
-        let Some(state) = self.state.as_ref() else {
-            return;
-        };
-        ctx.world.crypto_op("hpke_open");
-        let Ok(resp) = odoh::open_response(state, &msg.bytes) else {
-            return;
-        };
-        if !resp.is_response {
-            return;
-        }
-        self.state = None;
-        ctx.world
-            .span("query", self.sent_at.as_us(), ctx.now.as_us());
-        let mut stats = self.stats.borrow_mut();
-        stats.answered += 1;
-        stats.latencies.push(ctx.now - self.sent_at);
-        drop(stats);
-        self.send_next(ctx);
+
+    fn finished(&self) -> bool {
+        self.queries.is_empty() && self.inflight.is_empty()
     }
 }
 
-struct ProxyNode {
-    entity: EntityId,
+/// The oblivious proxy: strips the client-identifying envelope, re-keys
+/// each forwarded query under its own sequence number, and carries
+/// sealed bytes it cannot read.
+struct Proxy {
     target: Endpoint<ObliviousQuery, Control, ObliviousTarget>,
-    /// Pending client per in-flight query (FIFO per arrival;
-    /// recovery-disabled path only).
-    pending: Vec<NodeId>,
-    /// Is the run's recovery layer on (same [`RunOptions`] every node)?
-    recover: bool,
-    /// Recovery path: hop-local sequence per forwarded query. The proxy
-    /// must not forward the client's own counter — a client-scoped
-    /// counter in the clear would hand the target a stable cross-query
-    /// pseudonym, undoing the decoupling.
-    hop: HopMap<(NodeId, u64)>,
+    /// Proxy seq → (client, client seq) for the return path. Entries are
+    /// consumed on first use, so a duplicated response is dropped.
+    hop: HopMap<(PeerId, u64)>,
 }
 
-impl Node for ProxyNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.target.index() {
-            if self.recover {
-                // The target echoed the proxy's hop-local number: map it
-                // back to (client, client seq) and re-frame. A duplicated
-                // response finds its entry consumed and is dropped.
-                let Some((pseq, body)) = wire::unframe(&msg.bytes) else {
-                    return;
-                };
-                let Some((client, cseq)) = self.hop.take(pseq) else {
-                    return;
-                };
-                let framed = wire::frame(cseq, body);
-                ctx.send(client, Message::new(framed, msg.label));
-                return;
-            }
-            // Response going back: forward to the waiting client. A
-            // duplicated response with no waiter is dropped.
-            let Some(client) = self.pending.pop() else {
+impl WireRole for Proxy {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        if from.index() == self.target.index() {
+            let Some((client, cseq)) = self.hop.take(seq) else {
                 return;
             };
-            ctx.send(client, msg);
-        } else {
-            // Strip the client-identifying envelope: the target sees only
-            // the sealed inner part plus an anonymous-aggregate marker.
-            let inner = match &msg.label {
-                Label::Bundle(parts) if parts.len() == 2 => parts[1].clone(),
-                other => other.clone(),
-            };
-            if self.recover {
-                let Some((cseq, body)) = wire::unframe(&msg.bytes) else {
-                    return;
-                };
-                let pseq = self.hop.insert((from, cseq));
-                let framed = wire::frame(pseq, body);
-                ctx.send_to(self.target, Message::new(framed, inner));
-                return;
-            }
-            self.pending.insert(0, from);
-            ctx.send_to(self.target, Message::new(msg.bytes, inner));
+            ctx.send(
+                client,
+                WireMsg::response(wire::frame(cseq, body), msg.label),
+            );
+            return;
         }
+        // The target sees only the sealed inner label.
+        let inner = match msg.label {
+            Label::Bundle(mut parts) if parts.len() == 2 => parts.swap_remove(1),
+            other => other,
+        };
+        let pseq = self.hop.insert((from, seq));
+        ctx.send_to(self.target, WireMsg::data(wire::frame(pseq, body), inner));
     }
 }
 
-struct TargetNode {
-    entity: EntityId,
+/// The oblivious target: opens queries it cannot attribute, recurses to
+/// the origin, and seals each answer under the response key it derives
+/// from the query's HPKE context.
+struct Target {
     kp: hpke::Keypair,
     origin: Endpoint<DnsQuery, Control, AuthOrigin>,
-    client_resp_key: dcp_core::KeyId,
-    /// (proxy node, query state, subject) awaiting origin answers
-    /// (FIFO; recovery-disabled path only).
-    pending: Vec<(NodeId, odoh::QueryState, UserId)>,
+    client_resp_key: KeyId,
     /// Maps query names to subjects for label construction (the target
     /// cannot name users — this is scenario bookkeeping keyed by what the
     /// target *does* see).
-    subject_of_query: std::collections::HashMap<String, UserId>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: awaiting origin answers keyed by the hop-local
-    /// sequence (echoed by the origin), so drops between target and
-    /// origin can never mispair a late answer with the wrong waiter.
-    pending_by_seq: BTreeMap<u64, (NodeId, odoh::QueryState, UserId)>,
+    subject_of_query: HashMap<String, UserId>,
+    /// Opened queries awaiting the origin, keyed by the proxy that
+    /// forwarded them and that proxy's sequence number.
+    waiters: BTreeMap<(PeerId, u64), odoh::QueryState>,
+    /// Origin-leg sequence numbers → the waiter they answer.
+    origin_leg: HopMap<(PeerId, u64)>,
 }
 
-impl Node for TargetNode {
-    fn entity(&self) -> EntityId {
-        self.entity
+impl Target {
+    fn subject(&self, msg: &DnsMessage) -> Option<UserId> {
+        let q0 = msg.questions.first()?;
+        self.subject_of_query.get(&q0.qname.to_string()).copied()
     }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.origin.index() {
-            let (seq, body) = if self.recover {
-                match wire::unframe(&msg.bytes) {
-                    Some((s, b)) => (Some(s), b),
-                    None => return,
-                }
-            } else {
-                (None, &msg.bytes[..])
-            };
+}
+
+impl WireRole for Target {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        if from.index() == self.origin.index() {
             let Ok(resp) = DnsMessage::decode(body) else {
                 return;
             };
-            let waiter = match seq {
-                Some(s) => self.pending_by_seq.remove(&s),
-                None => self.pending.pop(),
+            // The label names the subject of the answer's own question,
+            // so an answer delivered to the wrong client would show up in
+            // that client's ledger.
+            let Some(user) = self.subject(&resp) else {
+                return;
             };
-            let Some((proxy, state, user)) = waiter else {
-                return; // duplicated origin answer: nothing awaits it
+            let Some(waiter) = self.origin_leg.take(seq) else {
+                return;
             };
-            ctx.world.crypto_op("hpke_seal");
+            let Some(state) = self.waiters.remove(&waiter) else {
+                return; // a duplicated query's second answer
+            };
+            ctx.crypto_op("hpke_seal");
             let sealed = odoh::seal_response(ctx.rng, &state, &resp);
             let label = response_label(user, self.client_resp_key);
-            let bytes = match seq {
-                Some(s) => wire::frame(s, &sealed),
-                None => sealed,
-            };
-            ctx.send(proxy, Message::new(bytes, label));
+            let (proxy, pseq) = waiter;
+            ctx.send(proxy, WireMsg::response(wire::frame(pseq, &sealed), label));
             return;
         }
-        // Encapsulated query from the proxy. Undecryptable (tampered or
-        // duplicated-and-replayed) queries are dropped, never answered.
-        let (seq, body) = if self.recover {
-            match wire::unframe(&msg.bytes) {
-                Some((s, b)) => (Some(s), b),
-                None => return,
-            }
-        } else {
-            (None, &msg.bytes[..])
-        };
-        ctx.world.crypto_op("hpke_decap");
-        ctx.world.crypto_op("hpke_open");
+        // Encapsulated query via a proxy. Undecryptable (tampered or
+        // replayed) queries are dropped, never answered.
+        ctx.crypto_op("hpke_decap");
+        ctx.crypto_op("hpke_open");
         let Ok((query, state)) = odoh::open_query(&self.kp, body) else {
             return;
         };
-        let Some(q0) = query.questions.first() else {
+        let Some(user) = self.subject(&query) else {
             return;
         };
-        let qname = q0.qname.to_string();
-        let Some(&user) = self.subject_of_query.get(&qname) else {
-            return;
-        };
-        match seq {
-            Some(s) => {
-                self.pending_by_seq.insert(s, (from, state, user));
-            }
-            None => self.pending.insert(0, (from, state, user)),
-        }
-        let label = origin_query_label(user);
-        let bytes = match seq {
-            Some(s) => wire::frame(s, &query.encode()),
-            None => query.encode(),
-        };
-        ctx.send_to(self.origin, Message::new(bytes, label));
+        let waiter = (from, seq);
+        self.waiters.insert(waiter, state);
+        let tseq = self.origin_leg.insert(waiter);
+        ctx.send_to(
+            self.origin,
+            WireMsg::data(wire::frame(tseq, &query.encode()), origin_query_label(user)),
+        );
     }
 }
 
-/// The clients' response key (one `KeyId` stands for "keys only clients
-/// hold"); stored on the node for label construction.
-impl TargetNode {
-    fn new(
-        entity: EntityId,
-        kp: hpke::Keypair,
-        origin: Endpoint<DnsQuery, Control, AuthOrigin>,
-        client_resp_key: dcp_core::KeyId,
-        subject_of_query: std::collections::HashMap<String, UserId>,
-        recover: bool,
-    ) -> Self {
-        TargetNode {
-            entity,
-            kp,
-            origin,
-            pending: Vec::new(),
-            subject_of_query,
-            client_resp_key,
-            recover,
-            pending_by_seq: BTreeMap::new(),
-        }
+/// The authoritative origin: answers from its zone, echoing the
+/// target's sequence number. Stateless, so a retransmission is simply
+/// answered again.
+struct Origin {
+    zone: Zone,
+}
+
+impl WireRole for Origin {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Ok(query) = DnsMessage::decode(body) else {
+            return;
+        };
+        let resp = self.zone.answer(&query);
+        // The response repeats the query content back to the asker; it
+        // carries no *new* subject information beyond what the query
+        // already established, so label it Public.
+        ctx.send(
+            from,
+            WireMsg::response(wire::frame(seq, &resp.encode()), Label::Public),
+        );
     }
 }
 
-/// Everything the ODoH wiring derives before any node exists: entities,
-/// keys, the target keypair, and the per-client workload. Installed into
-/// a [`dcp_core::World`] by [`plan_world`], which both the simulated
-/// wiring and the `dcp serve` twin (`crate::serve`) call — the exact
-/// same sequence of world mutations is what makes the two runs'
-/// knowledge tables byte-comparable.
-pub(crate) struct OdohPlan {
-    pub(crate) proxy_e: EntityId,
-    pub(crate) target_e: EntityId,
-    pub(crate) origin_e: EntityId,
-    pub(crate) backup_entities: Vec<EntityId>,
-    pub(crate) target_kp: hpke::Keypair,
-    pub(crate) users: Vec<UserId>,
-    pub(crate) client_entities: Vec<EntityId>,
-    pub(crate) target_key: dcp_core::KeyId,
-    pub(crate) client_resp_key: dcp_core::KeyId,
-    pub(crate) subject_of_query: std::collections::HashMap<String, UserId>,
-    pub(crate) per_client_queries: Vec<Vec<DnsName>>,
-    pub(crate) zone: dcp_dns::Zone,
-}
-
-/// Install the ODoH entity/key/workload layout into `world`.
+/// Build the ODoH entities, keys and workload into `world`, and the
+/// roles over them, ready for either engine; the stats are what the
+/// clients measure (answers, latencies, retry linkage). Peer ids: proxy
+/// 0, target 1, origin 2, then backup proxies (recovered runs only),
+/// then clients.
 ///
-/// The mutation order is load-bearing twice over: the sim run's metrics
-/// sink observes entity creation in sequence (the DST probes are
-/// byte-identical across refactors only if the order holds), and the
-/// serve twin relies on producing the *same* entity and key ids.
-pub(crate) fn plan_world(
-    world: &mut dcp_core::World,
+/// The world mutation order is load-bearing: a metrics sink installed
+/// on `world` observes entity creation in sequence, and the DST probes
+/// are byte-identical across refactors only if the order holds.
+pub(crate) fn wiring(
     cfg: &OdohConfig,
     seed: u64,
-    recover_on: bool,
-) -> OdohPlan {
+    mut world: World,
+    recover: &RecoverConfig,
+) -> (ServeSpec, Arc<Mutex<Stats>>) {
     use rand::SeedableRng;
-    let (n_clients, queries_each) = (cfg.clients, cfg.queries_each);
     let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0d0a);
     let workload = ZipfWorkload::new(200, 1.0, SUFFIX);
-    let zone = build_zone(&workload);
 
     let isp_org = world.add_org("isp");
     let odns_org = world.add_org("oblivious-operator");
@@ -538,25 +432,29 @@ pub(crate) fn plan_world(
     // clients rotate across all of them even in calm runs — a backup
     // that only ever saw failure traffic would accrue knowledge only
     // under faults, breaking the DST's table-equality bar.
-    let n_backups = if recover_on { cfg.backup_proxies } else { 0 };
-    let mut backup_entities = Vec::new();
+    let n_backups = if recover.enabled {
+        cfg.backup_proxies
+    } else {
+        0
+    };
+    let mut backups = Vec::new();
     for i in 0..n_backups {
         let org = world.add_org(&format!("isp-backup-{}", i + 1));
-        backup_entities.push(world.add_entity(&format!("Resolver {}", i + 2), org, None));
+        backups.push(world.add_entity(&format!("Resolver {}", i + 2), org, None));
     }
 
     let target_kp = hpke::Keypair::generate(&mut setup_rng);
 
     let mut users = Vec::new();
-    let mut client_entities = Vec::new();
-    for i in 0..n_clients {
+    let mut clients = Vec::new();
+    for i in 0..cfg.clients {
         let u = world.add_user();
         let name = if i == 0 {
             "Client".to_string()
         } else {
             format!("Client {}", i + 1)
         };
-        client_entities.push(world.add_entity(&name, user_org, Some(u)));
+        clients.push(world.add_entity(&name, user_org, Some(u)));
         users.push(u);
     }
 
@@ -565,133 +463,106 @@ pub(crate) fn plan_world(
     // response KeyId is granted to no third party.)
     let target_key = world.new_key(&[target_e]);
     let client_resp_key = world.new_key(&[]);
+    for &e in &clients {
+        world.grant_key(e, client_resp_key);
+    }
 
     // Assign each client a disjoint slice of names so the "which subject
     // is this query about" bookkeeping is unambiguous.
-    let mut subject_of_query = std::collections::HashMap::new();
-    let mut per_client_queries: Vec<Vec<DnsName>> = Vec::new();
+    let mut subject_of_query = HashMap::new();
+    let mut per_client_queries = Vec::new();
     for (ci, &u) in users.iter().enumerate() {
         let mut qs = Vec::new();
-        for k in 0..queries_each {
-            let name = workload.domain((ci * queries_each + k) % workload.domain_count());
+        for k in 0..cfg.queries_each {
+            let name = workload.domain((ci * cfg.queries_each + k) % workload.domain_count());
             subject_of_query.insert(name.to_string(), u);
             qs.push(name.clone());
         }
         per_client_queries.push(qs);
     }
 
-    OdohPlan {
-        proxy_e,
-        target_e,
-        origin_e,
-        backup_entities,
-        target_kp,
-        users,
-        client_entities,
-        target_key,
-        client_resp_key,
-        subject_of_query,
-        per_client_queries,
-        zone,
-    }
-}
-
-pub(super) fn odoh_impl(cfg: &OdohConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-    let (n_clients, queries_each) = (cfg.clients, cfg.queries_each);
-    let (mut world, harness) = Harness::begin(Odoh::NAME, seed, opts);
-    let recover_on = opts.recover.enabled;
-    let OdohPlan {
-        proxy_e,
-        target_e,
-        origin_e,
-        backup_entities,
-        target_kp,
-        users,
-        client_entities,
-        target_key,
-        client_resp_key,
-        subject_of_query,
-        per_client_queries,
-        zone,
-    } = plan_world(&mut world, cfg, seed, recover_on);
-
-    let stats = Rc::new(RefCell::new(Stats::new(1)));
-
-    let mut net = harness.network(world, LinkParams::wan_ms(8));
-
-    let proxy_id: Endpoint<SealedQuery, Control, ObliviousProxy> = Endpoint::new(0);
-    let target_id: Endpoint<ObliviousQuery, Control, ObliviousTarget> = Endpoint::new(1);
-    let origin_id: Endpoint<DnsQuery, Control, AuthOrigin> = Endpoint::new(2);
-    Harness::add_role::<ObliviousProxy>(
-        &mut net,
-        Box::new(ProxyNode {
-            entity: proxy_e,
-            target: target_id,
-            pending: Vec::new(),
-            recover: recover_on,
+    let proxy = |entity, name: String| {
+        let target = Endpoint::new(TARGET);
+        let role = Proxy {
+            target,
             hop: HopMap::new(),
-        }),
-    );
-    Harness::add_role::<ObliviousTarget>(
-        &mut net,
-        Box::new(TargetNode::new(
+        };
+        RoleSpec::of::<ObliviousProxy>(name, entity, Box::new(role))
+    };
+    let mut roles = vec![
+        proxy(proxy_e, "proxy".into()),
+        RoleSpec::of::<ObliviousTarget>(
+            "target",
             target_e,
-            target_kp.clone(),
-            origin_id,
-            client_resp_key,
-            subject_of_query,
-            recover_on,
-        )),
-    );
-    Harness::add_role::<AuthOrigin>(
-        &mut net,
-        Box::new(OriginNode {
-            entity: origin_e,
-            zone,
-            recover: recover_on,
-        }),
-    );
-    let mut proxy_routes = vec![NodeId(proxy_id.index())];
-    for &e in backup_entities.iter() {
-        let id = Harness::add_role::<ObliviousProxy>(
-            &mut net,
-            Box::new(ProxyNode {
-                entity: e,
-                target: target_id,
-                pending: Vec::new(),
-                recover: recover_on,
-                hop: HopMap::new(),
+            Box::new(Target {
+                kp: target_kp.clone(),
+                origin: Endpoint::new(ORIGIN),
+                client_resp_key,
+                subject_of_query,
+                waiters: BTreeMap::new(),
+                origin_leg: HopMap::new(),
             }),
-        );
-        proxy_routes.push(id);
+        ),
+        RoleSpec::of::<AuthOrigin>(
+            "origin",
+            origin_e,
+            Box::new(Origin {
+                zone: build_zone(&workload),
+            }),
+        ),
+    ];
+    let mut proxy_routes = vec![0];
+    for (i, &e) in backups.iter().enumerate() {
+        proxy_routes.push(roles.len());
+        roles.push(proxy(e, format!("proxy-{}", i + 2)));
     }
-    for (ci, ((&u, &e), queries)) in users
+    let stats = Arc::new(Mutex::new(Stats::new(1)));
+    for (ci, ((&user, &e), queries)) in users
         .iter()
-        .zip(client_entities.iter())
+        .zip(&clients)
         .zip(per_client_queries)
         .enumerate()
     {
-        Harness::add_role::<StubClient>(
-            &mut net,
-            Box::new(OdohClient::new(
-                e,
-                u,
-                proxy_id,
-                target_kp.public,
-                target_key,
-                queries,
-                stats.clone(),
-                &opts.recover,
-                &proxy_routes,
-                derive_seed(seed, 0x0a10 + ci as u64),
-                ci as u64,
-            )),
-        );
-    }
-    // Grant clients their response key so their observations decrypt.
-    for &e in &client_entities {
-        net.world_mut().grant_key(e, client_resp_key);
+        let name = if ci == 0 {
+            "client".to_string()
+        } else {
+            format!("client-{}", ci + 1)
+        };
+        let client = Client {
+            user,
+            target_pk: target_kp.public,
+            target_key,
+            queries,
+            next_id: 1,
+            arq: ReliableCall::new(recover, derive_seed(seed, 0x0a10 + ci as u64)),
+            next_seq: 0,
+            failover: Failover::new(proxy_routes.clone(), recover),
+            flow: ci as u64,
+            inflight: BTreeMap::new(),
+            stats: stats.clone(),
+        };
+        roles.push(RoleSpec::of::<StubClient>(name, e, Box::new(client)));
     }
 
-    assemble(harness, net, stats, users, n_clients * queries_each)
+    let spec = ServeSpec {
+        scenario: Odoh::NAME,
+        world,
+        roles,
+        expected_units: (cfg.clients * cfg.queries_each) as u64,
+    };
+    (spec, stats)
+}
+
+/// Host the ODoH roles on the simulator.
+pub(super) fn odoh_impl(cfg: &OdohConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
+    let (world, harness) = Harness::begin(Odoh::NAME, seed, opts);
+    let (spec, stats) = wiring(cfg, seed, world, &opts.recover);
+    let users = spec.world.users().to_vec();
+    let mut net = harness.network(spec.world, LinkParams::wan_ms(8));
+    for role in spec.roles {
+        Harness::add_spec(&mut net, role);
+    }
+    let core = harness.finish(net);
+    let stats = stats.lock().expect("no client panicked holding the stats");
+    finish_report(core, &stats, users, cfg.clients * cfg.queries_each)
 }

@@ -3,7 +3,7 @@
 //!
 //! Every [`WireLabel`] impl for this crate lives in this module (the CI
 //! layering lint holds wiring crates to that). Three wirings share these
-//! types: ODoH (`scenario::odoh` and its `serve` twin), the original
+//! types: ODoH (`scenario::odoh`, served as is by `serve`), the original
 //! ODNS (`scenario::legacy`, where the ciphertext hides in the queried
 //! *name*), and the plain-DNS coupled baseline (`scenario::direct`).
 //! The paper's §3.2.2 table is stated here once, as caps:

@@ -466,29 +466,6 @@ pub fn emit_retry(world: &World, node: usize, seq: u64, attempt: u32) {
     }
 }
 
-/// Emit [`ObsEvent::RecoveryFailover`].
-pub fn emit_failover(world: &World, node: usize, seq: u64, from_route: usize, to_route: usize) {
-    if world.obs_enabled() {
-        world.emit(&ObsEvent::RecoveryFailover {
-            node,
-            seq,
-            from_route,
-            to_route,
-        });
-    }
-}
-
-/// Emit [`ObsEvent::RecoveryQuarantine`].
-pub fn emit_quarantine(world: &World, node: usize, route: usize, until_us: u64) {
-    if world.obs_enabled() {
-        world.emit(&ObsEvent::RecoveryQuarantine {
-            node,
-            route,
-            until_us,
-        });
-    }
-}
-
 /// Emit [`ObsEvent::RecoveryGiveUp`].
 pub fn emit_give_up(world: &World, node: usize, seq: u64, attempts: u32) {
     if world.obs_enabled() {

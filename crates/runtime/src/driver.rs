@@ -167,11 +167,6 @@ impl<T> Driver<T> {
     pub fn open_calls(&self) -> usize {
         self.inflight.len()
     }
-
-    /// The underlying ARQ (failover wirings need its raw verdicts).
-    pub fn arq_mut(&mut self) -> &mut ReliableCall {
-        &mut self.arq
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +257,7 @@ mod tests {
         assert_eq!(d.complete(att.seq), Some(42), "first response wins");
         assert_eq!(d.complete(att.seq), None, "duplicate finds nothing");
         assert_eq!(d.open_calls(), 0);
-        assert!(d.arq_mut().enabled());
+        assert!(d.enabled());
     }
 
     #[test]

@@ -6,6 +6,9 @@ use dcp_core::{MetricsReport, RunOptions, World};
 use dcp_obs::MetricsHandle;
 use dcp_simnet::{LinkParams, Network, Node, NodeId, Trace};
 
+use crate::host::SimHost;
+use crate::seam::RoleSpec;
+
 /// What every run produces beyond protocol-specific fields: the final
 /// knowledge base, the packet trace, the injected fault schedule, and the
 /// (possibly disabled) metrics report. Scenario reports embed these four
@@ -88,6 +91,19 @@ impl Harness {
     /// this node is admission-checked at compile time.
     pub fn add_role<R: Role>(net: &mut Network, node: Box<dyn Node>) -> NodeId {
         Self::add(net, R::KIND, node)
+    }
+
+    /// Register a seam role (the simnet host for wirings written once as
+    /// [`WireRole`](crate::seam::WireRole)s), treated by its spec's
+    /// [`RoleKind`] exactly as in [`add`](Harness::add). Register a
+    /// spec's roles in role-table order: the host maps `PeerId(i)` to
+    /// `NodeId(i)`.
+    pub fn add_spec(net: &mut Network, spec: RoleSpec) -> NodeId {
+        Self::add(
+            net,
+            spec.kind,
+            Box::new(SimHost::new(spec.entity, spec.role)),
+        )
     }
 
     /// Register a fleet directory node: marked on the simulator so the

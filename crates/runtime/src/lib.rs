@@ -27,9 +27,11 @@
 //!   [`RunCore`] assembly (world, trace, fault log, metrics) that every
 //!   `ScenarioReport` embeds.
 //! * [`seam`] — the sim/prod transport seam: [`seam::WireRole`] protocol
-//!   logic that `dcp-serve` hosts over real TCP sockets while the DST
-//!   drives its deterministic twin here, with information-flow labels
-//!   riding an out-of-band verification channel (never the socket).
+//!   logic written once and hosted by both engines. `dcp-serve` runs it
+//!   over real TCP sockets, with information-flow labels riding an
+//!   out-of-band verification channel (never the socket);
+//!   [`Harness::add_spec`] runs it here, on the simulator the DST
+//!   drives, through a `Node` adapter (the simnet host).
 //! * [`TypedSend`] — the label-bounded send path: wirings hold
 //!   role-owning [`Endpoint`]s and every forward transmission forces the
 //!   [`Admits`] witness, so a message whose plaintext-visible
@@ -51,6 +53,7 @@
 
 mod driver;
 mod harness;
+mod host;
 mod outbox;
 pub mod seam;
 mod typed;
@@ -68,8 +71,8 @@ pub use dcp_fleet::{
 };
 pub use dcp_obs::MetricsHandle;
 pub use dcp_recover::{
-    emit_failover, emit_give_up, emit_quarantine, emit_retry, wire, Attempt, Dedup, Failover,
-    HopMap, ReliableCall, RetryLinkage, RouteChoice, TimerVerdict, ARQ_TOKEN_BIT,
+    emit_give_up, emit_retry, wire, Attempt, Dedup, Failover, HopMap, ReliableCall, RetryLinkage,
+    RouteChoice, TimerVerdict, ARQ_TOKEN_BIT,
 };
 pub use dcp_simnet::{
     Ctx, LinkParams, Message, Network, Node, NodeId, PacketRecord, SimTime, Tap, Trace,

@@ -3,18 +3,25 @@
 //! sockets (`dcp-serve`).
 //!
 //! The seam is deliberately narrow — a [`WireRole`] sees typed frames
-//! ([`WireMsg`]) from identified peers ([`PeerId`]) and queues typed
-//! frames back through a [`WireCtx`]; everything else (sockets, accept
-//! backpressure, shutdown, the knowledge-ledger shadow) belongs to the
-//! engine behind the seam. Scenario crates depend on *this* module only;
-//! the CI layering lint forbids them from reaching into `dcp-serve`, the
-//! same way it forbids direct `dcp-simnet` use.
+//! ([`WireMsg`]) from identified peers ([`PeerId`]) and timer tokens it
+//! armed itself, and queues effects back through a [`WireCtx`]: frames
+//! to send, timers, ledger records, crypto-op counts, spans and
+//! observability events. It reads a clock ([`WireCtx::now_us`]) and its
+//! own peer id ([`WireCtx::me`]) there too. Everything else (sockets,
+//! accept backpressure, shutdown, the knowledge-ledger shadow) belongs
+//! to the engine behind the seam. Scenario crates depend on *this*
+//! module only; the CI layering lint forbids them from reaching into
+//! `dcp-serve`, the same way it forbids direct `dcp-simnet` use.
 //!
-//! Two engines implement the seam:
+//! Two engines host the same roles:
 //!
-//! * the simulator (via each scenario's existing `Node` wiring) — the
-//!   deterministic twin the DST probes drive;
-//! * `dcp-serve` — real TCP loopback threads or separate processes.
+//! * the simulator, through [`Harness::add_spec`](crate::Harness::add_spec):
+//!   each role becomes one simnet node, `PeerId(i)` is `NodeId(i)`, the
+//!   clock is simulated time, and the effects land on the run's world as
+//!   the role's own ledger writes — the deterministic twin the DST
+//!   probes drive;
+//! * `dcp-serve` — real TCP loopback threads or separate processes, with
+//!   a wall clock and timers fired from each host's poll loop.
 //!
 //! Labels never cross a real socket. In loopback mode the engine carries
 //! each message's [`Label`] on an in-memory side channel and replays the
@@ -26,7 +33,7 @@
 
 use dcp_core::cap::{Admits, WireLabel};
 use dcp_core::role::{Endpoint, Role, RoleKind};
-use dcp_core::{EntityId, InfoItem, Label, World};
+use dcp_core::{EntityId, InfoItem, Label, ObsEvent, World};
 use rand::rngs::StdRng;
 
 pub use dcp_transport::frame::{checked_wire_len, Frame, FrameRef, FrameType, MAX_PAYLOAD};
@@ -79,34 +86,54 @@ impl WireMsg {
     }
 }
 
-/// What a [`WireRole`] may do during a callback: queue outgoing frames,
-/// record knowledge, count crypto work, and draw randomness. The engine
-/// constructs one per callback and applies the queued effects afterwards
-/// — mirroring the simulator's `Ctx`/outbox discipline so role code has
-/// the same shape in both worlds.
+/// What a [`WireRole`] may do during a callback: queue outgoing frames
+/// and timers, record knowledge, count crypto work, report spans and
+/// events, and draw randomness. The engine constructs one per callback
+/// and applies the queued effects afterwards — mirroring the simulator's
+/// `Ctx`/outbox discipline so role code has the same shape in both
+/// worlds.
 pub struct WireCtx<'a> {
-    /// Seeded randomness for sealing operations. Per-role and engine-
-    /// owned; ciphertext bytes differ between sim and serve runs, which
-    /// is fine — knowledge tables depend on labels and keys, not on
-    /// ciphertext.
+    /// Seeded randomness for sealing operations, engine-owned: the
+    /// simulator's run RNG, or a per-role RNG under `dcp-serve`.
+    /// Ciphertext bytes differ between sim and serve runs, which is fine
+    /// — knowledge tables depend on labels and keys, not on ciphertext.
     pub rng: &'a mut StdRng,
-    pub(crate) out: Vec<(PeerId, WireMsg)>,
-    pub(crate) recorded: Vec<InfoItem>,
-    pub(crate) crypto_ops: Vec<&'static str>,
-    pub(crate) units_done: u64,
+    me: PeerId,
+    now_us: u64,
+    obs: bool,
+    out: Vec<(PeerId, WireMsg)>,
+    timers: Vec<(u64, u64)>,
+    world: Vec<WorldEffect>,
+    units_done: u64,
 }
 
 impl<'a> WireCtx<'a> {
-    /// Build a context around an engine-owned RNG. Engines call this;
-    /// roles only consume the methods below.
-    pub fn new(rng: &'a mut StdRng) -> Self {
+    /// Build a context for the role at `me`, at `now_us` on the engine's
+    /// clock. `obs` says whether a metrics sink is installed: without
+    /// one, crypto-op counts, spans and events are dropped at a single
+    /// branch. Engines call this; roles only consume the methods below.
+    pub fn new(rng: &'a mut StdRng, me: PeerId, now_us: u64, obs: bool) -> Self {
         WireCtx {
             rng,
+            me,
+            now_us,
+            obs,
             out: Vec::new(),
-            recorded: Vec::new(),
-            crypto_ops: Vec::new(),
+            timers: Vec::new(),
+            world: Vec::new(),
             units_done: 0,
         }
+    }
+
+    /// This role's own peer id (for node ids in observability events).
+    pub fn me(&self) -> PeerId {
+        self.me
+    }
+
+    /// The engine's clock in µs: simulated time on the simulator, time
+    /// since the run started under `dcp-serve`.
+    pub fn now_us(&self) -> u64 {
+        self.now_us
     }
 
     /// Queue a frame for delivery to `to`.
@@ -130,58 +157,96 @@ impl<'a> WireCtx<'a> {
         self.send(PeerId(index), msg);
     }
 
-    /// Record an item into this role's own knowledge ledger (the serve
+    /// Arrange for [`WireRole::on_timer`]`(token)` after `delay_us` µs
+    /// on the engine's clock. Timers cannot be cancelled; a role ignores
+    /// the tokens it no longer cares about.
+    pub fn set_timer(&mut self, delay_us: u64, token: u64) {
+        self.timers.push((delay_us, token));
+    }
+
+    /// Record an item into this role's own knowledge ledger (the seam
     /// analogue of `ctx.world.record(self.entity, item)`).
     pub fn record(&mut self, item: InfoItem) {
-        self.recorded.push(item);
+        self.world.push(WorldEffect::Record(item));
     }
 
     /// Count a cryptographic operation (metrics only; never affects
     /// knowledge tables).
     pub fn crypto_op(&mut self, op: &'static str) {
-        self.crypto_ops.push(op);
+        self.emit(ObsEvent::CryptoOp { op });
+    }
+
+    /// Report a completed protocol-phase span `[start_us, end_us]` on
+    /// the engine's clock (metrics only).
+    pub fn span(&mut self, name: &'static str, start_us: u64, end_us: u64) {
+        self.emit(ObsEvent::Span {
+            name,
+            start_us,
+            end_us,
+        });
+    }
+
+    /// Emit an observability event (metrics only). It is stamped with
+    /// the world's observability clock when applied, which the
+    /// simulator keeps at simulated time.
+    pub fn emit(&mut self, event: ObsEvent) {
+        if self.obs {
+            self.world.push(WorldEffect::Event(event));
+        }
     }
 
     /// Mark one end-to-end work unit complete (a resolved query, a
-    /// redeemed token, …). The engine sums these into the run outcome.
+    /// redeemed token, …). The served engine sums these into the run
+    /// outcome; simulated reports count work in their own stats.
     pub fn unit_done(&mut self) {
         self.units_done += 1;
     }
 
-    /// Drain the queued effects. Engine-side: apply `recorded` and
-    /// `crypto_ops` to the world (when one exists), dispatch `out`.
+    /// Drain the queued effects for the engine to apply.
     pub fn finish(self) -> WireEffects {
         WireEffects {
             out: self.out,
-            recorded: self.recorded,
-            crypto_ops: self.crypto_ops,
+            timers: self.timers,
+            world: self.world,
             units_done: self.units_done,
         }
     }
+}
+
+/// One effect a role callback has on the run's world, kept in the order
+/// the role queued it so both engines emit ledger and metrics events in
+/// one sequence.
+#[derive(Clone, Debug)]
+pub enum WorldEffect {
+    /// Knowledge the role recorded about itself.
+    Record(InfoItem),
+    /// An observability event: a crypto-op count, a span, or any other
+    /// [`ObsEvent`].
+    Event(ObsEvent),
 }
 
 /// The queued effects of one role callback, in order.
 pub struct WireEffects {
     /// Outgoing frames.
     pub out: Vec<(PeerId, WireMsg)>,
-    /// Knowledge recorded by the role about itself.
-    pub recorded: Vec<InfoItem>,
-    /// Crypto operations performed.
-    pub crypto_ops: Vec<&'static str>,
+    /// Timers to arm: `(delay_us, token)`.
+    pub timers: Vec<(u64, u64)>,
+    /// Effects on the world, in the order queued.
+    pub world: Vec<WorldEffect>,
     /// Work units completed during the callback.
     pub units_done: u64,
 }
 
-/// Apply a delivered message and a role callback's effects to a world —
-/// the engine-side half of the simulator's delivery rule. `observe` runs
+/// Apply a role callback's world effects to a world, in order — the
+/// engine-side half of the simulator's delivery rule. `observe` runs
 /// *before* the role sees the frame in engine code; this helper exists so
 /// every engine sequences the ledger writes identically.
 pub fn apply_effects(world: &mut World, entity: EntityId, effects: &WireEffects) {
-    for item in &effects.recorded {
-        world.record(entity, item.clone());
-    }
-    for op in &effects.crypto_ops {
-        world.crypto_op(op);
+    for fx in &effects.world {
+        match fx {
+            WorldEffect::Record(item) => world.record(entity, item.clone()),
+            WorldEffect::Event(event) => world.emit(event),
+        }
     }
 }
 
@@ -189,7 +254,9 @@ pub fn apply_effects(world: &mut World, entity: EntityId, effects: &WireEffects)
 /// either engine. All methods receive hostile input in production —
 /// implementations must drop malformed or unexpected frames, never
 /// panic (the engine treats a panic as a role crash and tears the run
-/// down).
+/// down). The simulator carries bytes and labels only, so every frame a
+/// simulated role receives is [`FrameType::Data`]: role logic must not
+/// branch on the frame type.
 pub trait WireRole: Send {
     /// Called once before any frame flows (the `on_start` twin): seed
     /// the role's own ledger, send initial requests.
@@ -199,6 +266,9 @@ pub trait WireRole: Send {
     /// label into the world (loopback mode) — the role only runs
     /// protocol logic and queues replies.
     fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg);
+
+    /// A timer armed with [`WireCtx::set_timer`] fired.
+    fn on_timer(&mut self, _ctx: &mut WireCtx, _token: u64) {}
 
     /// Has this role completed all the work it initiates? Engines stop
     /// the run when every `Initiator` role reports `true`. Non-initiator
@@ -223,14 +293,15 @@ pub struct RoleSpec {
     pub role: Box<dyn WireRole>,
 }
 
-/// A complete serveable wiring: the world (entity/key layout identical
-/// to the simulated twin's) plus every role. Built by a scenario crate
-/// (e.g. `dcp_odns::odoh_serve_spec`), consumed by an engine.
+/// A complete wiring of seam roles: the world (entities, users, keys)
+/// plus every role. Built by a scenario crate (e.g.
+/// `dcp_odns::serve::odoh_serve_spec`) and hosted by either engine:
+/// [`Harness::add_spec`](crate::Harness::add_spec) on the simulator,
+/// `dcp-serve` over sockets.
 pub struct ServeSpec {
     /// Scenario name (e.g. `"odns"`).
     pub scenario: &'static str,
-    /// The knowledge world, with the same entity/user/key layout the
-    /// simulated twin builds.
+    /// The knowledge world the roles write.
     pub world: World,
     /// All role instances. [`PeerId`]`(i)` addresses `roles[i]`.
     pub roles: Vec<RoleSpec>,
@@ -240,9 +311,9 @@ pub struct ServeSpec {
 
 impl RoleSpec {
     /// Build a spec whose kind derives from the typed role marker — the
-    /// served twin of [`Harness::add_role`](crate::Harness::add_role), so
-    /// a served wiring's role table carries the same declared caps its
-    /// simulated twin registers under.
+    /// seam twin of [`Harness::add_role`](crate::Harness::add_role), so a
+    /// role table carries the same declared caps as a node registered
+    /// under `R`.
     pub fn of<R: Role>(name: impl Into<String>, entity: EntityId, role: Box<dyn WireRole>) -> Self {
         RoleSpec {
             name: name.into(),
@@ -282,7 +353,7 @@ mod tests {
     #[test]
     fn ctx_queues_effects_in_order() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut ctx = WireCtx::new(&mut rng);
+        let mut ctx = WireCtx::new(&mut rng, PeerId(0), 0, false);
         let mut role = Echo { done: false };
         role.on_frame(
             &mut ctx,
@@ -305,10 +376,41 @@ mod tests {
         let u = world.add_user();
         let e = world.add_entity("E", org, None);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut ctx = WireCtx::new(&mut rng);
+        let mut ctx = WireCtx::new(&mut rng, PeerId(0), 0, false);
         ctx.record(InfoItem::sensitive_data(u, DataKind::Payload));
         ctx.crypto_op("hpke_seal");
         apply_effects(&mut world, e, &ctx.finish());
         assert!(world.tuple(e, u).has_sensitive_data());
+    }
+
+    #[test]
+    fn metrics_effects_need_a_sink_and_keep_their_order() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut quiet = WireCtx::new(&mut rng, PeerId(1), 40, false);
+        quiet.crypto_op("hpke_seal");
+        quiet.span("query", 10, 40);
+        quiet.emit(ObsEvent::CryptoOp { op: "x" });
+        quiet.set_timer(5, 9);
+        let fx = quiet.finish();
+        assert!(fx.world.is_empty(), "no sink: metrics effects dropped");
+        assert_eq!(fx.timers, vec![(5, 9)], "timers are not metrics");
+
+        let mut ctx = WireCtx::new(&mut rng, PeerId(1), 40, true);
+        assert_eq!((ctx.me(), ctx.now_us()), (PeerId(1), 40));
+        ctx.crypto_op("hpke_seal");
+        ctx.span("query", 10, 40);
+        let order: Vec<String> = ctx
+            .finish()
+            .world
+            .iter()
+            .map(|fx| format!("{fx:?}"))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "Event(CryptoOp { op: \"hpke_seal\" })",
+                "Event(Span { name: \"query\", start_us: 10, end_us: 40 })"
+            ]
+        );
     }
 }

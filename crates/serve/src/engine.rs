@@ -31,7 +31,7 @@
 //!   hostile *wire bytes* can never cause one (roles are written
 //!   fail-closed, and `tests/serve_loopback.rs` fuzzes the decoder).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,9 +40,7 @@ use std::time::{Duration, Instant};
 
 use dcp_core::role::RoleKind;
 use dcp_core::{EntityId, Label, World};
-use dcp_runtime::seam::{
-    apply_effects, PeerId, ServeSpec, WireCtx, WireEffects, WireMsg, WireRole,
-};
+use dcp_runtime::seam::{apply_effects, PeerId, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_transport::frame::{Frame, FrameType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,8 +151,12 @@ struct Conn {
 
 /// Engine state shared by every host of one run.
 struct SharedRun {
+    /// The run's clock origin: [`WireCtx::now_us`] is time since this.
+    epoch: Instant,
     /// Loopback only: the knowledge-ledger twin.
     world: Option<Arc<Mutex<World>>>,
+    /// Is a metrics sink installed on the twin? Fixed for the run.
+    obs: bool,
     /// Loopback only: the label side channel.
     bus: Option<Arc<LabelBus>>,
     shutdown: Arc<AtomicBool>,
@@ -175,6 +177,10 @@ struct RoleHost {
     /// Engine-only RNG (hello nonces) — separate so engine draws can
     /// never perturb protocol-level randomness.
     nonce_rng: StdRng,
+    /// Armed timers, `(deadline, arming order) → token`: due timers fire
+    /// in deadline order, ties in the order they were armed.
+    timers: BTreeMap<(Instant, u64), u64>,
+    timers_armed: u64,
     shared: SharedRun,
     max_conns: usize,
     dial_attempts: u32,
@@ -186,12 +192,7 @@ impl RoleHost {
         self.listener
             .set_nonblocking(true)
             .map_err(ServeError::Io)?;
-        let fx = {
-            let mut ctx = WireCtx::new(&mut self.rng);
-            self.role.on_start(&mut ctx);
-            ctx.finish()
-        };
-        self.apply(fx)?;
+        self.call(|role, ctx| role.on_start(ctx))?;
         let mut buf = [0u8; 4096];
         loop {
             if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -201,7 +202,7 @@ impl RoleHost {
                 self.shared.initiators_done.fetch_add(1, Ordering::SeqCst);
                 break;
             }
-            let mut progress = false;
+            let mut progress = self.fire_due_timers()?;
 
             // Accept with backpressure: at the cap, simply don't accept.
             while self.conns.len() < self.max_conns {
@@ -262,7 +263,12 @@ impl RoleHost {
             }
 
             if !progress {
-                std::thread::sleep(Duration::from_micros(300));
+                // Idle: nap, but never past the next timer's deadline.
+                let mut nap = Duration::from_micros(300);
+                if let Some(&(at, _)) = self.timers.keys().next() {
+                    nap = nap.min(at.saturating_duration_since(Instant::now()));
+                }
+                std::thread::sleep(nap);
             }
         }
         Ok(())
@@ -320,31 +326,51 @@ impl RoleHost {
                 if let Some(world) = &self.shared.world {
                     world.lock().unwrap().observe(self.entity, &label);
                 }
-                let fx = {
-                    let mut ctx = WireCtx::new(&mut self.rng);
-                    self.role.on_frame(
-                        &mut ctx,
-                        PeerId(from),
-                        WireMsg {
-                            ftype,
-                            payload: frame.payload,
-                            label,
-                        },
-                    );
-                    ctx.finish()
+                let msg = WireMsg {
+                    ftype,
+                    payload: frame.payload,
+                    label,
                 };
-                self.apply(fx)?;
+                self.call(|role, ctx| role.on_frame(ctx, PeerId(from), msg))?;
                 Ok(true)
             }
         }
     }
 
-    fn apply(&mut self, fx: WireEffects) -> Result<(), ServeError> {
+    /// Fire every timer whose deadline has passed; `true` if any did.
+    fn fire_due_timers(&mut self) -> Result<bool, ServeError> {
+        let mut fired = false;
+        while let Some(entry) = self.timers.first_entry() {
+            if entry.key().0 > Instant::now() {
+                break;
+            }
+            let token = entry.remove();
+            self.call(|role, ctx| role.on_timer(ctx, token))?;
+            fired = true;
+        }
+        Ok(fired)
+    }
+
+    /// Run one role callback and apply its effects.
+    fn call(&mut self, f: impl FnOnce(&mut dyn WireRole, &mut WireCtx)) -> Result<(), ServeError> {
+        let now = Instant::now();
+        let now_us = now.duration_since(self.shared.epoch).as_micros() as u64;
+        let mut ctx = WireCtx::new(&mut self.rng, PeerId(self.idx), now_us, self.shared.obs);
+        f(self.role.as_mut(), &mut ctx);
+        let fx = ctx.finish();
         if let Some(world) = &self.shared.world {
             apply_effects(&mut world.lock().unwrap(), self.entity, &fx);
         }
         if fx.units_done > 0 {
             self.shared.units.fetch_add(fx.units_done, Ordering::SeqCst);
+        }
+        for (delay_us, token) in fx.timers {
+            // A deadline past what `Instant` can represent never fires.
+            let Some(at) = now.checked_add(Duration::from_micros(delay_us)) else {
+                continue;
+            };
+            self.timers.insert((at, self.timers_armed), token);
+            self.timers_armed += 1;
         }
         for (to, msg) in fx.out {
             self.send(to.0, msg)?;
@@ -489,6 +515,8 @@ pub fn run_loopback(spec: ServeSpec, cfg: &ServeConfig) -> Result<ServeOutcome, 
         let _ = tx.send(addrs);
     }
 
+    let epoch = Instant::now();
+    let obs = spec.world.obs_enabled();
     let world = Arc::new(Mutex::new(spec.world));
     let bus = Arc::new(LabelBus::default());
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -512,8 +540,12 @@ pub fn run_loopback(spec: ServeSpec, cfg: &ServeConfig) -> Result<ServeOutcome, 
             conns: Vec::new(),
             rng: StdRng::seed_from_u64(cfg.seed ^ (0x5e57e ^ (i as u64)).wrapping_mul(0x9e37)),
             nonce_rng: StdRng::seed_from_u64(cfg.seed ^ 0xa0_0e ^ ((i as u64) << 32)),
+            timers: BTreeMap::new(),
+            timers_armed: 0,
             shared: SharedRun {
+                epoch,
                 world: Some(world.clone()),
+                obs,
                 bus: Some(bus.clone()),
                 shutdown: shutdown.clone(),
                 units: units.clone(),
@@ -595,8 +627,12 @@ pub fn run_role(
         conns: Vec::new(),
         rng: StdRng::seed_from_u64(cfg.seed ^ (0x5e57e ^ (idx as u64)).wrapping_mul(0x9e37)),
         nonce_rng: StdRng::seed_from_u64(cfg.seed ^ 0xa0_0e ^ ((idx as u64) << 32)),
+        timers: BTreeMap::new(),
+        timers_armed: 0,
         shared: SharedRun {
+            epoch: Instant::now(),
             world: None,
+            obs: false,
             bus: None,
             shutdown: shutdown.clone(),
             units: units.clone(),
@@ -609,7 +645,6 @@ pub fn run_role(
     // The deadline doubles as the service-role lifetime: without a
     // cross-process control plane, "graceful shutdown" for a lone
     // service process is a bounded run.
-    let kind = host.kind;
     let deadline_shutdown = shutdown.clone();
     let deadline = cfg.deadline;
     let timer = std::thread::spawn(move || {
@@ -626,7 +661,6 @@ pub fn run_role(
     shutdown.store(true, Ordering::SeqCst);
     let _ = timer.join();
     result?;
-    let _ = kind;
     Ok(units.load(Ordering::SeqCst))
 }
 
@@ -659,6 +693,62 @@ mod tests {
             }
             other => panic!("expected DialExhausted, got {other}"),
         }
+    }
+
+    /// A lone initiator that arms a timer on start and completes its
+    /// unit only when the timer fires: if the engine dropped timers, the
+    /// run would hit its deadline with nothing done.
+    #[test]
+    fn loopback_fires_timers_armed_on_start() {
+        use dcp_core::role::RoleKind;
+        use dcp_runtime::seam::RoleSpec;
+
+        struct Sleeper {
+            armed_at: u64,
+            fired_at: Option<u64>,
+        }
+        impl WireRole for Sleeper {
+            fn on_start(&mut self, ctx: &mut WireCtx) {
+                self.armed_at = ctx.now_us();
+                ctx.set_timer(20_000, 42);
+            }
+            fn on_frame(&mut self, _: &mut WireCtx, _: PeerId, _: WireMsg) {}
+            fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+                if token == 42 && self.fired_at.is_none() {
+                    self.fired_at = Some(ctx.now_us());
+                    assert!(ctx.now_us() >= self.armed_at + 20_000, "fired early");
+                    ctx.unit_done();
+                }
+            }
+            fn finished(&self) -> bool {
+                self.fired_at.is_some()
+            }
+        }
+
+        let mut world = World::new();
+        let org = world.add_org("o");
+        let entity = world.add_entity("Sleeper", org, None);
+        let spec = ServeSpec {
+            scenario: "timer",
+            world,
+            roles: vec![RoleSpec {
+                name: "sleeper".into(),
+                entity,
+                kind: RoleKind::Initiator,
+                role: Box::new(Sleeper {
+                    armed_at: 0,
+                    fired_at: None,
+                }),
+            }],
+            expected_units: 1,
+        };
+        let cfg = ServeConfig {
+            deadline: Duration::from_secs(5),
+            ..ServeConfig::default()
+        };
+        let outcome = run_loopback(spec, &cfg).expect("run completes");
+        assert_eq!(outcome.completed_units, 1, "the timer fired exactly once");
+        assert!(outcome.complete());
     }
 
     /// A peer that binds late (restart, slow start) is reached by the

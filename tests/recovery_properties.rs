@@ -80,6 +80,12 @@ fn odoh_cfg() -> decoupling::OdohConfig {
     decoupling::OdohConfig::new(2, 3)
 }
 
+/// ODoH with a backup proxy: clients rotate over two proxies whose
+/// sequence numbers overlap at the target.
+fn odoh_backup_cfg() -> decoupling::OdohConfig {
+    odoh_cfg().backup_proxies(1)
+}
+
 fn mixnet_cfg() -> decoupling::MixnetConfig {
     decoupling::MixnetConfig {
         senders: 4,
@@ -110,6 +116,7 @@ proptest! {
     fn recovered_harsh_matches_fault_free_knowledge(seed in 0u64..10_000) {
         assert_invariant::<decoupling::Mpr>(&mpr_cfg(), seed, &FaultConfig::harsh());
         assert_invariant::<decoupling::Odoh>(&odoh_cfg(), seed, &FaultConfig::harsh());
+        assert_invariant::<decoupling::Odoh>(&odoh_backup_cfg(), seed, &FaultConfig::harsh());
     }
 
     /// Duplicate-only schedules mutate receiver knowledge exactly once
@@ -121,6 +128,7 @@ proptest! {
         let dup = duplicate_only();
         assert_invariant::<decoupling::Mpr>(&mpr_cfg(), seed, &dup);
         assert_invariant::<decoupling::Odoh>(&odoh_cfg(), seed, &dup);
+        assert_invariant::<decoupling::Odoh>(&odoh_backup_cfg(), seed, &dup);
         assert_invariant::<decoupling::Mixnet>(&mixnet_cfg(), seed, &dup);
         assert_invariant::<decoupling::Ppm>(&ppm_cfg(), seed, &dup);
     }
