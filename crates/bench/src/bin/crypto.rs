@@ -14,7 +14,10 @@
 //! * `x25519_base` — a public key from a private scalar, by the Montgomery
 //!   ladder on u = 9 (`x25519(k, &BASEPOINT)`) vs. the Edwards fixed-base
 //!   comb behind `x25519::public_key`;
-//! * `x25519` — the ladder on a variable base (a DH shared secret).
+//! * `x25519` — a DH shared secret on a variable base: the ladder vs. a
+//!   [`PreparedKey`](x25519::PreparedKey) whose comb table is built;
+//! * `x25519_prepare` — a prepared key's first use: its table build plus
+//!   one prepared DH, the one-time cost that later DHs repay.
 //!
 //! The X25519 and HPKE rows are independent of the bignum backend and of
 //! `--bits`. The `speedup` map summarises fast-over-reference ratios; CI runs
@@ -38,7 +41,7 @@ struct OpResult {
     /// Operation name.
     op: String,
     /// Which implementation: `reference`, `fast`, `single_shot`,
-    /// `session`, `ladder`, `fixed_base`.
+    /// `session`, `ladder`, `fixed_base`, `prepared`, `first_use`.
     variant: String,
     /// Mean wall-clock nanoseconds per operation.
     ns_per_op: f64,
@@ -55,7 +58,8 @@ struct CryptoBenchReport {
     /// Raw per-op timings.
     ops: Vec<OpResult>,
     /// Fast-over-reference (or session-over-single-shot,
-    /// fixed-base-over-ladder) wall-clock ratios, keyed by operation.
+    /// fixed-base-over-ladder, prepared-over-ladder) wall-clock ratios,
+    /// keyed by operation.
     speedup: BTreeMap<String, f64>,
 }
 
@@ -216,12 +220,31 @@ fn main() {
         }),
     );
     speedup.insert("x25519_base".to_string(), ladder / comb);
-    record(
+    let ladder = record(
         "x25519",
         "ladder",
         reps_fast,
         time_ns(reps_fast, || {
             std::hint::black_box(x25519::x25519(&k, &kp.public));
+        }),
+    );
+    let prepared_key = x25519::PreparedKey::new(kp.public);
+    let prepared = record(
+        "x25519",
+        "prepared",
+        reps_fast,
+        time_ns(reps_fast, || {
+            std::hint::black_box(prepared_key.x25519(&k));
+        }),
+    );
+    speedup.insert("x25519_prepared".to_string(), ladder / prepared);
+    record(
+        "x25519_prepare",
+        "first_use",
+        reps_fast,
+        time_ns(reps_fast, || {
+            let key = x25519::PreparedKey::new(std::hint::black_box(kp.public));
+            std::hint::black_box(key.x25519(&k));
         }),
     );
 

@@ -5,7 +5,7 @@
 //!
 //! Points are held in extended homogeneous coordinates (X : Y : Z : T) with
 //! x = X/Z, y = Y/Z, T = XY/Z. Addition uses the complete `add-2008-hwcd-3`
-//! formulas; doubling uses `dbl-2008-hwcd`. There are two scalar
+//! formulas; doubling uses `dbl-2008-hwcd`. There are three scalar
 //! multiplications:
 //!
 //! * [`EdwardsPoint::mul_base`], `k·B` for the fixed basepoint, is the ref10
@@ -14,6 +14,11 @@
 //!   the same const fns, 64 mixed additions and 4 doublings. Every table
 //!   lookup scans all 8 entries and negates conditionally, so the sequence
 //!   of operations does not depend on `k`.
+//! * `CombPoint::mul_bytes`, `k·P` for a point that is used many times,
+//!   is the same comb over a table of P's multiples that `CombPoint::new`
+//!   builds at run time, on the heap. Its lookups are as uniform in `k` as
+//!   the basepoint's; building the table depends only on P, which is
+//!   public wherever it is used ([`crate::x25519::PreparedKey`]).
 //! * [`EdwardsPoint::mul`], `k·P` for any point, is a straightforward
 //!   variable-time double-and-add — see the crate-level note on timing.
 
@@ -43,9 +48,12 @@ const BASEPOINT: EdwardsPoint = {
     }
 };
 
-/// `BASEPOINT_TABLE[i][j] = (j+1)·256^i·B`, the fixed-base comb's table
-/// (≈30 KB), computed at compile time.
-static BASEPOINT_TABLE: [[AffineNiels; 8]; 32] = basepoint_table();
+/// `table[i][j] = (j+1)·256^i·P` for one point P: the comb's table
+/// (≈30 KB).
+type CombTable = [[AffineNiels; 8]; 32];
+
+/// The fixed-base comb's table for B, computed at compile time.
+static BASEPOINT_TABLE: CombTable = basepoint_table();
 
 /// A point on the Ed25519 curve, in extended coordinates.
 #[derive(Clone, Copy, Debug)]
@@ -58,7 +66,7 @@ pub struct EdwardsPoint {
 
 /// An affine point as (y + x, y − x, 2d·x·y): the addend of a mixed
 /// addition, which then needs neither Z₂ nor the product by 2d.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct AffineNiels {
     y_plus_x: FieldElement,
     y_minus_x: FieldElement,
@@ -71,6 +79,17 @@ impl AffineNiels {
         y_minus_x: FieldElement::ONE,
         xy2d: FieldElement::ZERO,
     };
+
+    /// `p` in affine-Niels form, given `zinv` = 1/Z.
+    const fn from_extended(p: &EdwardsPoint, zinv: &FieldElement) -> Self {
+        let x = p.x.mul(zinv);
+        let y = p.y.mul(zinv);
+        AffineNiels {
+            y_plus_x: y.add(&x),
+            y_minus_x: y.sub(&x),
+            xy2d: x.mul(&y).mul(&D2),
+        }
+    }
 
     /// `digit·P` for `digit` in [−8, 8], where `row[j] = (j+1)·P`. Scans
     /// all 8 entries and negates by conditional moves, so the work done
@@ -94,25 +113,41 @@ impl AffineNiels {
     }
 }
 
+/// One row of a comb table in extended coordinates: `(j+1)·P` for j in
+/// 0..8.
+const fn row_multiples(p: &EdwardsPoint) -> [EdwardsPoint; 8] {
+    let mut row = [*p; 8];
+    let mut j = 1;
+    while j < 8 {
+        row[j] = row[j - 1].add(p);
+        j += 1;
+    }
+    row
+}
+
+/// `256·P`, the base of the next row.
+const fn times_256(p: &EdwardsPoint) -> EdwardsPoint {
+    let mut q = *p;
+    let mut k = 0;
+    while k < 8 {
+        q = q.double();
+        k += 1;
+    }
+    q
+}
+
 /// Build [`BASEPOINT_TABLE`]: the 256 multiples in extended coordinates,
 /// then one batched inversion (Montgomery's trick) of their Z coordinates
-/// to reach affine form.
-const fn basepoint_table() -> [[AffineNiels; 8]; 32] {
+/// to reach affine form. [`CombPoint::new`] takes the same steps at run
+/// time into heap buffers; this by-value builder would put ≈80 KB of
+/// temporaries on the stack.
+const fn basepoint_table() -> CombTable {
     let mut points = [[EdwardsPoint::identity(); 8]; 32];
     let mut base = BASEPOINT; // 256^i·B
     let mut i = 0;
     while i < 32 {
-        points[i][0] = base;
-        let mut j = 1;
-        while j < 8 {
-            points[i][j] = points[i][j - 1].add(&base);
-            j += 1;
-        }
-        let mut k = 0;
-        while k < 8 {
-            base = base.double();
-            k += 1;
-        }
+        points[i] = row_multiples(&base);
+        base = times_256(&base);
         i += 1;
     }
 
@@ -133,15 +168,61 @@ const fn basepoint_table() -> [[AffineNiels; 8]; 32] {
         let p = points[n / 8][n % 8];
         let zinv = inv.mul(&prefix[n]);
         inv = inv.mul(&p.z);
-        let x = p.x.mul(&zinv);
-        let y = p.y.mul(&zinv);
-        table[n / 8][n % 8] = AffineNiels {
-            y_plus_x: y.add(&x),
-            y_minus_x: y.sub(&x),
-            xy2d: x.mul(&y).mul(&D2),
-        };
+        table[n / 8][n % 8] = AffineNiels::from_extended(&p, &zinv);
     }
     table
+}
+
+/// `k·P` by the comb over P's `table`, for a little-endian `k < 2^255`:
+/// Σ e[2i+1]·256^i·P, times 16, plus Σ e[2i]·256^i·P.
+fn comb(table: &CombTable, k: &[u8; 32]) -> EdwardsPoint {
+    assert!(k[31] < 0x80, "the comb needs k < 2^255");
+    let e = radix16(k);
+    let mut h = EdwardsPoint::identity();
+    for (row, digits) in table.iter().zip(e.chunks_exact(2)) {
+        h = h.add_affine_niels(&AffineNiels::select(row, digits[1]));
+    }
+    h = h.double().double().double().double();
+    for (row, digits) in table.iter().zip(e.chunks_exact(2)) {
+        h = h.add_affine_niels(&AffineNiels::select(row, digits[0]));
+    }
+    h
+}
+
+/// A point with its comb table built, so that each later `k·P` costs
+/// what `k·B` does. The build (about three Montgomery ladders) is
+/// variable-time in P only.
+pub(crate) struct CombPoint(Box<CombTable>);
+
+impl CombPoint {
+    /// Build P's table: [`basepoint_table`]'s steps, into heap buffers.
+    pub(crate) fn new(p: &EdwardsPoint) -> Self {
+        let mut points = Vec::with_capacity(256);
+        let mut base = *p;
+        for _ in 0..32 {
+            points.extend(row_multiples(&base));
+            base = times_256(&base);
+        }
+        let mut prefix = Vec::with_capacity(256);
+        let mut acc = FieldElement::ONE;
+        for q in &points {
+            prefix.push(acc);
+            acc = acc.mul(&q.z);
+        }
+        let mut inv = acc.invert();
+        let mut table = vec![[AffineNiels::IDENTITY; 8]; 32];
+        for (n, q) in points.iter().enumerate().rev() {
+            let zinv = inv.mul(&prefix[n]);
+            inv = inv.mul(&q.z);
+            table[n / 8][n % 8] = AffineNiels::from_extended(q, &zinv);
+        }
+        CombPoint(table.into_boxed_slice().try_into().expect("32 rows"))
+    }
+
+    /// `k·P` for a little-endian `k < 2^255`, by the comb.
+    pub(crate) fn mul_bytes(&self, k: &[u8; 32]) -> EdwardsPoint {
+        comb(&self.0, k)
+    }
 }
 
 /// Signed radix-16 digits of a little-endian `k < 2^255`:
@@ -284,18 +365,7 @@ impl EdwardsPoint {
     /// `k·B` for a little-endian integer `k < 2^255`: a scalar below ℓ,
     /// or a clamped X25519 private key.
     pub(crate) fn mul_base_bytes(k: &[u8; 32]) -> Self {
-        assert!(k[31] < 0x80, "fixed-base comb needs k < 2^255");
-        let e = radix16(k);
-        // Σ e[2i+1]·256^i·B, times 16, plus Σ e[2i]·256^i·B.
-        let mut h = EdwardsPoint::identity();
-        for (row, digits) in BASEPOINT_TABLE.iter().zip(e.chunks_exact(2)) {
-            h = h.add_affine_niels(&AffineNiels::select(row, digits[1]));
-        }
-        h = h.double().double().double().double();
-        for (row, digits) in BASEPOINT_TABLE.iter().zip(e.chunks_exact(2)) {
-            h = h.add_affine_niels(&AffineNiels::select(row, digits[0]));
-        }
-        h
+        comb(&BASEPOINT_TABLE, k)
     }
 
     /// The Montgomery u-coordinate (1 + y)/(1 − y) = (Z + Y)/(Z − Y) of
@@ -306,6 +376,22 @@ impl EdwardsPoint {
             .add(&self.y)
             .mul(&self.z.sub(&self.y).invert())
             .to_bytes()
+    }
+
+    /// A point whose Montgomery u-coordinate is `u` (top bit masked, as
+    /// X25519 reads it), by y = (u − 1)/(u + 1): the inverse of
+    /// [`EdwardsPoint::to_montgomery_u`]. X25519 reads only u, so either
+    /// of ±P serves; this is the one with even x. `None` when u lies on
+    /// the quadratic twist (no x exists) and at u = −1, the map's pole.
+    /// Variable-time in `u`.
+    pub(crate) fn from_montgomery_u(u: &[u8; 32]) -> Option<Self> {
+        let u = FieldElement::from_bytes(u);
+        let u_plus_1 = u.add(&FieldElement::ONE);
+        if u_plus_1.is_zero() {
+            return None;
+        }
+        let y = u.sub(&FieldElement::ONE).mul(&u_plus_1.invert());
+        EdwardsPoint::decompress(&y.to_bytes()).ok()
     }
 
     /// Multiply by the cofactor 8 (three doublings), mapping any curve point
@@ -581,6 +667,18 @@ mod tests {
                 assert!(entry.y_plus_x.ct_eq(&y.add(&x)), "[{i}][{j}] y+x");
                 assert!(entry.y_minus_x.ct_eq(&y.sub(&x)), "[{i}][{j}] y-x");
                 assert!(entry.xy2d.ct_eq(&x.mul(&y).mul(&D2)), "[{i}][{j}] 2dxy");
+            }
+        }
+    }
+
+    #[test]
+    fn runtime_builder_matches_basepoint_table() {
+        let built = CombPoint::new(&EdwardsPoint::basepoint());
+        for (i, (row, built_row)) in BASEPOINT_TABLE.iter().zip(built.0.iter()).enumerate() {
+            for (j, (entry, got)) in row.iter().zip(built_row).enumerate() {
+                assert_eq!(entry.y_plus_x.0, got.y_plus_x.0, "[{i}][{j}] y+x");
+                assert_eq!(entry.y_minus_x.0, got.y_minus_x.0, "[{i}][{j}] y-x");
+                assert_eq!(entry.xy2d.0, got.xy2d.0, "[{i}][{j}] 2dxy");
             }
         }
     }

@@ -8,6 +8,10 @@
 //!
 //! Base and PSK modes are implemented; the single-shot helpers cover the
 //! common "one sealed message" pattern.
+//!
+//! Senders name the recipient by a [`Recipient`]: its raw 32-byte public
+//! key, or the same key as an [`x25519::PreparedKey`] when it will see
+//! many encapsulations. Both give the same bytes from the same RNG.
 
 use crate::aead;
 use crate::hkdf;
@@ -93,11 +97,52 @@ fn extract_and_expand(dh: &[u8; 32], kem_context: &[u8]) -> [u8; 32] {
     s
 }
 
-fn encap<R: Rng + ?Sized>(rng: &mut R, pk_r: &[u8; 32]) -> Result<([u8; 32], [u8; ENC_LEN])> {
+/// A recipient public key that a sender can encapsulate to: a raw
+/// `[u8; 32]`, whose shared secret runs the Montgomery ladder, or an
+/// [`x25519::PreparedKey`], whose shared secret runs the comb over the
+/// key's table. Sealed: the two are byte-identical, and no third kind
+/// exists.
+pub trait Recipient: sealed::Sealed {
+    /// The public key, as the KEM context binds it.
+    fn public_key(&self) -> &[u8; 32];
+    /// [`x25519::shared_secret`] of `private` against this key.
+    fn shared_secret(&self, private: &[u8; 32]) -> Option<[u8; 32]>;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for [u8; 32] {}
+    impl Sealed for crate::x25519::PreparedKey {}
+}
+
+impl Recipient for [u8; 32] {
+    fn public_key(&self) -> &[u8; 32] {
+        self
+    }
+    fn shared_secret(&self, private: &[u8; 32]) -> Option<[u8; 32]> {
+        x25519::shared_secret(private, self)
+    }
+}
+
+impl Recipient for x25519::PreparedKey {
+    fn public_key(&self) -> &[u8; 32] {
+        self.as_bytes()
+    }
+    fn shared_secret(&self, private: &[u8; 32]) -> Option<[u8; 32]> {
+        x25519::PreparedKey::shared_secret(self, private)
+    }
+}
+
+fn encap<R: Rng + ?Sized, K: Recipient>(
+    rng: &mut R,
+    pk_r: &K,
+) -> Result<([u8; 32], [u8; ENC_LEN])> {
     let eph = Keypair::generate(rng);
-    let dh = x25519::shared_secret(&eph.private, pk_r).ok_or(CryptoError::InvalidPoint)?;
+    let dh = pk_r
+        .shared_secret(&eph.private)
+        .ok_or(CryptoError::InvalidPoint)?;
     let mut kem_context = eph.public.to_vec();
-    kem_context.extend_from_slice(pk_r);
+    kem_context.extend_from_slice(pk_r.public_key());
     Ok((extract_and_expand(&dh, &kem_context), eph.public))
 }
 
@@ -189,9 +234,9 @@ impl Context {
 
 /// Set up a sender context in base mode. Returns the encapsulated key to
 /// transmit alongside ciphertexts.
-pub fn setup_base_s<R: Rng + ?Sized>(
+pub fn setup_base_s<R: Rng + ?Sized, K: Recipient>(
     rng: &mut R,
-    pk_r: &[u8; 32],
+    pk_r: &K,
     info: &[u8],
 ) -> Result<([u8; ENC_LEN], Context)> {
     let (shared, enc) = encap(rng, pk_r)?;
@@ -209,9 +254,9 @@ pub fn setup_base_r(enc: &[u8; ENC_LEN], kp: &Keypair, info: &[u8]) -> Result<Co
 
 /// Sender context in PSK mode (mode_psk binds a pre-shared key in addition
 /// to the KEM secret).
-pub fn setup_psk_s<R: Rng + ?Sized>(
+pub fn setup_psk_s<R: Rng + ?Sized, K: Recipient>(
     rng: &mut R,
-    pk_r: &[u8; 32],
+    pk_r: &K,
     info: &[u8],
     psk: &[u8],
     psk_id: &[u8],
@@ -244,9 +289,9 @@ pub fn setup_psk_r(
 }
 
 /// Single-shot seal: `enc ‖ ciphertext`.
-pub fn seal<R: Rng + ?Sized>(
+pub fn seal<R: Rng + ?Sized, K: Recipient>(
     rng: &mut R,
-    pk_r: &[u8; 32],
+    pk_r: &K,
     info: &[u8],
     aad: &[u8],
     plaintext: &[u8],
@@ -361,6 +406,38 @@ mod tests {
         let _ = enc2;
         let ct2 = tx2.seal(b"", b"x");
         assert!(rx_bad.open(b"", &ct2).is_err());
+    }
+
+    #[test]
+    fn prepared_recipient_is_byte_identical_to_raw() {
+        let kp = Keypair::generate(&mut rng());
+        let prepared = x25519::PreparedKey::new(kp.public);
+        let (mut raw_rng, mut prep_rng) = (rng(), rng());
+        for round in 0..3 {
+            let (enc_a, mut a) = setup_base_s(&mut raw_rng, &kp.public, b"i").unwrap();
+            let (enc_b, mut b) = setup_base_s(&mut prep_rng, &prepared, b"i").unwrap();
+            assert_eq!(enc_a, enc_b, "base enc, round {round}");
+            assert_eq!(
+                a.seal(b"a", b"m"),
+                b.seal(b"a", b"m"),
+                "base, round {round}"
+            );
+
+            let (enc_a, mut a) =
+                setup_psk_s(&mut raw_rng, &kp.public, b"i", b"psk", b"id").unwrap();
+            let (enc_b, mut b) =
+                setup_psk_s(&mut prep_rng, &prepared, b"i", b"psk", b"id").unwrap();
+            assert_eq!(enc_a, enc_b, "psk enc, round {round}");
+            assert_eq!(a.seal(b"a", b"m"), b.seal(b"a", b"m"), "psk, round {round}");
+
+            let sealed = seal(&mut raw_rng, &kp.public, b"i", b"a", b"m").unwrap();
+            assert_eq!(
+                sealed,
+                seal(&mut prep_rng, &prepared, b"i", b"a", b"m").unwrap(),
+                "single-shot, round {round}"
+            );
+            assert_eq!(open(&kp, b"i", b"a", &sealed).unwrap(), b"m");
+        }
     }
 
     #[test]

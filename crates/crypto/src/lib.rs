@@ -7,12 +7,14 @@
 //!   [`hkdf`] (RFC 5869).
 //! * [`chacha20`], [`poly1305`], [`aead`] — the RFC 8439 AEAD construction.
 //! * [`field25519`], [`x25519`] — GF(2^255 − 19) arithmetic and the RFC 7748
-//!   Diffie–Hellman function: the Montgomery ladder for a variable base,
-//!   the Edwards fixed-base comb for public keys.
+//!   Diffie–Hellman function by three scalar-multiplication paths: the
+//!   Montgomery ladder for any base, the Edwards fixed-base comb for
+//!   public keys, and the same comb over a per-key table for a
+//!   [`x25519::PreparedKey`] that many shared secrets use.
 //! * [`edwards`] — the Ed25519 twisted Edwards group (point addition,
-//!   doubling, compression, hash-to-group, the fixed-base comb over a
-//!   compile-time basepoint table) used as the prime-order group for the
-//!   VOPRF behind Privacy Pass and for X25519 public keys.
+//!   doubling, compression, hash-to-group, the comb over a compile-time
+//!   basepoint table or a run-time table of any point) used as the
+//!   prime-order group for the VOPRF behind Privacy Pass and for X25519.
 //! * [`scalar`] — arithmetic modulo the Ed25519 group order ℓ.
 //! * [`bigint`] — arbitrary-precision unsigned integers (schoolbook +
 //!   Knuth-D division + modular exponentiation), the substrate for RSA.
@@ -40,9 +42,11 @@
 //! in "The Decoupling Principle" (HotNets '22) inside a simulator, not to
 //! ship production key material. Field arithmetic avoids secret-dependent
 //! branching where that is cheap: the X25519 ladder is uniform, so is the
-//! fixed-base comb behind [`edwards::EdwardsPoint::mul_base`] and
-//! [`x25519::public_key`] (every table lookup scans the whole row), and
-//! AEAD tag comparison is constant-time via [`util::ct_eq`]. Variable-base
+//! comb behind [`edwards::EdwardsPoint::mul_base`], [`x25519::public_key`]
+//! and [`x25519::PreparedKey`] (every table lookup scans the whole row),
+//! and AEAD tags and the X25519 all-zero check compare via
+//! [`util::ct_eq`]. A prepared key's table build, and its fallback to the
+//! ladder for a u on the twist, depend only on the public key. Variable-base
 //! scalar multiplication in [`edwards`] ([`edwards::EdwardsPoint::mul`]),
 //! the [`scalar`] arithmetic and all [`bigint`] arithmetic are
 //! variable-time. Each module documents its own stance.

@@ -1,13 +1,27 @@
-//! X25519 Diffie–Hellman (RFC 7748) over Curve25519.
+//! X25519 Diffie–Hellman (RFC 7748) over Curve25519, by three paths that
+//! agree byte for byte:
 //!
-//! [`x25519`] is the Montgomery ladder with uniform conditional swaps, the
-//! only variable-base path. [`public_key`] multiplies the fixed basepoint
-//! instead by the Edwards fixed-base comb
-//! ([`EdwardsPoint::mul_base`](crate::edwards::EdwardsPoint::mul_base))
-//! and maps the result to the u-line; the ladder is its test oracle.
+//! * [`x25519`] is the Montgomery ladder with uniform conditional swaps,
+//!   for any u. It is the other two paths' test oracle.
+//! * [`public_key`] multiplies the fixed basepoint by the Edwards
+//!   fixed-base comb
+//!   ([`EdwardsPoint::mul_base`](crate::edwards::EdwardsPoint::mul_base))
+//!   and maps the result to the u-line.
+//! * [`PreparedKey`] holds a peer's public key that many shared secrets
+//!   will use. On first use it maps u to an Edwards point and builds that
+//!   point's comb table, so each shared secret then costs a comb pass
+//!   instead of a ladder. A u on the twist, or u = −1, has no Edwards
+//!   point and keeps the ladder.
+//!
+//! Timing: the ladder and the comb lookups are uniform in the secret
+//! scalar. Building a prepared key's table, and whether it falls back to
+//! the ladder, depend only on the public key.
 
-use crate::edwards::EdwardsPoint;
+use std::sync::OnceLock;
+
+use crate::edwards::{CombPoint, EdwardsPoint};
 use crate::field25519::FieldElement;
+use crate::util::ct_eq;
 
 /// Length of scalars, coordinates, and shared secrets.
 pub const KEY_LEN: usize = 32;
@@ -88,11 +102,64 @@ pub fn shared_secret(
     private: &[u8; KEY_LEN],
     peer_public: &[u8; KEY_LEN],
 ) -> Option<[u8; KEY_LEN]> {
-    let s = x25519(private, peer_public);
-    if s == [0u8; KEY_LEN] {
+    contributory(x25519(private, peer_public))
+}
+
+/// RFC 7748 §6.1's all-zero check, by [`ct_eq`]: the shared secret's
+/// bytes are compared without an early exit.
+fn contributory(s: [u8; KEY_LEN]) -> Option<[u8; KEY_LEN]> {
+    if ct_eq(&s, &[0u8; KEY_LEN]) {
         None
     } else {
         Some(s)
+    }
+}
+
+/// A peer's public key prepared for many shared secrets: the first one
+/// builds the comb table of the key's Edwards point (about three
+/// ladders), and every one after it costs a comb pass (about 0.3 of a
+/// ladder). It pays from the third to the fifth use, so hold a key
+/// prepared only when it sees many; share one across threads behind an
+/// `Arc`.
+///
+/// [`PreparedKey::x25519`] equals [`x25519`] on the same u for every
+/// scalar, byte for byte.
+pub struct PreparedKey {
+    u: [u8; KEY_LEN],
+    /// Built on first use; `None` for a u with no Edwards point (on the
+    /// twist, or u = −1), which keeps the ladder.
+    comb: OnceLock<Option<CombPoint>>,
+}
+
+impl PreparedKey {
+    /// Wrap a public key. Nothing is computed until the first shared
+    /// secret.
+    pub fn new(u: [u8; KEY_LEN]) -> Self {
+        PreparedKey {
+            u,
+            comb: OnceLock::new(),
+        }
+    }
+
+    /// The public key as given.
+    pub fn as_bytes(&self) -> &[u8; KEY_LEN] {
+        &self.u
+    }
+
+    /// `x25519(scalar, u)`; `scalar` is clamped internally.
+    pub fn x25519(&self, scalar: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
+        let comb = self
+            .comb
+            .get_or_init(|| EdwardsPoint::from_montgomery_u(&self.u).map(|p| CombPoint::new(&p)));
+        match comb {
+            Some(comb) => comb.mul_bytes(&clamp_scalar(*scalar)).to_montgomery_u(),
+            None => x25519(scalar, &self.u),
+        }
+    }
+
+    /// [`shared_secret`] against this key.
+    pub fn shared_secret(&self, private: &[u8; KEY_LEN]) -> Option<[u8; KEY_LEN]> {
+        contributory(self.x25519(private))
     }
 }
 
@@ -101,7 +168,7 @@ mod tests {
     use super::*;
     use crate::util::{hex_decode, hex_encode};
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn arr(hex: &str) -> [u8; 32] {
         let v = hex_decode(hex).unwrap();
@@ -192,6 +259,103 @@ mod tests {
             let mut k = [0u8; 32];
             k.copy_from_slice(&bytes);
             prop_assert_eq!(public_key(&k), x25519(&k, &BASEPOINT));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// About half of arbitrary u lie on the twist and take the
+        /// fallback; the rest take the comb
+        /// (`random_u_takes_both_paths`).
+        #[test]
+        fn prepared_key_matches_ladder(
+            k in proptest::collection::vec(any::<u8>(), 32),
+            u in proptest::collection::vec(any::<u8>(), 32),
+        ) {
+            let (k, u) = (arr32(&k), arr32(&u));
+            prop_assert_eq!(PreparedKey::new(u).x25519(&k), x25519(&k, &u));
+        }
+    }
+
+    fn arr32(bytes: &[u8]) -> [u8; 32] {
+        let mut a = [0u8; 32];
+        a.copy_from_slice(bytes);
+        a
+    }
+
+    /// p = 2²⁵⁵ − 19 plus `delta`, little-endian.
+    fn p_plus(delta: i8) -> [u8; 32] {
+        let mut u = [0xffu8; 32];
+        u[0] = (0xedi16 + delta as i16) as u8;
+        u[31] = 0x7f;
+        u
+    }
+
+    #[test]
+    fn prepared_key_matches_ladder_at_the_edges() {
+        let mut nine = [0u8; 32];
+        nine[0] = 9;
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut top = [0xffu8; 32];
+        top[31] = 0x7f; // 2²⁵⁵ − 1
+        let us = [[0u8; 32], one, nine, p_plus(-1), p_plus(0), p_plus(1), top];
+        let mut random = [0u8; 32];
+        rand::rngs::StdRng::seed_from_u64(7).fill_bytes(&mut random);
+        for u in us {
+            let prepared = PreparedKey::new(u);
+            for k in [[0u8; 32], [0xffu8; 32], random] {
+                assert_eq!(
+                    prepared.x25519(&k),
+                    x25519(&k, &u),
+                    "u {u:02x?}, k {k:02x?}"
+                );
+                assert_eq!(prepared.shared_secret(&k), shared_secret(&k, &u));
+            }
+        }
+        // u = −1 is the Edwards map's pole and keeps the ladder.
+        assert!(EdwardsPoint::from_montgomery_u(&p_plus(-1)).is_none());
+    }
+
+    #[test]
+    fn random_u_takes_both_paths() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let on_curve = (0..64)
+            .filter(|_| {
+                let mut u = [0u8; 32];
+                rng.fill_bytes(&mut u);
+                EdwardsPoint::from_montgomery_u(&u).is_some()
+            })
+            .count();
+        assert!(
+            (16..=48).contains(&on_curve),
+            "{on_curve} of 64 on the curve"
+        );
+    }
+
+    #[test]
+    fn threads_racing_first_use_both_match_the_ladder() {
+        use std::sync::{Arc, Barrier};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let (_, pk) = keypair(&mut rng);
+        let key = Arc::new(PreparedKey::new(pk));
+        let start = Arc::new(Barrier::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let mut k = [0u8; 32];
+                rng.fill_bytes(&mut k);
+                let (key, start) = (key.clone(), start.clone());
+                let handle = std::thread::spawn(move || {
+                    start.wait();
+                    key.x25519(&k)
+                });
+                (k, handle)
+            })
+            .collect();
+        for (k, handle) in handles {
+            let got = handle.join().expect("prepared DH thread panicked");
+            assert_eq!(got, x25519(&k, &pk));
         }
     }
 

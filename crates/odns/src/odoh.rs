@@ -64,10 +64,12 @@ fn response_aad(resp_nonce: &[u8]) -> Vec<u8> {
 }
 
 /// Client: encapsulate `query` for the target. Returns the opaque bytes
-/// for the proxy and the state needed to open the response.
-pub fn seal_query<R: Rng + ?Sized>(
+/// for the proxy and the state needed to open the response. A client
+/// that sends many queries to one target passes its key prepared
+/// ([`dcp_crypto::x25519::PreparedKey`]); the bytes do not change.
+pub fn seal_query<R: Rng + ?Sized, K: hpke::Recipient>(
     rng: &mut R,
-    target_pk: &[u8; 32],
+    target_pk: &K,
     query: &DnsMessage,
 ) -> Result<(Vec<u8>, QueryState)> {
     let (enc, mut ctx) = hpke::setup_base_s(rng, target_pk, QUERY_INFO)?;
@@ -144,9 +146,11 @@ mod tests {
     fn full_odoh_roundtrip() {
         let mut rng = rng();
         let target = hpke::Keypair::generate(&mut rng);
+        // Prepared, as the wiring's clients hold it.
+        let target_pk = dcp_crypto::x25519::PreparedKey::new(target.public);
         let query = Message::query(7, DnsName::parse("private.example.com").unwrap(), RrType::A);
 
-        let (sealed, state) = seal_query(&mut rng, &target.public, &query).unwrap();
+        let (sealed, state) = seal_query(&mut rng, &target_pk, &query).unwrap();
         // The sealed blob reveals nothing of the name (ciphertext only).
         assert!(
             !sealed.windows(7).any(|w| w == b"private"),

@@ -31,6 +31,7 @@ use dcp_core::{
     UserId, World,
 };
 use dcp_crypto::hpke;
+use dcp_crypto::x25519::PreparedKey;
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RrType, Zone};
 use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
@@ -92,7 +93,9 @@ fn origin_query_label(user: UserId) -> Label {
 /// against the matching in-flight call.
 struct Client {
     user: UserId,
-    target_pk: [u8; 32],
+    /// The target's key, prepared once per world and shared by every
+    /// client: each query encapsulates to it.
+    target_pk: Arc<PreparedKey>,
     target_key: KeyId,
     queries: Vec<DnsName>,
     next_id: u16,
@@ -147,7 +150,7 @@ impl Client {
         self.next_id = self.next_id.wrapping_add(1);
         ctx.crypto_op("hpke_encap");
         ctx.crypto_op("hpke_seal");
-        let (sealed, state) = odoh::seal_query(ctx.rng, &self.target_pk, &q).expect("seal");
+        let (sealed, state) = odoh::seal_query(ctx.rng, &*self.target_pk, &q).expect("seal");
         let pick = self.failover.route_for(att.seq, att.attempt, ctx.now_us());
         self.stats
             .lock()
@@ -444,6 +447,9 @@ pub(crate) fn wiring(
     }
 
     let target_kp = hpke::Keypair::generate(&mut setup_rng);
+    // Its table is built by the first query, so building the wiring
+    // costs nothing more.
+    let target_pk = Arc::new(PreparedKey::new(target_kp.public));
 
     let mut users = Vec::new();
     let mut clients = Vec::new();
@@ -530,7 +536,7 @@ pub(crate) fn wiring(
         };
         let client = Client {
             user,
-            target_pk: target_kp.public,
+            target_pk: target_pk.clone(),
             target_key,
             queries,
             next_id: 1,
