@@ -17,7 +17,12 @@
 //! * `x25519` — a DH shared secret on a variable base: the ladder vs. a
 //!   [`PreparedKey`](x25519::PreparedKey) whose comb table is built;
 //! * `x25519_prepare` — a prepared key's first use: its table build plus
-//!   one prepared DH, the one-time cost that later DHs repay.
+//!   one prepared DH, the one-time cost that later DHs repay;
+//! * `hpke_setup` — one HPKE base-mode setup: `recipient` is
+//!   `setup_base_r` (decapsulation by the ladder plus the key schedule),
+//!   `sender_prepared` is `setup_base_s` to a prepared key (a fixed-base
+//!   ephemeral key, a prepared DH plus the key schedule). Subtracting the
+//!   matching `x25519` rows leaves the key schedule's cost.
 //!
 //! The X25519 and HPKE rows are independent of the bignum backend and of
 //! `--bits`. The `speedup` map summarises fast-over-reference ratios; CI runs
@@ -41,7 +46,8 @@ struct OpResult {
     /// Operation name.
     op: String,
     /// Which implementation: `reference`, `fast`, `single_shot`,
-    /// `session`, `ladder`, `fixed_base`, `prepared`, `first_use`.
+    /// `session`, `ladder`, `fixed_base`, `prepared`, `first_use`,
+    /// `recipient`, `sender_prepared`.
     variant: String,
     /// Mean wall-clock nanoseconds per operation.
     ns_per_op: f64,
@@ -245,6 +251,25 @@ fn main() {
         time_ns(reps_fast, || {
             let key = x25519::PreparedKey::new(std::hint::black_box(kp.public));
             std::hint::black_box(key.x25519(&k));
+        }),
+    );
+
+    // HPKE setups: the KEM above plus the key schedule.
+    let (enc, _) = hpke::setup_base_s(&mut rng, &kp.public, b"bench").unwrap();
+    record(
+        "hpke_setup",
+        "recipient",
+        reps_fast,
+        time_ns(reps_fast, || {
+            std::hint::black_box(hpke::setup_base_r(&enc, &kp, b"bench").unwrap());
+        }),
+    );
+    record(
+        "hpke_setup",
+        "sender_prepared",
+        reps_fast,
+        time_ns(reps_fast, || {
+            std::hint::black_box(hpke::setup_base_s(&mut rng, &prepared_key, b"bench").unwrap());
         }),
     );
 

@@ -1,9 +1,23 @@
 //! Arithmetic in GF(2²⁵⁵ − 19), the base field of Curve25519/Ed25519.
 //!
 //! Elements are five 51-bit limbs in `u64`s (the "ref10 radix-51"
-//! representation); products are accumulated in `u128`. Addition and
-//! multiplication keep limbs bounded so no overflow is possible; the only
-//! full reduction happens in [`FieldElement::to_bytes`].
+//! representation); products are accumulated in `u128`. Reduction is
+//! lazy: `add` does not carry, so limbs grow past 51 bits between
+//! operations, and the only full reduction happens in
+//! [`FieldElement::to_bytes`]. Every step stays free of overflow under
+//! one limb contract:
+//!
+//! * a *reduced* element has limbs below 2^52. `mul`, `square`,
+//!   `mul_small`, `sub`, `from_bytes` and every constant return one;
+//! * the inputs of `mul`, `square` and `mul_small` have limbs below
+//!   2^54, which covers any sum of up to four reduced elements;
+//! * the subtrahend of `sub` is at most 16p limb by limb, just under
+//!   2^55.
+//!
+//! The carries of a product pass through `u64`, where a broken contract
+//! would truncate silently rather than overflow, so `debug_assert!`s
+//! check the input bounds. They run in debug builds, also while the
+//! compiler evaluates the curve constants.
 //!
 //! Everything the curve constants need is a `const fn`, so d, √−1, the
 //! Edwards basepoint and its fixed-base table are computed by the compiler
@@ -13,17 +27,30 @@
 /// 51-bit limb mask.
 const MASK: u64 = (1u64 << 51) - 1;
 
+/// The largest limbs `mul`, `square` and `mul_small` accept: 2^54 − 1.
+const MUL_INPUT_MAX: [u64; 5] = [(1 << 54) - 1; 5];
+
+/// 16p in radix-51: `sub` adds it so no limb underflows.
+const SIXTEEN_P: [u64; 5] = [16 * (MASK - 18), 16 * MASK, 16 * MASK, 16 * MASK, 16 * MASK];
+
 /// An element of GF(2²⁵⁵ − 19).
 #[derive(Clone, Copy, Debug)]
 pub struct FieldElement(pub(crate) [u64; 5]);
 
 /// Widening limb product.
+#[inline(always)]
 const fn m(x: u64, y: u64) -> u128 {
     x as u128 * y as u128
 }
 
+/// Is every limb of `h` at most the matching limb of `max`?
+const fn limbs_at_most(h: &[u64; 5], max: &[u64; 5]) -> bool {
+    h[0] <= max[0] && h[1] <= max[1] && h[2] <= max[2] && h[3] <= max[3] && h[4] <= max[4]
+}
+
 /// One carry pass: every limb below 2^51, plus the carry out of the top
 /// limb.
+#[inline(always)]
 const fn carry(mut h: [u64; 5]) -> ([u64; 5], u64) {
     let mut c = 0;
     let mut i = 0;
@@ -91,7 +118,8 @@ impl FieldElement {
     /// Encode as 32 little-endian bytes with the canonical (fully reduced)
     /// representative.
     pub const fn to_bytes(self) -> [u8; 32] {
-        // Two carry passes bring all limbs below 2^52.
+        // Two carry passes leave limbs 1–4 below 2^51 and limb 0 below
+        // 2^51 + 19, so the value is below 2p.
         let mut h = self.weak_reduce().weak_reduce().0;
         // Compute h + 19, and use its bit 255 as the quotient estimate:
         // q = 1 iff h >= p.
@@ -119,7 +147,9 @@ impl FieldElement {
         out
     }
 
-    /// `self + other` (no carry needed for freshly reduced inputs).
+    /// `self + other`, limb by limb and without a carry: the sum of two
+    /// reduced elements is not reduced, but is a valid `mul` input.
+    #[inline(always)]
     pub const fn add(&self, other: &Self) -> Self {
         let (a, b) = (self.0, other.0);
         FieldElement([
@@ -129,26 +159,23 @@ impl FieldElement {
             a[3] + b[3],
             a[4] + b[4],
         ])
-        .weak_reduce()
     }
 
-    /// `self - other` (bias by 2p to avoid underflow).
+    /// `self - other`, biased by 16p so that no limb underflows, then
+    /// carried once: the result is reduced.
+    #[inline(always)]
     pub const fn sub(&self, other: &Self) -> Self {
-        // 2p in radix-51: [2*(2^51-19), 2*(2^51-1), ...]
-        const TWO_P: [u64; 5] = [
-            0xfffffffffffda,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
-        ];
         let (a, b) = (self.0, other.0);
+        debug_assert!(
+            limbs_at_most(&b, &SIXTEEN_P),
+            "field sub: subtrahend limb above 16p"
+        );
         FieldElement([
-            a[0] + TWO_P[0] - b[0],
-            a[1] + TWO_P[1] - b[1],
-            a[2] + TWO_P[2] - b[2],
-            a[3] + TWO_P[3] - b[3],
-            a[4] + TWO_P[4] - b[4],
+            a[0] + SIXTEEN_P[0] - b[0],
+            a[1] + SIXTEEN_P[1] - b[1],
+            a[2] + SIXTEEN_P[2] - b[2],
+            a[3] + SIXTEEN_P[3] - b[3],
+            a[4] + SIXTEEN_P[4] - b[4],
         ])
         .weak_reduce()
     }
@@ -158,48 +185,55 @@ impl FieldElement {
         Self::ZERO.sub(self)
     }
 
+    /// One carry pass, with the top carry folded back into limb 0 as ×19.
+    #[inline(always)]
     const fn weak_reduce(self) -> Self {
         let (mut h, c) = carry(self.0);
         h[0] += 19 * c;
         FieldElement(h)
     }
 
-    /// Carry the five `u128` column sums of a product down to 51-bit limbs
-    /// (limb 1 may keep a small excess).
+    /// Carry the five `u128` column sums of a product down to a reduced
+    /// element. For inputs below 2^54 each column is below 2^115, so every
+    /// carry fits a `u64`; limb 1 keeps an excess below 2^13.
+    #[inline(always)]
     const fn reduce_wide(r: [u128; 5]) -> Self {
-        let [mut r0, mut r1, mut r2, mut r3, mut r4] = r;
-        let mut c: u128;
-        c = r0 >> 51;
-        r0 &= MASK as u128;
-        r1 += c;
-        c = r1 >> 51;
-        r1 &= MASK as u128;
-        r2 += c;
-        c = r2 >> 51;
-        r2 &= MASK as u128;
-        r3 += c;
-        c = r3 >> 51;
-        r3 &= MASK as u128;
-        r4 += c;
-        c = r4 >> 51;
-        r4 &= MASK as u128;
-        r0 += 19 * c;
-        c = r0 >> 51;
-        r0 &= MASK as u128;
-        r1 += c;
-
-        FieldElement([r0 as u64, r1 as u64, r2 as u64, r3 as u64, r4 as u64])
+        let [r0, mut r1, mut r2, mut r3, mut r4] = r;
+        r1 += ((r0 >> 51) as u64) as u128;
+        r2 += ((r1 >> 51) as u64) as u128;
+        r3 += ((r2 >> 51) as u64) as u128;
+        r4 += ((r3 >> 51) as u64) as u128;
+        let c = (r4 >> 51) as u64;
+        let mut h = [
+            r0 as u64 & MASK,
+            r1 as u64 & MASK,
+            r2 as u64 & MASK,
+            r3 as u64 & MASK,
+            r4 as u64 & MASK,
+        ];
+        // c < 2^60, so 19·c still fits beside limb 0.
+        h[0] += 19 * c;
+        h[1] += h[0] >> 51;
+        h[0] &= MASK;
+        FieldElement(h)
     }
 
     /// Field multiplication.
+    #[inline(always)]
     pub const fn mul(&self, other: &Self) -> Self {
+        debug_assert!(
+            limbs_at_most(&self.0, &MUL_INPUT_MAX) && limbs_at_most(&other.0, &MUL_INPUT_MAX),
+            "field mul: input limb at or above 2^54"
+        );
         let [a0, a1, a2, a3, a4] = self.0;
         let [b0, b1, b2, b3, b4] = other.0;
+        // Limbs below 2^54 keep each ×19 inside a u64.
+        let (b1_19, b2_19, b3_19, b4_19) = (19 * b1, 19 * b2, 19 * b3, 19 * b4);
         Self::reduce_wide([
-            m(a0, b0) + 19 * (m(a1, b4) + m(a2, b3) + m(a3, b2) + m(a4, b1)),
-            m(a0, b1) + m(a1, b0) + 19 * (m(a2, b4) + m(a3, b3) + m(a4, b2)),
-            m(a0, b2) + m(a1, b1) + m(a2, b0) + 19 * (m(a3, b4) + m(a4, b3)),
-            m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + 19 * m(a4, b4),
+            m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19),
+            m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19),
+            m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19),
+            m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19),
             m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0),
         ])
     }
@@ -207,9 +241,14 @@ impl FieldElement {
     /// Field squaring: the column sums of [`FieldElement::mul`] with each
     /// symmetric pair of products taken once and doubled, 15 products in
     /// place of 25. The result is limb-for-limb `self.mul(self)`.
+    #[inline(always)]
     pub const fn square(&self) -> Self {
+        debug_assert!(
+            limbs_at_most(&self.0, &MUL_INPUT_MAX),
+            "field square: input limb at or above 2^54"
+        );
         let [a0, a1, a2, a3, a4] = self.0;
-        // Limbs stay below 2^52, so the ×19 fits a u64.
+        // Limbs below 2^54 keep each ×19 inside a u64.
         let (a3_19, a4_19) = (19 * a3, 19 * a4);
         Self::reduce_wide([
             m(a0, a0) + 2 * (m(a1, a4_19) + m(a2, a3_19)),
@@ -220,21 +259,16 @@ impl FieldElement {
         ])
     }
 
-    /// Multiply by a small constant (used for ×121666 in the X25519 ladder).
-    pub fn mul_small(&self, k: u32) -> Self {
-        let mut r = [0u128; 5];
-        for (ri, a) in r.iter_mut().zip(&self.0) {
-            *ri = *a as u128 * k as u128;
-        }
-        let mut c: u128 = 0;
-        let mut out = [0u64; 5];
-        for i in 0..5 {
-            let t = r[i] + c;
-            out[i] = (t & MASK as u128) as u64;
-            c = t >> 51;
-        }
-        out[0] += 19 * c as u64;
-        FieldElement(out).weak_reduce()
+    /// Multiply by a small constant (used for ×121665 in the X25519 ladder).
+    #[inline(always)]
+    pub const fn mul_small(&self, k: u32) -> Self {
+        debug_assert!(
+            limbs_at_most(&self.0, &MUL_INPUT_MAX),
+            "field mul_small: input limb at or above 2^54"
+        );
+        let [a0, a1, a2, a3, a4] = self.0;
+        let k = k as u64;
+        Self::reduce_wide([m(a0, k), m(a1, k), m(a2, k), m(a3, k), m(a4, k)])
     }
 
     /// Repeated squaring: `self^(2^k)`.
@@ -297,8 +331,9 @@ impl FieldElement {
     }
 
     /// Constant-time-ish conditional swap (used by the Montgomery ladder).
+    /// The mask comes from `swap` by arithmetic, with no branch on it.
     pub fn cswap(swap: bool, a: &mut Self, b: &mut Self) {
-        let mask = if swap { u64::MAX } else { 0 };
+        let mask = (swap as u64).wrapping_neg();
         for i in 0..5 {
             let t = mask & (a.0[i] ^ b.0[i]);
             a.0[i] ^= t;
@@ -319,6 +354,7 @@ impl FieldElement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::BigUint;
     use proptest::prelude::*;
 
     fn fe(v: u64) -> FieldElement {
@@ -423,6 +459,84 @@ mod tests {
 
     fn wide() -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(any::<u8>(), 32)
+    }
+
+    /// p = 2²⁵⁵ − 19.
+    fn p_big() -> BigUint {
+        BigUint::one().shl(255).sub(&BigUint::from_u64(19))
+    }
+
+    /// The integer that `x`'s limbs denote, Σ xᵢ·2^(51i), built by
+    /// `bigint` alone: the oracle shares no code with the limb arithmetic.
+    fn big(x: &FieldElement) -> BigUint {
+        x.0.iter().rev().fold(BigUint::zero(), |acc, &limb| {
+            acc.shl(51).add(&BigUint::from_u64(limb))
+        })
+    }
+
+    /// The canonical encoding of `v mod p`, as `to_bytes` gives it.
+    fn encode(v: &BigUint) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        let be = v.rem(&p_big()).to_bytes_be_padded(32);
+        for (o, b) in out.iter_mut().zip(be.iter().rev()) {
+            *o = *b;
+        }
+        out
+    }
+
+    /// Elements across the limb contract: canonical ones, sums of four
+    /// reduced ones (a product's limb 1 and a difference's limb 0 carry
+    /// an excess), and elements whose limbs reach 2^54 − 1.
+    fn contract_edge() -> impl Strategy<Value = FieldElement> {
+        let limb = 0..=MUL_INPUT_MAX[0];
+        prop_oneof![
+            wide().prop_map(|b| FieldElement::from_bytes(&fe_wide(&b).to_bytes())),
+            (wide(), wide(), wide(), wide()).prop_map(|(a, b, c, d)| {
+                let (a, b, c, d) = (fe_wide(&a), fe_wide(&b), fe_wide(&c), fe_wide(&d));
+                a.mul(&b)
+                    .add(&c.sub(&d))
+                    .add(&d.square())
+                    .add(&a.mul_small(121665))
+            }),
+            (limb.clone(), limb.clone(), limb.clone(), limb.clone(), limb)
+                .prop_map(|(l0, l1, l2, l3, l4)| FieldElement([l0, l1, l2, l3, l4])),
+            Just(FieldElement(MUL_INPUT_MAX)),
+        ]
+    }
+
+    fn is_reduced(x: &FieldElement) -> bool {
+        limbs_at_most(&x.0, &[(1 << 52) - 1; 5])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every operation against `bigint` arithmetic mod p, on inputs
+        /// anywhere inside the limb contract; the operations that promise
+        /// a reduced result must give one.
+        #[test]
+        fn ops_match_bigint_mod_p(a in contract_edge(), b in contract_edge()) {
+            let p = p_big();
+            let (x, y) = (big(&a), big(&b));
+            prop_assert_eq!(a.add(&b).to_bytes(), encode(&x.add(&y)));
+            let d = a.sub(&b);
+            prop_assert!(is_reduced(&d));
+            prop_assert_eq!(d.to_bytes(), encode(&x.submod(&y, &p)));
+            // The largest subtrahend the contract allows.
+            prop_assert_eq!(a.sub(&FieldElement(SIXTEEN_P)).to_bytes(), encode(&x));
+            let ab = a.mul(&b);
+            prop_assert!(is_reduced(&ab));
+            prop_assert_eq!(ab.to_bytes(), encode(&x.mul(&y)));
+            let aa = a.square();
+            prop_assert!(is_reduced(&aa));
+            prop_assert_eq!(aa.to_bytes(), encode(&x.mul(&x)));
+            let a121665 = a.mul_small(121665);
+            prop_assert!(is_reduced(&a121665));
+            prop_assert_eq!(a121665.to_bytes(), encode(&x.mul(&BigUint::from_u64(121665))));
+            let inv = a.invert();
+            prop_assert!(is_reduced(&inv));
+            prop_assert_eq!(inv.to_bytes(), encode(&x.modpow(&p.sub(&BigUint::from_u64(2)), &p)));
+        }
     }
 
     proptest! {

@@ -1,12 +1,20 @@
 //! HMAC-SHA256 (RFC 2104 / FIPS 198-1).
+//!
+//! A keyed [`HmacSha256`] has already absorbed both pad blocks, the key
+//! XOR ipad into the inner hash and the key XOR opad into the outer one.
+//! Clone it once per message to MAC many messages under one key: each
+//! clone then costs the message's own compressions plus one for the
+//! outer hash, not the two pad blocks again. [`crate::hkdf`] keys its
+//! PRK this way once for all its output blocks.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// Incremental HMAC-SHA256.
+/// Incremental HMAC-SHA256, keyed by [`HmacSha256::new`]; clone a keyed
+/// MAC to reuse its key.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -25,12 +33,10 @@ impl HmacSha256 {
             ipad[i] = k[i] ^ 0x36;
             opad[i] = k[i] ^ 0x5c;
         }
-        let mut inner = Sha256::new();
+        let (mut inner, mut outer) = (Sha256::new(), Sha256::new());
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -41,10 +47,8 @@ impl HmacSha256 {
 
     /// Finish, returning the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -100,6 +104,31 @@ mod tests {
         let long_key = [0xaau8; 131];
         let hashed = crate::sha256::sha256(&long_key);
         assert_eq!(hmac_sha256(&long_key, b"msg"), hmac_sha256(&hashed, b"msg"));
+    }
+
+    #[test]
+    fn keyed_clones_are_independent() {
+        // One keyed MAC per RFC 4231 key, cloned three times: every clone
+        // gives the case's tag.
+        for (key, data, tag) in [
+            (
+                &[0x0bu8; 20][..],
+                &b"Hi There"[..],
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+        ] {
+            let keyed = HmacSha256::new(key);
+            for _ in 0..3 {
+                let mut m = keyed.clone();
+                m.update(data);
+                assert_eq!(hex_encode(&m.finalize()), tag);
+            }
+        }
     }
 
     #[test]

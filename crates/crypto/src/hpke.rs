@@ -15,7 +15,7 @@
 
 use crate::aead;
 use crate::hkdf;
-use crate::util::i2osp;
+use crate::hmac::HmacSha256;
 use crate::x25519;
 use crate::{CryptoError, Result};
 use rand::Rng;
@@ -39,35 +39,40 @@ const NH: usize = 32;
 const MODE_BASE: u8 = 0x00;
 const MODE_PSK: u8 = 0x01;
 
-fn kem_suite_id() -> Vec<u8> {
-    let mut v = b"KEM".to_vec();
-    v.extend_from_slice(&i2osp(KEM_ID as u64, 2));
-    v
+/// `"KEM" ‖ I2OSP(kem_id, 2)`.
+const KEM_SUITE_ID: [u8; 5] = {
+    let k = KEM_ID.to_be_bytes();
+    [b'K', b'E', b'M', k[0], k[1]]
+};
+
+/// `"HPKE" ‖ I2OSP(kem_id, 2) ‖ I2OSP(kdf_id, 2) ‖ I2OSP(aead_id, 2)`.
+const HPKE_SUITE_ID: [u8; 10] = {
+    let (k, f, a) = (
+        KEM_ID.to_be_bytes(),
+        KDF_ID.to_be_bytes(),
+        AEAD_ID.to_be_bytes(),
+    );
+    [b'H', b'P', b'K', b'E', k[0], k[1], f[0], f[1], a[0], a[1]]
+};
+
+/// `LabeledExtract(salt, label, ikm)`: the labelled input is fed to the
+/// extractor in parts.
+fn labeled_extract(suite_id: &[u8], salt: &[u8], label: &[u8], ikm: &[u8]) -> [u8; NH] {
+    let mut mac = hkdf::extractor(salt);
+    mac.update(b"HPKE-v1")
+        .update(suite_id)
+        .update(label)
+        .update(ikm);
+    mac.finalize()
 }
 
-fn hpke_suite_id() -> Vec<u8> {
-    let mut v = b"HPKE".to_vec();
-    v.extend_from_slice(&i2osp(KEM_ID as u64, 2));
-    v.extend_from_slice(&i2osp(KDF_ID as u64, 2));
-    v.extend_from_slice(&i2osp(AEAD_ID as u64, 2));
-    v
-}
-
-fn labeled_extract(suite_id: &[u8], salt: &[u8], label: &[u8], ikm: &[u8]) -> [u8; 32] {
-    let mut labeled_ikm = b"HPKE-v1".to_vec();
-    labeled_ikm.extend_from_slice(suite_id);
-    labeled_ikm.extend_from_slice(label);
-    labeled_ikm.extend_from_slice(ikm);
-    hkdf::extract(salt, &labeled_ikm)
-}
-
-fn labeled_expand(suite_id: &[u8], prk: &[u8], label: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    let mut labeled_info = i2osp(len as u64, 2);
-    labeled_info.extend_from_slice(b"HPKE-v1");
-    labeled_info.extend_from_slice(suite_id);
-    labeled_info.extend_from_slice(label);
-    labeled_info.extend_from_slice(info);
-    hkdf::expand(prk, &labeled_info, len)
+/// `LabeledExpand(prk, label, info, out.len())` into `out`, with the PRK
+/// already keyed as `prk` and the labelled info fed in parts.
+fn labeled_expand(suite_id: &[u8], prk: &HmacSha256, label: &[u8], info: &[u8], out: &mut [u8]) {
+    let len = u16::try_from(out.len())
+        .expect("HKDF-Expand output too long")
+        .to_be_bytes();
+    hkdf::expand_keyed(prk, &[&len, b"HPKE-v1", suite_id, label, info], out);
 }
 
 /// An HPKE recipient keypair.
@@ -87,14 +92,22 @@ impl Keypair {
     }
 }
 
-/// DHKEM shared-secret derivation (Encap/Decap common part).
-fn extract_and_expand(dh: &[u8; 32], kem_context: &[u8]) -> [u8; 32] {
-    let suite = kem_suite_id();
-    let eae_prk = labeled_extract(&suite, b"", b"eae_prk", dh);
-    let out = labeled_expand(&suite, &eae_prk, b"shared_secret", kem_context, 32);
-    let mut s = [0u8; 32];
-    s.copy_from_slice(&out);
-    s
+/// DHKEM shared-secret derivation (Encap/Decap common part), with
+/// `kem_context = enc ‖ pk_r`.
+fn extract_and_expand(dh: &[u8; 32], enc: &[u8; ENC_LEN], pk_r: &[u8; 32]) -> [u8; 32] {
+    let eae_prk = labeled_extract(&KEM_SUITE_ID, b"", b"eae_prk", dh);
+    let mut kem_context = [0u8; ENC_LEN + 32];
+    kem_context[..ENC_LEN].copy_from_slice(enc);
+    kem_context[ENC_LEN..].copy_from_slice(pk_r);
+    let mut shared_secret = [0u8; 32];
+    labeled_expand(
+        &KEM_SUITE_ID,
+        &HmacSha256::new(&eae_prk),
+        b"shared_secret",
+        &kem_context,
+        &mut shared_secret,
+    );
+    shared_secret
 }
 
 /// A recipient public key that a sender can encapsulate to: a raw
@@ -141,16 +154,15 @@ fn encap<R: Rng + ?Sized, K: Recipient>(
     let dh = pk_r
         .shared_secret(&eph.private)
         .ok_or(CryptoError::InvalidPoint)?;
-    let mut kem_context = eph.public.to_vec();
-    kem_context.extend_from_slice(pk_r.public_key());
-    Ok((extract_and_expand(&dh, &kem_context), eph.public))
+    Ok((
+        extract_and_expand(&dh, &eph.public, pk_r.public_key()),
+        eph.public,
+    ))
 }
 
 fn decap(enc: &[u8; ENC_LEN], kp: &Keypair) -> Result<[u8; 32]> {
     let dh = x25519::shared_secret(&kp.private, enc).ok_or(CryptoError::InvalidPoint)?;
-    let mut kem_context = enc.to_vec();
-    kem_context.extend_from_slice(&kp.public);
-    Ok(extract_and_expand(&dh, &kem_context))
+    Ok(extract_and_expand(&dh, enc, &kp.public))
 }
 
 /// An HPKE context: sequence of seals (sender) or opens (recipient) plus
@@ -170,30 +182,30 @@ impl Context {
         psk: &[u8],
         psk_id: &[u8],
     ) -> Self {
-        let suite = hpke_suite_id();
-        let psk_id_hash = labeled_extract(&suite, b"", b"psk_id_hash", psk_id);
-        let info_hash = labeled_extract(&suite, b"", b"info_hash", info);
-        let mut ks_context = vec![mode];
-        ks_context.extend_from_slice(&psk_id_hash);
-        ks_context.extend_from_slice(&info_hash);
+        let suite = &HPKE_SUITE_ID;
+        let psk_id_hash = labeled_extract(suite, b"", b"psk_id_hash", psk_id);
+        let info_hash = labeled_extract(suite, b"", b"info_hash", info);
+        let mut ks_context = [0u8; 1 + 2 * NH];
+        ks_context[0] = mode;
+        ks_context[1..1 + NH].copy_from_slice(&psk_id_hash);
+        ks_context[1 + NH..].copy_from_slice(&info_hash);
 
-        let secret = labeled_extract(&suite, shared_secret, b"secret", psk);
-        let key_v = labeled_expand(&suite, &secret, b"key", &ks_context, NK);
-        let nonce_v = labeled_expand(&suite, &secret, b"base_nonce", &ks_context, NN);
-        let exp_v = labeled_expand(&suite, &secret, b"exp", &ks_context, NH);
-
-        let mut key = [0u8; NK];
-        key.copy_from_slice(&key_v);
-        let mut base_nonce = [0u8; NN];
-        base_nonce.copy_from_slice(&nonce_v);
-        let mut exporter_secret = [0u8; NH];
-        exporter_secret.copy_from_slice(&exp_v);
-        Context {
-            key,
-            base_nonce,
+        // Keyed once for its three expansions.
+        let secret = HmacSha256::new(&labeled_extract(suite, shared_secret, b"secret", psk));
+        let mut ctx = Context {
+            key: [0u8; NK],
+            base_nonce: [0u8; NN],
             seq: 0,
-            exporter_secret,
+            exporter_secret: [0u8; NH],
+        };
+        for (label, out) in [
+            (&b"key"[..], &mut ctx.key[..]),
+            (&b"base_nonce"[..], &mut ctx.base_nonce[..]),
+            (&b"exp"[..], &mut ctx.exporter_secret[..]),
+        ] {
+            labeled_expand(suite, &secret, label, &ks_context, out);
         }
+        ctx
     }
 
     fn compute_nonce(&self) -> [u8; NN] {
@@ -222,13 +234,15 @@ impl Context {
 
     /// Export secret keying material bound to this context.
     pub fn export(&self, exporter_context: &[u8], len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
         labeled_expand(
-            &hpke_suite_id(),
-            &self.exporter_secret,
+            &HPKE_SUITE_ID,
+            &HmacSha256::new(&self.exporter_secret),
             b"sec",
             exporter_context,
-            len,
-        )
+            &mut out,
+        );
+        out
     }
 }
 
@@ -319,6 +333,8 @@ pub const SEAL_OVERHEAD: usize = ENC_LEN + aead::OVERHEAD;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{hex_encode, i2osp};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -457,5 +473,203 @@ mod tests {
         let mut short = other.public.to_vec();
         short.extend_from_slice(&[0u8; 15]);
         assert!(open(&kp, b"", b"", &short).is_err());
+    }
+
+    // RFC 9180's key schedule written out the plain way, as a reference:
+    // each labelled string concatenated, then `hkdf::extract` or
+    // `hkdf::expand`, which key their PRK afresh on every call.
+
+    const REF_KEM_SUITE: &[u8] = b"KEM\x00\x20";
+    const REF_HPKE_SUITE: &[u8] = b"HPKE\x00\x20\x00\x01\x00\x03";
+    const EXPORT_LENS: [usize; 6] = [0, 1, 32, 33, 64, 255];
+
+    fn ref_labeled_extract(suite: &[u8], salt: &[u8], label: &[u8], ikm: &[u8]) -> [u8; 32] {
+        hkdf::extract(salt, &[b"HPKE-v1", suite, label, ikm].concat())
+    }
+
+    fn ref_labeled_expand(
+        suite: &[u8],
+        prk: &[u8],
+        label: &[u8],
+        info: &[u8],
+        len: usize,
+    ) -> Vec<u8> {
+        let labeled_info = [&i2osp(len as u64, 2)[..], b"HPKE-v1", suite, label, info].concat();
+        hkdf::expand(prk, &labeled_info, len)
+    }
+
+    /// DHKEM's shared secret from `dh` and `kem_context = enc ‖ pk_r`.
+    fn ref_shared_secret(dh: &[u8], enc: &[u8], pk_r: &[u8]) -> Vec<u8> {
+        let eae_prk = ref_labeled_extract(REF_KEM_SUITE, b"", b"eae_prk", dh);
+        let kem_context = [enc, pk_r].concat();
+        ref_labeled_expand(REF_KEM_SUITE, &eae_prk, b"shared_secret", &kem_context, 32)
+    }
+
+    /// `(key, base_nonce, exporter_secret)` of the key schedule.
+    fn ref_key_schedule(
+        mode: u8,
+        shared_secret: &[u8],
+        info: &[u8],
+        psk: &[u8],
+        psk_id: &[u8],
+    ) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let suite = REF_HPKE_SUITE;
+        let psk_id_hash = ref_labeled_extract(suite, b"", b"psk_id_hash", psk_id);
+        let info_hash = ref_labeled_extract(suite, b"", b"info_hash", info);
+        let ks_context = [&[mode][..], &psk_id_hash, &info_hash].concat();
+        let secret = ref_labeled_extract(suite, shared_secret, b"secret", psk);
+        (
+            ref_labeled_expand(suite, &secret, b"key", &ks_context, 32),
+            ref_labeled_expand(suite, &secret, b"base_nonce", &ks_context, 12),
+            ref_labeled_expand(suite, &secret, b"exp", &ks_context, 32),
+        )
+    }
+
+    /// `ctx` holds the reference schedule's key and nonce, and exports
+    /// what the reference exports, at every length in [`EXPORT_LENS`].
+    fn matches_reference(
+        ctx: &Context,
+        (key, nonce, exporter_secret): &(Vec<u8>, Vec<u8>, Vec<u8>),
+        exporter_context: &[u8],
+    ) -> bool {
+        ctx.key[..] == key[..]
+            && ctx.base_nonce[..] == nonce[..]
+            && EXPORT_LENS.iter().all(|&len| {
+                ctx.export(exporter_context, len)
+                    == ref_labeled_expand(
+                        REF_HPKE_SUITE,
+                        exporter_secret,
+                        b"sec",
+                        exporter_context,
+                        len,
+                    )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn key_schedule_matches_reference(
+            shared_secret in collection::vec(any::<u8>(), 32),
+            info in collection::vec(any::<u8>(), 0..150),
+            psk in collection::vec(any::<u8>(), 1..150),
+            psk_id in collection::vec(any::<u8>(), 1..150),
+            exporter_context in collection::vec(any::<u8>(), 0..150),
+        ) {
+            let mut shared = [0u8; 32];
+            shared.copy_from_slice(&shared_secret);
+            for (mode, psk, psk_id) in [(MODE_BASE, &[][..], &[][..]), (MODE_PSK, &psk, &psk_id)] {
+                let ctx = Context::key_schedule(mode, &shared, &info, psk, psk_id);
+                let want = ref_key_schedule(mode, &shared, &info, psk, psk_id);
+                prop_assert!(matches_reference(&ctx, &want, &exporter_context), "mode {}", mode);
+            }
+        }
+    }
+
+    /// `setup_base_s`, or `setup_psk_s` when a `psk` is given.
+    fn setup_s<K: Recipient>(
+        rng: &mut rand::rngs::StdRng,
+        pk_r: &K,
+        info: &[u8],
+        psk: &[u8],
+        psk_id: &[u8],
+    ) -> ([u8; ENC_LEN], Context) {
+        if psk.is_empty() {
+            setup_base_s(rng, pk_r, info).unwrap()
+        } else {
+            setup_psk_s(rng, pk_r, info, psk, psk_id).unwrap()
+        }
+    }
+
+    /// `setup_base_r`, or `setup_psk_r` when a `psk` is given.
+    fn setup_r(
+        enc: &[u8; ENC_LEN],
+        kp: &Keypair,
+        info: &[u8],
+        psk: &[u8],
+        psk_id: &[u8],
+    ) -> Context {
+        if psk.is_empty() {
+            setup_base_r(enc, kp, info).unwrap()
+        } else {
+            setup_psk_r(enc, kp, info, psk, psk_id).unwrap()
+        }
+    }
+
+    #[test]
+    fn setups_match_reference() {
+        let mut rng = rng();
+        for round in 0..3u8 {
+            let kp = Keypair::generate(&mut rng);
+            let prepared = x25519::PreparedKey::new(kp.public);
+            let info = vec![round; 40 * round as usize];
+            let psk = vec![0x70 ^ round; 1 + round as usize];
+            for (mode, psk, psk_id) in [(MODE_BASE, &[][..], &[][..]), (MODE_PSK, &psk, b"psk id")]
+            {
+                // The sender's ephemeral key is the next keypair its RNG
+                // draws.
+                let eph = Keypair::generate(&mut rng.clone());
+                let (enc, tx) = setup_s(&mut rng.clone(), &kp.public, &info, psk, psk_id);
+                let (enc_prepared, tx_prepared) = setup_s(&mut rng, &prepared, &info, psk, psk_id);
+                let rx = setup_r(&enc, &kp, &info, psk, psk_id);
+                assert_eq!(enc, eph.public);
+                assert_eq!(enc_prepared, enc);
+                let dh = x25519::shared_secret(&eph.private, &kp.public).unwrap();
+                let shared = ref_shared_secret(&dh, &enc, &kp.public);
+                let want = ref_key_schedule(mode, &shared, &info, psk, psk_id);
+                for (side, ctx) in [
+                    ("sender", &tx),
+                    ("prepared sender", &tx_prepared),
+                    ("recipient", &rx),
+                ] {
+                    assert!(
+                        matches_reference(ctx, &want, b"exporter context"),
+                        "{side}, round {round}, mode {mode}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Fixed-seed known answers, recorded from the concatenating key
+    /// schedule that the reference above reproduces. Unlike the
+    /// round trips, they fail if sender and recipient drift together.
+    #[test]
+    fn known_answers() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9180);
+        let kp = Keypair::generate(&mut rng);
+        let info = b"known answer";
+        for (psk, psk_id, [want_enc, want_ct, want_export]) in [
+            (
+                &b""[..],
+                &b""[..],
+                [
+                    "e88a20820c82c946904297786a754952e2ed9d5439a9279aad16958d0d55746a",
+                    "83457c15a2f0255e22988913ba4a435a4d164f7d32664e1ebc",
+                    "9b44f377a3e90650d65dd2cb3ed3cb4608bcf0b04c0e1da114f7f15731c1da09",
+                ],
+            ),
+            (
+                b"pre-shared key",
+                b"psk id",
+                [
+                    "b28a2b5eb2a1b7b197778eeff34ee8306e2639d0b4da917b56462aabb6ef1748",
+                    "0e29984fe9909ef9247dd1a4dfe62a97097bbf9e6874be5fde",
+                    "b9baa386891d604074a4d0074aaa59588bbdab83ac3ae0f788371a0c358477e8",
+                ],
+            ),
+        ] {
+            let (enc, mut tx) = setup_s(&mut rng, &kp.public, info, psk, psk_id);
+            let mut rx = setup_r(&enc, &kp, info, psk, psk_id);
+            assert_eq!(hex_encode(&enc), want_enc, "psk {psk:?} enc");
+            let ct = tx.seal(b"aad", b"decoupled");
+            assert_eq!(hex_encode(&ct), want_ct, "psk {psk:?} ciphertext");
+            assert_eq!(rx.open(b"aad", &ct).unwrap(), b"decoupled");
+            for ctx in [&tx, &rx] {
+                let export = hex_encode(&ctx.export(b"exporter", 32));
+                assert_eq!(export, want_export, "psk {psk:?} export");
+            }
+        }
     }
 }

@@ -16,6 +16,7 @@
 //! id in the query AAD, padding) is not modelled.
 
 use dcp_crypto::aead::{self, AEAD_NONCE_LEN, KEY_LEN};
+use dcp_crypto::hmac::HmacSha256;
 use dcp_crypto::{hkdf, hpke};
 use dcp_crypto::{CryptoError, Result};
 use dcp_dns::Message as DnsMessage;
@@ -46,11 +47,12 @@ impl QueryState {
         let mut salt = self.query.clone();
         salt.extend_from_slice(&(RESP_NONCE_LEN as u16).to_be_bytes());
         salt.extend_from_slice(resp_nonce);
-        let prk = hkdf::extract(&salt, &self.secret);
+        // Keyed once for both expansions.
+        let prk = HmacSha256::new(&hkdf::extract(&salt, &self.secret));
         let mut key = [0u8; KEY_LEN];
-        key.copy_from_slice(&hkdf::expand(&prk, b"odoh key", KEY_LEN));
+        hkdf::expand_keyed(&prk, &[b"odoh key"], &mut key);
         let mut nonce = [0u8; AEAD_NONCE_LEN];
-        nonce.copy_from_slice(&hkdf::expand(&prk, b"odoh nonce", AEAD_NONCE_LEN));
+        hkdf::expand_keyed(&prk, &[b"odoh nonce"], &mut nonce);
         (key, nonce)
     }
 }
