@@ -172,7 +172,8 @@ fn bench_battery(seed: u64) {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         ),
         results: rows,
-        note: "single-threaded population engine over the hierarchical timer wheel; \
+        note: "single-threaded population engine: hop transits wait in a FIFO lane, \
+               arrivals and batch flushes on the hierarchical timer wheel; \
                sim_messages_per_sec = simulated protocol messages per wall-clock second",
     };
     write_out(

@@ -349,7 +349,7 @@ impl Network {
     pub fn run_until(&mut self, deadline: SimTime) -> usize {
         self.start_if_needed();
         let mut processed = 0;
-        while let Some(time) = self.queue.peek_time() {
+        while let Some((time, _)) = self.queue.peek() {
             if time > deadline.as_us() {
                 break;
             }

@@ -8,7 +8,7 @@
 //! specialised to its workload: near-future timestamps, monotonically
 //! advancing cursor, strict determinism.
 //!
-//! **Ordering contract.** `pop` and `peek_time` report entries in
+//! **Ordering contract.** `pop` and `peek` report entries in
 //! ascending `(time, seq)` order — exactly what a binary heap would
 //! return, which the differential test below checks against a heap
 //! oracle. Entries pushed *behind* the cursor (the simulator's public
@@ -165,10 +165,11 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// The `(time, seq)`-minimum entry's original time, without removing
-    /// it. Takes `&mut self` because locating the minimum may cascade
-    /// buckets down — a reorganisation, not a mutation of the contents.
-    pub fn peek_time(&mut self) -> Option<u64> {
+    /// The `(time, seq)` key of the minimum entry, with its original
+    /// time, without removing it. Takes `&mut self` because locating the
+    /// minimum may cascade buckets down — a reorganisation, not a
+    /// mutation of the contents.
+    pub fn peek(&mut self) -> Option<(u64, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -176,7 +177,7 @@ impl<T> TimerWheel<T> {
         let slot_ix = self.occupied[0].trailing_zeros() as usize;
         let slot = &mut self.levels[0][slot_ix];
         slot.ensure_sorted();
-        slot.entries.last().map(|e| e.time)
+        slot.entries.last().map(|e| (e.time, e.seq))
     }
 
     /// Remove and return the `(time, seq)`-minimum entry.
@@ -230,7 +231,7 @@ mod tests {
         w.push(100, 2, "b");
         w.push(100, 1, "a");
         assert_eq!(w.len(), 3);
-        assert_eq!(w.peek_time(), Some(100));
+        assert_eq!(w.peek(), Some((100, 1)));
         assert_eq!(w.pop(), Some((100, 1, "a")));
         assert_eq!(w.pop(), Some((100, 2, "b")));
         assert_eq!(w.pop(), Some((300, 0, "c")));
@@ -285,7 +286,7 @@ mod tests {
     #[test]
     fn interleaved_push_pop_matches_heap() {
         // Randomized differential test against BinaryHeap, driving the
-        // wheel the way `Network` does: `peek_time` before every pop (the
+        // wheel the way `Network` does: `peek` before every pop (the
         // `run_until` deadline check), peeks that stop short of a pop (a
         // deadline hit, after which the wheel may have cascaded past the
         // last popped time), pushes at or past the frontier (handlers
@@ -305,7 +306,7 @@ mod tests {
         let mut frontier = 0u64;
         let mut behind = 0;
         for round in 0..20_000 {
-            let want_peek = heap.peek().map(|&Reverse((t, _))| t);
+            let want_peek = heap.peek().map(|&Reverse(k)| k);
             match rng() % 8 {
                 0..=4 => {
                     // Mostly-near, occasionally-far future delays exercise
@@ -326,9 +327,9 @@ mod tests {
                     heap.push(Reverse((t, seq)));
                     seq += 1;
                 }
-                5 => assert_eq!(wheel.peek_time(), want_peek, "peek at round {round}"),
+                5 => assert_eq!(wheel.peek(), want_peek, "peek at round {round}"),
                 _ => {
-                    assert_eq!(wheel.peek_time(), want_peek, "peek at round {round}");
+                    assert_eq!(wheel.peek(), want_peek, "peek at round {round}");
                     let got = wheel.pop().map(|(t, s, _)| (t, s));
                     let want = heap.pop().map(|Reverse(k)| k);
                     assert_eq!(got, want, "divergence at round {round}");
@@ -341,7 +342,7 @@ mod tests {
         }
         assert!(behind > 100, "behind-frontier pushes exercised: {behind}");
         loop {
-            assert_eq!(wheel.peek_time(), heap.peek().map(|&Reverse((t, _))| t));
+            assert_eq!(wheel.peek(), heap.peek().map(|&Reverse(k)| k));
             let got = wheel.pop().map(|(t, s, _)| (t, s));
             let want = heap.pop().map(|Reverse(k)| k);
             assert_eq!(got, want);
@@ -381,10 +382,10 @@ mod tests {
             w.push(i * 37 % 1000, i, i);
         }
         while !w.is_empty() {
-            let peeked = w.peek_time();
-            let (t, _, _) = w.pop().unwrap();
-            assert_eq!(peeked, Some(t));
+            let peeked = w.peek();
+            let (t, s, _) = w.pop().unwrap();
+            assert_eq!(peeked, Some((t, s)));
         }
-        assert_eq!(w.peek_time(), None);
+        assert_eq!(w.peek(), None);
     }
 }

@@ -3,23 +3,89 @@
 //! A checkpoint is a complete, self-describing byte snapshot of an
 //! [`Engine`](crate::Engine): spec, topology, seed, RNG state, clock,
 //! sequence counter, streaming stats, in-progress ingress batches, and
-//! every pending timer-wheel entry. Restoring and running to the end
-//! must produce a report byte-identical to a straight-through run — CI
-//! diffs exactly that.
+//! every pending event of the wheel and the hop lane, merged in
+//! `(time, seq)` order. Restoring and running to the end must produce a
+//! report byte-identical to a straight-through run — CI diffs exactly
+//! that.
 //!
 //! The format is hand-rolled little-endian ("DCPW" magic + version):
 //! the vendored `serde`/`serde_json` stand-ins are serialize-only, so
 //! there is no parser to lean on, and an explicit codec keeps the
 //! snapshot stable across compiler and library versions anyway.
+//!
+//! [`Engine::restore`] fails closed. It parses every field first, then
+//! checks each dimension against the data that carries it and each
+//! index, time and sequence number the engine would use, and only then
+//! allocates the world. Bytes that fail any check are a typed
+//! [`CheckpointError`]. The statistics counters are taken as given.
 
 use std::collections::BTreeMap;
 
-use crate::engine::{Engine, PopEvent, Stats, Topology};
+use crate::engine::{Engine, PopEvent, Stats, Topology, ANON_BUCKETS, LATENCY_BUCKETS};
 use crate::rng::SplitMix64;
 use crate::spec::WorldSpec;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"DCPW");
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+
+/// Why [`Engine::restore`] refused a checkpoint — always an error, never
+/// a panic, and never an engine that would index out of range later.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// The bytes end inside a field, or a length field runs past them.
+    Truncated {
+        /// Offset of the field that does not fit.
+        at: usize,
+    },
+    /// Bytes remain after the last field.
+    Trailing {
+        /// How many.
+        bytes: usize,
+    },
+    /// Not a `DCPW` checkpoint.
+    BadMagic,
+    /// A `DCPW` version this build does not read.
+    Version(u32),
+    /// The topology name is not UTF-8.
+    BadName,
+    /// A pending event with an unknown tag.
+    EventTag(u8),
+    /// The spec and topology do not describe a world (the reason
+    /// [`Engine::new`] would give).
+    World(String),
+    /// A vector's length disagrees with the spec or topology.
+    Dimension(&'static str),
+    /// An index, time or sequence number outside the world.
+    OutOfRange(&'static str),
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Truncated { at } => write!(f, "checkpoint truncated at byte {at}"),
+            CheckpointError::Trailing { bytes } => {
+                write!(f, "checkpoint has {bytes} trailing bytes")
+            }
+            CheckpointError::BadMagic => write!(f, "not a dcp-worlds checkpoint (bad magic)"),
+            CheckpointError::Version(v) => write!(f, "unsupported checkpoint version {v}"),
+            CheckpointError::BadName => write!(f, "checkpoint topology name is not UTF-8"),
+            CheckpointError::EventTag(t) => write!(f, "unknown event tag {t}"),
+            CheckpointError::World(why) => write!(f, "checkpoint describes no world: {why}"),
+            CheckpointError::Dimension(what) => {
+                write!(f, "checkpoint {what} do not match the spec and topology")
+            }
+            CheckpointError::OutOfRange(what) => write!(f, "checkpoint {what} out of range"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<CheckpointError> for String {
+    fn from(e: CheckpointError) -> String {
+        e.to_string()
+    }
+}
 
 struct Writer {
     buf: Vec<u8>,
@@ -71,63 +137,64 @@ impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("checkpoint truncated at byte {}", self.pos))?;
+            .ok_or(CheckpointError::Truncated { at: self.pos })?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, String> {
+    fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
-    fn u32(&mut self) -> Result<u32, String> {
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, String> {
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64, String> {
+    fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
-    fn bool(&mut self) -> Result<bool, String> {
+    fn bool(&mut self) -> Result<bool, CheckpointError> {
         Ok(self.u8()? != 0)
     }
-    fn len(&mut self) -> Result<usize, String> {
+    fn len(&mut self) -> Result<usize, CheckpointError> {
+        let at = self.pos;
         let n = self.u64()?;
         // A length can never exceed the bytes that remain — reject early
         // so corrupt lengths fail cleanly instead of attempting huge
         // allocations.
         if n > (self.buf.len() - self.pos) as u64 {
-            return Err(format!(
-                "checkpoint length field {n} exceeds remaining bytes"
-            ));
+            return Err(CheckpointError::Truncated { at });
         }
         Ok(n as usize)
     }
-    fn str(&mut self) -> Result<String, String> {
+    fn str(&mut self) -> Result<String, CheckpointError> {
         let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|e| e.to_string())
+        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| CheckpointError::BadName)
     }
-    fn vec_u64(&mut self) -> Result<Vec<u64>, String> {
+    /// A length-prefixed list of `item`s.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
         let n = self.len()?;
-        (0..n).map(|_| self.u64()).collect()
+        (0..n).map(|_| item(self)).collect()
     }
-    fn vec_u32(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.len()?;
-        (0..n).map(|_| self.u32()).collect()
+    fn vec_u64(&mut self) -> Result<Vec<u64>, CheckpointError> {
+        self.list(Self::u64)
     }
-    fn done(&self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "checkpoint has {} trailing bytes",
-                self.buf.len() - self.pos
-            ))
+    fn vec_u32(&mut self) -> Result<Vec<u32>, CheckpointError> {
+        self.list(Self::u32)
+    }
+    fn done(&self) -> Result<(), CheckpointError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            bytes => Err(CheckpointError::Trailing { bytes }),
         }
     }
 }
@@ -171,7 +238,13 @@ fn write_event(w: &mut Writer, ev: &PopEvent) {
     }
 }
 
-fn read_event(r: &mut Reader) -> Result<PopEvent, String> {
+fn write_pending(w: &mut Writer, (time, seq, ev): &(u64, u64, PopEvent)) {
+    w.u64(*time);
+    w.u64(*seq);
+    write_event(w, ev);
+}
+
+fn read_event(r: &mut Reader) -> Result<PopEvent, CheckpointError> {
     Ok(match r.u8()? {
         0 => PopEvent::Arrival { user: r.u32()? },
         1 => PopEvent::Up {
@@ -188,8 +261,17 @@ fn read_event(r: &mut Reader) -> Result<PopEvent, String> {
             sent_us: r.u64()?,
         },
         3 => PopEvent::Flush { ingress: r.u32()? },
-        t => return Err(format!("unknown event tag {t}")),
+        t => return Err(CheckpointError::EventTag(t)),
     })
+}
+
+/// Fail unless `ok`.
+fn check(ok: bool, err: CheckpointError) -> Result<(), CheckpointError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(err)
+    }
 }
 
 impl Engine {
@@ -249,7 +331,6 @@ impl Engine {
             w.vec_u64(bits);
         }
         w.vec_u32(&st.per_user_resolver);
-        w.vec_u32(&st.per_user_queries);
         w.u64(st.inflight_sizes.len() as u64);
         for (&size, &count) in &st.inflight_sizes {
             w.u32(size);
@@ -268,29 +349,34 @@ impl Engine {
             }
         }
 
-        // Pending timer-wheel entries, in canonical (time, seq) order.
-        let snap = self.wheel.snapshot();
-        w.u64(snap.len() as u64);
-        for (time, seq, ev) in &snap {
-            w.u64(*time);
-            w.u64(*seq);
-            write_event(&mut w, ev);
+        // Pending events of both queues, merged into canonical
+        // (time, seq) order.
+        let wheel = self.wheel.snapshot();
+        let mut lane = self.lane.iter().peekable();
+        w.u64((wheel.len() + self.lane.len()) as u64);
+        for entry in &wheel {
+            while let Some(hop) = lane.next_if(|h| (h.0, h.1) < (entry.0, entry.1)) {
+                write_pending(&mut w, hop);
+            }
+            write_pending(&mut w, entry);
         }
+        lane.for_each(|hop| write_pending(&mut w, hop));
 
         w.buf
     }
 
     /// Rebuild an engine from [`checkpoint`](Engine::checkpoint) bytes.
     /// The restored engine continues the run bit-for-bit: its final
-    /// report is byte-identical to a never-paused run's.
-    pub fn restore(bytes: &[u8]) -> Result<Engine, String> {
+    /// report is byte-identical to a never-paused run's. Bytes that no
+    /// checkpoint could hold are a [`CheckpointError`].
+    pub fn restore(bytes: &[u8]) -> Result<Engine, CheckpointError> {
         let mut r = Reader::new(bytes);
         if r.u32()? != MAGIC {
-            return Err("not a dcp-worlds checkpoint (bad magic)".into());
+            return Err(CheckpointError::BadMagic);
         }
         let version = r.u32()?;
         if version != VERSION {
-            return Err(format!("unsupported checkpoint version {version}"));
+            return Err(CheckpointError::Version(version));
         }
 
         let spec = WorldSpec {
@@ -315,17 +401,12 @@ impl Engine {
             query_bytes: r.u64()?,
             resp_bytes: r.u64()?,
         };
-
         let seed = r.u64()?;
-        // Workload tables are a pure function of the spec; rebuild them
-        // instead of storing megabytes of CDF.
-        let mut e = Engine::empty(&spec, &topo, seed)?;
-        e.rng = SplitMix64::from_state(r.u64()?);
-        e.now_us = r.u64()?;
-        e.next_seq = r.u64()?;
-        e.events = r.u64()?;
-
-        let mut st = Stats {
+        let rng = SplitMix64::from_state(r.u64()?);
+        let now_us = r.u64()?;
+        let next_seq = r.u64()?;
+        let events = r.u64()?;
+        let stats = Stats {
             queries_sent: r.u64()?,
             queries_answered: r.u64()?,
             messages: r.u64()?,
@@ -337,57 +418,99 @@ impl Engine {
             latency_hist: r.vec_u64()?,
             latency_sum_us: r.u64()?,
             resolver_queries: r.vec_u64()?,
-            ..Stats::default()
+            resolver_seen: r.list(Reader::vec_u64)?,
+            per_user_resolver: r.vec_u32()?,
+            inflight_sizes: r
+                .list(|r| Ok((r.u32()?, r.u32()?)))?
+                .into_iter()
+                .collect::<BTreeMap<_, _>>(),
         };
-        let n_res = r.len()?;
-        st.resolver_seen = (0..n_res).map(|_| r.vec_u64()).collect::<Result<_, _>>()?;
-        st.per_user_resolver = r.vec_u32()?;
-        st.per_user_queries = r.vec_u32()?;
-        let n_sizes = r.len()?;
-        let mut inflight = BTreeMap::new();
-        for _ in 0..n_sizes {
-            let size = r.u32()?;
-            let count = r.u32()?;
-            inflight.insert(size, count);
-        }
-        st.inflight_sizes = inflight;
-        if st.per_user_queries.len() as u64 != spec.users
-            || st.resolver_queries.len() != topo.resolvers as usize
-        {
-            return Err("checkpoint stats do not match spec dimensions".into());
-        }
-        e.stats = st;
-
-        let n_batches = r.len()?;
-        if n_batches != e.batches.len() {
-            return Err("checkpoint batch count does not match topology".into());
-        }
-        for b in 0..n_batches {
-            let n = r.len()?;
-            let mut batch = Vec::with_capacity(n);
-            for _ in 0..n {
-                batch.push((r.u32()?, r.u32()?, r.u32()?, r.u64()?));
-            }
-            e.batches[b] = batch;
-        }
-
-        let n_events = r.len()?;
-        for _ in 0..n_events {
-            let time = r.u64()?;
-            let seq = r.u64()?;
-            let ev = read_event(&mut r)?;
-            // Re-inserting into a fresh wheel (cursor 0) preserves the
-            // (time, seq) total order: the engine never schedules behind
-            // its clock, so every pending entry sits at or after now.
-            e.wheel.push(time, seq, ev);
-        }
+        let batches = r.list(|r| r.list(|r| Ok((r.u32()?, r.u32()?, r.u32()?, r.u64()?))))?;
+        let pending = r.list(|r| Ok((r.u64()?, r.u64()?, read_event(r)?)))?;
         r.done()?;
+
+        // Every dimension against the data that carries it, before the
+        // world allocates anything sized by the spec.
+        let users = spec.users;
+        let resolvers = topo.resolvers as usize;
+        let dim = CheckpointError::Dimension;
+        check(
+            stats.anon_hist.len() == ANON_BUCKETS && stats.latency_hist.len() == LATENCY_BUCKETS,
+            dim("histograms"),
+        )?;
+        check(
+            usize::try_from(users)
+                .ok()
+                .and_then(|u| u.checked_mul(resolvers))
+                == Some(stats.per_user_resolver.len()),
+            dim("per-user counts"),
+        )?;
+        check(
+            stats.resolver_queries.len() == resolvers
+                && stats.resolver_seen.len() == resolvers
+                && stats
+                    .resolver_seen
+                    .iter()
+                    .all(|bits| bits.len() as u64 == users.div_ceil(64)),
+            dim("resolver stats"),
+        )?;
+        check(batches.len() == topo.ingresses as usize, dim("batches"))?;
+
+        // Every index and time the restored engine would use. Pending
+        // events must be in strict (time, seq) order at or after the
+        // clock, and hop transits no later than one link from it: the
+        // lane's order rests on both.
+        let range = CheckpointError::OutOfRange;
+        check(
+            batches
+                .iter()
+                .flatten()
+                .all(|&(user, ..)| u64::from(user) < users),
+            range("batched user"),
+        )?;
+        let hop_due = now_us.saturating_add(topo.link_us);
+        let mut prev = None;
+        for &(time, seq, ref ev) in &pending {
+            check(
+                time >= now_us && seq < next_seq && prev < Some((time, seq)),
+                range("pending event order"),
+            )?;
+            prev = Some((time, seq));
+            let in_world = match *ev {
+                PopEvent::Arrival { user } => u64::from(user) < users,
+                PopEvent::Up { user, .. } | PopEvent::Down { user, .. } => {
+                    u64::from(user) < users && time <= hop_due
+                }
+                PopEvent::Flush { ingress } => ingress < topo.ingresses,
+            };
+            check(in_world, range("pending event"))?;
+        }
+
+        // Allocate last: the workload tables are a pure function of the
+        // spec, rebuilt instead of stored.
+        let mut e = Engine::empty(&spec, &topo, seed).map_err(CheckpointError::World)?;
+        e.rng = rng;
+        e.now_us = now_us;
+        e.next_seq = next_seq;
+        e.events = events;
+        e.stats = stats;
+        e.batches = batches;
+        for (time, seq, ev) in pending {
+            // In order, so the lane stays sorted; a fresh wheel (cursor
+            // 0) keeps the order too, since nothing is behind the clock.
+            match ev {
+                PopEvent::Up { .. } | PopEvent::Down { .. } => e.lane.push_back((time, seq, ev)),
+                PopEvent::Arrival { .. } | PopEvent::Flush { .. } => e.wheel.push(time, seq, ev),
+            }
+        }
         Ok(e)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::spec::WorldSpec;
 
@@ -454,19 +577,185 @@ mod tests {
 
     #[test]
     fn restore_rejects_garbage() {
-        assert!(Engine::restore(b"").is_err());
-        assert!(Engine::restore(b"nope").is_err());
-        assert!(Engine::restore(&[0u8; 64]).is_err());
+        let err = |bytes: &[u8]| Engine::restore(bytes).unwrap_err();
+        assert_eq!(err(b""), CheckpointError::Truncated { at: 0 });
+        assert_eq!(err(b"nope"), CheckpointError::BadMagic);
+        assert_eq!(err(&[0u8; 64]), CheckpointError::BadMagic);
         let mut e = Engine::new(&spec(), &Topology::odoh(), 1).unwrap();
         e.run_until_events(50);
         let mut bytes = e.checkpoint();
         bytes.truncate(bytes.len() - 3);
-        assert!(Engine::restore(&bytes).is_err(), "truncation detected");
+        assert!(matches!(err(&bytes), CheckpointError::Truncated { .. }));
         let mut bytes = e.checkpoint();
         bytes.extend_from_slice(&[0, 0, 0]);
-        assert!(Engine::restore(&bytes).is_err(), "trailing bytes detected");
+        assert_eq!(err(&bytes), CheckpointError::Trailing { bytes: 3 });
         let mut bytes = e.checkpoint();
         bytes[5] ^= 0xFF; // version field
-        assert!(Engine::restore(&bytes).is_err(), "bad version detected");
+        assert!(matches!(err(&bytes), CheckpointError::Version(_)));
+        assert_eq!(
+            String::from(err(b"nope")),
+            "not a dcp-worlds checkpoint (bad magic)"
+        );
+    }
+
+    /// Byte offset of the `names` field: magic, version, `users`.
+    const NAMES_AT: usize = 16;
+
+    /// Byte offset of a topology field, `after` bytes past `hops`.
+    fn topo_at(bytes: &[u8], after: usize) -> usize {
+        // magic, version, eight spec fields, then the name's length.
+        let name_len = u64::from_le_bytes(bytes[72..80].try_into().unwrap()) as usize;
+        80 + name_len + after
+    }
+
+    fn mid_run(preset: &str) -> Vec<u8> {
+        let mut e = Engine::new(&spec(), &Topology::by_name(preset).unwrap(), 3).unwrap();
+        e.run_until_events(300);
+        assert!(!e.lane.is_empty());
+        e.checkpoint()
+    }
+
+    #[test]
+    fn restore_rejects_what_the_engine_would_reject() {
+        let bytes = mid_run("mixnet");
+        assert!(Engine::restore(&bytes).is_ok());
+
+        // More names than a u32 indexes: an error before any allocation.
+        let mut names = bytes.clone();
+        names[NAMES_AT..NAMES_AT + 8].copy_from_slice(&(u64::from(u32::MAX) + 1).to_le_bytes());
+        assert!(matches!(
+            Engine::restore(&names),
+            Err(CheckpointError::World(_))
+        ));
+
+        // 256 hops would wrap to a direct path in the events' `u8`.
+        let mut hops = bytes.clone();
+        let at = topo_at(&bytes, 0);
+        hops[at..at + 4].copy_from_slice(&256u32.to_le_bytes());
+        assert!(matches!(
+            Engine::restore(&hops),
+            Err(CheckpointError::World(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_events_the_lane_cannot_order() {
+        let bytes = mid_run("mixnet");
+        // A shorter link puts hop transits in flight due later than one
+        // link from the clock, behind the next one the lane would send.
+        let mut link = bytes.clone();
+        // Past hops, ingresses, batch window, padding, resolvers, stripe.
+        let at = topo_at(&bytes, 4 + 4 + 8 + 8 + 4 + 1);
+        link[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        assert_eq!(
+            Engine::restore(&link).unwrap_err(),
+            CheckpointError::OutOfRange("pending event")
+        );
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let bytes = mid_run("odoh");
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(
+                    Engine::restore(&bytes[..len]),
+                    Err(CheckpointError::Truncated { .. })
+                ),
+                "{len} of {} bytes",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoints_round_trip_byte_exactly_with_hops_in_flight() {
+        // High rate: hop transits, arrivals and flushes often share a µs.
+        let spec = WorldSpec::smoke()
+            .users(100)
+            .names(40)
+            .rate_hz(100.0)
+            .duration_us(150_000);
+        for name in ["mixnet", "pgpp", "direct"] {
+            let topo = Topology::by_name(name).unwrap();
+            let mut straight = Engine::new(&spec, &topo, 4).unwrap();
+            straight.run_to_end();
+
+            let mut e = Engine::new(&spec, &topo, 4).unwrap();
+            let mut pauses = 0;
+            for at in (37..).step_by(37) {
+                if e.run_until_events(at) {
+                    break;
+                }
+                assert!(!e.lane.is_empty(), "{name}: lane empty at event {at}");
+                let bytes = e.checkpoint();
+                let restored = Engine::restore(&bytes).unwrap();
+                assert_eq!(restored.checkpoint(), bytes, "{name} at event {at}");
+                assert_eq!(restored.lane, e.lane, "hop transits go back to the lane");
+                e = restored;
+                pauses += 1;
+            }
+            assert!(pauses > 50, "{name}: {pauses} pauses");
+            assert_eq!(e.report(), straight.report(), "{name}");
+        }
+    }
+
+    /// What a fuzz case does to a checkpoint.
+    #[derive(Clone, Debug)]
+    enum Mangle {
+        /// Replace it with these bytes, after its magic and version when
+        /// the flag is set (so the parser gets past the header).
+        Bytes(bool, Vec<u8>),
+        /// Flip bits: `(position seed, bit)`, anywhere but `names`.
+        Flip(Vec<(u64, u8)>),
+        /// Keep a prefix (the length modulo the checkpoint's).
+        Truncate(u64),
+    }
+
+    impl Mangle {
+        fn apply(&self, mut bytes: Vec<u8>) -> Vec<u8> {
+            match self {
+                Mangle::Bytes(headed, b) => {
+                    bytes.truncate(if *headed { 8 } else { 0 });
+                    bytes.extend_from_slice(b);
+                }
+                Mangle::Flip(flips) => {
+                    // A huge `names` would really be allocated (Zipf's CDF
+                    // holds one f64 per name), so its field is skipped.
+                    for &(pos, bit) in flips {
+                        let mut i = (pos % (bytes.len() - 8) as u64) as usize;
+                        if i >= NAMES_AT {
+                            i += 8;
+                        }
+                        bytes[i] ^= 1 << bit;
+                    }
+                }
+                Mangle::Truncate(len) => bytes.truncate((len % bytes.len() as u64) as usize),
+            }
+            bytes
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Restore fails closed: any input is an error or an engine that
+        /// runs on and reports.
+        #[test]
+        fn restore_fails_closed(
+            preset in prop_oneof![Just("odoh"), Just("mixnet")],
+            mangle in prop_oneof![
+                (any::<bool>(), collection::vec(any::<u8>(), 0..512))
+                    .prop_map(|(headed, b)| Mangle::Bytes(headed, b)),
+                collection::vec((any::<u64>(), 0u8..8), 1..4).prop_map(Mangle::Flip),
+                any::<u64>().prop_map(Mangle::Truncate),
+            ],
+        ) {
+            let bytes = mangle.apply(mid_run(preset));
+            if let Ok(mut e) = Engine::restore(&bytes) {
+                e.run_until_events(e.events_processed().saturating_add(20_000));
+                let _ = e.report();
+            }
+        }
     }
 }

@@ -27,6 +27,18 @@
 //!
 //! Every per-event cost is O(1) on compact state (counters, histograms,
 //! bitsets) — no per-event allocation survives the event.
+//!
+//! **Two queues, one order.** Every hop transit (`Up`/`Down`) takes the
+//! same `topo.link_us`, and the clock never runs backwards, so hop
+//! transits fall due in the order they are sent. They wait in a FIFO
+//! lane, which stays sorted by `(time, seq)` at O(1) per push and pop.
+//! Only arrivals (random gaps) and batch flushes ride the wheel. The
+//! event loop pops whichever queue's front is smaller by `(time, seq)`,
+//! exactly the order one queue would give. A topology with per-hop
+//! latencies would break the lane's invariant; `schedule_hop`'s
+//! `debug_assert!` guards it.
+
+use std::collections::VecDeque;
 
 use serde::Serialize;
 
@@ -254,8 +266,8 @@ impl Topology {
 }
 
 /// One queued engine event. Kept small (≤ 24 bytes of payload): the
-/// wheel holds about one pending arrival per user plus in-flight
-/// packets, and this type *is* the queue's memory footprint.
+/// wheel holds about one pending arrival per user and the lane the
+/// packets in flight, and this type *is* the queues' memory footprint.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum PopEvent {
     /// `user` issues their next query now.
@@ -281,8 +293,8 @@ pub(crate) enum PopEvent {
     Flush { ingress: u32 },
 }
 
-/// Streaming statistics — all bounded: counters, fixed histograms, one
-/// bitset and two small count vectors over the user population.
+/// Streaming statistics — all bounded: counters, fixed histograms, and
+/// per-resolver bitsets and counts over the user population.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct Stats {
     pub queries_sent: u64,
@@ -303,14 +315,12 @@ pub(crate) struct Stats {
     pub resolver_seen: Vec<Vec<u64>>,
     /// `users × resolvers` per-user-per-resolver query counts.
     pub per_user_resolver: Vec<u32>,
-    /// Per-user total queries.
-    pub per_user_queries: Vec<u32>,
     /// In-flight responses by padded size — the linkage observer's view.
     pub inflight_sizes: std::collections::BTreeMap<u32, u32>,
 }
 
-const ANON_BUCKETS: usize = 16;
-const LATENCY_BUCKETS: usize = 20;
+pub(crate) const ANON_BUCKETS: usize = 16;
+pub(crate) const LATENCY_BUCKETS: usize = 20;
 
 impl Stats {
     fn new(users: usize, resolvers: usize) -> Stats {
@@ -320,7 +330,6 @@ impl Stats {
             resolver_queries: vec![0; resolvers],
             resolver_seen: vec![vec![0u64; users.div_ceil(64)]; resolvers],
             per_user_resolver: vec![0; users * resolvers],
-            per_user_queries: vec![0; users],
             ..Stats::default()
         }
     }
@@ -346,7 +355,7 @@ pub struct PopReport {
     pub duration_us: u64,
     /// Sim-time of the last processed event, µs.
     pub final_time_us: u64,
-    /// Events popped from the wheel.
+    /// Events processed.
     pub events: u64,
     /// Protocol messages carried (each scheduled hop transit).
     pub messages: u64,
@@ -379,16 +388,21 @@ pub struct PopReport {
     pub mean_latency_us: f64,
 }
 
-/// The population engine: the timer wheel, the seeded workload, compact
-/// streaming stats, and (via [`checkpoint`](crate::checkpoint)) a
-/// serializable snapshot of all of it.
+/// The population engine: the timer wheel and the hop lane, the seeded
+/// workload, compact streaming stats, and (via
+/// [`checkpoint`](crate::checkpoint)) a serializable snapshot of all of
+/// it.
 #[derive(Clone, Debug)]
 pub struct Engine {
     pub(crate) spec: WorldSpec,
     pub(crate) topo: Topology,
     pub(crate) seed: u64,
     pub(crate) workload: Workload,
+    /// Arrivals and batch flushes.
     pub(crate) wheel: TimerWheel<PopEvent>,
+    /// Hop transits (`Up`/`Down`), due `topo.link_us` after they were
+    /// sent and therefore already in `(time, seq)` order.
+    pub(crate) lane: VecDeque<(u64, u64, PopEvent)>,
     pub(crate) rng: SplitMix64,
     pub(crate) now_us: u64,
     pub(crate) next_seq: u64,
@@ -423,6 +437,16 @@ impl Engine {
         if topo.hops > 0 && topo.ingresses == 0 {
             return Err("relayed topology needs at least one ingress".into());
         }
+        if topo.hops > u8::MAX as u32 {
+            return Err("topology has more than 255 relay hops".into());
+        }
+        // Events carry sizes as `u32`. The largest message is a base size
+        // plus under 256 bytes of jitter, padded up; checking it here
+        // keeps the per-event size arithmetic from overflowing.
+        let largest = topo.query_bytes.max(topo.resp_bytes).saturating_add(255);
+        if largest > u32::MAX as u64 || topo.pad(largest) > u32::MAX as u64 {
+            return Err("topology's padded message sizes exceed u32".into());
+        }
         if spec.users > u32::MAX as u64 || spec.names > u32::MAX as u64 {
             return Err("population exceeds u32 index space".into());
         }
@@ -433,6 +457,7 @@ impl Engine {
             seed,
             workload,
             wheel: TimerWheel::new(),
+            lane: VecDeque::new(),
             rng: SplitMix64::new(seed),
             now_us: 0,
             next_seq: 0,
@@ -442,10 +467,26 @@ impl Engine {
         })
     }
 
+    /// Queue an arrival or a batch flush on the wheel.
     fn schedule(&mut self, t: u64, ev: PopEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.wheel.push(t, seq, ev);
+    }
+
+    /// Put a message on the wire: it arrives one link latency from now.
+    fn schedule_hop(&mut self, ev: PopEvent) {
+        let at = self.now_us.saturating_add(self.topo.link_us);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        debug_assert!(
+            self.lane
+                .back()
+                .map_or(true, |&(t, s, _)| (t, s) < (at, seq)),
+            "hop transits must fall due in the order they are sent"
+        );
+        self.stats.messages += 1;
+        self.lane.push_back((at, seq, ev));
     }
 
     /// Events processed so far.
@@ -461,22 +502,36 @@ impl Engine {
     /// Pending events (≈ one arrival per active user + packets in
     /// flight).
     pub fn pending(&self) -> usize {
-        self.wheel.len()
+        self.wheel.len() + self.lane.len()
     }
 
-    /// Process events until the queue drains or `max_events` have been
+    /// Process events until both queues drain or `max_events` have been
     /// processed *in total* (across resumes). Returns `true` when the
     /// world ran to quiescence.
     pub fn run_until_events(&mut self, max_events: u64) -> bool {
         while self.events < max_events {
-            let Some((t, _seq, ev)) = self.wheel.pop() else {
+            let Some((t, ev)) = self.pop_next() else {
                 return true;
             };
             self.now_us = t;
             self.events += 1;
             self.handle(ev);
         }
-        self.wheel.is_empty()
+        self.pending() == 0
+    }
+
+    /// The `(time, seq)`-minimum pending event, from the lane's front or
+    /// the wheel.
+    fn pop_next(&mut self) -> Option<(u64, PopEvent)> {
+        let lane_first = match self.lane.front() {
+            Some(&(t, s, _)) => self.wheel.peek().map_or(true, |w| (t, s) < w),
+            None => false,
+        };
+        if lane_first {
+            self.lane.pop_front().map(|(t, _, ev)| (t, ev))
+        } else {
+            self.wheel.pop().map(|(t, _, ev)| (t, ev))
+        }
     }
 
     /// Run to quiescence.
@@ -514,7 +569,6 @@ impl Engine {
         let jitter = (name as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58; // 0..64
         let size = self.topo.pad(self.topo.query_bytes + jitter) as u32;
         self.stats.queries_sent += 1;
-        self.stats.per_user_queries[user as usize] += 1;
         self.send_up(user, name, size, 0, self.now_us);
 
         // …and book the next one while the workload window is open.
@@ -527,18 +581,13 @@ impl Engine {
 
     /// Put a query on the wire toward path element `hop`.
     fn send_up(&mut self, user: u32, name: u32, size: u32, hop: u8, sent_us: u64) {
-        self.stats.messages += 1;
-        let at = self.now_us.saturating_add(self.topo.link_us);
-        self.schedule(
-            at,
-            PopEvent::Up {
-                user,
-                name,
-                size,
-                hop,
-                sent_us,
-            },
-        );
+        self.schedule_hop(PopEvent::Up {
+            user,
+            name,
+            size,
+            hop,
+            sent_us,
+        });
     }
 
     fn on_up(&mut self, user: u32, name: u32, size: u32, hop: u8, sent_us: u64) {
@@ -571,17 +620,12 @@ impl Engine {
             let jitter = (name as u64).wrapping_mul(0xD1B5_4A32_D192_ED03) >> 56; // 0..256
             let rsize = self.topo.pad(self.topo.resp_bytes + jitter) as u32;
             *self.stats.inflight_sizes.entry(rsize).or_insert(0) += 1;
-            self.stats.messages += 1;
-            let at = self.now_us.saturating_add(self.topo.link_us);
-            self.schedule(
-                at,
-                PopEvent::Down {
-                    user,
-                    size: rsize,
-                    hop: hops,
-                    sent_us,
-                },
-            );
+            self.schedule_hop(PopEvent::Down {
+                user,
+                size: rsize,
+                hop: hops,
+                sent_us,
+            });
         }
     }
 
@@ -604,17 +648,12 @@ impl Engine {
                 }
             }
         } else {
-            self.stats.messages += 1;
-            let at = self.now_us.saturating_add(self.topo.link_us);
-            self.schedule(
-                at,
-                PopEvent::Down {
-                    user,
-                    size,
-                    hop: hop - 1,
-                    sent_us,
-                },
-            );
+            self.schedule_hop(PopEvent::Down {
+                user,
+                size,
+                hop: hop - 1,
+                sent_us,
+            });
         }
     }
 
@@ -655,7 +694,6 @@ impl Engine {
         let mut active_users = 0u64;
         let mut share_sum = 0.0f64;
         for u in 0..self.spec.users as usize {
-            let total = s.per_user_queries[u];
             // Only users whose queries actually reached a resolver have a
             // defined share.
             let row = &s.per_user_resolver[u * resolvers..(u + 1) * resolvers];
@@ -666,7 +704,6 @@ impl Engine {
             let max = row.iter().copied().max().unwrap_or(0);
             active_users += 1;
             share_sum += max as f64 / reached as f64;
-            let _ = total;
         }
         PopReport {
             scenario: self.topo.scenario.clone(),
@@ -824,6 +861,22 @@ mod tests {
         t.ingresses = 0;
         assert!(Engine::new(&tiny_spec(), &t, 1).is_err());
         assert!(Engine::new(&tiny_spec().users(0), &Topology::odoh(), 1).is_err());
+        // 256 hops would wrap to a direct path in the events' `u8`.
+        let mut t = Topology::mixnet();
+        t.hops = 256;
+        assert!(Engine::new(&tiny_spec(), &t, 1).is_err());
+        t.hops = 255;
+        assert!(Engine::new(&tiny_spec(), &t, 1).is_ok());
+        // Padded sizes must fit the events' `u32`.
+        let mut t = Topology::odoh();
+        t.resp_bytes = u64::from(u32::MAX);
+        assert!(Engine::new(&tiny_spec(), &t, 1).is_err());
+        let mut t = Topology::odoh();
+        t.pad_to = u64::MAX;
+        assert!(Engine::new(&tiny_spec(), &t, 1).is_err());
+        // Names are `u32` in the events, too.
+        let spec = tiny_spec().names(u64::from(u32::MAX) + 1);
+        assert!(Engine::new(&spec, &Topology::odoh(), 1).is_err());
     }
 
     #[test]

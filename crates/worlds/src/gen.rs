@@ -22,13 +22,14 @@ pub struct Zipf {
 }
 
 impl Zipf {
-    /// Build the distribution; `None` for an empty population (`n = 0`)
-    /// or a non-finite/negative exponent.
+    /// Build the distribution; `None` for an empty population (`n = 0`),
+    /// a non-finite/negative exponent, or a CDF the host cannot allocate.
     pub fn new(n: usize, s: f64) -> Option<Zipf> {
         if n == 0 || !s.is_finite() || s < 0.0 {
             return None;
         }
-        let mut cdf = Vec::with_capacity(n);
+        let mut cdf = Vec::new();
+        cdf.try_reserve_exact(n).ok()?;
         let mut acc = 0.0f64;
         for k in 0..n {
             acc += ((k + 1) as f64).powf(-s);
@@ -163,10 +164,12 @@ impl Workload {
         rate_hz: f64,
         diurnal: Diurnal,
     ) -> Result<Workload, String> {
-        let names = Zipf::new(names, name_exponent)
-            .ok_or_else(|| format!("empty or invalid name population (n={names})"))?;
-        let activity = Zipf::new(users, user_exponent)
-            .ok_or_else(|| format!("empty or invalid user population (n={users})"))?;
+        let names = Zipf::new(names, name_exponent).ok_or_else(|| {
+            format!("empty, invalid or unallocatable name population (n={names})")
+        })?;
+        let activity = Zipf::new(users, user_exponent).ok_or_else(|| {
+            format!("empty, invalid or unallocatable user population (n={users})")
+        })?;
         // Zipf weights sum to 1; scaling by n gives multipliers with
         // population mean exactly 1, so `rate_hz` stays the mean rate.
         let user_multiplier = (0..users)

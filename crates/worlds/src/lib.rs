@@ -15,14 +15,16 @@
 //!   re-export).
 //! * **The population [`Engine`]** ([`engine`]): an abstract
 //!   decoupled-path model (ingress batching → relay hops → striped
-//!   resolvers) over the shared [`dcp_simnet::TimerWheel`], folding the
+//!   resolvers) over a FIFO lane for hop transits beside the shared
+//!   [`dcp_simnet::TimerWheel`], folding the
 //!   paper's §4–5 measures — anonymity-set size vs. batch window,
 //!   size-linkage vs. padding, per-resolver knowledge vs. striping — as
 //!   it goes. All per-event state is O(1); 10⁶ users / 10⁸ events fit
 //!   comfortably in memory.
 //! * **Checkpoint/resume** ([`checkpoint`]): a complete byte snapshot at
 //!   any event boundary; a resumed run's report is byte-identical to a
-//!   straight-through run's.
+//!   straight-through run's, and bytes that are no checkpoint are a
+//!   [`CheckpointError`].
 //!
 //! ```
 //! use dcp_worlds::{Engine, Topology, WorldSpec};
@@ -37,12 +39,15 @@
 //! assert!(report.mean_anonymity_set >= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod engine;
 pub mod gen;
 pub mod rng;
 pub mod spec;
 
+pub use checkpoint::CheckpointError;
 pub use engine::{Engine, PopReport, Topology};
 pub use gen::{Diurnal, Poisson, Workload, Zipf};
 pub use rng::SplitMix64;

@@ -177,3 +177,49 @@ fn streaming_metrics_match_itemised_aggregates() {
     );
     assert_eq!(itemised.completed_units(), streamed.completed_units());
 }
+
+// ------------------------------------------------ golden reports ------
+
+/// Every preset × seeds 1–3 at two sizes: the smoke spec, and a
+/// high-rate spec (1,000 users × 100 Hz × 0.2 s) whose hop transits
+/// often fall due in the same µs as an arrival or a batch flush, so any
+/// change to the engine's `(time, seq)` order shows in its reports.
+fn golden_reports() -> String {
+    let sizes = [
+        WorldSpec::smoke(),
+        WorldSpec::smoke()
+            .users(1_000)
+            .rate_hz(100.0)
+            .duration_us(200_000),
+    ];
+    let mut reports = Vec::new();
+    for spec in &sizes {
+        for name in Topology::preset_names() {
+            for seed in 1..=3 {
+                let topo = Topology::by_name(name).unwrap();
+                let mut e = Engine::new(spec, &topo, seed).unwrap();
+                e.run_to_end();
+                reports.push(e.report());
+            }
+        }
+    }
+    serde_json::to_string_pretty(&reports).unwrap() + "\n"
+}
+
+/// The engine's output, pinned byte for byte (`tests/golden/README.md`).
+/// On a difference the current reports are written next to the test
+/// binary's scratch files, ready to diff or, for a deliberate change,
+/// to commit.
+#[test]
+fn population_reports_match_the_golden_file() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/worlds_reports.json"
+    );
+    let got = golden_reports();
+    if std::fs::read_to_string(path).ok().as_deref() != Some(got.as_str()) {
+        let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/worlds_reports.json");
+        std::fs::write(out, &got).unwrap();
+        panic!("population reports differ from {path}; the current ones are in {out}");
+    }
+}
