@@ -3,7 +3,7 @@
 //!
 //! Runs the full fault-preset battery
 //! ([`decoupling::faults::dst::sweep_scenario_for`]) at `--worlds`
-//! derived seeds for each of the eight scenarios and writes the combined
+//! derived seeds for each of the ten scenarios and writes the combined
 //! [`DstSweepReport`]s as JSON. The point of the binary is the diff: CI
 //! runs it twice — once `--sequential`, once parallel with
 //! `RAYON_NUM_THREADS=2` — and requires the two output files to be
@@ -117,6 +117,16 @@ fn sweep_all(builder: &SweepBuilder, exec: &impl SweepExecutor) -> Vec<DstSweepR
         sweep_scenario_for::<decoupling::Mpr, _>(&mpr, builder, exec),
         sweep_scenario_for::<decoupling::Ppm, _>(&ppm, builder, exec),
         sweep_scenario_for::<decoupling::Vpn, _>(&decoupling::VpnConfig::new(3, 2), builder, exec),
+        sweep_scenario_for::<decoupling::odns::OdnsLegacy, _>(
+            &decoupling::odns::OdnsLegacyConfig::new(3, 4),
+            builder,
+            exec,
+        ),
+        sweep_scenario_for::<decoupling::DirectDns, _>(
+            &decoupling::DirectDnsConfig::new(3, 4, 2),
+            builder,
+            exec,
+        ),
     ]
 }
 

@@ -1,19 +1,22 @@
 //! `dcp` — the repository's command-line front door.
 //!
 //! The one subcommand so far is `serve`: host a wiring's roles over real
-//! TCP sockets via `dcp-serve` instead of the simulator.
+//! TCP sockets via `dcp-serve` instead of the simulator. Three wirings
+//! are servable, the DNS family of §3.2.2 and §5.1 — `odoh`,
+//! `odns_legacy` and `dns_direct` (plain DNS striped over two
+//! resolvers) — through one code path.
 //!
 //! ```text
-//! dcp serve odoh [--clients N] [--queries N] [--seed S]
+//! dcp serve SCENARIO [--clients N] [--queries N] [--seed S]
 //!     Loopback mode: every role a thread in this process, traffic over
 //!     127.0.0.1, and — because loopback keeps the knowledge-ledger
 //!     shadow — the run's knowledge fingerprint is verified byte-for-
 //!     byte against the simulated twin before reporting success.
 //!
-//! dcp serve odoh --role NAME --listen ADDR --peer NAME=ADDR ...
-//!     Process mode: host exactly one role (proxy | target | origin |
-//!     client | client-K) in this process, speaking TCP to peers at the
-//!     given addresses. Bytes only — verification stays with loopback.
+//! dcp serve SCENARIO --role NAME --listen ADDR --peer NAME=ADDR ...
+//!     Process mode: host exactly one role in this process, speaking TCP
+//!     to peers at the given addresses. Bytes only — verification stays
+//!     with loopback. Roles per scenario are listed by `usage()`.
 //! ```
 //!
 //! Argument parsing is deliberately hand-rolled: the workspace builds
@@ -23,18 +26,25 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use dcp_core::Scenario;
+use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
-use dcp_odns::serve::odoh_serve_spec;
-use dcp_odns::{Odoh, OdohConfig};
+use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
+use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
+use dcp_runtime::seam::ServeSpec;
 use dcp_serve::{run_loopback, run_role, ServeConfig};
+
+/// Resolvers `dns_direct` stripes over: the smallest striped wiring.
+const DIRECT_RESOLVERS: usize = 2;
 
 fn usage() -> &'static str {
     "usage:\n  \
-     dcp serve odoh [--clients N] [--queries N] [--seed S]\n  \
-     dcp serve odoh --role NAME --listen ADDR [--peer NAME=ADDR]... \
+     dcp serve SCENARIO [--clients N] [--queries N] [--seed S]\n  \
+     dcp serve SCENARIO --role NAME --listen ADDR [--peer NAME=ADDR]... \
      [--seed S] [--deadline SECS]\n\n\
-     roles: proxy | target | origin | client | client-K"
+     scenarios and their roles (client-K for each further client):\n  \
+     odoh         proxy | target | origin | client | client-K\n  \
+     odns_legacy  recursive | authority | origin | client | client-K\n  \
+     dns_direct   origin | resolver | resolver-2 | client | client-K"
 }
 
 struct ServeArgs {
@@ -92,18 +102,49 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
     Ok(out)
 }
 
-fn serve_odoh(a: ServeArgs) -> Result<(), String> {
-    let cfg = OdohConfig::new(a.clients, a.queries);
+/// The simulated twin of a served wiring, run only when checked.
+type Twin = Box<dyn FnOnce() -> World>;
+
+/// `scenario`'s servable spec for these arguments, and its simulated
+/// twin at the same config and seed.
+fn wiring(scenario: &str, a: &ServeArgs) -> Result<(ServeSpec, Twin), String> {
+    let (clients, queries, seed) = (a.clients, a.queries, a.seed);
+    let wiring: (ServeSpec, Twin) = match scenario {
+        "odoh" => {
+            let cfg = OdohConfig::new(clients, queries);
+            let spec = odoh_serve_spec(&cfg, seed);
+            (spec, Box::new(move || Odoh::run(&cfg, seed).world))
+        }
+        "odns_legacy" => {
+            let cfg = OdnsLegacyConfig::new(clients, queries);
+            let spec = odns_legacy_serve_spec(&cfg, seed);
+            (spec, Box::new(move || OdnsLegacy::run(&cfg, seed).world))
+        }
+        "dns_direct" => {
+            let cfg = DirectDnsConfig::new(clients, queries, DIRECT_RESOLVERS);
+            let spec = direct_serve_spec(&cfg, seed);
+            (spec, Box::new(move || DirectDns::run(&cfg, seed).world))
+        }
+        other => {
+            return Err(format!(
+                "unknown scenario {other:?} (try: odoh, odns_legacy, dns_direct)"
+            ))
+        }
+    };
+    Ok(wiring)
+}
+
+fn serve(scenario: &str, a: ServeArgs) -> Result<(), String> {
+    let (spec, twin) = wiring(scenario, &a)?;
     let serve_cfg = ServeConfig {
         seed: a.seed,
         deadline: Duration::from_secs(a.deadline_s),
         ..ServeConfig::default()
     };
-    let spec = odoh_serve_spec(&cfg, a.seed);
 
     if let Some(role) = a.role {
         let listen = a.listen.expect("checked in parse_serve");
-        eprintln!("dcp serve odoh: hosting role {role:?} on {listen}");
+        eprintln!("dcp serve {scenario}: hosting role {role:?} on {listen}");
         let units = run_role(spec, &role, listen, &a.peers, &serve_cfg)
             .map_err(|e| format!("serve failed: {e}"))?;
         println!("role {role}: {units} unit(s) completed");
@@ -120,9 +161,7 @@ fn serve_odoh(a: ServeArgs) -> Result<(), String> {
         ));
     }
     let served_fp = KnowledgeFingerprint::of(&outcome.world);
-    let sim = Odoh::run(&cfg, a.seed);
-    let sim_fp = KnowledgeFingerprint::of(&sim.world);
-    if served_fp != sim_fp {
+    if served_fp != KnowledgeFingerprint::of(&twin()) {
         return Err(
             "knowledge tables diverged from the simulated twin — the serve path leaked or \
              lost an observation"
@@ -130,8 +169,8 @@ fn serve_odoh(a: ServeArgs) -> Result<(), String> {
         );
     }
     println!(
-        "odoh over loopback TCP: {}/{} queries answered; knowledge tables identical to the \
-         simulated twin (seed {})",
+        "{scenario} over loopback TCP: {}/{} queries answered; knowledge tables identical to \
+         the simulated twin (seed {})",
         outcome.completed_units, outcome.expected_units, a.seed
     );
     for (entity, tuples) in &served_fp.rows {
@@ -144,10 +183,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.split_first() {
         Some((cmd, rest)) if cmd == "serve" => match rest.split_first() {
-            Some((scenario, flags)) if scenario == "odoh" => {
-                parse_serve(flags).and_then(serve_odoh)
-            }
-            Some((scenario, _)) => Err(format!("unknown scenario {scenario:?} (try: odoh)")),
+            Some((scenario, flags)) => parse_serve(flags).and_then(|a| serve(scenario, a)),
             None => Err(usage().to_string()),
         },
         _ => Err(usage().to_string()),

@@ -20,11 +20,14 @@
 //! * [`odns_name`] — the original ODNS trick: the encrypted query hides
 //!   inside the *name itself* (`<hex>.odns.example`), so an unmodified
 //!   recursive resolver routes it to the oblivious authority.
-//! * [`scenario`] — ODoH / direct-DNS runs on the simulator, plus the
-//!   §5.1 striping experiment spreading queries over many resolvers.
-//!   ODoH is written once, as seam roles the simulator hosts.
-//! * [`serve`] — the same ODoH roles as a `ServeSpec` for `dcp-serve`,
-//!   so a served run is checked against its simulated twin.
+//! * [`scenario`] — ODoH, legacy-ODNS and direct-DNS runs on the
+//!   simulator, plus the §5.1 striping experiment spreading queries over
+//!   many resolvers. Each wiring is written once, as seam roles the
+//!   simulator hosts; ODoH and legacy ODNS share their proxy, and all
+//!   three share their origin.
+//! * [`serve`] — the same roles as `ServeSpec`s for `dcp-serve`, so a
+//!   served run of any of the three is checked against its simulated
+//!   twin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

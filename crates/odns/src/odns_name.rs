@@ -80,6 +80,7 @@ pub fn deobfuscate_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -145,5 +146,81 @@ mod tests {
         let qname = DnsName::parse("x.test").unwrap();
         let (obf, _) = obfuscate_query(&mut rng, &target.public, &qname, &zone).unwrap();
         assert!(deobfuscate_query(&wrong, &obf, &zone).is_err());
+    }
+
+    fn zone() -> DnsName {
+        DnsName::parse("odns.example").unwrap()
+    }
+
+    /// `labels` prepended to `base`, leftmost last; labels that would
+    /// break the name budget are skipped.
+    fn under(base: DnsName, labels: &[Vec<u8>]) -> DnsName {
+        labels
+            .iter()
+            .fold(base, |name, l| name.prepend(l).unwrap_or(name))
+    }
+
+    proptest! {
+        /// The authority decodes every name it is asked for. Labels under
+        /// the zone that are not a sealed question — hex or arbitrary
+        /// bytes, any count, the bare zone included — are an error.
+        #[test]
+        fn deobfuscate_rejects_what_is_not_a_sealed_question(
+            hex in proptest::collection::vec("[0-9a-f]{1,60}", 0..5),
+            raw in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..=63), 0..3),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let target = hpke::Keypair::generate(&mut rng);
+            let hex: Vec<Vec<u8>> = hex.into_iter().map(String::into_bytes).collect();
+            let name = under(under(zone(), &hex), &raw);
+            prop_assert!(deobfuscate_query(&target, &name, &zone()).is_err(), "{name}");
+        }
+
+        /// Names outside the zone are an error, even when their labels
+        /// are a genuine obfuscated question.
+        #[test]
+        fn deobfuscate_rejects_names_outside_the_zone(
+            labels in proptest::collection::vec("[a-z0-9]{1,20}", 0..4),
+            suffix in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let target = hpke::Keypair::generate(&mut rng);
+            let qname = DnsName::parse("x.test").unwrap();
+            let (obf, _) = obfuscate_query(&mut rng, &target.public, &qname, &zone()).unwrap();
+            let sealed = obf.labels()[..obf.label_count() - 2].to_vec();
+            let outside = ["", "example", "odns.example.org", "xodns.example", "odns.examples"];
+            let base = DnsName::parse(outside[suffix]).unwrap();
+            let moved = DnsName::from_labels([sealed, base.labels().to_vec()].concat()).unwrap();
+            let labels: Vec<Vec<u8>> = labels.into_iter().map(String::into_bytes).collect();
+            for name in [under(base, &labels), moved] {
+                prop_assert!(deobfuscate_query(&target, &name, &zone()).is_err(), "{name}");
+            }
+        }
+
+        /// Obfuscation round-trips every name whose sealed, hex-encoded
+        /// form fits the 255-byte name budget, and refuses the rest.
+        #[test]
+        fn obfuscation_round_trips_names_that_fit(
+            labels in proptest::collection::vec("[a-z0-9]{1,16}", 1..5),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let target = hpke::Keypair::generate(&mut rng);
+            let qname = DnsName::parse(&labels.join(".")).unwrap();
+            // The sealed plaintext is the response key and the name text.
+            let hex = 2 * (32 + qname.to_string().len() + hpke::SEAL_OVERHEAD);
+            let wire = hex + hex.div_ceil(CHUNK) + zone().wire_len();
+            match obfuscate_query(&mut rng, &target.public, &qname, &zone()) {
+                Ok((obf, resp)) => {
+                    prop_assert!(wire <= 255, "{qname}: {wire} bytes accepted");
+                    let (got, resp_pk) = deobfuscate_query(&target, &obf, &zone()).unwrap();
+                    prop_assert_eq!(got, qname);
+                    prop_assert_eq!(resp_pk, resp.public);
+                }
+                Err(_) => prop_assert!(wire > 255, "{qname}: {wire} bytes refused"),
+            }
+        }
     }
 }

@@ -1,315 +1,346 @@
 //! Plain DNS — the coupled baseline — optionally striped across several
-//! resolvers (§5.1).
+//! resolvers (§5.1), written as seam roles like ODoH's: clients, one
+//! plain resolver per stripe, and the shared `Origin`.
+//!
+//! Two rules keep a run's knowledge a function of its seed and config
+//! alone, whatever faults, retries or engine it meets:
+//!
+//! * each call's resolver is drawn once, from a client-owned RNG seeded
+//!   from the run seed, and its retries go to the same resolver — a
+//!   draw from the run's RNG, or one per attempt, would let a fault
+//!   show a name to a resolver the calm run never told it to;
+//! * a client completes a call only on an answer to the call's own
+//!   question, the match a stub resolver makes (RFC 5452). Plain DNS
+//!   has no ciphertext to bind an answer to its call, and under
+//!   `dcp serve` the answer arrives as bytes from a socket.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
-use dcp_core::{DataKind, EntityId, IdentityKind, InfoItem, Label, RunOptions, Scenario, UserId};
+use dcp_core::{
+    DataKind, IdentityKind, InfoItem, Label, ObsEvent, RecoverConfig, Scenario, UserId, World,
+};
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RrType};
-use dcp_runtime::{
-    wire, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, Harness, HopMap, LinkParams, Message,
-    Node, NodeId, SimTime, TypedSend,
-};
-use rand::Rng as _;
+use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::{wire, Attempt, Control, Endpoint, HopMap, ReliableCall, TimerVerdict};
+use rand::rngs::StdRng;
+use rand::{Rng as _, SeedableRng};
 
-use super::{
-    assemble, build_zone, DirectDns, DirectDnsConfig, OriginNode, ScenarioReport, Stats, SUFFIX,
-};
+use super::{answered, build_zone, nth, DirectDns, DirectDnsConfig, Origin, Stats, SUFFIX};
 use crate::types::{CoupledQuery, CoupledResolver, ExposedOrigin, StubClient};
 
-struct DirectClient {
-    entity: EntityId,
+/// Peer id of the origin (see [`wiring`]).
+const ORIGIN: usize = 0;
+
+/// The stub-resolver client: sends each query in the clear to one of
+/// its resolvers, picked uniformly at random per call (§5.1 / ref [18]).
+struct Client {
     user: UserId,
     /// Coupled on purpose: the endpoint type says each resolver may see
     /// `(▲, ●)` — the baseline the oblivious wirings improve on.
     resolvers: Vec<Endpoint<CoupledQuery, Control, CoupledResolver>>,
+    /// The striping draws, seeded from the run seed.
+    stripe: StdRng,
     queries: Vec<DnsName>,
-    stats: Rc<RefCell<Stats>>,
-    sent_at: SimTime,
     next_id: u16,
-    /// Open reliable calls (inert when the run's recovery is disabled).
-    /// No failover list: striping already re-draws the resolver per
-    /// attempt.
-    calls: Driver<DirectInflight>,
+    /// Per-request ARQ: arms deadlines and retries under recovery, and
+    /// is inert without it.
+    arq: ReliableCall,
+    /// Call numbers for runs without recovery, where the ARQ numbers
+    /// nothing.
+    next_seq: u64,
+    /// Open calls, keyed by sequence number.
+    inflight: BTreeMap<u64, Inflight>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-struct DirectInflight {
+struct Inflight {
     name: DnsName,
-    sent_at: SimTime,
+    /// Index into the client's resolvers, kept across retries.
+    resolver: usize,
+    sent_at: u64,
 }
 
-impl DirectClient {
-    fn query_label(&self) -> Label {
-        // Plain DNS: the resolver sees both who (▲_N) and what (●).
-        Label::items([
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-            InfoItem::sensitive_data(self.user, DataKind::DnsQuery),
-        ])
-    }
-
-    fn send_next(&mut self, ctx: &mut Ctx) {
+impl Client {
+    fn send_next(&mut self, ctx: &mut WireCtx) {
         let Some(name) = self.queries.pop() else {
             return;
         };
-        if let Some(att) = self.calls.begin(DirectInflight {
-            name: name.clone(),
-            sent_at: ctx.now,
-        }) {
-            self.transmit(ctx, name, att);
-            return;
-        }
-        // Striping: pick a resolver uniformly at random (§5.1 / ref [18]).
-        let idx = ctx.rng.gen_range(0..self.resolvers.len());
-        let q = DnsMessage::query(self.next_id, name, RrType::A);
-        self.next_id = self.next_id.wrapping_add(1);
-        self.sent_at = ctx.now;
-        let label = self.query_label();
-        ctx.send_to(self.resolvers[idx], Message::new(q.encode(), label));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let att = self.arq.begin().unwrap_or(Attempt {
+            seq,
+            attempt: 0,
+            timer_delay_us: 0,
+            token: 0,
+        });
+        let call = Inflight {
+            name,
+            resolver: self.stripe.gen_range(0..self.resolvers.len()),
+            sent_at: ctx.now_us(),
+        };
+        self.inflight.insert(att.seq, call);
+        self.transmit(ctx, att);
     }
 
-    /// One (re)transmission of reliable call `att.seq`. Plain DNS has no
-    /// ciphertext to re-randomize (the query is readable anyway — this is
-    /// the coupled baseline), so nothing is recorded into the linkage
-    /// check; the striping draw is simply repeated per attempt.
-    fn transmit(&mut self, ctx: &mut Ctx, name: DnsName, att: Attempt) {
-        let idx = ctx.rng.gen_range(0..self.resolvers.len());
-        let q = DnsMessage::query(self.next_id, name, RrType::A);
-        self.next_id = self.next_id.wrapping_add(1);
-        let label = self.query_label();
-        ctx.send_to(
-            self.resolvers[idx],
-            Message::new(wire::frame(att.seq, &q.encode()), label),
-        );
-        ctx.set_timer(att.timer_delay_us, att.token);
-    }
-}
-
-impl Node for DirectClient {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::DnsQuery),
-        );
-        self.send_next(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::App(_) | CallEvent::Ignored => {}
-            CallEvent::Retry(att) => {
-                let name = self
-                    .calls
-                    .get(att.seq)
-                    .expect("open call has an entry")
-                    .name
-                    .clone();
-                self.transmit(ctx, name, att);
-            }
-            CallEvent::Exhausted { .. } => self.send_next(ctx),
-        }
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            if self.calls.get(seq).is_none() {
-                return;
-            }
-            let Ok(resp) = DnsMessage::decode(body) else {
-                return;
-            };
-            if !resp.is_response {
-                return;
-            }
-            let Some(entry) = self.calls.complete(seq) else {
-                return; // duplicated response: counted exactly once
-            };
-            let sent_at = entry.sent_at;
-            ctx.world.span("query", sent_at.as_us(), ctx.now.as_us());
-            let mut stats = self.stats.borrow_mut();
-            stats.answered += 1;
-            stats.latencies.push(ctx.now - sent_at);
-            drop(stats);
-            self.send_next(ctx);
-            return;
-        }
-        // Undecodable or non-response deliveries (duplication faults) are
-        // ignored rather than crashing the client.
-        let Ok(resp) = DnsMessage::decode(&msg.bytes) else {
+    /// One (re)transmission of call `att.seq` to the call's resolver.
+    /// Plain DNS has no ciphertext to re-randomize (the query is
+    /// readable anyway — this is the coupled baseline), so nothing is
+    /// recorded into the linkage check.
+    fn transmit(&mut self, ctx: &mut WireCtx, att: Attempt) {
+        let Some(call) = self.inflight.get(&att.seq) else {
             return;
         };
-        if !resp.is_response {
-            return;
+        let q = DnsMessage::query(self.next_id, call.name.clone(), RrType::A);
+        self.next_id = self.next_id.wrapping_add(1);
+        // Plain DNS: the resolver sees both who (▲_N) and what (●).
+        let label = Label::items([
+            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
+            InfoItem::sensitive_data(self.user, DataKind::DnsQuery),
+        ]);
+        ctx.send_to(
+            self.resolvers[call.resolver],
+            WireMsg::data(wire::frame(att.seq, &q.encode()), label),
+        );
+        if self.arq.enabled() {
+            ctx.set_timer(att.timer_delay_us, att.token);
         }
-        ctx.world
-            .span("query", self.sent_at.as_us(), ctx.now.as_us());
-        let mut stats = self.stats.borrow_mut();
-        stats.answered += 1;
-        stats.latencies.push(ctx.now - self.sent_at);
-        drop(stats);
+    }
+}
+
+impl WireRole for Client {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::DnsQuery));
         self.send_next(ctx);
     }
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, _from: PeerId, msg: WireMsg) {
+        // Undecodable, non-response, unknown-call or wrong-question
+        // deliveries complete nothing; a duplicate finds its call gone.
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Some(call) = self.inflight.get(&seq) else {
+            return;
+        };
+        let Ok(resp) = DnsMessage::decode(body) else {
+            return;
+        };
+        if !resp.is_response || resp.questions.first().map(|q| &q.qname) != Some(&call.name) {
+            return;
+        }
+        let call = self.inflight.remove(&seq).expect("matched above");
+        self.arq.complete(seq);
+        answered(&self.stats, ctx, call.sent_at);
+        self.send_next(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        let node = ctx.me().index();
+        match self.arq.on_timer(token) {
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => {
+                ctx.emit(ObsEvent::RecoveryRetry {
+                    node,
+                    seq: att.seq,
+                    attempt: att.attempt,
+                });
+                self.transmit(ctx, att);
+            }
+            TimerVerdict::Exhausted { seq, attempts } => {
+                ctx.emit(ObsEvent::RecoveryGiveUp {
+                    node,
+                    seq,
+                    attempts,
+                });
+                self.inflight.remove(&seq);
+                self.send_next(ctx);
+            }
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.queries.is_empty() && self.inflight.is_empty()
+    }
 }
 
-struct PlainResolver {
-    entity: EntityId,
+/// A plain recursive resolver: reads each question (its view, §5.1),
+/// re-keys the query under its own sequence number, and forwards it with
+/// the label intact — plain DNS hides nothing from it.
+struct Resolver {
+    /// This resolver's index into the stats' views.
     slot: usize,
     origin: Endpoint<CoupledQuery, Control, ExposedOrigin>,
-    pending: Vec<NodeId>,
-    stats: Rc<RefCell<Stats>>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: hop-local sequence per forwarded query (client
-    /// sequence spaces collide across clients).
-    hop: HopMap<(NodeId, u64)>,
+    /// Resolver seq → (client, client seq) for the return path. Entries
+    /// are consumed on first use, so a duplicated answer is dropped.
+    hop: HopMap<(PeerId, u64)>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-impl Node for PlainResolver {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.origin.index() {
-            if self.recover {
-                let Some((rseq, body)) = wire::unframe(&msg.bytes) else {
-                    return;
-                };
-                let Some((client, cseq)) = self.hop.take(rseq) else {
-                    return;
-                };
-                let framed = wire::frame(cseq, body);
-                ctx.send(client, Message::new(framed, msg.label));
-                return;
-            }
-            // A duplicated origin answer with no waiter is dropped.
-            let Some(client) = self.pending.pop() else {
+impl WireRole for Resolver {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        if from.index() == self.origin.index() {
+            let Some((client, cseq)) = self.hop.take(seq) else {
                 return;
             };
-            ctx.send(client, msg);
+            ctx.send(
+                client,
+                WireMsg::response(wire::frame(cseq, body), msg.label),
+            );
             return;
         }
-        if self.recover {
-            let Some((cseq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let Ok(query) = DnsMessage::decode(body) else {
-                return;
-            };
-            let Some(q0) = query.questions.first() else {
-                return;
-            };
-            self.stats.borrow_mut().resolver_views[self.slot].insert(q0.qname.to_string());
-            let rseq = self.hop.insert((from, cseq));
-            let framed = wire::frame(rseq, body);
-            // Forward upstream; the label travels as-is (the resolver
-            // already saw everything — plain DNS hides nothing).
-            ctx.send_to(self.origin, Message::new(framed, msg.label));
-            return;
-        }
-        let Ok(query) = DnsMessage::decode(&msg.bytes) else {
+        let Ok(query) = DnsMessage::decode(body) else {
             return;
         };
         let Some(q0) = query.questions.first() else {
             return;
         };
-        self.stats.borrow_mut().resolver_views[self.slot].insert(q0.qname.to_string());
-        self.pending.insert(0, from);
-        // Forward upstream; the label travels as-is (the resolver already
-        // saw everything — plain DNS hides nothing).
-        ctx.send_to(self.origin, msg);
+        self.stats
+            .lock()
+            .expect("no role panicked holding the stats")
+            .resolver_views[self.slot]
+            .insert(q0.qname.to_string());
+        let rseq = self.hop.insert((from, seq));
+        ctx.send_to(
+            self.origin,
+            WireMsg::data(wire::frame(rseq, body), msg.label),
+        );
     }
 }
 
-pub(super) fn direct_impl(cfg: &DirectDnsConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-    use rand::SeedableRng;
-    let (n_clients, queries_each, n_resolvers) = (cfg.clients, cfg.queries_each, cfg.resolvers);
-    let mut wl_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xd1e7);
+/// Build the direct-DNS entities and workload into `world`, and the
+/// roles over them, ready for either engine. Peer ids: origin 0,
+/// resolvers 1..=`cfg.resolvers`, then clients.
+pub(crate) fn wiring(
+    cfg: &DirectDnsConfig,
+    seed: u64,
+    mut world: World,
+    recover: &RecoverConfig,
+) -> (ServeSpec, Arc<Mutex<Stats>>) {
+    let mut wl_rng = StdRng::seed_from_u64(seed ^ 0xd1e7);
     let workload = ZipfWorkload::new(200, 1.0, SUFFIX);
-    let zone = build_zone(&workload);
 
-    let (mut world, harness) = Harness::begin(DirectDns::NAME, seed, opts);
     let auth_org = world.add_org("authoritative");
     let user_org = world.add_org("users");
     let origin_e = world.add_entity("Origin", auth_org, None);
-    let mut resolver_entities = Vec::new();
-    for i in 0..n_resolvers {
+    let origin = Box::new(Origin {
+        zone: build_zone(&workload),
+    });
+    let mut roles = vec![RoleSpec::of::<ExposedOrigin>("origin", origin_e, origin)];
+
+    let stats = Stats::shared(cfg.resolvers);
+    for i in 0..cfg.resolvers {
         let org = world.add_org(&format!("resolver-op-{i}"));
-        let name = if i == 0 {
-            "Resolver".to_string()
-        } else {
-            format!("Resolver {}", i + 1)
+        let e = world.add_entity(&nth("Resolver", ' ', i), org, None);
+        let resolver = Resolver {
+            slot: i,
+            origin: Endpoint::new(ORIGIN),
+            hop: HopMap::new(),
+            stats: stats.clone(),
         };
-        resolver_entities.push(world.add_entity(&name, org, None));
+        roles.push(RoleSpec::of::<CoupledResolver>(
+            nth("resolver", '-', i),
+            e,
+            Box::new(resolver),
+        ));
     }
 
-    let mut users = Vec::new();
-    let mut client_entities = Vec::new();
-    for i in 0..n_clients {
-        let u = world.add_user();
-        let name = if i == 0 {
-            "Client".to_string()
-        } else {
-            format!("Client {}", i + 1)
+    for ci in 0..cfg.clients {
+        let user = world.add_user();
+        let e = world.add_entity(&nth("Client", ' ', ci), user_org, Some(user));
+        let client = Client {
+            user,
+            resolvers: (1..=cfg.resolvers).map(Endpoint::new).collect(),
+            stripe: StdRng::seed_from_u64(derive_seed(seed, 0x5791 + ci as u64)),
+            queries: workload.stream(&mut wl_rng, cfg.queries_each),
+            next_id: 1,
+            arq: ReliableCall::new(recover, derive_seed(seed, 0x0d11 + ci as u64)),
+            next_seq: 0,
+            inflight: BTreeMap::new(),
+            stats: stats.clone(),
         };
-        client_entities.push(world.add_entity(&name, user_org, Some(u)));
-        users.push(u);
+        roles.push(RoleSpec::of::<StubClient>(
+            nth("client", '-', ci),
+            e,
+            Box::new(client),
+        ));
     }
 
-    let stats = Rc::new(RefCell::new(Stats::new(n_resolvers)));
+    let spec = ServeSpec {
+        scenario: DirectDns::NAME,
+        world,
+        roles,
+        expected_units: (cfg.clients * cfg.queries_each) as u64,
+    };
+    (spec, stats)
+}
 
-    let mut net = harness.network(world, LinkParams::wan_ms(8));
+#[cfg(test)]
+mod tests {
+    use dcp_runtime::seam::WireEffects;
 
-    let recover_on = opts.recover.enabled;
-    let origin_id: Endpoint<CoupledQuery, Control, ExposedOrigin> = Endpoint::new(0);
-    Harness::add_role::<ExposedOrigin>(
-        &mut net,
-        Box::new(OriginNode {
-            entity: origin_e,
-            zone,
-            recover: recover_on,
-        }),
-    );
-    let resolver_ids: Vec<Endpoint<CoupledQuery, Control, CoupledResolver>> =
-        (0..n_resolvers).map(|i| Endpoint::new(1 + i)).collect();
-    for (i, &e) in resolver_entities.iter().enumerate() {
-        Harness::add_role::<CoupledResolver>(
-            &mut net,
-            Box::new(PlainResolver {
-                entity: e,
-                slot: i,
-                origin: origin_id,
-                pending: Vec::new(),
-                stats: stats.clone(),
-                recover: recover_on,
-                hop: HopMap::new(),
-            }),
+    use super::*;
+
+    fn drive(rng: &mut StdRng, f: impl FnOnce(&mut WireCtx)) -> WireEffects {
+        let mut ctx = WireCtx::new(rng, PeerId(2), 0, false);
+        f(&mut ctx);
+        ctx.finish()
+    }
+
+    /// An answer framed for an open call but to another name completes
+    /// nothing; the call's own answer completes it, exactly once.
+    #[test]
+    fn client_completes_a_call_only_on_its_own_question() {
+        let cfg = DirectDnsConfig::new(1, 2, 1);
+        let (mut spec, stats) = wiring(&cfg, 3, World::new(), &RecoverConfig::disabled());
+        let me = spec.role_index("client").expect("the wiring has a client");
+        let mut client = spec.roles.swap_remove(me).role;
+        let workload = ZipfWorkload::new(200, 1.0, SUFFIX);
+        let zone = build_zone(&workload);
+        let mut rng = StdRng::seed_from_u64(1);
+
+        let fx = drive(&mut rng, |ctx| client.on_start(ctx));
+        let [(to, sent)] = &fx.out[..] else {
+            panic!("one query on start, got {}", fx.out.len());
+        };
+        assert_eq!(*to, PeerId(1), "the only resolver");
+        let (seq, body) = wire::unframe(&sent.payload).expect("framed");
+        let query = DnsMessage::decode(body).expect("a DNS query");
+        let asked = &query.questions[0].qname;
+        let other = [0, 1]
+            .map(|i| workload.domain(i).clone())
+            .into_iter()
+            .find(|name| name != asked)
+            .expect("two names differ from one");
+        let answer_to = |name: DnsName| {
+            let q = DnsMessage::query(query.id, name, RrType::A);
+            WireMsg::response(wire::frame(seq, &zone.answer(&q).encode()), Label::Public)
+        };
+
+        let fx = drive(&mut rng, |ctx| {
+            client.on_frame(ctx, PeerId(1), answer_to(other.clone()))
+        });
+        assert_eq!(
+            fx.units_done, 0,
+            "an answer to {other} is not an answer to {asked}"
         );
-    }
-    for (ci, (&u, &e)) in users.iter().zip(client_entities.iter()).enumerate() {
-        let queries = workload.stream(&mut wl_rng, queries_each);
-        Harness::add_role::<StubClient>(
-            &mut net,
-            Box::new(DirectClient {
-                entity: e,
-                user: u,
-                resolvers: resolver_ids.clone(),
-                queries,
-                stats: stats.clone(),
-                sent_at: SimTime::ZERO,
-                next_id: 1,
-                calls: Driver::new(&opts.recover, derive_seed(seed, 0x0d11 + ci as u64)),
-            }),
-        );
-    }
+        assert!(fx.out.is_empty(), "and it moves the client on to nothing");
 
-    assemble(harness, net, stats, users, n_clients * queries_each)
+        let fx = drive(&mut rng, |ctx| {
+            client.on_frame(ctx, PeerId(1), answer_to(asked.clone()))
+        });
+        assert_eq!(fx.units_done, 1);
+        assert_eq!(fx.out.len(), 1, "the next query goes out");
+        let fx = drive(&mut rng, |ctx| {
+            client.on_frame(ctx, PeerId(1), answer_to(asked.clone()))
+        });
+        assert_eq!(fx.units_done, 0, "a duplicate completes nothing");
+        assert_eq!(stats.lock().unwrap().answered, 1);
+    }
 }

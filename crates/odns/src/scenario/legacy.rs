@@ -1,526 +1,310 @@
 //! The original ODNS (2019): the encrypted query hides inside the *name
 //! itself* (`<hex>.odns.example`), so an unmodified recursive resolver
 //! routes it to the oblivious authority.
+//!
+//! Written as seam roles over the world layout ODoH builds: the
+//! recursive *is* ODoH's `Proxy` (an unmodified resolver forwards,
+//! re-keys and strips the envelope — nothing ODNS-specific) and the
+//! origin is the shared `Origin`. Only the client and the authority are
+//! this protocol's own. Every leg is sequence-framed like ODoH's; the
+//! authority keys its waiters by `(recursive, recursive seq)` and mints
+//! its own numbers for the origin leg.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
-use dcp_core::{DataKind, EntityId, IdentityKind, InfoItem, Label, RunOptions, Scenario, UserId};
-use dcp_crypto::hpke;
-use dcp_dns::workload::ZipfWorkload;
-use dcp_dns::{DnsName, Message as DnsMessage, RrType};
-use dcp_runtime::{
-    wire, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, Harness, HopMap, LinkParams, Message,
-    Node, NodeId, SimTime, TypedSend,
+use dcp_core::{
+    DataKind, IdentityKind, InfoItem, KeyId, ObsEvent, RecoverConfig, Scenario, UserId, World,
 };
+use dcp_crypto::hpke;
+use dcp_dns::{DnsName, Message as DnsMessage, Rcode, RecordData, ResourceRecord, RrType};
+use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::{wire, Attempt, Control, Endpoint, ReliableCall, TimerVerdict};
 
 use super::{
-    assemble, build_zone, OdnsLegacy, OdnsLegacyConfig, OriginNode, ScenarioReport, Stats,
-    ODNS_ZONE, SUFFIX,
+    answered, envelope_label, nth, oblivious_world, Envelope, OdnsLegacy, OdnsLegacyConfig, Origin,
+    Proxy, Stats, Target, ODNS_ZONE,
 };
-use crate::types::{
-    AuthOrigin, DnsQuery, ObliviousProxy, ObliviousQuery, ObliviousTarget, SealedQuery, StubClient,
-};
+use crate::odns_name;
+use crate::types::{AuthOrigin, ObliviousProxy, ObliviousTarget, SealedQuery, StubClient};
 
-struct OdnsClient {
-    entity: EntityId,
+/// The stub-resolver client: seals each question name to the authority
+/// inside a TXT query for `<hex>.odns.example`, sends it through its
+/// ordinary recursive resolver, and counts an answer only when it opens
+/// under the matching in-flight call's response key.
+struct Client {
     user: UserId,
     recursive: Endpoint<SealedQuery, Control, ObliviousProxy>,
     target_pk: [u8; 32],
-    target_key: dcp_core::KeyId,
+    target_key: KeyId,
+    /// The oblivious zone the obfuscated names live under.
+    zone: DnsName,
     queries: Vec<DnsName>,
-    resp_kp: Option<hpke::Keypair>,
-    stats: Rc<RefCell<Stats>>,
-    sent_at: SimTime,
     next_id: u16,
+    /// Per-request ARQ: arms deadlines and retries under recovery, and
+    /// is inert without it.
+    arq: ReliableCall,
+    /// Call numbers for runs without recovery, where the ARQ numbers
+    /// nothing.
+    next_seq: u64,
     /// RetryLinkage flow id (the client index).
     flow: u64,
-    /// Open reliable calls (inert when the run's recovery is disabled).
-    calls: Driver<OdnsInflight>,
+    /// Open calls, keyed by sequence number.
+    inflight: BTreeMap<u64, Inflight>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-struct OdnsInflight {
+struct Inflight {
     name: DnsName,
     /// The *latest* attempt's ephemeral response keypair — each
     /// retransmission re-obfuscates under a fresh one, superseding the
     /// old (a response to an earlier attempt then fails to open).
-    /// `None` only between `begin` and the first transmit.
-    resp_kp: Option<hpke::Keypair>,
-    sent_at: SimTime,
+    resp_kp: hpke::Keypair,
+    sent_at: u64,
 }
 
-impl OdnsClient {
-    fn envelope_label(&self) -> Label {
-        Label::items([
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-            InfoItem::plain_data(self.user, DataKind::DnsQuery),
-        ])
-        .and(
-            Label::items([
-                InfoItem::plain_identity(self.user, IdentityKind::Any),
-                InfoItem::partial_data(self.user, DataKind::DnsQuery),
-            ])
-            .sealed(self.target_key),
-        )
-    }
-
-    fn send_next(&mut self, ctx: &mut Ctx) {
+impl Client {
+    fn send_next(&mut self, ctx: &mut WireCtx) {
         let Some(name) = self.queries.pop() else {
             return;
         };
-        if let Some(att) = self.calls.begin(OdnsInflight {
-            name: name.clone(),
-            resp_kp: None,
-            sent_at: ctx.now,
-        }) {
-            self.transmit(ctx, &name, att);
-            return;
-        }
-        let zone = DnsName::parse(ODNS_ZONE).unwrap();
-        ctx.world.crypto_op("hpke_seal");
-        let (obfuscated, resp_kp) =
-            crate::odns_name::obfuscate_query(ctx.rng, &self.target_pk, &name, &zone)
-                .expect("obfuscate");
-        self.resp_kp = Some(resp_kp);
-        self.sent_at = ctx.now;
-        // A TXT query for the obfuscated name, through the user's
-        // *ordinary* recursive resolver — which needs no modification:
-        // to it this is just another domain to resolve.
-        let q = DnsMessage::query(self.next_id, obfuscated, RrType::Txt);
-        self.next_id = self.next_id.wrapping_add(1);
-        let label = self.envelope_label();
-        ctx.send_to(self.recursive, Message::new(q.encode(), label));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let att = self.arq.begin().unwrap_or(Attempt {
+            seq,
+            attempt: 0,
+            timer_delay_us: 0,
+            token: 0,
+        });
+        let sent_at = ctx.now_us();
+        self.transmit(ctx, name, sent_at, att);
     }
 
-    /// One (re)transmission of reliable call `att.seq`: a *fresh*
-    /// obfuscation every attempt — new ephemeral response keypair, new
-    /// encapsulated name — so no two attempts share bytes anywhere on
-    /// the path (re-randomized retransmission).
-    fn transmit(&mut self, ctx: &mut Ctx, name: &DnsName, att: Attempt) {
-        let zone = DnsName::parse(ODNS_ZONE).unwrap();
-        ctx.world.crypto_op("hpke_seal");
+    /// One (re)transmission of call `att.seq`: a *fresh* obfuscation
+    /// every attempt — new ephemeral response keypair, new encapsulated
+    /// name — so no two attempts share bytes anywhere on the path
+    /// (re-randomized retransmission). To the recursive resolver it is
+    /// just another domain to resolve.
+    fn transmit(&mut self, ctx: &mut WireCtx, name: DnsName, sent_at: u64, att: Attempt) {
+        ctx.crypto_op("hpke_seal");
         let (obfuscated, resp_kp) =
-            crate::odns_name::obfuscate_query(ctx.rng, &self.target_pk, name, &zone)
-                .expect("obfuscate");
+            odns_name::obfuscate_query(ctx.rng, &self.target_pk, &name, &self.zone)
+                .expect("workload names fit the obfuscated-name budget");
         let q = DnsMessage::query(self.next_id, obfuscated, RrType::Txt);
         self.next_id = self.next_id.wrapping_add(1);
         let encoded = q.encode();
         self.stats
-            .borrow_mut()
+            .lock()
+            .expect("no role panicked holding the stats")
             .linkage
             .record(self.flow, att.seq, att.attempt, &encoded);
-        self.calls
-            .get_mut(att.seq)
-            .expect("open call has an entry")
-            .resp_kp = Some(resp_kp);
-        let label = self.envelope_label();
+        self.inflight.insert(
+            att.seq,
+            Inflight {
+                name,
+                resp_kp,
+                sent_at,
+            },
+        );
+        let label = envelope_label(self.user, self.target_key);
         ctx.send_to(
             self.recursive,
-            Message::new(wire::frame(att.seq, &encoded), label),
+            WireMsg::data(wire::frame(att.seq, &encoded), label),
         );
-        ctx.set_timer(att.timer_delay_us, att.token);
+        if self.arq.enabled() {
+            ctx.set_timer(att.timer_delay_us, att.token);
+        }
     }
 }
 
-impl Node for OdnsClient {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::DnsQuery),
-        );
+impl WireRole for Client {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::DnsQuery));
         self.send_next(ctx);
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::App(_) | CallEvent::Ignored => {}
-            CallEvent::Retry(att) => {
-                let name = self
-                    .calls
-                    .get(att.seq)
-                    .expect("open call has an entry")
-                    .name
-                    .clone();
-                self.transmit(ctx, &name, att);
-            }
-            CallEvent::Exhausted { .. } => self.send_next(ctx),
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, _from: PeerId, msg: WireMsg) {
+        // A TXT response carrying the sealed answer. The echoed sequence
+        // number selects the call; its response key is consumed only once
+        // an answer opens under it, so a tampered, duplicated or
+        // superseded response changes nothing.
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Some(call) = self.inflight.get(&seq) else {
+            return;
+        };
+        let Ok(resp) = DnsMessage::decode(body) else {
+            return;
+        };
+        let Some(RecordData::Txt(strings)) = resp.answers.first().map(|rr| &rr.data) else {
+            return;
+        };
+        ctx.crypto_op("hpke_open");
+        match hpke::open(&call.resp_kp, b"odns answer", b"", &strings.concat()) {
+            // Anything but an IPv4 answer is ignored rather than trusted.
+            Ok(answer) if answer.len() == 4 => {}
+            _ => return,
         }
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let Some(entry) = self.calls.get(seq) else {
-                return;
-            };
-            let Ok(resp) = DnsMessage::decode(body) else {
-                return;
-            };
-            let Some(dcp_dns::RecordData::Txt(strings)) = resp.answers.first().map(|rr| &rr.data)
-            else {
-                return;
-            };
-            let sealed: Vec<u8> = strings.concat();
-            ctx.world.crypto_op("hpke_open");
-            let Some(kp) = entry.resp_kp.as_ref() else {
-                return;
-            };
-            let Ok(answer) = hpke::open(kp, b"odns answer", b"", &sealed) else {
-                return; // a response to a superseded attempt fails to open
-            };
-            if answer.len() != 4 {
-                return;
-            }
-            let Some(entry) = self.calls.complete(seq) else {
-                return; // duplicated response: counted exactly once
-            };
-            let sent_at = entry.sent_at;
-            ctx.world.span("query", sent_at.as_us(), ctx.now.as_us());
-            let mut stats = self.stats.borrow_mut();
-            stats.answered += 1;
-            stats.latencies.push(ctx.now - sent_at);
-            drop(stats);
-            self.send_next(ctx);
-            return;
-        }
-        // TXT response carrying the sealed answer. Only consume the
-        // in-flight response key once an answer actually opens against it
-        // — tampered, duplicated, or stale deliveries must fail closed.
-        let Ok(resp) = DnsMessage::decode(&msg.bytes) else {
-            return;
-        };
-        let Some(dcp_dns::RecordData::Txt(strings)) = resp.answers.first().map(|rr| &rr.data)
-        else {
-            return;
-        };
-        let sealed: Vec<u8> = strings.concat();
-        let Some(kp) = self.resp_kp.as_ref() else {
-            return;
-        };
-        ctx.world.crypto_op("hpke_open");
-        let Ok(answer) = hpke::open(kp, b"odns answer", b"", &sealed) else {
-            return;
-        };
-        if answer.len() != 4 {
-            return; // not an IPv4 answer: ignore rather than trust it
-        }
-        self.resp_kp = None;
-        ctx.world
-            .span("query", self.sent_at.as_us(), ctx.now.as_us());
-        let mut stats = self.stats.borrow_mut();
-        stats.answered += 1;
-        stats.latencies.push(ctx.now - self.sent_at);
-        drop(stats);
+        let call = self.inflight.remove(&seq).expect("opened against above");
+        self.arq.complete(seq);
+        answered(&self.stats, ctx, call.sent_at);
         self.send_next(ctx);
     }
-}
 
-/// The user's ordinary recursive resolver: it forwards queries for the
-/// oblivious zone to that zone's authority, exactly as it would for any
-/// delegation — no ODNS-specific code.
-struct OdnsRecursive {
-    entity: EntityId,
-    odns_authority: Endpoint<ObliviousQuery, Control, ObliviousTarget>,
-    pending: Vec<NodeId>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: hop-local sequence per forwarded query (the
-    /// client's counter must not travel past the recursive — it would be
-    /// a stable cross-query pseudonym at the authority).
-    hop: HopMap<(NodeId, u64)>,
-}
-
-impl Node for OdnsRecursive {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.odns_authority.index() {
-            if self.recover {
-                let Some((rseq, body)) = wire::unframe(&msg.bytes) else {
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        let node = ctx.me().index();
+        match self.arq.on_timer(token) {
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => {
+                ctx.emit(ObsEvent::RecoveryRetry {
+                    node,
+                    seq: att.seq,
+                    attempt: att.attempt,
+                });
+                let Some(call) = self.inflight.get(&att.seq) else {
                     return;
                 };
-                let Some((client, cseq)) = self.hop.take(rseq) else {
-                    return;
-                };
-                let framed = wire::frame(cseq, body);
-                ctx.send(client, Message::new(framed, msg.label));
-                return;
+                let (name, sent_at) = (call.name.clone(), call.sent_at);
+                self.transmit(ctx, name, sent_at, att);
             }
-            // A duplicated authority answer with no waiter is dropped.
-            let Some(client) = self.pending.pop() else {
-                return;
-            };
-            ctx.send(client, msg);
-            return;
+            TimerVerdict::Exhausted { seq, attempts } => {
+                ctx.emit(ObsEvent::RecoveryGiveUp {
+                    node,
+                    seq,
+                    attempts,
+                });
+                self.inflight.remove(&seq);
+                self.send_next(ctx);
+            }
         }
-        // Strip the client-identifying envelope part (source address
-        // rewriting — the recursive resolver is the visible querier).
-        let inner = match &msg.label {
-            Label::Bundle(parts) if parts.len() == 2 => parts[1].clone(),
-            other => other.clone(),
-        };
-        if self.recover {
-            let Some((cseq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let rseq = self.hop.insert((from, cseq));
-            let framed = wire::frame(rseq, body);
-            ctx.send_to(self.odns_authority, Message::new(framed, inner));
-            return;
-        }
-        self.pending.insert(0, from);
-        ctx.send_to(self.odns_authority, Message::new(msg.bytes, inner));
+    }
+
+    fn finished(&self) -> bool {
+        self.queries.is_empty() && self.inflight.is_empty()
     }
 }
 
-/// The oblivious authority: authoritative for `odns.example`, holds the
-/// decryption key, recursively resolves the hidden question.
-struct OdnsAuthority {
-    entity: EntityId,
+/// Legacy ODNS's envelope: the question name is sealed to the
+/// authority inside the queried name (the authority is authoritative
+/// for `odns.example`), and the answer is sealed to the client's
+/// ephemeral key inside a TXT record.
+struct ObfuscatedName {
     kp: hpke::Keypair,
-    origin: Endpoint<DnsQuery, Control, AuthOrigin>,
-    /// (recursive node, query id, response key, subject)
-    /// (FIFO; recovery-disabled path only).
-    pending: Vec<(NodeId, u16, [u8; 32], UserId, DnsName)>,
-    client_resp_key: dcp_core::KeyId,
-    subject_of_query: std::collections::HashMap<String, UserId>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: awaiting origin answers keyed by the hop-local
-    /// sequence the origin echoes back.
-    pending_by_seq: BTreeMap<u64, (NodeId, u16, [u8; 32], UserId, DnsName)>,
+    zone: DnsName,
 }
 
-impl Node for OdnsAuthority {
-    fn entity(&self) -> EntityId {
-        self.entity
+/// What answering a query takes: its id and obfuscated name, which the
+/// TXT response echoes, and the client's ephemeral key.
+struct Waiter {
+    qid: u16,
+    obf_name: DnsName,
+    resp_pk: [u8; 32],
+}
+
+impl Envelope for ObfuscatedName {
+    type Waiter = Waiter;
+
+    fn open(&self, ctx: &mut WireCtx, body: &[u8]) -> Option<(DnsMessage, Waiter)> {
+        let query = DnsMessage::decode(body).ok()?;
+        let obf_name = query.questions.first()?.qname.clone();
+        ctx.crypto_op("hpke_open");
+        let (qname, resp_pk) =
+            odns_name::deobfuscate_query(&self.kp, &obf_name, &self.zone).ok()?;
+        let waiter = Waiter {
+            qid: query.id,
+            obf_name,
+            resp_pk,
+        };
+        Some((DnsMessage::query(query.id, qname, RrType::A), waiter))
     }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.origin.index() {
-            let (seq, body) = if self.recover {
-                match wire::unframe(&msg.bytes) {
-                    Some((s, b)) => (Some(s), b),
-                    None => return,
-                }
-            } else {
-                (None, &msg.bytes[..])
-            };
-            let Ok(resp) = DnsMessage::decode(body) else {
-                return;
-            };
-            let waiter = match seq {
-                Some(s) => self.pending_by_seq.remove(&s),
-                None => self.pending.pop(),
-            };
-            let Some((recursive, qid, resp_pk, user, obf_name)) = waiter else {
-                return; // duplicated origin answer: nothing awaits it
-            };
-            // Seal the first A answer back to the client; an answerless
-            // response is dropped — never answered in plaintext.
-            let Some(addr) = resp.answers.iter().find_map(|rr| match &rr.data {
-                dcp_dns::RecordData::A(a) => Some(*a),
-                _ => None,
-            }) else {
-                return;
-            };
-            ctx.world.crypto_op("hpke_seal");
-            let Ok(sealed) = hpke::seal(ctx.rng, &resp_pk, b"odns answer", b"", &addr) else {
-                return; // cannot seal: fail closed
-            };
-            // Wrap the sealed answer in TXT strings (≤255 bytes each).
-            let strings: Vec<Vec<u8>> = sealed.chunks(255).map(<[u8]>::to_vec).collect();
-            let query_echo = DnsMessage::query(qid, obf_name.clone(), RrType::Txt);
-            let mut txt_resp = DnsMessage::response_to(&query_echo, dcp_dns::Rcode::NoError);
-            txt_resp.aa = true;
-            txt_resp.answers.push(dcp_dns::ResourceRecord {
-                name: obf_name,
-                ttl: 0, // per-query ciphertext must not be cached
-                data: dcp_dns::RecordData::Txt(strings),
-            });
-            let label = Label::items([InfoItem::sensitive_data(user, DataKind::DnsQuery)])
-                .sealed(self.client_resp_key);
-            let bytes = match seq {
-                Some(s) => wire::frame(s, &txt_resp.encode()),
-                None => txt_resp.encode(),
-            };
-            ctx.send(recursive, Message::new(bytes, label));
-            return;
-        }
-        // Obfuscated query arriving via the recursive. Undecodable or
-        // undeobfuscatable (tampered) names are dropped, never answered.
-        let (seq, body) = if self.recover {
-            match wire::unframe(&msg.bytes) {
-                Some((s, b)) => (Some(s), b),
-                None => return,
-            }
-        } else {
-            (None, &msg.bytes[..])
-        };
-        let Ok(query) = DnsMessage::decode(body) else {
-            return;
-        };
-        let Some(q0) = query.questions.first() else {
-            return;
-        };
-        let obf_name = q0.qname.clone();
-        let zone = DnsName::parse(ODNS_ZONE).unwrap();
-        ctx.world.crypto_op("hpke_open");
-        let Ok((qname, resp_pk)) = crate::odns_name::deobfuscate_query(&self.kp, &obf_name, &zone)
-        else {
-            return;
-        };
-        let Some(&user) = self.subject_of_query.get(&qname.to_string()) else {
-            return;
-        };
-        match seq {
-            Some(s) => {
-                self.pending_by_seq
-                    .insert(s, (from, query.id, resp_pk, user, obf_name));
-            }
-            None => self
-                .pending
-                .insert(0, (from, query.id, resp_pk, user, obf_name)),
-        }
-        let plain_q = DnsMessage::query(query.id, qname, RrType::A);
-        let label = Label::items([
-            InfoItem::plain_identity(user, IdentityKind::Any),
-            InfoItem::sensitive_data(user, DataKind::DnsQuery),
-        ]);
-        let bytes = match seq {
-            Some(s) => wire::frame(s, &plain_q.encode()),
-            None => plain_q.encode(),
-        };
-        ctx.send_to(self.origin, Message::new(bytes, label));
+
+    /// Seals the first A record; an answerless response is dropped.
+    fn seal(&self, ctx: &mut WireCtx, w: Waiter, resp: &DnsMessage) -> Option<Vec<u8>> {
+        let addr = resp.answers.iter().find_map(|rr| match rr.data {
+            RecordData::A(a) => Some(a),
+            _ => None,
+        })?;
+        ctx.crypto_op("hpke_seal");
+        let sealed = hpke::seal(ctx.rng, &w.resp_pk, b"odns answer", b"", &addr).ok()?;
+        let echo = DnsMessage::query(w.qid, w.obf_name.clone(), RrType::Txt);
+        let mut txt = DnsMessage::response_to(&echo, Rcode::NoError);
+        txt.aa = true;
+        txt.answers.push(ResourceRecord {
+            name: w.obf_name,
+            ttl: 0, // per-query ciphertext must not be cached
+            // TXT strings hold at most 255 bytes each.
+            data: RecordData::Txt(sealed.chunks(255).map(<[u8]>::to_vec).collect()),
+        });
+        Some(txt.encode())
     }
 }
 
-pub(super) fn legacy_impl(cfg: &OdnsLegacyConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-    use rand::SeedableRng;
-    let (n_clients, queries_each) = (cfg.clients, cfg.queries_each);
-    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0d15);
-    let workload = ZipfWorkload::new(200, 1.0, SUFFIX);
-    let zone = build_zone(&workload);
-
-    let (mut world, harness) = Harness::begin(OdnsLegacy::NAME, seed, opts);
-    let isp_org = world.add_org("isp");
-    let odns_org = world.add_org("oblivious-operator");
-    let auth_org = world.add_org("authoritative");
-    let user_org = world.add_org("users");
-    let recursive_e = world.add_entity("Resolver", isp_org, None);
-    let authority_e = world.add_entity("Oblivious Resolver", odns_org, None);
-    let origin_e = world.add_entity("Origin", auth_org, None);
-
-    let target_kp = hpke::Keypair::generate(&mut setup_rng);
-
-    let mut users = Vec::new();
-    let mut client_entities = Vec::new();
-    for i in 0..n_clients {
-        let u = world.add_user();
-        let name = if i == 0 {
-            "Client".to_string()
-        } else {
-            format!("Client {}", i + 1)
+/// Build the legacy-ODNS roles over the oblivious world layout (no
+/// backup proxies), ready for either engine. Peer ids: recursive 0,
+/// authority 1, origin 2, then clients.
+pub(crate) fn wiring(
+    cfg: &OdnsLegacyConfig,
+    seed: u64,
+    world: World,
+    recover: &RecoverConfig,
+) -> (ServeSpec, Arc<Mutex<Stats>>) {
+    let w = oblivious_world(world, seed, cfg.clients, cfg.queries_each, 0);
+    let target_pk = w.target_kp.public;
+    let zone = DnsName::parse(ODNS_ZONE).expect("the oblivious zone is a valid name");
+    let mut roles = vec![
+        Proxy::spec("recursive".into(), w.proxy),
+        RoleSpec::of::<ObliviousTarget>(
+            "authority",
+            w.target,
+            Box::new(Target::new(
+                ObfuscatedName {
+                    kp: w.target_kp,
+                    zone: zone.clone(),
+                },
+                w.client_resp_key,
+                w.subjects,
+            )),
+        ),
+        RoleSpec::of::<AuthOrigin>("origin", w.origin, Box::new(Origin { zone: w.zone })),
+    ];
+    let stats = Stats::shared(1);
+    for (ci, ((&user, &e), queries)) in w.users.iter().zip(&w.clients).zip(w.queries).enumerate() {
+        let client = Client {
+            user,
+            recursive: Endpoint::new(0),
+            target_pk,
+            target_key: w.target_key,
+            zone: zone.clone(),
+            queries,
+            next_id: 1,
+            arq: ReliableCall::new(recover, derive_seed(seed, 0x0d15 + ci as u64)),
+            next_seq: 0,
+            flow: ci as u64,
+            inflight: BTreeMap::new(),
+            stats: stats.clone(),
         };
-        client_entities.push(world.add_entity(&name, user_org, Some(u)));
-        users.push(u);
-    }
-    let target_key = world.new_key(&[authority_e]);
-    let client_resp_key = world.new_key(&[]);
-
-    let mut subject_of_query = std::collections::HashMap::new();
-    let mut per_client_queries: Vec<Vec<DnsName>> = Vec::new();
-    for (ci, &u) in users.iter().enumerate() {
-        let mut qs = Vec::new();
-        for k in 0..queries_each {
-            let name = workload.domain((ci * queries_each + k) % workload.domain_count());
-            subject_of_query.insert(name.to_string(), u);
-            qs.push(name.clone());
-        }
-        per_client_queries.push(qs);
+        roles.push(RoleSpec::of::<StubClient>(
+            nth("client", '-', ci),
+            e,
+            Box::new(client),
+        ));
     }
 
-    let stats = Rc::new(RefCell::new(Stats::new(1)));
-
-    let mut net = harness.network(world, LinkParams::wan_ms(8));
-    let recover_on = opts.recover.enabled;
-    let recursive_id: Endpoint<SealedQuery, Control, ObliviousProxy> = Endpoint::new(0);
-    let authority_id: Endpoint<ObliviousQuery, Control, ObliviousTarget> = Endpoint::new(1);
-    let origin_id: Endpoint<DnsQuery, Control, AuthOrigin> = Endpoint::new(2);
-    Harness::add_role::<ObliviousProxy>(
-        &mut net,
-        Box::new(OdnsRecursive {
-            entity: recursive_e,
-            odns_authority: authority_id,
-            pending: Vec::new(),
-            recover: recover_on,
-            hop: HopMap::new(),
-        }),
-    );
-    Harness::add_role::<ObliviousTarget>(
-        &mut net,
-        Box::new(OdnsAuthority {
-            entity: authority_e,
-            kp: target_kp.clone(),
-            origin: origin_id,
-            pending: Vec::new(),
-            client_resp_key,
-            subject_of_query,
-            recover: recover_on,
-            pending_by_seq: BTreeMap::new(),
-        }),
-    );
-    Harness::add_role::<AuthOrigin>(
-        &mut net,
-        Box::new(OriginNode {
-            entity: origin_e,
-            zone,
-            recover: recover_on,
-        }),
-    );
-    for (ci, ((&u, &e), queries)) in users
-        .iter()
-        .zip(client_entities.iter())
-        .zip(per_client_queries)
-        .enumerate()
-    {
-        Harness::add_role::<StubClient>(
-            &mut net,
-            Box::new(OdnsClient {
-                entity: e,
-                user: u,
-                recursive: recursive_id,
-                target_pk: target_kp.public,
-                target_key,
-                queries,
-                resp_kp: None,
-                stats: stats.clone(),
-                sent_at: SimTime::ZERO,
-                next_id: 1,
-                flow: ci as u64,
-                calls: Driver::new(&opts.recover, derive_seed(seed, 0x0d15 + ci as u64)),
-            }),
-        );
-    }
-    for &e in &client_entities {
-        net.world_mut().grant_key(e, client_resp_key);
-    }
-
-    assemble(harness, net, stats, users, n_clients * queries_each)
+    let spec = ServeSpec {
+        scenario: OdnsLegacy::NAME,
+        world: w.world,
+        roles,
+        expected_units: (cfg.clients * cfg.queries_each) as u64,
+    };
+    (spec, stats)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Odoh, OdohConfig};
+    use super::super::{Odoh, OdohConfig, ScenarioReport};
     use super::*;
     use dcp_core::analyze;
 

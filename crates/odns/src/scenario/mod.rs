@@ -1,28 +1,44 @@
-//! Simulator scenarios: ODoH, direct DNS (the coupled baseline), and the
-//! §5.1 striping experiment.
+//! Simulator scenarios: ODoH, legacy ODNS, direct DNS (the coupled
+//! baseline), and the §5.1 striping experiment.
 //!
-//! The three wirings live in one submodule each — [`odoh`](self::odoh)
-//! (proxy → target encapsulation, written as seam roles that `dcp-serve`
-//! hosts too), [`direct`](self::direct) (plain DNS, optionally striped),
-//! [`legacy`](self::legacy) (the 2019 name-hiding protocol) — sharing
-//! this hub's report, configs and workload zone; the last two also share
-//! the [`OriginNode`] authoritative responder.
+//! Each wiring is written once, as seam roles that the simulator hosts
+//! here and `dcp-serve` hosts over sockets ([`crate::serve`]): `odoh`
+//! (proxy → target encapsulation), `legacy` (the 2019 protocol, where
+//! the ciphertext hides in the queried *name*) and `direct` (plain DNS,
+//! optionally striped). Every leg carries a hop-local sequence number
+//! (`dcp_runtime::wire` framing) that each hop re-keys with a `HopMap`,
+//! so no hop pairs answers with queries by arrival order, and a run's
+//! `RecoverConfig` only arms the clients' retries (and ODoH's backup
+//! proxies).
+//!
+//! This hub holds what the wirings share: the report, the configs, the
+//! workload zone, the `Origin` all three terminate at, and the
+//! one-host-per-role run path. ODNS and ODoH are one decoupling
+//! (§3.2.2), so they also share their world layout, their labels and the
+//! `Proxy`: legacy ODNS's unmodified recursive resolver is ODoH's proxy.
 
-use std::cell::RefCell;
-use std::collections::HashSet;
-use std::rc::Rc;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use dcp_core::table::DecouplingTable;
-use dcp_core::{EntityId, Label, MetricsReport, RunOptions, Scenario, UserId, World};
+use dcp_core::{
+    DataKind, EntityId, IdentityKind, InfoItem, KeyId, Label, MetricsReport, RecoverConfig,
+    RunOptions, Scenario, UserId, World,
+};
+use dcp_crypto::hpke;
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RecordData, Zone};
 use dcp_faults::FaultLog;
+use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
-    mean_us, wire, Ctx, Harness, Message, Network, Node, NodeId, RetryLinkage, RunCore, Trace,
+    mean_us, wire, Control, Endpoint, Harness, HopMap, LinkParams, RetryLinkage, Trace,
 };
+use rand::SeedableRng;
 
-mod direct;
-mod legacy;
+use crate::types::{AuthOrigin, DnsQuery, ObliviousProxy, ObliviousQuery, ObliviousTarget};
+
+pub(crate) mod direct;
+pub(crate) mod legacy;
 pub(crate) mod odoh;
 
 /// Outcome of a DNS scenario run.
@@ -105,7 +121,7 @@ pub struct OdohConfig {
     /// Queries each client issues.
     pub queries_each: usize,
     /// Backup proxies behind the primary, used only when the run's
-    /// [`RecoverConfig`](dcp_core::RecoverConfig) is enabled: clients
+    /// [`RecoverConfig`] is enabled: clients
     /// rotate across all proxies by sequence number (so every proxy
     /// serves calm traffic too) and the circuit breaker fails over
     /// between them. `0` (the default) keeps the classic single-proxy
@@ -252,7 +268,7 @@ impl Scenario for Odoh {
     const NAME: &'static str = "odns";
 
     fn run_with(cfg: &OdohConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-        odoh::odoh_impl(cfg, seed, opts)
+        simulate(Self::NAME, cfg, seed, opts, odoh::wiring)
     }
 }
 
@@ -266,7 +282,7 @@ impl Scenario for DirectDns {
     const NAME: &'static str = "dns_direct";
 
     fn run_with(cfg: &DirectDnsConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-        direct::direct_impl(cfg, seed, opts)
+        simulate(Self::NAME, cfg, seed, opts, direct::wiring)
     }
 }
 
@@ -280,7 +296,7 @@ impl Scenario for OdnsLegacy {
     const NAME: &'static str = "odns_legacy";
 
     fn run_with(cfg: &OdnsLegacyConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-        legacy::legacy_impl(cfg, seed, opts)
+        simulate(Self::NAME, cfg, seed, opts, legacy::wiring)
     }
 }
 
@@ -310,6 +326,8 @@ fn build_zone(workload: &ZipfWorkload) -> Zone {
     zone
 }
 
+/// What a wiring's roles measure, shared by every role of one run (seam
+/// roles are `Send`, so behind a mutex).
 pub(crate) struct Stats {
     answered: usize,
     latencies: Vec<u64>,
@@ -322,38 +340,280 @@ pub(crate) struct Stats {
 }
 
 impl Stats {
-    fn new(resolver_slots: usize) -> Self {
-        Stats {
+    fn shared(resolver_slots: usize) -> Arc<Mutex<Stats>> {
+        Arc::new(Mutex::new(Stats {
             answered: 0,
             latencies: Vec::new(),
             resolver_views: vec![HashSet::new(); resolver_slots],
             linkage: RetryLinkage::new(),
+        }))
+    }
+}
+
+/// Count one answered query: its span, its latency and its work unit.
+fn answered(stats: &Mutex<Stats>, ctx: &mut WireCtx, sent_at: u64) {
+    let now = ctx.now_us();
+    ctx.span("query", sent_at, now);
+    let mut stats = stats.lock().expect("no role panicked holding the stats");
+    stats.answered += 1;
+    stats.latencies.push(now - sent_at);
+    drop(stats);
+    ctx.unit_done();
+}
+
+/// A wiring's builder: its roles over `world`, and the stats they share.
+type Wiring<C> = fn(&C, u64, World, &RecoverConfig) -> (ServeSpec, Arc<Mutex<Stats>>);
+
+/// Host a wiring's roles on the simulator, run it to quiescence, and
+/// fold what the roles measured into a [`ScenarioReport`]: the run path
+/// of all three wirings.
+fn simulate<C>(
+    name: &'static str,
+    cfg: &C,
+    seed: u64,
+    opts: &RunOptions,
+    wiring: Wiring<C>,
+) -> ScenarioReport {
+    let (world, harness) = Harness::begin(name, seed, opts);
+    let (spec, stats) = wiring(cfg, seed, world, &opts.recover);
+    let users = spec.world.users().to_vec();
+    let mut net = harness.network(spec.world, LinkParams::wan_ms(8));
+    for role in spec.roles {
+        Harness::add_spec(&mut net, role);
+    }
+    let core = harness.finish(net);
+    let stats = stats.lock().expect("no role panicked holding the stats");
+    let all_names: HashSet<&String> = stats.resolver_views.iter().flatten().collect();
+    ScenarioReport {
+        world: core.world,
+        trace: core.trace,
+        answered: stats.answered,
+        mean_query_us: mean_us(&stats.latencies),
+        users,
+        resolver_views: stats.resolver_views.iter().map(HashSet::len).collect(),
+        distinct_names: all_names.len(),
+        fault_log: core.fault_log,
+        metrics: core.metrics,
+        expected: spec.expected_units,
+        retry_linkage: stats.linkage.violations(),
+    }
+}
+
+/// The `i`-th (0-based) instance's name: `base`, then `base{sep}2`,
+/// `base{sep}3`, … (entity `Client 2`, role `client-2`).
+fn nth(base: &str, sep: char, i: usize) -> String {
+    if i == 0 {
+        base.to_string()
+    } else {
+        format!("{base}{sep}{}", i + 1)
+    }
+}
+
+// ------------------------------------------------- the oblivious wirings --
+
+/// Peer ids of the oblivious target and of the origin behind it.
+const TARGET: usize = 1;
+const ORIGIN: usize = 2;
+
+/// The client's envelope label, whether the sealed query rides an ODoH
+/// body or hex inside a domain name.
+///
+/// Outer envelope: the proxy knows the client (▲_N) and that a DNS query
+/// happened (⊙). Inner seal: the target reads the query content (⊙/●) of
+/// an anonymous user (△).
+fn envelope_label(user: UserId, target_key: KeyId) -> Label {
+    Label::items([
+        InfoItem::sensitive_identity(user, IdentityKind::Any),
+        InfoItem::plain_data(user, DataKind::DnsQuery),
+    ])
+    .and(
+        Label::items([
+            InfoItem::plain_identity(user, IdentityKind::Any),
+            InfoItem::partial_data(user, DataKind::DnsQuery),
+        ])
+        .sealed(target_key),
+    )
+}
+
+/// The target's response label: the answer (●) about `user`, sealed
+/// under the client response key — intermediaries learn nothing; the
+/// client learns the answer it is entitled to. An ODoH target derives
+/// that key too, but it sends the response and already knows the
+/// answer, so the `KeyId` is granted to clients only.
+fn response_label(user: UserId, client_resp_key: KeyId) -> Label {
+    Label::items([InfoItem::sensitive_data(user, DataKind::DnsQuery)]).sealed(client_resp_key)
+}
+
+/// The target→origin label: a plaintext recursive query — the origin
+/// sees the query (●) from the resolver's address (△).
+fn origin_query_label(user: UserId) -> Label {
+    Label::items([
+        InfoItem::plain_identity(user, IdentityKind::Any),
+        InfoItem::sensitive_data(user, DataKind::DnsQuery),
+    ])
+}
+
+/// Query names → the user who asks them. Clients ask disjoint names, so
+/// a question names its subject: scenario bookkeeping for labels, keyed
+/// by what the oblivious target *does* see (it cannot name users).
+struct Subjects(HashMap<String, UserId>);
+
+impl Subjects {
+    /// The subject of `msg`'s first question. An answer is labelled with
+    /// the subject of its own question, not with the user remembered for
+    /// the waiter, so an answer delivered to the wrong client would show
+    /// up in that client's ledger.
+    fn of(&self, msg: &DnsMessage) -> Option<UserId> {
+        let q0 = msg.questions.first()?;
+        self.0.get(&q0.qname.to_string()).copied()
+    }
+}
+
+/// The oblivious proxy — ODoH's proxy, and legacy ODNS's unmodified
+/// recursive resolver: it strips the client-identifying envelope,
+/// re-keys each forwarded query under its own sequence number, and
+/// carries sealed bytes it cannot read. Nothing here is specific to
+/// either protocol.
+struct Proxy {
+    target: Endpoint<ObliviousQuery, Control, ObliviousTarget>,
+    /// Proxy seq → (client, client seq) for the return path. Entries are
+    /// consumed on first use, so a duplicated response is dropped.
+    hop: HopMap<(PeerId, u64)>,
+}
+
+impl Proxy {
+    fn spec(name: String, entity: EntityId) -> RoleSpec {
+        let role = Proxy {
+            target: Endpoint::new(TARGET),
+            hop: HopMap::new(),
+        };
+        RoleSpec::of::<ObliviousProxy>(name, entity, Box::new(role))
+    }
+}
+
+impl WireRole for Proxy {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        if from.index() == self.target.index() {
+            let Some((client, cseq)) = self.hop.take(seq) else {
+                return;
+            };
+            ctx.send(
+                client,
+                WireMsg::response(wire::frame(cseq, body), msg.label),
+            );
+            return;
+        }
+        // The target sees only the sealed inner label.
+        let inner = match msg.label {
+            Label::Bundle(mut parts) if parts.len() == 2 => parts.swap_remove(1),
+            other => other,
+        };
+        let pseq = self.hop.insert((from, seq));
+        ctx.send_to(self.target, WireMsg::data(wire::frame(pseq, body), inner));
+    }
+}
+
+/// How queries reach an oblivious target sealed, and how its answers
+/// leave: ODoH's HPKE envelope or legacy ODNS's obfuscated name. The
+/// rest of the target is one decoupling (§3.2.2), written once in
+/// [`Target`].
+trait Envelope: Send {
+    /// What answering one query takes, kept while the origin resolves it.
+    type Waiter: Send;
+    /// Open a query frame's body into the plain question to resolve and
+    /// its waiter; `None` (tampered, replayed, malformed) drops it.
+    fn open(&self, ctx: &mut WireCtx, body: &[u8]) -> Option<(DnsMessage, Self::Waiter)>;
+    /// Seal the origin's answer for the waiting client; `None` drops it,
+    /// so an answer never leaves in the clear.
+    fn seal(&self, ctx: &mut WireCtx, waiter: Self::Waiter, resp: &DnsMessage) -> Option<Vec<u8>>;
+}
+
+/// The oblivious target — ODoH's target, legacy ODNS's authority: opens
+/// queries it cannot attribute, recurses to the origin, and seals each
+/// answer back through the proxy that forwarded the query.
+struct Target<E: Envelope> {
+    envelope: E,
+    origin: Endpoint<DnsQuery, Control, AuthOrigin>,
+    client_resp_key: KeyId,
+    subjects: Subjects,
+    /// Opened queries awaiting the origin, keyed by the proxy that
+    /// forwarded them and that proxy's sequence number, so backup
+    /// proxies' numbers never collide.
+    waiters: BTreeMap<(PeerId, u64), E::Waiter>,
+    /// Origin-leg sequence numbers → the waiter they answer.
+    origin_leg: HopMap<(PeerId, u64)>,
+}
+
+impl<E: Envelope> Target<E> {
+    fn new(envelope: E, client_resp_key: KeyId, subjects: Subjects) -> Self {
+        Target {
+            envelope,
+            origin: Endpoint::new(ORIGIN),
+            client_resp_key,
+            subjects,
+            waiters: BTreeMap::new(),
+            origin_leg: HopMap::new(),
         }
     }
 }
 
-/// The authoritative server every DNS variant terminates at. Under
-/// recovery it is a pure echo responder: unframe the hop sequence,
-/// answer, re-frame — statelessly idempotent, so retransmissions just get
-/// re-answered.
-struct OriginNode {
-    entity: EntityId,
-    zone: Zone,
-    recover: bool,
+impl<E: Envelope> WireRole for Target<E> {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        if from.index() == self.origin.index() {
+            let Ok(resp) = DnsMessage::decode(body) else {
+                return;
+            };
+            let Some(user) = self.subjects.of(&resp) else {
+                return;
+            };
+            let Some(waiter) = self.origin_leg.take(seq) else {
+                return;
+            };
+            let Some(state) = self.waiters.remove(&waiter) else {
+                return; // a duplicated query's second answer
+            };
+            let Some(sealed) = self.envelope.seal(ctx, state, &resp) else {
+                return;
+            };
+            let label = response_label(user, self.client_resp_key);
+            let (proxy, pseq) = waiter;
+            ctx.send(proxy, WireMsg::response(wire::frame(pseq, &sealed), label));
+            return;
+        }
+        let Some((query, state)) = self.envelope.open(ctx, body) else {
+            return;
+        };
+        let Some(user) = self.subjects.of(&query) else {
+            return;
+        };
+        let waiter = (from, seq);
+        self.waiters.insert(waiter, state);
+        let tseq = self.origin_leg.insert(waiter);
+        ctx.send_to(
+            self.origin,
+            WireMsg::data(wire::frame(tseq, &query.encode()), origin_query_label(user)),
+        );
+    }
 }
 
-impl Node for OriginNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let (seq, body) = if self.recover {
-            match wire::unframe(&msg.bytes) {
-                Some((s, b)) => (Some(s), b),
-                None => return,
-            }
-        } else {
-            (None, &msg.bytes[..])
+/// The authoritative origin every wiring terminates at (registered as
+/// `AuthOrigin` behind an oblivious target, `ExposedOrigin` behind plain
+/// resolvers): answers from its zone, echoing the asker's sequence
+/// number. Stateless, so a retransmission is simply answered again.
+struct Origin {
+    zone: Zone,
+}
+
+impl WireRole for Origin {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
         };
         let Ok(query) = DnsMessage::decode(body) else {
             return;
@@ -362,51 +622,114 @@ impl Node for OriginNode {
         // The response repeats the query content back to the asker; it
         // carries no *new* subject information beyond what the query
         // already established, so label it Public.
-        let bytes = match seq {
-            Some(s) => wire::frame(s, &resp.encode()),
-            None => resp.encode(),
-        };
-        ctx.send(from, Message::new(bytes, Label::Public));
+        ctx.send(
+            from,
+            WireMsg::response(wire::frame(seq, &resp.encode()), Label::Public),
+        );
     }
 }
 
-/// The shared run tail for every DNS variant: run the network to
-/// quiescence, harvest the [`RunCore`] through the harness, and fold the
-/// stats into a [`ScenarioReport`].
-fn assemble(
-    harness: Harness,
-    net: Network,
-    stats: Rc<RefCell<Stats>>,
+/// The world ODoH and legacy ODNS write, and what their roles are built
+/// from. Peer ids follow the entity order: proxy 0, target 1, origin 2,
+/// then backup proxies, then clients.
+struct ObliviousWorld {
+    world: World,
+    proxy: EntityId,
+    target: EntityId,
+    origin: EntityId,
+    backups: Vec<EntityId>,
     users: Vec<UserId>,
-    expected_queries: usize,
-) -> ScenarioReport {
-    let core = harness.finish(net);
-    finish_report(core, &stats.borrow(), users, expected_queries)
+    clients: Vec<EntityId>,
+    target_kp: hpke::Keypair,
+    target_key: KeyId,
+    client_resp_key: KeyId,
+    subjects: Subjects,
+    /// Each client's disjoint slice of query names.
+    queries: Vec<Vec<DnsName>>,
+    zone: Zone,
 }
 
-fn finish_report(
-    core: RunCore,
-    stats: &Stats,
-    users: Vec<UserId>,
-    expected_queries: usize,
-) -> ScenarioReport {
-    let mean = mean_us(&stats.latencies);
-    let mut all_names: HashSet<String> = HashSet::new();
-    for v in &stats.resolver_views {
-        all_names.extend(v.iter().cloned());
+/// Build the oblivious wirings' entities, keys and workload into
+/// `world`: `clients` clients asking `queries_each` names each, behind
+/// a proxy and `backups` backup proxies.
+///
+/// The world mutation order is load-bearing: a metrics sink installed
+/// on `world` observes entity creation in sequence, and the DST probes
+/// are byte-identical across refactors only if the order holds.
+fn oblivious_world(
+    mut world: World,
+    seed: u64,
+    clients: usize,
+    queries_each: usize,
+    backups: usize,
+) -> ObliviousWorld {
+    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0d0a);
+    let workload = ZipfWorkload::new(200, 1.0, SUFFIX);
+
+    let isp_org = world.add_org("isp");
+    let odns_org = world.add_org("oblivious-operator");
+    let auth_org = world.add_org("authoritative");
+    let user_org = world.add_org("users");
+    let proxy = world.add_entity("Resolver", isp_org, None);
+    let target = world.add_entity("Oblivious Resolver", odns_org, None);
+    let origin = world.add_entity("Origin", auth_org, None);
+
+    // Each backup is an independent operator (own org), so failing over
+    // genuinely changes trust.
+    let backups = (1..=backups)
+        .map(|i| {
+            let org = world.add_org(&format!("isp-backup-{i}"));
+            world.add_entity(&nth("Resolver", ' ', i), org, None)
+        })
+        .collect();
+
+    let target_kp = hpke::Keypair::generate(&mut setup_rng);
+
+    let mut users = Vec::new();
+    let mut client_entities = Vec::new();
+    for i in 0..clients {
+        let u = world.add_user();
+        client_entities.push(world.add_entity(&nth("Client", ' ', i), user_org, Some(u)));
+        users.push(u);
     }
-    ScenarioReport {
-        world: core.world,
-        trace: core.trace,
-        answered: stats.answered,
-        mean_query_us: mean,
+
+    // Key capabilities: the target holds its HPKE key; clients hold their
+    // response keys. (Clients' own ledgers are seeded directly, so the
+    // response KeyId is granted to no third party.)
+    let target_key = world.new_key(&[target]);
+    let client_resp_key = world.new_key(&[]);
+    for &e in &client_entities {
+        world.grant_key(e, client_resp_key);
+    }
+
+    // Assign each client a disjoint slice of names so the "which subject
+    // is this query about" bookkeeping is unambiguous.
+    let mut subjects = HashMap::new();
+    let mut queries = Vec::new();
+    for (ci, &u) in users.iter().enumerate() {
+        let mut qs = Vec::new();
+        for k in 0..queries_each {
+            let name = workload.domain((ci * queries_each + k) % workload.domain_count());
+            subjects.insert(name.to_string(), u);
+            qs.push(name.clone());
+        }
+        queries.push(qs);
+    }
+
+    ObliviousWorld {
+        world,
+        proxy,
+        target,
+        origin,
+        backups,
         users,
-        resolver_views: stats.resolver_views.iter().map(HashSet::len).collect(),
-        distinct_names: all_names.len(),
-        fault_log: core.fault_log,
-        metrics: core.metrics,
-        expected: expected_queries as u64,
-        retry_linkage: stats.linkage.violations(),
+        clients: client_entities,
+        target_kp,
+        target_key,
+        client_resp_key,
+        subjects: Subjects(subjects),
+        queries,
+        zone: build_zone(&workload),
     }
 }
 
@@ -614,14 +937,25 @@ mod tests {
     /// Without recovery a drop must not shift answers onto the wrong
     /// client: every leg is sequence-framed, so no hop pairs answers
     /// with queries by arrival order. Arrival-order pairing fails at
-    /// these seeds.
+    /// these seeds — ODoH's at the first four, legacy ODNS's at the
+    /// rest.
     #[test]
     fn drops_without_recovery_never_cross_answers() {
         use dcp_faults::FaultConfig;
         let opts = RunOptions::with_faults(&FaultConfig::moderate());
-        for seed in [3, 8, 11, 12] {
+        let odoh = [3, 8, 11, 12].map(|seed| {
             let report = Odoh::run_with(&OdohConfig::new(2, 3), seed, &opts);
-            assert!(!report.fault_log.is_empty(), "seed {seed}: no faults");
+            ("odoh", seed, report)
+        });
+        let legacy = [0, 3, 4, 16].map(|seed| {
+            let report = OdnsLegacy::run_with(&OdnsLegacyConfig::new(2, 3), seed, &opts);
+            ("legacy", seed, report)
+        });
+        for (name, seed, report) in odoh.iter().chain(&legacy) {
+            assert!(
+                !report.fault_log.is_empty(),
+                "{name} seed {seed}: no faults"
+            );
             for e in report.world.entities() {
                 let Some(own) = e.user_domain else { continue };
                 let foreign: Vec<_> = report
@@ -632,23 +966,44 @@ mod tests {
                     .collect();
                 assert!(
                     foreign.is_empty(),
-                    "seed {seed}: {} holds {foreign:?}",
+                    "{name} seed {seed}: {} holds {foreign:?}",
                     e.name
                 );
             }
         }
     }
 
+    /// Recovery must finish the workload without teaching anyone
+    /// anything the calm run did not. For direct DNS that needs each
+    /// call's resolver drawn once, independent of faults: a draw from
+    /// the run's RNG, or one per retry, shows names to resolvers the
+    /// calm run never asked at these seeds.
     #[test]
     fn recovered_harsh_legacy_and_direct_complete() {
         use dcp_core::ScenarioReport as _;
+        use dcp_faults::dst::KnowledgeFingerprint;
         use dcp_faults::FaultConfig;
+        let calm = RunOptions::recovered(&FaultConfig::calm());
         let opts = RunOptions::recovered(&FaultConfig::harsh());
-        let legacy = OdnsLegacy::run_with(&OdnsLegacyConfig::new(1, 4), 33, &opts);
+        let cfg = OdnsLegacyConfig::new(1, 4);
+        let legacy = OdnsLegacy::run_with(&cfg, 33, &opts);
         assert_eq!(legacy.answered as u64, legacy.expected_units().unwrap());
         assert!(legacy.retry_linkage().is_empty());
-        let direct = DirectDns::run_with(&DirectDnsConfig::new(2, 5, 2), 34, &opts);
-        assert_eq!(direct.answered as u64, direct.expected_units().unwrap());
+        assert_eq!(
+            KnowledgeFingerprint::of(&legacy.world),
+            KnowledgeFingerprint::of(&OdnsLegacy::run_with(&cfg, 33, &calm).world),
+            "legacy: harsh tables drifted from the calm twin"
+        );
+        let cfg = DirectDnsConfig::new(2, 4, 2);
+        for seed in [5, 10, 12, 14, 34] {
+            let direct = DirectDns::run_with(&cfg, seed, &opts);
+            assert_eq!(direct.answered as u64, direct.expected_units().unwrap());
+            assert_eq!(
+                KnowledgeFingerprint::of(&direct.world),
+                KnowledgeFingerprint::of(&DirectDns::run_with(&cfg, seed, &calm).world),
+                "direct seed {seed}: harsh tables drifted from the calm twin"
+            );
+        }
     }
 
     #[test]

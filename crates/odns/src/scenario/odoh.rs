@@ -1,9 +1,9 @@
 //! The ODoH wiring, written once as seam roles: clients HPKE-seal
-//! queries through proxy → target → origin. [`wiring`] builds the four
-//! roles and the world they write; [`Odoh`] hosts them on the simulator
-//! and [`crate::serve::odoh_serve_spec`] hands the same roles to
-//! `dcp-serve`, so a served run's knowledge tables are byte-comparable to
-//! the simulated twin's by construction.
+//! queries through proxy → target → origin. [`wiring`] builds the roles
+//! over the oblivious world layout it shares with legacy ODNS; the
+//! simulator hosts them ([`Odoh`]) and [`crate::serve::odoh_serve_spec`]
+//! hands the same roles to `dcp-serve`, so a served run's knowledge
+//! tables are byte-comparable to the simulated twin's by construction.
 //!
 //! ## Sequence numbers on every leg
 //!
@@ -13,80 +13,34 @@
 //! order. Each hop mints its own numbers and maps them back on the
 //! return path — a client-scoped counter forwarded in the clear would
 //! hand the target a stable cross-query pseudonym, undoing the
-//! decoupling. The proxy re-keys with a [`HopMap`]; the target keys its
-//! waiters by `(proxy, proxy seq)`, so backup proxies' numbers never
-//! collide, and mints its own numbers for the origin leg. The run's
-//! [`RecoverConfig`] only arms the client's retries and adds backup
-//! proxies.
+//! decoupling. The proxy re-keys with a [`HopMap`](dcp_runtime::HopMap);
+//! the target keys its waiters by `(proxy, proxy seq)`, so backup
+//! proxies' numbers never collide, and mints its own numbers for the
+//! origin leg. The run's [`RecoverConfig`] only arms the client's
+//! retries and adds backup proxies.
 //!
 //! Every decode on this path is fail-closed: a frame that does not
 //! unframe, unseal, or parse is dropped, never answered.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::{
-    DataKind, IdentityKind, InfoItem, KeyId, Label, ObsEvent, RecoverConfig, RunOptions, Scenario,
-    UserId, World,
+    DataKind, IdentityKind, InfoItem, KeyId, ObsEvent, RecoverConfig, Scenario, UserId, World,
 };
 use dcp_crypto::hpke;
 use dcp_crypto::x25519::PreparedKey;
-use dcp_dns::workload::ZipfWorkload;
-use dcp_dns::{DnsName, Message as DnsMessage, RrType, Zone};
+use dcp_dns::{DnsName, Message as DnsMessage, RrType};
 use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
-use dcp_runtime::{
-    wire, Attempt, Control, Endpoint, Failover, Harness, HopMap, LinkParams, ReliableCall,
-    TimerVerdict,
-};
+use dcp_runtime::{wire, Attempt, Control, Endpoint, Failover, ReliableCall, TimerVerdict};
 
-use super::{build_zone, finish_report, Odoh, OdohConfig, ScenarioReport, Stats, SUFFIX};
+use super::{
+    answered, envelope_label, nth, oblivious_world, Envelope, Odoh, OdohConfig, Origin, Proxy,
+    Stats, Target,
+};
 use crate::odoh;
-use crate::types::{
-    AuthOrigin, DnsQuery, ObliviousProxy, ObliviousQuery, ObliviousTarget, SealedQuery, StubClient,
-};
-
-/// Peer ids of the target and the origin (see [`wiring`]).
-const TARGET: usize = 1;
-const ORIGIN: usize = 2;
-
-/// The client's envelope label.
-///
-/// Outer envelope: the proxy knows the client (▲_N) and that a DNS query
-/// happened (⊙). Inner seal: the target reads the query content (⊙/●) of
-/// an anonymous user (△).
-fn envelope_label(user: UserId, target_key: KeyId) -> Label {
-    Label::items([
-        InfoItem::sensitive_identity(user, IdentityKind::Any),
-        InfoItem::plain_data(user, DataKind::DnsQuery),
-    ])
-    .and(
-        Label::items([
-            InfoItem::plain_identity(user, IdentityKind::Any),
-            InfoItem::partial_data(user, DataKind::DnsQuery),
-        ])
-        .sealed(target_key),
-    )
-}
-
-/// The target's response label: the answer (●) about `user`, sealed
-/// under the response key that the client and the target derive from
-/// the query's HPKE context — intermediaries learn nothing; the client
-/// learns the answer it is entitled to. The target derives that key too,
-/// but it sends the response and already knows the answer, so the
-/// `KeyId` is granted to clients only.
-fn response_label(user: UserId, client_resp_key: KeyId) -> Label {
-    Label::items([InfoItem::sensitive_data(user, DataKind::DnsQuery)]).sealed(client_resp_key)
-}
-
-/// The target→origin label: a plaintext recursive query — the origin
-/// sees the query (●) from the resolver's address (△).
-fn origin_query_label(user: UserId) -> Label {
-    Label::items([
-        InfoItem::plain_identity(user, IdentityKind::Any),
-        InfoItem::sensitive_data(user, DataKind::DnsQuery),
-    ])
-}
+use crate::types::{AuthOrigin, ObliviousProxy, ObliviousTarget, SealedQuery, StubClient};
 
 /// The stub-resolver client: seals each query to the target and sends
 /// it through a proxy, counting an answer only when the response opens
@@ -206,16 +160,7 @@ impl WireRole for Client {
         let call = self.inflight.remove(&seq).expect("opened against above");
         self.arq.complete(seq);
         self.failover.report_success(call.route_ordinal);
-        let now = ctx.now_us();
-        ctx.span("query", call.sent_at, now);
-        let mut stats = self
-            .stats
-            .lock()
-            .expect("no client panicked holding the stats");
-        stats.answered += 1;
-        stats.latencies.push(now - call.sent_at);
-        drop(stats);
-        ctx.unit_done();
+        answered(&self.stats, ctx, call.sent_at);
         self.send_next(ctx);
     }
 
@@ -269,275 +214,79 @@ impl WireRole for Client {
     }
 }
 
-/// The oblivious proxy: strips the client-identifying envelope, re-keys
-/// each forwarded query under its own sequence number, and carries
-/// sealed bytes it cannot read.
-struct Proxy {
-    target: Endpoint<ObliviousQuery, Control, ObliviousTarget>,
-    /// Proxy seq → (client, client seq) for the return path. Entries are
-    /// consumed on first use, so a duplicated response is dropped.
-    hop: HopMap<(PeerId, u64)>,
-}
+/// ODoH's envelope (RFC 9230): the query is HPKE-sealed to the target's
+/// key, and the answer is sealed under a key both ends derive from that
+/// query's HPKE context.
+struct Hpke(hpke::Keypair);
 
-impl WireRole for Proxy {
-    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
-        let Some((seq, body)) = wire::unframe(&msg.payload) else {
-            return;
-        };
-        if from.index() == self.target.index() {
-            let Some((client, cseq)) = self.hop.take(seq) else {
-                return;
-            };
-            ctx.send(
-                client,
-                WireMsg::response(wire::frame(cseq, body), msg.label),
-            );
-            return;
-        }
-        // The target sees only the sealed inner label.
-        let inner = match msg.label {
-            Label::Bundle(mut parts) if parts.len() == 2 => parts.swap_remove(1),
-            other => other,
-        };
-        let pseq = self.hop.insert((from, seq));
-        ctx.send_to(self.target, WireMsg::data(wire::frame(pseq, body), inner));
-    }
-}
+impl Envelope for Hpke {
+    type Waiter = odoh::QueryState;
 
-/// The oblivious target: opens queries it cannot attribute, recurses to
-/// the origin, and seals each answer under the response key it derives
-/// from the query's HPKE context.
-struct Target {
-    kp: hpke::Keypair,
-    origin: Endpoint<DnsQuery, Control, AuthOrigin>,
-    client_resp_key: KeyId,
-    /// Maps query names to subjects for label construction (the target
-    /// cannot name users — this is scenario bookkeeping keyed by what the
-    /// target *does* see).
-    subject_of_query: HashMap<String, UserId>,
-    /// Opened queries awaiting the origin, keyed by the proxy that
-    /// forwarded them and that proxy's sequence number.
-    waiters: BTreeMap<(PeerId, u64), odoh::QueryState>,
-    /// Origin-leg sequence numbers → the waiter they answer.
-    origin_leg: HopMap<(PeerId, u64)>,
-}
-
-impl Target {
-    fn subject(&self, msg: &DnsMessage) -> Option<UserId> {
-        let q0 = msg.questions.first()?;
-        self.subject_of_query.get(&q0.qname.to_string()).copied()
-    }
-}
-
-impl WireRole for Target {
-    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
-        let Some((seq, body)) = wire::unframe(&msg.payload) else {
-            return;
-        };
-        if from.index() == self.origin.index() {
-            let Ok(resp) = DnsMessage::decode(body) else {
-                return;
-            };
-            // The label names the subject of the answer's own question,
-            // so an answer delivered to the wrong client would show up in
-            // that client's ledger.
-            let Some(user) = self.subject(&resp) else {
-                return;
-            };
-            let Some(waiter) = self.origin_leg.take(seq) else {
-                return;
-            };
-            let Some(state) = self.waiters.remove(&waiter) else {
-                return; // a duplicated query's second answer
-            };
-            ctx.crypto_op("hpke_seal");
-            let sealed = odoh::seal_response(ctx.rng, &state, &resp);
-            let label = response_label(user, self.client_resp_key);
-            let (proxy, pseq) = waiter;
-            ctx.send(proxy, WireMsg::response(wire::frame(pseq, &sealed), label));
-            return;
-        }
-        // Encapsulated query via a proxy. Undecryptable (tampered or
-        // replayed) queries are dropped, never answered.
+    fn open(&self, ctx: &mut WireCtx, body: &[u8]) -> Option<(DnsMessage, odoh::QueryState)> {
         ctx.crypto_op("hpke_decap");
         ctx.crypto_op("hpke_open");
-        let Ok((query, state)) = odoh::open_query(&self.kp, body) else {
-            return;
-        };
-        let Some(user) = self.subject(&query) else {
-            return;
-        };
-        let waiter = (from, seq);
-        self.waiters.insert(waiter, state);
-        let tseq = self.origin_leg.insert(waiter);
-        ctx.send_to(
-            self.origin,
-            WireMsg::data(wire::frame(tseq, &query.encode()), origin_query_label(user)),
-        );
+        odoh::open_query(&self.0, body).ok()
+    }
+
+    fn seal(
+        &self,
+        ctx: &mut WireCtx,
+        state: odoh::QueryState,
+        resp: &DnsMessage,
+    ) -> Option<Vec<u8>> {
+        ctx.crypto_op("hpke_seal");
+        Some(odoh::seal_response(ctx.rng, &state, resp))
     }
 }
 
-/// The authoritative origin: answers from its zone, echoing the
-/// target's sequence number. Stateless, so a retransmission is simply
-/// answered again.
-struct Origin {
-    zone: Zone,
-}
-
-impl WireRole for Origin {
-    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
-        let Some((seq, body)) = wire::unframe(&msg.payload) else {
-            return;
-        };
-        let Ok(query) = DnsMessage::decode(body) else {
-            return;
-        };
-        let resp = self.zone.answer(&query);
-        // The response repeats the query content back to the asker; it
-        // carries no *new* subject information beyond what the query
-        // already established, so label it Public.
-        ctx.send(
-            from,
-            WireMsg::response(wire::frame(seq, &resp.encode()), Label::Public),
-        );
-    }
-}
-
-/// Build the ODoH entities, keys and workload into `world`, and the
-/// roles over them, ready for either engine; the stats are what the
-/// clients measure (answers, latencies, retry linkage). Peer ids: proxy
-/// 0, target 1, origin 2, then backup proxies (recovered runs only),
-/// then clients.
-///
-/// The world mutation order is load-bearing: a metrics sink installed
-/// on `world` observes entity creation in sequence, and the DST probes
-/// are byte-identical across refactors only if the order holds.
+/// Build the ODoH roles over the oblivious world layout, ready for
+/// either engine; the stats are what the clients measure (answers,
+/// latencies, retry linkage). Peer ids: proxy 0, target 1, origin 2,
+/// then backup proxies (recovered runs only), then clients.
 pub(crate) fn wiring(
     cfg: &OdohConfig,
     seed: u64,
-    mut world: World,
+    world: World,
     recover: &RecoverConfig,
 ) -> (ServeSpec, Arc<Mutex<Stats>>) {
-    use rand::SeedableRng;
-    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0d0a);
-    let workload = ZipfWorkload::new(200, 1.0, SUFFIX);
-
-    let isp_org = world.add_org("isp");
-    let odns_org = world.add_org("oblivious-operator");
-    let auth_org = world.add_org("authoritative");
-    let user_org = world.add_org("users");
-    let proxy_e = world.add_entity("Resolver", isp_org, None);
-    let target_e = world.add_entity("Oblivious Resolver", odns_org, None);
-    let origin_e = world.add_entity("Origin", auth_org, None);
-
-    // Backup proxies exist only under recovery: each is an independent
-    // operator (own org) so failing over genuinely changes trust, and
-    // clients rotate across all of them even in calm runs — a backup
-    // that only ever saw failure traffic would accrue knowledge only
-    // under faults, breaking the DST's table-equality bar.
-    let n_backups = if recover.enabled {
+    // Backup proxies exist only under recovery, and clients rotate
+    // across all of them even in calm runs — a backup that only ever saw
+    // failure traffic would accrue knowledge only under faults, breaking
+    // the DST's table-equality bar.
+    let backups = if recover.enabled {
         cfg.backup_proxies
     } else {
         0
     };
-    let mut backups = Vec::new();
-    for i in 0..n_backups {
-        let org = world.add_org(&format!("isp-backup-{}", i + 1));
-        backups.push(world.add_entity(&format!("Resolver {}", i + 2), org, None));
-    }
-
-    let target_kp = hpke::Keypair::generate(&mut setup_rng);
+    let w = oblivious_world(world, seed, cfg.clients, cfg.queries_each, backups);
     // Its table is built by the first query, so building the wiring
     // costs nothing more.
-    let target_pk = Arc::new(PreparedKey::new(target_kp.public));
+    let target_pk = Arc::new(PreparedKey::new(w.target_kp.public));
 
-    let mut users = Vec::new();
-    let mut clients = Vec::new();
-    for i in 0..cfg.clients {
-        let u = world.add_user();
-        let name = if i == 0 {
-            "Client".to_string()
-        } else {
-            format!("Client {}", i + 1)
-        };
-        clients.push(world.add_entity(&name, user_org, Some(u)));
-        users.push(u);
-    }
-
-    // Key capabilities: the target holds its HPKE key; clients hold their
-    // response keys. (Clients' own ledgers are seeded directly, so the
-    // response KeyId is granted to no third party.)
-    let target_key = world.new_key(&[target_e]);
-    let client_resp_key = world.new_key(&[]);
-    for &e in &clients {
-        world.grant_key(e, client_resp_key);
-    }
-
-    // Assign each client a disjoint slice of names so the "which subject
-    // is this query about" bookkeeping is unambiguous.
-    let mut subject_of_query = HashMap::new();
-    let mut per_client_queries = Vec::new();
-    for (ci, &u) in users.iter().enumerate() {
-        let mut qs = Vec::new();
-        for k in 0..cfg.queries_each {
-            let name = workload.domain((ci * cfg.queries_each + k) % workload.domain_count());
-            subject_of_query.insert(name.to_string(), u);
-            qs.push(name.clone());
-        }
-        per_client_queries.push(qs);
-    }
-
-    let proxy = |entity, name: String| {
-        let target = Endpoint::new(TARGET);
-        let role = Proxy {
-            target,
-            hop: HopMap::new(),
-        };
-        RoleSpec::of::<ObliviousProxy>(name, entity, Box::new(role))
-    };
     let mut roles = vec![
-        proxy(proxy_e, "proxy".into()),
+        Proxy::spec("proxy".into(), w.proxy),
         RoleSpec::of::<ObliviousTarget>(
             "target",
-            target_e,
-            Box::new(Target {
-                kp: target_kp.clone(),
-                origin: Endpoint::new(ORIGIN),
-                client_resp_key,
-                subject_of_query,
-                waiters: BTreeMap::new(),
-                origin_leg: HopMap::new(),
-            }),
+            w.target,
+            Box::new(Target::new(
+                Hpke(w.target_kp),
+                w.client_resp_key,
+                w.subjects,
+            )),
         ),
-        RoleSpec::of::<AuthOrigin>(
-            "origin",
-            origin_e,
-            Box::new(Origin {
-                zone: build_zone(&workload),
-            }),
-        ),
+        RoleSpec::of::<AuthOrigin>("origin", w.origin, Box::new(Origin { zone: w.zone })),
     ];
     let mut proxy_routes = vec![0];
-    for (i, &e) in backups.iter().enumerate() {
+    for (i, &e) in w.backups.iter().enumerate() {
         proxy_routes.push(roles.len());
-        roles.push(proxy(e, format!("proxy-{}", i + 2)));
+        roles.push(Proxy::spec(nth("proxy", '-', i + 1), e));
     }
-    let stats = Arc::new(Mutex::new(Stats::new(1)));
-    for (ci, ((&user, &e), queries)) in users
-        .iter()
-        .zip(&clients)
-        .zip(per_client_queries)
-        .enumerate()
-    {
-        let name = if ci == 0 {
-            "client".to_string()
-        } else {
-            format!("client-{}", ci + 1)
-        };
+    let stats = Stats::shared(1);
+    for (ci, ((&user, &e), queries)) in w.users.iter().zip(&w.clients).zip(w.queries).enumerate() {
         let client = Client {
             user,
             target_pk: target_pk.clone(),
-            target_key,
+            target_key: w.target_key,
             queries,
             next_id: 1,
             arq: ReliableCall::new(recover, derive_seed(seed, 0x0a10 + ci as u64)),
@@ -547,28 +296,18 @@ pub(crate) fn wiring(
             inflight: BTreeMap::new(),
             stats: stats.clone(),
         };
-        roles.push(RoleSpec::of::<StubClient>(name, e, Box::new(client)));
+        roles.push(RoleSpec::of::<StubClient>(
+            nth("client", '-', ci),
+            e,
+            Box::new(client),
+        ));
     }
 
     let spec = ServeSpec {
         scenario: Odoh::NAME,
-        world,
+        world: w.world,
         roles,
         expected_units: (cfg.clients * cfg.queries_each) as u64,
     };
     (spec, stats)
-}
-
-/// Host the ODoH roles on the simulator.
-pub(super) fn odoh_impl(cfg: &OdohConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-    let (world, harness) = Harness::begin(Odoh::NAME, seed, opts);
-    let (spec, stats) = wiring(cfg, seed, world, &opts.recover);
-    let users = spec.world.users().to_vec();
-    let mut net = harness.network(spec.world, LinkParams::wan_ms(8));
-    for role in spec.roles {
-        Harness::add_spec(&mut net, role);
-    }
-    let core = harness.finish(net);
-    let stats = stats.lock().expect("no client panicked holding the stats");
-    finish_report(core, &stats, users, cfg.clients * cfg.queries_each)
 }

@@ -3,9 +3,11 @@
 //!
 //! Every [`WireLabel`] impl for this crate lives in this module (the CI
 //! layering lint holds wiring crates to that). Three wirings share these
-//! types: ODoH (`scenario::odoh`, served as is by `serve`), the original
-//! ODNS (`scenario::legacy`, where the ciphertext hides in the queried
-//! *name*), and the plain-DNS coupled baseline (`scenario::direct`).
+//! types, each written once as seam roles and served as is by `serve`:
+//! ODoH (`scenario::odoh`), the original ODNS (`scenario::legacy`,
+//! where the ciphertext hides in the queried *name* and the
+//! [`ObliviousProxy`] is ODoH's proxy, unmodified), and the plain-DNS
+//! coupled baseline (`scenario::direct`).
 //! The paper's §3.2.2 table is stated here once, as caps:
 //!
 //! | Client | Resolver | Oblivious Resolver | Origin |

@@ -15,9 +15,9 @@
 //!   enabling recovery perturbs no protocol randomness, and the parallel
 //!   sweep engine still reproduces byte-identical artifacts.
 //! * **Zero cost when disabled.** With [`RecoverConfig::disabled`] no
-//!   sequence number is framed, no timer armed, no state allocated: the
-//!   scenario's wire bytes are bit-for-bit what they were before this
-//!   crate existed.
+//!   timer is armed and no retry state allocated. Whether a sequence
+//!   number is framed is the wiring's choice ([`wire`]): seam-role
+//!   wirings always frame, node wirings only under recovery.
 //! * **Re-randomized retransmission.** A retry never replays bytes; the
 //!   client re-runs the encryption/blinding step (fresh HPKE
 //!   encapsulation, fresh blind factor). Byte-identical retries would let

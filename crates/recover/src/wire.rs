@@ -1,11 +1,13 @@
 //! Sequence-number wire framing.
 //!
-//! When recovery is enabled every reliable request (and its response)
-//! carries an 8-byte big-endian sequence number ahead of the protocol
-//! payload, so receivers can dedup retransmissions and responders can
-//! echo the number for the client's call matching. When recovery is
-//! disabled nothing is framed — the wire bytes are exactly the
-//! pre-recovery protocol's.
+//! A framed request (and its response) carries an 8-byte big-endian
+//! sequence number ahead of the protocol payload, so receivers can dedup
+//! retransmissions and responders can echo the number for the client's
+//! call matching. The seam-role wirings (the DNS family: ODoH, legacy
+//! ODNS and direct DNS) frame every leg whether or not recovery is on:
+//! real sockets interleave, so no hop may pair answers with queries by
+//! arrival order. The wirings still on simulator nodes frame only when
+//! recovery is enabled.
 //!
 //! The frame sits at whatever layer the scenario needs it: *outside* the
 //! ciphertext for hop-deduped legs (ODoH client → proxy), or *inside* the

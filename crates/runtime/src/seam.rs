@@ -97,6 +97,8 @@ pub struct WireCtx<'a> {
     /// simulator's run RNG, or a per-role RNG under `dcp-serve`.
     /// Ciphertext bytes differ between sim and serve runs, which is fine
     /// — knowledge tables depend on labels and keys, not on ciphertext.
+    /// A draw that decides *where* a message goes would differ too, so
+    /// routing draws come from role-owned state seeded from the run seed.
     pub rng: &'a mut StdRng,
     me: PeerId,
     now_us: u64,
@@ -295,7 +297,8 @@ pub struct RoleSpec {
 
 /// A complete wiring of seam roles: the world (entities, users, keys)
 /// plus every role. Built by a scenario crate (e.g.
-/// `dcp_odns::serve::odoh_serve_spec`) and hosted by either engine:
+/// `dcp_odns::serve::odoh_serve_spec` and its two DNS siblings) and
+/// hosted by either engine:
 /// [`Harness::add_spec`](crate::Harness::add_spec) on the simulator,
 /// `dcp-serve` over sockets.
 pub struct ServeSpec {

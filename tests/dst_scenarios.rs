@@ -162,6 +162,22 @@ fn dst_ech() {
     check(&run_scenario_for::<decoupling::Ech>(1009, &cfg));
 }
 
+#[test]
+fn dst_odns_legacy() {
+    let cfg = decoupling::odns::OdnsLegacyConfig::new(3, 4);
+    check(&run_scenario_for::<decoupling::odns::OdnsLegacy>(
+        1010, &cfg,
+    ));
+}
+
+#[test]
+fn dst_dns_direct() {
+    // Striped over two resolvers: the harsh bar holds only because a
+    // call's resolver does not depend on what the faults did.
+    let cfg = decoupling::DirectDnsConfig::new(3, 4, 2);
+    check(&run_scenario_for::<decoupling::DirectDns>(1011, &cfg));
+}
+
 /// §4.2: key compromise is the one fault the framework *detects* rather
 /// than tolerates — granting a relay's keys to the wrong entity must
 /// surface as a coupling in the analysis, not pass silently.

@@ -1,16 +1,18 @@
-//! The sim/prod duality, held to bytes: the ODoH wiring served over real
-//! loopback TCP must finish its workload and produce knowledge tables
-//! **byte-identical** to the deterministic simulator's run of the same
-//! config and seed — and the production decoder must shrug off hostile
-//! bytes, both in-process (proptest against `FrameReader`) and on a live
-//! socket (a rogue connection spraying garbage mid-run).
+//! The sim/prod duality, held to bytes: each DNS wiring — ODoH, legacy
+//! ODNS and direct DNS — served over real loopback TCP must finish its
+//! workload and produce knowledge tables **byte-identical** to the
+//! deterministic simulator's run of the same config and seed — and the
+//! production decoder must shrug off hostile bytes, both in-process
+//! (proptest against `FrameReader`) and on a live socket (a rogue
+//! connection spraying garbage mid-run).
 
 use std::time::Duration;
 
-use dcp_core::Scenario;
+use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
-use dcp_odns::serve::odoh_serve_spec;
-use dcp_odns::{Odoh, OdohConfig};
+use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
+use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
+use dcp_runtime::seam::ServeSpec;
 use dcp_serve::{run_loopback, FrameReader, ServeConfig, MAX_FRAME_PAYLOAD};
 use proptest::prelude::*;
 
@@ -22,18 +24,17 @@ fn serve_cfg(seed: u64) -> ServeConfig {
     }
 }
 
-/// Serve a config over loopback TCP and compare against the simulated
-/// twin. JSON-serializing both fingerprints makes the comparison literal
-/// bytes, not just `PartialEq`.
-fn assert_twin(cfg: OdohConfig, seed: u64) {
-    let outcome = run_loopback(odoh_serve_spec(&cfg, seed), &serve_cfg(seed)).expect("serve runs");
+/// Serve a wiring over loopback TCP and compare against the world of
+/// its simulated twin. JSON-serializing both fingerprints makes the
+/// comparison literal bytes, not just `PartialEq`.
+fn assert_twin(spec: ServeSpec, seed: u64, twin: World) {
+    let outcome = run_loopback(spec, &serve_cfg(seed)).expect("serve runs");
     assert_eq!(
         outcome.completed_units, outcome.expected_units,
         "every query answered over real sockets"
     );
     let served = serde_json::to_string(&KnowledgeFingerprint::of(&outcome.world)).unwrap();
-    let sim_report = Odoh::run(&cfg, seed);
-    let simmed = serde_json::to_string(&KnowledgeFingerprint::of(&sim_report.world)).unwrap();
+    let simmed = serde_json::to_string(&KnowledgeFingerprint::of(&twin)).unwrap();
     assert_eq!(
         served, simmed,
         "served knowledge tables must be byte-identical to the simulated twin"
@@ -42,14 +43,36 @@ fn assert_twin(cfg: OdohConfig, seed: u64) {
 
 #[test]
 fn odoh_over_loopback_matches_simulated_twin() {
-    assert_twin(OdohConfig::new(1, 4), 7);
+    let cfg = OdohConfig::new(1, 4);
+    assert_twin(odoh_serve_spec(&cfg, 7), 7, Odoh::run(&cfg, 7).world);
 }
 
 #[test]
 fn odoh_multi_client_loopback_matches_simulated_twin() {
     // Three clients interleave on real sockets in nondeterministic
     // order; the tables must not care.
-    assert_twin(OdohConfig::new(3, 4), 1004);
+    let cfg = OdohConfig::new(3, 4);
+    assert_twin(
+        odoh_serve_spec(&cfg, 1004),
+        1004,
+        Odoh::run(&cfg, 1004).world,
+    );
+}
+
+#[test]
+fn odns_legacy_loopback_matches_simulated_twin() {
+    let cfg = OdnsLegacyConfig::new(2, 3);
+    let twin = OdnsLegacy::run(&cfg, 1005).world;
+    assert_twin(odns_legacy_serve_spec(&cfg, 1005), 1005, twin);
+}
+
+#[test]
+fn direct_dns_loopback_matches_simulated_twin() {
+    // Two resolvers: which resolver sees which name is the client's own
+    // seeded draw, so it cannot depend on the engine.
+    let cfg = DirectDnsConfig::new(2, 3, 2);
+    let twin = DirectDns::run(&cfg, 1006).world;
+    assert_twin(direct_serve_spec(&cfg, 1006), 1006, twin);
 }
 
 #[test]
