@@ -38,7 +38,7 @@ impl Coin {
 
     /// Decode from wire bytes given the bank's modulus length.
     pub fn decode(bytes: &[u8], sig_len: usize) -> Result<Coin> {
-        if bytes.len() != SERIAL_LEN + sig_len {
+        if bytes.len().checked_sub(SERIAL_LEN) != Some(sig_len) {
             return Err(CryptoError::Malformed);
         }
         let mut serial = [0u8; SERIAL_LEN];
@@ -54,7 +54,32 @@ impl Coin {
 mod tests {
     use super::*;
     use dcp_crypto::rsa::RsaPrivateKey;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    proptest! {
+        /// A coin round-trips at any signature length. Arbitrary bytes
+        /// decode exactly when they hold a serial and `sig_len` more
+        /// bytes, and then re-encode to themselves, even for a `sig_len`
+        /// near `usize::MAX`.
+        #[test]
+        fn coin_decoding_round_trips_and_fails_closed(
+            serial in collection::vec(any::<u8>(), SERIAL_LEN),
+            signature in collection::vec(any::<u8>(), 0..300),
+            bytes in collection::vec(any::<u8>(), 0..80),
+            sig_len in prop_oneof![0usize..48, (usize::MAX - 48)..=usize::MAX],
+        ) {
+            let coin = Coin {
+                serial: serial.try_into().unwrap(),
+                signature,
+            };
+            prop_assert_eq!(Coin::decode(&coin.encode(), coin.signature.len()), Ok(coin.clone()));
+            match Coin::decode(&bytes, sig_len) {
+                Ok(back) => prop_assert_eq!(back.encode(), bytes),
+                Err(_) => prop_assert!(bytes.len().checked_sub(SERIAL_LEN) != Some(sig_len)),
+            }
+        }
+    }
 
     #[test]
     fn encode_decode_roundtrip() {

@@ -174,14 +174,18 @@ pub enum Label {
 impl Label {
     /// Convenience: a clear label with a single item.
     pub fn item(item: InfoItem) -> Self {
-        let mut s = InfoSet::new();
-        s.insert(item);
-        Label::Clear(s)
+        Label::items([item])
     }
 
-    /// Convenience: a clear label from items.
+    /// Convenience: a clear label from items. They are inserted one by
+    /// one: collecting would first buffer and sort them in a `Vec`, a
+    /// second allocation for the handful of items a label carries.
     pub fn items<I: IntoIterator<Item = InfoItem>>(items: I) -> Self {
-        Label::Clear(items.into_iter().collect())
+        let mut set = InfoSet::new();
+        for item in items {
+            set.insert(item);
+        }
+        Label::Clear(set)
     }
 
     /// Seal this label under `key`.
@@ -211,22 +215,27 @@ impl Label {
     /// does for packet headers).
     pub fn observe<F: Fn(KeyId) -> bool + Copy>(&self, has_key: F) -> InfoSet {
         let mut out = InfoSet::new();
-        self.observe_into(has_key, &mut out);
+        self.visit(&has_key, &mut |item| {
+            out.insert(item.clone());
+        });
         out
     }
 
-    fn observe_into<F: Fn(KeyId) -> bool + Copy>(&self, has_key: F, out: &mut InfoSet) {
+    /// Hand every item an observer holding `has_key` can see to `f`, in
+    /// place and in label order. An item that appears in several visible
+    /// parts is handed over once per part.
+    pub(crate) fn visit(&self, has_key: &impl Fn(KeyId) -> bool, f: &mut impl FnMut(&InfoItem)) {
         match self {
             Label::Public => {}
-            Label::Clear(items) => out.extend(items.iter().cloned()),
+            Label::Clear(items) => items.iter().for_each(f),
             Label::Sealed { key, inner } => {
                 if has_key(*key) {
-                    inner.observe_into(has_key, out);
+                    inner.visit(has_key, f);
                 }
             }
             Label::Bundle(parts) => {
                 for p in parts {
-                    p.observe_into(has_key, out);
+                    p.visit(has_key, f);
                 }
             }
         }

@@ -20,9 +20,10 @@ pub struct World {
     entities: Vec<Entity>,
     orgs: BTreeMap<OrgId, String>,
     users: Vec<UserId>,
-    ledgers: BTreeMap<EntityId, InfoSet>,
-    keys: BTreeMap<EntityId, BTreeSet<KeyId>>,
-    next_entity: u64,
+    /// Per-entity ledgers and keyrings, indexed by the dense
+    /// [`EntityId`] that [`World::add_entity`] hands out.
+    ledgers: Vec<InfoSet>,
+    keys: Vec<BTreeSet<KeyId>>,
     next_org: u64,
     next_user: u64,
     next_key: u64,
@@ -59,16 +60,15 @@ impl World {
     /// Register an entity operated by `org`. Pass `user_domain =
     /// Some(user)` for the user's own device.
     pub fn add_entity(&mut self, name: &str, org: OrgId, user_domain: Option<UserId>) -> EntityId {
-        let id = EntityId(self.next_entity);
-        self.next_entity += 1;
+        let id = EntityId(self.entities.len() as u64);
         self.entities.push(Entity {
             id,
             name: name.to_string(),
             org,
             user_domain,
         });
-        self.ledgers.insert(id, InfoSet::new());
-        self.keys.insert(id, BTreeSet::new());
+        self.ledgers.push(InfoSet::new());
+        self.keys.push(BTreeSet::new());
         id
     }
 
@@ -78,7 +78,7 @@ impl World {
         self.next_key += 1;
         for h in holders {
             self.keys
-                .get_mut(h)
+                .get_mut(h.0 as usize)
                 .expect("unknown entity granted key")
                 .insert(id);
         }
@@ -89,21 +89,23 @@ impl World {
     /// modeled compromise).
     pub fn grant_key(&mut self, entity: EntityId, key: KeyId) {
         self.keys
-            .get_mut(&entity)
+            .get_mut(entity.0 as usize)
             .expect("unknown entity")
             .insert(key);
     }
 
     /// Does `entity` hold `key`?
     pub fn has_key(&self, entity: EntityId, key: KeyId) -> bool {
-        self.keys.get(&entity).is_some_and(|s| s.contains(&key))
+        self.keys
+            .get(entity.0 as usize)
+            .is_some_and(|s| s.contains(&key))
     }
 
     /// Every key `entity` currently holds (e.g. to model a compromise
     /// that leaks a victim's whole keyring).
     pub fn keys_of(&self, entity: EntityId) -> Vec<KeyId> {
         self.keys
-            .get(&entity)
+            .get(entity.0 as usize)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
@@ -111,12 +113,20 @@ impl World {
     /// Record that `entity` observed a payload with the given label:
     /// everything its keys can open is added to its ledger. Returns the
     /// newly-learned items.
+    ///
+    /// The label is walked in place against the borrowed keyring, and
+    /// only items the ledger lacks are copied, so a delivery that teaches
+    /// nothing new allocates nothing.
     pub fn observe(&mut self, entity: EntityId, label: &Label) -> InfoSet {
-        let keys = self.keys.get(&entity).expect("unknown entity").clone();
-        let learned = label.observe(|k| keys.contains(&k));
-        let ledger = self.ledgers.get_mut(&entity).expect("unknown entity");
-        let fresh: InfoSet = learned.difference(ledger).cloned().collect();
-        ledger.extend(learned);
+        let slot = entity.0 as usize;
+        let keys = self.keys.get(slot).expect("unknown entity");
+        let ledger = self.ledgers.get_mut(slot).expect("unknown entity");
+        let mut fresh = InfoSet::new();
+        label.visit(&|k| keys.contains(&k), &mut |item| {
+            if ledger.insert(item.clone()) {
+                fresh.insert(item.clone());
+            }
+        });
         if self.obs.is_enabled() {
             for item in &fresh {
                 self.obs.emit(
@@ -136,7 +146,7 @@ impl World {
     pub fn record(&mut self, entity: EntityId, item: InfoItem) {
         let fresh = self
             .ledgers
-            .get_mut(&entity)
+            .get_mut(entity.0 as usize)
             .expect("unknown entity")
             .insert(item.clone());
         if fresh && self.obs.is_enabled() {
@@ -214,7 +224,7 @@ impl World {
 
     /// The full ledger of `entity`.
     pub fn ledger(&self, entity: EntityId) -> &InfoSet {
-        self.ledgers.get(&entity).expect("unknown entity")
+        self.ledgers.get(entity.0 as usize).expect("unknown entity")
     }
 
     /// Knowledge tuple of `entity` about `subject`.
@@ -240,10 +250,7 @@ impl World {
 
     /// Look up an entity.
     pub fn entity(&self, id: EntityId) -> &Entity {
-        self.entities
-            .iter()
-            .find(|e| e.id == id)
-            .expect("unknown entity")
+        self.entities.get(id.0 as usize).expect("unknown entity")
     }
 
     /// Find an entity by name (panics if absent — table assertions use
@@ -305,6 +312,131 @@ impl World {
 mod tests {
     use super::*;
     use crate::label::{DataKind, IdentityKind};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference `observe`: clone the keyring, collect everything it
+    /// opens, and diff that against the ledger. `World::observe` walks
+    /// the label in place instead and must agree with this exactly.
+    fn observe_by_diff(w: &mut World, entity: EntityId, label: &Label) -> InfoSet {
+        let slot = entity.0 as usize;
+        let keys = w.keys[slot].clone();
+        let learned = label.observe(|k| keys.contains(&k));
+        let ledger = &mut w.ledgers[slot];
+        let fresh: InfoSet = learned.difference(ledger).cloned().collect();
+        ledger.extend(learned);
+        for item in &fresh {
+            w.obs.emit(
+                w.obs_now_us,
+                &ObsEvent::Knowledge {
+                    entity,
+                    item: item.clone(),
+                },
+            );
+        }
+        fresh
+    }
+
+    /// Records every knowledge event, in order.
+    #[derive(Default)]
+    struct Accruals(Vec<(u64, EntityId, InfoItem)>);
+
+    impl ObsSink for Accruals {
+        fn on_event(&mut self, at_us: u64, event: &ObsEvent) {
+            if let ObsEvent::Knowledge { entity, item } = event {
+                self.0.push((at_us, *entity, item.clone()));
+            }
+        }
+    }
+
+    /// A random label of nesting depth at most `depth`, drawing items
+    /// from a small `pool` so that one item often sits in several parts.
+    fn random_label(rng: &mut StdRng, pool: &[InfoItem], keys: &[KeyId], depth: u32) -> Label {
+        match rng.gen_range(0..if depth == 0 { 2 } else { 4 }) {
+            0 => Label::Public,
+            1 => Label::items(
+                (0..rng.gen_range(0..4)).map(|_| pool[rng.gen_range(0..pool.len())].clone()),
+            ),
+            2 => {
+                random_label(rng, pool, keys, depth - 1).sealed(keys[rng.gen_range(0..keys.len())])
+            }
+            _ => Label::Bundle(
+                (0..rng.gen_range(0..4))
+                    .map(|_| random_label(rng, pool, keys, depth - 1))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random labels (depth ≤ 4), random key grants and repeated
+        /// observations, with and without a sink: the in-place walk and
+        /// the clone-and-diff reference return the same fresh sets, leave
+        /// the same ledgers and emit the same knowledge events.
+        #[test]
+        fn observe_matches_the_clone_and_diff_reference(
+            seed in any::<u64>(),
+            with_sink in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut world = World::new();
+            let org = world.add_org("o");
+            let users: Vec<UserId> = (0..2).map(|_| world.add_user()).collect();
+            let entities: Vec<EntityId> =
+                (0..3).map(|i| world.add_entity(&format!("E{i}"), org, None)).collect();
+            let keys: Vec<KeyId> = (0..4).map(|_| world.new_key(&[])).collect();
+            for &e in &entities {
+                for &k in &keys {
+                    if rng.gen_bool(0.5) {
+                        world.grant_key(e, k);
+                    }
+                }
+            }
+            let pool: Vec<InfoItem> = users
+                .iter()
+                .flat_map(|&u| {
+                    [
+                        InfoItem::sensitive_identity(u, IdentityKind::Network),
+                        InfoItem::sensitive_data(u, DataKind::Payload),
+                        InfoItem::plain_data(u, DataKind::Destination),
+                    ]
+                })
+                .collect();
+            let labels: Vec<Label> =
+                (0..4).map(|_| random_label(&mut rng, &pool, &keys, 4)).collect();
+
+            let mut reference = world.clone();
+            let sinks = [(); 2].map(|_| Arc::new(Mutex::new(Accruals::default())));
+            if with_sink {
+                world.install_obs(sinks[0].clone());
+                reference.install_obs(sinks[1].clone());
+            }
+            for step in 0..16 {
+                if rng.gen_bool(0.25) {
+                    let e = entities[rng.gen_range(0..entities.len())];
+                    let k = keys[rng.gen_range(0..keys.len())];
+                    world.grant_key(e, k);
+                    reference.grant_key(e, k);
+                }
+                let entity = entities[rng.gen_range(0..entities.len())];
+                let label = &labels[rng.gen_range(0..labels.len())];
+                world.set_obs_now(step);
+                reference.set_obs_now(step);
+                prop_assert_eq!(
+                    world.observe(entity, label),
+                    observe_by_diff(&mut reference, entity, label)
+                );
+            }
+            for &e in &entities {
+                prop_assert_eq!(world.ledger(e), reference.ledger(e));
+            }
+            let [ours, theirs] = sinks.map(|s| std::mem::take(&mut s.lock().unwrap().0));
+            prop_assert_eq!(ours, theirs);
+        }
+    }
 
     #[test]
     fn observe_respects_keys() {

@@ -13,16 +13,19 @@ pub use crate::poly1305::TAG_LEN as AEAD_TAG_LEN;
 fn compute_tag(otk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
     let mut mac = Poly1305::new(otk);
     mac.update(aad);
-    mac.update(&zero_pad16(aad.len()));
+    mac.update(zero_pad16(aad.len()));
     mac.update(ciphertext);
-    mac.update(&zero_pad16(ciphertext.len()));
+    mac.update(zero_pad16(ciphertext.len()));
     mac.update(&(aad.len() as u64).to_le_bytes());
     mac.update(&(ciphertext.len() as u64).to_le_bytes());
     mac.finalize()
 }
 
-fn zero_pad16(len: usize) -> Vec<u8> {
-    vec![0u8; (16 - (len % 16)) % 16]
+static ZEROS: [u8; 16] = [0; 16];
+
+/// The zeros that pad a `len`-byte input to a 16-byte boundary.
+fn zero_pad16(len: usize) -> &'static [u8] {
+    &ZEROS[..(16 - (len % 16)) % 16]
 }
 
 fn one_time_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
@@ -36,7 +39,9 @@ fn one_time_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
 /// `ciphertext ‖ 16-byte tag`.
 pub fn seal(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
     let otk = one_time_key(key, nonce);
-    let mut out = chacha20::apply(key, nonce, 1, plaintext);
+    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
+    chacha20::xor_stream(key, nonce, 1, &mut out);
     let tag = compute_tag(&otk, aad, &out);
     out.extend_from_slice(&tag);
     out

@@ -175,6 +175,44 @@ impl RelayDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Any descriptor round-trips, bare and signed. Arbitrary bytes
+        /// never panic the decoder or the verifier, and bytes that decode
+        /// re-encode to their first `DESC_LEN` bytes.
+        #[test]
+        fn descriptor_decoding_round_trips_and_fails_closed(
+            fields in (
+                any::<u16>(),
+                any::<u16>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<bool>(),
+            ),
+            pk in collection::vec(any::<u8>(), 32),
+            bytes in collection::vec(any::<u8>(), 0..2 * SIGNED_LEN),
+        ) {
+            let (relay, addr, epoch, key, member_seq, servable) = fields;
+            let d = RelayDescriptor {
+                relay,
+                addr,
+                epoch,
+                pk: pk.try_into().unwrap(),
+                key,
+                member_seq,
+                servable,
+            };
+            let secret = [9u8; 32];
+            prop_assert_eq!(RelayDescriptor::decode(&d.encode()), Ok(d.clone()));
+            prop_assert_eq!(RelayDescriptor::verify(&secret, &d.sign(&secret)), Ok(d));
+            if let Ok(back) = RelayDescriptor::decode(&bytes) {
+                prop_assert_eq!(&back.encode()[..], &bytes[..DESC_LEN]);
+            }
+            prop_assert!(RelayDescriptor::verify(&secret, &bytes).is_err());
+        }
+    }
 
     fn desc(relay: u16) -> RelayDescriptor {
         RelayDescriptor {

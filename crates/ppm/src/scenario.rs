@@ -170,17 +170,48 @@ fn encode_fes(out: &mut Vec<u8>, fes: &[Fe]) {
     }
 }
 
-fn decode_fes(bytes: &[u8], pos: &mut usize) -> Vec<Fe> {
-    let n = u32::from_be_bytes(bytes[*pos..*pos + 4].try_into().unwrap()) as usize;
-    *pos += 4;
+/// Why a PPM frame is dropped. The decoders return one of these for any
+/// malformed input, never a panic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DecodeError {
+    /// The frame ends inside a field, or announces more field elements
+    /// than its remaining bytes hold.
+    Truncated,
+    /// A field element is not below the modulus.
+    NonCanonical,
+    /// A submission does not carry one triple share per bit share.
+    TripleCount,
+    /// Bytes follow the last field.
+    TrailingBytes,
+}
+
+/// The `N` bytes at `*pos`, advancing past them.
+fn take<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], DecodeError> {
+    let mut field = [0u8; N];
+    field.copy_from_slice(bytes.get(*pos..*pos + N).ok_or(DecodeError::Truncated)?);
+    *pos += N;
+    Ok(field)
+}
+
+fn decode_fes(bytes: &[u8], pos: &mut usize) -> Result<Vec<Fe>, DecodeError> {
+    let n = u32::from_be_bytes(take(bytes, pos)?) as usize;
+    // Bound the wire's count by the bytes left before reserving for it.
+    if n > (bytes.len() - *pos) / 8 {
+        return Err(DecodeError::Truncated);
+    }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[*pos..*pos + 8]);
-        *pos += 8;
-        out.push(Fe::from_bytes(&b).expect("canonical field element"));
+        out.push(Fe::from_bytes(&take(bytes, pos)?).ok_or(DecodeError::NonCanonical)?);
     }
-    out
+    Ok(out)
+}
+
+fn expect_end(bytes: &[u8], pos: usize) -> Result<(), DecodeError> {
+    if pos == bytes.len() {
+        Ok(())
+    } else {
+        Err(DecodeError::TrailingBytes)
+    }
 }
 
 fn encode_submission(id: u64, sub: &SubmissionShare) -> Vec<u8> {
@@ -192,11 +223,15 @@ fn encode_submission(id: u64, sub: &SubmissionShare) -> Vec<u8> {
     out
 }
 
-fn decode_submission(bytes: &[u8]) -> (u64, SubmissionShare) {
-    let id = u64::from_be_bytes(bytes[1..9].try_into().unwrap());
-    let mut pos = 9;
-    let bits = decode_fes(bytes, &mut pos);
-    let flat = decode_fes(bytes, &mut pos);
+fn decode_submission(bytes: &[u8]) -> Result<(u64, SubmissionShare), DecodeError> {
+    let mut pos = 1; // past the tag, which the caller has matched
+    let id = u64::from_be_bytes(take(bytes, &mut pos)?);
+    let bits = decode_fes(bytes, &mut pos)?;
+    let flat = decode_fes(bytes, &mut pos)?;
+    expect_end(bytes, pos)?;
+    if flat.len() != 3 * bits.len() {
+        return Err(DecodeError::TripleCount);
+    }
     let triples = flat
         .chunks_exact(3)
         .map(|c| TripleShare {
@@ -205,7 +240,7 @@ fn decode_submission(bytes: &[u8]) -> (u64, SubmissionShare) {
             c: c[2],
         })
         .collect();
-    (id, SubmissionShare { bits, triples })
+    Ok((id, SubmissionShare { bits, triples }))
 }
 
 fn encode_verify(tag: u8, id: u64, m: &VerifyMsg, z: Option<&[Fe]>) -> Vec<u8> {
@@ -219,17 +254,18 @@ fn encode_verify(tag: u8, id: u64, m: &VerifyMsg, z: Option<&[Fe]>) -> Vec<u8> {
     out
 }
 
-fn decode_verify(bytes: &[u8], with_z: bool) -> (u64, VerifyMsg, Vec<Fe>) {
-    let id = u64::from_be_bytes(bytes[1..9].try_into().unwrap());
-    let mut pos = 9;
-    let d = decode_fes(bytes, &mut pos);
-    let e = decode_fes(bytes, &mut pos);
+fn decode_verify(bytes: &[u8], with_z: bool) -> Result<(u64, VerifyMsg, Vec<Fe>), DecodeError> {
+    let mut pos = 1; // past the tag, which the caller has matched
+    let id = u64::from_be_bytes(take(bytes, &mut pos)?);
+    let d = decode_fes(bytes, &mut pos)?;
+    let e = decode_fes(bytes, &mut pos)?;
     let z = if with_z {
-        decode_fes(bytes, &mut pos)
+        decode_fes(bytes, &mut pos)?
     } else {
         Vec::new()
     };
-    (id, VerifyMsg { d, e }, z)
+    expect_end(bytes, pos)?;
+    Ok((id, VerifyMsg { d, e }, z))
 }
 
 struct ClientNode {
@@ -374,7 +410,9 @@ impl Node for LeaderNode {
         };
         match tag {
             TAG_SUBMIT => {
-                let (id, sub) = decode_submission(&bytes);
+                let Ok((id, sub)) = decode_submission(&bytes) else {
+                    return;
+                };
                 if self.pending.contains_key(&id) {
                     return; // duplicated submission: first copy wins
                 }
@@ -400,7 +438,9 @@ impl Node for LeaderNode {
                 }
             }
             TAG_HELPER_R1Z => {
-                let (id, their_r1, their_z) = decode_verify(&bytes, true);
+                let Ok((id, their_r1, their_z)) = decode_verify(&bytes, true) else {
+                    return;
+                };
                 if self.pending.contains_key(&id) {
                     self.finish_verification(ctx, id, their_r1, their_z);
                 } else {
@@ -549,7 +589,9 @@ impl Node for HelperNode {
         };
         match tag {
             TAG_SUBMIT => {
-                let (id, sub) = decode_submission(&bytes);
+                let Ok((id, sub)) = decode_submission(&bytes) else {
+                    return;
+                };
                 if !self.seen.insert(id) {
                     return; // duplicated submission: first copy wins
                 }
@@ -566,12 +608,16 @@ impl Node for HelperNode {
                 self.try_round2(ctx, id);
             }
             TAG_LEADER_R1 => {
-                let (id, their_r1, _) = decode_verify(&bytes, false);
+                let Ok((id, their_r1, _)) = decode_verify(&bytes, false) else {
+                    return;
+                };
                 self.early_r1.insert(id, their_r1);
                 self.try_round2(ctx, id);
             }
             TAG_LEADER_Z => {
-                let (id, _, leader_z) = decode_verify(&bytes, true);
+                let Ok((id, _, leader_z)) = decode_verify(&bytes, true) else {
+                    return;
+                };
                 self.early_z.insert(id, leader_z);
                 self.try_finish(ctx, id);
             }
@@ -764,10 +810,111 @@ fn run_impl(config: &PpmConfig, opts: &RunOptions) -> PpmReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::P;
     use dcp_core::{analyze, collusion::entity_collusion, FaultConfig};
+    use proptest::prelude::*;
 
     fn run(config: PpmConfig) -> PpmReport {
         Ppm::run(&config, config.seed)
+    }
+
+    fn fes(raw: &[u64]) -> Vec<Fe> {
+        raw.iter().map(|&v| Fe::new(v)).collect()
+    }
+
+    fn triples(sub: &SubmissionShare) -> Vec<(Fe, Fe, Fe)> {
+        sub.triples.iter().map(|t| (t.a, t.b, t.c)).collect()
+    }
+
+    /// `bytes` with bit `bit` (taken modulo its length) flipped.
+    fn flip(bytes: &[u8], bit: usize) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let bit = bit % (8 * out.len());
+        out[bit / 8] ^= 1 << (bit % 8);
+        out
+    }
+
+    proptest! {
+        /// A submission round-trips. Every proper prefix of its encoding
+        /// is an error, and a bit-flipped encoding either fails or
+        /// re-encodes to itself (past the tag byte, which the caller
+        /// matches before decoding).
+        #[test]
+        fn submissions_round_trip_and_fail_closed(
+            id in any::<u64>(),
+            raw in collection::vec((0..P, 0..P, 0..P, 0..P), 0..10),
+            bit in any::<usize>(),
+        ) {
+            let sub = SubmissionShare {
+                bits: raw.iter().map(|r| Fe::new(r.0)).collect(),
+                triples: raw
+                    .iter()
+                    .map(|r| TripleShare { a: Fe::new(r.1), b: Fe::new(r.2), c: Fe::new(r.3) })
+                    .collect(),
+            };
+            let bytes = encode_submission(id, &sub);
+            let (back_id, back) = decode_submission(&bytes).expect("own encoding decodes");
+            prop_assert_eq!(back_id, id);
+            prop_assert_eq!(&back.bits, &sub.bits);
+            prop_assert_eq!(triples(&back), triples(&sub));
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_submission(&bytes[..cut]).is_err());
+            }
+            let flipped = flip(&bytes, bit);
+            if let Ok((id, sub)) = decode_submission(&flipped) {
+                prop_assert_eq!(&encode_submission(id, &sub)[1..], &flipped[1..]);
+            }
+        }
+
+        /// The same three properties for both verification messages.
+        #[test]
+        fn verify_messages_round_trip_and_fail_closed(
+            id in any::<u64>(),
+            d in collection::vec(0..P, 0..8),
+            e in collection::vec(0..P, 0..8),
+            z in collection::vec(0..P, 0..8),
+            with_z in any::<bool>(),
+            bit in any::<usize>(),
+        ) {
+            let msg = VerifyMsg { d: fes(&d), e: fes(&e) };
+            let z = if with_z { fes(&z) } else { Vec::new() };
+            let bytes = encode_verify(TAG_HELPER_R1Z, id, &msg, with_z.then_some(&z[..]));
+            prop_assert_eq!(decode_verify(&bytes, with_z), Ok((id, msg, z)));
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_verify(&bytes[..cut], with_z).is_err());
+            }
+            let flipped = flip(&bytes, bit);
+            if let Ok((id, msg, z)) = decode_verify(&flipped, with_z) {
+                let again = encode_verify(flipped[0], id, &msg, with_z.then_some(&z[..]));
+                prop_assert_eq!(again, flipped);
+            }
+        }
+
+        /// Arbitrary bytes never panic a decoder.
+        #[test]
+        fn arbitrary_frames_fail_closed(bytes in collection::vec(any::<u8>(), 0..64)) {
+            let _ = decode_submission(&bytes);
+            let _ = decode_verify(&bytes, false);
+            let _ = decode_verify(&bytes, true);
+        }
+    }
+
+    #[test]
+    fn wire_counts_are_bounded_before_reserving() {
+        let mut frame = vec![TAG_SUBMIT];
+        frame.extend_from_slice(&7u64.to_be_bytes());
+        frame.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(
+            decode_submission(&frame).map(|_| ()),
+            Err(DecodeError::Truncated)
+        );
+        let mut bad = frame[..9].to_vec();
+        bad.extend_from_slice(&1u32.to_be_bytes());
+        bad.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            decode_verify(&bad, false).map(|_| ()),
+            Err(DecodeError::NonCanonical)
+        );
     }
 
     #[test]

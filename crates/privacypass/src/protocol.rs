@@ -172,6 +172,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -264,6 +265,27 @@ mod tests {
         };
         assert_eq!(Token::decode(&t.encode()).unwrap(), t);
         assert!(Token::decode(&[0u8; 63]).is_err());
+    }
+
+    proptest! {
+        /// A token round-trips; arbitrary bytes decode exactly when they
+        /// are 64 long, and then re-encode to themselves.
+        #[test]
+        fn token_decoding_round_trips_and_fails_closed(
+            nonce in collection::vec(any::<u8>(), 32),
+            output in collection::vec(any::<u8>(), 32),
+            bytes in collection::vec(any::<u8>(), 0..80),
+        ) {
+            let token = Token {
+                nonce: nonce.try_into().unwrap(),
+                output: output.try_into().unwrap(),
+            };
+            prop_assert_eq!(Token::decode(&token.encode()), Ok(token));
+            match Token::decode(&bytes) {
+                Ok(token) => prop_assert_eq!(token.encode(), bytes),
+                Err(_) => prop_assert_ne!(bytes.len(), 64),
+            }
+        }
     }
 
     #[test]

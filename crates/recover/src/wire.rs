@@ -42,6 +42,25 @@ pub fn unframe(bytes: &[u8]) -> Option<(u64, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A frame round-trips, and any bytes that unframe re-frame to
+        /// themselves; bytes too short for a prefix are refused.
+        #[test]
+        fn frames_round_trip_and_arbitrary_bytes_fail_closed(
+            seq in any::<u64>(),
+            payload in collection::vec(any::<u8>(), 0..48),
+            bytes in collection::vec(any::<u8>(), 0..24),
+        ) {
+            let framed = frame(seq, &payload);
+            prop_assert_eq!(unframe(&framed), Some((seq, &payload[..])));
+            match unframe(&bytes) {
+                Some((seq, rest)) => prop_assert_eq!(frame(seq, rest), bytes),
+                None => prop_assert!(bytes.len() < SEQ_LEN),
+            }
+        }
+    }
 
     #[test]
     fn frame_round_trips() {

@@ -115,6 +115,11 @@ pub struct Network {
     /// Nodes marked as fleet directories: the directory-partition fault
     /// (`p_dir_partition`) targets links between these.
     directories: Vec<bool>,
+    /// The sends and timers of the callback being dispatched, lent to its
+    /// [`Ctx`] and emptied by `flush`; kept across dispatches so their
+    /// capacity is reused.
+    outbox: Vec<(NodeId, Message)>,
+    timers: Vec<(SimTime, u64)>,
 }
 
 impl Network {
@@ -139,6 +144,8 @@ impl Network {
             down_until: Vec::new(),
             relays: Vec::new(),
             directories: Vec::new(),
+            outbox: Vec::new(),
+            timers: Vec::new(),
         }
     }
 
@@ -340,7 +347,7 @@ impl Network {
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            self.dispatch(NodeId(i), None);
+            self.call(NodeId(i), |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -423,7 +430,9 @@ impl Network {
 
             match event {
                 EventKind::Deliver { from, msg } => self.deliver(target, from, msg),
-                EventKind::Timer { token } => self.fire_timer(target, token),
+                EventKind::Timer { token } => {
+                    self.call(target, |node, ctx| node.on_timer(ctx, token))
+                }
             }
             processed += 1;
         }
@@ -447,62 +456,29 @@ impl Network {
         // entity sees whatever its keys open.
         let entity = self.node_entities[target.0];
         self.world.observe(entity, &msg.label);
-        self.dispatch_message(target, from, msg);
+        self.call(target, |node, ctx| node.on_message(ctx, from, msg));
     }
 
-    fn fire_timer(&mut self, target: NodeId, token: u64) {
+    /// Run one callback of node `target`, then flush what it queued.
+    fn call(&mut self, target: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx)) {
         let mut node = self.nodes[target.0].take().expect("node re-entered");
         let mut ctx = Ctx {
             now: self.now,
             world: &mut self.world,
             rng: &mut self.rng,
             self_id: target,
-            outbox: Vec::new(),
-            timers: Vec::new(),
+            outbox: &mut self.outbox,
+            timers: &mut self.timers,
             faults: self.faults.as_mut(),
         };
-        node.on_timer(&mut ctx, token);
-        let (outbox, timers) = (ctx.outbox, ctx.timers);
+        f(node.as_mut(), &mut ctx);
         self.nodes[target.0] = Some(node);
-        self.flush(target, outbox, timers);
+        self.flush(target);
     }
 
-    fn dispatch(&mut self, target: NodeId, _start: Option<()>) {
-        let mut node = self.nodes[target.0].take().expect("node re-entered");
-        let mut ctx = Ctx {
-            now: self.now,
-            world: &mut self.world,
-            rng: &mut self.rng,
-            self_id: target,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-            faults: self.faults.as_mut(),
-        };
-        node.on_start(&mut ctx);
-        let (outbox, timers) = (ctx.outbox, ctx.timers);
-        self.nodes[target.0] = Some(node);
-        self.flush(target, outbox, timers);
-    }
-
-    fn dispatch_message(&mut self, target: NodeId, from: NodeId, msg: Message) {
-        let mut node = self.nodes[target.0].take().expect("node re-entered");
-        let mut ctx = Ctx {
-            now: self.now,
-            world: &mut self.world,
-            rng: &mut self.rng,
-            self_id: target,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-            faults: self.faults.as_mut(),
-        };
-        node.on_message(&mut ctx, from, msg);
-        let (outbox, timers) = (ctx.outbox, ctx.timers);
-        self.nodes[target.0] = Some(node);
-        self.flush(target, outbox, timers);
-    }
-
-    fn flush(&mut self, from: NodeId, outbox: Vec<(NodeId, Message)>, timers: Vec<(SimTime, u64)>) {
-        for (to, msg) in outbox {
+    fn flush(&mut self, from: NodeId) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (to, msg) in outbox.drain(..) {
             let now_us = self.now.as_us();
 
             // --- fault injection (buggify): the wire catalog ----------
@@ -663,9 +639,12 @@ impl Network {
                 self.schedule(deliver_time, to, EventKind::Deliver { from, msg: payload });
             }
         }
-        for (at, token) in timers {
+        self.outbox = outbox;
+        let mut timers = std::mem::take(&mut self.timers);
+        for (at, token) in timers.drain(..) {
             self.schedule(at, from, EventKind::Timer { token });
         }
+        self.timers = timers;
     }
 }
 

@@ -65,8 +65,8 @@ pub struct Ctx<'a> {
     /// Seeded randomness (deterministic per run).
     pub rng: &'a mut StdRng,
     pub(crate) self_id: NodeId,
-    pub(crate) outbox: Vec<(NodeId, Message)>,
-    pub(crate) timers: Vec<(SimTime, u64)>,
+    pub(crate) outbox: &'a mut Vec<(NodeId, Message)>,
+    pub(crate) timers: &'a mut Vec<(SimTime, u64)>,
     pub(crate) faults: Option<&'a mut Injector>,
 }
 

@@ -146,6 +146,11 @@ impl<T> TimerWheel<T> {
                 .expect("settle called on an empty wheel");
             let slot_ix = self.occupied[level].trailing_zeros() as usize;
             self.occupied[level] &= !(1u64 << slot_ix);
+            // Taking the bucket's buffer releases its capacity once the
+            // entries have cascaded down. Draining it in place instead
+            // saved 538 of a sim-vpn world's 4,672 allocations, but it
+            // doubled pop-mixnet's peak RSS (14.1 → 28.4 MB): a 100k-user
+            // wheel keeps every large higher-level bucket it ever filled.
             let entries = std::mem::take(&mut self.levels[level][slot_ix].entries);
             self.levels[level][slot_ix].sorted = true;
             // Move the cursor to the bucket's base time. Slots below this
