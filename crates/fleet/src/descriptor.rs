@@ -13,7 +13,9 @@
 //! independently, which makes the merge commutative, associative, and
 //! idempotent — directories converge regardless of gossip order, and a
 //! relay rotating its key can never resurrect a membership tombstone
-//! (its published descriptors carry `member_seq = 0`).
+//! (its published descriptors carry `member_seq = 0`). The laws rest on
+//! one writer per version: a register's value is a function of its
+//! version, which single authorship gives.
 //!
 //! On the wire every descriptor is authenticated with an HMAC under the
 //! fleet's shared directory secret; verification is fail-closed — a
@@ -154,6 +156,13 @@ impl RelayDescriptor {
 
     /// Fold `other` into `self`, taking the newer value of each register
     /// independently. Returns `true` if anything changed.
+    ///
+    /// Commutative, associative and idempotent provided there is one
+    /// writer per version: descriptors with equal `epoch`s carry the same
+    /// `pk` and `key`, and ones with equal `member_seq`s the same
+    /// `servable`. Each register's single author bumps its version on
+    /// every write, so this holds. Equal versions with different values
+    /// do not commute: each side keeps its own.
     pub fn merge(&mut self, other: &RelayDescriptor) -> bool {
         debug_assert_eq!(self.relay, other.relay, "merge across relay indices");
         let mut changed = false;
@@ -284,6 +293,60 @@ mod tests {
         assert!(fresh.merge(&readmit));
         assert_eq!(fresh.epoch, 2, "membership edit rolled back the key");
         assert!(fresh.servable);
+    }
+
+    /// Every descriptor of a small domain in which each register's value
+    /// is a function of its version (one writer per version).
+    fn one_writer_domain() -> Vec<RelayDescriptor> {
+        let mut out = Vec::new();
+        for epoch in 0..3u64 {
+            for member_seq in 0..3u64 {
+                out.push(RelayDescriptor {
+                    epoch,
+                    pk: [epoch as u8; 32],
+                    key: 10 + epoch,
+                    member_seq,
+                    servable: member_seq % 2 == 0,
+                    ..desc(5)
+                });
+            }
+        }
+        out
+    }
+
+    fn merged(a: &RelayDescriptor, b: &RelayDescriptor) -> RelayDescriptor {
+        let mut out = a.clone();
+        let changed = out.merge(b);
+        assert_eq!(changed, out != *a, "merge's flag says whether it changed");
+        out
+    }
+
+    #[test]
+    fn merge_laws_hold_exhaustively_under_one_writer_per_version() {
+        let domain = one_writer_domain();
+        for a in &domain {
+            assert_eq!(merged(a, a), *a, "idempotent");
+            for b in &domain {
+                let ab = merged(a, b);
+                assert_eq!(ab, merged(b, a), "commutative");
+                assert_eq!(merged(&ab, b), ab, "absorbs an input");
+                for c in &domain {
+                    assert_eq!(merged(&ab, c), merged(a, &merged(b, c)), "associative");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_versions_with_different_values_do_not_commute() {
+        let a = desc(5);
+        let b = RelayDescriptor {
+            pk: [0xEE; 32],
+            servable: false,
+            ..desc(5)
+        };
+        assert_eq!(merged(&a, &b), a);
+        assert_eq!(merged(&b, &a), b);
     }
 
     #[test]

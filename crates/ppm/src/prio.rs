@@ -104,6 +104,12 @@ pub struct VerifyMsg {
     pub e: Vec<Fe>,
 }
 
+/// A peer's verification message, or a submission's triples, whose
+/// length differs from the submission's bit count. Such a message is
+/// refused without touching the accumulator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LengthMismatch;
+
 /// One aggregator (party 0 = leader, party 1 = helper).
 pub struct Aggregator {
     party: usize,
@@ -142,15 +148,27 @@ impl Aggregator {
     }
 
     /// Step 2: with both parties' openings, compute this party's share of
-    /// each `b·(b−1)` product.
+    /// each `b·(b−1)` product. Openings or triples that do not match the
+    /// submission's bit count are a [`LengthMismatch`].
     pub fn verify_round2(
         &self,
         sub: &SubmissionShare,
         mine: &VerifyMsg,
         theirs: &VerifyMsg,
-    ) -> Vec<Fe> {
-        let mut out = Vec::with_capacity(sub.bits.len());
-        for i in 0..sub.bits.len() {
+    ) -> Result<Vec<Fe>, LengthMismatch> {
+        let k = sub.bits.len();
+        let lens = [
+            sub.triples.len(),
+            mine.d.len(),
+            mine.e.len(),
+            theirs.d.len(),
+            theirs.e.len(),
+        ];
+        if lens.iter().any(|&n| n != k) {
+            return Err(LengthMismatch);
+        }
+        let mut out = Vec::with_capacity(k);
+        for i in 0..k {
             let d = mine.d[i].add(theirs.d[i]);
             let e = mine.e[i].add(theirs.e[i]);
             let t = &sub.triples[i];
@@ -161,20 +179,22 @@ impl Aggregator {
             }
             out.push(z);
         }
-        out
+        Ok(out)
     }
 
     /// Step 3 (both parties run it identically): accept iff every opened
     /// product is zero. On accept, fold the value share into the
-    /// accumulator.
-    pub fn finish(&mut self, sub: &SubmissionShare, my_z: &[Fe], their_z: &[Fe]) -> bool {
-        let valid = my_z
-            .iter()
-            .zip(their_z.iter())
-            .all(|(&a, &b)| a.add(b) == Fe::ZERO);
-        if !valid {
+    /// accumulator. Product shares that do not match the submission's bit
+    /// count are a [`LengthMismatch`], and neither counted nor folded.
+    pub fn finish(
+        &mut self,
+        sub: &SubmissionShare,
+        my_z: &[Fe],
+        their_z: &[Fe],
+    ) -> Result<bool, LengthMismatch> {
+        if !products_match(sub, my_z, their_z)? {
             self.rejected += 1;
-            return false;
+            return Ok(false);
         }
         // Value share = Σ bit_i · 2^i.
         let mut v = Fe::ZERO;
@@ -183,8 +203,24 @@ impl Aggregator {
         }
         self.accum = self.accum.add(v);
         self.accepted += 1;
-        true
+        Ok(true)
     }
+}
+
+/// Whether every opened product `b·(b−1)` is zero: one share of each from
+/// either party, one product per bit of `sub`.
+fn products_match(
+    sub: &SubmissionShare,
+    my_z: &[Fe],
+    their_z: &[Fe],
+) -> Result<bool, LengthMismatch> {
+    if my_z.len() != sub.bits.len() || their_z.len() != sub.bits.len() {
+        return Err(LengthMismatch);
+    }
+    Ok(my_z
+        .iter()
+        .zip(their_z)
+        .all(|(&a, &b)| a.add(b) == Fe::ZERO))
 }
 
 /// Collector: reconstruct the aggregate from both accumulator shares.
@@ -202,12 +238,16 @@ pub fn process_locally(
 ) -> bool {
     let m0 = leader.verify_round1(&shares[0]);
     let m1 = helper.verify_round1(&shares[1]);
-    let z0 = leader.verify_round2(&shares[0], &m0, &m1);
-    let z1 = helper.verify_round2(&shares[1], &m1, &m0);
+    let (Ok(z0), Ok(z1)) = (
+        leader.verify_round2(&shares[0], &m0, &m1),
+        helper.verify_round2(&shares[1], &m1, &m0),
+    ) else {
+        return false; // shares of different widths: nothing to verify
+    };
     let a = leader.finish(&shares[0], &z0, &z1);
     let b = helper.finish(&shares[1], &z1, &z0);
     assert_eq!(a, b, "aggregators must agree on validity");
-    a
+    a == Ok(true)
 }
 
 #[cfg(test)]
@@ -279,6 +319,60 @@ mod tests {
             let c = t0.c.add(t1.c);
             assert_eq!(a.mul(b), c);
         }
+    }
+
+    #[test]
+    fn round2_refuses_a_short_peer_opening() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let shares = submit(&mut rng, 5, 4);
+        let leader = Aggregator::new(0);
+        let helper = Aggregator::new(1);
+        let mine = leader.verify_round1(&shares[0]);
+        let mut theirs = helper.verify_round1(&shares[1]);
+        theirs.d.truncate(2);
+        theirs.e.truncate(2);
+        assert_eq!(
+            leader.verify_round2(&shares[0], &mine, &theirs),
+            Err(LengthMismatch)
+        );
+        assert_eq!(
+            helper.verify_round2(&shares[1], &theirs, &mine),
+            Err(LengthMismatch)
+        );
+    }
+
+    #[test]
+    fn finish_refuses_an_empty_peer_product_without_touching_the_accumulator() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let shares = submit(&mut rng, 5, 4);
+        let mut leader = Aggregator::new(0);
+        let helper = Aggregator::new(1);
+        let m0 = leader.verify_round1(&shares[0]);
+        let m1 = helper.verify_round1(&shares[1]);
+        let z0 = leader.verify_round2(&shares[0], &m0, &m1).unwrap();
+        assert_eq!(leader.finish(&shares[0], &z0, &[]), Err(LengthMismatch));
+        assert_eq!(
+            (leader.accum, leader.accepted, leader.rejected),
+            (Fe::ZERO, 0, 0)
+        );
+        let mut hist = HistAggregator::new(0, 4);
+        let s0 = hist.sum_share(&shares[0]);
+        assert_eq!(
+            hist.finish(&shares[0], &z0, &[], s0, Fe::ZERO),
+            Err(LengthMismatch)
+        );
+        assert_eq!((hist.accepted, hist.rejected), (0, 0));
+    }
+
+    #[test]
+    fn shares_of_different_widths_are_not_accepted() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut leader = Aggregator::new(0);
+        let mut helper = Aggregator::new(1);
+        let [wide, _] = submit(&mut rng, 5, 4);
+        let [_, narrow] = submit(&mut rng, 1, 2);
+        assert!(!process_locally(&mut leader, &mut helper, &[wide, narrow]));
+        assert_eq!((leader.accum, helper.accum), (Fe::ZERO, Fe::ZERO));
     }
 
     proptest! {
@@ -389,7 +483,7 @@ impl HistAggregator {
         sub: &SubmissionShare,
         mine: &VerifyMsg,
         theirs: &VerifyMsg,
-    ) -> Vec<Fe> {
+    ) -> Result<Vec<Fe>, LengthMismatch> {
         Aggregator::new(self.party).verify_round2(sub, mine, theirs)
     }
 
@@ -399,7 +493,9 @@ impl HistAggregator {
         sub.bits.iter().fold(Fe::ZERO, |a, &b| a.add(b))
     }
 
-    /// Final decision: all products zero AND indicator sum == 1.
+    /// Final decision: all products zero AND indicator sum == 1. A
+    /// submission with another bucket count, or product shares of another
+    /// length, is a [`LengthMismatch`], and neither counted nor folded.
     pub fn finish(
         &mut self,
         sub: &SubmissionShare,
@@ -407,21 +503,21 @@ impl HistAggregator {
         their_z: &[Fe],
         my_sum: Fe,
         their_sum: Fe,
-    ) -> bool {
-        let bits_ok = my_z
-            .iter()
-            .zip(their_z.iter())
-            .all(|(&a, &b)| a.add(b) == Fe::ZERO);
+    ) -> Result<bool, LengthMismatch> {
+        if sub.bits.len() != self.accum.len() {
+            return Err(LengthMismatch);
+        }
+        let bits_ok = products_match(sub, my_z, their_z)?;
         let one_hot = my_sum.add(their_sum) == Fe::ONE;
         if !(bits_ok && one_hot) {
             self.rejected += 1;
-            return false;
+            return Ok(false);
         }
         for (slot, &b) in self.accum.iter_mut().zip(sub.bits.iter()) {
             *slot = slot.add(b);
         }
         self.accepted += 1;
-        true
+        Ok(true)
     }
 }
 
@@ -443,14 +539,18 @@ pub fn process_histogram_locally(
 ) -> bool {
     let m0 = leader.verify_round1(&shares[0]);
     let m1 = helper.verify_round1(&shares[1]);
-    let z0 = leader.verify_round2(&shares[0], &m0, &m1);
-    let z1 = helper.verify_round2(&shares[1], &m1, &m0);
+    let (Ok(z0), Ok(z1)) = (
+        leader.verify_round2(&shares[0], &m0, &m1),
+        helper.verify_round2(&shares[1], &m1, &m0),
+    ) else {
+        return false; // shares of different widths: nothing to verify
+    };
     let s0 = leader.sum_share(&shares[0]);
     let s1 = helper.sum_share(&shares[1]);
     let a = leader.finish(&shares[0], &z0, &z1, s0, s1);
     let b = helper.finish(&shares[1], &z1, &z0, s1, s0);
     assert_eq!(a, b);
-    a
+    a == Ok(true)
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ impl Scenario for Ppm {
 
     fn run_with(cfg: &PpmConfig, seed: u64, opts: &RunOptions) -> PpmReport {
         let config = PpmConfig { seed, ..*cfg };
-        run_impl(&config, opts)
+        run_impl(&config, opts, &|_, node| node)
     }
 }
 
@@ -183,6 +183,8 @@ enum DecodeError {
     TripleCount,
     /// Bytes follow the last field.
     TrailingBytes,
+    /// A tag the receiving role does not decode.
+    Tag,
 }
 
 /// The `N` bytes at `*pos`, advancing past them.
@@ -266,6 +268,87 @@ fn decode_verify(bytes: &[u8], with_z: bool) -> Result<(u64, VerifyMsg, Vec<Fe>)
     };
     expect_end(bytes, pos)?;
     Ok((id, VerifyMsg { d, e }, z))
+}
+
+/// A message for an aggregator, decoded.
+enum AggMsg {
+    Submit(u64, SubmissionShare),
+    LeaderR1(u64, VerifyMsg),
+    HelperR1Z(u64, VerifyMsg, Vec<Fe>),
+    LeaderZ(u64, Vec<Fe>),
+}
+
+fn decode_agg(bytes: &[u8]) -> Result<AggMsg, DecodeError> {
+    match bytes.first() {
+        Some(&TAG_SUBMIT) => decode_submission(bytes).map(|(id, sub)| AggMsg::Submit(id, sub)),
+        Some(&TAG_LEADER_R1) => {
+            decode_verify(bytes, false).map(|(id, r1, _)| AggMsg::LeaderR1(id, r1))
+        }
+        Some(&TAG_HELPER_R1Z) => {
+            decode_verify(bytes, true).map(|(id, r1, z)| AggMsg::HelperR1Z(id, r1, z))
+        }
+        Some(&TAG_LEADER_Z) => decode_verify(bytes, true).map(|(id, _, z)| AggMsg::LeaderZ(id, z)),
+        _ => Err(DecodeError::Tag),
+    }
+}
+
+/// An aggregator's accumulator share for the collector: the share, then
+/// how many submissions it folded.
+fn encode_accum(agg: &Aggregator) -> Vec<u8> {
+    let mut bytes = vec![TAG_ACCUM];
+    bytes.extend_from_slice(&agg.accum.to_bytes());
+    bytes.extend_from_slice(&(agg.accepted as u64).to_be_bytes());
+    bytes
+}
+
+fn decode_accum(bytes: &[u8]) -> Result<Fe, DecodeError> {
+    if bytes.first() != Some(&TAG_ACCUM) {
+        return Err(DecodeError::Tag);
+    }
+    let mut pos = 1;
+    let share = Fe::from_bytes(&take(bytes, &mut pos)?).ok_or(DecodeError::NonCanonical)?;
+    take::<8>(bytes, &mut pos)?; // the accepted count, which the collector does not use
+    expect_end(bytes, pos)?;
+    Ok(share)
+}
+
+/// Decode a delivery. With recovery on, its frame comes off first: an ack
+/// goes to `outbox`, and a body that decodes is acked at once, as the
+/// callback's first send, replays included (the previous ack may have
+/// been lost in flight). A body that does not decode is dropped unacked,
+/// so its sender retries it.
+fn receive<T>(
+    ctx: &mut Ctx,
+    from: NodeId,
+    msg: &Message,
+    recover: bool,
+    outbox: Option<&mut Outbox>,
+    decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+) -> Option<T> {
+    if !recover {
+        return decode(&msg.bytes).ok();
+    }
+    let (seq, body) = wire::unframe(&msg.bytes)?;
+    if body == [TAG_ACK] {
+        if let Some(outbox) = outbox {
+            outbox.ack(seq);
+        }
+        return None;
+    }
+    let decoded = decode(body).ok()?;
+    ctx.send(from, Message::public(wire::frame(seq, &[TAG_ACK])));
+    Some(decoded)
+}
+
+/// The collector's label for an accumulator share: every contributor
+/// appears as an anonymous member with non-sensitive data.
+fn accum_label(user_items: &[(u64, UserId)]) -> Label {
+    Label::items(user_items.iter().flat_map(|&(_, u)| {
+        [
+            InfoItem::plain_identity(u, IdentityKind::Any),
+            InfoItem::plain_data(u, DataKind::Measurement),
+        ]
+    }))
 }
 
 struct ClientNode {
@@ -363,24 +446,11 @@ impl LeaderNode {
     fn maybe_finish(&mut self, ctx: &mut Ctx) {
         if self.done == self.expected && !self.sent_accum {
             self.sent_accum = true;
-            let mut bytes = vec![TAG_ACCUM];
-            bytes.extend_from_slice(&self.agg.accum.to_bytes());
-            bytes.extend_from_slice(&(self.agg.accepted as u64).to_be_bytes());
-            // The collector learns only the aggregate: every contributor
-            // appears as an anonymous member with non-sensitive data.
-            let items: Vec<InfoItem> = self
-                .user_items
-                .iter()
-                .flat_map(|&(_, u)| {
-                    [
-                        InfoItem::plain_identity(u, IdentityKind::Any),
-                        InfoItem::plain_data(u, DataKind::Measurement),
-                    ]
-                })
-                .collect();
+            // The collector learns only the aggregate.
             let collector = self.collector;
+            let label = accum_label(&self.user_items);
             self.outbox
-                .send_to(ctx, collector, bytes, Label::items(items));
+                .send_to(ctx, collector, encode_accum(&self.agg), label);
         }
     }
 }
@@ -390,29 +460,18 @@ impl Node for LeaderNode {
         self.entity
     }
     fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let bytes = if self.recover {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            if body == [TAG_ACK] {
-                self.outbox.ack(seq);
-                return;
-            }
-            // Ack every framed protocol message, replays included — the
-            // previous ack may have been lost in flight.
-            ctx.send(from, Message::public(wire::frame(seq, &[TAG_ACK])));
-            body.to_vec()
-        } else {
-            msg.bytes
-        };
-        let Some(&tag) = bytes.first() else {
+        let Some(msg) = receive(
+            ctx,
+            from,
+            &msg,
+            self.recover,
+            Some(&mut self.outbox),
+            decode_agg,
+        ) else {
             return;
         };
-        match tag {
-            TAG_SUBMIT => {
-                let Ok((id, sub)) = decode_submission(&bytes) else {
-                    return;
-                };
+        match msg {
+            AggMsg::Submit(id, sub) => {
                 if self.pending.contains_key(&id) {
                     return; // duplicated submission: first copy wins
                 }
@@ -437,17 +496,14 @@ impl Node for LeaderNode {
                     self.finish_verification(ctx, id, their_r1, their_z);
                 }
             }
-            TAG_HELPER_R1Z => {
-                let Ok((id, their_r1, their_z)) = decode_verify(&bytes, true) else {
-                    return;
-                };
+            AggMsg::HelperR1Z(id, their_r1, their_z) => {
                 if self.pending.contains_key(&id) {
                     self.finish_verification(ctx, id, their_r1, their_z);
                 } else {
                     self.early_r1.insert(id, (their_r1, their_z));
                 }
             }
-            _ => {} // unexpected tag: ignore
+            AggMsg::LeaderR1(..) | AggMsg::LeaderZ(..) => {} // the helper's: ignore
         }
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
@@ -470,10 +526,15 @@ impl LeaderNode {
             return; // duplicated round-1: this submission already finished
         }
         ctx.world.crypto_op("prio_verify_r2");
-        let my_z = self.agg.verify_round2(&p.sub, &p.my_r1, &their_r1);
-        let sub = p.sub.clone();
+        // The helper's openings or products do not match the submission:
+        // drop its message.
+        let Ok(my_z) = self.agg.verify_round2(&p.sub, &p.my_r1, &their_r1) else {
+            return;
+        };
+        if self.agg.finish(&p.sub, &my_z, &their_z).is_err() {
+            return;
+        }
         p.my_z = Some(my_z.clone());
-        self.agg.finish(&sub, &my_z, &their_z);
         self.done += 1;
         // Tell the helper our product shares so it can decide identically.
         let helper = self.helper;
@@ -517,7 +578,11 @@ impl HelperNode {
             return;
         };
         ctx.world.crypto_op("prio_verify_r2");
-        let my_z = self.agg.verify_round2(&p.sub, &p.my_r1, their_r1);
+        let Ok(my_z) = self.agg.verify_round2(&p.sub, &p.my_r1, their_r1) else {
+            // The leader's openings do not match the submission: drop them.
+            self.early_r1.remove(&id);
+            return;
+        };
         // Send round1 + z to the leader.
         let my_r1 = p.my_r1.clone();
         let leader = self.leader;
@@ -532,36 +597,23 @@ impl HelperNode {
     }
 
     fn try_finish(&mut self, ctx: &mut Ctx, id: u64) {
-        let Some(leader_z) = self.early_z.get(&id).cloned() else {
+        let (Some(leader_z), Some(p)) = (self.early_z.get(&id), self.pending.get(&id)) else {
             return;
         };
-        let Some(p) = self.pending.get(&id) else {
-            return;
-        };
-        let Some(my_z) = p.my_z.clone() else { return };
-        let sub = p.sub.clone();
-        self.agg.finish(&sub, &my_z, &leader_z);
-        self.pending.remove(&id);
+        let Some(my_z) = &p.my_z else { return };
+        let verdict = self.agg.finish(&p.sub, my_z, leader_z);
         self.early_z.remove(&id);
+        if verdict.is_err() {
+            return; // the leader's products do not match the submission: drop them
+        }
+        self.pending.remove(&id);
         self.done += 1;
         if self.done == self.expected && !self.sent_accum {
             self.sent_accum = true;
-            let mut bytes = vec![TAG_ACCUM];
-            bytes.extend_from_slice(&self.agg.accum.to_bytes());
-            bytes.extend_from_slice(&(self.agg.accepted as u64).to_be_bytes());
-            let items: Vec<InfoItem> = self
-                .user_items
-                .iter()
-                .flat_map(|&(_, u)| {
-                    [
-                        InfoItem::plain_identity(u, IdentityKind::Any),
-                        InfoItem::plain_data(u, DataKind::Measurement),
-                    ]
-                })
-                .collect();
             let collector = self.collector;
+            let label = accum_label(&self.user_items);
             self.outbox
-                .send_to(ctx, collector, bytes, Label::items(items));
+                .send_to(ctx, collector, encode_accum(&self.agg), label);
         }
     }
 }
@@ -571,27 +623,18 @@ impl Node for HelperNode {
         self.entity
     }
     fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let bytes = if self.recover {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            if body == [TAG_ACK] {
-                self.outbox.ack(seq);
-                return;
-            }
-            ctx.send(from, Message::public(wire::frame(seq, &[TAG_ACK])));
-            body.to_vec()
-        } else {
-            msg.bytes
-        };
-        let Some(&tag) = bytes.first() else {
+        let Some(msg) = receive(
+            ctx,
+            from,
+            &msg,
+            self.recover,
+            Some(&mut self.outbox),
+            decode_agg,
+        ) else {
             return;
         };
-        match tag {
-            TAG_SUBMIT => {
-                let Ok((id, sub)) = decode_submission(&bytes) else {
-                    return;
-                };
+        match msg {
+            AggMsg::Submit(id, sub) => {
                 if !self.seen.insert(id) {
                     return; // duplicated submission: first copy wins
                 }
@@ -607,21 +650,15 @@ impl Node for HelperNode {
                 );
                 self.try_round2(ctx, id);
             }
-            TAG_LEADER_R1 => {
-                let Ok((id, their_r1, _)) = decode_verify(&bytes, false) else {
-                    return;
-                };
+            AggMsg::LeaderR1(id, their_r1) => {
                 self.early_r1.insert(id, their_r1);
                 self.try_round2(ctx, id);
             }
-            TAG_LEADER_Z => {
-                let Ok((id, _, leader_z)) = decode_verify(&bytes, true) else {
-                    return;
-                };
+            AggMsg::LeaderZ(id, leader_z) => {
                 self.early_z.insert(id, leader_z);
                 self.try_finish(ctx, id);
             }
-            _ => {} // unexpected tag: ignore
+            AggMsg::HelperR1Z(..) => {} // the leader's: ignore
         }
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
@@ -643,27 +680,12 @@ impl Node for CollectorNode {
         self.entity
     }
     fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let bytes = if self.recover {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            // Ack replays too: the aggregator retries until an ack lands.
-            ctx.send(from, Message::public(wire::frame(seq, &[TAG_ACK])));
-            body.to_vec()
-        } else {
-            msg.bytes
-        };
-        if bytes.first() != Some(&TAG_ACCUM) || bytes.len() < 9 {
+        let Some(share) = receive(ctx, from, &msg, self.recover, None, decode_accum) else {
             return;
-        }
+        };
         if self.shares.iter().any(|(n, _)| *n == from) {
             return; // duplicated accumulator share from the same node
         }
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[1..9]);
-        let Some(share) = Fe::from_bytes(&b) else {
-            return;
-        };
         self.shares.push((from, share));
         if self.shares.len() == 2 {
             *self.result.borrow_mut() =
@@ -674,7 +696,13 @@ impl Node for CollectorNode {
     }
 }
 
-fn run_impl(config: &PpmConfig, opts: &RunOptions) -> PpmReport {
+/// Build and run one world. `wrap` gets each service role's node
+/// (leader 0, helper 1, collector 2) as it joins the network.
+fn run_impl(
+    config: &PpmConfig,
+    opts: &RunOptions,
+    wrap: &dyn Fn(usize, Box<dyn Node>) -> Box<dyn Node>,
+) -> PpmReport {
     use rand::SeedableRng;
     let mut setup_rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0x99a1);
 
@@ -717,49 +745,58 @@ fn run_impl(config: &PpmConfig, opts: &RunOptions) -> PpmReport {
     let recover_on = opts.recover.enabled;
     Harness::add_role::<PrioAggregator>(
         &mut net,
-        Box::new(LeaderNode {
-            entity: leader_e,
-            helper: Endpoint::new(1),
-            collector: collector_ep,
-            agg: Aggregator::new(0),
-            pending: HashMap::new(),
-            early_r1: HashMap::new(),
-            expected: config.clients,
-            done: 0,
-            user_items: user_items.clone(),
-            sent_accum: false,
-            recover: recover_on,
-            outbox: Outbox::from_config(&opts.recover, derive_seed(config.seed, 0x991d)),
-        }),
+        wrap(
+            0,
+            Box::new(LeaderNode {
+                entity: leader_e,
+                helper: Endpoint::new(1),
+                collector: collector_ep,
+                agg: Aggregator::new(0),
+                pending: HashMap::new(),
+                early_r1: HashMap::new(),
+                expected: config.clients,
+                done: 0,
+                user_items: user_items.clone(),
+                sent_accum: false,
+                recover: recover_on,
+                outbox: Outbox::from_config(&opts.recover, derive_seed(config.seed, 0x991d)),
+            }),
+        ),
     );
     Harness::add_role::<PrioAggregator>(
         &mut net,
-        Box::new(HelperNode {
-            entity: helper_e,
-            leader: Endpoint::new(0),
-            collector: collector_ep,
-            agg: Aggregator::new(1),
-            pending: HashMap::new(),
-            seen: std::collections::HashSet::new(),
-            early_r1: HashMap::new(),
-            early_z: HashMap::new(),
-            expected: config.clients,
-            done: 0,
-            user_items,
-            sent_accum: false,
-            recover: recover_on,
-            outbox: Outbox::from_config(&opts.recover, derive_seed(config.seed, 0x991e)),
-        }),
+        wrap(
+            1,
+            Box::new(HelperNode {
+                entity: helper_e,
+                leader: Endpoint::new(0),
+                collector: collector_ep,
+                agg: Aggregator::new(1),
+                pending: HashMap::new(),
+                seen: std::collections::HashSet::new(),
+                early_r1: HashMap::new(),
+                early_z: HashMap::new(),
+                expected: config.clients,
+                done: 0,
+                user_items,
+                sent_accum: false,
+                recover: recover_on,
+                outbox: Outbox::from_config(&opts.recover, derive_seed(config.seed, 0x991e)),
+            }),
+        ),
     );
     let result = Rc::new(RefCell::new(None));
     Harness::add_role::<AggCollector>(
         &mut net,
-        Box::new(CollectorNode {
-            entity: collector_e,
-            shares: Vec::new(),
-            result: result.clone(),
-            recover: recover_on,
-        }),
+        wrap(
+            2,
+            Box::new(CollectorNode {
+                entity: collector_e,
+                shares: Vec::new(),
+                result: result.clone(),
+                recover: recover_on,
+            }),
+        ),
     );
     for (i, ((&u, &e), &v)) in users
         .iter()
@@ -896,6 +933,65 @@ mod tests {
             let _ = decode_submission(&bytes);
             let _ = decode_verify(&bytes, false);
             let _ = decode_verify(&bytes, true);
+        }
+    }
+
+    /// Hands its role, once, the first framed protocol body it receives
+    /// cut to its tag byte: a frame that cannot decode.
+    struct CutFirst {
+        inner: Box<dyn Node>,
+        cut: bool,
+    }
+
+    impl Node for CutFirst {
+        fn entity(&self) -> EntityId {
+            self.inner.entity()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.inner.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
+            match wire::unframe(&msg.bytes) {
+                Some((seq, body)) if !self.cut && body != [TAG_ACK] => {
+                    self.cut = true;
+                    let cut = Message::new(wire::frame(seq, &body[..1]), msg.label.clone());
+                    self.inner.on_message(ctx, from, cut);
+                }
+                _ => self.inner.on_message(ctx, from, msg),
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            self.inner.on_timer(ctx, token);
+        }
+    }
+
+    #[test]
+    fn an_undecodable_frame_gets_no_ack_and_its_retry_completes() {
+        let config = PpmConfig {
+            clients: 3,
+            bits: 4,
+            malicious: 0,
+            seed: 9,
+        };
+        let opts = RunOptions::recovered(&FaultConfig::calm()).observe(true);
+        let calm = run_impl(&config, &opts, &|_, node| node);
+        assert_eq!(calm.aggregate, Some(calm.expected_sum));
+        assert_eq!(calm.metrics.recovery_retries, 0, "a calm run never retries");
+        for role in ["leader", "helper", "collector"].into_iter().enumerate() {
+            let report = run_impl(&config, &opts, &|i, node| {
+                if i == role.0 {
+                    Box::new(CutFirst {
+                        inner: node,
+                        cut: false,
+                    })
+                } else {
+                    node
+                }
+            });
+            // An ack would have closed the sender's call: only its retry
+            // can deliver the body the role never decoded.
+            assert!(report.metrics.recovery_retries > 0, "{role:?}: no retry");
+            assert_eq!(report.aggregate, Some(report.expected_sum), "{role:?}");
         }
     }
 

@@ -14,19 +14,25 @@
 //! snapshot stable across compiler and library versions anyway.
 //!
 //! [`Engine::restore`] fails closed. It parses every field first, then
-//! checks each dimension against the data that carries it and each
-//! index, time and sequence number the engine would use, and only then
+//! checks each dimension against the data that carries it, each index,
+//! time and sequence number the engine would use, and each statistics
+//! counter against the others and the pending events, and only then
 //! allocates the world. Bytes that fail any check are a typed
-//! [`CheckpointError`]. The statistics counters are taken as given.
+//! [`CheckpointError`].
 
 use std::collections::BTreeMap;
 
-use crate::engine::{Engine, PopEvent, Stats, Topology, ANON_BUCKETS, LATENCY_BUCKETS};
+use crate::engine::{Engine, PopEvent, Stats, Topology, WheelEvent, ANON_BUCKETS, LATENCY_BUCKETS};
 use crate::rng::SplitMix64;
 use crate::spec::WorldSpec;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"DCPW");
 const VERSION: u32 = 2;
+
+/// More sequence numbers than any run could use: a century and a half at
+/// 10⁹ events per second. Every counter is at most `next_seq`, so below
+/// this bound each has room to grow for longer than a run lasts.
+const MAX_SEQ: u64 = 1 << 62;
 
 /// Why [`Engine::restore`] refused a checkpoint — always an error, never
 /// a panic, and never an engine that would index out of range later.
@@ -57,6 +63,9 @@ pub enum CheckpointError {
     Dimension(&'static str),
     /// An index, time or sequence number outside the world.
     OutOfRange(&'static str),
+    /// Statistics counters that disagree with each other or with the
+    /// pending events: no run could hold them.
+    Counter(&'static str),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -75,6 +84,9 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checkpoint {what} do not match the spec and topology")
             }
             CheckpointError::OutOfRange(what) => write!(f, "checkpoint {what} out of range"),
+            CheckpointError::Counter(what) => {
+                write!(f, "checkpoint {what} counters are ones no run could hold")
+            }
         }
     }
 }
@@ -199,11 +211,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn write_event(w: &mut Writer, ev: &PopEvent) {
+fn write_pending(w: &mut Writer, time: u64, seq: u64, ev: PopEvent) {
+    w.u64(time);
+    w.u64(seq);
     match ev {
         PopEvent::Arrival { user } => {
             w.u8(0);
-            w.u32(*user);
+            w.u32(user);
         }
         PopEvent::Up {
             user,
@@ -213,11 +227,11 @@ fn write_event(w: &mut Writer, ev: &PopEvent) {
             sent_us,
         } => {
             w.u8(1);
-            w.u32(*user);
-            w.u32(*name);
-            w.u32(*size);
-            w.u8(*hop);
-            w.u64(*sent_us);
+            w.u32(user);
+            w.u32(name);
+            w.u32(size);
+            w.u8(hop);
+            w.u64(sent_us);
         }
         PopEvent::Down {
             user,
@@ -226,22 +240,16 @@ fn write_event(w: &mut Writer, ev: &PopEvent) {
             sent_us,
         } => {
             w.u8(2);
-            w.u32(*user);
-            w.u32(*size);
-            w.u8(*hop);
-            w.u64(*sent_us);
+            w.u32(user);
+            w.u32(size);
+            w.u8(hop);
+            w.u64(sent_us);
         }
         PopEvent::Flush { ingress } => {
             w.u8(3);
-            w.u32(*ingress);
+            w.u32(ingress);
         }
     }
-}
-
-fn write_pending(w: &mut Writer, (time, seq, ev): &(u64, u64, PopEvent)) {
-    w.u64(*time);
-    w.u64(*seq);
-    write_event(w, ev);
 }
 
 fn read_event(r: &mut Reader) -> Result<PopEvent, CheckpointError> {
@@ -274,10 +282,116 @@ fn check(ok: bool, err: CheckpointError) -> Result<(), CheckpointError> {
     }
 }
 
+/// The statistics counters, each against the others and the pending
+/// events, as every run keeps them. Together with `MAX_SEQ` this leaves
+/// each counter room to grow: a near-maximal one disagrees with the rest.
+fn check_counters(
+    st: &Stats,
+    batches: &[Vec<(u32, u32, u32, u64)>],
+    pending: &[(u64, u64, PopEvent)],
+    events: u64,
+    next_seq: u64,
+    max_latency: u128,
+) -> Result<(), CheckpointError> {
+    let ctr = CheckpointError::Counter;
+    let wide = u128::from;
+    let sum = |v: &[u64]| v.iter().map(|&x| wide(x)).sum::<u128>();
+    let mut on_wheel = 0u128;
+    let mut flushes = vec![0u64; batches.len()];
+    let mut in_flight = BTreeMap::<u32, u64>::new();
+    for &(_, _, ev) in pending {
+        match ev {
+            PopEvent::Arrival { .. } => on_wheel += 1,
+            PopEvent::Flush { ingress } => {
+                on_wheel += 1;
+                flushes[ingress as usize] += 1;
+            }
+            PopEvent::Up { .. } => {}
+            PopEvent::Down { size, .. } => *in_flight.entry(size).or_default() += 1,
+        }
+    }
+    // Every sequence number went to an event that was handled or is
+    // pending: a hop transit (a message), an arrival (a query once
+    // handled) or a flush (a batch once handled).
+    check(
+        next_seq <= MAX_SEQ
+            && wide(next_seq) == wide(events) + pending.len() as u128
+            && wide(next_seq)
+                == wide(st.messages) + wide(st.queries_sent) + wide(st.batches) + on_wheel,
+        ctr("sequence"),
+    )?;
+    check(
+        st.queries_answered <= st.queries_sent
+            && wide(st.queries_sent) + wide(st.batches) <= wide(events),
+        ctr("query"),
+    )?;
+    // An ingress holds a batch exactly while its one flush is pending.
+    check(
+        st.batches <= st.batch_users_sum
+            && st.batch_users_sum <= st.queries_sent
+            && sum(&st.anon_hist) == wide(st.batches)
+            && batches
+                .iter()
+                .zip(&flushes)
+                .all(|(batch, &n)| n == u64::from(!batch.is_empty())),
+        ctr("batch"),
+    )?;
+    check(
+        st.linkage_attempts == st.queries_answered && st.linkage_linked <= st.linkage_attempts,
+        ctr("linkage"),
+    )?;
+    check(
+        sum(&st.latency_hist) == wide(st.queries_answered)
+            && wide(st.latency_sum_us) <= wide(st.queries_answered).saturating_mul(max_latency),
+        ctr("latency"),
+    )?;
+    // Each resolver's total is its users' counts, and it has seen exactly
+    // the users with a count; every response it sent was answered or is
+    // still in flight, where the linkage observer counts it by size.
+    let resolvers = st.resolver_queries.len();
+    for (r, (&total, seen)) in st
+        .resolver_queries
+        .iter()
+        .zip(&st.resolver_seen)
+        .enumerate()
+    {
+        let (mut counted, mut active) = (0u128, 0u64);
+        for (u, &n) in st
+            .per_user_resolver
+            .iter()
+            .skip(r)
+            .step_by(resolvers)
+            .enumerate()
+        {
+            let bit = seen[u / 64] >> (u % 64) & 1 == 1;
+            check(n < u32::MAX && bit == (n > 0), ctr("resolver"))?;
+            counted += u128::from(n);
+            active += u64::from(n > 0);
+        }
+        let bits: u64 = seen.iter().map(|w| u64::from(w.count_ones())).sum();
+        check(counted == wide(total) && bits == active, ctr("resolver"))?;
+    }
+    let downs: u64 = in_flight.values().sum();
+    check(
+        sum(&st.resolver_queries) == wide(st.queries_answered) + wide(downs)
+            && sum(&st.resolver_queries) <= wide(st.queries_sent)
+            && in_flight.len() == st.inflight_sizes.len()
+            && in_flight
+                .iter()
+                .zip(&st.inflight_sizes)
+                .all(|((a, &n), (b, &m))| a == b && n == u64::from(m)),
+        ctr("in-flight"),
+    )
+}
+
 impl Engine {
     /// Serialize the complete engine state. Safe at any event boundary
     /// (between [`run_until_events`](Engine::run_until_events) calls).
     pub fn checkpoint(&self) -> Vec<u8> {
+        debug_assert!(
+            self.batch_seen.iter().all(|&w| w == 0),
+            "a flush left bits set"
+        );
         let mut w = Writer::new();
         w.u32(MAGIC);
         w.u32(VERSION);
@@ -354,13 +468,13 @@ impl Engine {
         let wheel = self.wheel.snapshot();
         let mut lane = self.lane.iter().peekable();
         w.u64((wheel.len() + self.lane.len()) as u64);
-        for entry in &wheel {
-            while let Some(hop) = lane.next_if(|h| (h.0, h.1) < (entry.0, entry.1)) {
-                write_pending(&mut w, hop);
+        for (time, seq, ev) in wheel {
+            while let Some(&(t, s, hop)) = lane.next_if(|h| (h.0, h.1) < (time, seq)) {
+                write_pending(&mut w, t, s, hop);
             }
-            write_pending(&mut w, entry);
+            write_pending(&mut w, time, seq, ev.into());
         }
-        lane.for_each(|hop| write_pending(&mut w, hop));
+        lane.for_each(|&(t, s, hop)| write_pending(&mut w, t, s, hop));
 
         w.buf
     }
@@ -460,14 +574,13 @@ impl Engine {
         // events must be in strict (time, seq) order at or after the
         // clock, and hop transits no later than one link from it: the
         // lane's order rests on both.
+        // A query's latency is at most a link per hop each way plus one
+        // batch window, so every send time lies that close behind.
+        let max_latency = 2 * (u128::from(topo.hops) + 1) * u128::from(topo.link_us)
+            + u128::from(topo.batch_window_us);
+        let sent_before =
+            |time: u64, sent_us: u64| sent_us <= time && u128::from(time - sent_us) <= max_latency;
         let range = CheckpointError::OutOfRange;
-        check(
-            batches
-                .iter()
-                .flatten()
-                .all(|&(user, ..)| u64::from(user) < users),
-            range("batched user"),
-        )?;
         let hop_due = now_us.saturating_add(topo.link_us);
         let mut prev = None;
         for &(time, seq, ref ev) in &pending {
@@ -478,13 +591,28 @@ impl Engine {
             prev = Some((time, seq));
             let in_world = match *ev {
                 PopEvent::Arrival { user } => u64::from(user) < users,
-                PopEvent::Up { user, .. } | PopEvent::Down { user, .. } => {
-                    u64::from(user) < users && time <= hop_due
+                PopEvent::Up {
+                    user, hop, sent_us, ..
+                }
+                | PopEvent::Down {
+                    user, hop, sent_us, ..
+                } => {
+                    u64::from(user) < users
+                        && u32::from(hop) <= topo.hops
+                        && time <= hop_due
+                        && sent_before(time, sent_us)
                 }
                 PopEvent::Flush { ingress } => ingress < topo.ingresses,
             };
             check(in_world, range("pending event"))?;
         }
+        check(
+            batches.iter().flatten().all(|&(user, _, _, sent_us)| {
+                u64::from(user) < users && sent_before(now_us, sent_us)
+            }),
+            range("batched user"),
+        )?;
+        check_counters(&stats, &batches, &pending, events, next_seq, max_latency)?;
 
         // Allocate last: the workload tables are a pure function of the
         // spec, rebuilt instead of stored.
@@ -500,7 +628,8 @@ impl Engine {
             // 0) keeps the order too, since nothing is behind the clock.
             match ev {
                 PopEvent::Up { .. } | PopEvent::Down { .. } => e.lane.push_back((time, seq, ev)),
-                PopEvent::Arrival { .. } | PopEvent::Flush { .. } => e.wheel.push(time, seq, ev),
+                PopEvent::Arrival { user } => e.push_wheel(time, seq, WheelEvent::Arrival(user)),
+                PopEvent::Flush { ingress } => e.push_wheel(time, seq, WheelEvent::Flush(ingress)),
             }
         }
         Ok(e)
@@ -697,6 +826,94 @@ mod tests {
             }
             assert!(pauses > 50, "{name}: {pauses} pauses");
             assert_eq!(e.report(), straight.report(), "{name}");
+        }
+    }
+
+    /// Set counter `field` of `e` to `below` under its type's maximum
+    /// (element `at` of a vector or map, modulo its length). `false` when
+    /// there was no such element.
+    fn set_near_max(e: &mut Engine, field: u8, below: u64, at: usize) -> bool {
+        let near = u64::MAX - below;
+        let near32 = u32::MAX - below as u32;
+        let st = &mut e.stats;
+        let slot = |v: &mut Vec<u64>| {
+            let n = v.len();
+            v[at % n] = near;
+        };
+        match field {
+            0 => e.next_seq = near,
+            1 => e.events = near,
+            2 => st.queries_sent = near,
+            3 => st.queries_answered = near,
+            4 => st.messages = near,
+            5 => st.batches = near,
+            6 => st.batch_users_sum = near,
+            7 => slot(&mut st.anon_hist),
+            8 => st.linkage_attempts = near,
+            9 => st.linkage_linked = near,
+            10 => slot(&mut st.latency_hist),
+            11 => st.latency_sum_us = near,
+            12 => slot(&mut st.resolver_queries),
+            13 => {
+                let n = st.per_user_resolver.len();
+                st.per_user_resolver[at % n] = near32;
+            }
+            _ => {
+                let n = st.inflight_sizes.len().max(1);
+                match st.inflight_sizes.values_mut().nth(at % n) {
+                    Some(count) => *count = near32,
+                    None => return false,
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn restore_rejects_counters_no_run_could_hold() {
+        let mut e = Engine::restore(&mid_run("mixnet")).unwrap();
+        assert_eq!(e.stats.queries_answered, e.stats.linkage_attempts);
+        e.stats.queries_answered = e.stats.queries_sent + 1;
+        assert_eq!(
+            Engine::restore(&e.checkpoint()).unwrap_err(),
+            CheckpointError::Counter("query")
+        );
+        let mut e = Engine::restore(&mid_run("mixnet")).unwrap();
+        e.stats.anon_hist[3] += 1;
+        assert_eq!(
+            Engine::restore(&e.checkpoint()).unwrap_err(),
+            CheckpointError::Counter("batch")
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Restore fails closed on counters: one set near its maximum is
+        /// an error, and a checkpoint that restores runs 10⁴ more events
+        /// without an overflow (a panic in this debug build).
+        #[test]
+        fn counters_near_their_maximum_fail_closed(
+            preset in prop_oneof![Just("odoh"), Just("mixnet"), Just("pgpp")],
+            field in 0u8..15,
+            below in 0u64..4,
+            at in any::<usize>(),
+        ) {
+            let mut e = Engine::restore(&mid_run(preset)).unwrap();
+            let changed = set_near_max(&mut e, field, below, at);
+            match Engine::restore(&e.checkpoint()) {
+                Ok(mut e) => {
+                    prop_assert!(!changed, "field {} accepted near its maximum", field);
+                    e.run_until_events(e.events_processed() + 10_000);
+                    let _ = e.report();
+                }
+                Err(err) => prop_assert!(
+                    matches!(err, CheckpointError::Counter(_)),
+                    "field {}: {:?}",
+                    field,
+                    err
+                ),
+            }
         }
     }
 

@@ -26,7 +26,11 @@
 //!   how much any single entity learns").
 //!
 //! Every per-event cost is O(1) on compact state (counters, histograms,
-//! bitsets) — no per-event allocation survives the event.
+//! bitsets); a batch flush costs O(1) per batched query. Memory is
+//! allocated as the queues, the batch buffers and the map of in-flight
+//! response sizes grow, not per event: the wheel's buckets and the map's
+//! nodes are allocated and freed as they fill and drain, the lane and the
+//! batch buffers keep their capacity.
 //!
 //! **Two queues, one order.** Every hop transit (`Up`/`Down`) takes the
 //! same `topo.link_us`, and the clock never runs backwards, so hop
@@ -36,7 +40,10 @@
 //! event loop pops whichever queue's front is smaller by `(time, seq)`,
 //! exactly the order one queue would give. A topology with per-hop
 //! latencies would break the lane's invariant; `schedule_hop`'s
-//! `debug_assert!` guards it.
+//! `debug_assert!` guards it. The wheel's front is kept beside it
+//! (`wheel_front`), so the comparison reads the wheel only after a wheel
+//! pop: eight of every nine events on the mixnet preset are hop transits
+//! that never touch the wheel.
 
 use std::collections::VecDeque;
 
@@ -265,10 +272,10 @@ impl Topology {
     }
 }
 
-/// One queued engine event. Kept small (≤ 24 bytes of payload): the
-/// wheel holds about one pending arrival per user and the lane the
-/// packets in flight, and this type *is* the queues' memory footprint.
-#[derive(Clone, Debug, PartialEq)]
+/// One pending engine event, as the event loop handles it and as a
+/// checkpoint stores it. The lane holds hop transits (`Up`/`Down`) as
+/// `(time, seq, PopEvent)`, 40 bytes each, one per packet in flight.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum PopEvent {
     /// `user` issues their next query now.
     Arrival { user: u32 },
@@ -291,6 +298,26 @@ pub(crate) enum PopEvent {
     },
     /// Ingress `ingress` flushes its batch now.
     Flush { ingress: u32 },
+}
+
+/// What rides the wheel: the two events with their own due times. Its 8
+/// bytes make a wheel entry 24 bytes, and the wheel holds about one
+/// pending arrival per user.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum WheelEvent {
+    /// [`PopEvent::Arrival`] of this user.
+    Arrival(u32),
+    /// [`PopEvent::Flush`] of this ingress.
+    Flush(u32),
+}
+
+impl From<WheelEvent> for PopEvent {
+    fn from(ev: WheelEvent) -> PopEvent {
+        match ev {
+            WheelEvent::Arrival(user) => PopEvent::Arrival { user },
+            WheelEvent::Flush(ingress) => PopEvent::Flush { ingress },
+        }
+    }
 }
 
 /// Streaming statistics — all bounded: counters, fixed histograms, and
@@ -399,7 +426,11 @@ pub struct Engine {
     pub(crate) seed: u64,
     pub(crate) workload: Workload,
     /// Arrivals and batch flushes.
-    pub(crate) wheel: TimerWheel<PopEvent>,
+    pub(crate) wheel: TimerWheel<WheelEvent>,
+    /// The wheel's `(time, seq)` minimum, `None` when it is empty: always
+    /// what `wheel.peek()` would return. A push can only lower it, and
+    /// only a pop reads the wheel again.
+    wheel_front: Option<(u64, u64)>,
     /// Hop transits (`Up`/`Down`), due `topo.link_us` after they were
     /// sent and therefore already in `(time, seq)` order.
     pub(crate) lane: VecDeque<(u64, u64, PopEvent)>,
@@ -410,6 +441,9 @@ pub struct Engine {
     pub(crate) stats: Stats,
     /// Per-ingress batch buffers: `(user, name, size, sent_us)`.
     pub(crate) batches: Vec<Vec<(u32, u32, u32, u64)>>,
+    /// One bit per user, set while a flush counts its batch's distinct
+    /// users and all zero between events, so no checkpoint holds it.
+    pub(crate) batch_seen: Vec<u64>,
 }
 
 impl Engine {
@@ -420,7 +454,7 @@ impl Engine {
         for user in 0..e.spec.users as u32 {
             if let Some(t) = e.workload.next_arrival_us(user, 0, &mut rng) {
                 if t < e.spec.duration_us {
-                    e.schedule(t, PopEvent::Arrival { user });
+                    e.schedule(t, WheelEvent::Arrival(user));
                 }
             }
         }
@@ -457,6 +491,7 @@ impl Engine {
             seed,
             workload,
             wheel: TimerWheel::new(),
+            wheel_front: None,
             lane: VecDeque::new(),
             rng: SplitMix64::new(seed),
             now_us: 0,
@@ -464,14 +499,23 @@ impl Engine {
             events: 0,
             stats: Stats::new(spec.users as usize, topo.resolvers as usize),
             batches: vec![Vec::new(); topo.ingresses as usize],
+            batch_seen: vec![0; (spec.users as usize).div_ceil(64)],
         })
     }
 
     /// Queue an arrival or a batch flush on the wheel.
-    fn schedule(&mut self, t: u64, ev: PopEvent) {
+    fn schedule(&mut self, t: u64, ev: WheelEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_wheel(t, seq, ev);
+    }
+
+    /// Push onto the wheel, keeping `wheel_front` its minimum.
+    pub(crate) fn push_wheel(&mut self, t: u64, seq: u64, ev: WheelEvent) {
         self.wheel.push(t, seq, ev);
+        if self.wheel_front.map_or(true, |front| (t, seq) < front) {
+            self.wheel_front = Some((t, seq));
+        }
     }
 
     /// Put a message on the wire: it arrives one link latency from now.
@@ -523,14 +567,17 @@ impl Engine {
     /// The `(time, seq)`-minimum pending event, from the lane's front or
     /// the wheel.
     fn pop_next(&mut self) -> Option<(u64, PopEvent)> {
+        debug_assert_eq!(self.wheel_front, self.wheel.peek(), "stale wheel front");
         let lane_first = match self.lane.front() {
-            Some(&(t, s, _)) => self.wheel.peek().map_or(true, |w| (t, s) < w),
+            Some(&(t, s, _)) => self.wheel_front.map_or(true, |w| (t, s) < w),
             None => false,
         };
         if lane_first {
             self.lane.pop_front().map(|(t, _, ev)| (t, ev))
         } else {
-            self.wheel.pop().map(|(t, _, ev)| (t, ev))
+            let (t, _, ev) = self.wheel.pop()?;
+            self.wheel_front = self.wheel.peek();
+            Some((t, ev.into()))
         }
     }
 
@@ -574,7 +621,7 @@ impl Engine {
         // …and book the next one while the workload window is open.
         if let Some(t) = next {
             if t < self.spec.duration_us {
-                self.schedule(t, PopEvent::Arrival { user });
+                self.schedule(t, WheelEvent::Arrival(user));
             }
         }
     }
@@ -599,12 +646,7 @@ impl Engine {
                 self.batches[ingress].push((user, name, size, sent_us));
                 if self.batches[ingress].len() == 1 {
                     let at = self.now_us.saturating_add(self.topo.batch_window_us);
-                    self.schedule(
-                        at,
-                        PopEvent::Flush {
-                            ingress: ingress as u32,
-                        },
-                    );
+                    self.schedule(at, WheelEvent::Flush(ingress as u32));
                 }
             } else {
                 self.send_up(user, name, size, hop + 1, sent_us);
@@ -658,21 +700,30 @@ impl Engine {
     }
 
     fn on_flush(&mut self, ingress: u32) {
-        let batch = std::mem::take(&mut self.batches[ingress as usize]);
-        if batch.is_empty() {
+        let ingress = ingress as usize;
+        if self.batches[ingress].is_empty() {
             return;
         }
-        // Anonymity set = distinct users in the batch.
-        let mut users: Vec<u32> = batch.iter().map(|&(u, ..)| u).collect();
-        users.sort_unstable();
-        users.dedup();
-        let distinct = users.len() as u64;
+        let mut batch = std::mem::take(&mut self.batches[ingress]);
+        // Anonymity set = distinct users in the batch: the first sighting
+        // of a user sets their bit.
+        let mut distinct = 0u64;
+        for &(user, ..) in &batch {
+            let word = &mut self.batch_seen[user as usize / 64];
+            let bit = 1u64 << (user % 64);
+            distinct += u64::from(*word & bit == 0);
+            *word |= bit;
+        }
         self.stats.batches += 1;
         self.stats.batch_users_sum += distinct;
         self.stats.anon_hist[log2_bucket(distinct, ANON_BUCKETS)] += 1;
-        for (user, name, size, sent_us) in batch {
+        for (user, name, size, sent_us) in batch.drain(..) {
+            self.batch_seen[user as usize / 64] = 0;
             self.send_up(user, name, size, 1, sent_us);
         }
+        // Forwarding never batches again, so the drained buffer goes back
+        // with its capacity.
+        self.batches[ingress] = batch;
     }
 
     /// The final (or in-progress) report. Deterministic: a pure fold of

@@ -14,38 +14,45 @@ use crate::rng::SplitMix64;
 /// concentrates all mass on the head (weights underflow to zero
 /// harmlessly — the CDF stays monotone).
 ///
-/// Sampling is by inversion against a precomputed CDF: `O(log n)` per
-/// draw, one `f64` per rank of memory — bounded and fast at 10⁶ ranks.
+/// Sampling is by inversion against a precomputed CDF, through a guide
+/// table (Chen & Asau's indexed search): `K`, the power of two at or
+/// above `n`, equal buckets of `[0, 1)`, each holding the first rank its
+/// lower edge can draw. A draw `u` starts at its bucket's entry and scans
+/// up, at most `1 + n/K ≤ 2` CDF entries on average, so a draw is O(1)
+/// expected. The rank is exactly the binary search's. Memory: one `f64`
+/// per rank and at most two `u32`.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF exceeds `j / K` (at most
+    /// the last rank), where `K = guide.len()`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
     /// Build the distribution; `None` for an empty population (`n = 0`),
-    /// a non-finite/negative exponent, or a CDF the host cannot allocate.
+    /// more ranks than a `u32` indexes, a non-finite/negative exponent, or
+    /// tables the host cannot allocate.
     pub fn new(n: usize, s: f64) -> Option<Zipf> {
-        if n == 0 || !s.is_finite() || s < 0.0 {
-            return None;
-        }
-        let mut cdf = Vec::new();
-        cdf.try_reserve_exact(n).ok()?;
-        let mut acc = 0.0f64;
-        for k in 0..n {
-            acc += ((k + 1) as f64).powf(-s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        if total > 0.0 {
-            for c in &mut cdf {
-                *c /= total;
+        Zipf::from_cdf(zipf_cdf(n, s)?)
+    }
+
+    /// Index a non-empty, non-decreasing CDF whose last entry is 1.
+    fn from_cdf(cdf: Vec<f64>) -> Option<Zipf> {
+        let buckets = cdf.len().checked_next_power_of_two()?;
+        let last = u32::try_from(cdf.len() - 1).ok()?;
+        let mut guide = Vec::new();
+        guide.try_reserve_exact(buckets).ok()?;
+        let mut rank = 0;
+        for j in 0..buckets {
+            // Exact: `buckets` is a power of two no larger than 2³².
+            let edge = j as f64 / buckets as f64;
+            while rank < last && cdf[rank as usize] <= edge {
+                rank += 1;
             }
-        } else {
-            // s so large every weight underflowed: all mass on rank 0
-            // (a constant CDF of 1.0 makes inversion return rank 0).
-            cdf.fill(1.0);
+            guide.push(rank);
         }
-        Some(Zipf { cdf })
+        Some(Zipf { cdf, guide })
     }
 
     /// Population size.
@@ -56,17 +63,61 @@ impl Zipf {
     /// The probability weight of rank `k` (difference of adjacent CDF
     /// entries).
     pub fn weight(&self, k: usize) -> f64 {
-        let hi = self.cdf[k];
-        let lo = if k == 0 { 0.0 } else { self.cdf[k - 1] };
-        hi - lo
+        cdf_weight(&self.cdf, k)
     }
 
     /// Draw a rank.
     pub fn sample(&self, rng: &mut SplitMix64) -> usize {
-        let u = rng.next_f64();
-        let ix = self.cdf.partition_point(|&c| c <= u);
-        ix.min(self.cdf.len() - 1)
+        self.rank(rng.next_f64())
     }
+
+    /// The rank `u ∈ [0, 1)` inverts to: the number of CDF entries at or
+    /// below `u`, capped at the last rank.
+    fn rank(&self, u: f64) -> usize {
+        // `u · K` only shifts the exponent, so the bucket is exact, and
+        // every CDF entry below the guide's start is at most `j / K ≤ u`.
+        let j = (u * self.guide.len() as f64) as usize;
+        let mut rank = self.guide[j] as usize;
+        let last = self.cdf.len() - 1;
+        while rank < last && self.cdf[rank] <= u {
+            rank += 1;
+        }
+        rank
+    }
+}
+
+/// The normalised Zipf(s) CDF over `n` ranks, or `None` for an empty
+/// population, a non-finite/negative exponent or a table the host cannot
+/// allocate. Non-decreasing, with a last entry of exactly 1.
+fn zipf_cdf(n: usize, s: f64) -> Option<Vec<f64>> {
+    if n == 0 || !s.is_finite() || s < 0.0 {
+        return None;
+    }
+    let mut cdf = Vec::new();
+    cdf.try_reserve_exact(n).ok()?;
+    let mut acc = 0.0f64;
+    for k in 0..n {
+        acc += ((k + 1) as f64).powf(-s);
+        cdf.push(acc);
+    }
+    let total = acc;
+    if total > 0.0 {
+        for c in &mut cdf {
+            *c /= total;
+        }
+    } else {
+        // s so large every weight underflowed: all mass on rank 0
+        // (a constant CDF of 1.0 makes inversion return rank 0).
+        cdf.fill(1.0);
+    }
+    Some(cdf)
+}
+
+/// Rank `k`'s weight in a CDF.
+fn cdf_weight(cdf: &[f64], k: usize) -> f64 {
+    let hi = cdf[k];
+    let lo = if k == 0 { 0.0 } else { cdf[k - 1] };
+    hi - lo
 }
 
 /// Homogeneous Poisson arrivals at `rate_hz` events per simulated
@@ -167,13 +218,14 @@ impl Workload {
         let names = Zipf::new(names, name_exponent).ok_or_else(|| {
             format!("empty, invalid or unallocatable name population (n={names})")
         })?;
-        let activity = Zipf::new(users, user_exponent).ok_or_else(|| {
+        // Activity is never sampled, so it needs the CDF alone.
+        let activity = zipf_cdf(users, user_exponent).ok_or_else(|| {
             format!("empty, invalid or unallocatable user population (n={users})")
         })?;
         // Zipf weights sum to 1; scaling by n gives multipliers with
         // population mean exactly 1, so `rate_hz` stays the mean rate.
         let user_multiplier = (0..users)
-            .map(|u| activity.weight(u) * users as f64)
+            .map(|u| cdf_weight(&activity, u) * users as f64)
             .collect();
         Ok(Workload {
             names,
@@ -218,7 +270,87 @@ impl Workload {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
     use super::*;
+
+    /// The binary search's rank, capped at the last: what a draw of `u`
+    /// must return.
+    fn searched_rank(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c <= u).min(z.n() - 1)
+    }
+
+    /// Every bucket edge and every CDF value, each with its neighbouring
+    /// doubles, inside `[0, 1)`: the draws where a guide could be off by
+    /// one.
+    fn edge_draws(z: &Zipf) -> Vec<f64> {
+        let k = z.guide.len() as f64;
+        (0..z.guide.len())
+            .map(|j| j as f64 / k)
+            .chain(z.cdf.iter().copied())
+            .flat_map(|u| [u.next_down(), u, u.next_up()])
+            .filter(|u| (0.0..1.0).contains(u))
+            .collect()
+    }
+
+    fn assert_guided_draws_match(z: &Zipf, draws: &[f64]) -> Result<(), TestCaseError> {
+        for &u in edge_draws(z).iter().chain(draws) {
+            prop_assert_eq!(z.rank(u), searched_rank(z, u), "u = {}", u);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The guide table only chooses where the scan starts: on any
+        /// CDF, zero-weight runs and tiny weights included, a draw is the
+        /// binary search's rank.
+        #[test]
+        fn guided_draws_match_the_binary_search(
+            weights in collection::vec(
+                (0u8..4, any::<f64>()).prop_map(|(kind, x)| match kind {
+                    0 => 0.0,
+                    1 => x * 1e-300,
+                    2 => x,
+                    _ => 1.0 + x * 1e6,
+                }),
+                1..300,
+            ),
+            draws in collection::vec(any::<f64>(), 0..64),
+        ) {
+            let mut acc = 0.0;
+            let mut cdf: Vec<f64> = weights.iter().map(|w| { acc += w; acc }).collect();
+            if acc > 0.0 {
+                cdf.iter_mut().for_each(|c| *c /= acc);
+            } else {
+                cdf.fill(1.0);
+            }
+            let z = Zipf::from_cdf(cdf).unwrap();
+            assert_guided_draws_match(&z, &draws)?;
+        }
+
+        /// The same for Zipf tables, from uniform (`s = 0`) to exponents
+        /// so large that every weight but the head's underflows.
+        #[test]
+        fn guided_zipf_draws_match_the_binary_search(
+            n in 1usize..2_000,
+            s in prop_oneof![
+                Just(0.0),
+                any::<f64>().prop_map(|x| x * 3.0),
+                Just(60.0),
+                Just(5000.0),
+                Just(1e300),
+            ],
+            seed in any::<u64>(),
+        ) {
+            let z = Zipf::new(n, s).unwrap();
+            let mut rng = SplitMix64::new(seed);
+            let draws: Vec<f64> = (0..64).map(|_| rng.next_f64()).collect();
+            assert_guided_draws_match(&z, &draws)?;
+        }
+    }
 
     #[test]
     fn zipf_rejects_empty_population() {
