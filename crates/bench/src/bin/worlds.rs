@@ -9,8 +9,9 @@
 //!     --preset odoh --users 1000000 --names 100000 --rate 0.5 \
 //!     --duration-s 40 --out out/world_odoh.json
 //!
-//! --bench                 run the throughput battery (≥3 presets) and
-//!                         write out/BENCH_throughput.json
+//! --bench                 run the throughput battery (3 presets, median
+//!                         of 5 interleaved rounds) and write
+//!                         out/BENCH_throughput.json
 //! --verify-resume         straight-through vs checkpoint/resume byte-diff
 //! --smoke                 10⁴ users through the real ODoH wiring
 //!                         (PopulationScenario, streaming metrics)
@@ -110,7 +111,10 @@ struct ThroughputRow {
     events: u64,
     messages: u64,
     queries: u64,
+    /// Median engine wall time over the rounds; the rates derive from it.
     wall_ms: u64,
+    wall_ms_min: u64,
+    wall_ms_max: u64,
     events_per_sec: u64,
     sim_messages_per_sec: u64,
 }
@@ -121,6 +125,7 @@ struct ThroughputRecord {
     source: &'static str,
     command: &'static str,
     host: String,
+    rounds: usize,
     results: Vec<ThroughputRow>,
     note: &'static str,
 }
@@ -133,6 +138,10 @@ fn run_one(preset: &str, spec: &WorldSpec, seed: u64) -> (dcp_worlds::PopReport,
     (engine.report(), t0.elapsed().as_millis() as u64)
 }
 
+/// Rounds of the battery: one run of a preset moves with the host's
+/// load, so each row records the median of this many, interleaved.
+const BENCH_ROUNDS: usize = 5;
+
 fn bench_battery(seed: u64) {
     // Three contrasting wirings at identical population scale: the
     // coupled baseline, the light decoupled path, the heavy mix path.
@@ -142,14 +151,34 @@ fn bench_battery(seed: u64) {
         .names(10_000)
         .rate_hz(1.0)
         .duration_us(20_000_000);
+    let mut reports: Vec<Option<dcp_worlds::PopReport>> = vec![None; presets.len()];
+    let mut walls = vec![Vec::with_capacity(BENCH_ROUNDS); presets.len()];
+    for round in 0..BENCH_ROUNDS {
+        for (i, preset) in presets.iter().enumerate() {
+            let (report, wall_ms) = run_one(preset, &spec, seed);
+            println!("round {round} {preset:8} wall={wall_ms} ms");
+            match &reports[i] {
+                Some(first) => assert_eq!(
+                    &report, first,
+                    "{preset}: round {round}'s report differs from the first run's"
+                ),
+                None => reports[i] = Some(report),
+            }
+            walls[i].push(wall_ms);
+        }
+    }
     let mut rows = Vec::new();
-    for preset in presets {
-        let (report, wall_ms) = run_one(preset, &spec, seed);
+    for ((preset, report), mut walls) in presets.iter().zip(reports).zip(walls) {
+        let report = report.expect("every preset ran");
+        walls.sort_unstable();
+        let wall_ms = walls[walls.len() / 2];
         let secs = (wall_ms as f64 / 1000.0).max(1e-9);
         println!(
-            "{preset:12} events={:>12} messages={:>12} wall={wall_ms} ms  ({:.1}M events/s)",
+            "{preset:12} events={:>12} messages={:>12} wall={wall_ms} ms [{}–{}]  ({:.1}M events/s)",
             report.events,
             report.messages,
+            walls[0],
+            walls[walls.len() - 1],
             report.events as f64 / secs / 1e6,
         );
         rows.push(ThroughputRow {
@@ -159,6 +188,8 @@ fn bench_battery(seed: u64) {
             messages: report.messages,
             queries: report.queries_sent,
             wall_ms,
+            wall_ms_min: walls[0],
+            wall_ms_max: walls[walls.len() - 1],
             events_per_sec: (report.events as f64 / secs) as u64,
             sim_messages_per_sec: (report.messages as f64 / secs) as u64,
         });
@@ -171,10 +202,13 @@ fn bench_battery(seed: u64) {
             "nproc={}",
             std::thread::available_parallelism().map_or(1, |n| n.get())
         ),
+        rounds: BENCH_ROUNDS,
         results: rows,
         note: "single-threaded population engine: hop transits wait in a FIFO lane, \
-               arrivals and batch flushes on the hierarchical timer wheel; \
-               sim_messages_per_sec = simulated protocol messages per wall-clock second",
+               arrivals and batch flushes on the hierarchical timer wheel; each row is \
+               the median (with min and max) of `rounds` interleaved runs, every run's \
+               report equal to the first; sim_messages_per_sec = simulated protocol \
+               messages per wall-clock second",
     };
     write_out(
         "out/BENCH_throughput.json",

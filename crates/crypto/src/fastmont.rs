@@ -3,7 +3,7 @@
 //! cache.
 //!
 //! Three things make this fast relative to [`crate::bigint`]'s reference
-//! arithmetic (and the older `u32`-limb [`crate::montgomery`] ablation):
+//! arithmetic:
 //!
 //! 1. **64-bit limbs.** The reference path works in `u32` limbs so every
 //!    intermediate fits `u64`; here products accumulate in `u128`, which

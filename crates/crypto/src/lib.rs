@@ -24,9 +24,6 @@
 //! * [`fastmont`] — the fast backend: `u64`-limb CIOS Montgomery
 //!   multiplication, adaptive fixed-window exponentiation, per-modulus
 //!   context cache.
-//! * [`montgomery`] — the older `u32`-limb Montgomery modpow, kept as the
-//!   measured ablation against the division-based baseline (see the
-//!   `modpow` bench group).
 //! * [`rsa`] — RSA keygen (Miller–Rabin), PKCS#1 v1.5 signatures, and the
 //!   *blind* RSA signing flow (Chaum 1983) used by the digital-cash and
 //!   token systems.
@@ -64,7 +61,6 @@ pub mod field25519;
 pub mod hkdf;
 pub mod hmac;
 pub mod hpke;
-pub mod montgomery;
 pub mod oprf;
 pub mod poly1305;
 pub mod rsa;

@@ -1,10 +1,12 @@
 //! `dcp` — the repository's command-line front door.
 //!
 //! The one subcommand so far is `serve`: host a wiring's roles over real
-//! TCP sockets via `dcp-serve` instead of the simulator. Three wirings
-//! are servable, the DNS family of §3.2.2 and §5.1 — `odoh`,
-//! `odns_legacy` and `dns_direct` (plain DNS striped over two
-//! resolvers) — through one code path.
+//! TCP sockets via `dcp-serve` instead of the simulator. Four wirings
+//! are servable through one code path: the DNS family of §3.2.2 and
+//! §5.1 — `odoh`, `odns_legacy` and `dns_direct` (plain DNS striped over
+//! two resolvers) — and §3.2.4's multi-party relay, `mpr` (a two-relay
+//! chain). `--clients` and `--queries` set the users and the fetches
+//! each for `mpr`.
 //!
 //! ```text
 //! dcp serve SCENARIO [--clients N] [--queries N] [--seed S]
@@ -28,6 +30,7 @@ use std::time::Duration;
 
 use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
+use dcp_mpr::{mpr_serve_spec, ChainConfig, Mpr};
 use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
 use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
 use dcp_runtime::seam::ServeSpec;
@@ -35,6 +38,9 @@ use dcp_serve::{run_loopback, run_role, ServeConfig};
 
 /// Resolvers `dns_direct` stripes over: the smallest striped wiring.
 const DIRECT_RESOLVERS: usize = 2;
+
+/// Relays in the `mpr` chain: the paper's two-hop configuration.
+const MPR_RELAYS: usize = 2;
 
 fn usage() -> &'static str {
     "usage:\n  \
@@ -44,7 +50,8 @@ fn usage() -> &'static str {
      scenarios and their roles (client-K for each further client):\n  \
      odoh         proxy | target | origin | client | client-K\n  \
      odns_legacy  recursive | authority | origin | client | client-K\n  \
-     dns_direct   origin | resolver | resolver-2 | client | client-K"
+     dns_direct   origin | resolver | resolver-2 | client | client-K\n  \
+     mpr          origin | relay | relay-2 | user | user-K"
 }
 
 struct ServeArgs {
@@ -125,9 +132,20 @@ fn wiring(scenario: &str, a: &ServeArgs) -> Result<(ServeSpec, Twin), String> {
             let spec = direct_serve_spec(&cfg, seed);
             (spec, Box::new(move || DirectDns::run(&cfg, seed).world))
         }
+        "mpr" => {
+            let cfg = ChainConfig {
+                relays: MPR_RELAYS,
+                users: clients,
+                fetches_each: queries,
+                geohint: false,
+                seed,
+            };
+            let spec = mpr_serve_spec(&cfg, seed);
+            (spec, Box::new(move || Mpr::run(&cfg, seed).world))
+        }
         other => {
             return Err(format!(
-                "unknown scenario {other:?} (try: odoh, odns_legacy, dns_direct)"
+                "unknown scenario {other:?} (try: odoh, odns_legacy, dns_direct, mpr)"
             ))
         }
     };
@@ -156,7 +174,7 @@ fn serve(scenario: &str, a: ServeArgs) -> Result<(), String> {
     let outcome = run_loopback(spec, &serve_cfg).map_err(|e| format!("serve failed: {e}"))?;
     if !outcome.complete() {
         return Err(format!(
-            "run incomplete: {}/{} queries answered before the deadline",
+            "run incomplete: {}/{} units completed before the deadline",
             outcome.completed_units, outcome.expected_units
         ));
     }
@@ -169,7 +187,7 @@ fn serve(scenario: &str, a: ServeArgs) -> Result<(), String> {
         );
     }
     println!(
-        "{scenario} over loopback TCP: {}/{} queries answered; knowledge tables identical to \
+        "{scenario} over loopback TCP: {}/{} units completed; knowledge tables identical to \
          the simulated twin (seed {})",
         outcome.completed_units, outcome.expected_units, a.seed
     );

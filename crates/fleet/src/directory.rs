@@ -17,9 +17,8 @@
 //! Everything on the wire is HMAC-authenticated and decoded fail-closed:
 //! a record that does not verify is counted and dropped, never merged.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::EntityId;
 use dcp_faults::FaultKind;
@@ -27,7 +26,7 @@ use dcp_simnet::{Ctx, Message, Node, NodeId};
 use rand::{rngs::StdRng, Rng};
 
 use crate::descriptor::{DescriptorError, RelayDescriptor, SIGNED_LEN};
-use crate::dst::FleetStats;
+use crate::dst::{lock, FleetStats};
 
 /// Timer token for the gossip/churn tick.
 pub const GOSSIP_TOKEN: u64 = 0xD1F0;
@@ -237,7 +236,7 @@ impl DirectoryState {
 /// hears, and (if lead) draws membership churn from the fault injector.
 pub struct DirectoryNode {
     entity: EntityId,
-    state: Rc<RefCell<DirectoryState>>,
+    state: Arc<Mutex<DirectoryState>>,
     peers: Vec<NodeId>,
     interval_us: u64,
     rounds_left: u32,
@@ -245,7 +244,7 @@ pub struct DirectoryNode {
     /// Gossip peer choice rides its own seeded stream so adding a
     /// directory never perturbs protocol or fault randomness.
     rng: StdRng,
-    stats: Rc<RefCell<FleetStats>>,
+    stats: Arc<Mutex<FleetStats>>,
 }
 
 impl DirectoryNode {
@@ -254,13 +253,13 @@ impl DirectoryNode {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         entity: EntityId,
-        state: Rc<RefCell<DirectoryState>>,
+        state: Arc<Mutex<DirectoryState>>,
         peers: Vec<NodeId>,
         interval_us: u64,
         rounds: u32,
         lead: bool,
         rng: StdRng,
-        stats: Rc<RefCell<FleetStats>>,
+        stats: Arc<Mutex<FleetStats>>,
     ) -> DirectoryNode {
         DirectoryNode {
             entity,
@@ -283,27 +282,27 @@ impl DirectoryNode {
             None => return,
         };
         if p_leave > 0.0 && ctx.roll_fault(p_leave) {
-            let victims = self.state.borrow().servable();
+            let victims = lock(&self.state).servable();
             if victims.len() > 1 {
                 let pick = ctx.fault_amount(victims.len() as u64);
                 let relay = victims[(pick.max(1) - 1) as usize];
-                self.state.borrow_mut().tombstone(relay);
+                lock(&self.state).tombstone(relay);
                 ctx.record_fault(FaultKind::RelayLeave {
                     node: relay as usize,
                 });
-                self.stats.borrow_mut().leaves += 1;
+                lock(&self.stats).leaves += 1;
             }
         }
         if p_join > 0.0 && ctx.roll_fault(p_join) {
-            let cands = self.state.borrow().departed();
+            let cands = lock(&self.state).departed();
             if !cands.is_empty() {
                 let pick = ctx.fault_amount(cands.len() as u64);
                 let relay = cands[(pick.max(1) - 1) as usize];
-                self.state.borrow_mut().readmit(relay);
+                lock(&self.state).readmit(relay);
                 ctx.record_fault(FaultKind::RelayJoin {
                     node: relay as usize,
                 });
-                self.stats.borrow_mut().joins += 1;
+                lock(&self.stats).joins += 1;
             }
         }
     }
@@ -321,11 +320,11 @@ impl Node for DirectoryNode {
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        let applied = self.state.borrow_mut().apply_wire(&msg.bytes);
+        let applied = lock(&self.state).apply_wire(&msg.bytes);
         if applied.is_err() {
             // Fail-closed: unverifiable gossip is dropped, counted, and
             // never merged — no partial state, no panic.
-            self.stats.borrow_mut().gossip_rejects += 1;
+            lock(&self.stats).gossip_rejects += 1;
         }
     }
 
@@ -336,18 +335,18 @@ impl Node for DirectoryNode {
         if self.lead && self.rounds_left > CHURN_QUIET_ROUNDS {
             self.draw_churn(ctx);
         }
-        let wire = self.state.borrow().encode_state();
+        let wire = lock(&self.state).encode_state();
         if self.rounds_left == 1 {
             // Final round: broadcast to every peer so the last merges
             // reach all directories regardless of earlier peer draws.
             for &peer in &self.peers {
                 ctx.send(peer, Message::public(wire.clone()));
-                self.stats.borrow_mut().gossip_sends += 1;
+                lock(&self.stats).gossip_sends += 1;
             }
         } else {
             let peer = self.peers[self.rng.gen_range(0..self.peers.len())];
             ctx.send(peer, Message::public(wire));
-            self.stats.borrow_mut().gossip_sends += 1;
+            lock(&self.stats).gossip_sends += 1;
         }
         self.rounds_left -= 1;
         if self.rounds_left > 0 {

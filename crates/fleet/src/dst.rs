@@ -2,13 +2,12 @@
 //! in scenario reports, and the restricted knowledge-fingerprint used by
 //! the `dst_fleet` byte-identity probe.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard};
 
 use dcp_core::World;
 
-/// Counters shared (via `Rc<RefCell<_>>`) between the directory nodes,
+/// Counters shared (via `Arc<Mutex<_>>`) between the directory nodes,
 /// the relay keyrings, and the wiring that assembles the final report.
 #[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct FleetStats {
@@ -28,9 +27,10 @@ pub struct FleetStats {
     pub gossip_sends: u64,
 }
 
-/// A freshly shareable stats cell.
-pub fn shared_stats() -> Rc<RefCell<FleetStats>> {
-    Rc::new(RefCell::new(FleetStats::default()))
+/// Lock a piece of shared fleet state.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("no fleet role panicked holding shared state")
 }
 
 /// What a fleet-enabled run reports: configuration echoes, the chains

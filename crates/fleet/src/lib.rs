@@ -38,4 +38,4 @@ pub use directory::{DirectoryNode, DirectoryState, GOSSIP_TOKEN};
 pub use dst::{entities_silent, restricted_fingerprint, FleetStats, FleetSummary};
 pub use epoch::{EpochError, Keyring};
 pub use select::{select_chain, LoadTracker, NotEnoughRelays, SelRng};
-pub use setup::{FleetClient, FleetRelay, FleetSetup, ROTATE_TOKEN};
+pub use setup::{FleetClient, FleetRelay, FleetSetup, Rotation, ROTATE_TOKEN};

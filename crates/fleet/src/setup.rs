@@ -1,7 +1,7 @@
 //! Wiring glue: everything a scenario needs to run fleet-enabled.
 //!
-//! [`FleetSetup::build`] mints the genesis key material, seeds every
-//! directory with identical epoch-0 descriptors, and hands out the
+//! [`FleetSetup::build`] mints the key material of every epoch, seeds
+//! every directory with identical epoch-0 descriptors, and hands out the
 //! per-role pieces:
 //!
 //! * [`FleetSetup::chain`] — a pinned relay chain per client, drawn from
@@ -9,29 +9,33 @@
 //!   transport's ARQ recovers through the pinned relays; re-routing
 //!   mid-run would change knowledge tables, which the byte-identity
 //!   probe forbids);
-//! * [`FleetSetup::relay`] — a [`FleetRelay`] the relay node embeds:
-//!   the epoch keyring, the bounded rotation timer, and fail-closed
+//! * [`FleetSetup::relay`] — a [`FleetRelay`] the relay role embeds:
+//!   the epoch keyring, the bounded rotation schedule, and fail-closed
 //!   epoch opening;
 //! * [`FleetSetup::directory_node`] — a gossiping [`DirectoryNode`];
 //! * [`FleetSetup::client`] — a [`FleetClient`] handle over the home
 //!   directory ("cached consensus"): clients re-read descriptors on
 //!   every wrap, so retries after a stale rejection pick up rotated
 //!   keys.
+//!
+//! The pieces share their state through `Arc<Mutex<_>>` and never touch
+//! an engine: a rotation hands its descriptor frame back to the caller,
+//! so a simnet node (mixnet's mixes) and a seam role (MPR's relays) run
+//! the same code.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::{EntityId, KeyId, World};
 use dcp_crypto::hmac::hmac_sha256;
 use dcp_crypto::hpke;
-use dcp_simnet::{Ctx, Message, NodeId};
+use dcp_simnet::NodeId;
 use dcp_transport::onion::{EpochHop, Hop};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::descriptor::RelayDescriptor;
 use crate::directory::{DirectoryNode, DirectoryState, MSG_DESCRIPTOR};
-use crate::dst::{shared_stats, FleetStats, FleetSummary};
+use crate::dst::{lock, FleetStats, FleetSummary};
 use crate::epoch::{EpochError, Keyring};
 use crate::select::{select_chain, LoadTracker, NotEnoughRelays, SelRng};
 use crate::FleetConfig;
@@ -40,9 +44,10 @@ use crate::FleetConfig;
 /// choice, selection) — disjoint from protocol and fault streams.
 pub const FLEET_SEED_SALT: u64 = 0xF1EE_7D1C;
 
-/// Timer token for a relay's key-rotation tick. Wirings route this to
-/// [`FleetRelay::on_timer`]; it is chosen to collide with no scenario's
-/// own tokens.
+/// Timer token for a relay's key-rotation tick. Wirings arm it with
+/// [`FleetRelay::first_tick_us`] and [`Rotation::next_us`], and call
+/// [`FleetRelay::rotate`] when it fires; it is chosen to collide with no
+/// scenario's own tokens.
 pub const ROTATE_TOKEN: u64 = 0xF1EE;
 
 /// Shared, build-once state for one fleet-enabled run.
@@ -51,12 +56,13 @@ pub struct FleetSetup {
     pub cfg: FleetConfig,
     secret: [u8; 32],
     pool: u16,
-    /// Genesis key material per relay, taken by [`FleetSetup::relay`].
-    genesis: Vec<Option<(hpke::Keypair, KeyId)>>,
+    /// Key material per relay, taken by [`FleetSetup::relay`]: the
+    /// genesis keypair, its world key, and the world keys of the epochs
+    /// to come.
+    genesis: Vec<Option<(hpke::Keypair, KeyId, VecDeque<KeyId>)>>,
     addrs: Vec<u16>,
-    entities: Vec<EntityId>,
-    dirs: Vec<Rc<RefCell<DirectoryState>>>,
-    stats: Rc<RefCell<FleetStats>>,
+    dirs: Vec<Arc<Mutex<DirectoryState>>>,
+    stats: Arc<Mutex<FleetStats>>,
     sel_rng: SelRng,
     loads: LoadTracker,
     chains: Vec<Vec<u16>>,
@@ -66,8 +72,10 @@ pub struct FleetSetup {
 impl FleetSetup {
     /// Mint genesis material and seed `cfg.directories` identical
     /// directory states. `relay_entities[i]` / `addrs[i]` describe fleet
-    /// relay `i`; the world keys for epoch 0 are granted to those
-    /// entities here.
+    /// relay `i`. The world keys of every epoch a relay may reach (the
+    /// genesis one and one per rotation, bounded by
+    /// `cfg.max_rotations`) are minted for, and granted to, its entity
+    /// here, so a rotation needs no world.
     pub fn build(
         world: &mut World,
         cfg: &FleetConfig,
@@ -79,12 +87,18 @@ impl FleetSetup {
         let pool = relay_entities.len() as u16;
         let mut rng = StdRng::seed_from_u64(seed ^ FLEET_SEED_SALT);
         let secret = hmac_sha256(b"dcp-fleet-directory-secret", &seed.to_be_bytes());
+        let rotations = if cfg.rotation_interval_us > 0 {
+            cfg.max_rotations
+        } else {
+            0
+        };
 
         let mut genesis = Vec::with_capacity(pool as usize);
         let mut descs = Vec::with_capacity(pool as usize);
         for (i, (&entity, &addr)) in relay_entities.iter().zip(addrs).enumerate() {
             let kp = hpke::Keypair::generate(&mut rng);
             let key_id = world.new_key(&[entity]);
+            let epoch_keys = (0..rotations).map(|_| world.new_key(&[entity])).collect();
             descs.push(RelayDescriptor {
                 relay: i as u16,
                 addr,
@@ -94,7 +108,7 @@ impl FleetSetup {
                 member_seq: 0,
                 servable: true,
             });
-            genesis.push(Some((kp, key_id)));
+            genesis.push(Some((kp, key_id, epoch_keys)));
         }
 
         let directories = cfg.directories.max(1);
@@ -104,7 +118,7 @@ impl FleetSetup {
                 for d in &descs {
                     s.seed(d.clone());
                 }
-                Rc::new(RefCell::new(s))
+                Arc::new(Mutex::new(s))
             })
             .collect();
 
@@ -114,9 +128,8 @@ impl FleetSetup {
             pool,
             genesis,
             addrs: addrs.to_vec(),
-            entities: relay_entities.to_vec(),
             dirs,
-            stats: shared_stats(),
+            stats: Arc::default(),
             sel_rng: SelRng::new(seed ^ FLEET_SEED_SALT),
             loads: LoadTracker::new(),
             chains: Vec::new(),
@@ -124,21 +137,11 @@ impl FleetSetup {
         }
     }
 
-    /// Size of the relay pool.
-    pub fn pool(&self) -> u16 {
-        self.pool
-    }
-
-    /// The shared stats cell (wirings clone it into their report path).
-    pub fn stats(&self) -> Rc<RefCell<FleetStats>> {
-        Rc::clone(&self.stats)
-    }
-
     /// Pin one client's chain from the genesis directory view. Chains
     /// are recorded for the run summary.
     pub fn chain(&mut self, k: usize) -> Result<Vec<u16>, NotEnoughRelays> {
         let chain = select_chain(
-            &self.dirs[0].borrow(),
+            &lock(&self.dirs[0]),
             k,
             &mut self.loads,
             self.cfg.hot_factor,
@@ -148,26 +151,25 @@ impl FleetSetup {
         Ok(chain)
     }
 
-    /// The fleet-side piece of relay `idx`, homed on directory node
-    /// `home`. Panics if called twice for the same relay.
-    pub fn relay(&mut self, idx: u16, home: NodeId) -> FleetRelay {
-        let (kp, key_id) = self.genesis[idx as usize]
+    /// The fleet-side piece of relay `idx`. The wiring pairs it with the
+    /// home directory its rotations publish to. Panics if called twice
+    /// for the same relay.
+    pub fn relay(&mut self, idx: u16) -> FleetRelay {
+        let (kp, key_id, epoch_keys) = self.genesis[idx as usize]
             .take()
             .expect("relay material already taken");
         FleetRelay {
             idx,
-            entity: self.entities[idx as usize],
             addr: self.addrs[idx as usize],
             keyring: Keyring::new(self.cfg.grace_epochs, kp, key_id),
-            home,
+            epoch_keys,
             interval_us: self.cfg.rotation_interval_us,
-            rotations_left: self.cfg.max_rotations,
             rng: StdRng::seed_from_u64(
                 (self.cfg.rotation_interval_us ^ FLEET_SEED_SALT)
                     .wrapping_add(self.rng_fork() ^ (idx as u64)),
             ),
             secret: self.secret,
-            stats: Rc::clone(&self.stats),
+            stats: Arc::clone(&self.stats),
         }
     }
 
@@ -181,13 +183,13 @@ impl FleetSetup {
     ) -> DirectoryNode {
         DirectoryNode::new(
             entity,
-            Rc::clone(&self.dirs[i]),
+            Arc::clone(&self.dirs[i]),
             peers,
             self.cfg.gossip_interval_us.max(1),
             self.cfg.gossip_rounds,
             i == 0,
             StdRng::seed_from_u64(self.rng_fork() ^ (0xD1 + i as u64)),
-            Rc::clone(&self.stats),
+            Arc::clone(&self.stats),
         )
     }
 
@@ -195,24 +197,24 @@ impl FleetSetup {
     /// pinned `chain`.
     pub fn client(&self, i: usize, chain: Vec<u16>) -> FleetClient {
         FleetClient {
-            view: Rc::clone(&self.dirs[i % self.dirs.len()]),
+            view: Arc::clone(&self.dirs[i % self.dirs.len()]),
             chain,
         }
     }
 
     /// Assemble the run summary from the shared state.
     pub fn summary(&self) -> FleetSummary {
-        let hashes: Vec<u64> = self.dirs.iter().map(|d| d.borrow().state_hash()).collect();
+        let hashes: Vec<u64> = self.dirs.iter().map(|d| lock(d).state_hash()).collect();
         let converged = hashes.windows(2).all(|w| w[0] == w[1]);
         FleetSummary {
             enabled: true,
             pool: self.pool,
             directories: self.dirs.len() as u16,
             chains: self.chains.clone(),
-            stats: self.stats.borrow().clone(),
+            stats: lock(&self.stats).clone(),
             directory_hashes: hashes,
             converged,
-            max_epoch: self.dirs[0].borrow().max_epoch(),
+            max_epoch: lock(&self.dirs[0]).max_epoch(),
         }
     }
 
@@ -224,62 +226,69 @@ impl FleetSetup {
     }
 }
 
-/// The fleet-side state a relay node embeds: its epoch keyring, the
-/// bounded rotation timer, and stats-recording fail-closed opening.
+/// The fleet-side state a relay role embeds: its epoch keyring, the
+/// bounded rotation schedule, and stats-recording fail-closed opening.
+///
+/// Engine-free: the wiring arms [`ROTATE_TOKEN`] after
+/// [`first_tick_us`](FleetRelay::first_tick_us), calls
+/// [`rotate`](FleetRelay::rotate) when it fires, and sends the returned
+/// [`Rotation`]'s frame to its home directory.
 pub struct FleetRelay {
     /// This relay's fleet index.
     pub idx: u16,
-    entity: EntityId,
     addr: u16,
     keyring: Keyring,
-    home: NodeId,
+    /// World keys of the epochs still to come, next first (minted by
+    /// [`FleetSetup::build`]); empty once the rotation budget is spent.
+    epoch_keys: VecDeque<KeyId>,
     interval_us: u64,
-    rotations_left: u32,
     rng: StdRng,
     secret: [u8; 32],
-    stats: Rc<RefCell<FleetStats>>,
+    stats: Arc<Mutex<FleetStats>>,
+}
+
+/// What one key rotation asks of its wiring.
+pub struct Rotation {
+    /// The signed descriptor of the new epoch (`MSG_DESCRIPTOR ‖
+    /// descriptor`), to send as public bytes to the home directory.
+    pub frame: Vec<u8>,
+    /// Re-arm [`ROTATE_TOKEN`] after this many µs; `None` once the
+    /// budget is spent.
+    pub next_us: Option<u64>,
 }
 
 impl FleetRelay {
-    /// Arm the rotation timer (call from the node's `on_start`).
-    pub fn arm(&self, ctx: &mut Ctx) {
-        if self.interval_us > 0 && self.rotations_left > 0 {
-            ctx.set_timer(self.interval_us, ROTATE_TOKEN);
-        }
+    /// The delay to arm [`ROTATE_TOKEN`] with at start, or `None` if
+    /// this relay never rotates.
+    pub fn first_tick_us(&self) -> Option<u64> {
+        (!self.epoch_keys.is_empty()).then_some(self.interval_us)
     }
 
-    /// Handle a timer tick. Returns `true` if the token was the
-    /// rotation tick (consumed), `false` for the wiring's own tokens.
-    pub fn on_timer(&mut self, ctx: &mut Ctx, token: u64) -> bool {
-        if token != ROTATE_TOKEN {
-            return false;
-        }
-        if self.rotations_left == 0 {
-            return true;
-        }
+    /// Rotate to the next epoch: a fresh keypair under the next minted
+    /// world key, published as a signed descriptor that carries no
+    /// membership claim (so a rotation can never resurrect a tombstone).
+    /// `None` once the budget is spent.
+    pub fn rotate(&mut self) -> Option<Rotation> {
+        let key_id = self.epoch_keys.pop_front()?;
         let kp = hpke::Keypair::generate(&mut self.rng);
-        let key_id = ctx.world.new_key(&[self.entity]);
-        let epoch = self.keyring.rotate(kp.clone(), key_id);
+        let pk = kp.public;
+        let epoch = self.keyring.rotate(kp, key_id);
         let desc = RelayDescriptor {
             relay: self.idx,
             addr: self.addr,
             epoch,
-            pk: kp.public,
+            pk,
             key: key_id.0,
-            // Relay-published descriptors never carry membership claims,
-            // so a rotation can never resurrect a tombstone.
             member_seq: 0,
             servable: true,
         };
-        let mut wire = vec![MSG_DESCRIPTOR];
-        wire.extend_from_slice(&desc.sign(&self.secret));
-        ctx.send(self.home, Message::public(wire));
-        self.stats.borrow_mut().rotations += 1;
-        self.rotations_left -= 1;
-        if self.rotations_left > 0 {
-            ctx.set_timer(self.interval_us, ROTATE_TOKEN);
-        }
-        true
+        let mut frame = vec![MSG_DESCRIPTOR];
+        frame.extend_from_slice(&desc.sign(&self.secret));
+        lock(&self.stats).rotations += 1;
+        Some(Rotation {
+            frame,
+            next_us: self.first_tick_us(),
+        })
     }
 
     /// The keypair for `epoch`, fail-closed: stale and future epochs
@@ -289,7 +298,7 @@ impl FleetRelay {
         match self.keyring.open(epoch) {
             Ok(found) => Ok(found),
             Err(e) => {
-                let mut s = self.stats.borrow_mut();
+                let mut s = lock(&self.stats);
                 match e {
                     EpochError::Stale { .. } => s.stale_rejected += 1,
                     EpochError::Future { .. } => s.future_rejected += 1,
@@ -310,7 +319,7 @@ impl FleetRelay {
 /// rejection automatically pick up rotated keys.
 #[derive(Clone)]
 pub struct FleetClient {
-    view: Rc<RefCell<DirectoryState>>,
+    view: Arc<Mutex<DirectoryState>>,
     chain: Vec<u16>,
 }
 
@@ -331,7 +340,7 @@ impl FleetClient {
 
     /// The current epoch-tagged hop for one relay.
     pub fn hop_of(&self, relay: u16) -> Option<EpochHop> {
-        let view = self.view.borrow();
+        let view = lock(&self.view);
         let d = view.get(relay)?;
         Some(EpochHop {
             hop: Hop {
@@ -341,16 +350,6 @@ impl FleetClient {
             },
             epoch: d.epoch,
         })
-    }
-
-    /// Address map over the whole directory (`addr` → fleet index),
-    /// for wirings that route by address.
-    pub fn addr_map(&self) -> BTreeMap<u16, u16> {
-        self.view
-            .borrow()
-            .descriptors()
-            .map(|d| (d.addr, d.relay))
-            .collect()
     }
 }
 
@@ -401,8 +400,7 @@ mod tests {
 
         // Simulate a merged rotation arriving at the home directory.
         {
-            let dir = Rc::clone(&setup.dirs[0]);
-            let mut view = dir.borrow_mut();
+            let mut view = lock(&setup.dirs[0]);
             let mut d = view.get(0).unwrap().clone();
             d.epoch = 1;
             d.pk = [0xEE; 32];
@@ -422,7 +420,34 @@ mod tests {
     fn relay_material_is_single_use() {
         let cfg = FleetConfig::standard();
         let (_world, mut setup) = build(2, &cfg);
-        let _a = setup.relay(0, NodeId(9));
-        let _b = setup.relay(0, NodeId(9));
+        let _a = setup.relay(0);
+        let _b = setup.relay(0);
+    }
+
+    /// Rotation needs no engine: each tick installs the next epoch under
+    /// a world key minted at setup and hands back a descriptor the home
+    /// directory merges, until the budget is spent.
+    #[test]
+    fn rotation_publishes_descriptors_until_the_budget_is_spent() {
+        let cfg = FleetConfig::standard().max_rotations(2);
+        let (world, mut setup) = build(2, &cfg);
+        let relay_1 = world.entity_by_name("Relay 2").id;
+        let mut relay = setup.relay(1);
+        assert_eq!(relay.first_tick_us(), Some(cfg.rotation_interval_us));
+        let mut home = DirectoryState::new(setup.secret);
+        for epoch in 1..=2 {
+            let rot = relay.rotate().expect("budget left");
+            assert_eq!(home.apply_wire(&rot.frame), Ok(1));
+            let d = home.get(1).expect("published");
+            assert_eq!((d.epoch, relay.current_epoch()), (epoch, epoch));
+            assert!(world.has_key(relay_1, KeyId(d.key)), "minted for the relay");
+            let expected_next = (epoch < 2).then_some(cfg.rotation_interval_us);
+            assert_eq!(rot.next_us, expected_next);
+        }
+        assert!(relay.rotate().is_none(), "budget spent");
+        assert_eq!(setup.summary().stats.rotations, 2);
+
+        let frozen = FleetConfig::standard().rotation_interval_us(0);
+        assert_eq!(build(1, &frozen).1.relay(0).first_tick_us(), None);
     }
 }

@@ -2,7 +2,7 @@
 
 use dcp_core::{EntityId, KeyId, Label};
 use dcp_crypto::hpke;
-use dcp_runtime::{wire, Ctx, FleetRelay, HopMap, Message, Node, NodeId};
+use dcp_runtime::{wire, Ctx, FleetRelay, HopMap, Message, Node, NodeId, ROTATE_TOKEN};
 use dcp_transport::onion::{self, Unwrapped};
 use rand::seq::SliceRandom;
 
@@ -17,10 +17,11 @@ const FLUSH_TIMER: u64 = 1;
 pub(crate) const RESP_BIT: u64 = 1 << 63;
 
 /// A mix's decryption material: one fixed keypair (plain runs) or an
-/// epoch keyring fed by the fleet directory (fleet runs).
+/// epoch keyring fed by the fleet directory (fleet runs), whose
+/// rotations publish to the `home` directory node.
 enum MixKeys {
     Plain { kp: hpke::Keypair, key_id: KeyId },
-    Fleet(FleetRelay),
+    Fleet { relay: FleetRelay, home: NodeId },
 }
 
 /// A threshold mix: it pools incoming messages, and once `batch_size`
@@ -83,11 +84,13 @@ impl MixNode {
 
     /// Create a fleet-mode mix: decryption material comes from the
     /// directory's epoch keyring instead of a fixed keypair. The mix
-    /// rotates keys on the directory's schedule and peels layers by
-    /// their cleartext epoch tag, fail-closed on stale or future epochs.
+    /// rotates keys on the directory's schedule, publishing each epoch
+    /// to its `home` directory node, and peels layers by their cleartext
+    /// epoch tag, fail-closed on stale or future epochs.
     pub fn new_fleet(
         entity: EntityId,
         relay: FleetRelay,
+        home: NodeId,
         batch_size: usize,
         max_wait_us: u64,
         addr_map: Vec<(u16, NodeId)>,
@@ -95,7 +98,7 @@ impl MixNode {
         assert!(batch_size >= 1);
         MixNode {
             entity,
-            keys: MixKeys::Fleet(relay),
+            keys: MixKeys::Fleet { relay, home },
             batch_size,
             shuffle: true,
             max_wait_us,
@@ -148,8 +151,10 @@ impl Node for MixNode {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        if let MixKeys::Fleet(f) = &self.keys {
-            f.arm(ctx);
+        if let MixKeys::Fleet { relay, .. } = &self.keys {
+            if let Some(delay_us) = relay.first_tick_us() {
+                ctx.set_timer(delay_us, ROTATE_TOKEN);
+            }
         }
     }
 
@@ -159,7 +164,7 @@ impl Node for MixNode {
         // node this mix forwards to); fleet chains are full-mesh, so acks
         // are recognized by their explicit direction bit instead.
         if self.recover {
-            let fleet = matches!(self.keys, MixKeys::Fleet(_));
+            let fleet = matches!(self.keys, MixKeys::Fleet { .. });
             let is_ack = if fleet {
                 wire::unframe(&msg.bytes).is_some_and(|(s, _)| s & RESP_BIT != 0)
             } else {
@@ -202,7 +207,7 @@ impl Node for MixNode {
                 Ok(u) => (u, *key_id),
                 Err(_) => return,
             },
-            MixKeys::Fleet(f) => {
+            MixKeys::Fleet { relay: f, .. } => {
                 // Fleet layers carry their sealing epoch in the clear:
                 // select the matching keypair first, fail-closed — a
                 // stale or future epoch is a typed rejection (counted in
@@ -260,10 +265,16 @@ impl Node for MixNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        if let MixKeys::Fleet(f) = &mut self.keys {
-            if f.on_timer(ctx, token) {
-                return; // key-rotation tick, handled by the keyring
+        if token == ROTATE_TOKEN {
+            if let MixKeys::Fleet { relay, home } = &mut self.keys {
+                if let Some(rot) = relay.rotate() {
+                    ctx.send(*home, Message::public(rot.frame));
+                    if let Some(delay_us) = rot.next_us {
+                        ctx.set_timer(delay_us, ROTATE_TOKEN);
+                    }
+                }
             }
+            return;
         }
         if token == FLUSH_TIMER {
             self.timer_armed = false;

@@ -619,7 +619,8 @@ fn run_impl(config: &MixnetConfig, opts: &RunOptions) -> MixnetReport {
         let mut mix = match &mut fleet_setup {
             Some(fs) => MixNode::new_fleet(
                 mix_entities[i],
-                fs.relay(i as u16, dir_ids[i % dir_ids.len()]),
+                fs.relay(i as u16),
+                dir_ids[i % dir_ids.len()],
                 config.batch_size,
                 max_wait,
                 addr_map,

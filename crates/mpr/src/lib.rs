@@ -24,6 +24,10 @@
 //!
 //! The §4.4 *geohint* regression (revealing coarse location to keep
 //! geo-dependent services working) is available as an option.
+//!
+//! The roles are written once, as seam roles: the simulator hosts them
+//! for every run (plain, recovered, fleet-enabled) and `dcp serve mpr`
+//! serves the same roles over TCP ([`mpr_serve_spec`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,5 +36,5 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{ChainConfig, Mpr, ScenarioReport};
+pub use scenario::{mpr_serve_spec, ChainConfig, Mpr, ScenarioReport};
 pub use types::declared_caps;

@@ -6,6 +6,11 @@ use dcp_runtime::{PopulationScenario, Topology, WorldSpec};
 use crate::scenario::{ChainConfig, Mpr};
 
 impl PopulationScenario for Mpr {
+    /// One user per population user behind the paper's 2-relay chain.
+    /// MPR's roles are seam roles, addressed by `PeerId(u16)` like
+    /// ODoH's, so a world holds at most 65,535 roles: 65,532 users
+    /// beside the origin and the two relays. A larger spec is not
+    /// capped; it panics when the simulator hosts the roles.
     fn population_config(spec: &WorldSpec) -> ChainConfig {
         ChainConfig {
             relays: 2,

@@ -1,19 +1,41 @@
-//! k-relay chain scenarios over nested encrypted tunnels.
+//! k-relay chain scenarios over nested encrypted tunnels, written once
+//! as seam roles: a user, a relay serving every chain position, and the
+//! origin. One `wiring` builds them; the simulator hosts them ([`Mpr`])
+//! and [`mpr_serve_spec`] hands the same roles to `dcp-serve`.
+//!
+//! Every leg carries an 8-byte hop-local sequence number
+//! (`dcp_runtime::wire` framing). Each relay re-keys what it forwards
+//! with a [`HopMap`] and retraces the way back from a response's number,
+//! so no relay pairs responses with requests by arrival order, and a
+//! response returns to the user who asked even under drops and
+//! duplicates. Responses carry `RESP_BIT` in their number, so a relay
+//! tells direction the same way in a fixed chain and in a
+//! directory-drawn full mesh. A run's `RecoverConfig` only arms the
+//! users' retries.
+//!
+//! The origin learns whom a response is about from what it decrypts:
+//! each user fetches their own account page, as a DNS question names its
+//! asker's slice of names. Nothing rides outside the bytes, so a served
+//! origin labels its responses exactly as the simulated one does.
+//!
+//! Fleet runs draw chains from a gossiped relay directory: the relays
+//! are the same role, holding an epoch keyring, and the directory nodes
+//! stay simulator nodes, registered after the roles.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, EntityId, FaultLog, IdentityKind, InfoItem, KeyId, Label, MetricsReport, RunOptions,
+    DataKind, FaultLog, IdentityKind, InfoItem, KeyId, Label, MetricsReport, ObsEvent, RunOptions,
     Scenario, UserId, World,
 };
 use dcp_crypto::hpke;
+use dcp_runtime::seam::{nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
-    mean_us, wire, Admits, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, FleetClient,
-    FleetRelay, FleetSetup, FleetSummary, Harness, HopMap, LinkParams, Message, Node, NodeId,
-    RetryLinkage, Role, SimTime, Trace, TypedSend, WireLabel,
+    mean_us, wire, Attempt, Control, DirectoryNode, Endpoint, FleetClient, FleetRelay, FleetSetup,
+    FleetSummary, Harness, HopMap, LinkParams, NodeId, ReliableCall, RetryLinkage, TimerVerdict,
+    Trace, ROTATE_TOKEN,
 };
 use dcp_transport::onion::{self, Hop, Unwrapped};
 
@@ -131,16 +153,54 @@ impl ScenarioReport {
     }
 }
 
-const REQUEST: &[u8] = b"GET /profile/sensitive-page HTTP/1.1";
+/// Each user fetches their own account page, `GET
+/// /profile/account-NNNNNN HTTP/1.1`: 36 bytes for every account, since
+/// a wiring holds at most 65,535 roles.
+const REQUEST_PREFIX: &[u8] = b"GET /profile/account-";
+const REQUEST_SUFFIX: &[u8] = b" HTTP/1.1";
+const ACCOUNT_DIGITS: usize = 6;
 const RESPONSE: &[u8] = b"HTTP/1.1 200 OK\r\n\r\n<private content>";
 
-/// Direction bit on fleet-mode response frames. Plain chains infer
-/// direction from topology (a response can only arrive from the one node
-/// a relay forwards to); directory-drawn chains are a full mesh, where
-/// that inference misreads a request from the previous hop as a response.
-/// Fleet responses therefore carry the direction explicitly.
+/// Direction bit in a response's sequence number. Every response carries
+/// it, so a relay needs no topology to tell a response from a request —
+/// which a directory-drawn chain, a full mesh, does not offer.
 const RESP_BIT: u64 = 1 << 63;
 
+/// Protocol addresses: the origin, and relay `i` at `RELAY_ADDR + i`.
+const ORIGIN_ADDR: u16 = 9000;
+const RELAY_ADDR: u16 = 100;
+
+/// A request the origin cannot attribute: malformed, or naming no
+/// account. It gets no response.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct BadRequest;
+
+/// Account numbers → users: scenario bookkeeping for the origin's
+/// response labels, keyed by what the origin *does* read (it cannot name
+/// users).
+struct Accounts(Vec<UserId>);
+
+impl Accounts {
+    /// The request the holder of `account` sends.
+    fn request(account: usize) -> Vec<u8> {
+        format!("GET /profile/account-{account:0ACCOUNT_DIGITS$} HTTP/1.1").into_bytes()
+    }
+
+    /// The subject of a decrypted request, fail-closed. A response is
+    /// labelled with the subject of its own request, so one delivered to
+    /// the wrong user would show up in that user's ledger.
+    fn subject(&self, plain: &[u8]) -> Result<UserId, BadRequest> {
+        let digits = plain
+            .strip_prefix(REQUEST_PREFIX)
+            .and_then(|rest| rest.strip_suffix(REQUEST_SUFFIX))
+            .filter(|d| d.len() == ACCOUNT_DIGITS && d.iter().all(u8::is_ascii_digit))
+            .ok_or(BadRequest)?;
+        let account = digits.iter().fold(0, |n, d| n * 10 + usize::from(d - b'0'));
+        self.0.get(account).copied().ok_or(BadRequest)
+    }
+}
+
+/// What the users measure, shared by every role of one run.
 struct Stats {
     completed: usize,
     latencies: Vec<u64>,
@@ -149,31 +209,57 @@ struct Stats {
     linkage: RetryLinkage,
 }
 
-struct UserNode<R: Role, M: WireLabel> {
-    entity: EntityId,
+/// The stats of a run whose roles do not panic while holding them.
+fn lock(stats: &Mutex<Stats>) -> std::sync::MutexGuard<'_, Stats> {
+    stats.lock().expect("no role panicked holding the stats")
+}
+
+/// How a user's requests reach the origin. The endpoint types carry the
+/// knowledge-cap check: a direct fetch is admitted only by the
+/// explicitly coupled [`DirectOrigin`].
+enum Route {
+    /// No relays, the §3.3 negative example: the origin sees who asks.
+    Direct(Endpoint<DirectFetch, Control, DirectOrigin>),
+    /// Through a chain of relays, entered at its first.
+    Relayed(Endpoint<OnionedFetch, Control, ChainRelay>, Hops),
+}
+
+/// A relayed user's chain.
+enum Hops {
+    /// Fixed relays, in chain order.
+    Fixed(Vec<Hop>),
+    /// A chain pinned from the directory at t = 0, whose hops are
+    /// re-read on every wrap, so a retry after a stale-epoch rejection
+    /// seals under rotated keys.
+    Fleet(FleetClient),
+}
+
+/// The fetching user: one fetch in flight at a time, each attempt
+/// re-sealed and re-wrapped.
+struct User {
     user: UserId,
-    first_hop: Endpoint<M, Control, R>,
-    hops: Vec<Hop>,
-    /// Fleet mode: the home-directory handle the chain's hops are read
-    /// from on every wrap (so retries pick up rotated keys).
-    fleet: Option<FleetClient>,
-    origin_addr: u16,
+    request: Vec<u8>,
+    route: Route,
     origin_pk: [u8; 32],
     origin_key: KeyId,
     geohint: bool,
+    /// Fetches not yet begun.
     fetches_left: usize,
-    stats: Rc<RefCell<Stats>>,
-    sent_at: SimTime,
-    /// The runtime attempt loop, remembering each call's send time
-    /// (inert when the run's recovery is disabled).
-    calls: Driver<SimTime>,
+    /// Arms deadlines and retries under recovery; inert without it.
+    arq: ReliableCall,
+    /// Call numbers for runs without recovery, where the ARQ numbers
+    /// nothing.
+    next_seq: u64,
+    /// The open fetch: its sequence number and send time.
+    inflight: Option<(u64, u64)>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-impl<R: Role, M: WireLabel + Admits<R>> UserNode<R, M> {
+impl User {
     /// Build one fully wrapped request: a fresh end-to-end seal and a
     /// fresh onion on every call, which is exactly what a re-randomized
     /// retransmission needs.
-    fn wrap_request(&mut self, ctx: &mut Ctx) -> (Vec<u8>, Label) {
+    fn wrap_request(&self, ctx: &mut WireCtx) -> (Vec<u8>, Label) {
         // End-to-end sealed request: only the origin reads the full
         // request; its label gives the origin (△, ●) — plus a coarse
         // location item when the geohint regression is enabled.
@@ -184,434 +270,351 @@ impl<R: Role, M: WireLabel + Admits<R>> UserNode<R, M> {
         if self.geohint {
             origin_items.push(InfoItem::partial_data(self.user, DataKind::Location));
         }
-        ctx.world.crypto_op("hpke_seal");
-        let e2e =
-            hpke::seal(ctx.rng, &self.origin_pk, b"e2e", b"", REQUEST).expect("seal to origin");
+        ctx.crypto_op("hpke_seal");
+        let e2e = hpke::seal(ctx.rng, &self.origin_pk, b"e2e", b"", &self.request)
+            .expect("seal to origin");
         let e2e_label = Label::items(origin_items).sealed(self.origin_key);
-
-        if self.hops.is_empty() && self.fleet.is_none() {
-            // Direct: the origin additionally sees the user's address (▲).
-            let label = Label::items([
-                InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-                InfoItem::plain_data(self.user, DataKind::Payload),
-            ])
-            .and(e2e_label);
-            return (e2e, label);
-        }
+        // The user's own envelope: the first hop sees the user's network
+        // identity (▲) and that traffic is flowing.
+        let envelope = Label::items([
+            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
+            InfoItem::plain_data(self.user, DataKind::Payload),
+        ]);
+        let Route::Relayed(_, chain) = &self.route else {
+            return (e2e, envelope.and(e2e_label));
+        };
 
         // Exit-visible part: the destination FQDN (⊙/●) of an anonymous
         // user (△); the exit must see it to connect.
-        let mut exit_plain = self.origin_addr.to_be_bytes().to_vec();
+        let mut exit_plain = ORIGIN_ADDR.to_be_bytes().to_vec();
         exit_plain.extend_from_slice(&e2e);
         let exit_label = Label::items([
             InfoItem::plain_identity(self.user, IdentityKind::Any),
             InfoItem::partial_data(self.user, DataKind::Destination),
         ])
         .and(e2e_label);
-
-        let chain_len = self
-            .fleet
-            .as_ref()
-            .map(|c| c.chain().len())
-            .unwrap_or(self.hops.len());
-        for _ in 0..chain_len {
-            ctx.world.crypto_op("hpke_seal");
+        let (bytes, onion_label) = match chain {
+            Hops::Fixed(hops) => {
+                for _ in hops {
+                    ctx.crypto_op("hpke_seal");
+                }
+                onion::wrap(ctx.rng, hops, &exit_plain, exit_label)
+            }
+            Hops::Fleet(client) => {
+                for _ in client.chain() {
+                    ctx.crypto_op("hpke_seal");
+                }
+                let hops = client.hops();
+                onion::wrap_epochs(
+                    ctx.rng,
+                    &hops,
+                    onion::DELIVER_LOCAL,
+                    &exit_plain,
+                    exit_label,
+                )
+            }
         }
-        let (bytes, onion_label) = if let Some(client) = &self.fleet {
-            // Re-read the directory on every wrap: after a stale-epoch
-            // rejection the ARQ's next attempt seals under fresh keys.
-            let ehops = client.hops();
-            onion::wrap_epochs(
-                ctx.rng,
-                &ehops,
-                onion::DELIVER_LOCAL,
-                &exit_plain,
-                exit_label,
-            )
-            .expect("onion")
-        } else {
-            onion::wrap(ctx.rng, &self.hops, &exit_plain, exit_label).expect("onion")
-        };
-        // Envelope: relay 1 sees the user's network identity (▲) and that
-        // opaque traffic is flowing (⊙).
-        let label = Label::items([
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-            InfoItem::plain_data(self.user, DataKind::Payload),
-        ])
-        .and(onion_label);
-        (bytes, label)
+        .expect("onion");
+        // Relay 1 opens the envelope but not the onion (⊙).
+        (bytes, envelope.and(onion_label))
     }
 
-    fn fetch(&mut self, ctx: &mut Ctx) {
-        self.sent_at = ctx.now;
-        self.stats.borrow_mut().payload_bytes += REQUEST.len();
-        if let Some(att) = self.calls.begin(ctx.now) {
-            self.transmit(ctx, att);
+    /// Begin the next fetch, if one is left.
+    fn fetch(&mut self, ctx: &mut WireCtx) {
+        if self.fetches_left == 0 {
             return;
         }
-        let (bytes, label) = self.wrap_request(ctx);
-        ctx.send_to(
-            self.first_hop,
-            Message::new(bytes, label).with_flow(self.user.0),
-        );
+        self.fetches_left -= 1;
+        lock(&self.stats).payload_bytes += self.request.len();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let att = self.arq.begin().unwrap_or(Attempt {
+            seq,
+            attempt: 0,
+            timer_delay_us: 0,
+            token: 0,
+        });
+        self.inflight = Some((att.seq, ctx.now_us()));
+        self.transmit(ctx, att);
     }
 
     /// (Re)transmit fetch `att.seq`: every attempt re-seals and re-wraps,
     /// so no two attempts share a byte of ciphertext on any wire.
-    fn transmit(&mut self, ctx: &mut Ctx, att: Attempt) {
+    fn transmit(&mut self, ctx: &mut WireCtx, att: Attempt) {
         let (bytes, label) = self.wrap_request(ctx);
-        self.stats
-            .borrow_mut()
+        lock(&self.stats)
             .linkage
             .record(self.user.0, att.seq, att.attempt, &bytes);
-        ctx.send_to(
-            self.first_hop,
-            Message::new(wire::frame(att.seq, &bytes), label).with_flow(self.user.0),
-        );
-        ctx.set_timer(att.timer_delay_us, att.token);
-    }
-
-    fn fetch_done(&mut self, ctx: &mut Ctx) {
-        if self.fetches_left > 1 {
-            self.fetches_left -= 1;
-            self.fetch(ctx);
+        let msg = WireMsg::data(wire::frame(att.seq, &bytes), label);
+        match &self.route {
+            Route::Direct(origin) => ctx.send_to(*origin, msg),
+            Route::Relayed(entry, _) => ctx.send_to(*entry, msg),
+        }
+        if self.arq.enabled() {
+            ctx.set_timer(att.timer_delay_us, att.token);
         }
     }
 }
 
-impl<R: Role + 'static, M: WireLabel + Admits<R> + 'static> Node for UserNode<R, M> {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::Destination),
-        );
+impl WireRole for User {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::Destination));
         self.fetch(ctx);
     }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, _body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let Some(sent) = self.calls.complete(seq) else {
-                return; // duplicated response: counted exactly once
-            };
-            ctx.world.span("fetch", sent.as_us(), ctx.now.as_us());
-            let mut stats = self.stats.borrow_mut();
-            stats.completed += 1;
-            stats.latencies.push(ctx.now - sent);
-            stats.payload_bytes += RESPONSE.len();
-            drop(stats);
-            self.fetch_done(ctx);
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, _from: PeerId, msg: WireMsg) {
+        // Only a response numbered for the open fetch completes it, so a
+        // duplicated or late response changes nothing.
+        let Some((seq, _body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Some((open, sent_at)) = self.inflight else {
+            return;
+        };
+        if seq & !RESP_BIT != open {
             return;
         }
-        // Response sealed to our resp key.
-        let _ = msg;
-        ctx.world
-            .span("fetch", self.sent_at.as_us(), ctx.now.as_us());
-        let mut stats = self.stats.borrow_mut();
+        self.inflight = None;
+        self.arq.complete(open);
+        let now = ctx.now_us();
+        ctx.span("fetch", sent_at, now);
+        let mut stats = lock(&self.stats);
         stats.completed += 1;
-        stats.latencies.push(ctx.now - self.sent_at);
+        stats.latencies.push(now - sent_at);
         stats.payload_bytes += RESPONSE.len();
         drop(stats);
-        self.fetch_done(ctx);
+        ctx.unit_done();
+        self.fetch(ctx);
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::Retry(att) => self.transmit(ctx, att),
-            CallEvent::Exhausted { .. } => self.fetch_done(ctx),
-            CallEvent::App(_) | CallEvent::Ignored => {}
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        let node = ctx.me().index();
+        match self.arq.on_timer(token) {
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => {
+                ctx.emit(ObsEvent::RecoveryRetry {
+                    node,
+                    seq: att.seq,
+                    attempt: att.attempt,
+                });
+                self.transmit(ctx, att);
+            }
+            TimerVerdict::Exhausted { seq, attempts } => {
+                ctx.emit(ObsEvent::RecoveryGiveUp {
+                    node,
+                    seq,
+                    attempts,
+                });
+                self.inflight = None;
+                self.fetch(ctx);
+            }
         }
+    }
+
+    fn finished(&self) -> bool {
+        self.fetches_left == 0 && self.inflight.is_none()
     }
 }
 
 /// A relay's decryption material: one fixed keypair (plain runs) or an
-/// epoch keyring fed by the fleet directory (fleet runs).
+/// epoch keyring fed by the fleet directory (fleet runs), whose
+/// rotations publish to the `home` directory.
 enum RelayKeys {
     Plain { kp: hpke::Keypair, key_id: KeyId },
-    Fleet(FleetRelay),
+    Fleet { relay: FleetRelay, home: PeerId },
 }
 
-struct RelayNode {
-    entity: EntityId,
+impl RelayKeys {
+    /// Peel one onion layer, returning its content and the world key
+    /// that sealed it; `None` for a layer that does not open. Fleet
+    /// layers carry their sealing epoch in the clear: the matching
+    /// keypair is selected first, and a stale or future epoch is a
+    /// typed rejection (counted in the run stats), never a guessed key.
+    fn peel(&mut self, cipher: &[u8]) -> Option<(Unwrapped, KeyId)> {
+        match self {
+            RelayKeys::Plain { kp, key_id } => {
+                Some((onion::unwrap_layer(kp, cipher).ok()?, *key_id))
+            }
+            RelayKeys::Fleet { relay, .. } => {
+                let (epoch, sealed) = onion::read_epoch(cipher).ok()?;
+                let (kp, key_id) = relay.open_epoch(epoch).ok()?;
+                Some((onion::unwrap_layer(kp, sealed).ok()?, key_id))
+            }
+        }
+    }
+}
+
+/// The sealed part of a two-part label bundle (what the next hop may
+/// open), or the label itself.
+fn sealed_part(label: Label) -> Label {
+    match label {
+        Label::Bundle(mut parts) if parts.len() == 2 => parts.swap_remove(1),
+        other => other,
+    }
+}
+
+/// Peel `label` in step with the bytes it shadows: the layer sealed
+/// under `key`. A `Public` label stays `Public` — in multi-process mode
+/// frames arrive without labels. Any other mismatch means bytes and
+/// labels no longer describe one message: `None`, and the frame drops.
+fn peel_label(label: Label, key: KeyId) -> Option<Label> {
+    match label {
+        Label::Public => Some(Label::Public),
+        other => onion::unwrap_label(&other, key).ok(),
+    }
+}
+
+/// A chain relay, any position: peels one layer forward, re-keying the
+/// request under its own sequence number, and routes each response back
+/// along the route that number recorded.
+struct Relay {
     keys: RelayKeys,
-    /// addr → node mapping for forwarding.
-    addr_map: Vec<(u16, NodeId)>,
-    /// Back-routes for responses: stack of previous hops. The FIFO
-    /// stack misroutes under drops and duplicates, which is precisely
-    /// why the recovery path replaces it with `hop`.
-    back: Vec<NodeId>,
-    /// Recovery wiring: frame/unframe hop sequence numbers.
-    recover: bool,
-    /// Per-request back-routes keyed by the hop seq this relay minted:
-    /// take-once, so duplicated responses die here instead of
-    /// consuming another request's route.
-    hop: HopMap<(NodeId, u64)>,
+    /// Next-hop address → peer: the origin and the next relay (every
+    /// other relay, on a fleet run's full mesh).
+    addr_map: Vec<(u16, PeerId)>,
+    /// Back-routes keyed by the sequence number this relay minted:
+    /// take-once, so a duplicated response dies here instead of riding
+    /// another request's route.
+    hop: HopMap<(PeerId, u64)>,
 }
 
-impl Node for RelayNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        if let RelayKeys::Fleet(f) = &self.keys {
-            f.arm(ctx);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        if let RelayKeys::Fleet(f) = &mut self.keys {
-            f.on_timer(ctx, token);
-        }
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        // Response coming back (from a node we forwarded to): relay it to
-        // the stored previous hop.
-        if self.recover {
-            let fleet = matches!(self.keys, RelayKeys::Fleet(_));
-            let is_resp = if fleet {
-                wire::unframe(&msg.bytes).is_some_and(|(s, _)| s & RESP_BIT != 0)
-            } else {
-                self.addr_map.iter().any(|(_, n)| *n == from)
-            };
-            if is_resp {
-                let Some((pseq, body)) = wire::unframe(&msg.bytes) else {
-                    return; // unframed response on a recovered run: drop
-                };
-                let Some((prev, prev_seq)) = self.hop.take(pseq & !RESP_BIT) else {
-                    return; // duplicated response: its route was consumed
-                };
-                // Relay-bound responses keep the direction bit; the final
-                // hop back to the user carries the bare ARQ seq.
-                let to_relay = fleet && self.addr_map.iter().any(|(_, n)| *n == prev);
-                let out_seq = if to_relay {
-                    prev_seq | RESP_BIT
-                } else {
-                    prev_seq
-                };
-                let label = msg.label.clone();
-                ctx.send(
-                    prev,
-                    Message::new(wire::frame(out_seq, body), label).with_flow_opt(msg.flow),
-                );
-                return;
+impl WireRole for Relay {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        if let RelayKeys::Fleet { relay, .. } = &self.keys {
+            if let Some(delay_us) = relay.first_tick_us() {
+                ctx.set_timer(delay_us, ROTATE_TOKEN);
             }
-        } else if let Some(pos) = self
-            .addr_map
-            .iter()
-            .position(|(_, n)| *n == from)
-            .filter(|_| !self.back.is_empty())
-        {
-            let _ = pos;
-            let Some(prev) = self.back.pop() else {
-                return; // duplicated response: no back-route left
-            };
-            ctx.send(prev, msg);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        let RelayKeys::Fleet { relay, home } = &mut self.keys else {
+            return;
+        };
+        if token != ROTATE_TOKEN {
             return;
         }
-
-        // Forward direction: peel one onion layer (bytes and label). A
-        // layer that fails to peel is dropped — a relay never forwards
-        // traffic it cannot vouch for.
-        let (cseq, cipher): (u64, &[u8]) = if self.recover {
-            match wire::unframe(&msg.bytes) {
-                Some((s, b)) => (s, b),
-                None => return, // unframed request on a recovered run: drop
+        if let Some(rot) = relay.rotate() {
+            ctx.send(*home, WireMsg::data(rot.frame, Label::Public));
+            if let Some(delay_us) = rot.next_us {
+                ctx.set_timer(delay_us, ROTATE_TOKEN);
             }
-        } else {
-            (0, &msg.bytes)
+        }
+    }
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
         };
-        ctx.world.crypto_op("hpke_open");
-        let (unwrapped, layer_key) = match &mut self.keys {
-            RelayKeys::Plain { kp, key_id } => match onion::unwrap_layer(kp, cipher) {
-                Ok(u) => (u, *key_id),
-                Err(_) => return,
+        if seq & RESP_BIT != 0 {
+            let Some((prev, prev_seq)) = self.hop.take(seq & !RESP_BIT) else {
+                return; // duplicated response: its route was consumed
+            };
+            let back = wire::frame(prev_seq | RESP_BIT, body);
+            ctx.send(prev, WireMsg::response(back, msg.label));
+            return;
+        }
+        // Forward: peel one layer of bytes and label. A layer that fails
+        // to peel is dropped — a relay never forwards traffic it cannot
+        // vouch for.
+        ctx.crypto_op("hpke_open");
+        let Some((unwrapped, layer_key)) = self.keys.peel(body) else {
+            return;
+        };
+        let Some(inner) = peel_label(sealed_part(msg.label), layer_key) else {
+            return;
+        };
+        let (next, bytes, label) = match unwrapped {
+            Unwrapped::Forward { next, bytes } => (next, bytes, inner),
+            // Exit relay: payload = origin address ‖ e2e-sealed request;
+            // the origin gets only the sealed part of the label.
+            Unwrapped::Deliver { payload } => match payload.as_slice() {
+                [hi, lo, request @ ..] => (
+                    u16::from_be_bytes([*hi, *lo]),
+                    request.to_vec(),
+                    sealed_part(inner),
+                ),
+                _ => return, // truncated exit payload
             },
-            RelayKeys::Fleet(f) => {
-                // Fleet layers carry their sealing epoch in the clear:
-                // select the matching keypair first, fail-closed — a
-                // stale or future epoch is a typed rejection (counted in
-                // the run stats), never a guessed key.
-                let Ok((epoch, sealed)) = onion::read_epoch(cipher) else {
-                    return; // missing epoch tag: drop
-                };
-                let Ok((kp, key_id)) = f.open_epoch(epoch) else {
-                    return; // stale/future epoch: typed, fail-closed
-                };
-                match onion::unwrap_layer(kp, sealed) {
-                    Ok(u) => (u, key_id),
-                    Err(_) => return,
-                }
-            }
         };
-        let outer_label = match &msg.label {
-            Label::Bundle(parts) if parts.len() == 2 => parts[1].clone(),
-            other => other.clone(),
+        let Some(&(_, to)) = self.addr_map.iter().find(|(a, _)| *a == next) else {
+            return; // unroutable hop: drop, never misdeliver
         };
-        // Label desync is the same failure class as a failed peel: the
-        // bytes and labels no longer describe one message. Drop it.
-        let Ok(inner_label) = onion::unwrap_label(&outer_label, layer_key) else {
-            return;
-        };
-        match unwrapped {
-            Unwrapped::Forward { next, bytes } => {
-                let Some(next_node) = self
-                    .addr_map
-                    .iter()
-                    .find(|(a, _)| *a == next)
-                    .map(|(_, n)| *n)
-                else {
-                    return; // unroutable hop: drop, never misdeliver
-                };
-                if self.recover {
-                    let pseq = self.hop.insert((from, cseq));
-                    ctx.send(
-                        next_node,
-                        Message::new(wire::frame(pseq, &bytes), inner_label)
-                            .with_flow_opt(msg.flow),
-                    );
-                    return;
-                }
-                self.back.insert(0, from);
-                ctx.send(
-                    next_node,
-                    Message::new(bytes, inner_label).with_flow_opt(msg.flow),
-                );
-            }
-            Unwrapped::Deliver { payload } => {
-                // Exit relay: payload = origin_addr ‖ e2e-sealed request.
-                if payload.len() < 2 {
-                    return; // truncated exit payload: drop
-                }
-                let addr = u16::from_be_bytes([payload[0], payload[1]]);
-                let Some(next_node) = self
-                    .addr_map
-                    .iter()
-                    .find(|(a, _)| *a == addr)
-                    .map(|(_, n)| *n)
-                else {
-                    return; // unroutable origin: drop, never misdeliver
-                };
-                // Forward only the sealed part of the label bundle.
-                let fwd_label = match &inner_label {
-                    Label::Bundle(parts) if parts.len() == 2 => parts[1].clone(),
-                    other => other.clone(),
-                };
-                if self.recover {
-                    let pseq = self.hop.insert((from, cseq));
-                    ctx.send(
-                        next_node,
-                        Message::new(wire::frame(pseq, &payload[2..]), fwd_label)
-                            .with_flow_opt(msg.flow),
-                    );
-                    return;
-                }
-                self.back.insert(0, from);
-                ctx.send(
-                    next_node,
-                    Message::new(payload[2..].to_vec(), fwd_label).with_flow_opt(msg.flow),
-                );
-            }
-        }
+        let pseq = self.hop.insert((from, seq));
+        ctx.send(to, WireMsg::data(wire::frame(pseq, &bytes), label));
     }
 }
 
-struct OriginNode {
-    entity: EntityId,
+/// The origin: opens each request, names its subject from the account
+/// it fetches, and answers — statelessly, so a retransmission is simply
+/// answered again and the user's ARQ dedups.
+struct Origin {
     kp: hpke::Keypair,
     resp_key: KeyId,
-    /// Subjects by flow id (scenario bookkeeping for response labels).
-    flow_user: Vec<(u64, UserId)>,
-    /// Recovery wiring: unframe requests and echo their seq back. The
-    /// origin serves an idempotent GET, so it answers every delivery
-    /// (retransmissions included) statelessly; the user's ARQ dedups.
-    recover: bool,
-    /// Fleet runs: mark responses with [`RESP_BIT`] so full-mesh relays
-    /// can tell direction without topology.
-    resp_bit: bool,
+    accounts: Accounts,
 }
 
-impl Node for OriginNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let (seq, cipher): (u64, &[u8]) = if self.recover {
-            match wire::unframe(&msg.bytes) {
-                Some((s, b)) => (s, b),
-                None => return, // unframed request on a recovered run: drop
-            }
-        } else {
-            (0, &msg.bytes)
-        };
-        // Fail closed: an undecryptable or unattributable request gets no
-        // response at all.
-        ctx.world.crypto_op("hpke_open");
-        let Ok(req) = hpke::open(&self.kp, b"e2e", b"", cipher) else {
+impl WireRole for Origin {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, cipher)) = wire::unframe(&msg.payload) else {
             return;
         };
-        if req != REQUEST {
-            return;
-        }
-        let Some(user) = msg
-            .flow
-            .and_then(|f| self.flow_user.iter().find(|(id, _)| *id == f))
-            .map(|(_, u)| *u)
-        else {
+        // Fail closed: an undecryptable or unattributable request gets
+        // no response at all.
+        ctx.crypto_op("hpke_open");
+        let Ok(request) = hpke::open(&self.kp, b"e2e", b"", cipher) else {
             return;
         };
-        // Response content is the user's sensitive data, sealed end-to-end
-        // back to them.
-        let resp_label = Label::items([InfoItem::sensitive_data(user, DataKind::Destination)])
+        let Ok(user) = self.accounts.subject(&request) else {
+            return;
+        };
+        // Response content is the user's sensitive data, sealed end to
+        // end back to them.
+        let label = Label::items([InfoItem::sensitive_data(user, DataKind::Destination)])
             .sealed(self.resp_key);
-        let body = if self.recover {
-            let out_seq = if self.resp_bit { seq | RESP_BIT } else { seq };
-            wire::frame(out_seq, RESPONSE)
-        } else {
-            RESPONSE.to_vec()
-        };
-        ctx.send(from, Message::new(body, resp_label).with_flow_opt(msg.flow));
+        let response = wire::frame(seq | RESP_BIT, RESPONSE);
+        ctx.send(from, WireMsg::response(response, label));
     }
 }
 
-/// Extension trait to thread the optional ground-truth flow id.
-trait WithFlowOpt {
-    fn with_flow_opt(self, flow: Option<u64>) -> Self;
-}
-impl WithFlowOpt for Message {
-    fn with_flow_opt(mut self, flow: Option<u64>) -> Self {
-        self.flow = flow;
-        self
-    }
+/// A built MPR run: its roles, what they measure, the relay names the
+/// table is derived over, and — on fleet runs — the fleet setup the
+/// summary is read from and the directory nodes the simulator hosts
+/// after the roles.
+struct Wiring {
+    spec: ServeSpec,
+    stats: Arc<Mutex<Stats>>,
+    relay_names: Vec<String>,
+    fleet: Option<(FleetSetup, Vec<DirectoryNode>)>,
 }
 
-fn run_impl(config: &ChainConfig, opts: &RunOptions) -> ScenarioReport {
+/// Build the chain's world and roles for either engine. Peer ids: origin
+/// 0, relays 1..=pool, then users; a fleet run's directory nodes follow.
+///
+/// The world mutation order and the setup RNG's draws are load-bearing:
+/// a metrics sink observes entity creation in sequence, and the DST
+/// probes are byte-identical across refactors only if both hold.
+fn wiring(cfg: &ChainConfig, mut world: World, opts: &RunOptions) -> Wiring {
     use rand::SeedableRng;
-    let config = *config;
-    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0x33bb);
+    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0x33bb);
 
-    let (mut world, harness) = Harness::begin(Mpr::NAME, config.seed, opts);
     let user_org = world.add_org("users");
     let origin_org = world.add_org("origin-co");
     let origin_e = world.add_entity("Origin", origin_org, None);
 
     // Fleet mode: relays come from a gossiped directory instead of
     // static wiring. `pool = 0` means "the wiring's own relay count".
-    let fleet_on = opts.fleet.enabled && config.relays > 0;
+    let fleet_on = opts.fleet.enabled && cfg.relays > 0;
     assert!(
         !fleet_on || opts.recover.enabled,
         "fleet mode requires the recovery runtime (RunOptions::recovered): \
          churn survival rides the ARQ's re-sealed retransmissions"
     );
     let pool = if fleet_on {
-        config.relays.max(opts.fleet.pool as usize)
+        cfg.relays.max(opts.fleet.pool as usize)
     } else {
-        config.relays
+        cfg.relays
     };
 
     let mut relay_entities = Vec::new();
@@ -625,37 +628,30 @@ fn run_impl(config: &ChainConfig, opts: &RunOptions) -> ScenarioReport {
 
     let mut users = Vec::new();
     let mut user_entities = Vec::new();
-    for i in 0..config.users {
+    for i in 0..cfg.users {
         let u = world.add_user();
-        let name = if i == 0 {
-            "User".to_string()
-        } else {
-            format!("User {}", i + 1)
-        };
-        user_entities.push(world.add_entity(&name, user_org, Some(u)));
+        user_entities.push(world.add_entity(&nth("User", ' ', i), user_org, Some(u)));
         users.push(u);
     }
 
     // Directory entities register after every baseline entity so the
     // byte-identity probe can compare fleet runs against the fixed-relay
     // baseline on the baseline's own rows.
-    let relay_addrs: Vec<u16> = (0..pool).map(|i| 100 + i as u16).collect();
+    let relay_addrs: Vec<u16> = (0..pool).map(|i| RELAY_ADDR + i as u16).collect();
     let mut dir_entities = Vec::new();
-    let mut fleet_setup = if fleet_on {
+    let mut fleet_setup = fleet_on.then(|| {
         let dir_org = world.add_org("directory-auth");
         for j in 0..opts.fleet.directories.max(1) {
             dir_entities.push(world.add_entity(&format!("Directory {}", j + 1), dir_org, None));
         }
-        Some(FleetSetup::build(
+        FleetSetup::build(
             &mut world,
             &opts.fleet,
-            config.seed,
+            cfg.seed,
             &relay_entities,
             &relay_addrs,
-        ))
-    } else {
-        None
-    };
+        )
+    });
 
     // Keys: one per relay (fleet mode mints them per epoch instead),
     // one for the origin's e2e, one for responses.
@@ -666,14 +662,16 @@ fn run_impl(config: &ChainConfig, opts: &RunOptions) -> ScenarioReport {
             .map(|_| hpke::Keypair::generate(&mut setup_rng))
             .collect()
     };
-    let relay_keys: Vec<KeyId> = if fleet_on {
-        Vec::new()
-    } else {
-        relay_entities
-            .iter()
-            .map(|&e| world.new_key(&[e]))
-            .collect()
-    };
+    let hops: Vec<Hop> = relay_kps
+        .iter()
+        .zip(&relay_entities)
+        .zip(&relay_addrs)
+        .map(|((kp, &e), &addr)| Hop {
+            addr,
+            pk: kp.public,
+            key_id: world.new_key(&[e]),
+        })
+        .collect();
     let origin_kp = hpke::Keypair::generate(&mut setup_rng);
     let origin_key = world.new_key(&[origin_e]);
     let resp_key = world.new_key(&[]);
@@ -681,193 +679,145 @@ fn run_impl(config: &ChainConfig, opts: &RunOptions) -> ScenarioReport {
         world.grant_key(e, resp_key);
     }
 
-    let mut net = harness.network(world, LinkParams::wan_ms(10));
-
-    // Topology: origin = node 0, relays 1..=pool, users after, then
-    // (fleet runs) the directory nodes.
-    let origin_id = NodeId(0);
-    let relay_ids: Vec<NodeId> = (0..pool).map(|i| NodeId(1 + i)).collect();
-    let origin_addr: u16 = 9000;
-    let dir_ids: Vec<NodeId> = (0..dir_entities.len())
-        .map(|j| NodeId(1 + pool + config.users + j))
-        .collect();
-
-    let hops: Vec<Hop> = if fleet_on {
-        Vec::new()
-    } else {
-        (0..pool)
-            .map(|i| Hop {
-                addr: relay_addrs[i],
-                pk: relay_kps[i].public,
-                key_id: relay_keys[i],
-            })
-            .collect()
-    };
-
-    let recover_on = opts.recover.enabled;
-    let flow_user: Vec<(u64, UserId)> = users.iter().map(|&u| (u.0, u)).collect();
-    let origin_node = Box::new(OriginNode {
-        entity: origin_e,
+    let origin = Origin {
         kp: origin_kp.clone(),
         resp_key,
-        flow_user,
-        recover: recover_on,
-        resp_bit: fleet_on,
-    });
-    // A zero-relay wiring puts the origin in the coupled direct role; the
-    // registration behaviour is identical (both are `Service`), only the
-    // knowledge cap differs.
-    if config.relays == 0 {
-        Harness::add_role::<DirectOrigin>(&mut net, origin_node);
+        accounts: Accounts(users.clone()),
+    };
+    // A zero-relay wiring puts the origin in the coupled direct role:
+    // both are services, only the knowledge cap differs.
+    let mut roles = vec![if cfg.relays == 0 {
+        RoleSpec::of::<DirectOrigin>("origin", origin_e, Box::new(origin))
     } else {
-        Harness::add_role::<ChainOrigin>(&mut net, origin_node);
-    }
-    for i in 0..pool {
-        // Plain mode: each relay can forward to the next relay and to
-        // the origin. Fleet mode: chains are directory-drawn, so every
-        // relay can route to every other relay (and the origin).
-        let mut addr_map: Vec<(u16, NodeId)> = vec![(origin_addr, origin_id)];
-        if fleet_on {
-            for j in 0..pool {
-                if j != i {
-                    addr_map.push((relay_addrs[j], relay_ids[j]));
-                }
+        RoleSpec::of::<ChainOrigin>("origin", origin_e, Box::new(origin))
+    }];
+
+    let dir_peers: Vec<PeerId> = (0..dir_entities.len())
+        .map(|j| PeerId::at(1 + pool + cfg.users + j))
+        .collect();
+    for (i, &e) in relay_entities.iter().enumerate() {
+        // Plain mode: each relay forwards to the next relay or to the
+        // origin. Fleet mode: chains are directory-drawn, so every relay
+        // can route to every other relay.
+        let mut addr_map = vec![(ORIGIN_ADDR, PeerId(0))];
+        for (j, &addr) in relay_addrs.iter().enumerate() {
+            if (fleet_on && j != i) || (!fleet_on && j == i + 1) {
+                addr_map.push((addr, PeerId::at(1 + j)));
             }
-        } else if i + 1 < pool {
-            addr_map.push((relay_addrs[i + 1], relay_ids[i + 1]));
         }
         let keys = match &mut fleet_setup {
-            Some(fs) => RelayKeys::Fleet(fs.relay(i as u16, dir_ids[i % dir_ids.len()])),
+            Some(fs) => RelayKeys::Fleet {
+                relay: fs.relay(i as u16),
+                home: dir_peers[i % dir_peers.len()],
+            },
             None => RelayKeys::Plain {
                 kp: relay_kps[i].clone(),
-                key_id: relay_keys[i],
+                key_id: hops[i].key_id,
             },
         };
-        Harness::add_role::<ChainRelay>(
-            &mut net,
-            Box::new(RelayNode {
-                entity: relay_entities[i],
-                keys,
-                addr_map,
-                back: Vec::new(),
-                recover: recover_on,
-                hop: HopMap::new(),
-            }),
-        );
+        let relay = Relay {
+            keys,
+            addr_map,
+            hop: HopMap::new(),
+        };
+        roles.push(RoleSpec::of::<ChainRelay>(
+            nth("relay", '-', i),
+            e,
+            Box::new(relay),
+        ));
     }
-    let stats = Rc::new(RefCell::new(Stats {
+
+    let stats = Arc::new(Mutex::new(Stats {
         completed: 0,
         latencies: Vec::new(),
         payload_bytes: 0,
         linkage: RetryLinkage::new(),
     }));
-    let first_hop = if config.relays == 0 {
-        origin_id
-    } else {
-        relay_ids[0]
-    };
-    for (i, (&u, &e)) in users.iter().zip(user_entities.iter()).enumerate() {
+    for (i, (&user, &e)) in users.iter().zip(&user_entities).enumerate() {
         // Fleet mode: pin this user's chain from the genesis directory
         // (t = 0) — churn is survived through the pinned chain's ARQ, so
         // knowledge tables stay byte-identical to the fixed-relay run.
-        let (client, user_first) = match &mut fleet_setup {
+        let route = match &mut fleet_setup {
             Some(fs) => {
-                let chain = fs.chain(config.relays).expect("fleet pool < chain length");
-                let entry = relay_ids[chain[0] as usize];
-                (Some(fs.client(i, chain)), entry)
+                let chain = fs.chain(cfg.relays).expect("fleet pool < chain length");
+                let entry = Endpoint::new(1 + chain[0] as usize);
+                Route::Relayed(entry, Hops::Fleet(fs.client(i, chain)))
             }
-            None => (None, first_hop),
+            None if cfg.relays == 0 => Route::Direct(Endpoint::new(0)),
+            None => Route::Relayed(Endpoint::new(1), Hops::Fixed(hops.clone())),
         };
-        #[allow(clippy::too_many_arguments)]
-        fn add_user<R: Role + 'static, M: WireLabel + Admits<R> + 'static>(
-            net: &mut dcp_runtime::Network,
-            first_hop: Endpoint<M, Control, R>,
-            e: EntityId,
-            u: UserId,
-            i: usize,
-            hops: Vec<Hop>,
-            fleet: Option<FleetClient>,
-            origin_addr: u16,
-            origin_pk: [u8; 32],
-            origin_key: KeyId,
-            config: &ChainConfig,
-            opts: &RunOptions,
-            stats: &Rc<RefCell<Stats>>,
-        ) {
-            Harness::add_role::<ChainUser>(
-                net,
-                Box::new(UserNode::<R, M> {
-                    entity: e,
-                    user: u,
-                    first_hop,
-                    hops,
-                    fleet,
-                    origin_addr,
-                    origin_pk,
-                    origin_key,
-                    geohint: config.geohint,
-                    fetches_left: config.fetches_each,
-                    stats: stats.clone(),
-                    sent_at: SimTime::ZERO,
-                    calls: Driver::new(&opts.recover, derive_seed(config.seed, 0x3b50 + i as u64)),
-                }),
-            );
-        }
-        // Direct runs couple at the origin and must say so in the type:
-        // `DirectFetch` only clears the knowledge-cap witness against the
-        // explicitly coupled `DirectOrigin`.
-        if config.relays == 0 {
-            add_user::<DirectOrigin, DirectFetch>(
-                &mut net,
-                Endpoint::new(user_first.0),
-                e,
-                u,
-                i,
-                hops.clone(),
-                client,
-                origin_addr,
-                origin_kp.public,
-                origin_key,
-                &config,
-                opts,
-                &stats,
-            );
-        } else {
-            add_user::<ChainRelay, OnionedFetch>(
-                &mut net,
-                Endpoint::new(user_first.0),
-                e,
-                u,
-                i,
-                hops.clone(),
-                client,
-                origin_addr,
-                origin_kp.public,
-                origin_key,
-                &config,
-                opts,
-                &stats,
-            );
-        }
+        let role = User {
+            user,
+            request: Accounts::request(i),
+            route,
+            origin_pk: origin_kp.public,
+            origin_key,
+            geohint: cfg.geohint,
+            fetches_left: cfg.fetches_each,
+            arq: ReliableCall::new(&opts.recover, derive_seed(cfg.seed, 0x3b50 + i as u64)),
+            next_seq: 0,
+            inflight: None,
+            stats: stats.clone(),
+        };
+        roles.push(RoleSpec::of::<ChainUser>(
+            nth("user", '-', i),
+            e,
+            Box::new(role),
+        ));
     }
 
-    if let Some(fs) = &mut fleet_setup {
-        for (j, &dir_entity) in dir_entities.iter().enumerate() {
-            let peers: Vec<NodeId> = dir_ids
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| p != j)
-                .map(|(_, &id)| id)
-                .collect();
-            Harness::add_directory(&mut net, Box::new(fs.directory_node(j, dir_entity, peers)));
-        }
-    }
+    let fleet = fleet_setup.map(|mut fs| {
+        let dirs = dir_entities
+            .iter()
+            .enumerate()
+            .map(|(j, &entity)| {
+                let peers = dir_peers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(p, _)| p != j)
+                    .map(|(_, p)| NodeId(p.index()))
+                    .collect();
+                fs.directory_node(j, entity, peers)
+            })
+            .collect();
+        (fs, dirs)
+    });
 
-    let core = harness.finish(net);
-    let fleet = fleet_setup
-        .map(|fs| fs.summary())
-        .unwrap_or_else(FleetSummary::disabled);
-    let stats = Rc::try_unwrap(stats).map_err(|_| ()).unwrap().into_inner();
+    Wiring {
+        spec: ServeSpec {
+            scenario: Mpr::NAME,
+            world,
+            roles,
+            expected_units: (cfg.users * cfg.fetches_each) as u64,
+        },
+        stats,
+        relay_names,
+        fleet,
+    }
+}
+
+/// Build the servable MPR wiring: the world, keys and roles of the
+/// simulated run with this `cfg` and `seed`, without recovery or a
+/// relay directory.
+///
+/// Role order defines peer ids: `origin` 0, `relay`, `relay-2`, … at
+/// 1..=`relays`, then `user`, `user-2`, ….
+pub fn mpr_serve_spec(cfg: &ChainConfig, seed: u64) -> ServeSpec {
+    let cfg = ChainConfig { seed, ..*cfg };
+    wiring(&cfg, World::new(), &RunOptions::default()).spec
+}
+
+fn run_impl(cfg: &ChainConfig, opts: &RunOptions) -> ScenarioReport {
+    let (world, harness) = Harness::begin(Mpr::NAME, cfg.seed, opts);
+    let w = wiring(cfg, world, opts);
+    let users = w.spec.world.users().to_vec();
+    let expected = w.spec.expected_units;
+    let (fleet, directories) = match w.fleet {
+        Some((fs, dirs)) => (Some(fs), dirs),
+        None => (None, Vec::new()),
+    };
+    let core = harness.run_spec(w.spec, LinkParams::wan_ms(10), directories);
+    let stats = lock(&w.stats);
     let bytes_factor = if stats.payload_bytes == 0 {
         0.0
     } else {
@@ -877,15 +827,15 @@ fn run_impl(config: &ChainConfig, opts: &RunOptions) -> ScenarioReport {
         world: core.world,
         trace: core.trace,
         completed: stats.completed,
-        expected: (config.users * config.fetches_each) as u64,
+        expected,
         mean_fetch_us: mean_us(&stats.latencies),
         bytes_factor,
         users,
-        relay_names,
+        relay_names: w.relay_names,
         fault_log: core.fault_log,
         retry_linkage: stats.linkage.violations(),
         metrics: core.metrics,
-        fleet,
+        fleet: fleet.map_or_else(FleetSummary::disabled, |fs| fs.summary()),
     }
 }
 
@@ -1146,6 +1096,90 @@ mod tests {
             "key rotation leaked into a knowledge ledger"
         );
         assert_eq!(rotating.completed, frozen.completed);
+    }
+
+    /// Without recovery a drop or a duplicate must not shift a response
+    /// onto the wrong user: every leg is sequence-framed and each relay
+    /// routes a response back by the number it minted, and a response
+    /// is labelled with the subject of its own request. A relay that
+    /// pairs responses with requests by arrival order (a FIFO back-route
+    /// stack) hands another user's destination to a user at each of
+    /// these seeds.
+    #[test]
+    fn drops_without_recovery_never_cross_answers() {
+        let cfg = ChainConfig {
+            relays: 2,
+            users: 2,
+            fetches_each: 3,
+            ..ChainConfig::default()
+        };
+        let opts = RunOptions::with_faults(&FaultConfig::moderate());
+        for seed in [0, 1, 2, 4] {
+            let report = Mpr::run_with(&cfg, seed, &opts);
+            assert!(!report.fault_log.is_empty(), "seed {seed}: no faults");
+            for e in report.world.entities() {
+                let Some(own) = e.user_domain else { continue };
+                let foreign: Vec<_> = report
+                    .world
+                    .ledger(e.id)
+                    .iter()
+                    .filter(|item| item.subject != own)
+                    .collect();
+                assert!(
+                    foreign.is_empty(),
+                    "seed {seed}: {} holds {foreign:?}",
+                    e.name
+                );
+            }
+        }
+    }
+
+    /// Process mode delivers frames without labels: a relay carries a
+    /// `Public` label through unchanged, peels a sealed one only under
+    /// its own key, and drops any other mismatch.
+    #[test]
+    fn relays_peel_only_sealed_labels() {
+        let item = InfoItem::sensitive_data(UserId(0), DataKind::Destination);
+        let sealed = Label::item(item.clone()).sealed(KeyId(3));
+        assert_eq!(peel_label(Label::Public, KeyId(3)), Some(Label::Public));
+        assert_eq!(
+            peel_label(sealed.clone(), KeyId(3)),
+            Some(Label::item(item.clone()))
+        );
+        assert_eq!(peel_label(sealed, KeyId(4)), None);
+        assert_eq!(peel_label(Label::item(item), KeyId(3)), None);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The origin's request parser runs on decrypted bytes from any
+        /// sender: arbitrary plaintext names a known user or fails
+        /// closed, and every user's own request names that user.
+        #[test]
+        fn request_parser_fails_closed_and_round_trips(
+            plain in proptest::collection::vec(any::<u8>(), 0..48),
+            users in 1usize..64,
+            account in 0usize..65_535,
+            (at, bits) in (any::<usize>(), any::<u8>()),
+        ) {
+            let accounts = Accounts((0..users as u64).map(UserId).collect());
+            if let Ok(user) = accounts.subject(&plain) {
+                prop_assert!(accounts.0.contains(&user));
+            }
+            let request = Accounts::request(account);
+            prop_assert_eq!(request.len(), 36);
+            let big = Accounts((0..65_535).map(UserId).collect());
+            prop_assert_eq!(big.subject(&request), Ok(UserId(account as u64)));
+            let mut bent = request.clone();
+            let at = at % bent.len();
+            bent[at] ^= bits;
+            match big.subject(&bent) {
+                Ok(user) => prop_assert!(bits == 0 || user != UserId(account as u64)),
+                Err(BadRequest) => prop_assert!(bits != 0),
+            }
+            prop_assert_eq!(big.subject(&request[..request.len() - 1]), Err(BadRequest));
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use dcp_crypto::hpke;
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RecordData, Zone};
 use dcp_faults::FaultLog;
-use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
     mean_us, wire, Control, Endpoint, Harness, HopMap, LinkParams, RetryLinkage, Trace,
 };
@@ -377,11 +377,8 @@ fn simulate<C>(
     let (world, harness) = Harness::begin(name, seed, opts);
     let (spec, stats) = wiring(cfg, seed, world, &opts.recover);
     let users = spec.world.users().to_vec();
-    let mut net = harness.network(spec.world, LinkParams::wan_ms(8));
-    for role in spec.roles {
-        Harness::add_spec(&mut net, role);
-    }
-    let core = harness.finish(net);
+    let expected = spec.expected_units;
+    let core = harness.run_spec(spec, LinkParams::wan_ms(8), Vec::new());
     let stats = stats.lock().expect("no role panicked holding the stats");
     let all_names: HashSet<&String> = stats.resolver_views.iter().flatten().collect();
     ScenarioReport {
@@ -394,18 +391,8 @@ fn simulate<C>(
         distinct_names: all_names.len(),
         fault_log: core.fault_log,
         metrics: core.metrics,
-        expected: spec.expected_units,
+        expected,
         retry_linkage: stats.linkage.violations(),
-    }
-}
-
-/// The `i`-th (0-based) instance's name: `base`, then `base{sep}2`,
-/// `base{sep}3`, … (entity `Client 2`, role `client-2`).
-fn nth(base: &str, sep: char, i: usize) -> String {
-    if i == 0 {
-        base.to_string()
-    } else {
-        format!("{base}{sep}{}", i + 1)
     }
 }
 

@@ -17,7 +17,8 @@
 //! * **Zero cost when disabled.** With [`RecoverConfig::disabled`] no
 //!   timer is armed and no retry state allocated. Whether a sequence
 //!   number is framed is the wiring's choice ([`wire`]): seam-role
-//!   wirings always frame, node wirings only under recovery.
+//!   wirings (the DNS family, MPR) always frame, node wirings only
+//!   under recovery.
 //! * **Re-randomized retransmission.** A retry never replays bytes; the
 //!   client re-runs the encryption/blinding step (fresh HPKE
 //!   encapsulation, fresh blind factor). Byte-identical retries would let
@@ -156,7 +157,9 @@ impl ReliableCall {
 
     /// Open a new logical request: assigns the next sequence number and
     /// returns the first [`Attempt`] (send + arm its timer). `None` when
-    /// the layer is disabled — send unframed, arm nothing.
+    /// the layer is disabled: arm nothing. A seam wiring still frames
+    /// the request under a number it keeps itself, so its
+    /// `RecoverConfig` only arms retries; a node wiring sends unframed.
     pub fn begin(&mut self) -> Option<Attempt> {
         if !self.cfg.enabled {
             return None;

@@ -3,18 +3,19 @@
 //! A framed request (and its response) carries an 8-byte big-endian
 //! sequence number ahead of the protocol payload, so receivers can dedup
 //! retransmissions and responders can echo the number for the client's
-//! call matching. The seam-role wirings (the DNS family: ODoH, legacy
-//! ODNS and direct DNS) frame every leg whether or not recovery is on:
-//! real sockets interleave, so no hop may pair answers with queries by
-//! arrival order. The wirings still on simulator nodes frame only when
-//! recovery is enabled.
+//! call matching. The seam-role wirings (the DNS family — ODoH, legacy
+//! ODNS and direct DNS — and MPR) frame every leg whether or not
+//! recovery is on: real sockets interleave, so no hop may pair answers
+//! with queries by arrival order. The wirings still on simulator nodes
+//! frame only when recovery is enabled.
 //!
 //! The frame sits at whatever layer the scenario needs it: *outside* the
-//! ciphertext for hop-deduped legs (ODoH client → proxy), or *inside* the
-//! innermost encryption for multi-hop paths where intermediate relays
-//! must not see a linkable counter (MPR, VPN tunnels) — the sequence
-//! number is itself metadata, and exposing one constant counter across
-//! paths would undo what re-randomization buys.
+//! ciphertext for hop-local legs, each relay re-keying what it forwards
+//! under its own number (ODoH's proxy, MPR's relays), or *inside* the
+//! innermost encryption where intermediate hops must not see a linkable
+//! counter at all (VPN tunnels) — the sequence number is itself
+//! metadata, and exposing one constant counter across paths would undo
+//! what re-randomization buys.
 
 /// Bytes of the sequence-number prefix.
 pub const SEQ_LEN: usize = 8;

@@ -3,11 +3,12 @@
 use dcp_core::faults::{FaultConfig, FaultLog};
 use dcp_core::role::{Role, RoleKind};
 use dcp_core::{MetricsReport, RunOptions, World};
+use dcp_fleet::DirectoryNode;
 use dcp_obs::MetricsHandle;
 use dcp_simnet::{LinkParams, Network, Node, NodeId, Trace};
 
 use crate::host::SimHost;
-use crate::seam::RoleSpec;
+use crate::seam::{RoleSpec, ServeSpec};
 
 /// What every run produces beyond protocol-specific fields: the final
 /// knowledge base, the packet trace, the injected fault schedule, and the
@@ -113,6 +114,27 @@ impl Harness {
         let id = net.add_node(node);
         net.mark_directory(id);
         id
+    }
+
+    /// The run path of every seam wiring: build the simulator over the
+    /// spec's world with `link`, host its roles in role-table order (so
+    /// `PeerId(i)` is `NodeId(i)`), register fleet `directories` after
+    /// them, and run to quiescence. Read what the report needs from the
+    /// spec (its users, its expected units) before handing it over.
+    pub fn run_spec(
+        self,
+        spec: ServeSpec,
+        link: LinkParams,
+        directories: Vec<DirectoryNode>,
+    ) -> RunCore {
+        let mut net = self.network(spec.world, link);
+        for role in spec.roles {
+            Self::add_spec(&mut net, role);
+        }
+        for dir in directories {
+            Self::add_directory(&mut net, Box::new(dir));
+        }
+        self.finish(net)
     }
 
     /// Run the network to quiescence and assemble the [`RunCore`].

@@ -24,7 +24,7 @@ impl SimHost {
     }
 
     fn call(&mut self, ctx: &mut Ctx, f: impl FnOnce(&mut dyn WireRole, &mut WireCtx)) {
-        let me = peer(ctx.id());
+        let me = PeerId::at(ctx.id().0);
         let obs = ctx.world.obs_enabled();
         let mut wctx = WireCtx::new(ctx.rng, me, ctx.now.as_us(), obs);
         f(self.role.as_mut(), &mut wctx);
@@ -39,10 +39,6 @@ impl SimHost {
     }
 }
 
-fn peer(id: NodeId) -> PeerId {
-    PeerId(u16::try_from(id.0).expect("simnet node index fits a PeerId"))
-}
-
 impl Node for SimHost {
     fn entity(&self) -> EntityId {
         self.entity
@@ -54,7 +50,9 @@ impl Node for SimHost {
 
     fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
         let msg = WireMsg::data(msg.bytes, msg.label);
-        self.call(ctx, |role, wctx| role.on_frame(wctx, peer(from), msg));
+        self.call(ctx, |role, wctx| {
+            role.on_frame(wctx, PeerId::at(from.0), msg)
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {

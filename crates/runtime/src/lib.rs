@@ -30,8 +30,8 @@
 //!   logic written once and hosted by both engines. `dcp-serve` runs it
 //!   over real TCP sockets, with information-flow labels riding an
 //!   out-of-band verification channel (never the socket);
-//!   [`Harness::add_spec`] runs it here, on the simulator the DST
-//!   drives, through a `Node` adapter (the simnet host).
+//!   [`Harness::run_spec`] runs it here, on the simulator the DST
+//!   drives, each role through a `Node` adapter (the simnet host).
 //! * [`TypedSend`] — the label-bounded send path: wirings hold
 //!   role-owning [`Endpoint`]s and every forward transmission forces the
 //!   [`Admits`] witness, so a message whose plaintext-visible

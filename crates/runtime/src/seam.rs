@@ -15,7 +15,7 @@
 //!
 //! Two engines host the same roles:
 //!
-//! * the simulator, through [`Harness::add_spec`](crate::Harness::add_spec):
+//! * the simulator, through [`Harness::run_spec`](crate::Harness::run_spec):
 //!   each role becomes one simnet node, `PeerId(i)` is `NodeId(i)`, the
 //!   clock is simulated time, and the effects land on the run's world as
 //!   the role's own ledger writes — the deterministic twin the DST
@@ -46,6 +46,12 @@ pub use dcp_transport::TransportError;
 pub struct PeerId(pub u16);
 
 impl PeerId {
+    /// The peer at `index` in [`ServeSpec::roles`]. Panics past `u16`: a
+    /// wiring holds at most 65,535 roles.
+    pub fn at(index: usize) -> PeerId {
+        PeerId(u16::try_from(index).expect("a wiring holds at most 65,535 roles"))
+    }
+
     /// The index into [`ServeSpec::roles`].
     pub fn index(self) -> usize {
         self.0 as usize
@@ -155,8 +161,7 @@ impl<'a> WireCtx<'a> {
         R: Role,
     {
         let _: () = <Req as Admits<R>>::WITNESS;
-        let index = u16::try_from(ep.index()).expect("role-table index fits a PeerId");
-        self.send(PeerId(index), msg);
+        self.send(PeerId::at(ep.index()), msg);
     }
 
     /// Arrange for [`WireRole::on_timer`]`(token)` after `delay_us` µs
@@ -297,9 +302,9 @@ pub struct RoleSpec {
 
 /// A complete wiring of seam roles: the world (entities, users, keys)
 /// plus every role. Built by a scenario crate (e.g.
-/// `dcp_odns::serve::odoh_serve_spec` and its two DNS siblings) and
-/// hosted by either engine:
-/// [`Harness::add_spec`](crate::Harness::add_spec) on the simulator,
+/// `dcp_odns::serve::odoh_serve_spec`, its two DNS siblings, and
+/// `dcp_mpr::mpr_serve_spec`) and hosted by either engine:
+/// [`Harness::run_spec`](crate::Harness::run_spec) on the simulator,
 /// `dcp-serve` over sockets.
 pub struct ServeSpec {
     /// Scenario name (e.g. `"odns"`).
@@ -331,6 +336,16 @@ impl ServeSpec {
     /// Index of the role named `name`, if any.
     pub fn role_index(&self, name: &str) -> Option<usize> {
         self.roles.iter().position(|r| r.name == name)
+    }
+}
+
+/// The `i`-th (0-based) instance's name: `base`, then `base{sep}2`,
+/// `base{sep}3`, … (entity `Client 2`, role `client-2`).
+pub fn nth(base: &str, sep: char, i: usize) -> String {
+    if i == 0 {
+        base.to_string()
+    } else {
+        format!("{base}{sep}{}", i + 1)
     }
 }
 

@@ -387,6 +387,78 @@ mod tests {
         assert!(rest.is_empty());
     }
 
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A relay runs `unwrap_layer` on bytes from any sender:
+        /// arbitrary bytes, a valid layer with one flipped bit, and a
+        /// truncated layer are typed errors, never a panic.
+        #[test]
+        fn unwrap_layer_fails_closed_on_hostile_bytes(
+            junk in proptest::collection::vec(any::<u8>(), 0..160),
+            payload in proptest::collection::vec(any::<u8>(), 0..48),
+            (at, bit, cut) in (any::<usize>(), 0u8..8, any::<usize>()),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (hops, kps) = make_hops(&mut rng, 1);
+            prop_assert!(unwrap_layer(&kps[0], &junk).is_err());
+            let (layer, _) = wrap(&mut rng, &hops, &payload, Label::Public).unwrap();
+            prop_assert_eq!(
+                unwrap_layer(&kps[0], &layer).unwrap(),
+                Unwrapped::Deliver { payload }
+            );
+            let mut flipped = layer.clone();
+            flipped[at % layer.len()] ^= 1 << bit;
+            prop_assert!(unwrap_layer(&kps[0], &flipped).is_err());
+            prop_assert!(unwrap_layer(&kps[0], &layer[..cut % layer.len()]).is_err());
+        }
+
+        /// `read_epoch` accepts any 8 or more bytes and hands back the
+        /// tag they carry. On a fleet layer, a flipped bit lands in the
+        /// tag (naming another epoch, so another key) or in the sealed
+        /// layer (which no longer opens), and a cut-short layer fails in
+        /// one of the two steps.
+        #[test]
+        fn read_epoch_round_trips_and_fails_closed(
+            bytes in proptest::collection::vec(any::<u8>(), 0..40),
+            epoch in any::<u64>(),
+            (at, bit, cut) in (any::<usize>(), 0u8..8, any::<usize>()),
+            seed in any::<u64>(),
+        ) {
+            match read_epoch(&bytes) {
+                Ok((tag, rest)) => {
+                    prop_assert_eq!(&tag.to_be_bytes()[..], &bytes[..EPOCH_TAG_LEN]);
+                    prop_assert_eq!(rest, &bytes[EPOCH_TAG_LEN..]);
+                }
+                Err(e) => {
+                    prop_assert!(bytes.len() < EPOCH_TAG_LEN);
+                    prop_assert_eq!(e, TransportError::BadFrame);
+                }
+            }
+            let mut tagged = epoch.to_be_bytes().to_vec();
+            tagged.extend_from_slice(&bytes);
+            prop_assert_eq!(read_epoch(&tagged).unwrap(), (epoch, &bytes[..]));
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (hops, kps) = make_hops(&mut rng, 1);
+            let ehops = [EpochHop { hop: hops[0].clone(), epoch }];
+            let (layer, _) =
+                wrap_epochs(&mut rng, &ehops, DELIVER_LOCAL, &bytes, Label::Public).unwrap();
+            let mut flipped = layer.clone();
+            flipped[at % layer.len()] ^= 1 << bit;
+            let (tag, sealed) = read_epoch(&flipped).unwrap();
+            prop_assert!(tag != epoch || unwrap_layer(&kps[0], sealed).is_err());
+            match read_epoch(&layer[..cut % layer.len()]) {
+                Ok((tag, sealed)) => {
+                    prop_assert_eq!(tag, epoch);
+                    prop_assert!(unwrap_layer(&kps[0], sealed).is_err());
+                }
+                Err(e) => prop_assert_eq!(e, TransportError::BadFrame),
+            }
+        }
+    }
+
     #[test]
     fn unwrap_label_peels_one_layer() {
         let label = Label::Public.sealed(KeyId(1)).sealed(KeyId(0));

@@ -161,6 +161,9 @@ impl WorkloadBuilder {
 pub trait PopulationScenario: Scenario {
     /// Map a population spec onto this scenario's config. Large specs
     /// map to large configs — the implementation must not silently cap.
+    /// Wirings written as seam roles (the DNS family, MPR) address their
+    /// roles by a `u16` peer id, so their worlds hold at most 65,535
+    /// roles, users included; beyond that the simulator host panics.
     fn population_config(spec: &WorldSpec) -> Self::Config;
 
     /// The abstract decoupled-path topology this wiring corresponds to,

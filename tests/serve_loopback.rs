@@ -1,6 +1,6 @@
-//! The sim/prod duality, held to bytes: each DNS wiring — ODoH, legacy
-//! ODNS and direct DNS — served over real loopback TCP must finish its
-//! workload and produce knowledge tables **byte-identical** to the
+//! The sim/prod duality, held to bytes: each servable wiring — ODoH,
+//! legacy ODNS, direct DNS and MPR — served over real loopback TCP must
+//! finish its workload and produce knowledge tables **byte-identical** to the
 //! deterministic simulator's run of the same config and seed — and the
 //! production decoder must shrug off hostile bytes, both in-process
 //! (proptest against `FrameReader`) and on a live socket (a rogue
@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
+use dcp_mpr::{mpr_serve_spec, ChainConfig, Mpr};
 use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
 use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
 use dcp_runtime::seam::ServeSpec;
@@ -73,6 +74,20 @@ fn direct_dns_loopback_matches_simulated_twin() {
     let cfg = DirectDnsConfig::new(2, 3, 2);
     let twin = DirectDns::run(&cfg, 1006).world;
     assert_twin(direct_serve_spec(&cfg, 1006), 1006, twin);
+}
+
+#[test]
+fn mpr_loopback_matches_simulated_twin() {
+    // Two users' fetches interleave through the same two relays; each
+    // response must find its way back to the user who asked.
+    let cfg = ChainConfig {
+        relays: 2,
+        users: 2,
+        fetches_each: 3,
+        geohint: false,
+        seed: 1007,
+    };
+    assert_twin(mpr_serve_spec(&cfg, 1007), 1007, Mpr::run(&cfg, 1007).world);
 }
 
 #[test]
