@@ -205,10 +205,10 @@ fn bench_battery(seed: u64) {
         rounds: BENCH_ROUNDS,
         results: rows,
         note: "single-threaded population engine: hop transits wait in a FIFO lane, \
-               arrivals and batch flushes on the hierarchical timer wheel; each row is \
-               the median (with min and max) of `rounds` interleaved runs, every run's \
-               report equal to the first; sim_messages_per_sec = simulated protocol \
-               messages per wall-clock second",
+               batch flushes on the hierarchical timer wheel, and arrivals are one merged \
+               stream with one pending arrival; each row is the median (with min and max) \
+               of `rounds` interleaved runs, every run's report equal to the first; \
+               sim_messages_per_sec = simulated protocol messages per wall-clock second",
     };
     write_out(
         "out/BENCH_throughput.json",

@@ -2,11 +2,11 @@
 //!
 //! A checkpoint is a complete, self-describing byte snapshot of an
 //! [`Engine`](crate::Engine): spec, topology, seed, RNG state, clock,
-//! sequence counter, streaming stats, in-progress ingress batches, and
-//! every pending event of the wheel and the hop lane, merged in
-//! `(time, seq)` order. Restoring and running to the end must produce a
-//! report byte-identical to a straight-through run — CI diffs exactly
-//! that.
+//! the arrival stream's clock, sequence counter, streaming stats,
+//! in-progress ingress batches, and every pending event of the hop lane,
+//! the wheel and the arrival stream, merged in `(time, seq)` order.
+//! Restoring and running to the end must produce a report
+//! byte-identical to a straight-through run — CI diffs exactly that.
 //!
 //! The format is hand-rolled little-endian ("DCPW" magic + version):
 //! the vendored `serde`/`serde_json` stand-ins are serialize-only, so
@@ -22,12 +22,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::engine::{Engine, PopEvent, Stats, Topology, WheelEvent, ANON_BUCKETS, LATENCY_BUCKETS};
+use crate::engine::{Engine, PopEvent, Stats, Topology, ANON_BUCKETS, LATENCY_BUCKETS};
 use crate::rng::SplitMix64;
 use crate::spec::WorldSpec;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"DCPW");
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// More sequence numbers than any run could use: a century and a half at
 /// 10⁹ events per second. Every counter is at most `next_seq`, so below
@@ -116,6 +116,9 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
+    fn u128(&mut self, v: u128) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -168,6 +171,9 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    fn u128(&mut self) -> Result<u128, CheckpointError> {
+        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+    }
     fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -215,10 +221,7 @@ fn write_pending(w: &mut Writer, time: u64, seq: u64, ev: PopEvent) {
     w.u64(time);
     w.u64(seq);
     match ev {
-        PopEvent::Arrival { user } => {
-            w.u8(0);
-            w.u32(user);
-        }
+        PopEvent::Arrival => w.u8(0),
         PopEvent::Up {
             user,
             name,
@@ -254,7 +257,7 @@ fn write_pending(w: &mut Writer, time: u64, seq: u64, ev: PopEvent) {
 
 fn read_event(r: &mut Reader) -> Result<PopEvent, CheckpointError> {
     Ok(match r.u8()? {
-        0 => PopEvent::Arrival { user: r.u32()? },
+        0 => PopEvent::Arrival,
         1 => PopEvent::Up {
             user: r.u32()?,
             name: r.u32()?,
@@ -296,14 +299,14 @@ fn check_counters(
     let ctr = CheckpointError::Counter;
     let wide = u128::from;
     let sum = |v: &[u64]| v.iter().map(|&x| wide(x)).sum::<u128>();
-    let mut on_wheel = 0u128;
+    let mut arrivals_and_flushes = 0u128;
     let mut flushes = vec![0u64; batches.len()];
     let mut in_flight = BTreeMap::<u32, u64>::new();
     for &(_, _, ev) in pending {
         match ev {
-            PopEvent::Arrival { .. } => on_wheel += 1,
+            PopEvent::Arrival => arrivals_and_flushes += 1,
             PopEvent::Flush { ingress } => {
-                on_wheel += 1;
+                arrivals_and_flushes += 1;
                 flushes[ingress as usize] += 1;
             }
             PopEvent::Up { .. } => {}
@@ -317,7 +320,10 @@ fn check_counters(
         next_seq <= MAX_SEQ
             && wide(next_seq) == wide(events) + pending.len() as u128
             && wide(next_seq)
-                == wide(st.messages) + wide(st.queries_sent) + wide(st.batches) + on_wheel,
+                == wide(st.messages)
+                    + wide(st.queries_sent)
+                    + wide(st.batches)
+                    + arrivals_and_flushes,
         ctr("sequence"),
     )?;
     check(
@@ -342,12 +348,13 @@ fn check_counters(
     )?;
     check(
         sum(&st.latency_hist) == wide(st.queries_answered)
-            && wide(st.latency_sum_us) <= wide(st.queries_answered).saturating_mul(max_latency),
+            && st.latency_sum_us <= wide(st.queries_answered).saturating_mul(max_latency),
         ctr("latency"),
     )?;
-    // Each resolver's total is its users' counts, and it has seen exactly
-    // the users with a count; every response it sent was answered or is
-    // still in flight, where the linkage observer counts it by size.
+    // Each resolver's total is its users' counts (less, only where a count
+    // has saturated), and it has seen exactly the users with a count;
+    // every response it sent was answered or is still in flight, where
+    // the linkage observer counts it by size.
     let resolvers = st.resolver_queries.len();
     for (r, (&total, seen)) in st
         .resolver_queries
@@ -355,7 +362,7 @@ fn check_counters(
         .zip(&st.resolver_seen)
         .enumerate()
     {
-        let (mut counted, mut active) = (0u128, 0u64);
+        let (mut counted, mut active, mut capped) = (0u128, 0u64, false);
         for (u, &n) in st
             .per_user_resolver
             .iter()
@@ -364,12 +371,16 @@ fn check_counters(
             .enumerate()
         {
             let bit = seen[u / 64] >> (u % 64) & 1 == 1;
-            check(n < u32::MAX && bit == (n > 0), ctr("resolver"))?;
+            check(bit == (n > 0), ctr("resolver"))?;
             counted += u128::from(n);
             active += u64::from(n > 0);
+            capped |= n == u32::MAX;
         }
         let bits: u64 = seen.iter().map(|w| u64::from(w.count_ones())).sum();
-        check(counted == wide(total) && bits == active, ctr("resolver"))?;
+        check(
+            (counted == wide(total) || capped && counted < wide(total)) && bits == active,
+            ctr("resolver"),
+        )?;
     }
     let downs: u64 = in_flight.values().sum();
     check(
@@ -424,6 +435,7 @@ impl Engine {
         w.u64(self.seed);
         w.u64(self.rng.state());
         w.u64(self.now_us);
+        w.f64(self.clock_us);
         w.u64(self.next_seq);
         w.u64(self.events);
 
@@ -438,7 +450,7 @@ impl Engine {
         w.u64(st.linkage_attempts);
         w.u64(st.linkage_linked);
         w.vec_u64(&st.latency_hist);
-        w.u64(st.latency_sum_us);
+        w.u128(st.latency_sum_us);
         w.vec_u64(&st.resolver_queries);
         w.u64(st.resolver_seen.len() as u64);
         for bits in &st.resolver_seen {
@@ -463,18 +475,20 @@ impl Engine {
             }
         }
 
-        // Pending events of both queues, merged into canonical
-        // (time, seq) order.
-        let wheel = self.wheel.snapshot();
-        let mut lane = self.lane.iter().peekable();
-        w.u64((wheel.len() + self.lane.len()) as u64);
-        for (time, seq, ev) in wheel {
-            while let Some(&(t, s, hop)) = lane.next_if(|h| (h.0, h.1) < (time, seq)) {
-                write_pending(&mut w, t, s, hop);
-            }
-            write_pending(&mut w, time, seq, ev.into());
+        // Pending events of every source, in canonical (time, seq) order.
+        let mut pending: Vec<(u64, u64, PopEvent)> = self
+            .wheel
+            .snapshot()
+            .into_iter()
+            .map(|(t, s, ingress)| (t, s, PopEvent::Flush { ingress }))
+            .chain(self.lane.iter().copied())
+            .chain(self.arrival.map(|(t, s)| (t, s, PopEvent::Arrival)))
+            .collect();
+        pending.sort_unstable_by_key(|&(t, s, _)| (t, s));
+        w.u64(pending.len() as u64);
+        for (time, seq, ev) in pending {
+            write_pending(&mut w, time, seq, ev);
         }
-        lane.for_each(|&(t, s, hop)| write_pending(&mut w, t, s, hop));
 
         w.buf
     }
@@ -518,6 +532,7 @@ impl Engine {
         let seed = r.u64()?;
         let rng = SplitMix64::from_state(r.u64()?);
         let now_us = r.u64()?;
+        let clock_us = r.f64()?;
         let next_seq = r.u64()?;
         let events = r.u64()?;
         let stats = Stats {
@@ -530,7 +545,7 @@ impl Engine {
             linkage_attempts: r.u64()?,
             linkage_linked: r.u64()?,
             latency_hist: r.vec_u64()?,
-            latency_sum_us: r.u64()?,
+            latency_sum_us: r.u128()?,
             resolver_queries: r.vec_u64()?,
             resolver_seen: r.list(Reader::vec_u64)?,
             per_user_resolver: r.vec_u32()?,
@@ -590,7 +605,8 @@ impl Engine {
             )?;
             prev = Some((time, seq));
             let in_world = match *ev {
-                PopEvent::Arrival { user } => u64::from(user) < users,
+                // Checked against the stream's clock below.
+                PopEvent::Arrival => true,
                 PopEvent::Up {
                     user, hop, sent_us, ..
                 }
@@ -612,6 +628,20 @@ impl Engine {
             }),
             range("batched user"),
         )?;
+        // The arrival stream holds one arrival, at its clock rounded up,
+        // while the clock is short of the end, and none once it is there.
+        let end_us = spec.duration_us as f64;
+        check((0.0..=end_us).contains(&clock_us), range("arrival clock"))?;
+        let mut arrivals = pending.iter().filter(|p| p.2 == PopEvent::Arrival);
+        let arrival = arrivals.next().map(|&(time, seq, _)| (time, seq));
+        check(arrivals.next().is_none(), range("pending arrivals"))?;
+        check(
+            match arrival {
+                Some((time, _)) => time < spec.duration_us && clock_us.ceil() == time as f64,
+                None => clock_us == end_us,
+            },
+            range("pending arrival"),
+        )?;
         check_counters(&stats, &batches, &pending, events, next_seq, max_latency)?;
 
         // Allocate last: the workload tables are a pure function of the
@@ -619,6 +649,8 @@ impl Engine {
         let mut e = Engine::empty(&spec, &topo, seed).map_err(CheckpointError::World)?;
         e.rng = rng;
         e.now_us = now_us;
+        e.clock_us = clock_us;
+        e.arrival = arrival;
         e.next_seq = next_seq;
         e.events = events;
         e.stats = stats;
@@ -628,8 +660,8 @@ impl Engine {
             // 0) keeps the order too, since nothing is behind the clock.
             match ev {
                 PopEvent::Up { .. } | PopEvent::Down { .. } => e.lane.push_back((time, seq, ev)),
-                PopEvent::Arrival { user } => e.push_wheel(time, seq, WheelEvent::Arrival(user)),
-                PopEvent::Flush { ingress } => e.push_wheel(time, seq, WheelEvent::Flush(ingress)),
+                PopEvent::Flush { ingress } => e.push_wheel(time, seq, ingress),
+                PopEvent::Arrival => {}
             }
         }
         Ok(e)
@@ -852,7 +884,7 @@ mod tests {
             8 => st.linkage_attempts = near,
             9 => st.linkage_linked = near,
             10 => slot(&mut st.latency_hist),
-            11 => st.latency_sum_us = near,
+            11 => st.latency_sum_us = u128::MAX - u128::from(below),
             12 => slot(&mut st.resolver_queries),
             13 => {
                 let n = st.per_user_resolver.len();
@@ -867,6 +899,110 @@ mod tests {
             }
         }
         true
+    }
+
+    /// A one-user direct world advanced by `k` answered queries, every
+    /// counter moved as the engine would move it: an arrival and two hop
+    /// transits per query, each answered at the path's latency.
+    fn fast_forward(e: &mut Engine, k: u64) {
+        let st = &mut e.stats;
+        st.queries_sent += k;
+        st.queries_answered += k;
+        st.linkage_attempts += k;
+        st.messages += 2 * k;
+        st.latency_hist[0] += k;
+        st.latency_sum_us += u128::from(k * 2 * e.topo.link_us);
+        st.resolver_queries[0] += k;
+        let n = &mut st.per_user_resolver[0];
+        *n = u32::try_from(u64::from(*n) + k).unwrap_or(u32::MAX);
+        e.events += 3 * k;
+        e.next_seq += 3 * k;
+    }
+
+    /// A user's count at one resolver saturates at `u32::MAX` instead of
+    /// overflowing (a panic in this debug build), and a checkpoint of a
+    /// world past it restores and resumes exactly.
+    #[test]
+    fn per_user_counts_saturate_and_survive_a_checkpoint() {
+        let spec = WorldSpec::smoke()
+            .users(1)
+            .rate_hz(50.0)
+            .duration_us(1_000_000);
+        let mut e = Engine::new(&spec, &Topology::direct(), 2).unwrap();
+        e.run_until_events(30);
+        fast_forward(&mut e, u64::from(u32::MAX));
+        let mut resumed = Engine::restore(&e.checkpoint()).unwrap();
+        e.run_to_end();
+        resumed.run_to_end();
+        assert_eq!(resumed.report(), e.report());
+        assert_eq!(e.stats.per_user_resolver[0], u32::MAX);
+        assert!(e.stats.resolver_queries[0] > u64::from(u32::MAX) + 10);
+        assert_eq!(e.report().max_resolver_share, 1.0);
+    }
+
+    /// What a proptest case does to a mid-run world's arrival stream.
+    #[derive(Clone, Debug)]
+    enum BreakStream {
+        /// Set the clock to this non-finite or negative value.
+        Clock(f64),
+        /// Move the clock this far (at least 1 µs) from its arrival, kept
+        /// within `[0, duration]`.
+        Shift(f64),
+        /// Drop the pending arrival.
+        Drop,
+        /// Turn the pending event at this index (modulo) into a second
+        /// arrival.
+        Second(usize),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Restore checks the arrival stream: its clock is finite and not
+        /// negative, one arrival is pending at the clock rounded up while
+        /// the clock is short of the end, and there is never a second.
+        #[test]
+        fn restore_rejects_a_broken_arrival_stream(
+            preset in prop_oneof![Just("odoh"), Just("mixnet"), Just("direct")],
+            broken in prop_oneof![
+                prop_oneof![
+                    Just(f64::NAN),
+                    Just(f64::INFINITY),
+                    Just(f64::NEG_INFINITY),
+                    any::<u64>().prop_map(|b| -f64::from_bits(b >> 2).max(f64::MIN_POSITIVE)),
+                ]
+                .prop_map(BreakStream::Clock),
+                (1u64..1 << 22, any::<bool>()).prop_map(|(d, up)| {
+                    BreakStream::Shift(if up { d as f64 } else { -(d as f64) })
+                }),
+                Just(BreakStream::Drop),
+                any::<usize>().prop_map(BreakStream::Second),
+            ],
+        ) {
+            let mut e = Engine::restore(&mid_run(preset)).unwrap();
+            prop_assert!(e.arrival.is_some(), "{} is past its arrivals", preset);
+            let end = e.spec.duration_us as f64;
+            let want = match broken {
+                BreakStream::Clock(c) => {
+                    e.clock_us = c;
+                    CheckpointError::OutOfRange("arrival clock")
+                }
+                BreakStream::Shift(d) => {
+                    e.clock_us = (e.clock_us + d).clamp(0.0, end);
+                    CheckpointError::OutOfRange("pending arrival")
+                }
+                BreakStream::Drop => {
+                    e.arrival = None;
+                    CheckpointError::OutOfRange("pending arrival")
+                }
+                BreakStream::Second(at) => {
+                    let at = at % e.lane.len();
+                    e.lane[at].2 = PopEvent::Arrival;
+                    CheckpointError::OutOfRange("pending arrivals")
+                }
+            };
+            prop_assert_eq!(Engine::restore(&e.checkpoint()).unwrap_err(), want);
+        }
     }
 
     #[test]

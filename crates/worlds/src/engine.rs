@@ -32,18 +32,19 @@
 //! nodes are allocated and freed as they fill and drain, the lane and the
 //! batch buffers keep their capacity.
 //!
-//! **Two queues, one order.** Every hop transit (`Up`/`Down`) takes the
-//! same `topo.link_us`, and the clock never runs backwards, so hop
+//! **Three sources, one order.** Every hop transit (`Up`/`Down`) takes
+//! the same `topo.link_us`, and the clock never runs backwards, so hop
 //! transits fall due in the order they are sent. They wait in a FIFO
-//! lane, which stays sorted by `(time, seq)` at O(1) per push and pop.
-//! Only arrivals (random gaps) and batch flushes ride the wheel. The
-//! event loop pops whichever queue's front is smaller by `(time, seq)`,
-//! exactly the order one queue would give. A topology with per-hop
-//! latencies would break the lane's invariant; `schedule_hop`'s
-//! `debug_assert!` guards it. The wheel's front is kept beside it
-//! (`wheel_front`), so the comparison reads the wheel only after a wheel
-//! pop: eight of every nine events on the mixnet preset are hop transits
-//! that never touch the wheel.
+//! lane, which stays sorted by `(time, seq)` at O(1) per push and pop. A
+//! topology with per-hop latencies would break the lane's invariant;
+//! `schedule_hop`'s `debug_assert!` guards it. Batch flushes ride the
+//! wheel, at most one per ingress, and its front is kept beside it
+//! (`wheel_front`), so only a wheel pop reads the wheel. Arrivals are one
+//! merged Poisson stream ([`Workload::next_arrival`]): the engine holds
+//! its single pending arrival, and draws the next one, user and name
+//! included, when that one is handled. The event loop pops the smallest
+//! of the three fronts by `(time, seq)`, exactly the order one queue
+//! would give.
 
 use std::collections::VecDeque;
 
@@ -277,8 +278,8 @@ impl Topology {
 /// `(time, seq, PopEvent)`, 40 bytes each, one per packet in flight.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum PopEvent {
-    /// `user` issues their next query now.
-    Arrival { user: u32 },
+    /// The merged stream's next query is issued now.
+    Arrival,
     /// A query travelling up, about to arrive at path element `hop`
     /// (elements `0..hops` are relays; element `hops` is the resolver).
     Up {
@@ -300,26 +301,6 @@ pub(crate) enum PopEvent {
     Flush { ingress: u32 },
 }
 
-/// What rides the wheel: the two events with their own due times. Its 8
-/// bytes make a wheel entry 24 bytes, and the wheel holds about one
-/// pending arrival per user.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum WheelEvent {
-    /// [`PopEvent::Arrival`] of this user.
-    Arrival(u32),
-    /// [`PopEvent::Flush`] of this ingress.
-    Flush(u32),
-}
-
-impl From<WheelEvent> for PopEvent {
-    fn from(ev: WheelEvent) -> PopEvent {
-        match ev {
-            WheelEvent::Arrival(user) => PopEvent::Arrival { user },
-            WheelEvent::Flush(ingress) => PopEvent::Flush { ingress },
-        }
-    }
-}
-
 /// Streaming statistics — all bounded: counters, fixed histograms, and
 /// per-resolver bitsets and counts over the user population.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -335,12 +316,14 @@ pub(crate) struct Stats {
     pub linkage_linked: u64,
     /// log₂ buckets of end-to-end latency in ms.
     pub latency_hist: Vec<u64>,
-    pub latency_sum_us: u64,
+    /// Wide enough for any number of `u64` latencies a run can answer.
+    pub latency_sum_us: u128,
     /// Per-resolver query counts.
     pub resolver_queries: Vec<u64>,
     /// Per-resolver seen-user bitsets (`users/64` words each).
     pub resolver_seen: Vec<Vec<u64>>,
-    /// `users × resolvers` per-user-per-resolver query counts.
+    /// `users × resolvers` per-user-per-resolver query counts, each
+    /// saturating at `u32::MAX`.
     pub per_user_resolver: Vec<u32>,
     /// In-flight responses by padded size — the linkage observer's view.
     pub inflight_sizes: std::collections::BTreeMap<u32, u32>,
@@ -415,18 +398,22 @@ pub struct PopReport {
     pub mean_latency_us: f64,
 }
 
-/// The population engine: the timer wheel and the hop lane, the seeded
-/// workload, compact streaming stats, and (via
-/// [`checkpoint`](crate::checkpoint)) a serializable snapshot of all of
-/// it.
+/// The longest `duration_us` a world may run: below 2⁵², the arrival
+/// stream's `f64` clock resolves better than 1 µs.
+const MAX_DURATION_US: u64 = 1 << 52;
+
+/// The population engine: the hop lane, the wheel of batch flushes and
+/// the one pending arrival, the seeded workload, compact streaming stats,
+/// and (via [`checkpoint`](crate::checkpoint)) a serializable snapshot of
+/// all of it.
 #[derive(Clone, Debug)]
 pub struct Engine {
     pub(crate) spec: WorldSpec,
     pub(crate) topo: Topology,
     pub(crate) seed: u64,
     pub(crate) workload: Workload,
-    /// Arrivals and batch flushes.
-    pub(crate) wheel: TimerWheel<WheelEvent>,
+    /// Batch flushes, by ingress: at most one per ingress.
+    pub(crate) wheel: TimerWheel<u32>,
     /// The wheel's `(time, seq)` minimum, `None` when it is empty: always
     /// what `wheel.peek()` would return. A push can only lower it, and
     /// only a pop reads the wheel again.
@@ -434,6 +421,12 @@ pub struct Engine {
     /// Hop transits (`Up`/`Down`), due `topo.link_us` after they were
     /// sent and therefore already in `(time, seq)` order.
     pub(crate) lane: VecDeque<(u64, u64, PopEvent)>,
+    /// The arrival stream's continuous time, µs. Below
+    /// `spec.duration_us` exactly while an arrival is pending, at its
+    /// time rounded up; `spec.duration_us` once the stream has ended.
+    pub(crate) clock_us: f64,
+    /// The stream's one pending arrival, `(time, seq)`.
+    pub(crate) arrival: Option<(u64, u64)>,
     pub(crate) rng: SplitMix64,
     pub(crate) now_us: u64,
     pub(crate) next_seq: u64,
@@ -447,18 +440,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build a world and schedule every user's first arrival.
+    /// Build a world and draw its first arrival.
     pub fn new(spec: &WorldSpec, topo: &Topology, seed: u64) -> Result<Engine, String> {
         let mut e = Engine::empty(spec, topo, seed)?;
-        let mut rng = e.rng.clone();
-        for user in 0..e.spec.users as u32 {
-            if let Some(t) = e.workload.next_arrival_us(user, 0, &mut rng) {
-                if t < e.spec.duration_us {
-                    e.schedule(t, WheelEvent::Arrival(user));
-                }
-            }
-        }
-        e.rng = rng;
+        e.draw_arrival();
         Ok(e)
     }
 
@@ -484,6 +469,9 @@ impl Engine {
         if spec.users > u32::MAX as u64 || spec.names > u32::MAX as u64 {
             return Err("population exceeds u32 index space".into());
         }
+        if spec.duration_us > MAX_DURATION_US {
+            return Err("duration exceeds 2^52 µs, past the arrival clock's µs resolution".into());
+        }
         let workload = WorkloadBuilder::new(spec).build()?;
         Ok(Engine {
             spec: spec.clone(),
@@ -493,6 +481,8 @@ impl Engine {
             wheel: TimerWheel::new(),
             wheel_front: None,
             lane: VecDeque::new(),
+            clock_us: 0.0,
+            arrival: None,
             rng: SplitMix64::new(seed),
             now_us: 0,
             next_seq: 0,
@@ -503,16 +493,27 @@ impl Engine {
         })
     }
 
-    /// Queue an arrival or a batch flush on the wheel.
-    fn schedule(&mut self, t: u64, ev: WheelEvent) {
+    fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_wheel(t, seq, ev);
+        seq
     }
 
-    /// Push onto the wheel, keeping `wheel_front` its minimum.
-    pub(crate) fn push_wheel(&mut self, t: u64, seq: u64, ev: WheelEvent) {
-        self.wheel.push(t, seq, ev);
+    /// Draw the stream's next arrival, if it has one before the end.
+    fn draw_arrival(&mut self) {
+        let next =
+            self.workload
+                .next_arrival(&mut self.clock_us, self.spec.duration_us, &mut self.rng);
+        self.arrival = next.map(|t| (t, self.take_seq()));
+    }
+
+    /// Push a flush onto the wheel, keeping `wheel_front` its minimum.
+    pub(crate) fn push_wheel(&mut self, t: u64, seq: u64, ingress: u32) {
+        self.wheel.push(t, seq, ingress);
+        debug_assert!(
+            self.wheel.len() <= self.batches.len(),
+            "one flush per ingress"
+        );
         if self.wheel_front.map_or(true, |front| (t, seq) < front) {
             self.wheel_front = Some((t, seq));
         }
@@ -521,8 +522,7 @@ impl Engine {
     /// Put a message on the wire: it arrives one link latency from now.
     fn schedule_hop(&mut self, ev: PopEvent) {
         let at = self.now_us.saturating_add(self.topo.link_us);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         debug_assert!(
             self.lane
                 .back()
@@ -543,15 +543,15 @@ impl Engine {
         self.now_us
     }
 
-    /// Pending events (≈ one arrival per active user + packets in
-    /// flight).
+    /// Pending events: packets in flight, batch flushes and the next
+    /// arrival.
     pub fn pending(&self) -> usize {
-        self.wheel.len() + self.lane.len()
+        self.wheel.len() + self.lane.len() + usize::from(self.arrival.is_some())
     }
 
-    /// Process events until both queues drain or `max_events` have been
-    /// processed *in total* (across resumes). Returns `true` when the
-    /// world ran to quiescence.
+    /// Process events until every source drains or `max_events` have
+    /// been processed *in total* (across resumes). Returns `true` when
+    /// the world ran to quiescence.
     pub fn run_until_events(&mut self, max_events: u64) -> bool {
         while self.events < max_events {
             let Some((t, ev)) = self.pop_next() else {
@@ -564,20 +564,24 @@ impl Engine {
         self.pending() == 0
     }
 
-    /// The `(time, seq)`-minimum pending event, from the lane's front or
-    /// the wheel.
+    /// The `(time, seq)`-minimum pending event, from the lane's front,
+    /// the pending arrival or the wheel.
     fn pop_next(&mut self) -> Option<(u64, PopEvent)> {
         debug_assert_eq!(self.wheel_front, self.wheel.peek(), "stale wheel front");
-        let lane_first = match self.lane.front() {
-            Some(&(t, s, _)) => self.wheel_front.map_or(true, |w| (t, s) < w),
-            None => false,
-        };
-        if lane_first {
+        // No event has this key: sequence numbers stay below 2⁶².
+        const NONE: (u64, u64) = (u64::MAX, u64::MAX);
+        let lane = self.lane.front().map_or(NONE, |&(t, s, _)| (t, s));
+        let arrival = self.arrival.unwrap_or(NONE);
+        let wheel = self.wheel_front.unwrap_or(NONE);
+        if lane < arrival && lane < wheel {
             self.lane.pop_front().map(|(t, _, ev)| (t, ev))
+        } else if arrival < wheel {
+            self.arrival = None;
+            Some((arrival.0, PopEvent::Arrival))
         } else {
-            let (t, _, ev) = self.wheel.pop()?;
+            let (t, _, ingress) = self.wheel.pop()?;
             self.wheel_front = self.wheel.peek();
-            Some((t, ev.into()))
+            Some((t, PopEvent::Flush { ingress }))
         }
     }
 
@@ -588,7 +592,7 @@ impl Engine {
 
     fn handle(&mut self, ev: PopEvent) {
         match ev {
-            PopEvent::Arrival { user } => self.on_arrival(user),
+            PopEvent::Arrival => self.on_arrival(),
             PopEvent::Up {
                 user,
                 name,
@@ -606,24 +610,16 @@ impl Engine {
         }
     }
 
-    fn on_arrival(&mut self, user: u32) {
-        // Issue one query…
-        let mut rng = std::mem::replace(&mut self.rng, SplitMix64::new(0));
-        let name = self.workload.sample_name(&mut rng);
-        let next = self.workload.next_arrival_us(user, self.now_us, &mut rng);
-        self.rng = rng;
-
+    /// One query of the merged stream: its user, then its name, then the
+    /// stream's next arrival.
+    fn on_arrival(&mut self) {
+        let user = self.workload.sample_user(&mut self.rng);
+        let name = self.workload.sample_name(&mut self.rng);
         let jitter = (name as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58; // 0..64
         let size = self.topo.pad(self.topo.query_bytes + jitter) as u32;
         self.stats.queries_sent += 1;
         self.send_up(user, name, size, 0, self.now_us);
-
-        // …and book the next one while the workload window is open.
-        if let Some(t) = next {
-            if t < self.spec.duration_us {
-                self.schedule(t, WheelEvent::Arrival(user));
-            }
-        }
+        self.draw_arrival();
     }
 
     /// Put a query on the wire toward path element `hop`.
@@ -646,7 +642,8 @@ impl Engine {
                 self.batches[ingress].push((user, name, size, sent_us));
                 if self.batches[ingress].len() == 1 {
                     let at = self.now_us.saturating_add(self.topo.batch_window_us);
-                    self.schedule(at, WheelEvent::Flush(ingress as u32));
+                    let seq = self.take_seq();
+                    self.push_wheel(at, seq, ingress as u32);
                 }
             } else {
                 self.send_up(user, name, size, hop + 1, sent_us);
@@ -657,7 +654,9 @@ impl Engine {
             let r = (key % self.topo.resolvers) as usize;
             self.stats.resolver_queries[r] += 1;
             self.stats.resolver_seen[r][user as usize / 64] |= 1u64 << (user % 64);
-            self.stats.per_user_resolver[user as usize * self.topo.resolvers as usize + r] += 1;
+            let n =
+                &mut self.stats.per_user_resolver[user as usize * self.topo.resolvers as usize + r];
+            *n = n.saturating_add(1);
 
             let jitter = (name as u64).wrapping_mul(0xD1B5_4A32_D192_ED03) >> 56; // 0..256
             let rsize = self.topo.pad(self.topo.resp_bytes + jitter) as u32;
@@ -678,7 +677,7 @@ impl Engine {
             // in-flight responses is trivially linkable by size).
             self.stats.queries_answered += 1;
             let latency = self.now_us.saturating_sub(sent_us);
-            self.stats.latency_sum_us += latency;
+            self.stats.latency_sum_us += u128::from(latency);
             self.stats.latency_hist[log2_bucket(latency / 1000, LATENCY_BUCKETS)] += 1;
 
             self.stats.linkage_attempts += 1;
@@ -748,7 +747,7 @@ impl Engine {
             // Only users whose queries actually reached a resolver have a
             // defined share.
             let row = &s.per_user_resolver[u * resolvers..(u + 1) * resolvers];
-            let reached: u32 = row.iter().sum();
+            let reached: u64 = row.iter().map(|&n| u64::from(n)).sum();
             if reached == 0 {
                 continue;
             }
@@ -835,14 +834,22 @@ mod tests {
     #[test]
     fn direct_topology_couples_and_links() {
         // No batching, no padding, one resolver: every response is
-        // linkable-ish and the single resolver sees everyone.
-        let mut e = Engine::new(&tiny_spec(), &Topology::direct(), 3).unwrap();
-        e.run_to_end();
-        let r = e.report();
-        assert_eq!(r.batches, 0);
-        assert_eq!(r.resolvers, 1);
-        assert_eq!(r.max_resolver_share, 1.0, "one resolver sees all");
-        assert!(r.resolver_user_coverage > 0.9);
+        // linkable-ish and the single resolver sees every user who asks.
+        // About one world in seven leaves 5 of its 50 users silent, so
+        // the coverage bound is on the mean over seeds.
+        let mut coverage = 0.0;
+        for seed in 1..=20 {
+            let mut e = Engine::new(&tiny_spec(), &Topology::direct(), seed).unwrap();
+            e.run_to_end();
+            let r = e.report();
+            assert_eq!(r.batches, 0);
+            assert_eq!(r.resolvers, 1);
+            assert_eq!(r.max_resolver_share, 1.0, "one resolver sees all");
+            let asked = e.stats.per_user_resolver.iter().filter(|&&n| n > 0).count();
+            assert_eq!(r.resolver_user_coverage, asked as f64 / 50.0, "seed {seed}");
+            coverage += r.resolver_user_coverage / 20.0;
+        }
+        assert!(coverage > 0.9, "{coverage}");
     }
 
     #[test]
@@ -928,6 +935,10 @@ mod tests {
         // Names are `u32` in the events, too.
         let spec = tiny_spec().names(u64::from(u32::MAX) + 1);
         assert!(Engine::new(&spec, &Topology::odoh(), 1).is_err());
+        // The arrival clock resolves µs up to 2⁵².
+        let spec = tiny_spec().rate_hz(0.0);
+        assert!(Engine::new(&spec.clone().duration_us(1 << 52), &Topology::odoh(), 1).is_ok());
+        assert!(Engine::new(&spec.duration_us((1 << 52) + 1), &Topology::odoh(), 1).is_err());
     }
 
     #[test]
@@ -942,6 +953,47 @@ mod tests {
             budget += 500;
         }
         assert_eq!(stepped.report(), straight.report());
+    }
+
+    /// Each arrival's user is drawn by activity: the 20 most active users
+    /// and one cell for the rest pass a χ² test against `N · wᵤ` at the
+    /// 0.999 quantile of χ²(20), 45.31.
+    #[test]
+    fn arrivals_pick_users_by_activity() {
+        let spec = tiny_spec()
+            .users(1_000)
+            .rate_hz(20.0)
+            .duration_us(5_000_000)
+            .diurnal(0.0, 0);
+        let activity = crate::Zipf::new(1_000, spec.user_exponent).unwrap();
+        for seed in 1..=3 {
+            let mut e = Engine::new(&spec, &Topology::direct(), seed).unwrap();
+            e.run_to_end();
+            // One resolver: a user's row is its one count.
+            let counts = &e.stats.per_user_resolver;
+            let n: f64 = counts.iter().map(|&c| f64::from(c)).sum();
+            let cell = |observed: f64, expected: f64| (observed - expected).powi(2) / expected;
+            let head: f64 = (0..20)
+                .map(|u| cell(f64::from(counts[u]), n * activity.weight(u)))
+                .sum();
+            let rest_observed: f64 = counts[20..].iter().map(|&c| f64::from(c)).sum();
+            let rest_expected: f64 = (20..1_000).map(|u| n * activity.weight(u)).sum();
+            let chi2 = head + cell(rest_observed, rest_expected);
+            assert!(chi2 < 45.31, "seed {seed}: χ² = {chi2:.1} over {n} queries");
+        }
+    }
+
+    /// Latencies near 2⁶³ µs add up past a `u64` in two answers; the sum
+    /// is a `u128`, so the mean stays exact.
+    #[test]
+    fn huge_link_latencies_sum_without_overflow() {
+        let mut t = Topology::direct();
+        t.link_us = 1 << 62;
+        let mut e = Engine::new(&tiny_spec().users(2), &t, 1).unwrap();
+        e.run_to_end();
+        let r = e.report();
+        assert!(r.queries_answered >= 2, "{r:?}");
+        assert_eq!(r.mean_latency_us, 2f64.powi(63));
     }
 
     #[test]

@@ -34,7 +34,24 @@ impl Zipf {
     /// more ranks than a `u32` indexes, a non-finite/negative exponent, or
     /// tables the host cannot allocate.
     pub fn new(n: usize, s: f64) -> Option<Zipf> {
-        Zipf::from_cdf(zipf_cdf(n, s)?)
+        if n == 0 || !s.is_finite() || s < 0.0 {
+            return None;
+        }
+        let mut cdf = Vec::new();
+        cdf.try_reserve_exact(n).ok()?;
+        let mut acc = 0.0f64;
+        for k in 0..n {
+            acc += ((k + 1) as f64).powf(-s);
+            cdf.push(acc);
+        }
+        if acc > 0.0 {
+            cdf.iter_mut().for_each(|c| *c /= acc);
+        } else {
+            // s so large every weight underflowed: all mass on rank 0
+            // (a constant CDF of 1.0 makes inversion return rank 0).
+            cdf.fill(1.0);
+        }
+        Zipf::from_cdf(cdf)
     }
 
     /// Index a non-empty, non-decreasing CDF whose last entry is 1.
@@ -63,7 +80,7 @@ impl Zipf {
     /// The probability weight of rank `k` (difference of adjacent CDF
     /// entries).
     pub fn weight(&self, k: usize) -> f64 {
-        cdf_weight(&self.cdf, k)
+        self.cdf[k] - if k == 0 { 0.0 } else { self.cdf[k - 1] }
     }
 
     /// Draw a rank.
@@ -86,40 +103,6 @@ impl Zipf {
     }
 }
 
-/// The normalised Zipf(s) CDF over `n` ranks, or `None` for an empty
-/// population, a non-finite/negative exponent or a table the host cannot
-/// allocate. Non-decreasing, with a last entry of exactly 1.
-fn zipf_cdf(n: usize, s: f64) -> Option<Vec<f64>> {
-    if n == 0 || !s.is_finite() || s < 0.0 {
-        return None;
-    }
-    let mut cdf = Vec::new();
-    cdf.try_reserve_exact(n).ok()?;
-    let mut acc = 0.0f64;
-    for k in 0..n {
-        acc += ((k + 1) as f64).powf(-s);
-        cdf.push(acc);
-    }
-    let total = acc;
-    if total > 0.0 {
-        for c in &mut cdf {
-            *c /= total;
-        }
-    } else {
-        // s so large every weight underflowed: all mass on rank 0
-        // (a constant CDF of 1.0 makes inversion return rank 0).
-        cdf.fill(1.0);
-    }
-    Some(cdf)
-}
-
-/// Rank `k`'s weight in a CDF.
-fn cdf_weight(cdf: &[f64], k: usize) -> f64 {
-    let hi = cdf[k];
-    let lo = if k == 0 { 0.0 } else { cdf[k - 1] };
-    hi - lo
-}
-
 /// Homogeneous Poisson arrivals at `rate_hz` events per simulated
 /// second: exponential inter-arrival times via inversion. A rate of `0`
 /// (or any non-positive/non-finite rate) produces no arrivals, ever.
@@ -134,21 +117,21 @@ impl Poisson {
         Poisson { rate_hz }
     }
 
-    /// The configured rate.
-    pub fn rate_hz(&self) -> f64 {
-        self.rate_hz
+    /// Next inter-arrival gap in µs, unrounded and non-negative, or
+    /// `None` if the process never fires (rate ≤ 0).
+    pub(crate) fn next_gap_us(&self, rng: &mut SplitMix64) -> Option<f64> {
+        if self.rate_hz <= 0.0 || !self.rate_hz.is_finite() {
+            return None;
+        }
+        let u = rng.next_f64(); // [0, 1) → 1-u ∈ (0, 1], ln is finite
+        Some(-(1.0 - u).ln() / self.rate_hz * 1e6)
     }
 
     /// Next inter-arrival gap in µs, or `None` if the process never
     /// fires (rate ≤ 0). Gaps are at least 1 µs so arrival times
     /// strictly advance.
     pub fn next_interarrival_us(&self, rng: &mut SplitMix64) -> Option<u64> {
-        if self.rate_hz <= 0.0 || !self.rate_hz.is_finite() {
-            return None;
-        }
-        let u = rng.next_f64(); // [0, 1) → 1-u ∈ (0, 1], ln is finite
-        let gap_s = -(1.0 - u).ln() / self.rate_hz;
-        Some(((gap_s * 1e6).ceil() as u64).max(1))
+        self.next_gap_us(rng).map(|gap| (gap.ceil() as u64).max(1))
     }
 }
 
@@ -180,30 +163,126 @@ impl Diurnal {
         }
     }
 
+    fn is_flat(&self) -> bool {
+        self.amplitude == 0.0 || self.period_us == 0
+    }
+
     /// The rate factor at simulated time `t_us`.
     pub fn factor(&self, t_us: u64) -> f64 {
-        if self.amplitude == 0.0 || self.period_us == 0 {
+        if self.is_flat() {
             return 1.0;
         }
         let phase = (t_us % self.period_us) as f64 / self.period_us as f64;
-        1.0 + self.amplitude * (phase * core::f64::consts::TAU).sin()
+        self.level((phase * core::f64::consts::TAU).sin())
+    }
+
+    /// The factor where the sine reads `s`: monotone in `s`, also in
+    /// floating point, which is what [`Squeeze`]'s bounds rest on.
+    fn level(&self, s: f64) -> f64 {
+        1.0 + self.amplitude * s
+    }
+}
+
+/// Phase buckets of [`Squeeze`]'s table: a multiple of 4, so the sine's
+/// extremes fall on bucket edges and it is monotone inside each bucket.
+const PHASE_BUCKETS: usize = 1024;
+
+/// How far the sine ranges are widened: far above the error of `sin` and
+/// of [`Diurnal::factor`]'s phase arithmetic (about 10⁻¹⁵).
+const SIN_MARGIN: f64 = 1e-9;
+
+/// Thinning against the diurnal envelope: a candidate at `t` is kept
+/// when a uniform draw `u` is below `factor(t) / (1 + amplitude)`; only a
+/// draw between two tabled bounds on that acceptance evaluates it.
+///
+/// Bucket `j` of the phase holds bounds on the acceptance over buckets
+/// `j - 1` to `j + 1`, computed through the acceptance's own expression
+/// at their sine range widened by [`SIN_MARGIN`]; floating-point rounding
+/// is monotone, so they bound every computed acceptance there. The bucket
+/// estimated as `t · (buckets / period)` is off by far less than one
+/// while `t` is under 2³⁰ periods, which the neighbours cover; later
+/// times take the direct comparison.
+#[derive(Clone, Debug)]
+struct Squeeze {
+    diurnal: Diurnal,
+    /// `(lower, upper)` bounds on the acceptance, per phase bucket.
+    bounds: Vec<(f64, f64)>,
+    /// `PHASE_BUCKETS / period_us`; 0 for a flat envelope, whose one
+    /// acceptance every bucket holds exactly.
+    buckets_per_us: f64,
+    /// Times below this have a bucket estimate within one bucket.
+    safe_below: u64,
+}
+
+impl Squeeze {
+    fn new(diurnal: Diurnal) -> Squeeze {
+        let flat = diurnal.is_flat();
+        let accept = |s: f64| diurnal.level(s) / (1.0 + diurnal.amplitude);
+        let sin_at =
+            |edge: usize| (edge as f64 / PHASE_BUCKETS as f64 * core::f64::consts::TAU).sin();
+        let bounds = (0..PHASE_BUCKETS)
+            .map(|j| {
+                if flat {
+                    // `factor` is exactly `level(0)`.
+                    return (accept(0.0), accept(0.0));
+                }
+                let edges = [j + PHASE_BUCKETS - 1, j, j + 1, j + 2].map(sin_at);
+                let lo = edges.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = edges.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                (accept(lo - SIN_MARGIN), accept(hi + SIN_MARGIN))
+            })
+            .collect();
+        let period = diurnal.period_us;
+        let (buckets_per_us, safe_below) = match flat {
+            true => (0.0, u64::MAX),
+            false => (
+                PHASE_BUCKETS as f64 / period as f64,
+                period.saturating_mul(1 << 30),
+            ),
+        };
+        Squeeze {
+            diurnal,
+            bounds,
+            buckets_per_us,
+            safe_below,
+        }
+    }
+
+    /// Whether a candidate at `t_us` with uniform draw `u` is kept:
+    /// exactly `u < factor(t_us) / (1 + amplitude)`.
+    fn accepts(&self, t_us: u64, u: f64) -> bool {
+        if t_us < self.safe_below {
+            let j = (t_us as f64 * self.buckets_per_us) as usize % PHASE_BUCKETS;
+            let (lo, hi) = self.bounds[j];
+            if u < lo {
+                return true;
+            }
+            if u >= hi {
+                return false;
+            }
+        }
+        u < self.diurnal.factor(t_us) / (1.0 + self.diurnal.amplitude)
     }
 }
 
 /// The assembled per-world workload: name popularity (Zipf), per-user
-/// activity skew (Zipf weights as rate multipliers), Poisson arrivals
-/// under the diurnal envelope. Built by
-/// [`WorkloadBuilder`](crate::spec::WorkloadBuilder) from a
-/// [`WorldSpec`](crate::spec::WorldSpec).
+/// activity skew (Zipf), and the users' arrivals under the diurnal
+/// envelope. Built by [`WorkloadBuilder`](crate::spec::WorkloadBuilder)
+/// from a [`WorldSpec`](crate::spec::WorldSpec).
+///
+/// User `u` queries at `λᵤ · factor(t)`, `λᵤ` its activity weight's share
+/// of `users × rate_hz`. Every user shares the envelope, so these Poisson
+/// streams superpose into one at `Σλ · factor(t)` whose every arrival is
+/// user `u`'s with probability `λᵤ / Σλ`; that stream is drawn at its
+/// peak rate and thinned to the envelope (Lewis & Shedler, 1979).
 #[derive(Clone, Debug)]
 pub struct Workload {
     names: Zipf,
-    /// Per-user rate multiplier (mean 1.0 across the population).
-    user_multiplier: Vec<f64>,
-    /// Per-user mean arrival rate × multiplier, sampled at the diurnal
-    /// *peak* and thinned down to the envelope.
-    base: Poisson,
-    diurnal: Diurnal,
+    /// Who issues an arrival: the activity Zipf.
+    users: Zipf,
+    /// The merged stream at the envelope's peak, `Σλ · (1 + amplitude)`.
+    peak: Poisson,
+    thinning: Squeeze,
 }
 
 impl Workload {
@@ -218,26 +297,18 @@ impl Workload {
         let names = Zipf::new(names, name_exponent).ok_or_else(|| {
             format!("empty, invalid or unallocatable name population (n={names})")
         })?;
-        // Activity is never sampled, so it needs the CDF alone.
-        let activity = zipf_cdf(users, user_exponent).ok_or_else(|| {
+        let activity = Zipf::new(users, user_exponent).ok_or_else(|| {
             format!("empty, invalid or unallocatable user population (n={users})")
         })?;
-        // Zipf weights sum to 1; scaling by n gives multipliers with
-        // population mean exactly 1, so `rate_hz` stays the mean rate.
-        let user_multiplier = (0..users)
-            .map(|u| cdf_weight(&activity, u) * users as f64)
-            .collect();
+        // Activity weights sum to 1, so `rate_hz` stays the mean per-user
+        // rate and the users together send `users × rate_hz`.
+        let peak = Poisson::new(rate_hz * users as f64 * (1.0 + diurnal.amplitude));
         Ok(Workload {
             names,
-            user_multiplier,
-            base: Poisson::new(rate_hz),
-            diurnal,
+            users: activity,
+            peak,
+            thinning: Squeeze::new(diurnal),
         })
-    }
-
-    /// How many users this workload drives.
-    pub fn users(&self) -> usize {
-        self.user_multiplier.len()
     }
 
     /// Draw a query name (rank; 0 = most popular).
@@ -245,26 +316,37 @@ impl Workload {
         self.names.sample(rng) as u32
     }
 
-    /// `user`'s next arrival strictly after `after_us`, or `None` if the
-    /// user never queries (zero rate). Poisson thinning against the
-    /// diurnal envelope: sample at the peak rate, accept with
-    /// probability `factor(t) / (1 + amplitude)` — an exact
-    /// inhomogeneous-Poisson draw, deterministic given the RNG.
-    pub fn next_arrival_us(&self, user: u32, after_us: u64, rng: &mut SplitMix64) -> Option<u64> {
-        let mult = self.user_multiplier.get(user as usize).copied()?;
-        let peak_rate = self.base.rate_hz() * mult * (1.0 + self.diurnal.amplitude);
-        let peak = Poisson::new(peak_rate);
-        let mut t = after_us;
-        loop {
-            t = t.saturating_add(peak.next_interarrival_us(rng)?);
-            let accept = self.diurnal.factor(t) / (1.0 + self.diurnal.amplitude);
-            if rng.next_f64() < accept {
+    /// Draw the user who issues an arrival (rank; 0 = most active).
+    pub(crate) fn sample_user(&self, rng: &mut SplitMix64) -> u32 {
+        self.users.sample(rng) as u32
+    }
+
+    /// The merged stream's next arrival before `end_us`: its continuous
+    /// time `clock_us` (µs, advanced to it) rounded up to the µs, so
+    /// arrivals may share a µs. Once a candidate reaches `end_us`, or if
+    /// the stream never fires, the clock stops at `end_us` and this is
+    /// `None` from then on.
+    pub fn next_arrival(
+        &self,
+        clock_us: &mut f64,
+        end_us: u64,
+        rng: &mut SplitMix64,
+    ) -> Option<u64> {
+        while *clock_us < end_us as f64 {
+            let Some(gap) = self.peak.next_gap_us(rng) else {
+                break;
+            };
+            *clock_us += gap;
+            let t = clock_us.ceil() as u64;
+            if t >= end_us {
+                break;
+            }
+            if self.thinning.accepts(t, rng.next_f64()) {
                 return Some(t);
             }
-            if t == u64::MAX {
-                return None; // saturated past the end of time
-            }
         }
+        *clock_us = end_us as f64;
+        None
     }
 }
 
@@ -436,19 +518,128 @@ mod tests {
         assert_eq!(Diurnal::new(0.9, 0).factor(123), 1.0, "no period → flat");
     }
 
+    /// Every arrival of a fresh stream before `end_us`.
+    fn arrivals(w: &Workload, end_us: u64, seed: u64) -> Vec<u64> {
+        let (mut clock, mut rng) = (0.0, SplitMix64::new(seed));
+        std::iter::from_fn(|| w.next_arrival(&mut clock, end_us, &mut rng)).collect()
+    }
+
     #[test]
     fn workload_arrivals_advance_and_respect_zero_rate() {
         let w = Workload::assemble(10, 10, 1.0, 0.5, 50.0, Diurnal::new(0.8, 1_000_000)).unwrap();
-        let mut rng = SplitMix64::new(2);
-        let mut t = 0;
-        for _ in 0..200 {
-            let next = w.next_arrival_us(3, t, &mut rng).unwrap();
-            assert!(next > t, "arrivals strictly advance");
-            t = next;
-        }
+        let times = arrivals(&w, 2_000_000, 2);
+        assert!(times.len() > 100, "{} arrivals", times.len());
+        assert!(times.windows(2).all(|p| p[0] <= p[1]), "never backwards");
+        assert!(times.iter().all(|&t| t < 2_000_000));
+        // The clock stops at the end, and an ended stream stays ended.
+        let (mut clock, mut rng) = (1_999_999.5, SplitMix64::new(3));
+        assert_eq!(w.next_arrival(&mut clock, 2_000_000, &mut rng), None);
+        assert_eq!(clock, 2_000_000.0);
+        let state = rng.state();
+        assert_eq!(w.next_arrival(&mut clock, 2_000_000, &mut rng), None);
+        assert_eq!(rng.state(), state, "no draws once ended");
         let silent = Workload::assemble(4, 4, 1.0, 0.0, 0.0, Diurnal::new(0.0, 0)).unwrap();
-        assert_eq!(silent.next_arrival_us(0, 0, &mut rng), None);
-        assert_eq!(w.next_arrival_us(999, 0, &mut rng), None, "unknown user");
+        let mut clock = 0.0;
+        assert_eq!(silent.next_arrival(&mut clock, 10, &mut rng), None);
+        assert_eq!(clock, 10.0);
+    }
+
+    /// Λ = 10⁵ arrivals/s, gaps of 10 µs on average: rounding each gap
+    /// up to its µs would lose about 5% of them, 3σ past the bound.
+    #[test]
+    fn flat_stream_count_is_poisson() {
+        let w = Workload::assemble(1_000, 10, 1.0, 0.6, 100.0, Diurnal::new(0.0, 0)).unwrap();
+        let expected = 1e5; // ΛT, T = 1 s
+        for seed in 1..=3 {
+            let n = arrivals(&w, 1_000_000, seed).len() as f64;
+            assert!(
+                (n - expected).abs() <= 5.0 * expected.sqrt(),
+                "seed {seed}: {n} arrivals"
+            );
+        }
+    }
+
+    /// Arrivals per eighth of the cycle follow `∫(1 + a·sin 2πφ) dφ`
+    /// over that eighth: thinning shapes the stream to the envelope.
+    #[test]
+    fn arrivals_per_octant_follow_the_envelope() {
+        let (a, period) = (0.9, 100_000);
+        let w = Workload::assemble(1_000, 10, 1.0, 0.6, 100.0, Diurnal::new(a, period)).unwrap();
+        for seed in 1..=3 {
+            let mut octants = [0u64; 8];
+            for t in arrivals(&w, 10 * period, seed) {
+                octants[(t % period * 8 / period) as usize] += 1;
+            }
+            for (k, &n) in octants.iter().enumerate() {
+                let cos = |x: f64| (x * core::f64::consts::TAU / 8.0).cos();
+                let share =
+                    0.125 + a / core::f64::consts::TAU * (cos(k as f64) - cos(k as f64 + 1.0));
+                let expected = 1e5 * share; // ΛT = 10⁵ over whole cycles
+                assert!(
+                    (n as f64 - expected).abs() <= 5.0 * expected.sqrt(),
+                    "seed {seed}, octant {k}: {n} arrivals, {expected:.0} expected"
+                );
+            }
+        }
+    }
+
+    /// A time at phase `bucket / PHASE_BUCKETS` of cycle `cycle`, nudged
+    /// by `nudge` µs: where a bucket estimate is off by one.
+    fn bucket_edge(period: u64, cycle: u64, bucket: u64, nudge: i64) -> u64 {
+        let p = u128::from(period);
+        let t = p * u128::from(cycle) + p * u128::from(bucket) / PHASE_BUCKETS as u128;
+        u64::try_from(t)
+            .unwrap_or(u64::MAX)
+            .saturating_add_signed(nudge)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The squeeze decides exactly as the direct comparison: for draws
+        /// at the acceptance and the doubles beside it, at bucket edges,
+        /// around and past the end of the safe range (the fallback), and
+        /// for arbitrary times, draws, amplitudes and periods.
+        #[test]
+        fn squeezed_thinning_matches_the_direct_comparison(
+            amplitude in prop_oneof![
+                Just(0.0),
+                Just(0.99),
+                any::<f64>(),
+                any::<u64>().prop_map(f64::from_bits),
+            ],
+            period in prop_oneof![Just(0u64), 1u64..64, 1u64..1 << 40, any::<u64>()],
+            cycle in prop_oneof![0u64..4, 0u64..1 << 31],
+            bucket in 0u64..PHASE_BUCKETS as u64,
+            nudge in -2i64..=2,
+            t_any in any::<u64>(),
+            draws in collection::vec(
+                prop_oneof![any::<f64>(), any::<u64>().prop_map(f64::from_bits)],
+                0..8,
+            ),
+        ) {
+            let d = Diurnal::new(amplitude, period);
+            let squeeze = Squeeze::new(d);
+            let times = [
+                bucket_edge(period, cycle, bucket, nudge),
+                squeeze.safe_below.saturating_add_signed(nudge),
+                t_any,
+            ];
+            for t in times {
+                let accept = d.factor(t) / (1.0 + d.amplitude);
+                let at = [accept.next_down(), accept, accept.next_up()];
+                for &u in at.iter().chain(&draws) {
+                    prop_assert_eq!(
+                        squeeze.accepts(t, u),
+                        u < accept,
+                        "t = {}, u = {}, {:?}",
+                        t,
+                        u,
+                        d
+                    );
+                }
+            }
+        }
     }
 
     #[test]

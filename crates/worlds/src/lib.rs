@@ -6,17 +6,19 @@
 //! measurable on one machine:
 //!
 //! * **Seeded workload generators** ([`gen`]): Zipf name popularity,
-//!   Zipf per-user activity skew, Poisson arrivals under a diurnal
-//!   envelope — all driven by a serializable [`SplitMix64`] stream, so a
-//!   world is a pure function of `(WorldSpec, Topology, seed)`.
+//!   Zipf per-user activity skew, and the users' Poisson arrivals as one
+//!   merged stream under a diurnal envelope — all driven by a
+//!   serializable [`SplitMix64`] stream, so a world is a pure function of
+//!   `(WorldSpec, Topology, seed)`.
 //! * **A declarative [`WorldSpec`]** ([`spec`]) plus the
 //!   [`PopulationScenario`] bridge that runs any of the nine §3 scenario
 //!   wirings over a generated population (via `dcp-runtime`'s
 //!   re-export).
 //! * **The population [`Engine`]** ([`engine`]): an abstract
 //!   decoupled-path model (ingress batching → relay hops → striped
-//!   resolvers) over a FIFO lane for hop transits beside the shared
-//!   [`dcp_simnet::TimerWheel`], folding the
+//!   resolvers) over a FIFO lane for hop transits, the shared
+//!   [`dcp_simnet::TimerWheel`] for batch flushes and one pending
+//!   arrival, folding the
 //!   paper's §4–5 measures — anonymity-set size vs. batch window,
 //!   size-linkage vs. padding, per-resolver knowledge vs. striping — as
 //!   it goes. All per-event state is O(1); 10⁶ users / 10⁸ events fit

@@ -71,11 +71,17 @@ proptest! {
         let spec = WorldSpec::new().users(users).names(16).rate_hz(rate);
         let workload = WorkloadBuilder::new(&spec).build().unwrap();
         let mut rng = SplitMix64::new(seed);
-        let next = workload.next_arrival_us(0, 1_000, &mut rng);
+        let (mut clock, end) = (1_000.0, 1u64 << 52);
+        let next = workload.next_arrival(&mut clock, end, &mut rng);
         if rate == 0.0 {
             prop_assert!(next.is_none(), "zero rate must produce no arrivals");
+            prop_assert_eq!(clock, end as f64, "a silent stream ends at once");
         } else {
-            prop_assert!(next.unwrap() > 1_000, "arrivals must advance time");
+            let t = next.unwrap();
+            prop_assert!(t >= 1_000 && t < end, "arrivals advance time");
+            prop_assert_eq!(t as f64, clock.ceil(), "at the clock, rounded up");
+            let later = workload.next_arrival(&mut clock, end, &mut rng);
+            prop_assert!(later.is_none_or(|u| u >= t), "and never go back");
         }
     }
 }
