@@ -68,9 +68,11 @@ impl Bank {
         self.accounts.get(&user).copied()
     }
 
-    /// Withdrawal: debit the account and blind-sign the presented element.
-    /// The bank authenticates the account holder (it knows *who*), but the
-    /// blinded element tells it nothing about the coin it certifies.
+    /// Withdrawal: blind-sign the presented element and debit the
+    /// account. The bank authenticates the account holder (it knows
+    /// *who*), but the blinded element tells it nothing about the coin it
+    /// certifies. It signs before it debits, so an element it cannot sign
+    /// costs nothing.
     pub fn withdraw(&mut self, user: UserId, blinded_msg: &[u8]) -> Result<Vec<u8>, CashError> {
         let balance = self
             .accounts
@@ -79,9 +81,10 @@ impl Bank {
         if *balance < COIN_VALUE {
             return Err(CashError::InsufficientFunds);
         }
+        let blind_sig = self.key.blind_sign(blinded_msg)?;
         *balance -= COIN_VALUE;
         self.signer_log.push((user, blinded_msg.to_vec()));
-        Ok(self.key.blind_sign(blinded_msg)?)
+        Ok(blind_sig)
     }
 
     /// Blind-sign without touching the ledger: answers a *retransmitted*
@@ -265,6 +268,26 @@ mod tests {
         assert_eq!(bank.balance(buyer), Some(0), "no second debit");
         bank.deposit(UserId(2), &coin).unwrap();
         assert_eq!(bank.resign(UserId(9), b"x"), Err(CashError::NoSuchAccount));
+    }
+
+    #[test]
+    fn a_refused_element_is_not_debited() {
+        let (mut rng, mut bank) = setup();
+        let buyer = UserId(1);
+        bank.open_account(buyer, 2);
+        assert!(matches!(
+            bank.withdraw(buyer, &[1, 2, 3, 4, 5]),
+            Err(CashError::Crypto(_))
+        ));
+        assert_eq!(
+            bank.balance(buyer),
+            Some(2),
+            "nothing signed, nothing taken"
+        );
+        assert!(bank.signer_log.is_empty());
+        let w = Withdrawal::begin(&mut rng, bank.public_key()).unwrap();
+        bank.withdraw(buyer, w.blinded_msg()).unwrap();
+        assert_eq!(bank.balance(buyer), Some(1));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   deposit verification with a double-spend ledger.
 //! * [`coin`] — coins: a random serial plus the bank's (unblinded) RSA
 //!   signature over it.
-//! * [`scenario`] — runs the full withdraw → spend → deposit cycle on
-//!   `dcp-simnet` with information-flow labels and derives the table above
-//!   from measured knowledge.
+//! * [`scenario`] — the full withdraw → spend → deposit cycle as seam
+//!   roles, hosted by the simulator or served by `dcp serve blindcash`,
+//!   with information-flow labels that derive the table above from
+//!   measured knowledge.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +28,7 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{Blindcash, BlindcashConfig, ScenarioReport};
+pub use scenario::{blindcash_serve_spec, Blindcash, BlindcashConfig, ScenarioReport};
 pub use types::declared_caps;
 
 pub use bank::{Bank, DepositError};

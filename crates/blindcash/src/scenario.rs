@@ -1,20 +1,35 @@
-//! The §3.1.1 scenario on the simulator: buyers withdraw coins, spend them
-//! at a seller, and the seller deposits them — with information-flow
-//! labels that let the framework *derive* the paper's table.
+//! The §3.1.1 flow — withdraw, spend, deposit — written once as seam
+//! roles: buyers, the bank's signer and verifier, and the seller. One
+//! `wiring` builds them; the simulator hosts them ([`Blindcash`]) and
+//! [`blindcash_serve_spec`] hands the same roles to `dcp-serve`. The
+//! information-flow labels let the framework *derive* the paper's table.
+//!
+//! Every leg carries an 8-byte sequence number (`dcp_runtime::wire`
+//! framing) on every run. The seller keys each deposit by the buyer's
+//! `(peer, seq)` and hands it to the verifier under a number of its own
+//! ([`CheckForwarder`]), so a receipt returns to the buyer whose coin was
+//! deposited, and a duplicated or retransmitted coin is answered from the
+//! first deposit instead of being verified again. A run's
+//! `RecoverConfig` only arms the buyers' retries.
+//!
+//! The signer and the seller name a sender's user from the peer a frame
+//! arrives from, which both engines supply, never from its label. Every
+//! RSA element a role receives must be exactly the bank modulus long.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, EntityId, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions,
+    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, ObsEvent, RunOptions,
     Scenario, UserId, World,
 };
+use dcp_crypto::rsa::RsaPublicKey;
+use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
-    mean_us, wire, Attempt, CallEvent, Control, Ctx, Dedup, Driver, Endpoint, Harness, LinkParams,
-    Message, Node, NodeId, RetryLinkage, SimTime, Trace, TypedSend,
+    mean_us, wire, Attempt, CheckForwarder, Control, Dedup, Endpoint, Forward, Harness, LinkParams,
+    ReliableCall, RetryLinkage, TimerVerdict, Trace,
 };
 
 use crate::bank::{Bank, Withdrawal};
@@ -128,7 +143,22 @@ impl Scenario for Blindcash {
     const NAME: &'static str = "blindcash";
 
     fn run_with(cfg: &BlindcashConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-        run_impl(cfg, seed, opts)
+        let (world, harness) = Harness::begin(Blindcash::NAME, seed, opts);
+        let w = wiring(cfg, seed, world, opts);
+        let expected = w.spec.expected_units;
+        let core = harness.run_spec(w.spec, LinkParams::wan_ms(10), Vec::new());
+        let stats = lock(&w.stats);
+        ScenarioReport {
+            world: core.world,
+            trace: core.trace,
+            deposited: stats.deposited,
+            mean_cycle_us: mean_us(&stats.cycle_times),
+            buyers: w.buyers,
+            fault_log: core.fault_log,
+            metrics: core.metrics,
+            expected,
+            retry_linkage: stats.linkage.violations(),
+        }
     }
 }
 
@@ -153,8 +183,34 @@ impl ScenarioReport {
     }
 }
 
-struct Shared {
-    bank: Bank,
+/// The seller's answer once a coin is deposited, and the verifier's ack.
+const RECEIPT: &[u8] = b"receipt";
+const ACK: &[u8] = b"ok";
+
+/// An RSA element of the wrong length for the bank's modulus: the typed
+/// refusal of a role that received one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ElementLength {
+    expected: usize,
+    got: usize,
+}
+
+/// A blinded element (at the signer) or a blind signature (at the
+/// buyer): exactly `modulus_len` bytes, or refused.
+fn rsa_element(bytes: &[u8], modulus_len: usize) -> Result<&[u8], ElementLength> {
+    if bytes.len() == modulus_len {
+        Ok(bytes)
+    } else {
+        Err(ElementLength {
+            expected: modulus_len,
+            got: bytes.len(),
+        })
+    }
+}
+
+/// What the buyers and the verifier measure, shared by every role of
+/// one run.
+struct Stats {
     deposited: usize,
     cycle_times: Vec<u64>,
     /// Retry-linkage check fed by every withdrawal attempt's blinded
@@ -162,563 +218,465 @@ struct Shared {
     linkage: RetryLinkage,
 }
 
-/// What reliable call `seq` of one buyer stands for.
-enum BcInflight {
-    /// The withdrawal round (re-blinded fresh on every attempt).
+/// A buyer's open call.
+enum Call {
+    /// The withdrawal round, re-blinded on every attempt.
     Withdraw,
-    /// One spend: the *same* coin is retransmitted verbatim (a fresh coin
-    /// per attempt would be a second withdrawal); the seller and verifier
-    /// dedup instead.
+    /// One spend: the *same* coin on every attempt (a fresh coin per
+    /// attempt would be a second withdrawal); the seller answers copies
+    /// from its first deposit.
     Spend { coin: Vec<u8> },
 }
 
-struct BuyerNode {
-    entity: EntityId,
+/// The buyer: withdraw, spend, and wait for the receipt, one cycle at a
+/// time.
+struct Buyer {
     user: UserId,
     /// The withdrawal endpoint: the typed claim that the signing bank
     /// sees `(▲, ⊙)` — an authenticated account, a blinded element.
     signer: Endpoint<WithdrawalReq, Control, BankSigner>,
     /// The spend endpoint: the seller sees `(△, ●)`.
     seller: Endpoint<Purchase, Control, CoinSeller>,
-    bank: Rc<RefCell<Shared>>,
-    pending: Option<Withdrawal>,
-    coins_to_spend: usize,
-    started_at: SimTime,
-    /// Per-request reliable-call driver (inert when recovery is disabled).
-    calls: Driver<BcInflight>,
+    bank_pk: RsaPublicKey,
+    /// The blinding of the latest withdrawal attempt.
+    blinding: Option<Withdrawal>,
+    /// Cycles not yet begun.
+    cycles_left: usize,
+    started_at: u64,
+    /// Numbers every call; arms deadlines and retries under recovery
+    /// only.
+    arq: ReliableCall,
+    /// RetryLinkage flow id (the buyer index).
     flow: u64,
+    /// The open call and its sequence number.
+    inflight: Option<(u64, Call)>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-impl BuyerNode {
-    /// Blind a fresh withdrawal element. Each call re-blinds from scratch
-    /// — exactly what a re-randomized retransmission needs.
-    fn blind_withdrawal(&mut self, ctx: &mut Ctx) -> (Vec<u8>, Label) {
-        let shared = self.bank.borrow();
-        ctx.world.crypto_op("rsa_blind");
-        let w = Withdrawal::begin(ctx.rng, shared.bank.public_key()).expect("blind");
-        drop(shared);
+impl Buyer {
+    fn arm(&self, ctx: &mut WireCtx, att: &Attempt) {
+        if self.arq.enabled() {
+            ctx.set_timer(att.timer_delay_us, att.token);
+        }
+    }
+
+    /// Begin the next cycle, if one is left.
+    fn start_withdrawal(&mut self, ctx: &mut WireCtx) {
+        if self.cycles_left == 0 {
+            return;
+        }
+        self.cycles_left -= 1;
+        self.started_at = ctx.now_us();
+        let att = self.arq.open();
+        self.inflight = Some((att.seq, Call::Withdraw));
+        self.transmit_withdrawal(ctx, att);
+    }
+
+    /// (Re)transmit the withdrawal: a freshly blinded element on every
+    /// attempt, which is exactly what a re-randomized retransmission
+    /// needs.
+    fn transmit_withdrawal(&mut self, ctx: &mut WireCtx, att: Attempt) {
+        ctx.crypto_op("rsa_blind");
+        let w = Withdrawal::begin(ctx.rng, &self.bank_pk).expect("blind");
         let bytes = w.blinded_msg().to_vec();
-        self.pending = Some(w);
+        self.blinding = Some(w);
+        lock(&self.stats)
+            .linkage
+            .record(self.flow, att.seq, att.attempt, &bytes);
         // The signing bank sees who is withdrawing (account auth ▲) but
         // only a blinded element (⊙).
         let label = Label::items([
             InfoItem::sensitive_identity(self.user, IdentityKind::Any),
             InfoItem::plain_data(self.user, DataKind::Purchase),
         ]);
-        (bytes, label)
+        ctx.send_to(
+            self.signer,
+            WireMsg::data(wire::frame(att.seq, &bytes), label),
+        );
+        self.arm(ctx, &att);
     }
 
-    fn start_withdrawal(&mut self, ctx: &mut Ctx) {
-        self.started_at = ctx.now;
-        if let Some(att) = self.calls.begin(BcInflight::Withdraw) {
-            self.transmit_withdrawal(ctx, att);
-            return;
-        }
-        let (bytes, label) = self.blind_withdrawal(ctx);
-        ctx.send_to(self.signer, Message::new(bytes, label));
-    }
-
-    fn transmit_withdrawal(&mut self, ctx: &mut Ctx, att: Attempt) {
-        let (bytes, label) = self.blind_withdrawal(ctx);
-        self.bank
-            .borrow_mut()
-            .linkage
-            .record(self.flow, att.seq, att.attempt, &bytes);
-        self.calls.transmit(ctx, self.signer, &att, &bytes, label);
-    }
-
-    fn spend_label(&self) -> Label {
-        // The seller sees the purchase (●) from an anonymous customer (△).
-        Label::items([
-            InfoItem::plain_identity(self.user, IdentityKind::Any),
-            InfoItem::sensitive_data(self.user, DataKind::Purchase),
-        ])
-    }
-
-    /// Retransmit spend `att.seq`. The coin bytes are deliberately
+    /// (Re)transmit spend `att.seq`. The coin bytes are deliberately
     /// identical across attempts — a one-time instrument cannot be
     /// re-randomized without withdrawing again — so they are *not*
-    /// recorded into the linkage check; the seller dedups by
-    /// `(buyer, seq)`.
-    fn transmit_spend(&mut self, ctx: &mut Ctx, coin: &[u8], att: Attempt) {
-        let label = self.spend_label();
-        self.calls.transmit(ctx, self.seller, &att, coin, label);
-    }
-
-    fn cycle_done(&mut self, ctx: &mut Ctx) {
-        if self.coins_to_spend > 1 {
-            self.coins_to_spend -= 1;
-            self.start_withdrawal(ctx);
-        }
+    /// recorded into the linkage check.
+    fn transmit_spend(&mut self, ctx: &mut WireCtx, coin: &[u8], att: Attempt) {
+        // The seller sees the purchase (●) from an anonymous customer (△).
+        let label = Label::items([
+            InfoItem::plain_identity(self.user, IdentityKind::Any),
+            InfoItem::sensitive_data(self.user, DataKind::Purchase),
+        ]);
+        ctx.send_to(
+            self.seller,
+            WireMsg::data(wire::frame(att.seq, coin), label),
+        );
+        self.arm(ctx, &att);
     }
 }
 
-impl Node for BuyerNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx) {
+impl WireRole for Buyer {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
         // The buyer knows their own identity and purchase intentions.
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::Purchase),
-        );
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::Purchase));
         self.start_withdrawal(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::App(_) | CallEvent::Ignored => {}
-            CallEvent::Retry(att) => match self.calls.get(att.seq) {
-                Some(BcInflight::Withdraw) => self.transmit_withdrawal(ctx, att),
-                Some(BcInflight::Spend { coin }) => {
-                    let coin = coin.clone();
-                    self.transmit_spend(ctx, &coin, att);
-                }
-                None => {}
-            },
-            CallEvent::Exhausted {
-                call: BcInflight::Spend { .. },
-                ..
-            } => self.cycle_done(ctx),
-            // An abandoned withdrawal leaves nothing to spend: the buyer
-            // stops rather than fabricate a coin.
-            CallEvent::Exhausted {
-                call: BcInflight::Withdraw,
-                ..
-            } => {}
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        // Only an answer numbered for the open call, from the peer that
+        // call went to, completes it; a duplicated or late one changes
+        // nothing.
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        match &self.inflight {
+            Some((open, Call::Withdraw)) if *open == seq && from.index() == self.signer.index() => {
+                let Ok(blind_sig) = rsa_element(body, self.bank_pk.modulus_len()) else {
+                    return;
+                };
+                let Some(w) = self.blinding.take() else {
+                    return;
+                };
+                ctx.crypto_op("rsa_unblind");
+                // A superseded attempt's signature fails against the
+                // re-blinded state: drop it, a retry re-blinds.
+                let Ok(coin) = w.finish(&self.bank_pk, blind_sig) else {
+                    return;
+                };
+                self.arq.complete(seq);
+                let coin = coin.encode();
+                let att = self.arq.open();
+                self.inflight = Some((att.seq, Call::Spend { coin: coin.clone() }));
+                self.transmit_spend(ctx, &coin, att);
+            }
+            Some((open, Call::Spend { .. }))
+                if *open == seq && from.index() == self.seller.index() =>
+            {
+                self.inflight = None;
+                self.arq.complete(seq);
+                let now = ctx.now_us();
+                ctx.span("cycle", self.started_at, now);
+                lock(&self.stats).cycle_times.push(now - self.started_at);
+                ctx.unit_done();
+                self.start_withdrawal(ctx);
+            }
+            _ => {}
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            match self.calls.get(seq) {
-                Some(BcInflight::Withdraw) if from.0 == self.signer.index() => {
-                    let Some(w) = self.pending.take() else { return };
-                    let pk = self.bank.borrow().bank.public_key().clone();
-                    ctx.world.crypto_op("rsa_unblind");
-                    let Ok(coin) = w.finish(&pk, body) else {
-                        // A superseded attempt's signature fails against the
-                        // re-blinded state: drop it, the timer retries.
-                        return;
-                    };
-                    if self.calls.complete(seq).is_none() {
-                        return;
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        let node = ctx.me().index();
+        match self.arq.on_timer(token) {
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => {
+                ctx.emit(ObsEvent::RecoveryRetry {
+                    node,
+                    seq: att.seq,
+                    attempt: att.attempt,
+                });
+                match &self.inflight {
+                    Some((seq, Call::Withdraw)) if *seq == att.seq => {
+                        self.transmit_withdrawal(ctx, att)
                     }
-                    let encoded = coin.encode();
-                    let att = self
-                        .calls
-                        .begin(BcInflight::Spend {
-                            coin: encoded.clone(),
-                        })
-                        .expect("enabled ARQ always begins");
-                    self.transmit_spend(ctx, &encoded, att);
-                }
-                Some(BcInflight::Spend { .. }) if from.0 == self.seller.index() => {
-                    if self.calls.complete(seq).is_none() {
-                        return; // duplicated receipt: counted exactly once
+                    Some((seq, Call::Spend { coin })) if *seq == att.seq => {
+                        let coin = coin.clone();
+                        self.transmit_spend(ctx, &coin, att);
                     }
-                    ctx.world
-                        .span("cycle", self.started_at.as_us(), ctx.now.as_us());
-                    self.bank
-                        .borrow_mut()
-                        .cycle_times
-                        .push(ctx.now - self.started_at);
-                    self.cycle_done(ctx);
+                    _ => {}
                 }
-                _ => {}
             }
-            return;
-        }
-        if from.0 == self.signer.index() {
-            // Blind signature came back: unblind and spend. A duplicated
-            // reply finds no pending withdrawal and is ignored; a
-            // mangled one fails to unblind and the cycle stalls closed.
-            let Some(w) = self.pending.take() else { return };
-            let pk = self.bank.borrow().bank.public_key().clone();
-            ctx.world.crypto_op("rsa_unblind");
-            let Ok(coin) = w.finish(&pk, &msg.bytes) else {
-                return;
-            };
-            let label = self.spend_label();
-            ctx.send_to(self.seller, Message::new(coin.encode(), label));
-        } else if from.0 == self.seller.index() {
-            // Receipt. Start the next cycle if any remain.
-            ctx.world
-                .span("cycle", self.started_at.as_us(), ctx.now.as_us());
-            self.bank
-                .borrow_mut()
-                .cycle_times
-                .push(ctx.now - self.started_at);
-            if self.coins_to_spend > 1 {
-                self.coins_to_spend -= 1;
-                self.start_withdrawal(ctx);
+            TimerVerdict::Exhausted { seq, attempts } => {
+                ctx.emit(ObsEvent::RecoveryGiveUp {
+                    node,
+                    seq,
+                    attempts,
+                });
+                match self.inflight.take_if(|(open, _)| *open == seq) {
+                    Some((_, Call::Spend { .. })) => self.start_withdrawal(ctx),
+                    // An abandoned withdrawal leaves nothing to spend:
+                    // the buyer stops rather than fabricate a coin.
+                    Some((_, Call::Withdraw)) | None => {}
+                }
             }
         }
+    }
+
+    fn finished(&self) -> bool {
+        // Every path that leaves nothing in flight has nothing left to
+        // begin: the last receipt in, or a withdrawal abandoned.
+        self.inflight.is_none()
     }
 }
 
-struct SignerNode {
-    entity: EntityId,
-    bank: Rc<RefCell<Shared>>,
-    node_to_user: Vec<(NodeId, UserId)>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: debit exactly once per `(buyer, seq)` — a
-    /// retransmitted withdrawal is re-signed (fresh blinded element)
-    /// without a second debit.
+/// The signing half of the bank: signs blind and debits the account a
+/// withdrawal comes from.
+struct Signer {
+    bank: Arc<Mutex<Bank>>,
+    /// Account holders by the peer they send from.
+    buyers: BTreeMap<PeerId, UserId>,
+    modulus_len: usize,
+    /// `(buyer, seq)` pairs whose debit succeeded: a retransmitted
+    /// withdrawal is re-signed (a fresh blinded element) without a
+    /// second debit, and a refused one is debited when a retry succeeds.
     debited: Dedup,
 }
 
-impl Node for SignerNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let Some(user) = self
-            .node_to_user
-            .iter()
-            .find(|(n, _)| *n == from)
-            .map(|(_, u)| *u)
-        else {
+impl WireRole for Signer {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some(&user) = self.buyers.get(&from) else {
             return;
         };
-        if self.recover {
-            let Some((seq, blinded)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            ctx.world.crypto_op("rsa_sign");
-            let mut shared = self.bank.borrow_mut();
-            let signed = if self.debited.first(from.0 as u64, seq) {
-                shared.bank.withdraw(user, blinded)
-            } else {
-                shared.bank.resign(user, blinded)
-            };
-            drop(shared);
-            // An over-drawn account still gets no signature: fail closed.
-            let Ok(blind_sig) = signed else { return };
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Ok(blinded) = rsa_element(body, self.modulus_len) else {
+            return;
+        };
+        ctx.crypto_op("rsa_sign");
+        let flow = from.index() as u64;
+        let mut bank = lock(&self.bank);
+        let signed = if self.debited.seen(flow, seq) {
+            bank.resign(user, blinded)
+        } else {
+            let signed = bank.withdraw(user, blinded);
+            if signed.is_ok() {
+                self.debited.first(flow, seq);
+            }
+            signed
+        };
+        drop(bank);
+        // An over-drawn account gets no signature: fail closed.
+        let Ok(blind_sig) = signed else {
+            return;
+        };
+        ctx.send(
+            from,
+            WireMsg::response(wire::frame(seq, &blind_sig), Label::Public),
+        );
+    }
+}
+
+/// The verifying half of the bank: checks each coin once and credits the
+/// seller.
+struct Verifier {
+    bank: Arc<Mutex<Bank>>,
+    seller_user: UserId,
+    sig_len: usize,
+    /// Outcome per `(seller, hop seq)`: a re-forwarded deposit replays
+    /// its ack instead of reading the retransmitted coin as a double
+    /// spend.
+    outcomes: BTreeMap<(PeerId, u64), bool>,
+    stats: Arc<Mutex<Stats>>,
+}
+
+impl WireRole for Verifier {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let ok = match self.outcomes.get(&(from, seq)) {
+            Some(&ok) => ok,
+            None => {
+                // A truncated coin is refused without an outcome; a
+                // forged or double-spent one is refused for good. Neither
+                // is acknowledged.
+                let Ok(coin) = Coin::decode(body, self.sig_len) else {
+                    return;
+                };
+                ctx.crypto_op("rsa_verify");
+                let ok = lock(&self.bank).deposit(self.seller_user, &coin).is_ok();
+                if ok {
+                    lock(&self.stats).deposited += 1;
+                }
+                self.outcomes.insert((from, seq), ok);
+                ok
+            }
+        };
+        if ok {
             ctx.send(
                 from,
-                Message::new(wire::frame(seq, &blind_sig), Label::Public),
+                WireMsg::response(wire::frame(seq, ACK), Label::Public),
             );
-            return;
         }
-        // An over-drawn account (e.g. a duplicated withdraw request past
-        // the balance) gets no signature: the bank fails closed.
-        ctx.world.crypto_op("rsa_sign");
-        let Ok(blind_sig) = self.bank.borrow_mut().bank.withdraw(user, &msg.bytes) else {
-            return;
-        };
-        ctx.send(from, Message::new(blind_sig, Label::Public));
     }
 }
 
-/// One deposit the seller is driving (recovery path).
-struct DepositCheck {
-    /// The coin bytes, kept for re-forwarding while the verifier leg is
-    /// still unresolved.
-    coin: Vec<u8>,
-    /// The seller's hop-local sequence on the verifier leg.
-    hopseq: u64,
-    /// Has the verifier acknowledged the deposit?
-    acked: bool,
-}
-
-struct SellerNode {
-    entity: EntityId,
+/// The seller: hands each coin to the verifier and ships the goods once
+/// it is deposited.
+struct Seller {
     /// The deposit endpoint: an anonymous coin with limited content,
     /// admitted by the verifier's `(△, ⊙/●)` cap.
     verifier: Endpoint<CoinDeposit, Control, BankVerifier>,
-    /// Deposits awaiting verifier ack: (buyer node, subject).
-    outstanding: Vec<(NodeId, UserId)>,
-    /// Subject attached to incoming coins by sender node.
-    node_to_user: Vec<(NodeId, UserId)>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: one deposit per `(buyer node, buyer seq)` — the
-    /// buyer's ARQ drives the chain; retransmitted coins are never
-    /// re-deposited.
-    checks: BTreeMap<(usize, u64), DepositCheck>,
-    /// Reverse map: verifier-leg hop sequence → (buyer node, buyer seq).
-    by_hop: BTreeMap<u64, (NodeId, u64)>,
-    next_hop: u64,
+    /// Buyers by the peer they send from: the subject of a coin's
+    /// deposit label (scenario bookkeeping; the seller cannot name
+    /// buyers).
+    buyers: BTreeMap<PeerId, UserId>,
+    /// One deposit per `(buyer, buyer seq)`, keyed to the verifier leg
+    /// by a number of the seller's own.
+    deposits: CheckForwarder<(PeerId, u64), ()>,
 }
 
-impl Node for SellerNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.verifier.index() {
-            if self.recover {
-                let Some((hopseq, _body)) = wire::unframe(&msg.bytes) else {
-                    return;
-                };
-                let Some(&(buyer, cseq)) = self.by_hop.get(&hopseq) else {
-                    return;
-                };
-                let Some(check) = self.checks.get_mut(&(buyer.0, cseq)) else {
-                    return;
-                };
-                check.acked = true;
-                ctx.send(buyer, Message::public(wire::frame(cseq, b"receipt")));
-                return;
-            }
-            // Deposit acknowledged: send the buyer their goods/receipt.
-            if let Some((buyer, _)) = self.outstanding.pop() {
-                ctx.send(buyer, Message::public(b"receipt".to_vec()));
-            }
-            return;
-        }
-        let Some(user) = self
-            .node_to_user
-            .iter()
-            .find(|(n, _)| *n == from)
-            .map(|(_, u)| *u)
-        else {
+fn receipt(buyer_seq: u64) -> WireMsg {
+    WireMsg::response(wire::frame(buyer_seq, RECEIPT), Label::Public)
+}
+
+impl WireRole for Seller {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, coin)) = wire::unframe(&msg.payload) else {
             return;
         };
-        // The verifier sees a valid coin (limited sensitive content ⊙/●)
-        // from an anonymous depositor chain — it learns nothing that names
-        // the buyer.
-        let label = Label::items([
-            InfoItem::plain_identity(user, IdentityKind::Any),
-            InfoItem::partial_data(user, DataKind::Purchase),
-        ]);
-        if self.recover {
-            let Some((cseq, coin)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let key = (from.0, cseq);
-            if let Some(check) = self.checks.get(&key) {
-                if check.acked {
-                    // Idempotent replay: the goods ship once, the receipt
-                    // as often as asked.
-                    ctx.send(from, Message::public(wire::frame(cseq, b"receipt")));
-                } else {
-                    // Still depositing: re-nudge the verifier leg under the
-                    // *same* hop sequence (the verifier replays its ack).
-                    let fwd = wire::frame(check.hopseq, &check.coin);
-                    ctx.send_to(self.verifier, Message::new(fwd, label));
-                }
-                return;
-            }
-            let hopseq = self.next_hop;
-            self.next_hop += 1;
-            self.checks.insert(
-                key,
-                DepositCheck {
-                    coin: coin.to_vec(),
-                    hopseq,
-                    acked: false,
-                },
-            );
-            self.by_hop.insert(hopseq, (from, cseq));
-            ctx.send_to(
-                self.verifier,
-                Message::new(wire::frame(hopseq, coin), label),
-            );
-            return;
-        }
-        self.outstanding.insert(0, (from, user));
-        ctx.send_to(self.verifier, Message::new(msg.bytes, label));
-    }
-}
-
-struct VerifierNode {
-    entity: EntityId,
-    bank: Rc<RefCell<Shared>>,
-    seller_user: UserId,
-    sig_len: usize,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: acks per seller hop sequence, so a re-forwarded
-    /// deposit replays the ack instead of reading the retransmission as a
-    /// double-spend.
-    acked: BTreeMap<u64, bool>,
-}
-
-impl Node for VerifierNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if self.recover {
-            let Some((hopseq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            if let Some(&ok) = self.acked.get(&hopseq) {
-                // Replay: the first deposit's outcome stands — a
-                // retransmitted coin is never a double-spend.
-                if ok {
-                    ctx.send(from, Message::public(wire::frame(hopseq, b"ok")));
-                }
-                return;
-            }
-            let Ok(coin) = Coin::decode(body, self.sig_len) else {
-                return;
-            };
-            ctx.world.crypto_op("rsa_verify");
-            let mut shared = self.bank.borrow_mut();
-            let ok = shared.bank.deposit(self.seller_user, &coin).is_ok();
-            if ok {
-                shared.deposited += 1;
-            }
-            drop(shared);
-            self.acked.insert(hopseq, ok);
-            if ok {
-                ctx.send(from, Message::public(wire::frame(hopseq, b"ok")));
+        if from.index() == self.verifier.index() {
+            // Deposit acknowledged: the buyer gets their goods/receipt.
+            if let Some(((buyer, buyer_seq), _, _)) = self.deposits.resolve(seq, ()) {
+                ctx.send(buyer, receipt(buyer_seq));
             }
             return;
         }
-        // Truncated coins and double spends (a duplicated deposit) are
-        // rejected without acknowledgment — the verifier fails closed.
-        let Ok(coin) = Coin::decode(&msg.bytes, self.sig_len) else {
+        let Some(&user) = self.buyers.get(&from) else {
             return;
         };
-        ctx.world.crypto_op("rsa_verify");
-        let mut shared = self.bank.borrow_mut();
-        if shared.bank.deposit(self.seller_user, &coin).is_err() {
-            return;
+        match self.deposits.forward((from, seq), coin) {
+            // The goods ship once, the receipt as often as asked.
+            Forward::Replay(()) => ctx.send(from, receipt(seq)),
+            Forward::Upstream { hop, body } => {
+                // The verifier sees a valid coin (limited sensitive
+                // content ⊙/●) from an anonymous depositor chain — it
+                // learns nothing that names the buyer.
+                let label = Label::items([
+                    InfoItem::plain_identity(user, IdentityKind::Any),
+                    InfoItem::partial_data(user, DataKind::Purchase),
+                ]);
+                ctx.send_to(self.verifier, WireMsg::data(wire::frame(hop, body), label));
+            }
         }
-        shared.deposited += 1;
-        drop(shared);
-        ctx.send(from, Message::public(b"ok".to_vec()));
     }
 }
 
-fn run_impl(cfg: &BlindcashConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
+/// A built blind-cash run: its roles, what they measure, and the buyers
+/// (the world's users also hold the seller's account).
+struct Wiring {
+    spec: ServeSpec,
+    stats: Arc<Mutex<Stats>>,
+    buyers: Vec<UserId>,
+}
+
+/// Build the §3.1.1 world and roles for either engine. Peer ids: signer
+/// 0, verifier 1, seller 2, then the buyers.
+///
+/// The world mutation order and the setup RNG's draws are load-bearing:
+/// a metrics sink observes entity creation in sequence, and the DST
+/// probes are byte-identical across refactors only if both hold.
+fn wiring(cfg: &BlindcashConfig, seed: u64, mut world: World, opts: &RunOptions) -> Wiring {
     use rand::SeedableRng;
-    let (n_buyers, coins_each, rsa_bits) = (cfg.buyers, cfg.coins_each, cfg.rsa_bits);
     let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xb1bd);
 
-    let (mut world, harness) = Harness::begin(Blindcash::NAME, seed, opts);
     let bank_org = world.add_org("bank");
     let seller_org = world.add_org("seller");
     let user_org = world.add_org("users");
-
     let signer_e = world.add_entity("Signer (Bank)", bank_org, None);
     let verifier_e = world.add_entity("Verifier (Bank)", bank_org, None);
     let seller_e = world.add_entity("Seller", seller_org, None);
 
-    let mut bank = Bank::new(&mut setup_rng, rsa_bits);
+    let mut bank = Bank::new(&mut setup_rng, cfg.rsa_bits);
     let mut buyers = Vec::new();
     let mut buyer_entities = Vec::new();
-    for _ in 0..n_buyers {
+    for i in 0..cfg.buyers {
         let u = world.add_user();
-        // Name the first buyer "Buyer" to match the paper's column.
-        let name = if buyers.is_empty() {
-            "Buyer".to_string()
-        } else {
-            format!("Buyer {}", buyers.len() + 1)
-        };
-        let e = world.add_entity(&name, user_org, Some(u));
-        bank.open_account(u, coins_each as i64 + 1);
+        // The first buyer is "Buyer", the paper's column.
+        buyer_entities.push(world.add_entity(&nth("Buyer", ' ', i), user_org, Some(u)));
+        bank.open_account(u, cfg.coins_each as i64 + 1);
         buyers.push(u);
-        buyer_entities.push(e);
     }
     let seller_user = world.add_user(); // the seller's own account identity
     bank.open_account(seller_user, 0);
 
-    let sig_len = bank.public_key().modulus_len();
-    let shared = Rc::new(RefCell::new(Shared {
-        bank,
+    let bank_pk = bank.public_key().clone();
+    let modulus_len = bank_pk.modulus_len();
+    let bank = Arc::new(Mutex::new(bank));
+    let stats = Arc::new(Mutex::new(Stats {
         deposited: 0,
         cycle_times: Vec::new(),
         linkage: RetryLinkage::new(),
     }));
-
-    let mut net = harness.network(world, LinkParams::wan_ms(10));
-
-    // Reserve ids: signer=0, verifier=1, seller=2, buyers=3..
-    let signer_ep: Endpoint<WithdrawalReq, Control, BankSigner> = Endpoint::new(0);
-    let verifier_ep: Endpoint<CoinDeposit, Control, BankVerifier> = Endpoint::new(1);
-    let seller_ep: Endpoint<Purchase, Control, CoinSeller> = Endpoint::new(2);
-    let buyer_ids: Vec<NodeId> = (0..n_buyers).map(|i| NodeId(3 + i)).collect();
-    let node_to_user: Vec<(NodeId, UserId)> = buyer_ids
+    let by_peer: BTreeMap<PeerId, UserId> = buyers
         .iter()
-        .copied()
-        .zip(buyers.iter().copied())
+        .enumerate()
+        .map(|(i, &u)| (PeerId::at(3 + i), u))
         .collect();
 
-    let recover_on = opts.recover.enabled;
-    Harness::add_role::<BankSigner>(
-        &mut net,
-        Box::new(SignerNode {
-            entity: signer_e,
-            bank: shared.clone(),
-            node_to_user: node_to_user.clone(),
-            recover: recover_on,
-            debited: Dedup::new(),
-        }),
-    );
-    Harness::add_role::<BankVerifier>(
-        &mut net,
-        Box::new(VerifierNode {
-            entity: verifier_e,
-            bank: shared.clone(),
-            seller_user,
-            sig_len,
-            recover: recover_on,
-            acked: BTreeMap::new(),
-        }),
-    );
-    Harness::add_role::<CoinSeller>(
-        &mut net,
-        Box::new(SellerNode {
-            entity: seller_e,
-            verifier: verifier_ep,
-            outstanding: Vec::new(),
-            node_to_user: node_to_user.clone(),
-            recover: recover_on,
-            checks: BTreeMap::new(),
-            by_hop: BTreeMap::new(),
-            next_hop: 0,
-        }),
-    );
-    for (i, (&u, &e)) in buyers.iter().zip(buyer_entities.iter()).enumerate() {
-        Harness::add_role::<CoinBuyer>(
-            &mut net,
-            Box::new(BuyerNode {
-                entity: e,
-                user: u,
-                signer: signer_ep,
-                seller: seller_ep,
-                bank: shared.clone(),
-                pending: None,
-                coins_to_spend: coins_each,
-                started_at: SimTime::ZERO,
-                calls: Driver::new(&opts.recover, derive_seed(seed, 0xb1b0 + i as u64)),
-                flow: i as u64,
+    let mut roles = vec![
+        RoleSpec::of::<BankSigner>(
+            "signer",
+            signer_e,
+            Box::new(Signer {
+                bank: bank.clone(),
+                buyers: by_peer.clone(),
+                modulus_len,
+                debited: Dedup::new(),
             }),
-        );
-        debug_assert_eq!(buyer_ids[i], NodeId(3 + i));
+        ),
+        RoleSpec::of::<BankVerifier>(
+            "verifier",
+            verifier_e,
+            Box::new(Verifier {
+                bank,
+                seller_user,
+                sig_len: modulus_len,
+                outcomes: BTreeMap::new(),
+                stats: stats.clone(),
+            }),
+        ),
+        RoleSpec::of::<CoinSeller>(
+            "seller",
+            seller_e,
+            Box::new(Seller {
+                verifier: Endpoint::new(1),
+                buyers: by_peer,
+                deposits: CheckForwarder::new(),
+            }),
+        ),
+    ];
+    for (i, (&user, &e)) in buyers.iter().zip(&buyer_entities).enumerate() {
+        let buyer = Buyer {
+            user,
+            signer: Endpoint::new(0),
+            seller: Endpoint::new(2),
+            bank_pk: bank_pk.clone(),
+            blinding: None,
+            cycles_left: cfg.coins_each,
+            started_at: 0,
+            arq: ReliableCall::new(&opts.recover, derive_seed(seed, 0xb1b0 + i as u64)),
+            flow: i as u64,
+            inflight: None,
+            stats: stats.clone(),
+        };
+        roles.push(RoleSpec::of::<CoinBuyer>(
+            nth("buyer", '-', i),
+            e,
+            Box::new(buyer),
+        ));
     }
-
-    let core = harness.finish(net);
-    let shared = Rc::try_unwrap(shared)
-        .map_err(|_| ())
-        .expect("sim still holds bank")
-        .into_inner();
-    ScenarioReport {
-        world: core.world,
-        trace: core.trace,
-        deposited: shared.deposited,
-        mean_cycle_us: mean_us(&shared.cycle_times),
+    Wiring {
+        spec: ServeSpec {
+            scenario: Blindcash::NAME,
+            world,
+            roles,
+            expected_units: (cfg.buyers * cfg.coins_each) as u64,
+        },
+        stats,
         buyers,
-        fault_log: core.fault_log,
-        metrics: core.metrics,
-        expected: (n_buyers * coins_each) as u64,
-        retry_linkage: shared.linkage.violations(),
     }
+}
+
+/// Build the servable blind-cash wiring: the world, bank key, accounts
+/// and roles of the simulated run with this `cfg` and `seed`, without
+/// recovery. Every process of a multi-process run builds the same bank
+/// key from the seed.
+///
+/// Role order defines peer ids: `signer` 0, `verifier` 1, `seller` 2,
+/// then `buyer`, `buyer-2`, ….
+pub fn blindcash_serve_spec(cfg: &BlindcashConfig, seed: u64) -> ServeSpec {
+    wiring(cfg, seed, World::new(), &RunOptions::default()).spec
 }
 
 #[cfg(test)]
@@ -800,6 +758,95 @@ mod tests {
             "recovery must not change anyone's knowledge ledger"
         );
         assert_eq!(harsh.table(0), calm.table(0));
+    }
+
+    /// Without recovery, a duplicated coin is deposited and verified
+    /// once: the seller keys each deposit by `(buyer, seq)` and answers
+    /// copies from the first. A seller that forwards every copy, pairing
+    /// the verifier's acks with waiting buyers by arrival order, has the
+    /// verifier re-verify a duplicated coin at each of these seeds.
+    #[test]
+    fn each_coin_is_verified_once_without_recovery() {
+        let cfg = BlindcashConfig::new(2, 2, 512);
+        let opts = RunOptions::observed_with_faults(&FaultConfig::moderate());
+        for seed in [2, 5, 11, 21] {
+            let report = Blindcash::run_with(&cfg, seed, &opts);
+            assert!(!report.fault_log.is_empty(), "seed {seed}: no faults");
+            let verified = report.metrics.crypto_ops.get("rsa_verify").copied();
+            assert_eq!(
+                verified.unwrap_or(0),
+                report.deposited as u64,
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// A withdrawal the bank cannot sign is neither debited nor marked
+    /// as debited, so a retry of the same call is debited once — a
+    /// malformed first attempt does not buy a free coin.
+    #[test]
+    fn a_refused_first_attempt_is_debited_on_retry() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut bank = Bank::new(&mut rng, 512);
+        let user = UserId(0);
+        bank.open_account(user, 2);
+        let pk = bank.public_key().clone();
+        let bank = Arc::new(Mutex::new(bank));
+        let buyer = PeerId(3);
+        let mut signer = Signer {
+            bank: bank.clone(),
+            buyers: BTreeMap::from([(buyer, user)]),
+            modulus_len: pk.modulus_len(),
+            debited: Dedup::new(),
+        };
+        let mut ctx_rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut sign = |element: &[u8]| {
+            let mut ctx = WireCtx::new(&mut ctx_rng, PeerId(0), 0, false);
+            let msg = WireMsg::data(wire::frame(0, element), Label::Public);
+            signer.on_frame(&mut ctx, buyer, msg);
+            ctx.finish().out.len()
+        };
+        let balance = || lock(&bank).balance(user);
+        // Too short for the modulus, then the right length but not below
+        // it: both refused, unanswered and free.
+        assert_eq!(sign(&[1, 2, 3, 4, 5]), 0);
+        assert_eq!(sign(&vec![0xff; pk.modulus_len()]), 0);
+        assert_eq!(balance(), Some(2));
+        // The retry carries a good element: signed, debited once.
+        let w = Withdrawal::begin(&mut rng, &pk).unwrap();
+        assert_eq!(sign(w.blinded_msg()), 1);
+        assert_eq!(balance(), Some(1));
+        // A later copy of the same call is re-signed without a debit.
+        let w = Withdrawal::begin(&mut rng, &pk).unwrap();
+        assert_eq!(sign(w.blinded_msg()), 1);
+        assert_eq!(balance(), Some(1));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A blinded element or blind signature is accepted exactly when
+        /// it is the modulus long; anything else is a typed refusal.
+        #[test]
+        fn rsa_elements_are_exactly_the_modulus_long(
+            bytes in proptest::collection::vec(any::<u8>(), 0..300),
+            modulus_len in 0usize..300,
+        ) {
+            match rsa_element(&bytes, modulus_len) {
+                Ok(element) => {
+                    prop_assert_eq!(element, &bytes[..]);
+                    prop_assert_eq!(bytes.len(), modulus_len);
+                }
+                Err(e) => prop_assert_eq!(
+                    e,
+                    ElementLength { expected: modulus_len, got: bytes.len() }
+                ),
+            }
+            let mut fit = bytes.clone();
+            fit.resize(modulus_len, 0);
+            prop_assert_eq!(rsa_element(&fit, modulus_len), Ok(&fit[..]));
+        }
     }
 
     #[test]

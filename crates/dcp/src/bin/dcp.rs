@@ -1,12 +1,14 @@
 //! `dcp` — the repository's command-line front door.
 //!
 //! The one subcommand so far is `serve`: host a wiring's roles over real
-//! TCP sockets via `dcp-serve` instead of the simulator. Four wirings
-//! are servable through one code path: the DNS family of §3.2.2 and
-//! §5.1 — `odoh`, `odns_legacy` and `dns_direct` (plain DNS striped over
-//! two resolvers) — and §3.2.4's multi-party relay, `mpr` (a two-relay
-//! chain). `--clients` and `--queries` set the users and the fetches
-//! each for `mpr`.
+//! TCP sockets via `dcp-serve` instead of the simulator. Six wirings are
+//! servable through one code path: §3.1.1's blind-signature cash,
+//! `blindcash`; §3.2.1's Privacy Pass, `privacypass`; the DNS family of
+//! §3.2.2 and §5.1 — `odoh`, `odns_legacy` and `dns_direct` (plain DNS
+//! striped over two resolvers); and §3.2.4's multi-party relay, `mpr` (a
+//! two-relay chain). `--clients` and `--queries` set the users and what
+//! each does: queries, fetches, redemptions (at most four, one issuance
+//! batch) or coins.
 //!
 //! ```text
 //! dcp serve SCENARIO [--clients N] [--queries N] [--seed S]
@@ -28,11 +30,13 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use dcp_blindcash::{blindcash_serve_spec, Blindcash, BlindcashConfig};
 use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
 use dcp_mpr::{mpr_serve_spec, ChainConfig, Mpr};
 use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
 use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
+use dcp_privacypass::{privacypass_serve_spec, Privacypass, PrivacypassConfig};
 use dcp_runtime::seam::ServeSpec;
 use dcp_serve::{run_loopback, run_role, ServeConfig};
 
@@ -48,6 +52,8 @@ fn usage() -> &'static str {
      dcp serve SCENARIO --role NAME --listen ADDR [--peer NAME=ADDR]... \
      [--seed S] [--deadline SECS]\n\n\
      scenarios and their roles (client-K for each further client):\n  \
+     blindcash    signer | verifier | seller | buyer | buyer-K\n  \
+     privacypass  issuer | origin | client | client-K\n  \
      odoh         proxy | target | origin | client | client-K\n  \
      odns_legacy  recursive | authority | origin | client | client-K\n  \
      dns_direct   origin | resolver | resolver-2 | client | client-K\n  \
@@ -117,6 +123,19 @@ type Twin = Box<dyn FnOnce() -> World>;
 fn wiring(scenario: &str, a: &ServeArgs) -> Result<(ServeSpec, Twin), String> {
     let (clients, queries, seed) = (a.clients, a.queries, a.seed);
     let wiring: (ServeSpec, Twin) = match scenario {
+        "blindcash" => {
+            let cfg = BlindcashConfig::default()
+                .buyers(clients)
+                .coins_each(queries);
+            let spec = blindcash_serve_spec(&cfg, seed);
+            (spec, Box::new(move || Blindcash::run(&cfg, seed).world))
+        }
+        "privacypass" => {
+            let cfg = PrivacypassConfig::new(clients, queries);
+            let spec =
+                privacypass_serve_spec(&cfg, seed).map_err(|e| format!("privacypass: {e}"))?;
+            (spec, Box::new(move || Privacypass::run(&cfg, seed).world))
+        }
         "odoh" => {
             let cfg = OdohConfig::new(clients, queries);
             let spec = odoh_serve_spec(&cfg, seed);
@@ -145,7 +164,8 @@ fn wiring(scenario: &str, a: &ServeArgs) -> Result<(ServeSpec, Twin), String> {
         }
         other => {
             return Err(format!(
-                "unknown scenario {other:?} (try: odoh, odns_legacy, dns_direct, mpr)"
+                "unknown scenario {other:?} (try: blindcash, privacypass, odoh, odns_legacy, \
+                 dns_direct, mpr)"
             ))
         }
     };

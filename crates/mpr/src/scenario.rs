@@ -31,7 +31,7 @@ use dcp_core::{
     Scenario, UserId, World,
 };
 use dcp_crypto::hpke;
-use dcp_runtime::seam::{nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
     mean_us, wire, Attempt, Control, DirectoryNode, Endpoint, FleetClient, FleetRelay, FleetSetup,
     FleetSummary, Harness, HopMap, LinkParams, NodeId, ReliableCall, RetryLinkage, TimerVerdict,
@@ -209,11 +209,6 @@ struct Stats {
     linkage: RetryLinkage,
 }
 
-/// The stats of a run whose roles do not panic while holding them.
-fn lock(stats: &Mutex<Stats>) -> std::sync::MutexGuard<'_, Stats> {
-    stats.lock().expect("no role panicked holding the stats")
-}
-
 /// How a user's requests reach the origin. The endpoint types carry the
 /// knowledge-cap check: a direct fetch is admitted only by the
 /// explicitly coupled [`DirectOrigin`].
@@ -245,11 +240,9 @@ struct User {
     geohint: bool,
     /// Fetches not yet begun.
     fetches_left: usize,
-    /// Arms deadlines and retries under recovery; inert without it.
+    /// Numbers every call; arms deadlines and retries under recovery
+    /// only.
     arq: ReliableCall,
-    /// Call numbers for runs without recovery, where the ARQ numbers
-    /// nothing.
-    next_seq: u64,
     /// The open fetch: its sequence number and send time.
     inflight: Option<(u64, u64)>,
     stats: Arc<Mutex<Stats>>,
@@ -326,14 +319,7 @@ impl User {
         }
         self.fetches_left -= 1;
         lock(&self.stats).payload_bytes += self.request.len();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let att = self.arq.begin().unwrap_or(Attempt {
-            seq,
-            attempt: 0,
-            timer_delay_us: 0,
-            token: 0,
-        });
+        let att = self.arq.open();
         self.inflight = Some((att.seq, ctx.now_us()));
         self.transmit(ctx, att);
     }
@@ -755,7 +741,6 @@ fn wiring(cfg: &ChainConfig, mut world: World, opts: &RunOptions) -> Wiring {
             geohint: cfg.geohint,
             fetches_left: cfg.fetches_each,
             arq: ReliableCall::new(&opts.recover, derive_seed(cfg.seed, 0x3b50 + i as u64)),
-            next_seq: 0,
             inflight: None,
             stats: stats.clone(),
         };

@@ -23,7 +23,7 @@ use dcp_core::{
 };
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RrType};
-use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{lock, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{wire, Attempt, Control, Endpoint, HopMap, ReliableCall, TimerVerdict};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
@@ -45,12 +45,9 @@ struct Client {
     stripe: StdRng,
     queries: Vec<DnsName>,
     next_id: u16,
-    /// Per-request ARQ: arms deadlines and retries under recovery, and
-    /// is inert without it.
+    /// Per-request ARQ: numbers every request, and arms deadlines and
+    /// retries under recovery only.
     arq: ReliableCall,
-    /// Call numbers for runs without recovery, where the ARQ numbers
-    /// nothing.
-    next_seq: u64,
     /// Open calls, keyed by sequence number.
     inflight: BTreeMap<u64, Inflight>,
     stats: Arc<Mutex<Stats>>,
@@ -68,14 +65,7 @@ impl Client {
         let Some(name) = self.queries.pop() else {
             return;
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let att = self.arq.begin().unwrap_or(Attempt {
-            seq,
-            attempt: 0,
-            timer_delay_us: 0,
-            token: 0,
-        });
+        let att = self.arq.open();
         let call = Inflight {
             name,
             resolver: self.stripe.gen_range(0..self.resolvers.len()),
@@ -201,11 +191,7 @@ impl WireRole for Resolver {
         let Some(q0) = query.questions.first() else {
             return;
         };
-        self.stats
-            .lock()
-            .expect("no role panicked holding the stats")
-            .resolver_views[self.slot]
-            .insert(q0.qname.to_string());
+        lock(&self.stats).resolver_views[self.slot].insert(q0.qname.to_string());
         let rseq = self.hop.insert((from, seq));
         ctx.send_to(
             self.origin,
@@ -261,7 +247,6 @@ pub(crate) fn wiring(
             queries: workload.stream(&mut wl_rng, cfg.queries_each),
             next_id: 1,
             arq: ReliableCall::new(recover, derive_seed(seed, 0x0d11 + ci as u64)),
-            next_seq: 0,
             inflight: BTreeMap::new(),
             stats: stats.clone(),
         };

@@ -19,7 +19,7 @@ use dcp_core::{
 };
 use dcp_crypto::hpke;
 use dcp_dns::{DnsName, Message as DnsMessage, Rcode, RecordData, ResourceRecord, RrType};
-use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{lock, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{wire, Attempt, Control, Endpoint, ReliableCall, TimerVerdict};
 
 use super::{
@@ -42,12 +42,9 @@ struct Client {
     zone: DnsName,
     queries: Vec<DnsName>,
     next_id: u16,
-    /// Per-request ARQ: arms deadlines and retries under recovery, and
-    /// is inert without it.
+    /// Per-request ARQ: numbers every request, and arms deadlines and
+    /// retries under recovery only.
     arq: ReliableCall,
-    /// Call numbers for runs without recovery, where the ARQ numbers
-    /// nothing.
-    next_seq: u64,
     /// RetryLinkage flow id (the client index).
     flow: u64,
     /// Open calls, keyed by sequence number.
@@ -69,14 +66,7 @@ impl Client {
         let Some(name) = self.queries.pop() else {
             return;
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let att = self.arq.begin().unwrap_or(Attempt {
-            seq,
-            attempt: 0,
-            timer_delay_us: 0,
-            token: 0,
-        });
+        let att = self.arq.open();
         let sent_at = ctx.now_us();
         self.transmit(ctx, name, sent_at, att);
     }
@@ -94,9 +84,7 @@ impl Client {
         let q = DnsMessage::query(self.next_id, obfuscated, RrType::Txt);
         self.next_id = self.next_id.wrapping_add(1);
         let encoded = q.encode();
-        self.stats
-            .lock()
-            .expect("no role panicked holding the stats")
+        lock(&self.stats)
             .linkage
             .record(self.flow, att.seq, att.attempt, &encoded);
         self.inflight.insert(
@@ -281,7 +269,6 @@ pub(crate) fn wiring(
             queries,
             next_id: 1,
             arq: ReliableCall::new(recover, derive_seed(seed, 0x0d15 + ci as u64)),
-            next_seq: 0,
             flow: ci as u64,
             inflight: BTreeMap::new(),
             stats: stats.clone(),

@@ -29,7 +29,7 @@ use dcp_crypto::hpke;
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RecordData, Zone};
 use dcp_faults::FaultLog;
-use dcp_runtime::seam::{nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
     mean_us, wire, Control, Endpoint, Harness, HopMap, LinkParams, RetryLinkage, Trace,
 };
@@ -354,7 +354,7 @@ impl Stats {
 fn answered(stats: &Mutex<Stats>, ctx: &mut WireCtx, sent_at: u64) {
     let now = ctx.now_us();
     ctx.span("query", sent_at, now);
-    let mut stats = stats.lock().expect("no role panicked holding the stats");
+    let mut stats = lock(stats);
     stats.answered += 1;
     stats.latencies.push(now - sent_at);
     drop(stats);
@@ -379,7 +379,7 @@ fn simulate<C>(
     let users = spec.world.users().to_vec();
     let expected = spec.expected_units;
     let core = harness.run_spec(spec, LinkParams::wan_ms(8), Vec::new());
-    let stats = stats.lock().expect("no role panicked holding the stats");
+    let stats = lock(&stats);
     let all_names: HashSet<&String> = stats.resolver_views.iter().flatten().collect();
     ScenarioReport {
         world: core.world,

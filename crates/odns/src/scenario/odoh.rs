@@ -32,7 +32,7 @@ use dcp_core::{
 use dcp_crypto::hpke;
 use dcp_crypto::x25519::PreparedKey;
 use dcp_dns::{DnsName, Message as DnsMessage, RrType};
-use dcp_runtime::seam::{PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{lock, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{wire, Attempt, Control, Endpoint, Failover, ReliableCall, TimerVerdict};
 
 use super::{
@@ -53,12 +53,9 @@ struct Client {
     target_key: KeyId,
     queries: Vec<DnsName>,
     next_id: u16,
-    /// Per-request ARQ: arms deadlines and retries under recovery, and
-    /// is inert without it.
+    /// Per-request ARQ: numbers every request, and arms deadlines and
+    /// retries under recovery only.
     arq: ReliableCall,
-    /// Call numbers for runs without recovery, where the ARQ numbers
-    /// nothing.
-    next_seq: u64,
     /// Proxy routes (primary + backups) with the circuit breaker.
     failover: Failover,
     /// RetryLinkage flow id (the client index).
@@ -80,14 +77,7 @@ impl Client {
         let Some(name) = self.queries.pop() else {
             return;
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let att = self.arq.begin().unwrap_or(Attempt {
-            seq,
-            attempt: 0,
-            timer_delay_us: 0,
-            token: 0,
-        });
+        let att = self.arq.open();
         let sent_at = ctx.now_us();
         self.transmit(ctx, name, sent_at, att);
     }
@@ -106,9 +96,7 @@ impl Client {
         ctx.crypto_op("hpke_seal");
         let (sealed, state) = odoh::seal_query(ctx.rng, &*self.target_pk, &q).expect("seal");
         let pick = self.failover.route_for(att.seq, att.attempt, ctx.now_us());
-        self.stats
-            .lock()
-            .expect("no client panicked holding the stats")
+        lock(&self.stats)
             .linkage
             .record(self.flow, att.seq, att.attempt, &sealed);
         self.inflight.insert(
@@ -290,7 +278,6 @@ pub(crate) fn wiring(
             queries,
             next_id: 1,
             arq: ReliableCall::new(recover, derive_seed(seed, 0x0a10 + ci as u64)),
-            next_seq: 0,
             failover: Failover::new(proxy_routes.clone(), recover),
             flow: ci as u64,
             inflight: BTreeMap::new(),

@@ -95,8 +95,8 @@ impl CactiClient {
 pub struct CactiOrigin {
     kp: hpke::Keypair,
     vendor_name: String,
-    /// Challenges outstanding (nonce values).
-    outstanding: Vec<[u8; 16]>,
+    /// Challenges issued and not yet answered (nonce values).
+    open_challenges: Vec<[u8; 16]>,
     /// Requests admitted.
     pub admitted: u64,
 }
@@ -107,7 +107,7 @@ impl CactiOrigin {
         CactiOrigin {
             kp: hpke::Keypair::generate(rng),
             vendor_name: vendor.name().to_string(),
-            outstanding: Vec::new(),
+            open_challenges: Vec::new(),
             admitted: 0,
         }
     }
@@ -141,7 +141,7 @@ impl CactiOrigin {
             SealError::BadAttestation | SealError::WrongProgram => CactiError::BadAttestation,
             SealError::Crypto => CactiError::Crypto,
         })?;
-        self.outstanding.push(nonce);
+        self.open_challenges.push(nonce);
         Ok(sealed)
     }
 
@@ -154,10 +154,10 @@ impl CactiOrigin {
         }
         let mut nonce = [0u8; 16];
         nonce.copy_from_slice(&plain[..16]);
-        let Some(pos) = self.outstanding.iter().position(|n| *n == nonce) else {
+        let Some(pos) = self.open_challenges.iter().position(|n| *n == nonce) else {
             return Err(CactiError::BadResponse); // unknown or replayed
         };
-        self.outstanding.remove(pos);
+        self.open_challenges.remove(pos);
         self.admitted += 1;
         Ok(u64::from_be_bytes(plain[16..].try_into().unwrap()))
     }

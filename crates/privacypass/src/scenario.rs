@@ -1,23 +1,37 @@
-//! The Fig. 2 flow on the simulator: challenge → issuance → redemption.
+//! The Fig. 2 flow — challenge → issuance → redemption — written once as
+//! seam roles: a client, the issuer and the origin. One `wiring` builds
+//! them; the simulator hosts them ([`Privacypass`]) and
+//! [`privacypass_serve_spec`] hands the same roles to `dcp-serve`.
+//!
+//! Every leg carries an 8-byte sequence number (`dcp_runtime::wire`
+//! framing) on every run. The origin keys each redemption check by the
+//! client's `(peer, seq)` and asks the issuer under a number of its own
+//! ([`CheckForwarder`]), so a verdict returns to the client whose token
+//! it judged, and a duplicated or retransmitted redemption is answered
+//! from the first verdict instead of being refused as a double spend. A
+//! run's `RecoverConfig` only arms the clients' retries.
+//!
+//! Every decoder on received bytes fails closed with a typed error: a
+//! frame that does not parse is dropped, never answered.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, EntityId, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions,
+    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, ObsEvent, RunOptions,
     Scenario, UserId, World,
 };
 use dcp_crypto::oprf::{BlindedElement, DleqProof, EvaluatedElement};
+use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
 use dcp_runtime::{
-    mean_us, wire, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, Harness, LinkParams,
-    Message, Node, NodeId, RetryLinkage, SimTime, Trace, TypedSend,
+    mean_us, wire, Attempt, CheckForwarder, Control, Endpoint, Forward, Harness, LinkParams,
+    ReliableCall, RetryLinkage, TimerVerdict, Trace,
 };
 use dcp_transport::frame::{Frame, FrameRef, FrameType};
 
-use crate::protocol::{Client, Issuer, Token};
+use crate::protocol::{self, IssuanceRequest, Token};
 use crate::types::{
     AccessRequest, IssuanceReq, RedeemCheckReq, TokenClient, TokenIssuer, TokenOrigin,
 };
@@ -32,7 +46,8 @@ pub struct ScenarioReport {
     pub redeemed: usize,
     /// Redemptions refused (forged/double-spend).
     pub refused: usize,
-    /// Mean time from first request to content served, microseconds.
+    /// Mean time from a redemption's first transmission to its verdict,
+    /// microseconds.
     pub mean_fetch_us: f64,
     /// The client users.
     pub users: Vec<UserId>,
@@ -74,8 +89,8 @@ impl dcp_core::ScenarioReport for ScenarioReport {
 pub struct PrivacypassConfig {
     /// Number of clients.
     pub clients: usize,
-    /// Token redemptions per client (one issuance batch covers them;
-    /// must be ≤ 4).
+    /// Token redemptions per client (one issuance batch of four tokens
+    /// covers them, so at most four).
     pub fetches_each: usize,
 }
 
@@ -119,7 +134,24 @@ impl Scenario for Privacypass {
     const NAME: &'static str = "privacypass";
 
     fn run_with(cfg: &PrivacypassConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
-        run_impl(cfg, seed, opts)
+        let (world, harness) = Harness::begin(Privacypass::NAME, seed, opts);
+        let w = wiring(cfg, seed, world, opts);
+        let users = w.spec.world.users().to_vec();
+        let expected = w.spec.expected_units;
+        let core = harness.run_spec(w.spec, LinkParams::wan_ms(15), Vec::new());
+        let stats = lock(&w.stats);
+        ScenarioReport {
+            world: core.world,
+            trace: core.trace,
+            redeemed: stats.redeemed,
+            refused: stats.refused,
+            mean_fetch_us: mean_us(&stats.fetch_times),
+            users,
+            fault_log: core.fault_log,
+            metrics: core.metrics,
+            expected,
+            retry_linkage: stats.linkage.violations(),
+        }
     }
 }
 
@@ -139,8 +171,102 @@ impl ScenarioReport {
     }
 }
 
-struct Shared {
-    issuer: Issuer,
+/// Tokens one issuance batch holds, and so the most redemptions a client
+/// makes.
+const TOKENS_PER_BATCH: usize = 4;
+
+/// Bytes of one evaluated element and its DLEQ proof `(c, s)`.
+const EVAL_LEN: usize = 32 + 64;
+
+/// Bytes of an encoded [`Token`].
+const TOKEN_LEN: usize = 64;
+
+/// The one resource the origin serves, requested after the token.
+const RESOURCE: &[u8] = b"GET /private-resource";
+
+/// The origin's answers: content for a good token, a refusal otherwise.
+const VERDICT_OK: &[u8] = b"200 OK content";
+const VERDICT_REFUSED: &[u8] = b"403";
+
+/// Why a role refused bytes it received.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DecodeError {
+    /// An issuance batch, an evaluation list or a redemption of the
+    /// wrong length.
+    Length {
+        /// The only length accepted.
+        expected: usize,
+        /// The length received.
+        got: usize,
+    },
+    /// A redemption for a resource the origin does not serve.
+    Resource,
+}
+
+fn exact_len(bytes: &[u8], expected: usize) -> Result<(), DecodeError> {
+    if bytes.len() == expected {
+        Ok(())
+    } else {
+        Err(DecodeError::Length {
+            expected,
+            got: bytes.len(),
+        })
+    }
+}
+
+/// The issuer's parse of an issuance request: exactly one batch of
+/// [`TOKENS_PER_BATCH`] blinded elements, so no frame makes it evaluate
+/// more.
+fn decode_batch(payload: &[u8]) -> Result<Vec<BlindedElement>, DecodeError> {
+    exact_len(payload, TOKENS_PER_BATCH * 32)?;
+    Ok(payload
+        .chunks_exact(32)
+        .map(|c| BlindedElement(c.try_into().expect("32-byte chunk")))
+        .collect())
+}
+
+/// The issuer's answer to a batch: each evaluation followed by its proof.
+fn encode_evals(evals: &[(EvaluatedElement, DleqProof)]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(evals.len() * EVAL_LEN);
+    for (e, p) in evals {
+        bytes.extend_from_slice(&e.0);
+        bytes.extend_from_slice(&p.c);
+        bytes.extend_from_slice(&p.s);
+    }
+    bytes
+}
+
+/// The client's parse of the issuer's answer: exactly one evaluation and
+/// proof per token of the batch.
+fn decode_evals(payload: &[u8]) -> Result<Vec<(EvaluatedElement, DleqProof)>, DecodeError> {
+    exact_len(payload, TOKENS_PER_BATCH * EVAL_LEN)?;
+    let arr = |b: &[u8]| -> [u8; 32] { b.try_into().expect("32-byte field") };
+    Ok(payload
+        .chunks_exact(EVAL_LEN)
+        .map(|c| {
+            let proof = DleqProof {
+                c: arr(&c[32..64]),
+                s: arr(&c[64..]),
+            };
+            (EvaluatedElement(arr(&c[..32])), proof)
+        })
+        .collect())
+}
+
+/// The origin's parse of a redemption: a token, then the resource it
+/// serves. Returns the token's bytes.
+fn decode_redemption(payload: &[u8]) -> Result<&[u8], DecodeError> {
+    exact_len(payload, TOKEN_LEN + RESOURCE.len())?;
+    let (token, request) = payload.split_at(TOKEN_LEN);
+    if request != RESOURCE {
+        return Err(DecodeError::Resource);
+    }
+    Ok(token)
+}
+
+/// What the clients and the origin measure, shared by every role of one
+/// run.
+struct Stats {
     redeemed: usize,
     refused: usize,
     fetch_times: Vec<u64>,
@@ -148,651 +274,468 @@ struct Shared {
     linkage: RetryLinkage,
 }
 
-const TOKENS_PER_BATCH: usize = 4;
-
-/// What reliable call `seq` of one client stands for.
-enum PpInflight {
-    /// The issuance round (re-blinded fresh on every attempt).
+/// A client's open call.
+enum Call {
+    /// The issuance round, re-blinded on every attempt.
     Issuance,
-    /// One redemption: the *same* token payload is retransmitted verbatim
-    /// (a fresh token per attempt would either double-spend or drain the
-    /// wallet); the origin and issuer dedup instead.
-    Fetch {
-        payload: Vec<u8>,
-        started_at: SimTime,
-    },
+    /// One redemption: the *same* token payload on every attempt (a
+    /// fresh token per attempt would either double-spend or drain the
+    /// wallet); the origin answers copies from its first verdict.
+    Fetch { payload: Vec<u8>, started_at: u64 },
 }
 
-struct ClientNode {
-    entity: EntityId,
+/// The token client: one issuance round, then one redemption at a time.
+struct Client {
     user: UserId,
     /// The issuance endpoint: the typed claim that the issuer sees
     /// `(▲, ⊙)` — an authenticated account, a blinded batch.
     issuer: Endpoint<IssuanceReq, Control, TokenIssuer>,
     /// The redemption endpoint: the origin sees `(△, ●)`.
     origin: Endpoint<AccessRequest, Control, TokenOrigin>,
-    shared: Rc<RefCell<Shared>>,
-    state: Option<crate::protocol::IssuanceRequest>,
-    client: Client,
+    wallet: protocol::Client,
+    /// The blinding of the latest issuance attempt.
+    state: Option<IssuanceRequest>,
+    /// Redemptions not yet begun.
     fetches_left: usize,
-    started_at: SimTime,
-    /// Per-request reliable-call driver (inert when recovery is disabled).
-    calls: Driver<PpInflight>,
+    /// Numbers every call; arms deadlines and retries under recovery
+    /// only.
+    arq: ReliableCall,
+    /// RetryLinkage flow id (the client index).
     flow: u64,
+    /// The open call and its sequence number.
+    inflight: Option<(u64, Call)>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-impl Node for ClientNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::Activity),
-        );
-        self.started_at = ctx.now;
-        if let Some(att) = self.calls.begin(PpInflight::Issuance) {
-            self.transmit_issuance(ctx, att);
-            return;
-        }
-        // Issuance: the client authenticates (solves the issuer's
-        // challenge) — the issuer learns ▲ but only blinded elements ⊙.
-        let (bytes, label) = self.issuance_request(ctx);
-        ctx.send_to(
-            self.issuer,
-            Message::new(
-                Frame::new(FrameType::Token, bytes)
-                    .encode()
-                    .expect("bounded payload"),
-                label,
-            ),
-        );
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::App(_) | CallEvent::Ignored => {}
-            CallEvent::Retry(att) => match self.calls.get(att.seq) {
-                Some(PpInflight::Issuance) => self.transmit_issuance(ctx, att),
-                Some(PpInflight::Fetch { payload, .. }) => {
-                    let payload = payload.clone();
-                    self.transmit_fetch(ctx, &payload, att);
-                }
-                None => {}
-            },
-            CallEvent::Exhausted {
-                call: PpInflight::Fetch { .. },
-                ..
-            } => self.fetch_done(ctx),
-            // An abandoned issuance leaves an empty wallet: the client
-            // stops — it never falls back to unauthenticated fetches.
-            CallEvent::Exhausted {
-                call: PpInflight::Issuance,
-                ..
-            } => {}
+impl Client {
+    fn arm(&self, ctx: &mut WireCtx, att: &Attempt) {
+        if self.arq.enabled() {
+            ctx.set_timer(att.timer_delay_us, att.token);
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            match self.calls.get(seq) {
-                Some(PpInflight::Issuance) if from.0 == self.issuer.index() => {
-                    let Ok(frame) = FrameRef::decode(body) else {
-                        return;
-                    };
-                    let evals = decode_evals(frame.payload);
-                    let Some(req) = self.state.take() else {
-                        return;
-                    };
-                    for _ in 0..evals.len() {
-                        ctx.world.crypto_op("voprf_finalize");
-                    }
-                    if self.client.accept_issuance(req, &evals).is_err() {
-                        // A superseded attempt's response fails against the
-                        // re-blinded state: drop it, the timer retries.
-                        return;
-                    }
-                    if self.calls.complete(seq).is_none() {
-                        return;
-                    }
-                    self.fetch(ctx);
-                }
-                Some(PpInflight::Fetch { started_at, .. }) if from.0 == self.origin.index() => {
-                    let started_at = *started_at;
-                    if self.calls.complete(seq).is_none() {
-                        return; // duplicated verdict: counted exactly once
-                    }
-                    ctx.world.span("fetch", started_at.as_us(), ctx.now.as_us());
-                    self.shared
-                        .borrow_mut()
-                        .fetch_times
-                        .push(ctx.now - started_at);
-                    self.fetch_done(ctx);
-                }
-                _ => {}
-            }
-            return;
-        }
-        if from.0 == self.issuer.index() {
-            // Fail closed: a malformed or duplicated issuance response is
-            // ignored — the client never falls back to unblinded tokens.
-            let Ok(frame) = FrameRef::decode(&msg.bytes) else {
-                return;
-            };
-            let evals = decode_evals(frame.payload);
-            let Some(req) = self.state.take() else {
-                return; // duplicate response: issuance already consumed
-            };
-            for _ in 0..evals.len() {
-                ctx.world.crypto_op("voprf_finalize");
-            }
-            if self.client.accept_issuance(req, &evals).is_err() {
-                return; // bad DLEQ proof: refuse the batch
-            }
-            self.fetch(ctx);
-        } else if from.0 == self.origin.index() {
-            ctx.world
-                .span("fetch", self.started_at.as_us(), ctx.now.as_us());
-            self.shared
-                .borrow_mut()
-                .fetch_times
-                .push(ctx.now - self.started_at);
-            if self.fetches_left > 1 {
-                self.fetches_left -= 1;
-                self.started_at = ctx.now;
-                self.fetch(ctx);
-            }
-        }
-    }
-}
-
-fn decode_evals(payload: &[u8]) -> Vec<(EvaluatedElement, DleqProof)> {
-    let mut evals = Vec::new();
-    for chunk in payload.chunks_exact(32 + 64) {
-        let mut e = [0u8; 32];
-        e.copy_from_slice(&chunk[..32]);
-        let mut c = [0u8; 32];
-        c.copy_from_slice(&chunk[32..64]);
-        let mut s = [0u8; 32];
-        s.copy_from_slice(&chunk[64..96]);
-        evals.push((EvaluatedElement(e), DleqProof { c, s }));
-    }
-    evals
-}
-
-impl ClientNode {
-    /// Draw a fresh blinded issuance batch (the §3.2.1 request). Each call
-    /// re-blinds from scratch, which is exactly what a re-randomized
-    /// retransmission needs.
-    fn issuance_request(&mut self, ctx: &mut Ctx) -> (Vec<u8>, Label) {
+    /// (Re)transmit the issuance round: a fresh blinded batch on every
+    /// attempt, which is exactly what a re-randomized retransmission
+    /// needs. The client authenticates (solves the issuer's challenge):
+    /// the issuer learns ▲ but only blinded elements ⊙.
+    fn transmit_issuance(&mut self, ctx: &mut WireCtx, att: Attempt) {
         for _ in 0..TOKENS_PER_BATCH {
-            ctx.world.crypto_op("voprf_blind");
+            ctx.crypto_op("voprf_blind");
         }
-        let req = self.client.request_tokens(ctx.rng, TOKENS_PER_BATCH);
-        let mut bytes = Vec::new();
-        for b in &req.blinded {
-            bytes.extend_from_slice(&b.0);
-        }
+        let req = self.wallet.request_tokens(ctx.rng, TOKENS_PER_BATCH);
+        let bytes: Vec<u8> = req.blinded.iter().flat_map(|b| b.0).collect();
         self.state = Some(req);
+        lock(&self.stats)
+            .linkage
+            .record(self.flow, att.seq, att.attempt, &bytes);
         let label = Label::items([
             InfoItem::sensitive_identity(self.user, IdentityKind::Any),
             InfoItem::plain_data(self.user, DataKind::Activity),
         ]);
-        (bytes, label)
-    }
-
-    fn transmit_issuance(&mut self, ctx: &mut Ctx, att: Attempt) {
-        let (bytes, label) = self.issuance_request(ctx);
-        self.shared
-            .borrow_mut()
-            .linkage
-            .record(self.flow, att.seq, att.attempt, &bytes);
-        let encoded = Frame::new(FrameType::Token, bytes)
+        let frame = Frame::new(FrameType::Token, bytes)
             .encode()
             .expect("bounded payload");
-        self.calls.transmit(ctx, self.issuer, &att, &encoded, label);
+        ctx.send_to(
+            self.issuer,
+            WireMsg::data(wire::frame(att.seq, &frame), label),
+        );
+        self.arm(ctx, &att);
     }
 
-    /// Retransmit redemption `att.seq`. The token payload is deliberately
-    /// byte-identical across attempts — a one-time instrument cannot be
-    /// re-randomized without double-spending — so it is *not* recorded
-    /// into the linkage check; the origin dedups by `(client, seq)`.
-    fn transmit_fetch(&mut self, ctx: &mut Ctx, payload: &[u8], att: Attempt) {
-        let label = self.fetch_label();
-        let encoded = Frame::new(FrameType::Data, payload.to_vec())
-            .encode()
-            .expect("bounded payload");
-        self.calls.transmit(ctx, self.origin, &att, &encoded, label);
-    }
-
-    fn fetch_label(&self) -> Label {
+    /// (Re)transmit redemption `att.seq`. The token payload is
+    /// deliberately byte-identical across attempts — a one-time
+    /// instrument cannot be re-randomized without double-spending — so it
+    /// is *not* recorded into the linkage check.
+    fn transmit_fetch(&mut self, ctx: &mut WireCtx, payload: &[u8], att: Attempt) {
         // The origin sees the request content (●) from an anonymous but
         // authorized client (△).
-        Label::items([
+        let label = Label::items([
             InfoItem::plain_identity(self.user, IdentityKind::Any),
             InfoItem::sensitive_data(self.user, DataKind::Activity),
-        ])
+        ]);
+        let frame = Frame::new(FrameType::Data, payload.to_vec())
+            .encode()
+            .expect("bounded payload");
+        ctx.send_to(
+            self.origin,
+            WireMsg::data(wire::frame(att.seq, &frame), label),
+        );
+        self.arm(ctx, &att);
     }
 
-    fn fetch_done(&mut self, ctx: &mut Ctx) {
-        if self.fetches_left > 1 {
-            self.fetches_left -= 1;
-            self.fetch(ctx);
+    /// Begin the next redemption, if one is left. An empty wallet means
+    /// no further fetches — never unauthenticated ones.
+    fn fetch(&mut self, ctx: &mut WireCtx) {
+        if self.fetches_left == 0 {
+            return;
         }
-    }
-
-    fn fetch(&mut self, ctx: &mut Ctx) {
-        // An empty wallet (possible when responses are duplicated under
-        // faults) simply means no further fetches — never unauthenticated.
-        let Some(token) = self.client.spend() else {
+        self.fetches_left -= 1;
+        let Some(token) = self.wallet.spend() else {
             return;
         };
         let mut payload = token.encode();
-        payload.extend_from_slice(b"GET /private-resource");
-        if let Some(att) = self.calls.begin(PpInflight::Fetch {
-            payload: payload.clone(),
-            started_at: ctx.now,
-        }) {
-            self.transmit_fetch(ctx, &payload, att);
-            return;
-        }
-        let label = self.fetch_label();
-        ctx.send_to(
-            self.origin,
-            Message::new(
-                Frame::new(FrameType::Data, payload)
-                    .encode()
-                    .expect("bounded payload"),
-                label,
-            ),
-        );
+        payload.extend_from_slice(RESOURCE);
+        let att = self.arq.open();
+        let started_at = ctx.now_us();
+        self.inflight = Some((
+            att.seq,
+            Call::Fetch {
+                payload: payload.clone(),
+                started_at,
+            },
+        ));
+        self.transmit_fetch(ctx, &payload, att);
     }
 }
 
-struct IssuerNode {
-    entity: EntityId,
-    shared: Rc<RefCell<Shared>>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: verdict per origin hop sequence, so a re-forwarded
-    /// redemption check replays the first verdict instead of reading the
-    /// retransmission as a double-spend.
-    verdicts: BTreeMap<u64, bool>,
-}
-
-impl Node for IssuerNode {
-    fn entity(&self) -> EntityId {
-        self.entity
+impl WireRole for Client {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::Activity));
+        let att = self.arq.open();
+        self.inflight = Some((att.seq, Call::Issuance));
+        self.transmit_issuance(ctx, att);
     }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let (seq, body) = if self.recover {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            (Some(seq), body.to_vec())
-        } else {
-            (None, msg.bytes)
-        };
-        let Ok(frame) = FrameRef::decode(&body) else {
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        // Only an answer numbered for the open call, from the peer that
+        // call went to, completes it; a duplicated or late one changes
+        // nothing.
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
             return;
         };
-        match frame.ftype {
-            FrameType::Token => {
-                // Issuance request: batch of blinded elements.
-                let blinded: Vec<BlindedElement> = frame
-                    .payload
-                    .chunks_exact(32)
-                    .map(|c| {
-                        let mut b = [0u8; 32];
-                        b.copy_from_slice(c);
-                        BlindedElement(b)
-                    })
-                    .collect();
-                for _ in 0..blinded.len() {
-                    ctx.world.crypto_op("voprf_evaluate");
-                }
-                let Ok(evals) = self.shared.borrow_mut().issuer.issue(ctx.rng, &blinded) else {
-                    return; // malformed batch: refuse to issue
-                };
-                let mut bytes = Vec::new();
-                for (e, p) in &evals {
-                    bytes.extend_from_slice(&e.0);
-                    bytes.extend_from_slice(&p.c);
-                    bytes.extend_from_slice(&p.s);
-                }
-                let encoded = Frame::new(FrameType::Response, bytes)
-                    .encode()
-                    .expect("bounded payload");
-                let reply = match seq {
-                    // Echo the client's sequence: issuance evaluation is
-                    // stateless, so retransmissions are simply re-answered.
-                    Some(seq) => wire::frame(seq, &encoded),
-                    None => encoded,
-                };
-                ctx.send(from, Message::new(reply, Label::Public));
-            }
-            FrameType::Data => {
-                // Redemption check forwarded by the origin. Tokens are
-                // unlinkable: the issuer learns that *some* token was
-                // redeemed — attributable to no one (Label::Public on the
-                // way in).
-                if let Some(seq) = seq {
-                    if let Some(&ok) = self.verdicts.get(&seq) {
-                        // Replay: the first check's verdict stands — a
-                        // retransmitted token is never a double-spend.
-                        let encoded = Frame::new(FrameType::Response, vec![u8::from(ok)])
-                            .encode()
-                            .expect("bounded payload");
-                        ctx.send(
-                            from,
-                            Message::new(wire::frame(seq, &encoded), Label::Public),
-                        );
-                        return;
-                    }
-                }
-                // A token that fails to even decode is refused outright —
-                // the reply keeps the origin's pending queue in sync.
-                let ok = match Token::decode(frame.payload) {
-                    Ok(token) => {
-                        ctx.world.crypto_op("voprf_redeem");
-                        self.shared.borrow_mut().issuer.redeem(&token).is_ok()
-                    }
-                    Err(_) => false,
-                };
-                let encoded = Frame::new(FrameType::Response, vec![u8::from(ok)])
-                    .encode()
-                    .expect("bounded payload");
-                let reply = match seq {
-                    Some(seq) => {
-                        self.verdicts.insert(seq, ok);
-                        wire::frame(seq, &encoded)
-                    }
-                    None => encoded,
-                };
-                ctx.send(from, Message::new(reply, Label::Public));
-            }
-            _ => {} // unexpected frame type: ignore
-        }
-    }
-}
-
-/// One redemption check the origin is driving (recovery path).
-struct RedeemCheck {
-    /// The token bytes, kept for re-forwarding while the issuer leg is
-    /// still unresolved.
-    token: Vec<u8>,
-    /// The origin's hop-local sequence on the issuer leg.
-    hopseq: u64,
-    /// The issuer's verdict, once known — replayed to retransmissions.
-    verdict: Option<bool>,
-}
-
-struct OriginNode {
-    entity: EntityId,
-    /// The redemption-check endpoint: the forwarded token is unlinkable,
-    /// well under the issuer's `(▲, ⊙)` cap.
-    issuer: Endpoint<RedeemCheckReq, Control, TokenIssuer>,
-    shared: Rc<RefCell<Shared>>,
-    /// Requests awaiting issuer verification: (client node, request label).
-    pending: Vec<(NodeId, Label)>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: one check per `(client node, client seq)`. The
-    /// client's ARQ drives the whole chain — each retransmission either
-    /// gets the stored verdict replayed or re-nudges the issuer leg.
-    checks: BTreeMap<(usize, u64), RedeemCheck>,
-    /// Reverse map: issuer-leg hop sequence → (client node, client seq).
-    by_hop: BTreeMap<u64, (NodeId, u64)>,
-    next_hop: u64,
-}
-
-impl OriginNode {
-    fn verdict_bytes(ok: bool) -> Vec<u8> {
-        if ok {
-            b"200 OK content".to_vec()
-        } else {
-            b"403".to_vec()
-        }
-    }
-}
-
-impl Node for OriginNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.issuer.index() {
-            if self.recover {
-                let Some((hopseq, body)) = wire::unframe(&msg.bytes) else {
-                    return;
-                };
+        match &self.inflight {
+            Some((open, Call::Issuance)) if *open == seq && from.index() == self.issuer.index() => {
                 let Ok(frame) = FrameRef::decode(body) else {
                     return;
                 };
-                let ok = frame.payload == [1u8];
-                let Some(&(client, cseq)) = self.by_hop.get(&hopseq) else {
+                let Ok(evals) = decode_evals(frame.payload) else {
                     return;
                 };
-                let Some(check) = self.checks.get_mut(&(client.0, cseq)) else {
+                let Some(req) = self.state.take() else {
                     return;
                 };
-                if check.verdict.is_none() {
-                    // First verdict: count it exactly once.
-                    check.verdict = Some(ok);
-                    let mut shared = self.shared.borrow_mut();
-                    if ok {
-                        shared.redeemed += 1;
-                    } else {
-                        shared.refused += 1;
-                    }
+                for _ in 0..evals.len() {
+                    ctx.crypto_op("voprf_finalize");
                 }
-                let reply = wire::frame(cseq, &Self::verdict_bytes(ok));
-                ctx.send(client, Message::public(reply));
-                return;
-            }
-            let Ok(frame) = FrameRef::decode(&msg.bytes) else {
-                return;
-            };
-            let ok = frame.payload == [1u8];
-            let Some((client, _label)) = self.pending.pop() else {
-                return; // duplicated verdict: no request left to answer
-            };
-            let mut shared = self.shared.borrow_mut();
-            if ok {
-                shared.redeemed += 1;
-            } else {
-                shared.refused += 1;
-            }
-            drop(shared);
-            ctx.send(client, Message::public(Self::verdict_bytes(ok)));
-            return;
-        }
-        if self.recover {
-            let Some((cseq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let Ok(frame) = FrameRef::decode(body) else {
-                return;
-            };
-            if frame.payload.len() < 64 {
-                return; // truncated request: fail closed, no content served
-            }
-            let key = (from.0, cseq);
-            if let Some(check) = self.checks.get(&key) {
-                match check.verdict {
-                    // Idempotent replay: the retransmitted token is never
-                    // re-checked (and never re-counted).
-                    Some(ok) => {
-                        let reply = wire::frame(cseq, &Self::verdict_bytes(ok));
-                        ctx.send(from, Message::public(reply));
-                    }
-                    // Still checking: re-nudge the issuer leg under the
-                    // *same* hop sequence (the issuer replays its verdict).
-                    None => {
-                        let fwd = Frame::new(FrameType::Data, check.token.clone())
-                            .encode()
-                            .expect("bounded payload");
-                        ctx.send_to(
-                            self.issuer,
-                            Message::new(wire::frame(check.hopseq, &fwd), Label::Public),
-                        );
-                    }
+                // A superseded attempt's batch fails against the
+                // re-blinded state, and a bad DLEQ proof refuses the
+                // batch: drop it, a retry re-blinds. The client never
+                // falls back to unblinded tokens.
+                if self.wallet.accept_issuance(req, &evals).is_err() {
+                    return;
                 }
-                return;
+                self.inflight = None;
+                self.arq.complete(seq);
+                self.fetch(ctx);
             }
-            let token = frame.payload[..64].to_vec();
-            let hopseq = self.next_hop;
-            self.next_hop += 1;
-            self.checks.insert(
-                key,
-                RedeemCheck {
-                    token: token.clone(),
-                    hopseq,
-                    verdict: None,
-                },
-            );
-            self.by_hop.insert(hopseq, (from, cseq));
-            let fwd = Frame::new(FrameType::Data, token)
-                .encode()
-                .expect("bounded payload");
-            ctx.send_to(
-                self.issuer,
-                Message::new(wire::frame(hopseq, &fwd), Label::Public),
-            );
-            return;
+            Some((open, Call::Fetch { started_at, .. }))
+                if *open == seq && from.index() == self.origin.index() =>
+            {
+                let started_at = *started_at;
+                self.inflight = None;
+                self.arq.complete(seq);
+                let now = ctx.now_us();
+                ctx.span("fetch", started_at, now);
+                lock(&self.stats).fetch_times.push(now - started_at);
+                if body == VERDICT_OK {
+                    ctx.unit_done();
+                }
+                self.fetch(ctx);
+            }
+            _ => {}
         }
-        // Client request: token (64 bytes) + request body.
-        let Ok(frame) = FrameRef::decode(&msg.bytes) else {
+    }
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        let node = ctx.me().index();
+        match self.arq.on_timer(token) {
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => {
+                ctx.emit(ObsEvent::RecoveryRetry {
+                    node,
+                    seq: att.seq,
+                    attempt: att.attempt,
+                });
+                match &self.inflight {
+                    Some((seq, Call::Issuance)) if *seq == att.seq => {
+                        self.transmit_issuance(ctx, att)
+                    }
+                    Some((seq, Call::Fetch { payload, .. })) if *seq == att.seq => {
+                        let payload = payload.clone();
+                        self.transmit_fetch(ctx, &payload, att);
+                    }
+                    _ => {}
+                }
+            }
+            TimerVerdict::Exhausted { seq, attempts } => {
+                ctx.emit(ObsEvent::RecoveryGiveUp {
+                    node,
+                    seq,
+                    attempts,
+                });
+                match self.inflight.take_if(|(open, _)| *open == seq) {
+                    Some((_, Call::Fetch { .. })) => self.fetch(ctx),
+                    // An abandoned issuance leaves an empty wallet: the
+                    // client stops — it never falls back to
+                    // unauthenticated fetches.
+                    Some((_, Call::Issuance)) | None => {}
+                }
+            }
+        }
+    }
+
+    fn finished(&self) -> bool {
+        // Every path that leaves nothing in flight has nothing left to
+        // begin: the last redemption answered or abandoned, an issuance
+        // abandoned, or an empty wallet.
+        self.inflight.is_none()
+    }
+}
+
+/// The Fig. 2 issuer: evaluates blinded batches statelessly and judges
+/// redemption checks once each.
+struct Issuer {
+    issuer: protocol::Issuer,
+    /// Verdict per `(origin, hop seq)`: a re-forwarded check replays its
+    /// first verdict instead of reading the retransmitted token as a
+    /// double spend.
+    verdicts: BTreeMap<(PeerId, u64), bool>,
+}
+
+impl WireRole for Issuer {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
             return;
         };
-        if frame.payload.len() < 64 {
-            return; // truncated request: fail closed, no content served
-        }
-        let token_bytes = &frame.payload[..64];
-        self.pending.insert(0, (from, msg.label.clone()));
-        // Forward only the token to the issuer — carries no user-
-        // attributable information (unlinkable).
-        ctx.send_to(
-            self.issuer,
-            Message::new(
-                Frame::new(FrameType::Data, token_bytes.to_vec())
-                    .encode()
-                    .expect("bounded payload"),
-                Label::Public,
-            ),
+        let Ok(frame) = FrameRef::decode(body) else {
+            return;
+        };
+        let answer = match frame.ftype {
+            // Issuance: evaluation is stateless, so a retransmission is
+            // simply answered again under its own number.
+            FrameType::Token => {
+                let Ok(blinded) = decode_batch(frame.payload) else {
+                    return;
+                };
+                for _ in 0..blinded.len() {
+                    ctx.crypto_op("voprf_evaluate");
+                }
+                let Ok(evals) = self.issuer.issue(ctx.rng, &blinded) else {
+                    return; // malformed element: refuse to issue
+                };
+                encode_evals(&evals)
+            }
+            // A redemption check forwarded by the origin. Tokens are
+            // unlinkable: the issuer learns that *some* token was
+            // redeemed — attributable to no one (`Label::Public` on the
+            // way in). A token that fails to decode is refused.
+            FrameType::Data => {
+                let issuer = &mut self.issuer;
+                let ok = *self.verdicts.entry((from, seq)).or_insert_with(|| {
+                    let Ok(token) = Token::decode(frame.payload) else {
+                        return false;
+                    };
+                    ctx.crypto_op("voprf_redeem");
+                    issuer.redeem(&token).is_ok()
+                });
+                vec![u8::from(ok)]
+            }
+            _ => return,
+        };
+        let frame = Frame::new(FrameType::Response, answer)
+            .encode()
+            .expect("bounded payload");
+        ctx.send(
+            from,
+            WireMsg::response(wire::frame(seq, &frame), Label::Public),
         );
     }
 }
 
-fn run_impl(cfg: &PrivacypassConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
+/// The origin: serves a redemption once the issuer vouches for its
+/// token, forwarding only the token, which carries nothing
+/// user-attributable.
+struct Origin {
+    /// The redemption-check endpoint: the forwarded token is unlinkable,
+    /// well under the issuer's `(▲, ⊙)` cap.
+    issuer: Endpoint<RedeemCheckReq, Control, TokenIssuer>,
+    /// One check per `(client, client seq)`, keyed to the issuer leg by
+    /// a number of the origin's own.
+    checks: CheckForwarder<(PeerId, u64), bool>,
+    stats: Arc<Mutex<Stats>>,
+}
+
+fn verdict(client_seq: u64, ok: bool) -> WireMsg {
+    let body = if ok { VERDICT_OK } else { VERDICT_REFUSED };
+    WireMsg::response(wire::frame(client_seq, body), Label::Public)
+}
+
+impl WireRole for Origin {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Ok(frame) = FrameRef::decode(body) else {
+            return;
+        };
+        if from.index() == self.issuer.index() {
+            let Some(((client, client_seq), &ok, first)) =
+                self.checks.resolve(seq, frame.payload == [1u8])
+            else {
+                return;
+            };
+            if first {
+                let mut stats = lock(&self.stats);
+                if ok {
+                    stats.redeemed += 1;
+                } else {
+                    stats.refused += 1;
+                }
+            }
+            ctx.send(client, verdict(client_seq, ok));
+            return;
+        }
+        // A truncated or foreign request is not served.
+        let Ok(token) = decode_redemption(frame.payload) else {
+            return;
+        };
+        match self.checks.forward((from, seq), token) {
+            Forward::Replay(&ok) => ctx.send(from, verdict(seq, ok)),
+            Forward::Upstream { hop, body } => {
+                let check = Frame::new(FrameType::Data, body.to_vec())
+                    .encode()
+                    .expect("bounded payload");
+                ctx.send_to(
+                    self.issuer,
+                    WireMsg::data(wire::frame(hop, &check), Label::Public),
+                );
+            }
+        }
+    }
+}
+
+/// A built Privacy Pass run: its roles and what they measure.
+struct Wiring {
+    spec: ServeSpec,
+    stats: Arc<Mutex<Stats>>,
+}
+
+/// Build the Fig. 2 world and roles for either engine. Peer ids: issuer
+/// 0, origin 1, then the clients.
+///
+/// The world mutation order and the setup RNG's draws are load-bearing:
+/// a metrics sink observes entity creation in sequence, and the DST
+/// probes are byte-identical across refactors only if both hold.
+fn wiring(cfg: &PrivacypassConfig, seed: u64, mut world: World, opts: &RunOptions) -> Wiring {
     use rand::SeedableRng;
-    let (n_clients, fetches_each) = (cfg.clients, cfg.fetches_each);
-    assert!(fetches_each <= TOKENS_PER_BATCH);
+    assert!(
+        cfg.fetches_each <= TOKENS_PER_BATCH,
+        "one issuance batch covers at most {TOKENS_PER_BATCH} redemptions"
+    );
     let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9a55);
 
-    let (mut world, harness) = Harness::begin(Privacypass::NAME, seed, opts);
     let issuer_org = world.add_org("issuer-co");
     let origin_org = world.add_org("origin-co");
     let user_org = world.add_org("users");
     let issuer_e = world.add_entity("Issuer", issuer_org, None);
     let origin_e = world.add_entity("Origin", origin_org, None);
-
-    let issuer = Issuer::new(&mut setup_rng);
+    let issuer = protocol::Issuer::new(&mut setup_rng);
     let issuer_pk = issuer.public_key();
-    let shared = Rc::new(RefCell::new(Shared {
-        issuer,
+
+    let stats = Arc::new(Mutex::new(Stats {
         redeemed: 0,
         refused: 0,
         fetch_times: Vec::new(),
         linkage: RetryLinkage::new(),
     }));
-
-    let mut users = Vec::new();
-    let mut client_entities = Vec::new();
-    for i in 0..n_clients {
-        let u = world.add_user();
-        let name = if i == 0 {
-            "Client".to_string()
-        } else {
-            format!("Client {}", i + 1)
-        };
-        let e = world.add_entity(&name, user_org, Some(u));
-        users.push(u);
-        client_entities.push(e);
-    }
-
-    let mut net = harness.network(world, LinkParams::wan_ms(15));
-
-    let issuance_ep: Endpoint<IssuanceReq, Control, TokenIssuer> = Endpoint::new(0);
-    let check_ep: Endpoint<RedeemCheckReq, Control, TokenIssuer> = Endpoint::new(0);
-    let origin_ep: Endpoint<AccessRequest, Control, TokenOrigin> = Endpoint::new(1);
-    let recover_on = opts.recover.enabled;
-    Harness::add_role::<TokenIssuer>(
-        &mut net,
-        Box::new(IssuerNode {
-            entity: issuer_e,
-            shared: shared.clone(),
-            recover: recover_on,
-            verdicts: BTreeMap::new(),
-        }),
-    );
-    Harness::add_role::<TokenOrigin>(
-        &mut net,
-        Box::new(OriginNode {
-            entity: origin_e,
-            issuer: check_ep,
-            shared: shared.clone(),
-            pending: Vec::new(),
-            recover: recover_on,
-            checks: BTreeMap::new(),
-            by_hop: BTreeMap::new(),
-            next_hop: 0,
-        }),
-    );
-    for (ci, (&u, &e)) in users.iter().zip(client_entities.iter()).enumerate() {
-        Harness::add_role::<TokenClient>(
-            &mut net,
-            Box::new(ClientNode {
-                entity: e,
-                user: u,
-                issuer: issuance_ep,
-                origin: origin_ep,
-                shared: shared.clone(),
-                state: None,
-                client: Client::new(issuer_pk),
-                fetches_left: fetches_each,
-                started_at: SimTime::ZERO,
-                calls: Driver::new(&opts.recover, derive_seed(seed, 0x9a50 + ci as u64)),
-                flow: ci as u64,
+    let mut roles = vec![
+        RoleSpec::of::<TokenIssuer>(
+            "issuer",
+            issuer_e,
+            Box::new(Issuer {
+                issuer,
+                verdicts: BTreeMap::new(),
             }),
-        );
+        ),
+        RoleSpec::of::<TokenOrigin>(
+            "origin",
+            origin_e,
+            Box::new(Origin {
+                issuer: Endpoint::new(0),
+                checks: CheckForwarder::new(),
+                stats: stats.clone(),
+            }),
+        ),
+    ];
+    for i in 0..cfg.clients {
+        let user = world.add_user();
+        let e = world.add_entity(&nth("Client", ' ', i), user_org, Some(user));
+        let client = Client {
+            user,
+            issuer: Endpoint::new(0),
+            origin: Endpoint::new(1),
+            wallet: protocol::Client::new(issuer_pk),
+            state: None,
+            fetches_left: cfg.fetches_each,
+            arq: ReliableCall::new(&opts.recover, derive_seed(seed, 0x9a50 + i as u64)),
+            flow: i as u64,
+            inflight: None,
+            stats: stats.clone(),
+        };
+        roles.push(RoleSpec::of::<TokenClient>(
+            nth("client", '-', i),
+            e,
+            Box::new(client),
+        ));
     }
+    Wiring {
+        spec: ServeSpec {
+            scenario: Privacypass::NAME,
+            world,
+            roles,
+            expected_units: (cfg.clients * cfg.fetches_each) as u64,
+        },
+        stats,
+    }
+}
 
-    let core = harness.finish(net);
-    let shared = Rc::try_unwrap(shared)
-        .map_err(|_| ())
-        .expect("sim released")
-        .into_inner();
-    ScenarioReport {
-        world: core.world,
-        trace: core.trace,
-        redeemed: shared.redeemed,
-        refused: shared.refused,
-        mean_fetch_us: mean_us(&shared.fetch_times),
-        users,
-        fault_log: core.fault_log,
-        metrics: core.metrics,
-        expected: (n_clients * fetches_each) as u64,
-        retry_linkage: shared.linkage.violations(),
+/// A config that asks one issuance batch for more tokens than it holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchExceeded {
+    /// The redemptions per client asked for.
+    pub fetches_each: usize,
+}
+
+impl std::fmt::Display for BatchExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} redemptions per client: one issuance batch holds {TOKENS_PER_BATCH}",
+            self.fetches_each
+        )
     }
+}
+
+impl std::error::Error for BatchExceeded {}
+
+/// Build the servable Privacy Pass wiring: the world, keys and roles of
+/// the simulated run with this `cfg` and `seed`, without recovery. Every
+/// process of a multi-process run builds the same issuer key from the
+/// seed.
+///
+/// Role order defines peer ids: `issuer` 0, `origin` 1, then `client`,
+/// `client-2`, ….
+pub fn privacypass_serve_spec(
+    cfg: &PrivacypassConfig,
+    seed: u64,
+) -> Result<ServeSpec, BatchExceeded> {
+    if cfg.fetches_each > TOKENS_PER_BATCH {
+        return Err(BatchExceeded {
+            fetches_each: cfg.fetches_each,
+        });
+    }
+    Ok(wiring(cfg, seed, World::new(), &RunOptions::default()).spec)
 }
 
 #[cfg(test)]
@@ -882,6 +825,92 @@ mod tests {
             "recovery must not change anyone's knowledge ledger"
         );
         assert_eq!(harsh.table(0), calm.table(0));
+    }
+
+    /// Without recovery, a duplicated redemption is answered from the
+    /// first verdict, never refused as a double spend: every leg is
+    /// numbered and the origin keys each check by `(client, seq)`. An
+    /// origin that forwards every copy as a fresh check, pairing the
+    /// issuer's verdicts with waiting clients by arrival order, refuses
+    /// an honest client at each of these seeds.
+    #[test]
+    fn honest_clients_are_never_refused_without_recovery() {
+        let cfg = PrivacypassConfig::new(2, 2);
+        let opts = RunOptions::with_faults(&FaultConfig::moderate());
+        for seed in [5, 21, 25, 57] {
+            let report = Privacypass::run_with(&cfg, seed, &opts);
+            assert!(!report.fault_log.is_empty(), "seed {seed}: no faults");
+            assert_eq!(report.refused, 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_served_client_asks_for_at_most_one_batch() {
+        assert_eq!(
+            privacypass_serve_spec(&PrivacypassConfig::new(1, 5), 7).err(),
+            Some(BatchExceeded { fetches_each: 5 })
+        );
+        let spec = privacypass_serve_spec(&PrivacypassConfig::new(2, 4), 7).unwrap();
+        let names: Vec<&str> = spec.roles.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["issuer", "origin", "client", "client-2"]);
+        assert_eq!(spec.expected_units, 8);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Each decoder on received bytes accepts exactly one length (and
+        /// the origin one resource), refuses everything else with a typed
+        /// error, and what it accepts re-encodes to itself.
+        #[test]
+        fn decoders_fail_closed_and_round_trip(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            (at, bits) in (any::<usize>(), 1u8..),
+        ) {
+            let fit = |n: usize| {
+                let mut b = bytes.clone();
+                b.resize(n, 0x5a);
+                b
+            };
+            let batch_len = TOKENS_PER_BATCH * 32;
+            for b in [bytes.clone(), fit(batch_len)] {
+                match decode_batch(&b) {
+                    Ok(batch) => prop_assert_eq!(
+                        batch.iter().flat_map(|e| e.0).collect::<Vec<_>>(),
+                        b
+                    ),
+                    Err(e) => prop_assert_eq!(
+                        e,
+                        DecodeError::Length { expected: batch_len, got: b.len() }
+                    ),
+                }
+            }
+            let evals_len = TOKENS_PER_BATCH * EVAL_LEN;
+            for b in [bytes.clone(), fit(evals_len)] {
+                match decode_evals(&b) {
+                    Ok(evals) => prop_assert_eq!(encode_evals(&evals), b),
+                    Err(e) => prop_assert_eq!(
+                        e,
+                        DecodeError::Length { expected: evals_len, got: b.len() }
+                    ),
+                }
+            }
+            let mut redemption = fit(TOKEN_LEN);
+            redemption.extend_from_slice(RESOURCE);
+            prop_assert_eq!(decode_redemption(&redemption), Ok(&redemption[..TOKEN_LEN]));
+            let mut bent = redemption.clone();
+            let at = TOKEN_LEN + at % RESOURCE.len();
+            bent[at] ^= bits;
+            prop_assert_eq!(decode_redemption(&bent), Err(DecodeError::Resource));
+            match decode_redemption(&bytes) {
+                Ok(token) => prop_assert_eq!(token, &bytes[..TOKEN_LEN]),
+                Err(DecodeError::Length { expected, got }) => {
+                    prop_assert_eq!(expected, TOKEN_LEN + RESOURCE.len());
+                    prop_assert_ne!(got, expected);
+                }
+                Err(DecodeError::Resource) => prop_assert_ne!(&bytes[TOKEN_LEN..], RESOURCE),
+            }
+        }
     }
 
     #[test]

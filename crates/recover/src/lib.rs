@@ -17,8 +17,8 @@
 //! * **Zero cost when disabled.** With [`RecoverConfig::disabled`] no
 //!   timer is armed and no retry state allocated. Whether a sequence
 //!   number is framed is the wiring's choice ([`wire`]): seam-role
-//!   wirings (the DNS family, MPR) always frame, node wirings only
-//!   under recovery.
+//!   wirings (the DNS family, MPR, Privacy Pass, blind cash) always
+//!   frame, node wirings only under recovery.
 //! * **Re-randomized retransmission.** A retry never replays bytes; the
 //!   client re-runs the encryption/blinding step (fresh HPKE
 //!   encapsulation, fresh blind factor). Byte-identical retries would let
@@ -157,9 +157,8 @@ impl ReliableCall {
 
     /// Open a new logical request: assigns the next sequence number and
     /// returns the first [`Attempt`] (send + arm its timer). `None` when
-    /// the layer is disabled: arm nothing. A seam wiring still frames
-    /// the request under a number it keeps itself, so its
-    /// `RecoverConfig` only arms retries; a node wiring sends unframed.
+    /// the layer is disabled: arm nothing, and a node wiring sends
+    /// unframed. Seam wirings call [`open`](ReliableCall::open).
     pub fn begin(&mut self) -> Option<Attempt> {
         if !self.cfg.enabled {
             return None;
@@ -180,6 +179,26 @@ impl ReliableCall {
             timer_delay_us,
             token: Self::token_for(seq, 0),
         })
+    }
+
+    /// Open a new logical request, numbered whether or not the layer is
+    /// on: [`begin`](ReliableCall::begin)'s first attempt when enabled,
+    /// else the next number with no timer behind it, so arm
+    /// `timer_delay_us`/`token` only when [`enabled`](ReliableCall::enabled).
+    /// Seam wirings frame every request, so their `RecoverConfig` only
+    /// arms retries.
+    pub fn open(&mut self) -> Attempt {
+        if let Some(att) = self.begin() {
+            return att;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Attempt {
+            seq,
+            attempt: 0,
+            timer_delay_us: 0,
+            token: 0,
+        }
     }
 
     /// Feed a fired timer token through the ARQ. Tokens without
@@ -337,6 +356,98 @@ impl Dedup {
     /// Is the guard empty?
     pub fn is_empty(&self) -> bool {
         self.seen.is_empty()
+    }
+}
+
+/// Idempotent forwarding of one-time checks, for a service that asks an
+/// upstream judge before it answers its client: Privacy Pass's origin
+/// asks the issuer whether a token is good, blind cash's seller asks the
+/// bank's verifier whether a coin is.
+///
+/// A check is keyed by its client's request (typically `(sender, seq)`)
+/// and gets a hop-local number of its own on the judge's leg, minted
+/// once. While the check is unresolved, every copy of the request — a
+/// retransmission or a network duplicate — re-forwards the stored body
+/// under that *same* number, so the judge replays its first verdict
+/// instead of reading the repeated instrument as a double spend. The
+/// first verdict stands, and later copies are answered from it without
+/// asking again. A verdict returns to the client its number was minted
+/// for, never to whichever client happens to be waiting.
+#[derive(Clone, Debug, Default)]
+pub struct CheckForwarder<K, V> {
+    checks: BTreeMap<K, Check<V>>,
+    /// Hop number → the check it was minted for; numbers are dense
+    /// from 0 and never reused.
+    by_hop: BTreeMap<u64, K>,
+}
+
+#[derive(Clone, Debug)]
+struct Check<V> {
+    /// The body to re-forward while the check is unresolved.
+    body: Vec<u8>,
+    hop: u64,
+    verdict: Option<V>,
+}
+
+/// What to do with one copy of a client's request
+/// ([`CheckForwarder::forward`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Forward<'a, V> {
+    /// Send `body` to the judge under hop number `hop`.
+    Upstream {
+        /// The check's hop-local number.
+        hop: u64,
+        /// The body the check was first forwarded with.
+        body: &'a [u8],
+    },
+    /// The check is settled: answer the client with this verdict.
+    Replay(&'a V),
+}
+
+impl<K: Ord + Copy, V> CheckForwarder<K, V> {
+    /// No checks yet.
+    pub fn new() -> Self {
+        CheckForwarder {
+            checks: BTreeMap::new(),
+            by_hop: BTreeMap::new(),
+        }
+    }
+
+    /// A copy of request `key` arrived carrying `body`. The first copy
+    /// opens the check under the next hop number; every copy is then
+    /// forwarded with the first body, or answered from the verdict.
+    pub fn forward(&mut self, key: K, body: &[u8]) -> Forward<'_, V> {
+        if !self.checks.contains_key(&key) {
+            let hop = self.by_hop.len() as u64;
+            self.by_hop.insert(hop, key);
+            self.checks.insert(
+                key,
+                Check {
+                    body: body.to_vec(),
+                    hop,
+                    verdict: None,
+                },
+            );
+        }
+        let check = &self.checks[&key];
+        match &check.verdict {
+            Some(verdict) => Forward::Replay(verdict),
+            None => Forward::Upstream {
+                hop: check.hop,
+                body: &check.body,
+            },
+        }
+    }
+
+    /// The judge answered hop number `hop` with `verdict`. Returns the
+    /// check's client key, the verdict that stands (the first one to
+    /// arrive) and whether this answer settled the check; `None` for a
+    /// number this forwarder never minted.
+    pub fn resolve(&mut self, hop: u64, verdict: V) -> Option<(K, &V, bool)> {
+        let key = *self.by_hop.get(&hop)?;
+        let check = self.checks.get_mut(&key)?;
+        let first = check.verdict.is_none();
+        Some((key, check.verdict.get_or_insert(verdict), first))
     }
 }
 
@@ -499,6 +610,20 @@ mod tests {
         assert!(!arq.enabled());
         assert_eq!(arq.begin(), None);
         assert_eq!(arq.open_calls(), 0);
+        // `open` still numbers requests, and keeps no call state.
+        assert_eq!((arq.open().seq, arq.open().seq), (0, 1));
+        assert_eq!(arq.open_calls(), 0);
+        assert!(!arq.complete(0));
+    }
+
+    #[test]
+    fn open_numbers_like_begin_when_enabled() {
+        let mut a = ReliableCall::new(&cfg(), 7);
+        let mut b = ReliableCall::new(&cfg(), 7);
+        for _ in 0..3 {
+            assert_eq!(a.open(), b.begin().unwrap());
+        }
+        assert_eq!(a.open_calls(), 3);
     }
 
     #[test]
@@ -617,6 +742,50 @@ mod tests {
         assert!(!d.seen(1, 1));
         assert_eq!(d.len(), 2);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn check_forwarder_re_forwards_under_one_hop_and_replays_the_first_verdict() {
+        let mut checks: CheckForwarder<(u16, u64), bool> = CheckForwarder::new();
+        assert_eq!(
+            checks.forward((3, 0), b"token-a"),
+            Forward::Upstream {
+                hop: 0,
+                body: b"token-a"
+            }
+        );
+        // Two clients sharing seq 0 get distinct hop numbers.
+        assert_eq!(
+            checks.forward((4, 0), b"token-b"),
+            Forward::Upstream {
+                hop: 1,
+                body: b"token-b"
+            }
+        );
+        // A copy of an unresolved request re-forwards the first body
+        // under the same number.
+        assert_eq!(
+            checks.forward((3, 0), b"other"),
+            Forward::Upstream {
+                hop: 0,
+                body: b"token-a"
+            }
+        );
+        // The verdict for hop 1 returns to the client it was minted for.
+        assert_eq!(checks.resolve(1, true), Some(((4, 0), &true, true)));
+        // The first verdict stands; a later one changes nothing.
+        assert_eq!(checks.resolve(1, false), Some(((4, 0), &true, false)));
+        assert_eq!(checks.forward((4, 0), b"token-b"), Forward::Replay(&true));
+        assert_eq!(checks.resolve(7, true), None, "never minted");
+        assert_eq!(checks.resolve(0, false), Some(((3, 0), &false, true)));
+        assert_eq!(checks.forward((3, 0), b"token-a"), Forward::Replay(&false));
+        assert_eq!(
+            checks.forward((3, 1), b"token-c"),
+            Forward::Upstream {
+                hop: 2,
+                body: b"token-c"
+            }
+        );
     }
 
     #[test]

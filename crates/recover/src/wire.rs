@@ -4,10 +4,10 @@
 //! sequence number ahead of the protocol payload, so receivers can dedup
 //! retransmissions and responders can echo the number for the client's
 //! call matching. The seam-role wirings (the DNS family — ODoH, legacy
-//! ODNS and direct DNS — and MPR) frame every leg whether or not
-//! recovery is on: real sockets interleave, so no hop may pair answers
-//! with queries by arrival order. The wirings still on simulator nodes
-//! frame only when recovery is enabled.
+//! ODNS and direct DNS — MPR, Privacy Pass and blind cash) frame every
+//! leg whether or not recovery is on: real sockets interleave, so no hop
+//! may pair answers with queries by arrival order. The wirings still on
+//! simulator nodes frame only when recovery is enabled.
 //!
 //! The frame sits at whatever layer the scenario needs it: *outside* the
 //! ciphertext for hop-local legs, each relay re-keying what it forwards

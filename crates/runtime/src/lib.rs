@@ -3,14 +3,14 @@
 //! Nine scenario wirings (`blindcash`, `mixnet`, `privacypass`, ODNS's
 //! three modes, `pgpp`, `mpr`, `ppm`, the `vpn` tales) grew the same
 //! skeleton by copy-paste: a `ReliableCall` attempt loop with
-//! re-randomizing retransmission, `Dedup`/`HopMap` receiver guards,
-//! fail-closed `wire` decode, metrics-sink bracketing, and the same
-//! run/teardown choreography. This crate owns that skeleton in exactly
-//! one place, in the style "Privacy by Design: On the Conformance Between
-//! Protocols and Architectures" argues for: the *architecture* (roles,
-//! retries, guards, instrumentation) is expressed once, and each protocol
-//! only supplies content — how to encode, how to re-randomize, what each
-//! hop learns.
+//! re-randomizing retransmission, `Dedup`/`HopMap`/`CheckForwarder`
+//! receiver guards, fail-closed `wire` decode, metrics-sink bracketing,
+//! and the same run/teardown choreography. This crate owns that skeleton
+//! in exactly one place, in the style "Privacy by Design: On the
+//! Conformance Between Protocols and Architectures" argues for: the
+//! *architecture* (roles, retries, guards, instrumentation) is expressed
+//! once, and each protocol only supplies content — how to encode, how to
+//! re-randomize, what each hop learns.
 //!
 //! The pieces compose rather than prescribe:
 //!
@@ -40,8 +40,9 @@
 //!   decoupling").
 //! * Re-exports of the full simulator/recovery surface scenarios need
 //!   ([`Ctx`], [`Message`], [`Network`], [`wire`], [`Dedup`],
-//!   [`HopMap`], [`Failover`], …), so scenario crates depend on *this*
-//!   crate alone — the CI layering lint holds them to it.
+//!   [`HopMap`], [`CheckForwarder`], [`Failover`], …), so scenario
+//!   crates depend on *this* crate alone — the CI layering lint holds
+//!   them to it.
 //!
 //! Nothing here may perturb a run: the runtime draws no randomness of its
 //! own, sends nothing on its own initiative, and sequences world-ledger
@@ -71,8 +72,8 @@ pub use dcp_fleet::{
 };
 pub use dcp_obs::MetricsHandle;
 pub use dcp_recover::{
-    emit_give_up, emit_retry, wire, Attempt, Dedup, Failover, HopMap, ReliableCall, RetryLinkage,
-    RouteChoice, TimerVerdict, ARQ_TOKEN_BIT,
+    emit_give_up, emit_retry, wire, Attempt, CheckForwarder, Dedup, Failover, Forward, HopMap,
+    ReliableCall, RetryLinkage, RouteChoice, TimerVerdict, ARQ_TOKEN_BIT,
 };
 pub use dcp_simnet::{
     Ctx, LinkParams, Message, Network, Node, NodeId, PacketRecord, SimTime, Tap, Trace,

@@ -31,6 +31,8 @@
 //! no shared world; bytes still flow, and the twin check is the loopback
 //! run's job.
 
+use std::sync::{Mutex, MutexGuard};
+
 use dcp_core::cap::{Admits, WireLabel};
 use dcp_core::role::{Endpoint, Role, RoleKind};
 use dcp_core::{EntityId, InfoItem, Label, ObsEvent, World};
@@ -302,8 +304,9 @@ pub struct RoleSpec {
 
 /// A complete wiring of seam roles: the world (entities, users, keys)
 /// plus every role. Built by a scenario crate (e.g.
-/// `dcp_odns::serve::odoh_serve_spec`, its two DNS siblings, and
-/// `dcp_mpr::mpr_serve_spec`) and hosted by either engine:
+/// `dcp_odns::serve::odoh_serve_spec`, its two DNS siblings,
+/// `dcp_mpr::mpr_serve_spec`, `dcp_privacypass::privacypass_serve_spec`
+/// and `dcp_blindcash::blindcash_serve_spec`) and hosted by either engine:
 /// [`Harness::run_spec`](crate::Harness::run_spec) on the simulator,
 /// `dcp-serve` over sockets.
 pub struct ServeSpec {
@@ -347,6 +350,14 @@ pub fn nth(base: &str, sep: char, i: usize) -> String {
     } else {
         format!("{base}{sep}{}", i + 1)
     }
+}
+
+/// Lock state a wiring's roles share (run stats, a bank). Roles never
+/// panic while holding it, so a poisoned lock is a bug, not an input.
+pub fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
+    shared
+        .lock()
+        .expect("no role panicked holding shared state")
 }
 
 #[cfg(test)]

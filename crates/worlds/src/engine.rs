@@ -538,11 +538,6 @@ impl Engine {
         self.events
     }
 
-    /// Current simulated time, µs.
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
     /// Pending events: packets in flight, batch flushes and the next
     /// arrival.
     pub fn pending(&self) -> usize {

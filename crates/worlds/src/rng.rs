@@ -44,12 +44,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// An independent substream derived from this one (advances this
-    /// generator by one draw).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -74,12 +68,5 @@ mod tests {
             let v = r.next_f64();
             assert!((0.0..1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn forked_streams_differ() {
-        let mut a = SplitMix64::new(1);
-        let mut b = a.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

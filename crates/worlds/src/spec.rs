@@ -103,12 +103,6 @@ impl WorldSpec {
         self
     }
 
-    /// Expected queries across the whole population
-    /// (`users × rate × duration`).
-    pub fn expected_queries(&self) -> u64 {
-        (self.users as f64 * self.rate_hz * (self.duration_us as f64 / 1e6)).round() as u64
-    }
-
     /// Expected queries per user, at least 1 — what scenario configs'
     /// `queries_each`-style knobs are derived from.
     pub fn queries_per_user(&self) -> u64 {
@@ -128,11 +122,6 @@ impl WorkloadBuilder {
     /// A builder over `spec`.
     pub fn new(spec: &WorldSpec) -> Self {
         WorkloadBuilder { spec: spec.clone() }
-    }
-
-    /// The spec being built.
-    pub fn spec(&self) -> &WorldSpec {
-        &self.spec
     }
 
     /// Assemble the generators.
@@ -195,7 +184,6 @@ mod tests {
         assert_eq!(s.users, 10);
         assert_eq!(s.names, 5);
         assert_eq!(s.queries_per_user(), 6);
-        assert_eq!(s.expected_queries(), 60);
         assert!(WorkloadBuilder::new(&s).build().is_ok());
     }
 

@@ -1,5 +1,6 @@
-//! The sim/prod duality, held to bytes: each servable wiring — ODoH,
-//! legacy ODNS, direct DNS and MPR — served over real loopback TCP must
+//! The sim/prod duality, held to bytes: each servable wiring — blind
+//! cash, Privacy Pass, ODoH, legacy ODNS, direct DNS and MPR — served
+//! over real loopback TCP must
 //! finish its workload and produce knowledge tables **byte-identical** to the
 //! deterministic simulator's run of the same config and seed — and the
 //! production decoder must shrug off hostile bytes, both in-process
@@ -8,11 +9,13 @@
 
 use std::time::Duration;
 
+use dcp_blindcash::{blindcash_serve_spec, Blindcash, BlindcashConfig};
 use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
 use dcp_mpr::{mpr_serve_spec, ChainConfig, Mpr};
 use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
 use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
+use dcp_privacypass::{privacypass_serve_spec, Privacypass, PrivacypassConfig};
 use dcp_runtime::seam::ServeSpec;
 use dcp_serve::{run_loopback, FrameReader, ServeConfig, MAX_FRAME_PAYLOAD};
 use proptest::prelude::*;
@@ -88,6 +91,28 @@ fn mpr_loopback_matches_simulated_twin() {
         seed: 1007,
     };
     assert_twin(mpr_serve_spec(&cfg, 1007), 1007, Mpr::run(&cfg, 1007).world);
+}
+
+#[test]
+fn privacypass_loopback_matches_simulated_twin() {
+    // Two clients' redemptions interleave at the origin; each verdict
+    // must return to the client whose token it judged.
+    let cfg = PrivacypassConfig::new(2, 3);
+    let spec = privacypass_serve_spec(&cfg, 1008).expect("one batch covers three redemptions");
+    assert_twin(spec, 1008, Privacypass::run(&cfg, 1008).world);
+}
+
+#[test]
+fn blindcash_loopback_matches_simulated_twin() {
+    // Two buyers' coins interleave at the seller and the bank; the
+    // signer and the seller name each buyer from the connection it
+    // sends on, never from a label.
+    let cfg = BlindcashConfig::new(2, 2, 512);
+    assert_twin(
+        blindcash_serve_spec(&cfg, 1009),
+        1009,
+        Blindcash::run(&cfg, 1009).world,
+    );
 }
 
 #[test]
