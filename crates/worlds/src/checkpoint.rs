@@ -861,6 +861,58 @@ mod tests {
         }
     }
 
+    /// At every event count of two small worlds, checkpoint → restore →
+    /// checkpoint gives the same bytes, and a twin restored from an
+    /// earlier checkpoint (every 61 events) and run alongside leaves the
+    /// same bytes: a checkpoint holds the event loop's position, and a
+    /// producer restarted from it draws what the original's drew ahead.
+    /// The counts include arrivals mid-block, on a block boundary, the
+    /// last arrival and the stream's end.
+    #[test]
+    fn checkpoints_hold_the_event_loop_not_the_read_ahead() {
+        use crate::gen::BLOCK;
+        // About 1,200 arrivals, past a block boundary. A flat envelope, so
+        // that a restore builds no thinning table.
+        let spec = WorldSpec::smoke()
+            .users(30)
+            .names(20)
+            .rate_hz(40.0)
+            .diurnal(0.0, 0)
+            .duration_us(1_000_000);
+        for name in ["direct", "odoh"] {
+            let mut e = Engine::new(&spec, &Topology::by_name(name).unwrap(), 6).unwrap();
+            let mut twin = Engine::restore(&e.checkpoint()).unwrap();
+            // Mid-block, on a boundary, past the last arrival, drained.
+            let mut seen = [false; 4];
+            loop {
+                let bytes = e.checkpoint();
+                let restored = Engine::restore(&bytes).unwrap();
+                assert_eq!(restored.checkpoint(), bytes, "{name} at event {}", e.events);
+                assert_eq!(
+                    twin.checkpoint(),
+                    bytes,
+                    "{name}'s twin at event {}",
+                    e.events
+                );
+                if e.events % 61 == 0 {
+                    twin = restored;
+                }
+                let done = e.run_until_events(e.events + 1);
+                twin.run_until_events(twin.events + 1);
+                let handled = e.stats.queries_sent as usize;
+                let pending = e.arrival.is_some();
+                seen[0] |= pending && handled % BLOCK != 0;
+                seen[1] |= pending && handled > 0 && handled % BLOCK == 0;
+                seen[2] |= !pending && !done;
+                seen[3] |= done;
+                if done {
+                    break;
+                }
+            }
+            assert_eq!(seen, [true; 4], "{name}");
+        }
+    }
+
     /// Set counter `field` of `e` to `below` under its type's maximum
     /// (element `at` of a vector or map, modulo its length). `false` when
     /// there was no such element.

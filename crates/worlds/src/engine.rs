@@ -40,19 +40,24 @@
 //! `schedule_hop`'s `debug_assert!` guards it. Batch flushes ride the
 //! wheel, at most one per ingress, and its front is kept beside it
 //! (`wheel_front`), so only a wheel pop reads the wheel. Arrivals are one
-//! merged Poisson stream ([`Workload::next_arrival`]): the engine holds
-//! its single pending arrival, and draws the next one, user and name
-//! included, when that one is handled. The event loop pops the smallest
-//! of the three fronts by `(time, seq)`, exactly the order one queue
-//! would give.
+//! merged Poisson stream ([`Workload::next_arrival`]), and the engine
+//! holds its single pending arrival. `Engine::new` draws the first one;
+//! from the first arrival handled on, a producer thread draws the rest
+//! ahead (`DrawnAhead`), each arrival's user and name and then the
+//! stream's next arrival. Handling an arrival takes one drawn query and
+//! keeps its generator state and clock as the engine's own, so a
+//! checkpoint records the event loop's position, never the producer's
+//! read-ahead. The event loop pops the smallest of the three fronts by
+//! `(time, seq)`, exactly the order one queue would give.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use serde::Serialize;
 
 use dcp_simnet::TimerWheel;
 
-use crate::gen::Workload;
+use crate::gen::{DrawnAhead, Workload};
 use crate::rng::SplitMix64;
 use crate::spec::{WorkloadBuilder, WorldSpec};
 
@@ -405,13 +410,14 @@ const MAX_DURATION_US: u64 = 1 << 52;
 /// The population engine: the hop lane, the wheel of batch flushes and
 /// the one pending arrival, the seeded workload, compact streaming stats,
 /// and (via [`checkpoint`](crate::checkpoint)) a serializable snapshot of
-/// all of it.
-#[derive(Clone, Debug)]
+/// all of it. A live engine owns at most one producer thread, which
+/// dropping it joins.
+#[derive(Debug)]
 pub struct Engine {
     pub(crate) spec: WorldSpec,
     pub(crate) topo: Topology,
     pub(crate) seed: u64,
-    pub(crate) workload: Workload,
+    pub(crate) workload: Arc<Workload>,
     /// Batch flushes, by ingress: at most one per ingress.
     pub(crate) wheel: TimerWheel<u32>,
     /// The wheel's `(time, seq)` minimum, `None` when it is empty: always
@@ -427,7 +433,11 @@ pub struct Engine {
     pub(crate) clock_us: f64,
     /// The stream's one pending arrival, `(time, seq)`.
     pub(crate) arrival: Option<(u64, u64)>,
+    /// The stream's generator just after the pending arrival was drawn,
+    /// as `clock_us` is its clock: where a producer starts drawing.
     pub(crate) rng: SplitMix64,
+    /// The stream drawn ahead; started by the first arrival handled.
+    ahead: Option<DrawnAhead>,
     pub(crate) now_us: u64,
     pub(crate) next_seq: u64,
     pub(crate) events: u64,
@@ -443,7 +453,10 @@ impl Engine {
     /// Build a world and draw its first arrival.
     pub fn new(spec: &WorldSpec, topo: &Topology, seed: u64) -> Result<Engine, String> {
         let mut e = Engine::empty(spec, topo, seed)?;
-        e.draw_arrival();
+        let first = e
+            .workload
+            .next_arrival(&mut e.clock_us, spec.duration_us, &mut e.rng);
+        e.arrival = first.map(|t| (t, e.take_seq()));
         Ok(e)
     }
 
@@ -477,13 +490,14 @@ impl Engine {
             spec: spec.clone(),
             topo: topo.clone(),
             seed,
-            workload,
+            workload: Arc::new(workload),
             wheel: TimerWheel::new(),
             wheel_front: None,
             lane: VecDeque::new(),
             clock_us: 0.0,
             arrival: None,
             rng: SplitMix64::new(seed),
+            ahead: None,
             now_us: 0,
             next_seq: 0,
             events: 0,
@@ -497,14 +511,6 @@ impl Engine {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
-    }
-
-    /// Draw the stream's next arrival, if it has one before the end.
-    fn draw_arrival(&mut self) {
-        let next =
-            self.workload
-                .next_arrival(&mut self.clock_us, self.spec.duration_us, &mut self.rng);
-        self.arrival = next.map(|t| (t, self.take_seq()));
     }
 
     /// Push a flush onto the wheel, keeping `wheel_front` its minimum.
@@ -606,15 +612,26 @@ impl Engine {
     }
 
     /// One query of the merged stream: its user, then its name, then the
-    /// stream's next arrival.
+    /// stream's next arrival, as the producer drew them.
     fn on_arrival(&mut self) {
-        let user = self.workload.sample_user(&mut self.rng);
-        let name = self.workload.sample_name(&mut self.rng);
-        let jitter = (name as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58; // 0..64
+        let query = self
+            .ahead
+            .get_or_insert_with(|| {
+                DrawnAhead::spawn(
+                    Arc::clone(&self.workload),
+                    self.spec.duration_us,
+                    self.rng.clone(),
+                    self.clock_us,
+                )
+            })
+            .next();
+        let jitter = (query.name as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58; // 0..64
         let size = self.topo.pad(self.topo.query_bytes + jitter) as u32;
         self.stats.queries_sent += 1;
-        self.send_up(user, name, size, 0, self.now_us);
-        self.draw_arrival();
+        self.send_up(query.user, query.name, size, 0, self.now_us);
+        self.rng = SplitMix64::from_state(query.rng);
+        self.clock_us = query.clock_us;
+        self.arrival = query.next.map(|t| (t, self.take_seq()));
     }
 
     /// Put a query on the wire toward path element `hop`.
@@ -793,7 +810,10 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::gen::BLOCK;
 
     fn tiny_spec() -> WorldSpec {
         WorldSpec::smoke()
@@ -989,6 +1009,113 @@ mod tests {
         let r = e.report();
         assert!(r.queries_answered >= 2, "{r:?}");
         assert_eq!(r.mean_latency_us, 2f64.powi(63));
+    }
+
+    /// Each arrival's time, user and name, then the stream's generator
+    /// state and clock after its draws.
+    type Drawn = (u64, u32, u32, u64, f64);
+
+    /// At most `limit` arrivals of the stream, drawn inline from one
+    /// generator: `next_arrival`, then at each arrival `sample_user`,
+    /// `sample_name` and `next_arrival` again.
+    fn inline_stream(w: &Workload, end_us: u64, seed: u64, limit: usize) -> Vec<Drawn> {
+        let (mut clock, mut rng) = (0.0, SplitMix64::new(seed));
+        let mut next = w.next_arrival(&mut clock, end_us, &mut rng);
+        let mut drawn = Vec::new();
+        while let Some(t) = next.filter(|_| drawn.len() < limit) {
+            let user = w.sample_user(&mut rng);
+            let name = w.sample_name(&mut rng);
+            next = w.next_arrival(&mut clock, end_us, &mut rng);
+            drawn.push((t, user, name, rng.state(), clock));
+        }
+        drawn
+    }
+
+    /// The arrivals the engine handles, one event at a time: each query
+    /// as its first hop at the lane's back, then the engine's generator
+    /// state and clock.
+    fn engine_stream(e: &mut Engine) -> Vec<Drawn> {
+        let mut drawn = Vec::new();
+        loop {
+            let sent = e.stats.queries_sent;
+            let done = e.run_until_events(e.events + 1);
+            if e.stats.queries_sent > sent {
+                match e.lane.back() {
+                    Some(&(
+                        _,
+                        _,
+                        PopEvent::Up {
+                            user,
+                            name,
+                            sent_us,
+                            ..
+                        },
+                    )) => {
+                        drawn.push((sent_us, user, name, e.rng.state(), e.clock_us));
+                    }
+                    last => panic!("an arrival sends its query up the lane, not {last:?}"),
+                }
+            }
+            if done {
+                return drawn;
+            }
+        }
+    }
+
+    /// Stream lengths around the block boundaries: empty, one or two
+    /// arrivals, one short of, on and one past a block, and two blocks.
+    const LENGTHS: [usize; 7] = [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The arrivals the engine handles, drawn ahead on the producer
+        /// thread, are the inline draws from one generator: the same
+        /// times, users and names, and after each the same generator
+        /// state and clock. Each case runs one small spec at a zero rate,
+        /// for a random duration, and for durations that end its stream
+        /// after each of [`LENGTHS`] arrivals.
+        #[test]
+        fn drawn_ahead_arrivals_are_the_inline_draws(
+            population in (1u64..40, 1u64..30),
+            exponents in (0u32..200, 0u32..200),
+            rate_hz in (2_000u32..40_000).prop_map(|r| f64::from(r) / 100.0),
+            diurnal in (0u32..99, 0u64..2_000_000),
+            preset in (0..Topology::preset_names().len()).prop_map(|i| Topology::preset_names()[i]),
+            duration_us in 0u64..3_000_000,
+            seed in any::<u64>(),
+        ) {
+            let hundredths = |x: u32| f64::from(x) / 100.0;
+            let spec = WorldSpec::smoke()
+                .users(population.0)
+                .names(population.1)
+                .exponents(hundredths(exponents.0), hundredths(exponents.1))
+                .rate_hz(rate_hz)
+                .diurnal(hundredths(diurnal.0), diurnal.1);
+            let w = WorkloadBuilder::new(&spec).build().unwrap();
+            let times: Vec<u64> = inline_stream(&w, 1 << 40, seed, 2 * BLOCK + 1)
+                .iter()
+                .map(|d| d.0)
+                .collect();
+            let mut runs = vec![
+                (spec.clone().rate_hz(0.0), Some(0)),
+                (spec.clone().duration_us(duration_us), None),
+            ];
+            // A stream holds exactly `n` arrivals when it ends at arrival
+            // `n + 1`, unless arrival `n` shares its µs.
+            for n in LENGTHS.into_iter().filter(|&n| n == 0 || times[n - 1] < times[n]) {
+                runs.push((spec.clone().duration_us(times[n]), Some(n)));
+            }
+            let topo = Topology::by_name(preset).unwrap();
+            for (spec, length) in runs {
+                let w = WorkloadBuilder::new(&spec).build().unwrap();
+                let inline = inline_stream(&w, spec.duration_us, seed, usize::MAX);
+                prop_assert!(length.is_none_or(|n| n == inline.len()));
+                let mut e = Engine::new(&spec, &topo, seed).unwrap();
+                prop_assert_eq!(engine_stream(&mut e), inline.clone());
+                prop_assert_eq!(e.ahead.is_some(), !inline.is_empty(), "a producer once an arrival is handled");
+            }
+        }
     }
 
     #[test]

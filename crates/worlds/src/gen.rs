@@ -6,6 +6,14 @@
 //! arrivals are Poisson within a diurnal envelope. These generators
 //! produce that shape deterministically from a seed, so a 10⁶-user world
 //! replays bit-for-bit.
+//!
+//! The engine's arrival stream is a pure function of the seed and the
+//! spec, so a producer thread draws it ahead of the event loop that
+//! consumes it.
+
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crate::rng::SplitMix64;
 
@@ -347,6 +355,134 @@ impl Workload {
         }
         *clock_us = end_us as f64;
         None
+    }
+
+    /// The draws for the stream's pending arrival: its user, its name,
+    /// then the next arrival before `end_us`
+    /// ([`next_arrival`](Workload::next_arrival)).
+    pub(crate) fn draw_query(
+        &self,
+        clock_us: &mut f64,
+        end_us: u64,
+        rng: &mut SplitMix64,
+    ) -> Query {
+        let user = self.sample_user(rng);
+        let name = self.sample_name(rng);
+        let next = self.next_arrival(clock_us, end_us, rng);
+        Query {
+            user,
+            name,
+            next,
+            rng: rng.state(),
+            clock_us: *clock_us,
+        }
+    }
+}
+
+/// One arrival of the merged stream, as [`Workload::draw_query`] drew
+/// it: who asks, for which name, when the stream's next arrival falls,
+/// and the generator's state and the stream's clock after those draws.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Query {
+    pub user: u32,
+    pub name: u32,
+    /// The next arrival's time; `None` marks the stream's end.
+    pub next: Option<u64>,
+    pub rng: u64,
+    pub clock_us: f64,
+}
+
+/// Queries per block the producer sends.
+pub(crate) const BLOCK: usize = 1024;
+
+/// Blocks the channel holds before the producer waits.
+const BLOCKS_AHEAD: usize = 2;
+
+/// The merged stream's queries, drawn ahead by a producer thread that
+/// owns the stream's generator and clock and sends them in blocks of
+/// [`BLOCK`] through a bounded channel.
+///
+/// The stream's last query carries `next: None`; the producer sends it
+/// and returns, and its consumer asks for no query past it. A channel
+/// that closes before then is a panic, never a short stream. Dropping
+/// this hangs up, which wakes a producer waiting to send, and joins it.
+#[derive(Debug)]
+pub(crate) struct DrawnAhead {
+    /// The current block's queries not yet taken.
+    block: std::vec::IntoIter<Query>,
+    /// `None` only while dropping.
+    blocks: Option<Receiver<Vec<Query>>>,
+    producer: Option<JoinHandle<()>>,
+}
+
+impl DrawnAhead {
+    /// Draw from a pending arrival on: `rng` and `clock_us` are the
+    /// generator and clock just after that arrival was drawn.
+    pub(crate) fn spawn(
+        workload: Arc<Workload>,
+        end_us: u64,
+        mut rng: SplitMix64,
+        mut clock_us: f64,
+    ) -> DrawnAhead {
+        let (tx, blocks) = sync_channel(BLOCKS_AHEAD);
+        let producer = std::thread::Builder::new()
+            .name("dcp-worlds-arrivals".into())
+            .spawn(move || loop {
+                let mut block = Vec::with_capacity(BLOCK);
+                let mut ended = false;
+                while block.len() < BLOCK && !ended {
+                    let query = workload.draw_query(&mut clock_us, end_us, &mut rng);
+                    ended = query.next.is_none();
+                    block.push(query);
+                }
+                // A failed send means the consumer was dropped.
+                if tx.send(block).is_err() || ended {
+                    return;
+                }
+            })
+            .expect("the host refused a thread for the arrival stream");
+        DrawnAhead {
+            block: Vec::new().into_iter(),
+            blocks: Some(blocks),
+            producer: Some(producer),
+        }
+    }
+
+    /// The next query of the stream.
+    pub(crate) fn next(&mut self) -> Query {
+        loop {
+            if let Some(query) = self.block.next() {
+                return query;
+            }
+            let blocks = self
+                .blocks
+                .as_ref()
+                .expect("only dropping takes the channel");
+            match blocks.recv() {
+                Ok(block) => self.block = block.into_iter(),
+                Err(_) => self.closed_early(),
+            }
+        }
+    }
+
+    /// The channel closed while a query was still due: the producer
+    /// panicked, whose panic this passes on.
+    fn closed_early(&mut self) -> ! {
+        if let Some(Err(panic)) = self.producer.take().map(JoinHandle::join) {
+            std::panic::resume_unwind(panic);
+        }
+        panic!("the arrival stream closed before its end");
+    }
+}
+
+impl Drop for DrawnAhead {
+    fn drop(&mut self) {
+        drop(self.blocks.take());
+        if let Some(producer) = self.producer.take() {
+            // A producer's panic has nothing left to stop; `Drop` must not
+            // panic in turn.
+            let _ = producer.join();
+        }
     }
 }
 

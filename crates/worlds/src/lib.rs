@@ -18,7 +18,7 @@
 //!   decoupled-path model (ingress batching → relay hops → striped
 //!   resolvers) over a FIFO lane for hop transits, the shared
 //!   [`dcp_simnet::TimerWheel`] for batch flushes and one pending
-//!   arrival, folding the
+//!   arrival, whose stream a producer thread draws ahead, folding the
 //!   paper's §4–5 measures — anonymity-set size vs. batch window,
 //!   size-linkage vs. padding, per-resolver knowledge vs. striping — as
 //!   it goes. All per-event state is O(1); 10⁶ users / 10⁸ events fit

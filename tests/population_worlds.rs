@@ -10,8 +10,12 @@
 //!   per-packet trace changes *nothing* except the trace itself;
 //! * **streaming metrics** (`RunOptions::population`) — folded
 //!   aggregates equal the itemised ones, with the unbounded vectors
-//!   empty.
+//!   empty;
+//! * **golden files** — every preset's reports, and digests of its
+//!   checkpoints, byte for byte (`tests/golden/README.md`).
 
+use decoupling::crypto::sha256::sha256;
+use decoupling::crypto::util::hex_encode;
 use decoupling::worlds::{Engine, SplitMix64, Topology, WorkloadBuilder, WorldSpec, Zipf};
 use decoupling::{
     Odoh, OdohConfig, ParallelExecutor, RunOptions, Scenario, ScenarioReport as _,
@@ -186,20 +190,27 @@ fn streaming_metrics_match_itemised_aggregates() {
 
 // ------------------------------------------------ golden reports ------
 
-/// Every preset × seeds 1–3 at two sizes: the smoke spec, and a
-/// high-rate spec (1,000 users × 100 Hz × 0.2 s) whose hop transits
-/// often fall due in the same µs as an arrival or a batch flush, so any
-/// change to the engine's `(time, seq)` order shows in its reports.
+/// The golden files' two sizes: the smoke spec, and a high-rate spec
+/// (1,000 users × 100 Hz × 0.2 s) whose hop transits often fall due in
+/// the same µs as an arrival or a batch flush, so any change to the
+/// engine's `(time, seq)` order shows.
+fn golden_sizes() -> [(&'static str, WorldSpec); 2] {
+    [
+        ("smoke", WorldSpec::smoke()),
+        (
+            "high-rate",
+            WorldSpec::smoke()
+                .users(1_000)
+                .rate_hz(100.0)
+                .duration_us(200_000),
+        ),
+    ]
+}
+
+/// Every preset × seeds 1–3 at both golden sizes.
 fn golden_reports() -> String {
-    let sizes = [
-        WorldSpec::smoke(),
-        WorldSpec::smoke()
-            .users(1_000)
-            .rate_hz(100.0)
-            .duration_us(200_000),
-    ];
     let mut reports = Vec::new();
-    for spec in &sizes {
+    for (_, spec) in &golden_sizes() {
         for name in Topology::preset_names() {
             for seed in 1..=3 {
                 let topo = Topology::by_name(name).unwrap();
@@ -212,20 +223,55 @@ fn golden_reports() -> String {
     serde_json::to_string_pretty(&reports).unwrap() + "\n"
 }
 
-/// The engine's output, pinned byte for byte (`tests/golden/README.md`).
-/// On a difference the current reports are written next to the test
-/// binary's scratch files, ready to diff or, for a deliberate change,
-/// to commit.
+/// The SHA-256 of a checkpoint of every preset × seeds 1–2 at both golden
+/// sizes, taken after 0, 1, 10³, 3 × 10³ and 10⁴ events and at the end,
+/// one JSON object a line.
+fn golden_checkpoints() -> String {
+    let mut lines = Vec::new();
+    for (size, spec) in &golden_sizes() {
+        for name in Topology::preset_names() {
+            for seed in 1..=2 {
+                let topo = Topology::by_name(name).unwrap();
+                let mut e = Engine::new(spec, &topo, seed).unwrap();
+                for at in [0, 1, 1_000, 3_000, 10_000, u64::MAX] {
+                    e.run_until_events(at);
+                    let bytes = e.checkpoint();
+                    lines.push(format!(
+                        "  {{\"size\": \"{size}\", \"preset\": \"{name}\", \"seed\": {seed}, \
+                         \"events\": {}, \"bytes\": {}, \"sha256\": \"{}\"}}",
+                        e.events_processed(),
+                        bytes.len(),
+                        hex_encode(&sha256(&bytes)),
+                    ));
+                }
+            }
+        }
+    }
+    format!("[\n{}\n]\n", lines.join(",\n"))
+}
+
+/// Fail unless `got` is the golden file `name` byte for byte
+/// (`tests/golden/README.md`). On a difference `got` is written next to
+/// the test binary's scratch files, ready to diff or, for a deliberate
+/// change, to commit.
+fn assert_golden(name: &str, got: &str) {
+    let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::fs::read_to_string(&path).ok().as_deref() != Some(got) {
+        let out = format!("{}/{name}", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&out, got).unwrap();
+        panic!("{path} differs from this build's output, which is in {out}");
+    }
+}
+
+/// The engine's output, pinned byte for byte.
 #[test]
 fn population_reports_match_the_golden_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/worlds_reports.json"
-    );
-    let got = golden_reports();
-    if std::fs::read_to_string(path).ok().as_deref() != Some(got.as_str()) {
-        let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/worlds_reports.json");
-        std::fs::write(out, &got).unwrap();
-        panic!("population reports differ from {path}; the current ones are in {out}");
-    }
+    assert_golden("worlds_reports.json", &golden_reports());
+}
+
+/// The engine's checkpoints, pinned by digest: a checkpoint records the
+/// event loop's position, whichever thread draws the arrival stream.
+#[test]
+fn population_checkpoints_match_the_golden_file() {
+    assert_golden("worlds_checkpoints.json", &golden_checkpoints());
 }
