@@ -14,10 +14,10 @@
 //!   **byte-identical** between the two runs — the directory layer is
 //!   knowledge-invisible.
 //!
-//! The combined [`FleetSweepReport`]s are written as JSON; CI runs the
-//! binary twice — once `--sequential`, once parallel with
-//! `RAYON_NUM_THREADS=2` — and requires the two files to be
-//! byte-identical.
+//! The combined [`FleetSweepReport`]s are written as JSON, byte-identical
+//! across executors (flags and CI use: [`dcp_bench::probe`]). The probe
+//! keeps its own two fleet shapes: the registry's battery shapes run no
+//! relay directory.
 //!
 //! ```text
 //! dst_fleet [--worlds N] [--threads N] [--seed S] [--sequential]
@@ -26,47 +26,13 @@
 
 use std::collections::BTreeSet;
 
+use dcp_bench::probe::run_probe;
 use decoupling::core::ScenarioReport as _;
 use decoupling::{
     entities_silent, restricted_fingerprint, ChainConfig, FaultConfig, FleetConfig, FleetSummary,
-    Mixnet, MixnetConfig, Mpr, ParallelExecutor, RunOptions, Scenario, SequentialExecutor,
-    SweepBuilder, SweepExecutor, SweepJob,
+    Mixnet, MixnetConfig, Mpr, RunOptions, Scenario, SweepBuilder, SweepExecutor, SweepJob,
 };
 use serde::Serialize;
-
-struct Args {
-    worlds: u64,
-    threads: usize,
-    seed: u64,
-    sequential: bool,
-    out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        worlds: 4,
-        threads: 0,
-        seed: 20221114,
-        sequential: false,
-        out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--worlds" => args.worlds = value("--worlds").parse().expect("--worlds: integer"),
-            "--threads" => args.threads = value("--threads").parse().expect("--threads: integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--sequential" => args.sequential = true,
-            "--out" => args.out = Some(value("--out")),
-            other => panic!("unknown flag {other} (see the module docs for usage)"),
-        }
-    }
-    args
-}
 
 /// One world's verdict for one scenario.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -202,11 +168,7 @@ fn reduce(scenario: &str, master_seed: u64, entries: Vec<FleetWorldReport>) -> F
     }
 }
 
-fn sweep_all(
-    builder: &SweepBuilder,
-    exec: &impl SweepExecutor,
-    master_seed: u64,
-) -> Vec<FleetSweepReport> {
+fn sweep_all(builder: &SweepBuilder, exec: &impl SweepExecutor) -> Vec<FleetSweepReport> {
     // The same small workloads the scenario crates' fleet tests pin.
     let mpr = ChainConfig {
         relays: 2,
@@ -233,50 +195,16 @@ fn sweep_all(
         probe::<Mixnet>(&mixnet, job.seed, |r| r.fleet.clone())
     });
     vec![
-        reduce("mpr", master_seed, mpr_entries),
-        reduce("mixnet", master_seed, mixnet_entries),
+        reduce("mpr", builder.master_seed(), mpr_entries),
+        reduce("mixnet", builder.master_seed(), mixnet_entries),
     ]
 }
 
 fn main() {
-    let args = parse_args();
-    let builder = SweepBuilder::new(args.seed)
-        .worlds(args.worlds)
-        .threads(args.threads);
-
-    let started = std::time::Instant::now();
-    let reports = if args.sequential {
-        sweep_all(&builder, &SequentialExecutor, args.seed)
-    } else {
-        sweep_all(
-            &builder,
-            &ParallelExecutor::for_builder(&builder),
-            args.seed,
-        )
-    };
-    let elapsed = started.elapsed();
-
-    for r in &reports {
-        eprintln!(
+    run_probe(4, 20221114, false, sweep_all, |r: &FleetSweepReport| {
+        format!(
             "{:<8} worlds={} rotations={} stale-rejected={} all-complete=yes",
             r.scenario, r.worlds, r.total_rotations, r.total_stale_rejected
-        );
-    }
-    eprintln!(
-        "mode={} elapsed={:.2}s",
-        if args.sequential {
-            "sequential"
-        } else {
-            "parallel"
-        },
-        elapsed.as_secs_f64()
-    );
-
-    match &args.out {
-        Some(path) => {
-            dcp_obs::write_json(&reports, path).expect("write output file");
-            eprintln!("wrote {path}");
-        }
-        None => println!("{}", dcp_obs::to_json(&reports)),
-    }
+        )
+    });
 }

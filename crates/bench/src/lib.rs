@@ -1,9 +1,12 @@
 //! Experiment runners shared by the `experiments` harness binary and the
 //! Criterion benches. Each public function regenerates one paper artifact
-//! (see DESIGN.md §5 for the experiment index).
+//! (see DESIGN.md §5 for the experiment index). [`probe`] is the
+//! scaffold the DST probe binaries share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod probe;
 
 use dcp_core::degrees::{DegreePoint, DegreeSweep};
 use dcp_core::table::DecouplingTable;

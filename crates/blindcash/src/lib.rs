@@ -28,7 +28,7 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{blindcash_serve_spec, Blindcash, BlindcashConfig, ScenarioReport};
+pub use scenario::{Blindcash, BlindcashConfig, ScenarioReport};
 pub use types::declared_caps;
 
 pub use bank::{Bank, DepositError};

@@ -1,7 +1,7 @@
 //! The §3.1.1 flow — withdraw, spend, deposit — written once as seam
 //! roles: buyers, the bank's signer and verifier, and the seller. One
 //! `wiring` builds them; the simulator hosts them ([`Blindcash`]) and
-//! [`blindcash_serve_spec`] hands the same roles to `dcp-serve`. The
+//! [`Blindcash::REGISTRATION`] hands the same roles to `dcp-serve`. The
 //! information-flow labels let the framework *derive* the paper's table.
 //!
 //! Every leg carries an 8-byte sequence number (`dcp_runtime::wire`
@@ -26,7 +26,9 @@ use dcp_core::{
     Scenario, UserId, World,
 };
 use dcp_crypto::rsa::RsaPublicKey;
-use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{
+    lock, nth, PeerId, Registration, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole,
+};
 use dcp_runtime::{
     mean_us, wire, Attempt, CheckForwarder, Control, Dedup, Endpoint, Forward, Harness, LinkParams,
     ReliableCall, RetryLinkage, TimerVerdict, Trace,
@@ -35,7 +37,8 @@ use dcp_runtime::{
 use crate::bank::{Bank, Withdrawal};
 use crate::coin::Coin;
 use crate::types::{
-    BankSigner, BankVerifier, CoinBuyer, CoinDeposit, CoinSeller, Purchase, WithdrawalReq,
+    declared_caps, BankSigner, BankVerifier, CoinBuyer, CoinDeposit, CoinSeller, Purchase,
+    WithdrawalReq,
 };
 
 /// Result of a scenario run.
@@ -72,6 +75,9 @@ impl dcp_core::ScenarioReport for ScenarioReport {
     }
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
+    }
+    fn packets(&self) -> usize {
+        self.trace.len()
     }
     fn completed_units(&self) -> u64 {
         self.deposited as u64
@@ -160,6 +166,32 @@ impl Scenario for Blindcash {
             retry_linkage: stats.linkage.violations(),
         }
     }
+}
+
+impl Blindcash {
+    /// Two buyers spending two coins each on a 512-bit bank key. Served,
+    /// each client is a buyer and each query a coin, and every process of
+    /// a multi-process run builds the same bank key from the seed. Role
+    /// order defines peer ids: `signer` 0, `verifier` 1, `seller` 2,
+    /// then `buyer`, `buyer-2`, ….
+    pub const REGISTRATION: Registration = Registration {
+        name: Blindcash::NAME,
+        run: |seed, opts| {
+            Box::new(Blindcash::run_with(
+                &BlindcashConfig::new(2, 2, 512),
+                seed,
+                opts,
+            ))
+        },
+        declared_caps,
+        serve: Some(|clients, queries, seed| {
+            let cfg = BlindcashConfig::default()
+                .buyers(clients)
+                .coins_each(queries);
+            let spec = wiring(&cfg, seed, World::new(), &RunOptions::default()).spec;
+            Ok((spec, Box::new(move || Blindcash::run(&cfg, seed).world)))
+        }),
+    };
 }
 
 impl ScenarioReport {
@@ -666,17 +698,6 @@ fn wiring(cfg: &BlindcashConfig, seed: u64, mut world: World, opts: &RunOptions)
         stats,
         buyers,
     }
-}
-
-/// Build the servable blind-cash wiring: the world, bank key, accounts
-/// and roles of the simulated run with this `cfg` and `seed`, without
-/// recovery. Every process of a multi-process run builds the same bank
-/// key from the seed.
-///
-/// Role order defines peer ids: `signer` 0, `verifier` 1, `seller` 2,
-/// then `buyer`, `buyer-2`, ….
-pub fn blindcash_serve_spec(cfg: &BlindcashConfig, seed: u64) -> ServeSpec {
-    wiring(cfg, seed, World::new(), &RunOptions::default()).spec
 }
 
 #[cfg(test)]

@@ -307,7 +307,7 @@ pub struct KnowledgeRecord {
 pub struct MetricsReport {
     /// Was a sink installed for this run?
     pub enabled: bool,
-    /// Scenario name (e.g. `"odns"`).
+    /// Scenario name (e.g. `"odoh"`).
     pub scenario: String,
     /// Scenario seed.
     pub seed: u64,

@@ -151,6 +151,9 @@ pub trait ScenarioReport {
     fn fault_log(&self) -> &FaultLog;
     /// Run metrics (disabled/empty unless the run was observed).
     fn metrics(&self) -> &MetricsReport;
+    /// Packet records in the run's wire trace: every send the wire
+    /// carried, and none of the environment's injections.
+    fn packets(&self) -> usize;
     /// How many end-to-end work units finished (coins deposited, queries
     /// answered, reports aggregated, …) — the scenario's liveness
     /// measure.
@@ -242,6 +245,9 @@ mod tests {
         }
         fn metrics(&self) -> &MetricsReport {
             &self.metrics
+        }
+        fn packets(&self) -> usize {
+            0
         }
         fn completed_units(&self) -> u64 {
             self.done

@@ -1,12 +1,11 @@
 //! `dcp` — the repository's command-line front door.
 //!
 //! The one subcommand so far is `serve`: host a wiring's roles over real
-//! TCP sockets via `dcp-serve` instead of the simulator. Six wirings are
-//! servable through one code path: §3.1.1's blind-signature cash,
-//! `blindcash`; §3.2.1's Privacy Pass, `privacypass`; the DNS family of
-//! §3.2.2 and §5.1 — `odoh`, `odns_legacy` and `dns_direct` (plain DNS
-//! striped over two resolvers); and §3.2.4's multi-party relay, `mpr` (a
-//! two-relay chain). `--clients` and `--queries` set the users and what
+//! TCP sockets via `dcp-serve` instead of the simulator. Every registered
+//! wiring with a serve spec ([`decoupling::REGISTRY`]) is servable
+//! through one code path: §3.1.1's blind-signature cash, §3.2.1's
+//! Privacy Pass, the DNS family of §3.2.2 and §5.1 and §3.2.4's
+//! multi-party relay. `--clients` and `--queries` set the users and what
 //! each does: queries, fetches, redemptions (at most four, one issuance
 //! batch) or coins.
 //!
@@ -20,7 +19,7 @@
 //! dcp serve SCENARIO --role NAME --listen ADDR --peer NAME=ADDR ...
 //!     Process mode: host exactly one role in this process, speaking TCP
 //!     to peers at the given addresses. Bytes only — verification stays
-//!     with loopback. Roles per scenario are listed by `usage()`.
+//!     with loopback. `usage()` lists each wiring's roles.
 //! ```
 //!
 //! Argument parsing is deliberately hand-rolled: the workspace builds
@@ -30,34 +29,28 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use dcp_blindcash::{blindcash_serve_spec, Blindcash, BlindcashConfig};
-use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
-use dcp_mpr::{mpr_serve_spec, ChainConfig, Mpr};
-use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
-use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
-use dcp_privacypass::{privacypass_serve_spec, Privacypass, PrivacypassConfig};
-use dcp_runtime::seam::ServeSpec;
+use dcp_runtime::seam::{ServeSpec, Twin};
 use dcp_serve::{run_loopback, run_role, ServeConfig};
+use decoupling::{registration, REGISTRY};
 
-/// Resolvers `dns_direct` stripes over: the smallest striped wiring.
-const DIRECT_RESOLVERS: usize = 2;
-
-/// Relays in the `mpr` chain: the paper's two-hop configuration.
-const MPR_RELAYS: usize = 2;
-
-fn usage() -> &'static str {
-    "usage:\n  \
-     dcp serve SCENARIO [--clients N] [--queries N] [--seed S]\n  \
-     dcp serve SCENARIO --role NAME --listen ADDR [--peer NAME=ADDR]... \
-     [--seed S] [--deadline SECS]\n\n\
-     scenarios and their roles (client-K for each further client):\n  \
-     blindcash    signer | verifier | seller | buyer | buyer-K\n  \
-     privacypass  issuer | origin | client | client-K\n  \
-     odoh         proxy | target | origin | client | client-K\n  \
-     odns_legacy  recursive | authority | origin | client | client-K\n  \
-     dns_direct   origin | resolver | resolver-2 | client | client-K\n  \
-     mpr          origin | relay | relay-2 | user | user-K"
+/// The usage text, with each servable wiring's roles read from its spec
+/// at two clients.
+fn usage() -> String {
+    let mut text = String::from(
+        "usage:\n  \
+         dcp serve SCENARIO [--clients N] [--queries N] [--seed S]\n  \
+         dcp serve SCENARIO --role NAME --listen ADDR [--peer NAME=ADDR]... \
+         [--seed S] [--deadline SECS]\n\n\
+         scenarios and their roles at two clients:",
+    );
+    for reg in REGISTRY {
+        if let Some(Ok((spec, _))) = reg.serve.map(|serve| serve(2, 1, 7)) {
+            let roles: Vec<&str> = spec.roles.iter().map(|r| r.name.as_str()).collect();
+            text += &format!("\n  {:<12} {}", reg.name, roles.join(" | "));
+        }
+    }
+    text
 }
 
 struct ServeArgs {
@@ -115,61 +108,23 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
     Ok(out)
 }
 
-/// The simulated twin of a served wiring, run only when checked.
-type Twin = Box<dyn FnOnce() -> World>;
-
 /// `scenario`'s servable spec for these arguments, and its simulated
 /// twin at the same config and seed.
 fn wiring(scenario: &str, a: &ServeArgs) -> Result<(ServeSpec, Twin), String> {
-    let (clients, queries, seed) = (a.clients, a.queries, a.seed);
-    let wiring: (ServeSpec, Twin) = match scenario {
-        "blindcash" => {
-            let cfg = BlindcashConfig::default()
-                .buyers(clients)
-                .coins_each(queries);
-            let spec = blindcash_serve_spec(&cfg, seed);
-            (spec, Box::new(move || Blindcash::run(&cfg, seed).world))
-        }
-        "privacypass" => {
-            let cfg = PrivacypassConfig::new(clients, queries);
-            let spec =
-                privacypass_serve_spec(&cfg, seed).map_err(|e| format!("privacypass: {e}"))?;
-            (spec, Box::new(move || Privacypass::run(&cfg, seed).world))
-        }
-        "odoh" => {
-            let cfg = OdohConfig::new(clients, queries);
-            let spec = odoh_serve_spec(&cfg, seed);
-            (spec, Box::new(move || Odoh::run(&cfg, seed).world))
-        }
-        "odns_legacy" => {
-            let cfg = OdnsLegacyConfig::new(clients, queries);
-            let spec = odns_legacy_serve_spec(&cfg, seed);
-            (spec, Box::new(move || OdnsLegacy::run(&cfg, seed).world))
-        }
-        "dns_direct" => {
-            let cfg = DirectDnsConfig::new(clients, queries, DIRECT_RESOLVERS);
-            let spec = direct_serve_spec(&cfg, seed);
-            (spec, Box::new(move || DirectDns::run(&cfg, seed).world))
-        }
-        "mpr" => {
-            let cfg = ChainConfig {
-                relays: MPR_RELAYS,
-                users: clients,
-                fetches_each: queries,
-                geohint: false,
-                seed,
-            };
-            let spec = mpr_serve_spec(&cfg, seed);
-            (spec, Box::new(move || Mpr::run(&cfg, seed).world))
-        }
-        other => {
-            return Err(format!(
-                "unknown scenario {other:?} (try: blindcash, privacypass, odoh, odns_legacy, \
-                 dns_direct, mpr)"
-            ))
-        }
-    };
-    Ok(wiring)
+    let serve = registration(scenario)
+        .and_then(|reg| reg.serve)
+        .ok_or_else(|| {
+            let servable: Vec<&str> = REGISTRY
+                .iter()
+                .filter(|reg| reg.serve.is_some())
+                .map(|reg| reg.name)
+                .collect();
+            format!(
+                "no servable scenario {scenario:?} (try: {})",
+                servable.join(", ")
+            )
+        })?;
+    serve(a.clients, a.queries, a.seed).map_err(|e| format!("{scenario}: {e}"))
 }
 
 fn serve(scenario: &str, a: ServeArgs) -> Result<(), String> {
@@ -222,9 +177,9 @@ fn main() -> ExitCode {
     let result = match args.split_first() {
         Some((cmd, rest)) if cmd == "serve" => match rest.split_first() {
             Some((scenario, flags)) => parse_serve(flags).and_then(|a| serve(scenario, a)),
-            None => Err(usage().to_string()),
+            None => Err(usage()),
         },
-        _ => Err(usage().to_string()),
+        _ => Err(usage()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -25,7 +25,7 @@
 //! * The paper's systems: [`blindcash`] (§3.1.1), [`mixnet`] (§3.1.2),
 //!   [`privacypass`] (§3.2.1), [`odns`] (§3.2.2), [`pgpp`] (§3.2.3),
 //!   [`mpr`] (§3.2.4), [`ppm`] (§3.2.5), and the [`vpn`] cautionary tales
-//!   (§3.3).
+//!   (§3.3), each wiring of them listed once in [`REGISTRY`].
 //!
 //! ## Quickstart
 //!
@@ -80,9 +80,10 @@ pub use dcp_core::{
     derive_seed, MetricsReport, ObsEvent, ObsSink, RecoverConfig, RunOptions, Scenario,
     ScenarioReport, SequentialExecutor, SweepBuilder, SweepExecutor, SweepJob, SweepRun,
 };
-pub use dcp_faults::dst::{run_scenario_for, sweep_scenario_for, DstReport, DstSweepReport};
+pub use dcp_faults::dst::{run_battery, sweep_battery, DstReport, DstSweepReport};
 pub use dcp_faults::{FaultConfig, FaultLog};
 pub use dcp_obs::MetricsHandle;
+pub use dcp_runtime::seam::Registration;
 pub use dcp_runtime::{entities_silent, restricted_fingerprint, FleetConfig, FleetSummary};
 pub use dcp_sweep::ParallelExecutor;
 
@@ -94,3 +95,71 @@ pub use dcp_pgpp::{Pgpp, PgppConfig};
 pub use dcp_ppm::{Ppm, PpmConfig};
 pub use dcp_privacypass::{Privacypass, PrivacypassConfig};
 pub use dcp_vpn::{Ech, EchConfig, Vpn, VpnConfig};
+
+/// Every §3 wiring, each registered once by its own crate, in battery
+/// order. The DST batteries and probes, the cap reconciliation, the
+/// metrics properties, the twin tests and `dcp serve` all iterate this
+/// list; the probes' golden files pin its order.
+pub const REGISTRY: &[Registration] = &[
+    Blindcash::REGISTRATION,
+    Mixnet::REGISTRATION,
+    Privacypass::REGISTRATION,
+    Odoh::REGISTRATION,
+    Pgpp::REGISTRATION,
+    Mpr::REGISTRATION,
+    Ppm::REGISTRATION,
+    Vpn::REGISTRATION,
+    Ech::REGISTRATION,
+    dcp_odns::OdnsLegacy::REGISTRATION,
+    DirectDns::REGISTRATION,
+];
+
+/// The registered wiring called `name`, if any.
+pub fn registration(name: &str) -> Option<&'static Registration> {
+    REGISTRY.iter().find(|r| r.name == name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcp_core::RoleKind;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn registered_names_are_unique() {
+        let names: BTreeSet<&str> = REGISTRY.iter().map(|r| r.name).collect();
+        assert_eq!(names.len(), REGISTRY.len(), "a name is registered twice");
+    }
+
+    /// A report names its wiring as the registry does: the check that a
+    /// scenario called one thing in reports and another on the command
+    /// line would fail.
+    #[test]
+    fn observed_runs_report_their_registered_name() {
+        for reg in REGISTRY {
+            let report = (reg.run)(7, &RunOptions::observed());
+            assert_eq!(report.metrics().scenario, reg.name);
+        }
+    }
+
+    #[test]
+    fn servable_specs_name_their_wiring_and_roles() {
+        for reg in REGISTRY {
+            let Some(serve) = reg.serve else { continue };
+            let (spec, _) = serve(2, 2, 7).unwrap_or_else(|e| panic!("{}: {e}", reg.name));
+            assert_eq!(spec.scenario, reg.name);
+            let roles: BTreeSet<&str> = spec.roles.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(
+                roles.len(),
+                spec.roles.len(),
+                "{}: role names repeat",
+                reg.name
+            );
+            assert!(
+                spec.roles.iter().any(|r| r.kind == RoleKind::Initiator),
+                "{}: no initiator drives the run",
+                reg.name
+            );
+        }
+    }
+}

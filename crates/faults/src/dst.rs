@@ -24,14 +24,16 @@
 //! ciphertext ([`dcp_core::analysis::RetryLinkage`]). Under
 //! [`FaultConfig::chaos`] only safety is promised.
 //!
-//! The harness is generic over a closure `Fn(&FaultConfig, u64) ->`
-//! [`DstOutcome`] because this crate sits below the scenario crates in
-//! the dependency graph: the integration test (`tests/dst_scenarios.rs`)
-//! supplies one closure per §3 system.
+//! This crate sits below the scenario crates in the dependency graph, so
+//! the harness takes a wiring as a [`Run`]: one run at `(seed,
+//! RunOptions)`. Each registered wiring supplies its own
+//! (`dcp_runtime::seam::Registration::run`), and every battery below is
+//! written once over it; [`run_scenario`] is the primitive beneath them,
+//! over any closure `Fn(&FaultConfig, u64) ->` [`DstOutcome`].
 
 use crate::{FaultConfig, FaultLog};
 use dcp_core::sweep::{SweepBuilder, SweepExecutor};
-use dcp_core::{analyze, Scenario, ScenarioReport, World};
+use dcp_core::{analyze, RunOptions, ScenarioReport, World};
 use serde::Serialize;
 
 /// A stable, comparable rendering of every entity's knowledge about
@@ -85,7 +87,7 @@ pub struct DstOutcome {
 
 impl DstOutcome {
     /// Build from any [`ScenarioReport`].
-    pub fn from_report<R: ScenarioReport>(report: &R) -> Self {
+    pub fn from_report<R: ScenarioReport + ?Sized>(report: &R) -> Self {
         DstOutcome {
             world: report.world().clone(),
             fault_log: report.fault_log().clone(),
@@ -100,7 +102,7 @@ impl DstOutcome {
 /// The harness's verdict for one `(scenario, preset)` cell.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct DstReport {
-    /// Scenario name (e.g. `"odns"`).
+    /// Scenario name (e.g. `"odoh"`).
     pub scenario: String,
     /// Preset name (`"calm"`, `"moderate"`, `"harsh"`, `"chaos"`).
     pub preset: String,
@@ -262,31 +264,28 @@ where
     }
 }
 
-/// Run `S` with the standard recovery layer under `config`: the run
-/// closure of every `*_for` entrypoint below.
+/// One run of a wiring at a seed and [`RunOptions`]: what every battery
+/// below drives, and what each registered wiring supplies.
+pub type Run = fn(u64, &RunOptions) -> Box<dyn ScenarioReport + Send>;
+
+/// `run` with the standard recovery layer under `config`: the run
+/// closure of every battery below.
 ///
 /// Recovery is enabled for the calm baseline too: the baseline must
 /// share the faulted runs' topology and provisioning (backup routes,
 /// retry-headroom token batches) for the table-equality comparison to
 /// mean anything. Calm runs fire zero retries, so this changes no
 /// knowledge.
-fn recovered_run<S: Scenario>(cfg: &S::Config) -> impl Fn(&FaultConfig, u64) -> DstOutcome + '_ {
-    move |config, seed| {
-        DstOutcome::from_report(&S::run_with(
-            cfg,
-            seed,
-            &dcp_core::RunOptions::recovered(config),
-        ))
-    }
+fn recovered_run(run: Run) -> impl Fn(&FaultConfig, u64) -> DstOutcome {
+    move |config, seed| DstOutcome::from_report(&*run(seed, &RunOptions::recovered(config)))
 }
 
-/// [`run_scenario`] specialized to the unified [`Scenario`] trait: runs
-/// `S` on `cfg` under every preset (twice each) **with the standard
-/// recovery layer enabled** and checks determinism, baseline-relative
-/// safety, retry unlinkability, and the harsh completion bar. The
-/// canonical way to DST a §3 system.
-pub fn run_scenario_for<S: Scenario>(seed: u64, cfg: &S::Config) -> Vec<DstReport> {
-    run_scenario(S::NAME, seed, recovered_run::<S>(cfg))
+/// [`run_scenario`] over a wiring's [`Run`]: runs it under every preset
+/// (twice each) **with the standard recovery layer enabled** and checks
+/// determinism, baseline-relative safety, retry unlinkability, and the
+/// harsh completion bar. The canonical way to DST a §3 system.
+pub fn run_battery(scenario: &str, seed: u64, run: Run) -> Vec<DstReport> {
+    run_scenario(scenario, seed, recovered_run(run))
 }
 
 /// The harsh-preset recovery probe for one world: a recovered fault-free
@@ -295,14 +294,14 @@ pub fn run_scenario_for<S: Scenario>(seed: u64, cfg: &S::Config) -> Vec<DstRepor
 /// finished, knowledge tables byte-identical to the baseline, no attempt
 /// linkage, no new couplings. Returns the harsh-cell [`DstReport`].
 ///
-/// This is [`run_scenario_for`] narrowed to the one preset that carries
-/// the completion bar, so CI can sweep it over more worlds than the full
+/// This is [`run_battery`] narrowed to the one preset that carries the
+/// completion bar, so CI can sweep it over more worlds than the full
 /// battery affords.
-pub fn run_recovery_probe_for<S: Scenario>(seed: u64, cfg: &S::Config) -> DstReport {
-    let run = recovered_run::<S>(cfg);
-    let baseline = calm_baseline(S::NAME, seed, &run);
+fn run_recovery_probe(scenario: &str, seed: u64, run: Run) -> DstReport {
+    let run = recovered_run(run);
+    let baseline = calm_baseline(scenario, seed, &run);
     check_preset(
-        S::NAME,
+        scenario,
         seed,
         "harsh",
         &FaultConfig::harsh(),
@@ -334,30 +333,30 @@ pub struct RecoverySweepReport {
     pub entries: Vec<DstReport>,
 }
 
-/// Run the harsh recovery probe ([`run_recovery_probe_for`]) at every
-/// seed of `builder`'s sweep, on `exec`. The aggregate is identical for
-/// every conforming executor.
-pub fn sweep_recovery_probe_for<S, X>(
-    cfg: &S::Config,
+/// Run the harsh recovery probe (a recovered calm baseline and a
+/// recovered harsh run, twice, under the completion bar) at every seed of
+/// `builder`'s sweep, on `exec`. The aggregate is identical for every
+/// conforming executor.
+pub fn sweep_recovery_probe<X>(
+    scenario: &str,
+    run: Run,
     builder: &SweepBuilder,
     exec: &X,
 ) -> RecoverySweepReport
 where
-    S: Scenario,
-    S::Config: Sync,
     X: SweepExecutor + ?Sized,
 {
-    let run = builder.run_on(exec, |job| run_recovery_probe_for::<S>(job.seed, cfg));
+    let swept = builder.run_on(exec, |job| run_recovery_probe(scenario, job.seed, run));
     let mut report = RecoverySweepReport {
-        scenario: S::NAME.to_string(),
+        scenario: scenario.to_string(),
         master_seed: builder.master_seed(),
         worlds: builder.world_count(),
         total_faults: 0,
         completed_harsh: 0,
         completed_units: 0,
-        entries: Vec::with_capacity(run.entries.len()),
+        entries: Vec::with_capacity(swept.entries.len()),
     };
-    for entry in &run.entries {
+    for entry in &swept.entries {
         let r = &entry.result;
         report.total_faults += r.faults_injected as u64;
         report.completed_units += r.completed_units;
@@ -409,28 +408,31 @@ pub struct DstSweepReport {
     pub entries: Vec<DstSweepEntry>,
 }
 
-/// Run the full DST battery ([`run_scenario_for`]) at every seed of
+/// Run the full DST battery ([`run_battery`]) at every seed of
 /// `builder`'s sweep, on `exec`. Each world independently asserts
 /// determinism and baseline-relative safety; the returned aggregate is
 /// identical for every conforming executor.
-pub fn sweep_scenario_for<S, X>(cfg: &S::Config, builder: &SweepBuilder, exec: &X) -> DstSweepReport
+pub fn sweep_battery<X>(
+    scenario: &str,
+    run: Run,
+    builder: &SweepBuilder,
+    exec: &X,
+) -> DstSweepReport
 where
-    S: Scenario,
-    S::Config: Sync,
     X: SweepExecutor + ?Sized,
 {
-    let run = builder.run_on(exec, |job| run_scenario_for::<S>(job.seed, cfg));
+    let swept = builder.run_on(exec, |job| run_battery(scenario, job.seed, run));
     let mut report = DstSweepReport {
-        scenario: S::NAME.to_string(),
+        scenario: scenario.to_string(),
         master_seed: builder.master_seed(),
         worlds: builder.world_count(),
         total_faults: 0,
         completed_moderate: 0,
         completed_harsh: 0,
         new_couplings: 0,
-        entries: Vec::with_capacity(run.entries.len()),
+        entries: Vec::with_capacity(swept.entries.len()),
     };
-    for entry in &run.entries {
+    for entry in &swept.entries {
         for r in &entry.result {
             report.total_faults += r.faults_injected as u64;
             report.new_couplings += r.new_couplings.len() as u64;

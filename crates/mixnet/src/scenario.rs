@@ -11,6 +11,7 @@ use dcp_core::{
     Scenario, UserId, World,
 };
 use dcp_crypto::hpke;
+use dcp_runtime::seam::Registration;
 use dcp_runtime::{
     mean_us, wire, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, FleetClient, FleetSetup,
     FleetSummary, Harness, LinkParams, Message, Node, NodeId, RetryLinkage, Trace, TypedSend,
@@ -20,7 +21,7 @@ use rand::Rng as _;
 
 use crate::adversary::{self, AttackResult};
 use crate::mix::{MixNode, RESP_BIT};
-use crate::types::{BatchMix, MailReceiver, MailSender, MixedMail};
+use crate::types::{declared_caps, BatchMix, MailReceiver, MailSender, MixedMail};
 
 /// Configuration of a mix-net run.
 #[derive(Clone, Copy, Debug)]
@@ -104,6 +105,9 @@ impl dcp_core::ScenarioReport for MixnetReport {
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
     }
+    fn packets(&self) -> usize {
+        self.trace.len()
+    }
     fn completed_units(&self) -> u64 {
         self.delivered as u64
     }
@@ -127,6 +131,29 @@ impl Scenario for Mixnet {
         let config = MixnetConfig { seed, ..*cfg };
         run_impl(&config, opts)
     }
+}
+
+impl Mixnet {
+    /// Six senders through two shuffling mixes that flush every three
+    /// messages.
+    pub const REGISTRATION: Registration = Registration {
+        name: Mixnet::NAME,
+        run: |seed, opts| {
+            let cfg = MixnetConfig {
+                senders: 6,
+                mixes: 2,
+                batch_size: 3,
+                window_us: 100_000,
+                shuffle: true,
+                chaff_per_sender: 0,
+                mix_max_wait_us: None,
+                seed: 0, // overridden by the run seed
+            };
+            Box::new(Mixnet::run_with(&cfg, seed, opts))
+        },
+        declared_caps,
+        serve: None,
+    };
 }
 
 impl MixnetReport {

@@ -27,7 +27,7 @@
 //!
 //! The roles are written once, as seam roles: the simulator hosts them
 //! for every run (plain, recovered, fleet-enabled) and `dcp serve mpr`
-//! serves the same roles over TCP ([`mpr_serve_spec`]).
+//! serves the same roles over TCP ([`Mpr::REGISTRATION`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +36,5 @@ pub mod population;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{mpr_serve_spec, ChainConfig, Mpr, ScenarioReport};
+pub use scenario::{ChainConfig, Mpr, ScenarioReport};
 pub use types::declared_caps;

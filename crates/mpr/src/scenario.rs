@@ -1,7 +1,7 @@
 //! k-relay chain scenarios over nested encrypted tunnels, written once
 //! as seam roles: a user, a relay serving every chain position, and the
 //! origin. One `wiring` builds them; the simulator hosts them ([`Mpr`])
-//! and [`mpr_serve_spec`] hands the same roles to `dcp-serve`.
+//! and [`Mpr::REGISTRATION`] hands the same roles to `dcp-serve`.
 //!
 //! Every leg carries an 8-byte hop-local sequence number
 //! (`dcp_runtime::wire` framing). Each relay re-keys what it forwards
@@ -31,7 +31,9 @@ use dcp_core::{
     Scenario, UserId, World,
 };
 use dcp_crypto::hpke;
-use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{
+    lock, nth, PeerId, Registration, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole,
+};
 use dcp_runtime::{
     mean_us, wire, Attempt, Control, DirectoryNode, Endpoint, FleetClient, FleetRelay, FleetSetup,
     FleetSummary, Harness, HopMap, LinkParams, NodeId, ReliableCall, RetryLinkage, TimerVerdict,
@@ -39,7 +41,9 @@ use dcp_runtime::{
 };
 use dcp_transport::onion::{self, Hop, Unwrapped};
 
-use crate::types::{ChainOrigin, ChainRelay, ChainUser, DirectFetch, DirectOrigin, OnionedFetch};
+use crate::types::{
+    declared_caps, ChainOrigin, ChainRelay, ChainUser, DirectFetch, DirectOrigin, OnionedFetch,
+};
 
 /// Configuration for a chain run.
 #[derive(Clone, Copy, Debug)]
@@ -107,6 +111,9 @@ impl dcp_core::ScenarioReport for ScenarioReport {
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
     }
+    fn packets(&self) -> usize {
+        self.trace.len()
+    }
     fn completed_units(&self) -> u64 {
         self.completed as u64
     }
@@ -130,6 +137,39 @@ impl Scenario for Mpr {
         let config = ChainConfig { seed, ..*cfg };
         run_impl(&config, opts)
     }
+}
+
+impl Mpr {
+    /// Three users fetching twice each through the paper's two-relay
+    /// chain. Served, the same chain with a user per client and a fetch
+    /// per query, without recovery or a relay directory. Role order
+    /// defines peer ids: `origin` 0, `relay` 1, `relay-2` 2, then
+    /// `user`, `user-2`, ….
+    pub const REGISTRATION: Registration = Registration {
+        name: Mpr::NAME,
+        run: |seed, opts| {
+            let cfg = ChainConfig {
+                relays: 2,
+                users: 3,
+                fetches_each: 2,
+                geohint: false,
+                seed: 0, // overridden by the run seed
+            };
+            Box::new(Mpr::run_with(&cfg, seed, opts))
+        },
+        declared_caps,
+        serve: Some(|clients, queries, seed| {
+            let cfg = ChainConfig {
+                relays: 2,
+                users: clients,
+                fetches_each: queries,
+                geohint: false,
+                seed,
+            };
+            let spec = wiring(&cfg, World::new(), &RunOptions::default()).spec;
+            Ok((spec, Box::new(move || Mpr::run(&cfg, seed).world)))
+        }),
+    };
 }
 
 impl ScenarioReport {
@@ -779,17 +819,6 @@ fn wiring(cfg: &ChainConfig, mut world: World, opts: &RunOptions) -> Wiring {
         relay_names,
         fleet,
     }
-}
-
-/// Build the servable MPR wiring: the world, keys and roles of the
-/// simulated run with this `cfg` and `seed`, without recovery or a
-/// relay directory.
-///
-/// Role order defines peer ids: `origin` 0, `relay`, `relay-2`, … at
-/// 1..=`relays`, then `user`, `user-2`, ….
-pub fn mpr_serve_spec(cfg: &ChainConfig, seed: u64) -> ServeSpec {
-    let cfg = ChainConfig { seed, ..*cfg };
-    wiring(&cfg, World::new(), &RunOptions::default()).spec
 }
 
 fn run_impl(cfg: &ChainConfig, opts: &RunOptions) -> ScenarioReport {

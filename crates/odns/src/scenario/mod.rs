@@ -2,7 +2,8 @@
 //! baseline), and the §5.1 striping experiment.
 //!
 //! Each wiring is written once, as seam roles that the simulator hosts
-//! here and `dcp-serve` hosts over sockets ([`crate::serve`]): `odoh`
+//! here and `dcp-serve` hosts over sockets (each wiring's
+//! `REGISTRATION`): `odoh`
 //! (proxy → target encapsulation), `legacy` (the 2019 protocol, where
 //! the ciphertext hides in the queried *name*) and `direct` (plain DNS,
 //! optionally striped). Every leg carries a hop-local sequence number
@@ -29,13 +30,18 @@ use dcp_crypto::hpke;
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RecordData, Zone};
 use dcp_faults::FaultLog;
-use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{
+    lock, nth, PeerId, Registration, RoleSpec, ServeSpec, Twin, WireCtx, WireMsg, WireRole,
+};
 use dcp_runtime::{
     mean_us, wire, Control, Endpoint, Harness, HopMap, LinkParams, RetryLinkage, Trace,
 };
 use rand::SeedableRng;
 
-use crate::types::{AuthOrigin, DnsQuery, ObliviousProxy, ObliviousQuery, ObliviousTarget};
+use crate::types::{
+    declared_caps, direct_declared_caps, AuthOrigin, DnsQuery, ObliviousProxy, ObliviousQuery,
+    ObliviousTarget,
+};
 
 pub(crate) mod direct;
 pub(crate) mod legacy;
@@ -78,6 +84,9 @@ impl dcp_core::ScenarioReport for ScenarioReport {
     }
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
+    }
+    fn packets(&self) -> usize {
+        self.trace.len()
     }
     fn completed_units(&self) -> u64 {
         self.answered as u64
@@ -265,11 +274,25 @@ pub struct Odoh;
 impl Scenario for Odoh {
     type Config = OdohConfig;
     type Report = ScenarioReport;
-    const NAME: &'static str = "odns";
+    const NAME: &'static str = "odoh";
 
     fn run_with(cfg: &OdohConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
         simulate(Self::NAME, cfg, seed, opts, odoh::wiring)
     }
+}
+
+impl Odoh {
+    /// Three clients asking four queries each. Served, one proxy (no
+    /// backups). Role order defines peer ids: `proxy` 0, `target` 1,
+    /// `origin` 2, then `client`, `client-2`, ….
+    pub const REGISTRATION: Registration = Registration {
+        name: Odoh::NAME,
+        run: |seed, opts| Box::new(Odoh::run_with(&OdohConfig::new(3, 4), seed, opts)),
+        declared_caps,
+        serve: Some(|clients, queries, seed| {
+            served::<Odoh>(OdohConfig::new(clients, queries), seed, odoh::wiring)
+        }),
+    };
 }
 
 /// Plain DNS (the coupled baseline), optionally striped across several
@@ -286,6 +309,33 @@ impl Scenario for DirectDns {
     }
 }
 
+impl DirectDns {
+    /// Three clients asking four queries each, striped over two
+    /// resolvers, the smallest striped wiring; served the same way. The
+    /// harsh bar holds only because a call's resolver is the client's
+    /// own seeded draw, which does not depend on what the faults did.
+    /// Role order defines peer ids: `origin` 0, `resolver` 1,
+    /// `resolver-2` 2, then `client`, `client-2`, ….
+    pub const REGISTRATION: Registration = Registration {
+        name: DirectDns::NAME,
+        run: |seed, opts| {
+            Box::new(DirectDns::run_with(
+                &DirectDnsConfig::new(3, 4, 2),
+                seed,
+                opts,
+            ))
+        },
+        declared_caps: direct_declared_caps,
+        serve: Some(|clients, queries, seed| {
+            served::<DirectDns>(
+                DirectDnsConfig::new(clients, queries, 2),
+                seed,
+                direct::wiring,
+            )
+        }),
+    };
+}
+
 /// The original ODNS (2019): obfuscated names through an unmodified
 /// recursive resolver to the oblivious authority.
 pub struct OdnsLegacy;
@@ -298,6 +348,45 @@ impl Scenario for OdnsLegacy {
     fn run_with(cfg: &OdnsLegacyConfig, seed: u64, opts: &RunOptions) -> ScenarioReport {
         simulate(Self::NAME, cfg, seed, opts, legacy::wiring)
     }
+}
+
+impl OdnsLegacy {
+    /// Three clients asking four queries each; served the same way. Role
+    /// order defines peer ids: `recursive` 0, `authority` 1, `origin` 2,
+    /// then `client`, `client-2`, ….
+    pub const REGISTRATION: Registration = Registration {
+        name: OdnsLegacy::NAME,
+        run: |seed, opts| {
+            Box::new(OdnsLegacy::run_with(
+                &OdnsLegacyConfig::new(3, 4),
+                seed,
+                opts,
+            ))
+        },
+        declared_caps,
+        serve: Some(|clients, queries, seed| {
+            served::<OdnsLegacy>(
+                OdnsLegacyConfig::new(clients, queries),
+                seed,
+                legacy::wiring,
+            )
+        }),
+    };
+}
+
+/// A DNS wiring's spec for `dcp-serve`, built without recovery, and its
+/// simulated twin.
+fn served<S>(
+    cfg: S::Config,
+    seed: u64,
+    wiring: Wiring<S::Config>,
+) -> Result<(ServeSpec, Twin), String>
+where
+    S: Scenario<Report = ScenarioReport>,
+    S::Config: 'static,
+{
+    let spec = wiring(&cfg, seed, World::new(), &RecoverConfig::disabled()).0;
+    Ok((spec, Box::new(move || S::run(&cfg, seed).world)))
 }
 
 /// Zone suffix used by the synthetic workloads.
@@ -816,7 +905,7 @@ mod tests {
         let report = Odoh::run_with(&OdohConfig::new(1, 3), 21, &RunOptions::observed());
         assert_eq!(report.answered, 3);
         assert!(report.metrics.enabled);
-        assert_eq!(report.metrics.scenario, "odns");
+        assert_eq!(report.metrics.scenario, "odoh");
         assert!(
             report.metrics.wire_accounting_holds(),
             "{:?}",

@@ -11,6 +11,7 @@ use dcp_core::{
     Scenario, UserId, World,
 };
 use dcp_privacypass::protocol::{Client as TokenClient, Issuer, Token};
+use dcp_runtime::seam::Registration;
 use dcp_runtime::{
     wire, Admits, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, Harness, LinkParams, Message,
     Node, NodeId, RetryLinkage, Role, Trace, TypedSend, WireLabel,
@@ -19,8 +20,8 @@ use rand::Rng as _;
 
 use crate::cellular::{trajectory_linkage, CellId, CoreNetwork, Imsi, LinkageResult};
 use crate::types::{
-    Handset, IssueTokensReq, LegacyAttach, LegacyCore, PgppAttach, PgppCore, PgppGateway,
-    VerifyTokenReq,
+    pgpp_declared_caps, Handset, IssueTokensReq, LegacyAttach, LegacyCore, PgppAttach, PgppCore,
+    PgppGateway, VerifyTokenReq,
 };
 
 /// Operating mode.
@@ -98,6 +99,9 @@ impl dcp_core::ScenarioReport for PgppReport {
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
     }
+    fn packets(&self) -> usize {
+        self.trace.len()
+    }
     fn completed_units(&self) -> u64 {
         self.attaches as u64
     }
@@ -122,6 +126,27 @@ impl Scenario for Pgpp {
         let config = PgppConfig { seed, ..*cfg };
         run_impl(&config, opts)
     }
+}
+
+impl Pgpp {
+    /// Five handsets moving twice per epoch between two cells for two
+    /// epochs, in PGPP mode.
+    pub const REGISTRATION: Registration = Registration {
+        name: Pgpp::NAME,
+        run: |seed, opts| {
+            let cfg = PgppConfig {
+                mode: Mode::Pgpp,
+                users: 5,
+                cells: 2,
+                epochs: 2,
+                moves_per_epoch: 2,
+                seed: 0, // overridden by the run seed
+            };
+            Box::new(Pgpp::run_with(&cfg, seed, opts))
+        },
+        declared_caps: pgpp_declared_caps,
+        serve: None,
+    };
 }
 
 impl PgppReport {

@@ -10,6 +10,7 @@ use dcp_core::{
     DataKind, EntityId, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions,
     Scenario, UserId, World,
 };
+use dcp_runtime::seam::Registration;
 use dcp_runtime::{
     wire, Control, Ctx, Endpoint, Harness, LinkParams, Message, Node, NodeId, Outbox, Trace,
 };
@@ -17,7 +18,9 @@ use rand::Rng as _;
 
 use crate::field::Fe;
 use crate::prio::{Aggregator, SubmissionShare, TripleShare, VerifyMsg};
-use crate::types::{AccumShare, AggCollector, PrioAggregator, Reporter, ShareSubmission};
+use crate::types::{
+    declared_caps, AccumShare, AggCollector, PrioAggregator, Reporter, ShareSubmission,
+};
 
 /// Wire tags for the PPM protocol.
 const TAG_SUBMIT: u8 = 1;
@@ -112,6 +115,9 @@ impl dcp_core::ScenarioReport for PpmReport {
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
     }
+    fn packets(&self) -> usize {
+        self.trace.len()
+    }
     fn completed_units(&self) -> u64 {
         // `accepted` is the static expectation; the aggregate only
         // releases when every share actually survived the network.
@@ -141,6 +147,26 @@ impl Scenario for Ppm {
         let config = PpmConfig { seed, ..*cfg };
         run_impl(&config, opts, &|_, node| node)
     }
+}
+
+impl Ppm {
+    /// Five honest clients reporting four bits each. The aggregate is
+    /// released only once every share has arrived, so any verified
+    /// submission that reaches both aggregators counts as progress.
+    pub const REGISTRATION: Registration = Registration {
+        name: Ppm::NAME,
+        run: |seed, opts| {
+            let cfg = PpmConfig {
+                clients: 5,
+                bits: 4,
+                malicious: 0,
+                seed: 0, // overridden by the run seed
+            };
+            Box::new(Ppm::run_with(&cfg, seed, opts))
+        },
+        declared_caps,
+        serve: None,
+    };
 }
 
 impl PpmReport {

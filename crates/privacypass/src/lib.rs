@@ -25,9 +25,7 @@ pub mod protocol;
 pub mod scenario;
 pub mod types;
 
-pub use scenario::{
-    privacypass_serve_spec, BatchExceeded, Privacypass, PrivacypassConfig, ScenarioReport,
-};
+pub use scenario::{Privacypass, PrivacypassConfig, ScenarioReport};
 pub use types::declared_caps;
 
 pub use protocol::{Client, Issuer, RedeemError, Token};

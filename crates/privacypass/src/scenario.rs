@@ -1,7 +1,7 @@
 //! The Fig. 2 flow — challenge → issuance → redemption — written once as
 //! seam roles: a client, the issuer and the origin. One `wiring` builds
 //! them; the simulator hosts them ([`Privacypass`]) and
-//! [`privacypass_serve_spec`] hands the same roles to `dcp-serve`.
+//! [`Privacypass::REGISTRATION`] hands the same roles to `dcp-serve`.
 //!
 //! Every leg carries an 8-byte sequence number (`dcp_runtime::wire`
 //! framing) on every run. The origin keys each redemption check by the
@@ -24,7 +24,9 @@ use dcp_core::{
     Scenario, UserId, World,
 };
 use dcp_crypto::oprf::{BlindedElement, DleqProof, EvaluatedElement};
-use dcp_runtime::seam::{lock, nth, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{
+    lock, nth, PeerId, Registration, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole,
+};
 use dcp_runtime::{
     mean_us, wire, Attempt, CheckForwarder, Control, Endpoint, Forward, Harness, LinkParams,
     ReliableCall, RetryLinkage, TimerVerdict, Trace,
@@ -33,7 +35,8 @@ use dcp_transport::frame::{Frame, FrameRef, FrameType};
 
 use crate::protocol::{self, IssuanceRequest, Token};
 use crate::types::{
-    AccessRequest, IssuanceReq, RedeemCheckReq, TokenClient, TokenIssuer, TokenOrigin,
+    declared_caps, AccessRequest, IssuanceReq, RedeemCheckReq, TokenClient, TokenIssuer,
+    TokenOrigin,
 };
 
 /// Result of a scenario run.
@@ -72,6 +75,9 @@ impl dcp_core::ScenarioReport for ScenarioReport {
     }
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
+    }
+    fn packets(&self) -> usize {
+        self.trace.len()
     }
     fn completed_units(&self) -> u64 {
         self.redeemed as u64
@@ -153,6 +159,37 @@ impl Scenario for Privacypass {
             retry_linkage: stats.linkage.violations(),
         }
     }
+}
+
+impl Privacypass {
+    /// Three clients redeeming two tokens each. Served, each client
+    /// redeems one token per query from a single issuance batch, so a
+    /// served client takes at most four queries; every
+    /// process of a multi-process run builds the same issuer key from the
+    /// seed. Role order defines peer ids: `issuer` 0, `origin` 1, then
+    /// `client`, `client-2`, ….
+    pub const REGISTRATION: Registration = Registration {
+        name: Privacypass::NAME,
+        run: |seed, opts| {
+            Box::new(Privacypass::run_with(
+                &PrivacypassConfig::new(3, 2),
+                seed,
+                opts,
+            ))
+        },
+        declared_caps,
+        serve: Some(|clients, queries, seed| {
+            if queries > TOKENS_PER_BATCH {
+                return Err(format!(
+                    "{queries} redemptions per client: one issuance batch holds \
+                     {TOKENS_PER_BATCH}"
+                ));
+            }
+            let cfg = PrivacypassConfig::new(clients, queries);
+            let spec = wiring(&cfg, seed, World::new(), &RunOptions::default()).spec;
+            Ok((spec, Box::new(move || Privacypass::run(&cfg, seed).world)))
+        }),
+    };
 }
 
 impl ScenarioReport {
@@ -700,44 +737,6 @@ fn wiring(cfg: &PrivacypassConfig, seed: u64, mut world: World, opts: &RunOption
     }
 }
 
-/// A config that asks one issuance batch for more tokens than it holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchExceeded {
-    /// The redemptions per client asked for.
-    pub fetches_each: usize,
-}
-
-impl std::fmt::Display for BatchExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} redemptions per client: one issuance batch holds {TOKENS_PER_BATCH}",
-            self.fetches_each
-        )
-    }
-}
-
-impl std::error::Error for BatchExceeded {}
-
-/// Build the servable Privacy Pass wiring: the world, keys and roles of
-/// the simulated run with this `cfg` and `seed`, without recovery. Every
-/// process of a multi-process run builds the same issuer key from the
-/// seed.
-///
-/// Role order defines peer ids: `issuer` 0, `origin` 1, then `client`,
-/// `client-2`, ….
-pub fn privacypass_serve_spec(
-    cfg: &PrivacypassConfig,
-    seed: u64,
-) -> Result<ServeSpec, BatchExceeded> {
-    if cfg.fetches_each > TOKENS_PER_BATCH {
-        return Err(BatchExceeded {
-            fetches_each: cfg.fetches_each,
-        });
-    }
-    Ok(wiring(cfg, seed, World::new(), &RunOptions::default()).spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -846,11 +845,12 @@ mod tests {
 
     #[test]
     fn a_served_client_asks_for_at_most_one_batch() {
+        let serve = Privacypass::REGISTRATION.serve.expect("servable");
         assert_eq!(
-            privacypass_serve_spec(&PrivacypassConfig::new(1, 5), 7).err(),
-            Some(BatchExceeded { fetches_each: 5 })
+            serve(1, 5, 7).err().as_deref(),
+            Some("5 redemptions per client: one issuance batch holds 4")
         );
-        let spec = privacypass_serve_spec(&PrivacypassConfig::new(2, 4), 7).unwrap();
+        let (spec, _) = serve(2, 4, 7).unwrap();
         let names: Vec<&str> = spec.roles.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["issuer", "origin", "client", "client-2"]);
         assert_eq!(spec.expected_units, 8);

@@ -129,11 +129,6 @@ impl ReliableCall {
         self.cfg.enabled
     }
 
-    /// The configuration this machine runs under.
-    pub fn config(&self) -> &RecoverConfig {
-        &self.cfg
-    }
-
     fn next_jitter(&mut self) -> u64 {
         if self.cfg.jitter_us == 0 {
             return 0;
@@ -251,17 +246,20 @@ impl ReliableCall {
     }
 
     /// Is `seq` open (begun, not yet completed or abandoned)?
-    pub fn is_open(&self, seq: u64) -> bool {
+    #[cfg(test)]
+    fn is_open(&self, seq: u64) -> bool {
         self.calls.get(&seq).is_some_and(|c| !c.done)
     }
 
     /// Number of open (incomplete, unabandoned) calls.
-    pub fn open_calls(&self) -> usize {
+    #[cfg(test)]
+    fn open_calls(&self) -> usize {
         self.calls.values().filter(|c| !c.done).count()
     }
 
     /// The current attempt ordinal of `seq`, if the call is known.
-    pub fn attempts_of(&self, seq: u64) -> Option<u32> {
+    #[cfg(test)]
+    fn attempts_of(&self, seq: u64) -> Option<u32> {
         self.calls.get(&seq).map(|c| c.attempt)
     }
 }

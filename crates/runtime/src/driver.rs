@@ -22,7 +22,7 @@ pub enum CallEvent<T> {
     Ignored,
     /// Deadline expired: re-transmit (re-randomized!) under this
     /// [`Attempt`] and arm its timer. The in-flight entry is still
-    /// available via [`Driver::get`]/[`Driver::get_mut`].
+    /// available via [`Driver::get`].
     Retry(Attempt),
     /// The attempt budget is exhausted; the entry has been removed and
     /// is returned for the protocol's give-up path.
@@ -89,7 +89,8 @@ impl<T> Driver<T> {
     }
 
     /// Mutable access to the in-flight entry for `seq`.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
+    #[cfg(test)]
+    fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
         self.inflight.get_mut(&seq)
     }
 
@@ -164,7 +165,8 @@ impl<T> Driver<T> {
     }
 
     /// Number of open (incomplete, unabandoned) calls.
-    pub fn open_calls(&self) -> usize {
+    #[cfg(test)]
+    fn open_calls(&self) -> usize {
         self.inflight.len()
     }
 }

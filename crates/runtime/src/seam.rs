@@ -30,12 +30,15 @@
 //! byte-comparable to the simulated twin. In multi-process mode there is
 //! no shared world; bytes still flow, and the twin check is the loopback
 //! run's job.
+//!
+//! A scenario crate hands each of its wirings, seam or node-based, to the
+//! DST batteries and to `dcp serve` as one [`Registration`].
 
 use std::sync::{Mutex, MutexGuard};
 
-use dcp_core::cap::{Admits, WireLabel};
+use dcp_core::cap::{Admits, KnowledgeCap, WireLabel};
 use dcp_core::role::{Endpoint, Role, RoleKind};
-use dcp_core::{EntityId, InfoItem, Label, ObsEvent, World};
+use dcp_core::{EntityId, InfoItem, Label, ObsEvent, RunOptions, ScenarioReport, World};
 use rand::rngs::StdRng;
 
 pub use dcp_transport::frame::{checked_wire_len, Frame, FrameRef, FrameType, MAX_PAYLOAD};
@@ -155,7 +158,7 @@ impl<'a> WireCtx<'a> {
     /// named by an [`Endpoint`] over the spec's role table
     /// ([`Endpoint::index`] is the [`PeerId`] index), and the endpoint's
     /// request type must be admitted by the peer role's declared
-    /// [`KnowledgeCap`](dcp_core::KnowledgeCap) — served wirings inherit
+    /// [`KnowledgeCap`] — served wirings inherit
     /// the same compile-time coupling check as simulated ones, for free.
     pub fn send_to<Req, Resp, R>(&mut self, ep: Endpoint<Req, Resp, R>, msg: WireMsg)
     where
@@ -303,14 +306,12 @@ pub struct RoleSpec {
 }
 
 /// A complete wiring of seam roles: the world (entities, users, keys)
-/// plus every role. Built by a scenario crate (e.g.
-/// `dcp_odns::serve::odoh_serve_spec`, its two DNS siblings,
-/// `dcp_mpr::mpr_serve_spec`, `dcp_privacypass::privacypass_serve_spec`
-/// and `dcp_blindcash::blindcash_serve_spec`) and hosted by either engine:
-/// [`Harness::run_spec`](crate::Harness::run_spec) on the simulator,
-/// `dcp-serve` over sockets.
+/// plus every role. Built by a scenario crate (its
+/// [`Registration::serve`], or `dcp_odns::serve::odoh_serve_spec`) and
+/// hosted by either engine: [`Harness::run_spec`](crate::Harness::run_spec)
+/// on the simulator, `dcp-serve` over sockets.
 pub struct ServeSpec {
-    /// Scenario name (e.g. `"odns"`).
+    /// Scenario name (e.g. `"odoh"`).
     pub scenario: &'static str,
     /// The knowledge world the roles write.
     pub world: World,
@@ -340,6 +341,30 @@ impl ServeSpec {
     pub fn role_index(&self, name: &str) -> Option<usize> {
         self.roles.iter().position(|r| r.name == name)
     }
+}
+
+/// The simulated twin of a served wiring: the simulator's world for the
+/// same config and seed, computed only when a caller compares against it.
+pub type Twin = Box<dyn FnOnce() -> World>;
+
+/// A seam wiring's spec for `(clients, queries, seed)`, built without
+/// recovery, and its twin; `Err` for a workload the wiring cannot serve.
+pub type Serve = fn(usize, usize, u64) -> Result<(ServeSpec, Twin), String>;
+
+/// One §3 wiring as every battery, probe and `dcp serve` reaches it.
+/// Each scenario crate writes one beside its `Scenario` impl, and the
+/// umbrella crate lists them all (`decoupling::REGISTRY`).
+pub struct Registration {
+    /// The wiring's `Scenario::NAME`.
+    pub name: &'static str,
+    /// One run of the wiring's battery shape, the small config every DST
+    /// battery, probe and property test drives (`dcp_faults::dst::Run`).
+    pub run: fn(u64, &RunOptions) -> Box<dyn ScenarioReport + Send>,
+    /// Entity-name prefixes and the [`KnowledgeCap`] each declares for
+    /// that shape's roles.
+    pub declared_caps: fn() -> Vec<(&'static str, KnowledgeCap)>,
+    /// Seam wirings only: what `dcp serve` and the twin tests serve.
+    pub serve: Option<Serve>,
 }
 
 /// The `i`-th (0-based) instance's name: `base`, then `base{sep}2`,

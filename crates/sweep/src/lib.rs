@@ -31,6 +31,7 @@
 //! #     fn world(&self) -> &World { unimplemented!() }
 //! #     fn fault_log(&self) -> &FaultLog { unimplemented!() }
 //! #     fn metrics(&self) -> &MetricsReport { unimplemented!() }
+//! #     fn packets(&self) -> usize { 0 }
 //! #     fn completed_units(&self) -> u64 { self.0 }
 //! # }
 //! # struct Toy;

@@ -10,13 +10,15 @@ use dcp_core::{
     Scenario, UserId, World,
 };
 use dcp_crypto::hpke;
+use dcp_runtime::seam::Registration;
 use dcp_runtime::{
     mean_us, wire, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, Harness, HopMap, LinkParams,
     Message, Node, NodeId, RetryLinkage, SimTime, Tap, Trace, TypedSend,
 };
 
 use crate::types::{
-    Browser, EchHello, HttpRequest, Origin, Subscriber, TlsTerminator, TunnelReq, TunnelServer,
+    ech_declared_caps, vpn_declared_caps, Browser, EchHello, HttpRequest, Origin, Subscriber,
+    TlsTerminator, TunnelReq, TunnelServer,
 };
 
 const REQUEST: &[u8] = b"GET /account/medical-records HTTP/1.1";
@@ -55,6 +57,9 @@ impl dcp_core::ScenarioReport for VpnReport {
     }
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
+    }
+    fn packets(&self) -> usize {
+        self.trace.len()
     }
     fn completed_units(&self) -> u64 {
         self.completed as u64
@@ -119,6 +124,20 @@ impl Scenario for Vpn {
     fn run_with(cfg: &VpnConfig, seed: u64, opts: &RunOptions) -> VpnReport {
         run_vpn_impl(cfg, seed, opts)
     }
+}
+
+impl Vpn {
+    /// Three users fetching twice each through the tunnel. The VPN is
+    /// the paper's cautionary tale, coupled in its calm run, and the DST
+    /// battery's safety check is baseline-relative: faults must couple
+    /// no one new (the network observer, say), while the server's
+    /// existing coupling is not charged to them.
+    pub const REGISTRATION: Registration = Registration {
+        name: Vpn::NAME,
+        run: |seed, opts| Box::new(Vpn::run_with(&VpnConfig::new(3, 2), seed, opts)),
+        declared_caps: vpn_declared_caps,
+        serve: None,
+    };
 }
 
 impl VpnReport {
@@ -561,6 +580,8 @@ fn run_vpn_impl(cfg: &VpnConfig, seed: u64, opts: &RunOptions) -> VpnReport {
 pub struct EchReport {
     /// Knowledge base.
     pub world: World,
+    /// Packet trace.
+    pub trace: Trace,
     /// Was ECH enabled?
     pub ech: bool,
     /// The user.
@@ -588,6 +609,9 @@ impl dcp_core::ScenarioReport for EchReport {
     }
     fn metrics(&self) -> &MetricsReport {
         &self.metrics
+    }
+    fn packets(&self) -> usize {
+        self.trace.len()
     }
     fn completed_units(&self) -> u64 {
         self.completed as u64
@@ -627,6 +651,19 @@ impl Scenario for Ech {
     fn run_with(cfg: &EchConfig, seed: u64, opts: &RunOptions) -> EchReport {
         run_ech_impl(cfg, seed, opts)
     }
+}
+
+impl Ech {
+    /// One handshake with the encrypted ClientHello on. §4.1's ECH hides
+    /// the SNI from the network observer, but the TLS server stays
+    /// coupled by design; baseline-relative safety lets it ride the same
+    /// battery as the decoupled systems.
+    pub const REGISTRATION: Registration = Registration {
+        name: Ech::NAME,
+        run: |seed, opts| Box::new(Ech::run_with(&EchConfig::default().ech(true), seed, opts)),
+        declared_caps: ech_declared_caps,
+        serve: None,
+    };
 }
 
 impl EchReport {
@@ -836,6 +873,7 @@ fn run_ech_impl(cfg: &EchConfig, seed: u64, opts: &RunOptions) -> EchReport {
     let stats = Rc::try_unwrap(stats).map_err(|_| ()).unwrap().into_inner();
     EchReport {
         world: core.world,
+        trace: core.trace,
         ech,
         user,
         completed: stats.completed,

@@ -5,10 +5,12 @@
 //! prefixes mapped to the [`KnowledgeCap`] of the role that entity plays.
 //! Those caps bound what the *type system* lets an endpoint receive; the
 //! simulator's [`World`] ledgers record what each entity actually
-//! *learned* during a run. This suite closes the loop: for every §3
-//! scenario, under the calm and harsh fault presets, across arbitrary
-//! seeds, every entity's final knowledge tuple about every user must sit
-//! at or below its declared cap.
+//! *learned* during a run. This suite closes the loop: for every
+//! registered wiring (and three variants: PGPP's legacy core, ECH off,
+//! and the mix-net with timed flushes),
+//! under the calm and harsh fault presets, across arbitrary seeds, every
+//! entity's final knowledge tuple about every user must sit at or below
+//! its declared cap.
 //!
 //! A failure here means one of two bugs, both serious:
 //!
@@ -25,7 +27,7 @@
 //! they play no typed role, so no cap speaks for them.
 
 use decoupling::core::{KnowledgeCap, World};
-use decoupling::{FaultConfig, Scenario, ScenarioReport as _};
+use decoupling::{FaultConfig, Scenario, ScenarioReport as _, REGISTRY};
 use proptest::prelude::*;
 
 /// Assert every entity's ledger sits at or below its declared cap.
@@ -57,162 +59,63 @@ fn reconcile(world: &World, rows: &[(&'static str, KnowledgeCap)], scenario: &st
     }
 }
 
-/// Run every §3 scenario once at `seed` under `faults` and reconcile its
-/// final world against the owning crate's declared-caps table.
+/// Run every registered wiring once at `seed` under `faults`, at its
+/// battery shape, and reconcile its final world against its own
+/// declared-caps table; then the three variants no registration runs.
+/// Coupled-by-design rows (the VPN server, plain DNS's resolver and
+/// origin, the no-ECH TLS server, PGPP's legacy core) admit everything,
+/// so the reconciliation's job there is that nothing *else* couples.
 fn reconcile_all(seed: u64, faults: &FaultConfig, label: &str) {
     let opts = decoupling::RunOptions::with_faults(faults);
-    // DNS, three wirings: ODoH, legacy ODNS, and the coupled direct
-    // baseline (whose resolver/origin are declared coupled_by_design —
-    // reconciliation documents the coupling rather than hiding it).
-    let odoh = decoupling::Odoh::run_with(&decoupling::OdohConfig::new(2, 3), seed, &opts);
-    reconcile(
-        odoh.world(),
-        &decoupling::odns::declared_caps(),
-        &format!("odoh/{label}"),
-    );
-
-    let legacy = decoupling::odns::OdnsLegacy::run_with(
-        &decoupling::odns::OdnsLegacyConfig::new(2, 3),
-        seed,
-        &opts,
-    );
-    reconcile(
-        legacy.world(),
-        &decoupling::odns::declared_caps(),
-        &format!("odns-legacy/{label}"),
-    );
-
-    let direct = decoupling::DirectDns::run_with(
-        &decoupling::DirectDnsConfig {
-            clients: 2,
-            queries_each: 3,
-            resolvers: 2,
-        },
-        seed,
-        &opts,
-    );
-    reconcile(
-        direct.world(),
-        &decoupling::odns::direct_declared_caps(),
-        &format!("direct-dns/{label}"),
-    );
-
-    // The §3.3 cautionary tales: the VPN server and the no-ECH TLS
-    // server are coupled_by_design, so their rows admit everything —
-    // the reconciliation's job is that nothing *else* couples.
-    let vpn = decoupling::Vpn::run_with(&decoupling::VpnConfig::new(2, 2), seed, &opts);
-    reconcile(
-        vpn.world(),
-        &decoupling::vpn::vpn_declared_caps(),
-        &format!("vpn/{label}"),
-    );
-
-    for ech in [true, false] {
-        let report = decoupling::Ech::run_with(&decoupling::EchConfig { ech }, seed, &opts);
+    for reg in REGISTRY {
+        let report = (reg.run)(seed, &opts);
         reconcile(
             report.world(),
-            &decoupling::vpn::ech_declared_caps(),
-            &format!("ech={ech}/{label}"),
+            &(reg.declared_caps)(),
+            &format!("{}/{label}", reg.name),
         );
     }
 
-    let pp =
-        decoupling::Privacypass::run_with(&decoupling::PrivacypassConfig::new(2, 2), seed, &opts);
-    reconcile(
-        pp.world(),
-        &decoupling::privacypass::declared_caps(),
-        &format!("privacypass/{label}"),
-    );
-
-    // PGPP in both modes: the legacy core's row is the coupled one.
-    for (mode, rows) in [
-        (
-            decoupling::pgpp::Mode::Pgpp,
-            decoupling::pgpp::pgpp_declared_caps(),
-        ),
-        (
-            decoupling::pgpp::Mode::Legacy,
-            decoupling::pgpp::legacy_declared_caps(),
-        ),
-    ] {
-        let cfg = decoupling::PgppConfig {
-            mode,
-            users: 3,
-            cells: 2,
-            epochs: 1,
-            moves_per_epoch: 2,
-            seed,
-        };
-        let report = decoupling::Pgpp::run_with(&cfg, seed, &opts);
-        reconcile(
-            report.world(),
-            &rows,
-            &format!("pgpp mode={mode:?}/{label}"),
-        );
-    }
-
-    // MPR with a real chain (relays ≥ 2): a single-relay chain is the
-    // coupled degenerate case the paper warns about, and the "Relay" row
-    // declares the decoupled union cap.
-    let mpr = decoupling::Mpr::run_with(
-        &decoupling::ChainConfig {
-            relays: 2,
-            users: 2,
-            fetches_each: 2,
-            geohint: false,
-            seed,
-        },
+    let legacy = decoupling::PgppConfig {
+        mode: decoupling::pgpp::Mode::Legacy,
+        users: 5,
+        cells: 2,
+        epochs: 2,
+        moves_per_epoch: 2,
         seed,
-        &opts,
-    );
+    };
+    let report = decoupling::Pgpp::run_with(&legacy, seed, &opts);
     reconcile(
-        mpr.world(),
-        &decoupling::mpr::declared_caps(),
-        &format!("mpr/{label}"),
+        report.world(),
+        &decoupling::pgpp::legacy_declared_caps(),
+        &format!("pgpp mode=Legacy/{label}"),
     );
 
-    let ppm = decoupling::Ppm::run_with(
-        &decoupling::PpmConfig {
-            clients: 4,
-            bits: 4,
-            malicious: 0,
-            seed,
-        },
-        seed,
-        &opts,
-    );
+    let report = decoupling::Ech::run_with(&decoupling::EchConfig::default(), seed, &opts);
     reconcile(
-        ppm.world(),
-        &decoupling::ppm::declared_caps(),
-        &format!("ppm/{label}"),
+        report.world(),
+        &decoupling::vpn::ech_declared_caps(),
+        &format!("ech=false/{label}"),
     );
 
-    let mixnet = decoupling::Mixnet::run_with(
-        &decoupling::MixnetConfig {
-            senders: 4,
-            mixes: 2,
-            batch_size: 2,
-            window_us: 100_000,
-            shuffle: true,
-            chaff_per_sender: 0,
-            mix_max_wait_us: Some(50_000),
-            seed,
-        },
+    // The registration's mixes flush once after the window; timed mixes
+    // also flush a partial batch, a second path by which knowledge can
+    // reach a receiver under faults.
+    let timed = decoupling::MixnetConfig {
+        senders: 4,
+        mixes: 2,
+        batch_size: 2,
+        window_us: 100_000,
+        shuffle: true,
+        chaff_per_sender: 0,
+        mix_max_wait_us: Some(50_000),
         seed,
-        &opts,
-    );
+    };
+    let report = decoupling::Mixnet::run_with(&timed, seed, &opts);
     reconcile(
-        mixnet.world(),
+        report.world(),
         &decoupling::mixnet::declared_caps(),
-        &format!("mixnet/{label}"),
-    );
-
-    let cash =
-        decoupling::Blindcash::run_with(&decoupling::BlindcashConfig::new(1, 1, 512), seed, &opts);
-    reconcile(
-        cash.world(),
-        &decoupling::blindcash::declared_caps(),
-        &format!("blindcash/{label}"),
+        &format!("mixnet timed/{label}"),
     );
 }
 

@@ -1,21 +1,35 @@
-//! DST sweep: every §3 scenario under every fault preset.
+//! DST sweep: every registered wiring under every fault preset.
 //!
-//! Each test drives the unified [`decoupling::Scenario`] API through
-//! [`decoupling::run_scenario_for`], which builds the full simulation from
+//! Each test drives one entry of [`decoupling::REGISTRY`] through
+//! [`decoupling::run_battery`], which builds the full simulation from
 //! `(FaultConfig, seed)` and runs it twice per preset, asserting:
 //!
 //! * **determinism** — identical [`FaultLog`] and knowledge fingerprint
 //!   across the two runs;
 //! * **safety** — no coupling appears under faults that the calm baseline
 //!   does not already have (baseline-relative, so the intentionally
-//!   coupled §3.3 VPN still passes);
+//!   coupled §3.3 VPN and ECH's TLS server still pass);
 //! * **liveness degradation** — under `moderate()` the workload still
 //!   makes end-to-end progress for these seeds; under `harsh()` (with the
 //!   `dcp-recover` layer the harness always enables) the bar rises to
 //!   full completion with knowledge tables byte-identical to the calm
 //!   baseline; under `chaos()` only safety is promised.
+//!
+//! One test per wiring, so each battery runs on its own test thread and
+//! a failure names its wiring; the last test keeps that list equal to
+//! the registry.
 
-use decoupling::{run_scenario_for, DstReport};
+use decoupling::{run_battery, DstReport, REGISTRY};
+
+/// Run registry entry `name` (at index `i`) at seed `1001 + i`.
+fn battery(name: &str) {
+    let (i, reg) = REGISTRY
+        .iter()
+        .enumerate()
+        .find(|(_, reg)| reg.name == name)
+        .unwrap_or_else(|| panic!("{name} is not registered"));
+    check(&run_battery(reg.name, 1001 + i as u64, reg.run));
+}
 
 /// Every preset report for one scenario, with the tiered liveness checks.
 fn check(reports: &[DstReport]) {
@@ -73,109 +87,73 @@ fn check(reports: &[DstReport]) {
 
 #[test]
 fn dst_blindcash() {
-    let cfg = decoupling::BlindcashConfig::new(2, 2, 512);
-    check(&run_scenario_for::<decoupling::Blindcash>(1001, &cfg));
+    battery("blindcash");
 }
 
 #[test]
 fn dst_mixnet() {
-    let cfg = decoupling::MixnetConfig {
-        senders: 6,
-        mixes: 2,
-        batch_size: 3,
-        window_us: 100_000,
-        shuffle: true,
-        chaff_per_sender: 0,
-        mix_max_wait_us: None,
-        seed: 0, // overridden by the harness seed
-    };
-    check(&run_scenario_for::<decoupling::Mixnet>(1002, &cfg));
+    battery("mixnet");
 }
 
 #[test]
 fn dst_privacypass() {
-    let cfg = decoupling::PrivacypassConfig::new(3, 2);
-    check(&run_scenario_for::<decoupling::Privacypass>(1003, &cfg));
+    battery("privacypass");
 }
 
 #[test]
-fn dst_odns() {
-    let cfg = decoupling::OdohConfig::new(3, 4);
-    check(&run_scenario_for::<decoupling::Odoh>(1004, &cfg));
+fn dst_odoh() {
+    battery("odoh");
 }
 
 #[test]
 fn dst_pgpp() {
-    let cfg = decoupling::PgppConfig {
-        mode: decoupling::pgpp::Mode::Pgpp,
-        users: 5,
-        cells: 2,
-        epochs: 2,
-        moves_per_epoch: 2,
-        seed: 0, // overridden by the harness seed
-    };
-    check(&run_scenario_for::<decoupling::Pgpp>(1005, &cfg));
+    battery("pgpp");
 }
 
 #[test]
 fn dst_mpr() {
-    let cfg = decoupling::ChainConfig {
-        relays: 2,
-        users: 3,
-        fetches_each: 2,
-        geohint: false,
-        seed: 0, // overridden by the harness seed
-    };
-    check(&run_scenario_for::<decoupling::Mpr>(1006, &cfg));
+    battery("mpr");
 }
 
 #[test]
 fn dst_ppm() {
-    // The aggregate only releases if every share survived; any verified
-    // submission reaching both aggregators is progress.
-    let cfg = decoupling::PpmConfig {
-        clients: 5,
-        bits: 4,
-        malicious: 0,
-        seed: 0, // overridden by the harness seed
-    };
-    check(&run_scenario_for::<decoupling::Ppm>(1007, &cfg));
+    battery("ppm");
 }
 
 #[test]
 fn dst_vpn() {
-    // The VPN is the paper's cautionary tale: it is *coupled* in the calm
-    // baseline. The harness's baseline-relative invariant is exactly what
-    // lets this scenario participate — faults must not couple anyone new
-    // (e.g. the network observer), while the VPN server's pre-existing
-    // coupling is not charged to the fault injector.
-    let cfg = decoupling::VpnConfig::new(3, 2);
-    check(&run_scenario_for::<decoupling::Vpn>(1008, &cfg));
+    battery("vpn");
 }
 
 #[test]
 fn dst_ech() {
-    // §4.1 ECH hides the SNI from the network observer but the TLS server
-    // stays coupled by design — baseline-relative safety is what lets it
-    // ride the same battery as the decoupled systems.
-    let cfg = decoupling::EchConfig::default().ech(true);
-    check(&run_scenario_for::<decoupling::Ech>(1009, &cfg));
+    battery("ech");
 }
 
 #[test]
 fn dst_odns_legacy() {
-    let cfg = decoupling::odns::OdnsLegacyConfig::new(3, 4);
-    check(&run_scenario_for::<decoupling::odns::OdnsLegacy>(
-        1010, &cfg,
-    ));
+    battery("odns_legacy");
 }
 
 #[test]
 fn dst_dns_direct() {
-    // Striped over two resolvers: the harsh bar holds only because a
-    // call's resolver does not depend on what the faults did.
-    let cfg = decoupling::DirectDnsConfig::new(3, 4, 2);
-    check(&run_scenario_for::<decoupling::DirectDns>(1011, &cfg));
+    battery("dns_direct");
+}
+
+/// A new registration fails here until it has its own test above.
+#[test]
+fn every_registration_has_a_dst_test() {
+    let tests = include_str!("dst_scenarios.rs");
+    for reg in REGISTRY {
+        // The call as the whole body of a test fn: a mention in a
+        // comment does not count.
+        let call = format!("battery(\"{}\");", reg.name);
+        assert!(
+            tests.contains(&format!("{{\n    {call}\n}}\n")),
+            "{}: add a test whose body is {call}",
+            reg.name
+        );
+    }
 }
 
 /// §4.2: key compromise is the one fault the framework *detects* rather

@@ -14,7 +14,7 @@
 //! * **No timer overflow** — pathological backoff configurations
 //!   (`u64::MAX` timeouts and jitter) saturate instead of panicking.
 
-use decoupling::faults::dst::{sweep_scenario_for, KnowledgeFingerprint};
+use decoupling::faults::dst::{sweep_battery, KnowledgeFingerprint};
 use decoupling::recover::{ReliableCall, TimerVerdict};
 use decoupling::{
     FaultConfig, ParallelExecutor, RecoverConfig, RunOptions, Scenario, ScenarioReport as _,
@@ -169,9 +169,12 @@ proptest! {
 #[test]
 fn recovered_dst_sweep_is_byte_identical_across_executors() {
     let builder = SweepBuilder::new(20260805).worlds(3);
-    let seq = sweep_scenario_for::<decoupling::Mpr, _>(&mpr_cfg(), &builder, &SequentialExecutor);
-    let par = sweep_scenario_for::<decoupling::Mpr, _>(
-        &mpr_cfg(),
+    let run: decoupling::faults::dst::Run =
+        |seed, opts| Box::new(decoupling::Mpr::run_with(&mpr_cfg(), seed, opts));
+    let seq = sweep_battery(decoupling::Mpr::NAME, run, &builder, &SequentialExecutor);
+    let par = sweep_battery(
+        decoupling::Mpr::NAME,
+        run,
         &builder,
         &ParallelExecutor::with_threads(3),
     );

@@ -1,23 +1,20 @@
-//! The sim/prod duality, held to bytes: each servable wiring — blind
-//! cash, Privacy Pass, ODoH, legacy ODNS, direct DNS and MPR — served
-//! over real loopback TCP must
-//! finish its workload and produce knowledge tables **byte-identical** to the
-//! deterministic simulator's run of the same config and seed — and the
-//! production decoder must shrug off hostile bytes, both in-process
-//! (proptest against `FrameReader`) and on a live socket (a rogue
-//! connection spraying garbage mid-run).
+//! The sim/prod duality, held to bytes: each servable wiring of the
+//! registry, served over real loopback TCP, must finish its workload and
+//! produce knowledge tables **byte-identical** to the deterministic
+//! simulator's run of the same config and seed — and the production
+//! decoder must shrug off hostile bytes, both in-process (proptest
+//! against `FrameReader`) and on a live socket (a rogue connection
+//! spraying garbage mid-run). The `dcp serve` front door's refusals are
+//! checked here too.
 
+use std::process::Command;
 use std::time::Duration;
 
-use dcp_blindcash::{blindcash_serve_spec, Blindcash, BlindcashConfig};
-use dcp_core::{Scenario, World};
 use dcp_faults::dst::KnowledgeFingerprint;
-use dcp_mpr::{mpr_serve_spec, ChainConfig, Mpr};
-use dcp_odns::serve::{direct_serve_spec, odns_legacy_serve_spec, odoh_serve_spec};
-use dcp_odns::{DirectDns, DirectDnsConfig, OdnsLegacy, OdnsLegacyConfig, Odoh, OdohConfig};
-use dcp_privacypass::{privacypass_serve_spec, Privacypass, PrivacypassConfig};
-use dcp_runtime::seam::ServeSpec;
+use dcp_odns::serve::odoh_serve_spec;
+use dcp_odns::OdohConfig;
 use dcp_serve::{run_loopback, FrameReader, ServeConfig, MAX_FRAME_PAYLOAD};
+use decoupling::{registration, REGISTRY};
 use proptest::prelude::*;
 
 fn serve_cfg(seed: u64) -> ServeConfig {
@@ -28,90 +25,122 @@ fn serve_cfg(seed: u64) -> ServeConfig {
     }
 }
 
-/// Serve a wiring over loopback TCP and compare against the world of
-/// its simulated twin. JSON-serializing both fingerprints makes the
-/// comparison literal bytes, not just `PartialEq`.
-fn assert_twin(spec: ServeSpec, seed: u64, twin: World) {
-    let outcome = run_loopback(spec, &serve_cfg(seed)).expect("serve runs");
-    assert_eq!(
-        outcome.completed_units, outcome.expected_units,
-        "every query answered over real sockets"
-    );
-    let served = serde_json::to_string(&KnowledgeFingerprint::of(&outcome.world)).unwrap();
-    let simmed = serde_json::to_string(&KnowledgeFingerprint::of(&twin)).unwrap();
-    assert_eq!(
-        served, simmed,
-        "served knowledge tables must be byte-identical to the simulated twin"
-    );
-}
+/// `(clients, queries, seed)` at which every servable wiring is served:
+/// one client alone, three clients interleaving in nondeterministic
+/// order, and two clients whose calls interleave at shared relays,
+/// origins, issuers and banks (each response, verdict or receipt must
+/// find its way back to the client who asked).
+const TWIN_SHAPES: [(usize, usize, u64); 7] = [
+    (1, 4, 7),
+    (3, 4, 1004),
+    (2, 3, 1005),
+    (2, 3, 1006),
+    (2, 3, 1007),
+    (2, 3, 1008),
+    (2, 2, 1009),
+];
 
-#[test]
-fn odoh_over_loopback_matches_simulated_twin() {
-    let cfg = OdohConfig::new(1, 4);
-    assert_twin(odoh_serve_spec(&cfg, 7), 7, Odoh::run(&cfg, 7).world);
-}
-
-#[test]
-fn odoh_multi_client_loopback_matches_simulated_twin() {
-    // Three clients interleave on real sockets in nondeterministic
-    // order; the tables must not care.
-    let cfg = OdohConfig::new(3, 4);
-    assert_twin(
-        odoh_serve_spec(&cfg, 1004),
-        1004,
-        Odoh::run(&cfg, 1004).world,
-    );
-}
-
-#[test]
-fn odns_legacy_loopback_matches_simulated_twin() {
-    let cfg = OdnsLegacyConfig::new(2, 3);
-    let twin = OdnsLegacy::run(&cfg, 1005).world;
-    assert_twin(odns_legacy_serve_spec(&cfg, 1005), 1005, twin);
-}
-
-#[test]
-fn direct_dns_loopback_matches_simulated_twin() {
-    // Two resolvers: which resolver sees which name is the client's own
-    // seeded draw, so it cannot depend on the engine.
-    let cfg = DirectDnsConfig::new(2, 3, 2);
-    let twin = DirectDns::run(&cfg, 1006).world;
-    assert_twin(direct_serve_spec(&cfg, 1006), 1006, twin);
-}
-
-#[test]
-fn mpr_loopback_matches_simulated_twin() {
-    // Two users' fetches interleave through the same two relays; each
-    // response must find its way back to the user who asked.
-    let cfg = ChainConfig {
-        relays: 2,
-        users: 2,
-        fetches_each: 3,
-        geohint: false,
-        seed: 1007,
-    };
-    assert_twin(mpr_serve_spec(&cfg, 1007), 1007, Mpr::run(&cfg, 1007).world);
-}
-
-#[test]
-fn privacypass_loopback_matches_simulated_twin() {
-    // Two clients' redemptions interleave at the origin; each verdict
-    // must return to the client whose token it judged.
-    let cfg = PrivacypassConfig::new(2, 3);
-    let spec = privacypass_serve_spec(&cfg, 1008).expect("one batch covers three redemptions");
-    assert_twin(spec, 1008, Privacypass::run(&cfg, 1008).world);
+/// Serve registry entry `name` over loopback TCP at every shape and
+/// compare against the world of its simulated twin. JSON-serializing
+/// both fingerprints makes the comparison literal bytes, not just
+/// `PartialEq`.
+fn twin(name: &str) {
+    let serve = registration(name)
+        .and_then(|reg| reg.serve)
+        .unwrap_or_else(|| panic!("{name} is not a servable registration"));
+    for (clients, queries, seed) in TWIN_SHAPES {
+        let at = format!("{name} at {clients} clients x {queries} queries, seed {seed}");
+        let (spec, twin) = serve(clients, queries, seed).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let outcome = run_loopback(spec, &serve_cfg(seed)).expect("serve runs");
+        assert_eq!(
+            outcome.completed_units, outcome.expected_units,
+            "{at}: every unit finishes over real sockets"
+        );
+        let served = serde_json::to_string(&KnowledgeFingerprint::of(&outcome.world)).unwrap();
+        let simmed = serde_json::to_string(&KnowledgeFingerprint::of(&twin())).unwrap();
+        assert_eq!(
+            served, simmed,
+            "{at}: served knowledge tables must be byte-identical to the simulated twin"
+        );
+    }
 }
 
 #[test]
 fn blindcash_loopback_matches_simulated_twin() {
-    // Two buyers' coins interleave at the seller and the bank; the
-    // signer and the seller name each buyer from the connection it
-    // sends on, never from a label.
-    let cfg = BlindcashConfig::new(2, 2, 512);
-    assert_twin(
-        blindcash_serve_spec(&cfg, 1009),
-        1009,
-        Blindcash::run(&cfg, 1009).world,
+    twin("blindcash");
+}
+
+#[test]
+fn privacypass_loopback_matches_simulated_twin() {
+    twin("privacypass");
+}
+
+#[test]
+fn odoh_over_loopback_matches_simulated_twin() {
+    twin("odoh");
+}
+
+#[test]
+fn mpr_loopback_matches_simulated_twin() {
+    twin("mpr");
+}
+
+#[test]
+fn odns_legacy_loopback_matches_simulated_twin() {
+    twin("odns_legacy");
+}
+
+#[test]
+fn direct_dns_loopback_matches_simulated_twin() {
+    twin("dns_direct");
+}
+
+/// A new servable registration fails here until it has its own twin
+/// test above.
+#[test]
+fn every_servable_registration_has_a_twin_test() {
+    let tests = include_str!("serve_loopback.rs");
+    for reg in REGISTRY.iter().filter(|reg| reg.serve.is_some()) {
+        // The call as the whole body of a test fn: a mention in a
+        // comment does not count.
+        let call = format!("twin(\"{}\");", reg.name);
+        assert!(
+            tests.contains(&format!("{{\n    {call}\n}}\n")),
+            "{}: add a test whose body is {call}",
+            reg.name
+        );
+    }
+}
+
+/// Run `dcp` with `args`; its exit code and stderr.
+fn dcp(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dcp"))
+        .args(args)
+        .output()
+        .expect("dcp runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `dcp serve` refuses what it cannot serve with exit 1: a wiring with no
+/// serve spec or no registration gets the servable names, and a Privacy
+/// Pass client asking past one issuance batch gets the batch limit.
+#[test]
+fn dcp_serve_refuses_what_it_cannot_serve() {
+    for scenario in ["vpn", "nosuch"] {
+        let (code, stderr) = dcp(&["serve", scenario]);
+        assert_eq!(code, Some(1), "dcp serve {scenario}: {stderr}");
+        for reg in REGISTRY.iter().filter(|reg| reg.serve.is_some()) {
+            assert!(stderr.contains(reg.name), "dcp serve {scenario}: {stderr}");
+        }
+    }
+    let (code, stderr) = dcp(&["serve", "privacypass", "--queries", "5"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("5 redemptions per client: one issuance batch holds 4"),
+        "{stderr}"
     );
 }
 

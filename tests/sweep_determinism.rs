@@ -4,18 +4,19 @@
 //!   [`ParallelExecutor`] sweep is equal to the [`SequentialExecutor`]
 //!   reference, entry for entry, and the serialized reports are
 //!   byte-identical JSON (the same diff CI performs on `dst_sweep`);
-//! * **scenarios** — every §3 scenario's full DST preset battery agrees
-//!   between the two executors, so nothing a scenario aggregates depends
-//!   on completion order;
+//! * **scenarios** — every registered wiring's full DST preset battery
+//!   agrees between the two executors, so nothing a wiring aggregates
+//!   depends on completion order (one test per wiring; the last of them
+//!   keeps that list equal to the registry);
 //! * **fail-closed crypto** — the bugfix half of this change: malformed
 //!   wire bytes (RSA keys, signatures, HPKE ciphertexts, bignum
 //!   encodings) return errors instead of panicking, in sequential *and*
 //!   parallel worlds alike.
 
 use decoupling::crypto::{hpke, rsa::RsaPublicKey};
-use decoupling::faults::dst::sweep_scenario_for;
 use decoupling::{
-    derive_seed, ParallelExecutor, RunOptions, Scenario, SequentialExecutor, SweepBuilder,
+    derive_seed, registration, sweep_battery, ParallelExecutor, RunOptions, Scenario,
+    SequentialExecutor, SweepBuilder, REGISTRY,
 };
 use proptest::prelude::*;
 use serde::Serialize as _;
@@ -26,115 +27,91 @@ fn executors() -> (SequentialExecutor, ParallelExecutor) {
     (SequentialExecutor, ParallelExecutor::with_threads(3))
 }
 
-/// Run one scenario's full DST battery under both executors and demand
-/// byte-identical JSON.
-fn scenario_sweep_agrees<S: Scenario>(cfg: &S::Config)
-where
-    S::Config: Sync,
-{
+/// Run registry entry `name`'s full DST battery under both executors
+/// and demand byte-identical JSON.
+fn sweep_agrees(name: &str) {
+    let reg = registration(name).unwrap_or_else(|| panic!("{name} is not registered"));
     let builder = SweepBuilder::new(20221114).worlds(3);
     let (seq, par) = executors();
-    let a = sweep_scenario_for::<S, _>(cfg, &builder, &seq);
-    let b = sweep_scenario_for::<S, _>(cfg, &builder, &par);
-    assert_eq!(a, b, "{}: parallel DST sweep diverged", a.scenario);
+    let a = sweep_battery(reg.name, reg.run, &builder, &seq);
+    let b = sweep_battery(reg.name, reg.run, &builder, &par);
+    assert_eq!(a, b, "{name}: parallel DST sweep diverged");
     assert_eq!(
         serde_json::to_string_pretty(&a).unwrap(),
         serde_json::to_string_pretty(&b).unwrap(),
-        "{}: JSON not byte-identical",
-        a.scenario
+        "{name}: JSON not byte-identical"
     );
 }
 
 #[test]
 fn dst_sweep_blindcash() {
-    scenario_sweep_agrees::<decoupling::Blindcash>(&decoupling::BlindcashConfig::new(2, 2, 512));
+    sweep_agrees("blindcash");
 }
 
 #[test]
 fn dst_sweep_mixnet() {
-    scenario_sweep_agrees::<decoupling::Mixnet>(&decoupling::MixnetConfig {
-        senders: 6,
-        mixes: 2,
-        batch_size: 3,
-        window_us: 100_000,
-        shuffle: true,
-        chaff_per_sender: 0,
-        mix_max_wait_us: None,
-        seed: 0,
-    });
+    sweep_agrees("mixnet");
 }
 
 #[test]
 fn dst_sweep_privacypass() {
-    scenario_sweep_agrees::<decoupling::Privacypass>(&decoupling::PrivacypassConfig::new(3, 2));
+    sweep_agrees("privacypass");
 }
 
 #[test]
-fn dst_sweep_odns() {
-    scenario_sweep_agrees::<decoupling::Odoh>(&decoupling::OdohConfig::new(3, 4));
+fn dst_sweep_odoh() {
+    sweep_agrees("odoh");
 }
 
 #[test]
 fn dst_sweep_pgpp() {
-    scenario_sweep_agrees::<decoupling::Pgpp>(&decoupling::PgppConfig {
-        mode: decoupling::pgpp::Mode::Pgpp,
-        users: 5,
-        cells: 2,
-        epochs: 2,
-        moves_per_epoch: 2,
-        seed: 0,
-    });
+    sweep_agrees("pgpp");
 }
 
 #[test]
 fn dst_sweep_mpr() {
-    scenario_sweep_agrees::<decoupling::Mpr>(&decoupling::ChainConfig {
-        relays: 2,
-        users: 3,
-        fetches_each: 2,
-        geohint: false,
-        seed: 0,
-    });
+    sweep_agrees("mpr");
 }
 
 #[test]
 fn dst_sweep_ppm() {
-    scenario_sweep_agrees::<decoupling::Ppm>(&decoupling::PpmConfig {
-        clients: 5,
-        bits: 4,
-        malicious: 0,
-        seed: 0,
-    });
+    sweep_agrees("ppm");
 }
 
 #[test]
 fn dst_sweep_vpn() {
-    scenario_sweep_agrees::<decoupling::Vpn>(&decoupling::VpnConfig::new(3, 2));
+    sweep_agrees("vpn");
 }
 
-/// Every scenario report (and its config) must cross thread boundaries:
-/// the engine's `Report: Send` bound, spelled out so a regression names
-/// the offending type instead of failing in generic soup.
 #[test]
-fn reports_and_configs_are_send() {
-    fn assert_send<T: Send>() {}
-    fn assert_sync<T: Sync>() {}
-    assert_send::<<decoupling::Blindcash as Scenario>::Report>();
-    assert_send::<<decoupling::Mixnet as Scenario>::Report>();
-    assert_send::<<decoupling::Privacypass as Scenario>::Report>();
-    assert_send::<<decoupling::Odoh as Scenario>::Report>();
-    assert_send::<<decoupling::Pgpp as Scenario>::Report>();
-    assert_send::<<decoupling::Mpr as Scenario>::Report>();
-    assert_send::<<decoupling::Ppm as Scenario>::Report>();
-    assert_send::<<decoupling::Vpn as Scenario>::Report>();
-    assert_sync::<decoupling::BlindcashConfig>();
-    assert_sync::<decoupling::MixnetConfig>();
-    assert_sync::<decoupling::PrivacypassConfig>();
-    assert_sync::<decoupling::OdohConfig>();
-    assert_sync::<decoupling::PgppConfig>();
-    assert_sync::<decoupling::ChainConfig>();
-    assert_sync::<decoupling::PpmConfig>();
-    assert_sync::<decoupling::VpnConfig>();
+fn dst_sweep_ech() {
+    sweep_agrees("ech");
+}
+
+#[test]
+fn dst_sweep_odns_legacy() {
+    sweep_agrees("odns_legacy");
+}
+
+#[test]
+fn dst_sweep_dns_direct() {
+    sweep_agrees("dns_direct");
+}
+
+/// A new registration fails here until it has its own test above.
+#[test]
+fn every_registration_has_a_sweep_test() {
+    let tests = include_str!("sweep_determinism.rs");
+    for reg in REGISTRY {
+        // The call as the whole body of a test fn: a mention in a
+        // comment does not count.
+        let call = format!("sweep_agrees(\"{}\");", reg.name);
+        assert!(
+            tests.contains(&format!("{{\n    {call}\n}}\n")),
+            "{}: add a test whose body is {call}",
+            reg.name
+        );
+    }
 }
 
 // (The bignum underflow/overflow fail-closed regression moved next to
