@@ -22,8 +22,8 @@ use std::sync::{Arc, Mutex};
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, ObsEvent, RunOptions,
-    Scenario, UserId, World,
+    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions, Scenario, UserId,
+    World,
 };
 use dcp_crypto::rsa::RsaPublicKey;
 use dcp_runtime::seam::{
@@ -286,12 +286,6 @@ struct Buyer {
 }
 
 impl Buyer {
-    fn arm(&self, ctx: &mut WireCtx, att: &Attempt) {
-        if self.arq.enabled() {
-            ctx.set_timer(att.timer_delay_us, att.token);
-        }
-    }
-
     /// Begin the next cycle, if one is left.
     fn start_withdrawal(&mut self, ctx: &mut WireCtx) {
         if self.cycles_left == 0 {
@@ -325,7 +319,7 @@ impl Buyer {
             self.signer,
             WireMsg::data(wire::frame(att.seq, &bytes), label),
         );
-        self.arm(ctx, &att);
+        ctx.arm(&self.arq, &att);
     }
 
     /// (Re)transmit spend `att.seq`. The coin bytes are deliberately
@@ -342,7 +336,7 @@ impl Buyer {
             self.seller,
             WireMsg::data(wire::frame(att.seq, coin), label),
         );
-        self.arm(ctx, &att);
+        ctx.arm(&self.arq, &att);
     }
 }
 
@@ -397,32 +391,19 @@ impl WireRole for Buyer {
     }
 
     fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
-        let node = ctx.me().index();
-        match self.arq.on_timer(token) {
+        match ctx.arq_timer(&mut self.arq, token) {
             TimerVerdict::NotMine | TimerVerdict::Stale => {}
-            TimerVerdict::Retry(att) => {
-                ctx.emit(ObsEvent::RecoveryRetry {
-                    node,
-                    seq: att.seq,
-                    attempt: att.attempt,
-                });
-                match &self.inflight {
-                    Some((seq, Call::Withdraw)) if *seq == att.seq => {
-                        self.transmit_withdrawal(ctx, att)
-                    }
-                    Some((seq, Call::Spend { coin })) if *seq == att.seq => {
-                        let coin = coin.clone();
-                        self.transmit_spend(ctx, &coin, att);
-                    }
-                    _ => {}
+            TimerVerdict::Retry(att) => match &self.inflight {
+                Some((seq, Call::Withdraw)) if *seq == att.seq => {
+                    self.transmit_withdrawal(ctx, att)
                 }
-            }
-            TimerVerdict::Exhausted { seq, attempts } => {
-                ctx.emit(ObsEvent::RecoveryGiveUp {
-                    node,
-                    seq,
-                    attempts,
-                });
+                Some((seq, Call::Spend { coin })) if *seq == att.seq => {
+                    let coin = coin.clone();
+                    self.transmit_spend(ctx, &coin, att);
+                }
+                _ => {}
+            },
+            TimerVerdict::Exhausted { seq, .. } => {
                 match self.inflight.take_if(|(open, _)| *open == seq) {
                     Some((_, Call::Spend { .. })) => self.start_withdrawal(ctx),
                     // An abandoned withdrawal leaves nothing to spend:
@@ -694,6 +675,7 @@ fn wiring(cfg: &BlindcashConfig, seed: u64, mut world: World, opts: &RunOptions)
             world,
             roles,
             expected_units: (cfg.buyers * cfg.coins_each) as u64,
+            taps: Vec::new(),
         },
         stats,
         buyers,

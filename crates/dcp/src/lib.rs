@@ -16,9 +16,10 @@
 //!   `(scenario, config, seed)` worlds across cores with results
 //!   bit-for-bit identical to a sequential run.
 //! * [`runtime`] — the typed protocol-role layer the scenario crates are
-//!   wired through: the [`runtime::Driver`] attempt loop,
-//!   [`runtime::Harness`] run bracketing, and role-tagged node
-//!   registration.
+//!   wired through: the seam roles both engines host
+//!   ([`runtime::seam`]), [`runtime::Harness`] run bracketing, and the
+//!   [`runtime::Driver`] attempt loop of the wirings still written as
+//!   simulator nodes.
 //! * [`transport`] — framing, encrypted channels, onion tunnels, traffic
 //!   shaping.
 //! * [`dns`] — the DNS substrate (wire codec, zones, resolver, workloads).

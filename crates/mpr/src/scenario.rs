@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex};
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, FaultLog, IdentityKind, InfoItem, KeyId, Label, MetricsReport, ObsEvent, RunOptions,
-    Scenario, UserId, World,
+    DataKind, FaultLog, IdentityKind, InfoItem, KeyId, Label, MetricsReport, RunOptions, Scenario,
+    UserId, World,
 };
 use dcp_crypto::hpke;
 use dcp_runtime::seam::{
@@ -376,9 +376,7 @@ impl User {
             Route::Direct(origin) => ctx.send_to(*origin, msg),
             Route::Relayed(entry, _) => ctx.send_to(*entry, msg),
         }
-        if self.arq.enabled() {
-            ctx.set_timer(att.timer_delay_us, att.token);
-        }
+        ctx.arm(&self.arq, &att);
     }
 }
 
@@ -415,23 +413,10 @@ impl WireRole for User {
     }
 
     fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
-        let node = ctx.me().index();
-        match self.arq.on_timer(token) {
+        match ctx.arq_timer(&mut self.arq, token) {
             TimerVerdict::NotMine | TimerVerdict::Stale => {}
-            TimerVerdict::Retry(att) => {
-                ctx.emit(ObsEvent::RecoveryRetry {
-                    node,
-                    seq: att.seq,
-                    attempt: att.attempt,
-                });
-                self.transmit(ctx, att);
-            }
-            TimerVerdict::Exhausted { seq, attempts } => {
-                ctx.emit(ObsEvent::RecoveryGiveUp {
-                    node,
-                    seq,
-                    attempts,
-                });
+            TimerVerdict::Retry(att) => self.transmit(ctx, att),
+            TimerVerdict::Exhausted { .. } => {
                 self.inflight = None;
                 self.fetch(ctx);
             }
@@ -814,6 +799,7 @@ fn wiring(cfg: &ChainConfig, mut world: World, opts: &RunOptions) -> Wiring {
             world,
             roles,
             expected_units: (cfg.users * cfg.fetches_each) as u64,
+            taps: Vec::new(),
         },
         stats,
         relay_names,

@@ -18,9 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
-use dcp_core::{
-    DataKind, IdentityKind, InfoItem, Label, ObsEvent, RecoverConfig, Scenario, UserId, World,
-};
+use dcp_core::{DataKind, IdentityKind, InfoItem, Label, RecoverConfig, Scenario, UserId, World};
 use dcp_dns::workload::ZipfWorkload;
 use dcp_dns::{DnsName, Message as DnsMessage, RrType};
 use dcp_runtime::seam::{lock, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
@@ -94,9 +92,7 @@ impl Client {
             self.resolvers[call.resolver],
             WireMsg::data(wire::frame(att.seq, &q.encode()), label),
         );
-        if self.arq.enabled() {
-            ctx.set_timer(att.timer_delay_us, att.token);
-        }
+        ctx.arm(&self.arq, &att);
     }
 }
 
@@ -129,23 +125,10 @@ impl WireRole for Client {
     }
 
     fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
-        let node = ctx.me().index();
-        match self.arq.on_timer(token) {
+        match ctx.arq_timer(&mut self.arq, token) {
             TimerVerdict::NotMine | TimerVerdict::Stale => {}
-            TimerVerdict::Retry(att) => {
-                ctx.emit(ObsEvent::RecoveryRetry {
-                    node,
-                    seq: att.seq,
-                    attempt: att.attempt,
-                });
-                self.transmit(ctx, att);
-            }
-            TimerVerdict::Exhausted { seq, attempts } => {
-                ctx.emit(ObsEvent::RecoveryGiveUp {
-                    node,
-                    seq,
-                    attempts,
-                });
+            TimerVerdict::Retry(att) => self.transmit(ctx, att),
+            TimerVerdict::Exhausted { seq, .. } => {
                 self.inflight.remove(&seq);
                 self.send_next(ctx);
             }
@@ -262,6 +245,7 @@ pub(crate) fn wiring(
         world,
         roles,
         expected_units: (cfg.clients * cfg.queries_each) as u64,
+        taps: Vec::new(),
     };
     (spec, stats)
 }

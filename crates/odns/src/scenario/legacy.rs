@@ -14,9 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
-use dcp_core::{
-    DataKind, IdentityKind, InfoItem, KeyId, ObsEvent, RecoverConfig, Scenario, UserId, World,
-};
+use dcp_core::{DataKind, IdentityKind, InfoItem, KeyId, RecoverConfig, Scenario, UserId, World};
 use dcp_crypto::hpke;
 use dcp_dns::{DnsName, Message as DnsMessage, Rcode, RecordData, ResourceRecord, RrType};
 use dcp_runtime::seam::{lock, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole};
@@ -100,9 +98,7 @@ impl Client {
             self.recursive,
             WireMsg::data(wire::frame(att.seq, &encoded), label),
         );
-        if self.arq.enabled() {
-            ctx.set_timer(att.timer_delay_us, att.token);
-        }
+        ctx.arm(&self.arq, &att);
     }
 }
 
@@ -143,27 +139,16 @@ impl WireRole for Client {
     }
 
     fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
-        let node = ctx.me().index();
-        match self.arq.on_timer(token) {
+        match ctx.arq_timer(&mut self.arq, token) {
             TimerVerdict::NotMine | TimerVerdict::Stale => {}
             TimerVerdict::Retry(att) => {
-                ctx.emit(ObsEvent::RecoveryRetry {
-                    node,
-                    seq: att.seq,
-                    attempt: att.attempt,
-                });
                 let Some(call) = self.inflight.get(&att.seq) else {
                     return;
                 };
                 let (name, sent_at) = (call.name.clone(), call.sent_at);
                 self.transmit(ctx, name, sent_at, att);
             }
-            TimerVerdict::Exhausted { seq, attempts } => {
-                ctx.emit(ObsEvent::RecoveryGiveUp {
-                    node,
-                    seq,
-                    attempts,
-                });
+            TimerVerdict::Exhausted { seq, .. } => {
                 self.inflight.remove(&seq);
                 self.send_next(ctx);
             }
@@ -285,6 +270,7 @@ pub(crate) fn wiring(
         world: w.world,
         roles,
         expected_units: (cfg.clients * cfg.queries_each) as u64,
+        taps: Vec::new(),
     };
     (spec, stats)
 }

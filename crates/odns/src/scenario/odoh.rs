@@ -115,9 +115,7 @@ impl Client {
             Endpoint::<SealedQuery, Control, ObliviousProxy>::new(pick.node),
             WireMsg::data(wire::frame(att.seq, &sealed), label),
         );
-        if self.arq.enabled() {
-            ctx.set_timer(att.timer_delay_us, att.token);
-        }
+        ctx.arm(&self.arq, &att);
     }
 }
 
@@ -295,6 +293,7 @@ pub(crate) fn wiring(
         world: w.world,
         roles,
         expected_units: (cfg.clients * cfg.queries_each) as u64,
+        taps: Vec::new(),
     };
     (spec, stats)
 }

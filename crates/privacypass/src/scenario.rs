@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, ObsEvent, RunOptions,
-    Scenario, UserId, World,
+    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions, Scenario, UserId,
+    World,
 };
 use dcp_crypto::oprf::{BlindedElement, DleqProof, EvaluatedElement};
 use dcp_runtime::seam::{
@@ -345,12 +345,6 @@ struct Client {
 }
 
 impl Client {
-    fn arm(&self, ctx: &mut WireCtx, att: &Attempt) {
-        if self.arq.enabled() {
-            ctx.set_timer(att.timer_delay_us, att.token);
-        }
-    }
-
     /// (Re)transmit the issuance round: a fresh blinded batch on every
     /// attempt, which is exactly what a re-randomized retransmission
     /// needs. The client authenticates (solves the issuer's challenge):
@@ -376,7 +370,7 @@ impl Client {
             self.issuer,
             WireMsg::data(wire::frame(att.seq, &frame), label),
         );
-        self.arm(ctx, &att);
+        ctx.arm(&self.arq, &att);
     }
 
     /// (Re)transmit redemption `att.seq`. The token payload is
@@ -397,7 +391,7 @@ impl Client {
             self.origin,
             WireMsg::data(wire::frame(att.seq, &frame), label),
         );
-        self.arm(ctx, &att);
+        ctx.arm(&self.arq, &att);
     }
 
     /// Begin the next redemption, if one is left. An empty wallet means
@@ -485,32 +479,17 @@ impl WireRole for Client {
     }
 
     fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
-        let node = ctx.me().index();
-        match self.arq.on_timer(token) {
+        match ctx.arq_timer(&mut self.arq, token) {
             TimerVerdict::NotMine | TimerVerdict::Stale => {}
-            TimerVerdict::Retry(att) => {
-                ctx.emit(ObsEvent::RecoveryRetry {
-                    node,
-                    seq: att.seq,
-                    attempt: att.attempt,
-                });
-                match &self.inflight {
-                    Some((seq, Call::Issuance)) if *seq == att.seq => {
-                        self.transmit_issuance(ctx, att)
-                    }
-                    Some((seq, Call::Fetch { payload, .. })) if *seq == att.seq => {
-                        let payload = payload.clone();
-                        self.transmit_fetch(ctx, &payload, att);
-                    }
-                    _ => {}
+            TimerVerdict::Retry(att) => match &self.inflight {
+                Some((seq, Call::Issuance)) if *seq == att.seq => self.transmit_issuance(ctx, att),
+                Some((seq, Call::Fetch { payload, .. })) if *seq == att.seq => {
+                    let payload = payload.clone();
+                    self.transmit_fetch(ctx, &payload, att);
                 }
-            }
-            TimerVerdict::Exhausted { seq, attempts } => {
-                ctx.emit(ObsEvent::RecoveryGiveUp {
-                    node,
-                    seq,
-                    attempts,
-                });
+                _ => {}
+            },
+            TimerVerdict::Exhausted { seq, .. } => {
                 match self.inflight.take_if(|(open, _)| *open == seq) {
                     Some((_, Call::Fetch { .. })) => self.fetch(ctx),
                     // An abandoned issuance leaves an empty wallet: the
@@ -732,6 +711,7 @@ fn wiring(cfg: &PrivacypassConfig, seed: u64, mut world: World, opts: &RunOption
             world,
             roles,
             expected_units: (cfg.clients * cfg.fetches_each) as u64,
+            taps: Vec::new(),
         },
         stats,
     }

@@ -4,28 +4,46 @@
 //! sequence number ahead of the protocol payload, so receivers can dedup
 //! retransmissions and responders can echo the number for the client's
 //! call matching. The seam-role wirings (the DNS family — ODoH, legacy
-//! ODNS and direct DNS — MPR, Privacy Pass and blind cash) frame every
-//! leg whether or not recovery is on: real sockets interleave, so no hop
-//! may pair answers with queries by arrival order. The wirings still on
-//! simulator nodes frame only when recovery is enabled.
+//! ODNS and direct DNS — MPR, Privacy Pass, blind cash, the VPN and ECH)
+//! frame every leg whether or not recovery is on: real sockets
+//! interleave, so no hop may pair answers with queries by arrival order.
+//! The wirings still on simulator nodes (PGPP, PPM and mixnet) frame only
+//! when recovery is enabled.
 //!
-//! The frame sits at whatever layer the scenario needs it: *outside* the
-//! ciphertext for hop-local legs, each relay re-keying what it forwards
-//! under its own number (ODoH's proxy, MPR's relays), or *inside* the
-//! innermost encryption where intermediate hops must not see a linkable
-//! counter at all (VPN tunnels) — the sequence number is itself
-//! metadata, and exposing one constant counter across paths would undo
-//! what re-randomization buys.
+//! The frame sits *outside* the ciphertext, on one leg only: each relay
+//! re-keys what it forwards under a number of its own (ODoH's proxy,
+//! MPR's relays, the VPN server), so no counter crosses a hop — the
+//! sequence number is itself metadata, and exposing one constant counter
+//! across paths would undo what re-randomization buys. On the VPN's
+//! access link the number sits beside the subscriber's address, which
+//! the link's observer sees anyway.
 
 /// Bytes of the sequence-number prefix.
 pub const SEQ_LEN: usize = 8;
 
 /// Prefix `payload` with the big-endian `seq`.
 pub fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEQ_LEN + payload.len());
+    frame_parts(seq, &[payload])
+}
+
+/// [`frame`] over a payload given in parts, written into one buffer.
+pub fn frame_parts(seq: u64, parts: &[&[u8]]) -> Vec<u8> {
+    let len = parts.iter().map(|p| p.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(SEQ_LEN + len);
     out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(payload);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     out
+}
+
+/// Re-number a framed message in place, so a relay forwards it under
+/// `seq` without copying its payload. Bytes too short to carry a prefix
+/// are left as they are (and [`unframe`] refuses them).
+pub fn reframe(bytes: &mut [u8], seq: u64) {
+    if let Some(prefix) = bytes.get_mut(..SEQ_LEN) {
+        prefix.copy_from_slice(&seq.to_be_bytes());
+    }
 }
 
 /// Split a framed message back into `(seq, payload)`. `None` if the
@@ -53,12 +71,20 @@ mod tests {
             seq in any::<u64>(),
             payload in collection::vec(any::<u8>(), 0..48),
             bytes in collection::vec(any::<u8>(), 0..24),
+            (cut, other) in (any::<usize>(), any::<u64>()),
         ) {
             let framed = frame(seq, &payload);
             prop_assert_eq!(unframe(&framed), Some((seq, &payload[..])));
+            let (head, tail) = payload.split_at(cut % (payload.len() + 1));
+            prop_assert_eq!(frame_parts(seq, &[head, &[], tail]), framed.clone());
+            let mut renumbered = framed;
+            reframe(&mut renumbered, other);
+            prop_assert_eq!(unframe(&renumbered), Some((other, &payload[..])));
+            let mut reframed = bytes.clone();
+            reframe(&mut reframed, other);
             match unframe(&bytes) {
                 Some((seq, rest)) => prop_assert_eq!(frame(seq, rest), bytes),
-                None => prop_assert!(bytes.len() < SEQ_LEN),
+                None => prop_assert!(bytes.len() < SEQ_LEN && reframed == bytes),
             }
         }
     }

@@ -5,10 +5,10 @@ use dcp_core::role::{Role, RoleKind};
 use dcp_core::{MetricsReport, RunOptions, World};
 use dcp_fleet::DirectoryNode;
 use dcp_obs::MetricsHandle;
-use dcp_simnet::{LinkParams, Network, Node, NodeId, Trace};
+use dcp_simnet::{LinkParams, Network, Node, NodeId, Tap, Trace};
 
 use crate::host::SimHost;
-use crate::seam::{RoleSpec, ServeSpec};
+use crate::seam::{PeerId, RoleSpec, ServeSpec};
 
 /// What every run produces beyond protocol-specific fields: the final
 /// knowledge base, the packet trace, the injected fault schedule, and the
@@ -119,8 +119,9 @@ impl Harness {
     /// The run path of every seam wiring: build the simulator over the
     /// spec's world with `link`, host its roles in role-table order (so
     /// `PeerId(i)` is `NodeId(i)`), register fleet `directories` after
-    /// them, and run to quiescence. Read what the report needs from the
-    /// spec (its users, its expected units) before handing it over.
+    /// them, install the spec's taps, and run to quiescence. Read what
+    /// the report needs from the spec (its users, its expected units)
+    /// before handing it over.
     pub fn run_spec(
         self,
         spec: ServeSpec,
@@ -133,6 +134,15 @@ impl Harness {
         }
         for dir in directories {
             Self::add_directory(&mut net, Box::new(dir));
+        }
+        let node = |p: PeerId| NodeId(p.index());
+        for tap in spec.taps {
+            net.add_tap(Tap {
+                observer: tap.observer,
+                links: tap
+                    .links
+                    .map(|links| links.into_iter().map(|(a, b)| (node(a), node(b))).collect()),
+            });
         }
         self.finish(net)
     }

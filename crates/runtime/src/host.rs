@@ -4,7 +4,7 @@
 use dcp_core::EntityId;
 use dcp_simnet::{Ctx, Message, Node, NodeId};
 
-use crate::seam::{apply_effects, PeerId, WireCtx, WireMsg, WireRole};
+use crate::seam::{apply_effects, PeerId, WireCtx, WireEffects, WireMsg, WireRole};
 
 /// One simnet node driving one [`WireRole`]. Each callback gets a
 /// [`WireCtx`] over the node's [`Ctx`] — the run's RNG, simulated time,
@@ -13,29 +13,41 @@ use crate::seam::{apply_effects, PeerId, WireCtx, WireMsg, WireRole};
 /// through [`apply_effects`] in the order queued, then frames and timers.
 /// `PeerId(i)` is `NodeId(i)`, so a spec's roles must be registered in
 /// role-table order ([`Harness::add_spec`](crate::Harness::add_spec)).
+///
+/// The effect buffers are lent from one callback to the next, drained
+/// but keeping their capacity, as simnet lends its outbox to every
+/// `Ctx`: a steady callback allocates nothing to queue its effects.
 pub(crate) struct SimHost {
     entity: EntityId,
     role: Box<dyn WireRole>,
+    spare: WireEffects,
 }
 
 impl SimHost {
     pub(crate) fn new(entity: EntityId, role: Box<dyn WireRole>) -> Self {
-        SimHost { entity, role }
+        SimHost {
+            entity,
+            role,
+            spare: WireEffects::default(),
+        }
     }
 
     fn call(&mut self, ctx: &mut Ctx, f: impl FnOnce(&mut dyn WireRole, &mut WireCtx)) {
         let me = PeerId::at(ctx.id().0);
         let obs = ctx.world.obs_enabled();
-        let mut wctx = WireCtx::new(ctx.rng, me, ctx.now.as_us(), obs);
+        let spare = std::mem::take(&mut self.spare);
+        let mut wctx = WireCtx::lend(ctx.rng, me, ctx.now.as_us(), obs, spare);
         f(self.role.as_mut(), &mut wctx);
-        let fx = wctx.finish();
+        let mut fx = wctx.finish();
         apply_effects(ctx.world, self.entity, &fx);
-        for (to, msg) in fx.out {
+        fx.world.clear();
+        for (to, msg) in fx.out.drain(..) {
             ctx.send(NodeId(to.index()), Message::new(msg.payload, msg.label));
         }
-        for (delay_us, token) in fx.timers {
+        for (delay_us, token) in fx.timers.drain(..) {
             ctx.set_timer(delay_us, token);
         }
+        self.spare = fx;
     }
 }
 

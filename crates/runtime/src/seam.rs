@@ -31,14 +31,19 @@
 //! no shared world; bytes still flow, and the twin check is the loopback
 //! run's job.
 //!
-//! A scenario crate hands each of its wirings, seam or node-based, to the
-//! DST batteries and to `dcp serve` as one [`Registration`].
+//! A passive observer is part of the wiring too, as a [`WireTap`], so
+//! its row of the knowledge table is held to the twin like every other.
+//!
+//! A scenario crate hands each of its wirings to the DST batteries and to
+//! `dcp serve` as one [`Registration`]; a wiring still written as
+//! simulator nodes registers with no serve fn.
 
 use std::sync::{Mutex, MutexGuard};
 
 use dcp_core::cap::{Admits, KnowledgeCap, WireLabel};
 use dcp_core::role::{Endpoint, Role, RoleKind};
 use dcp_core::{EntityId, InfoItem, Label, ObsEvent, RunOptions, ScenarioReport, World};
+use dcp_recover::{Attempt, ReliableCall, TimerVerdict};
 use rand::rngs::StdRng;
 
 pub use dcp_transport::frame::{checked_wire_len, Frame, FrameRef, FrameType, MAX_PAYLOAD};
@@ -126,14 +131,31 @@ impl<'a> WireCtx<'a> {
     /// one, crypto-op counts, spans and events are dropped at a single
     /// branch. Engines call this; roles only consume the methods below.
     pub fn new(rng: &'a mut StdRng, me: PeerId, now_us: u64, obs: bool) -> Self {
+        Self::lend(rng, me, now_us, obs, WireEffects::default())
+    }
+
+    /// [`new`](WireCtx::new) over buffers the engine lends: the emptied
+    /// effects of an earlier callback, whose capacity the role's queued
+    /// effects reuse instead of allocating their own.
+    pub(crate) fn lend(
+        rng: &'a mut StdRng,
+        me: PeerId,
+        now_us: u64,
+        obs: bool,
+        spare: WireEffects,
+    ) -> Self {
+        debug_assert!(
+            spare.out.is_empty() && spare.timers.is_empty() && spare.world.is_empty(),
+            "lent effect buffers must be empty"
+        );
         WireCtx {
             rng,
             me,
             now_us,
             obs,
-            out: Vec::new(),
-            timers: Vec::new(),
-            world: Vec::new(),
+            out: spare.out,
+            timers: spare.timers,
+            world: spare.world,
             units_done: 0,
         }
     }
@@ -207,6 +229,35 @@ impl<'a> WireCtx<'a> {
         }
     }
 
+    /// Feed a fired timer `token` through a client's `arq` and return the
+    /// verdict, first emitting the observation a retry or a give-up
+    /// carries (`RecoveryRetry`, `RecoveryGiveUp`).
+    pub fn arq_timer(&mut self, arq: &mut ReliableCall, token: u64) -> TimerVerdict {
+        let node = self.me.index();
+        let verdict = arq.on_timer(token);
+        match verdict {
+            TimerVerdict::Retry(att) => self.emit(ObsEvent::RecoveryRetry {
+                node,
+                seq: att.seq,
+                attempt: att.attempt,
+            }),
+            TimerVerdict::Exhausted { seq, attempts } => self.emit(ObsEvent::RecoveryGiveUp {
+                node,
+                seq,
+                attempts,
+            }),
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+        }
+        verdict
+    }
+
+    /// Arm `att`'s deadline, if `arq` retries at all.
+    pub fn arm(&mut self, arq: &ReliableCall, att: &Attempt) {
+        if arq.enabled() {
+            self.set_timer(att.timer_delay_us, att.token);
+        }
+    }
+
     /// Mark one end-to-end work unit complete (a resolved query, a
     /// redeemed token, …). The served engine sums these into the run
     /// outcome; simulated reports count work in their own stats.
@@ -238,6 +289,7 @@ pub enum WorldEffect {
 }
 
 /// The queued effects of one role callback, in order.
+#[derive(Default)]
 pub struct WireEffects {
     /// Outgoing frames.
     pub out: Vec<(PeerId, WireMsg)>,
@@ -319,6 +371,29 @@ pub struct ServeSpec {
     pub roles: Vec<RoleSpec>,
     /// Work units the wiring should complete end-to-end.
     pub expected_units: u64,
+    /// Passive observers of the wiring's traffic.
+    pub taps: Vec<WireTap>,
+}
+
+/// A passive observer: `observer` learns what the label of every frame
+/// crossing a watched link reveals without keys. The simulator observes
+/// at send, loopback mode as the label enters the side channel.
+#[derive(Clone, Debug)]
+pub struct WireTap {
+    /// The observing entity.
+    pub observer: EntityId,
+    /// The watched directed links `(from, to)`; `None` watches them all.
+    pub links: Option<Vec<(PeerId, PeerId)>>,
+}
+
+impl WireTap {
+    /// Does this tap watch frames from `from` to `to`?
+    pub fn watches(&self, from: PeerId, to: PeerId) -> bool {
+        match &self.links {
+            None => true,
+            Some(links) => links.contains(&(from, to)),
+        }
+    }
 }
 
 impl RoleSpec {

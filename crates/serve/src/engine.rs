@@ -17,9 +17,12 @@
 //! TCP preserves order within a connection and each directed pair uses
 //! one connection), and the engine replays the simulator's delivery
 //! rule — `world.observe(entity, &label)` *before* the role sees the
-//! frame. In multi-process mode there is no shared bus or world: the
-//! hello only identifies the peer, frames deliver with `Label::Public`,
-//! and the twin check belongs to the loopback run.
+//! frame. The bus also holds the spec's taps: a label pushed onto a
+//! tapped link is observed by the tap's observer right then, as the
+//! simulator's wiretap observes a message when it is sent. In
+//! multi-process mode there is no shared bus or world: the hello only
+//! identifies the peer, frames deliver with `Label::Public`, and the twin
+//! check belongs to the loopback run.
 //!
 //! ## Fail-closed invariants
 //!
@@ -40,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use dcp_core::role::RoleKind;
 use dcp_core::{EntityId, Label, World};
-use dcp_runtime::seam::{apply_effects, PeerId, ServeSpec, WireCtx, WireMsg, WireRole};
+use dcp_runtime::seam::{apply_effects, PeerId, ServeSpec, WireCtx, WireMsg, WireRole, WireTap};
 use dcp_transport::frame::{Frame, FrameType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,15 +100,28 @@ impl Default for ServeConfig {
 /// Each directed role pair `(from, to)` keeps a FIFO of labels, pushed
 /// by the sender *before* the frame bytes are written and popped by the
 /// receiver per delivered frame; TCP's in-order delivery on the single
-/// connection per pair keeps bytes and labels in lock-step.
+/// connection per pair keeps bytes and labels in lock-step. A label
+/// pushed onto a link one of `taps` watches is observed by that tap's
+/// observer as it is pushed.
 #[derive(Default)]
 pub(crate) struct LabelBus {
     queues: Mutex<HashMap<(u16, u16), VecDeque<Label>>>,
     nonces: Mutex<HashMap<u64, u16>>,
+    taps: Vec<WireTap>,
 }
 
 impl LabelBus {
-    fn push(&self, from: u16, to: u16, label: Label) {
+    fn push(&self, world: &Mutex<World>, from: u16, to: u16, label: Label) {
+        for tap in self
+            .taps
+            .iter()
+            .filter(|t| t.watches(PeerId(from), PeerId(to)))
+        {
+            world
+                .lock()
+                .expect("no role host panics holding the world")
+                .observe(tap.observer, &label);
+        }
         self.queues
             .lock()
             .unwrap()
@@ -416,8 +432,8 @@ impl RoleHost {
         }
         // Label rides the side channel, pushed strictly before the frame
         // bytes so the receiver can never see bytes without their label.
-        if let Some(bus) = &self.shared.bus {
-            bus.push(self.idx, to, msg.label.clone());
+        if let (Some(bus), Some(world)) = (&self.shared.bus, &self.shared.world) {
+            bus.push(world, self.idx, to, msg.label.clone());
         }
         let conn = self
             .conns
@@ -518,7 +534,10 @@ pub fn run_loopback(spec: ServeSpec, cfg: &ServeConfig) -> Result<ServeOutcome, 
     let epoch = Instant::now();
     let obs = spec.world.obs_enabled();
     let world = Arc::new(Mutex::new(spec.world));
-    let bus = Arc::new(LabelBus::default());
+    let bus = Arc::new(LabelBus {
+        taps: spec.taps,
+        ..LabelBus::default()
+    });
     let shutdown = Arc::new(AtomicBool::new(false));
     let units = Arc::new(AtomicU64::new(0));
     let initiators_done = Arc::new(AtomicUsize::new(0));
@@ -741,6 +760,7 @@ mod tests {
                 }),
             }],
             expected_units: 1,
+            taps: Vec::new(),
         };
         let cfg = ServeConfig {
             deadline: Duration::from_secs(5),

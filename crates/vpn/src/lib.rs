@@ -14,9 +14,12 @@
 //!   server sees." Useful, but not decoupling: the verdict depends on
 //!   which adversary you ask.
 //!
-//! Both scenarios run on the simulator with a passive network observer
-//! tap, so the derived tables show all three vantage points: client-side
-//! network, service, and destination.
+//! Both are written once as seam roles (`dcp_runtime::seam`), which the
+//! simulator hosts and `dcp serve vpn` serves over real sockets. Each
+//! wiring carries a passive network observer as a tap, so the derived
+//! tables show all three vantage points: client-side network, service,
+//! and destination. A served VPN replays the tap on the loopback label
+//! bus, and its observer row is held to the simulated twin's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,23 +1,36 @@
-//! VPN and ECH scenarios with a passive network observer.
+//! VPN and ECH, the §3.3 cautionary tales, written once as seam roles:
+//! a subscriber, the VPN server and the origin; a browser and the TLS
+//! server. The simulator hosts them ([`Vpn`], [`Ech`]) and
+//! [`Vpn::REGISTRATION`] hands the VPN's roles to `dcp-serve`.
+//!
+//! Every leg carries an 8-byte sequence number (`dcp_runtime::wire`) on
+//! every run, outside the tunnel's ciphertext. The VPN server names a
+//! request's subscriber from the peer its frame arrives on and re-keys
+//! it to the origin through a [`HopMap`], so an answer returns to the
+//! subscriber who asked even under drops and duplicates. A run's
+//! `RecoverConfig` only arms the clients' retries. The passive network
+//! observer is a tap in each wiring's spec.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, EntityId, FaultLog, IdentityKind, InfoItem, KeyId, Label, MetricsReport, RunOptions,
-    Scenario, UserId, World,
+    DataKind, FaultLog, IdentityKind, InfoItem, KeyId, Label, MetricsReport, RunOptions, Scenario,
+    UserId, World,
 };
 use dcp_crypto::hpke;
-use dcp_runtime::seam::Registration;
+use dcp_runtime::seam::{
+    lock, nth, PeerId, Registration, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole, WireTap,
+};
 use dcp_runtime::{
-    mean_us, wire, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, Harness, HopMap, LinkParams,
-    Message, Node, NodeId, RetryLinkage, SimTime, Tap, Trace, TypedSend,
+    mean_us, wire, Attempt, Control, Endpoint, Harness, HopMap, LinkParams, ReliableCall,
+    RetryLinkage, TimerVerdict, Trace,
 };
 
 use crate::types::{
-    ech_declared_caps, vpn_declared_caps, Browser, EchHello, HttpRequest, Origin, Subscriber,
+    self, ech_declared_caps, vpn_declared_caps, Browser, EchHello, HttpRequest, Subscriber,
     TlsTerminator, TunnelReq, TunnelServer,
 };
 
@@ -122,7 +135,23 @@ impl Scenario for Vpn {
     const NAME: &'static str = "vpn";
 
     fn run_with(cfg: &VpnConfig, seed: u64, opts: &RunOptions) -> VpnReport {
-        run_vpn_impl(cfg, seed, opts)
+        let (world, harness) = Harness::begin(Vpn::NAME, seed, opts);
+        let (spec, stats) = vpn_wiring(cfg, seed, world, opts);
+        let users = spec.world.users().to_vec();
+        let expected = spec.expected_units;
+        let core = harness.run_spec(spec, LinkParams::wan_ms(10), Vec::new());
+        let stats = lock(&stats);
+        VpnReport {
+            world: core.world,
+            trace: core.trace,
+            completed: stats.completed,
+            mean_fetch_us: mean_us(&stats.latencies),
+            users,
+            fault_log: core.fault_log,
+            metrics: core.metrics,
+            expected,
+            retry_linkage: stats.linkage.violations(),
+        }
     }
 }
 
@@ -131,12 +160,19 @@ impl Vpn {
     /// the paper's cautionary tale, coupled in its calm run, and the DST
     /// battery's safety check is baseline-relative: faults must couple
     /// no one new (the network observer, say), while the server's
-    /// existing coupling is not charged to them.
+    /// existing coupling is not charged to them. Served, a subscriber per
+    /// client and a fetch per query; every process of a multi-process run
+    /// builds the same server key from the seed. Role order defines peer
+    /// ids: `vpn` 0, `origin` 1, then `client`, `client-2`, ….
     pub const REGISTRATION: Registration = Registration {
         name: Vpn::NAME,
         run: |seed, opts| Box::new(Vpn::run_with(&VpnConfig::new(3, 2), seed, opts)),
         declared_caps: vpn_declared_caps,
-        serve: None,
+        serve: Some(|clients, queries, seed| {
+            let cfg = VpnConfig::new(clients, queries);
+            let spec = vpn_wiring(&cfg, seed, World::new(), &RunOptions::default()).0;
+            Ok((spec, Box::new(move || Vpn::run(&cfg, seed).world)))
+        }),
     };
 }
 
@@ -160,10 +196,11 @@ impl VpnReport {
     }
 }
 
+/// What the subscribers measure, shared by every role of one run.
 struct VpnStats {
     completed: usize,
     latencies: Vec<u64>,
-    /// Retry-linkage check fed by every transmitted tunnel ciphertext.
+    /// Retry-linkage check fed by every retransmittable tunnel ciphertext.
     linkage: RetryLinkage,
 }
 
@@ -173,8 +210,56 @@ const SESSION_INIT: u8 = 0x01;
 /// First byte of a follow-up message on an open session: `ct` only.
 const SESSION_CONT: u8 = 0x02;
 
-struct VpnClient {
-    entity: EntityId,
+/// A tunnel message under session reuse, as the server parses it.
+#[derive(Debug, PartialEq, Eq)]
+enum Tunnel<'a> {
+    /// `SESSION_INIT ‖ enc ‖ ct`: opens the sender's session.
+    Init {
+        enc: &'a [u8; hpke::ENC_LEN],
+        ct: &'a [u8],
+    },
+    /// `SESSION_CONT ‖ ct`: rides the sender's open session.
+    Cont { ct: &'a [u8] },
+}
+
+/// Why the server refused a tunnel message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TunnelError {
+    /// No bytes at all.
+    Empty,
+    /// A first byte that names no kind of tunnel message.
+    UnknownKind(u8),
+    /// An opening with fewer bytes after its kind than a key needs.
+    ShortInit { got: usize },
+}
+
+impl<'a> Tunnel<'a> {
+    fn decode(bytes: &'a [u8]) -> Result<Self, TunnelError> {
+        match bytes.split_first() {
+            None => Err(TunnelError::Empty),
+            Some((&SESSION_INIT, rest)) => match rest.get(..hpke::ENC_LEN) {
+                Some(enc) => Ok(Tunnel::Init {
+                    enc: enc.try_into().expect("ENC_LEN bytes"),
+                    ct: &rest[hpke::ENC_LEN..],
+                }),
+                None => Err(TunnelError::ShortInit { got: rest.len() }),
+            },
+            Some((&SESSION_CONT, ct)) => Ok(Tunnel::Cont { ct }),
+            Some((&kind, _)) => Err(TunnelError::UnknownKind(kind)),
+        }
+    }
+
+    /// The message framed under `seq`, written into one buffer.
+    fn framed(&self, seq: u64) -> Vec<u8> {
+        match self {
+            Tunnel::Init { enc, ct } => wire::frame_parts(seq, &[&[SESSION_INIT], *enc, ct]),
+            Tunnel::Cont { ct } => wire::frame_parts(seq, &[&[SESSION_CONT], ct]),
+        }
+    }
+}
+
+/// A VPN subscriber: one fetch at a time through the tunnel.
+struct Client {
     user: UserId,
     /// The tunnel endpoint: sending here is the typed claim that the VPN
     /// server may see `(▲, ●)` — which compiles only because
@@ -182,25 +267,25 @@ struct VpnClient {
     vpn: Endpoint<TunnelReq, Control, TunnelServer>,
     vpn_pk: [u8; 32],
     vpn_key: KeyId,
+    /// Fetches not yet begun.
     fetches_left: usize,
-    stats: Rc<RefCell<VpnStats>>,
-    sent_at: SimTime,
-    /// Per-request reliable-call driver (inert when recovery is
-    /// disabled), remembering each fetch's send time. No failover list:
-    /// the scenario's whole point is the single trusted hop.
-    calls: Driver<SimTime>,
+    /// Numbers every fetch; retries under recovery only. No failover
+    /// list: the scenario's whole point is the single trusted hop.
+    arq: ReliableCall,
+    /// RetryLinkage flow id (the client index).
     flow: u64,
-    /// HPKE session reuse: one encapsulation, many seals. Only safe when
-    /// the recovery layer is off — a reused context would let an on-path
-    /// observer link retransmitted attempts of one fetch (the PR-4
-    /// `RetryLinkage` invariant), so [`run_vpn_impl`] gates it on
-    /// `!recover && !faults`.
+    /// The open fetch: its sequence number and send time.
+    inflight: Option<(u64, u64)>,
+    /// HPKE session reuse: one encapsulation, many seals. A reused
+    /// context would let an observer link retried attempts of one fetch,
+    /// so [`vpn_wiring`] gates it on `!recover && !faults`.
     reuse: bool,
     /// The open sender context, once the first fetch has encapsulated.
     tx: Option<hpke::Context>,
+    stats: Arc<Mutex<VpnStats>>,
 }
 
-impl VpnClient {
+impl Client {
     fn tunnel_label(&self) -> Label {
         // The tunnel protects the request from the *network*, but the VPN
         // terminates it: the server decrypts and sees destination + content
@@ -211,212 +296,177 @@ impl VpnClient {
         )
     }
 
-    fn fetch(&mut self, ctx: &mut Ctx) {
-        if let Some(att) = self.calls.begin(ctx.now) {
-            self.transmit(ctx, att);
+    /// Begin the next fetch, if one is left.
+    fn fetch(&mut self, ctx: &mut WireCtx) {
+        if self.fetches_left == 0 {
             return;
         }
-        self.sent_at = ctx.now;
-        let sealed = if self.reuse {
-            match &mut self.tx {
-                // First fetch: encapsulate once, open the session.
-                None => {
-                    ctx.world.crypto_op("hpke_encap");
-                    let (enc, mut tx) =
-                        hpke::setup_base_s(ctx.rng, &self.vpn_pk, b"vpn").expect("encap");
-                    ctx.world.crypto_op("hpke_seal");
-                    let ct = tx.seal(b"", REQUEST);
-                    self.tx = Some(tx);
-                    let mut bytes = Vec::with_capacity(1 + enc.len() + ct.len());
-                    bytes.push(SESSION_INIT);
-                    bytes.extend_from_slice(&enc);
-                    bytes.extend_from_slice(&ct);
-                    bytes
-                }
-                // Later fetches ride the open session: seal only, no KEM.
-                Some(tx) => {
-                    ctx.world.crypto_op("hpke_seal");
-                    let ct = tx.seal(b"", REQUEST);
-                    let mut bytes = Vec::with_capacity(1 + ct.len());
-                    bytes.push(SESSION_CONT);
-                    bytes.extend_from_slice(&ct);
-                    bytes
-                }
-            }
+        self.fetches_left -= 1;
+        let att = self.arq.open();
+        self.inflight = Some((att.seq, ctx.now_us()));
+        self.transmit(ctx, att);
+    }
+
+    /// (Re)transmit fetch `att.seq`: on the reused session, or as a
+    /// *fresh* single-shot encapsulation, so no observer can link two
+    /// attempts of one fetch by ciphertext equality.
+    fn transmit(&mut self, ctx: &mut WireCtx, att: Attempt) {
+        let bytes = if self.reuse {
+            self.session_frame(ctx, att.seq)
         } else {
-            ctx.world.crypto_op("hpke_seal");
-            hpke::seal(ctx.rng, &self.vpn_pk, b"vpn", b"", REQUEST).expect("seal")
+            ctx.crypto_op("hpke_seal");
+            let sealed = hpke::seal(ctx.rng, &self.vpn_pk, b"vpn", b"", REQUEST).expect("seal");
+            if self.arq.enabled() {
+                lock(&self.stats)
+                    .linkage
+                    .record(self.flow, att.seq, att.attempt, &sealed);
+            }
+            wire::frame(att.seq, &sealed)
         };
         let label = self.tunnel_label();
-        ctx.send_to(self.vpn, Message::new(sealed, label));
+        ctx.send_to(self.vpn, WireMsg::data(bytes, label));
+        ctx.arm(&self.arq, &att);
     }
 
-    /// One (re)transmission of reliable call `att.seq`: a *fresh* HPKE
-    /// encapsulation every attempt, so no on-path observer can link two
-    /// attempts of the same fetch by ciphertext equality.
-    fn transmit(&mut self, ctx: &mut Ctx, att: Attempt) {
-        ctx.world.crypto_op("hpke_seal");
-        let sealed = hpke::seal(ctx.rng, &self.vpn_pk, b"vpn", b"", REQUEST).expect("seal");
-        self.stats
-            .borrow_mut()
-            .linkage
-            .record(self.flow, att.seq, att.attempt, &sealed);
-        let label = self.tunnel_label();
-        self.calls.transmit(ctx, self.vpn, &att, &sealed, label);
-    }
-
-    fn fetch_done(&mut self, ctx: &mut Ctx) {
-        if self.fetches_left > 1 {
-            self.fetches_left -= 1;
-            self.fetch(ctx);
+    /// The next message on the reused session, framed under `seq`: the
+    /// first encapsulates and opens it, later ones only seal.
+    fn session_frame(&mut self, ctx: &mut WireCtx, seq: u64) -> Vec<u8> {
+        match &mut self.tx {
+            None => {
+                ctx.crypto_op("hpke_encap");
+                let (enc, mut tx) =
+                    hpke::setup_base_s(ctx.rng, &self.vpn_pk, b"vpn").expect("encap");
+                ctx.crypto_op("hpke_seal");
+                let ct = tx.seal(b"", REQUEST);
+                self.tx = Some(tx);
+                Tunnel::Init { enc: &enc, ct: &ct }.framed(seq)
+            }
+            Some(tx) => {
+                ctx.crypto_op("hpke_seal");
+                let ct = tx.seal(b"", REQUEST);
+                Tunnel::Cont { ct: &ct }.framed(seq)
+            }
         }
     }
 }
 
-impl Node for VpnClient {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::Destination),
-        );
+impl WireRole for Client {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::Destination));
         self.fetch(ctx);
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::App(_) | CallEvent::Ignored => {}
-            CallEvent::Retry(att) => self.transmit(ctx, att),
-            CallEvent::Exhausted { .. } => self.fetch_done(ctx),
-        }
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, _body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let Some(sent_at) = self.calls.complete(seq) else {
-                return; // duplicated response: counted exactly once
-            };
-            ctx.world.span("fetch", sent_at.as_us(), ctx.now.as_us());
-            let mut s = self.stats.borrow_mut();
-            s.completed += 1;
-            s.latencies.push(ctx.now - sent_at);
-            drop(s);
-            self.fetch_done(ctx);
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        // Only an answer numbered for the open fetch, from the VPN
+        // server, completes it; a duplicated or late one changes nothing.
+        let Some((seq, _body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Some((open, sent_at)) = self.inflight else {
+            return;
+        };
+        if seq != open || from.index() != self.vpn.index() {
             return;
         }
-        ctx.world
-            .span("fetch", self.sent_at.as_us(), ctx.now.as_us());
-        let mut s = self.stats.borrow_mut();
-        s.completed += 1;
-        s.latencies.push(ctx.now - self.sent_at);
-        drop(s);
-        self.fetch_done(ctx);
+        self.inflight = None;
+        self.arq.complete(open);
+        let now = ctx.now_us();
+        ctx.span("fetch", sent_at, now);
+        let mut stats = lock(&self.stats);
+        stats.completed += 1;
+        stats.latencies.push(now - sent_at);
+        drop(stats);
+        ctx.unit_done();
+        self.fetch(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        match ctx.arq_timer(&mut self.arq, token) {
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => self.transmit(ctx, att),
+            TimerVerdict::Exhausted { .. } => {
+                self.inflight = None;
+                self.fetch(ctx);
+            }
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.fetches_left == 0 && self.inflight.is_none()
     }
 }
 
-struct VpnServer {
-    entity: EntityId,
+/// The §3.3 VPN server: terminates each subscriber's tunnel and proxies
+/// the request to the origin in the clear, as its own client.
+struct Server {
     kp: hpke::Keypair,
     /// The egress endpoint: the proxied request is admitted by the
     /// origin's default `(△, ●)` service cap.
-    origin: Endpoint<HttpRequest, Control, Origin>,
-    back: Vec<(NodeId, UserId)>,
-    node_user: Vec<(NodeId, UserId)>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: hop-local sequence per proxied request. Forwarding
-    /// the subscriber's own counter to the origin would hand it a stable
-    /// cross-fetch pseudonym; the tunnel terminator re-keys instead.
-    hop: HopMap<(NodeId, u64)>,
+    origin: Endpoint<HttpRequest, Control, types::Origin>,
+    /// The user behind each subscriber's peer.
+    subscribers: BTreeMap<PeerId, UserId>,
+    /// Each origin-leg number's subscriber and its number (forwarding the
+    /// subscriber's own counter would hand the origin a cross-fetch
+    /// pseudonym). Take-once, so a duplicated answer dies here.
+    hop: HopMap<(PeerId, u64)>,
     /// Mirrors the clients' session-reuse gate.
     reuse: bool,
-    /// Open receiver contexts, one per subscriber link (`BTreeMap` keeps
-    /// iteration — and therefore any future draining — deterministic).
-    rx: std::collections::BTreeMap<NodeId, hpke::Context>,
+    /// Open receiver contexts, one per subscriber.
+    rx: BTreeMap<PeerId, hpke::Context>,
 }
 
-impl Node for VpnServer {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.origin.index() {
-            if self.recover {
-                let Some((pseq, body)) = wire::unframe(&msg.bytes) else {
-                    return;
-                };
-                let Some((client, cseq)) = self.hop.take(pseq) else {
-                    return; // duplicated response: consumed-once fails closed
-                };
-                ctx.send(client, Message::new(wire::frame(cseq, body), msg.label));
-                return;
+impl Server {
+    /// Open one tunnel message from `from`, or `None` (fail closed) for
+    /// one that does not decode or decrypt, or continues no session.
+    fn open(&mut self, ctx: &mut WireCtx, from: PeerId, tunnel: &[u8]) -> Option<Vec<u8>> {
+        if !self.reuse {
+            ctx.crypto_op("hpke_open");
+            return hpke::open(&self.kp, b"vpn", b"", tunnel).ok();
+        }
+        match Tunnel::decode(tunnel).ok()? {
+            Tunnel::Init { enc, ct } => {
+                ctx.crypto_op("hpke_decap");
+                let mut rx = hpke::setup_base_r(enc, &self.kp, b"vpn").ok()?;
+                ctx.crypto_op("hpke_open");
+                let req = rx.open(b"", ct).ok()?;
+                self.rx.insert(from, rx);
+                Some(req)
             }
-            let Some((client, _)) = self.back.pop() else {
-                return; // duplicated response: no back-route left
+            Tunnel::Cont { ct } => {
+                let rx = self.rx.get_mut(&from)?;
+                ctx.crypto_op("hpke_open");
+                rx.open(b"", ct).ok()
+            }
+        }
+    }
+}
+
+impl WireRole for Server {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        if from.index() == self.origin.index() {
+            // An answer goes back to the subscriber its number was minted
+            // for, renumbered in place under that subscriber's sequence.
+            let mut answer = msg.payload;
+            let Some((hop_seq, _)) = wire::unframe(&answer) else {
+                return;
             };
-            ctx.send(client, msg);
+            let Some((client, client_seq)) = self.hop.take(hop_seq) else {
+                return; // duplicated answer: its route was consumed
+            };
+            wire::reframe(&mut answer, client_seq);
+            ctx.send(client, WireMsg::response(answer, msg.label));
             return;
         }
-        // Fail closed: traffic that does not decrypt under the tunnel key,
-        // or from an unknown peer, is dropped — never proxied onward.
-        let (cseq, sealed) = if self.recover {
-            let Some((cseq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            (Some(cseq), body.to_vec())
-        } else {
-            (None, msg.bytes)
+        // Fail closed: traffic from a peer that is no subscriber, or that
+        // does not open under the tunnel key, is dropped — never proxied.
+        let Some(&user) = self.subscribers.get(&from) else {
+            return;
         };
-        let req = if self.reuse {
-            // Fail closed: unknown discriminators, truncated initiations,
-            // and continuations without an open session are all dropped.
-            match sealed.split_first() {
-                Some((&SESSION_INIT, rest)) if rest.len() >= hpke::ENC_LEN => {
-                    ctx.world.crypto_op("hpke_decap");
-                    let mut enc = [0u8; hpke::ENC_LEN];
-                    enc.copy_from_slice(&rest[..hpke::ENC_LEN]);
-                    let Ok(mut rx) = hpke::setup_base_r(&enc, &self.kp, b"vpn") else {
-                        return;
-                    };
-                    ctx.world.crypto_op("hpke_open");
-                    let Ok(req) = rx.open(b"", &rest[hpke::ENC_LEN..]) else {
-                        return;
-                    };
-                    self.rx.insert(from, rx);
-                    req
-                }
-                Some((&SESSION_CONT, rest)) => {
-                    let Some(rx) = self.rx.get_mut(&from) else {
-                        return;
-                    };
-                    ctx.world.crypto_op("hpke_open");
-                    let Ok(req) = rx.open(b"", rest) else {
-                        return;
-                    };
-                    req
-                }
-                _ => return,
-            }
-        } else {
-            ctx.world.crypto_op("hpke_open");
-            let Ok(req) = hpke::open(&self.kp, b"vpn", b"", &sealed) else {
-                return;
-            };
-            req
+        let Some((client_seq, tunnel)) = wire::unframe(&msg.payload) else {
+            return;
         };
-        let Some(user) = self
-            .node_user
-            .iter()
-            .find(|(n, _)| *n == from)
-            .map(|(_, u)| *u)
-        else {
+        let Some(req) = self.open(ctx, from, tunnel) else {
             return;
         };
         // Proxied onward in the clear (from the origin's view, the client
@@ -425,44 +475,46 @@ impl Node for VpnServer {
             InfoItem::plain_identity(user, IdentityKind::Any),
             InfoItem::sensitive_data(user, DataKind::Destination),
         ]);
-        if let Some(cseq) = cseq {
-            let pseq = self.hop.insert((from, cseq));
-            ctx.send_to(self.origin, Message::new(wire::frame(pseq, &req), label));
-        } else {
-            self.back.insert(0, (from, user));
-            ctx.send_to(self.origin, Message::new(req, label));
-        }
+        let hop_seq = self.hop.insert((from, client_seq));
+        ctx.send_to(
+            self.origin,
+            WireMsg::data(wire::frame(hop_seq, &req), label),
+        );
     }
 }
 
-struct PlainOrigin {
-    entity: EntityId,
-    /// Recovery path: echo the hop sequence back — the origin is a
-    /// stateless responder, idempotent under retransmission.
-    recover: bool,
-}
+/// The origin behind the VPN: answers every request under its number —
+/// statelessly, so a retransmission is simply answered again and the
+/// subscriber's ARQ dedups.
+struct Origin;
 
-impl Node for PlainOrigin {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if self.recover {
-            let Some((seq, _body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            ctx.send(from, Message::public(wire::frame(seq, b"200 OK")));
+impl WireRole for Origin {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, _request)) = wire::unframe(&msg.payload) else {
             return;
-        }
-        ctx.send(from, Message::public(b"200 OK".to_vec()));
+        };
+        ctx.send(
+            from,
+            WireMsg::response(wire::frame(seq, b"200 OK"), Label::Public),
+        );
     }
 }
 
-fn run_vpn_impl(cfg: &VpnConfig, seed: u64, opts: &RunOptions) -> VpnReport {
+/// Build the VPN's world, roles and observer for either engine, and the
+/// stats its subscribers share. Peer ids: the VPN server 0, the origin 1,
+/// then the subscribers.
+///
+/// The world mutation order and the setup RNG's draws are load-bearing:
+/// a metrics sink observes entity creation in sequence, and the DST
+/// probes are byte-identical across refactors only if both hold.
+fn vpn_wiring(
+    cfg: &VpnConfig,
+    seed: u64,
+    mut world: World,
+    opts: &RunOptions,
+) -> (ServeSpec, Arc<Mutex<VpnStats>>) {
     use rand::SeedableRng;
-    let (n_users, fetches_each) = (cfg.users, cfg.fetches_each);
     let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x1f);
-    let (mut world, harness) = Harness::begin(Vpn::NAME, seed, opts);
     let user_org = world.add_org("users");
     let vpn_org = world.add_org("vpn-co");
     let origin_org = world.add_org("origin-co");
@@ -474,104 +526,71 @@ fn run_vpn_impl(cfg: &VpnConfig, seed: u64, opts: &RunOptions) -> VpnReport {
     let vpn_kp = hpke::Keypair::generate(&mut setup_rng);
     let vpn_key = world.new_key(&[vpn_e]);
 
-    let mut users = Vec::new();
-    let mut user_entities = Vec::new();
-    for i in 0..n_users {
-        let u = world.add_user();
-        let name = if i == 0 {
-            "Client".to_string()
-        } else {
-            format!("Client {}", i + 1)
-        };
-        user_entities.push(world.add_entity(&name, user_org, Some(u)));
-        users.push(u);
-    }
-
-    let mut net = harness.network(world, LinkParams::wan_ms(10));
-    let vpn_id = NodeId(0);
-    let vpn_ep: Endpoint<TunnelReq, Control, TunnelServer> = Endpoint::new(0);
-    let origin_ep: Endpoint<HttpRequest, Control, Origin> = Endpoint::new(1);
-
-    let node_user: Vec<(NodeId, UserId)> = users
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| (NodeId(2 + i), u))
-        .collect();
-    let recover_on = opts.recover.enabled;
-    // HPKE session reuse is the fast path for the steady tunnel: one
-    // encapsulation per subscriber, every later fetch is a pure seal.
-    // It is gated OFF whenever retransmission is possible (recovery or
-    // fault injection): each attempt must be a fresh encapsulation so no
-    // on-path observer can link retries by ciphertext (`RetryLinkage`).
-    let reuse_on = !recover_on && !opts.faults.enabled;
-    Harness::add_role::<TunnelServer>(
-        &mut net,
-        Box::new(VpnServer {
-            entity: vpn_e,
-            kp: vpn_kp.clone(),
-            origin: origin_ep,
-            back: Vec::new(),
-            node_user,
-            recover: recover_on,
-            hop: HopMap::new(),
-            reuse: reuse_on,
-            rx: std::collections::BTreeMap::new(),
-        }),
-    );
-    Harness::add_role::<Origin>(
-        &mut net,
-        Box::new(PlainOrigin {
-            entity: origin_e,
-            recover: recover_on,
-        }),
-    );
-    let stats = Rc::new(RefCell::new(VpnStats {
+    // HPKE session reuse, the steady tunnel's fast path, is off whenever
+    // an attempt may be retransmitted (recovery or fault injection).
+    let reuse = !opts.recover.enabled && !opts.faults.enabled;
+    let stats = Arc::new(Mutex::new(VpnStats {
         completed: 0,
         latencies: Vec::new(),
         linkage: RetryLinkage::new(),
     }));
-    for (ci, (&u, &e)) in users.iter().zip(user_entities.iter()).enumerate() {
-        Harness::add_role::<Subscriber>(
-            &mut net,
-            Box::new(VpnClient {
-                entity: e,
-                user: u,
-                vpn: vpn_ep,
-                vpn_pk: vpn_kp.public,
-                vpn_key,
-                fetches_left: fetches_each,
-                stats: stats.clone(),
-                sent_at: SimTime::ZERO,
-                calls: Driver::new(&opts.recover, derive_seed(seed, 0x0b50 + ci as u64)),
-                flow: ci as u64,
-                reuse: reuse_on,
-                tx: None,
-            }),
-        );
+    let mut subscribers = BTreeMap::new();
+    let mut clients = Vec::new();
+    for i in 0..cfg.users {
+        let user = world.add_user();
+        let e = world.add_entity(&nth("Client", ' ', i), user_org, Some(user));
+        subscribers.insert(PeerId::at(2 + i), user);
+        let client = Client {
+            user,
+            vpn: Endpoint::new(0),
+            vpn_pk: vpn_kp.public,
+            vpn_key,
+            fetches_left: cfg.fetches_each,
+            arq: ReliableCall::new(&opts.recover, derive_seed(seed, 0x0b50 + i as u64)),
+            flow: i as u64,
+            inflight: None,
+            reuse,
+            tx: None,
+            stats: stats.clone(),
+        };
+        clients.push(RoleSpec::of::<Subscriber>(
+            nth("client", '-', i),
+            e,
+            Box::new(client),
+        ));
     }
+    let server = Server {
+        kp: vpn_kp,
+        origin: Endpoint::new(1),
+        subscribers,
+        hop: HopMap::new(),
+        reuse,
+        rx: BTreeMap::new(),
+    };
+    let mut roles = vec![
+        RoleSpec::of::<TunnelServer>("vpn", vpn_e, Box::new(server)),
+        RoleSpec::of::<types::Origin>("origin", origin_e, Box::new(Origin)),
+    ];
+    roles.extend(clients);
     // Client-side network observer (the user's ISP): sees the access
     // links in both directions but not the VPN's egress side.
-    let access_links: Vec<(NodeId, NodeId)> = (0..n_users)
-        .flat_map(|i| [(NodeId(2 + i), vpn_id), (vpn_id, NodeId(2 + i))])
+    let access_links = (0..cfg.users)
+        .flat_map(|i| {
+            let client = PeerId::at(2 + i);
+            [(client, PeerId(0)), (PeerId(0), client)]
+        })
         .collect();
-    net.add_tap(Tap {
-        observer: observer_e,
-        links: Some(access_links),
-    });
-
-    let core = harness.finish(net);
-    let stats = Rc::try_unwrap(stats).map_err(|_| ()).unwrap().into_inner();
-    VpnReport {
-        world: core.world,
-        trace: core.trace,
-        completed: stats.completed,
-        mean_fetch_us: mean_us(&stats.latencies),
-        users,
-        fault_log: core.fault_log,
-        metrics: core.metrics,
-        expected: (n_users * fetches_each) as u64,
-        retry_linkage: stats.linkage.violations(),
-    }
+    let spec = ServeSpec {
+        scenario: Vpn::NAME,
+        world,
+        roles,
+        expected_units: (cfg.users * cfg.fetches_each) as u64,
+        taps: vec![WireTap {
+            observer: observer_e,
+            links: Some(access_links),
+        }],
+    };
+    (spec, stats)
 }
 
 // ------------------------------------------------------------------ ECH --
@@ -649,7 +668,23 @@ impl Scenario for Ech {
     const NAME: &'static str = "ech";
 
     fn run_with(cfg: &EchConfig, seed: u64, opts: &RunOptions) -> EchReport {
-        run_ech_impl(cfg, seed, opts)
+        let (world, harness) = Harness::begin(Ech::NAME, seed, opts);
+        let (spec, stats) = ech_wiring(cfg, seed, world, opts);
+        let user = spec.world.users()[0];
+        let expected = spec.expected_units;
+        let core = harness.run_spec(spec, LinkParams::wan_ms(10), Vec::new());
+        let stats = lock(&stats);
+        EchReport {
+            world: core.world,
+            trace: core.trace,
+            ech: cfg.ech,
+            user,
+            completed: stats.completed,
+            fault_log: core.fault_log,
+            metrics: core.metrics,
+            expected,
+            retry_linkage: stats.linkage.violations(),
+        }
     }
 }
 
@@ -657,7 +692,8 @@ impl Ech {
     /// One handshake with the encrypted ClientHello on. §4.1's ECH hides
     /// the SNI from the network observer, but the TLS server stays
     /// coupled by design; baseline-relative safety lets it ride the same
-    /// battery as the decoupled systems.
+    /// battery as the decoupled systems. Not served: the config
+    /// describes one browser and one handshake.
     pub const REGISTRATION: Registration = Registration {
         name: Ech::NAME,
         run: |seed, opts| Box::new(Ech::run_with(&EchConfig::default().ech(true), seed, opts)),
@@ -677,14 +713,18 @@ impl EchReport {
     }
 }
 
+/// What the browser measures.
 struct EchStats {
     completed: usize,
     /// Retry-linkage check over the sealed ClientHello (ECH runs only).
     linkage: RetryLinkage,
 }
 
-struct EchClient {
-    entity: EntityId,
+/// The server name every ClientHello asks for.
+const SNI: &[u8] = b"very-private-site.example";
+
+/// The browser: one handshake.
+struct EchBrowser {
     user: UserId,
     /// The handshake endpoint: typed `(▲, ●)` — admitted only because
     /// [`TlsTerminator`] declares itself coupled by design (§4.1's
@@ -693,138 +733,130 @@ struct EchClient {
     server_pk: [u8; 32],
     server_key: KeyId,
     ech: bool,
-    stats: Rc<RefCell<EchStats>>,
-    /// Per-handshake reliable-call driver (inert when recovery is
-    /// disabled).
-    calls: Driver<()>,
+    /// Numbers the handshake; arms deadlines and retries under recovery
+    /// only.
+    arq: ReliableCall,
+    /// The handshake's sequence number while it is open.
+    inflight: Option<u64>,
+    stats: Arc<Mutex<EchStats>>,
 }
 
-impl EchClient {
+impl EchBrowser {
     /// Build one ClientHello: with ECH the SNI travels sealed to the
-    /// server's ECH key (a *fresh* encapsulation per attempt, so retries
-    /// stay unlinkable); without it, the SNI is cleartext on the wire —
-    /// identical bytes per attempt, and no unlinkability claim to check.
-    fn client_hello(&self, ctx: &mut Ctx) -> (Vec<u8>, Label) {
-        let sni = b"very-private-site.example".to_vec();
+    /// server's ECH key (a *fresh* encapsulation per attempt); without
+    /// it, in cleartext, with no unlinkability claim to check.
+    fn client_hello(&self, ctx: &mut WireCtx) -> (Vec<u8>, Label) {
         let sni_item = InfoItem::sensitive_data(self.user, DataKind::Destination);
         let envelope = InfoItem::sensitive_identity(self.user, IdentityKind::Any);
         if self.ech {
-            ctx.world.crypto_op("hpke_seal");
-            let sealed = hpke::seal(ctx.rng, &self.server_pk, b"ech", b"", &sni).expect("ech seal");
+            ctx.crypto_op("hpke_seal");
+            let sealed = hpke::seal(ctx.rng, &self.server_pk, b"ech", b"", SNI).expect("ech seal");
             (
                 sealed,
                 Label::item(envelope).and(Label::item(sni_item).sealed(self.server_key)),
             )
         } else {
-            (sni, Label::items([envelope, sni_item]))
+            (SNI.to_vec(), Label::items([envelope, sni_item]))
         }
     }
 
-    fn transmit(&mut self, ctx: &mut Ctx, att: Attempt) {
-        let (bytes, label) = self.client_hello(ctx);
-        if self.ech {
-            self.stats
-                .borrow_mut()
+    /// (Re)transmit the handshake under `att`.
+    fn transmit(&mut self, ctx: &mut WireCtx, att: Attempt) {
+        let (hello, label) = self.client_hello(ctx);
+        if self.ech && self.arq.enabled() {
+            lock(&self.stats)
                 .linkage
-                .record(0, att.seq, att.attempt, &bytes);
+                .record(0, att.seq, att.attempt, &hello);
         }
-        self.calls.transmit(ctx, self.server, &att, &bytes, label);
+        ctx.send_to(
+            self.server,
+            WireMsg::data(wire::frame(att.seq, &hello), label),
+        );
+        ctx.arm(&self.arq, &att);
     }
 }
 
-impl Node for EchClient {
-    fn entity(&self) -> EntityId {
-        self.entity
+impl WireRole for EchBrowser {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::Destination));
+        let att = self.arq.open();
+        self.inflight = Some(att.seq);
+        self.transmit(ctx, att);
     }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::Destination),
-        );
-        if let Some(att) = self.calls.begin(()) {
-            self.transmit(ctx, att);
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        // Only the ServerHello numbered for the open handshake completes
+        // it; a duplicated one changes nothing.
+        let Some((seq, _body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        if self.inflight != Some(seq) || from.index() != self.server.index() {
             return;
         }
-        let (bytes, label) = self.client_hello(ctx);
-        ctx.send_to(self.server, Message::new(bytes, label));
+        self.inflight = None;
+        self.arq.complete(seq);
+        ctx.span("handshake", 0, ctx.now_us());
+        lock(&self.stats).completed += 1;
+        ctx.unit_done();
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::App(_) | CallEvent::Ignored => {}
-            CallEvent::Retry(att) => self.transmit(ctx, att),
-            CallEvent::Exhausted { .. } => {}
-        }
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, _body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            if self.calls.complete(seq).is_none() {
-                return; // duplicated ServerHello: counted exactly once
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        match ctx.arq_timer(&mut self.arq, token) {
+            TimerVerdict::NotMine | TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => self.transmit(ctx, att),
+            TimerVerdict::Exhausted { .. } => {
+                self.inflight = None;
             }
-            ctx.world.span("handshake", 0, ctx.now.as_us());
-            self.stats.borrow_mut().completed += 1;
-            return;
         }
-        ctx.world.span("handshake", 0, ctx.now.as_us());
-        self.stats.borrow_mut().completed += 1;
+    }
+
+    fn finished(&self) -> bool {
+        self.inflight.is_none()
     }
 }
 
-struct TlsServer {
-    entity: EntityId,
+/// The TLS server: answers a ClientHello that names its site, echoing
+/// the hello's number — statelessly, so a retransmission is simply
+/// answered again.
+struct EchServer {
     kp: hpke::Keypair,
     ech: bool,
-    /// Recovery path: echo the client's sequence back — the server is a
-    /// stateless responder, idempotent under retransmission.
-    recover: bool,
 }
 
-impl Node for TlsServer {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let (seq, hello) = if self.recover {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            (Some(seq), body.to_vec())
-        } else {
-            (None, msg.bytes)
+impl WireRole for EchServer {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, hello)) = wire::unframe(&msg.payload) else {
+            return;
         };
         // Fail closed: a ClientHello that does not decrypt, or names an
         // unknown site, is dropped rather than answered.
-        let sni = if self.ech {
-            ctx.world.crypto_op("hpke_open");
-            let Ok(sni) = hpke::open(&self.kp, b"ech", b"", &hello) else {
-                return;
-            };
-            sni
+        let ours = if self.ech {
+            ctx.crypto_op("hpke_open");
+            hpke::open(&self.kp, b"ech", b"", hello).is_ok_and(|sni| sni == SNI)
         } else {
-            hello
+            hello == SNI
         };
-        if sni != b"very-private-site.example" {
-            return;
+        if ours {
+            ctx.send(
+                from,
+                WireMsg::response(wire::frame(seq, b"ServerHello"), Label::Public),
+            );
         }
-        let reply = match seq {
-            Some(seq) => wire::frame(seq, b"ServerHello"),
-            None => b"ServerHello".to_vec(),
-        };
-        ctx.send(from, Message::public(reply));
     }
 }
 
-fn run_ech_impl(cfg: &EchConfig, seed: u64, opts: &RunOptions) -> EchReport {
+/// Build the ECH world, roles and observer. Peer ids: the TLS server 0,
+/// the browser 1. The world mutation order and the setup RNG's draws are
+/// load-bearing, as in [`vpn_wiring`].
+fn ech_wiring(
+    cfg: &EchConfig,
+    seed: u64,
+    mut world: World,
+    opts: &RunOptions,
+) -> (ServeSpec, Arc<Mutex<EchStats>>) {
     use rand::SeedableRng;
-    let ech = cfg.ech;
     let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xec4);
-    let (mut world, harness) = Harness::begin(Ech::NAME, seed, opts);
     let user_org = world.add_org("users");
     let site_org = world.add_org("site-co");
     let net_org = world.add_org("network");
@@ -835,53 +867,36 @@ fn run_ech_impl(cfg: &EchConfig, seed: u64, opts: &RunOptions) -> EchReport {
 
     let kp = hpke::Keypair::generate(&mut setup_rng);
     let server_key = world.new_key(&[server_e]);
-
-    let mut net = harness.network(world, LinkParams::wan_ms(10));
-    let server_ep: Endpoint<EchHello, Control, TlsTerminator> = Endpoint::new(0);
-    let recover_on = opts.recover.enabled;
-    let stats = Rc::new(RefCell::new(EchStats {
+    let stats = Arc::new(Mutex::new(EchStats {
         completed: 0,
         linkage: RetryLinkage::new(),
     }));
-    Harness::add_role::<TlsTerminator>(
-        &mut net,
-        Box::new(TlsServer {
-            entity: server_e,
-            kp: kp.clone(),
-            ech,
-            recover: recover_on,
-        }),
-    );
-    Harness::add_role::<Browser>(
-        &mut net,
-        Box::new(EchClient {
-            entity: client_e,
-            user,
-            server: server_ep,
-            server_pk: kp.public,
-            server_key,
-            ech,
-            stats: stats.clone(),
-            calls: Driver::new(&opts.recover, derive_seed(seed, 0x0ec8)),
-        }),
-    );
-    net.add_tap(Tap {
-        observer: observer_e,
-        links: None,
-    });
-    let core = harness.finish(net);
-    let stats = Rc::try_unwrap(stats).map_err(|_| ()).unwrap().into_inner();
-    EchReport {
-        world: core.world,
-        trace: core.trace,
-        ech,
+    let browser = EchBrowser {
         user,
-        completed: stats.completed,
-        fault_log: core.fault_log,
-        metrics: core.metrics,
-        expected: 1,
-        retry_linkage: stats.linkage.violations(),
-    }
+        server: Endpoint::new(0),
+        server_pk: kp.public,
+        server_key,
+        ech: cfg.ech,
+        arq: ReliableCall::new(&opts.recover, derive_seed(seed, 0x0ec8)),
+        inflight: None,
+        stats: stats.clone(),
+    };
+    let server = EchServer { kp, ech: cfg.ech };
+    let spec = ServeSpec {
+        scenario: Ech::NAME,
+        world,
+        roles: vec![
+            RoleSpec::of::<TlsTerminator>("server", server_e, Box::new(server)),
+            RoleSpec::of::<Browser>("client", client_e, Box::new(browser)),
+        ],
+        expected_units: 1,
+        // A global passive observer: every link, both directions.
+        taps: vec![WireTap {
+            observer: observer_e,
+            links: None,
+        }],
+    };
+    (spec, stats)
 }
 
 #[cfg(test)]
@@ -1090,5 +1105,95 @@ mod tests {
         );
         assert_eq!(plain.completed, rec.completed);
         assert_eq!(plain.table(0), rec.table(0));
+    }
+
+    /// The server sends each answer to the subscriber whose request its
+    /// number was minted for, under that subscriber's own number,
+    /// whatever order the origin answers in; a duplicated answer goes
+    /// nowhere. A server that pairs answers with waiting subscribers by
+    /// arrival order sends the first answer here to the wrong one.
+    #[test]
+    fn answers_return_to_the_subscriber_who_asked() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let kp = hpke::Keypair::generate(&mut rng);
+        let pk = kp.public;
+        let (a, b, origin) = (PeerId(2), PeerId(3), PeerId(1));
+        let mut server = Server {
+            kp,
+            origin: Endpoint::new(1),
+            subscribers: BTreeMap::from([(a, UserId(0)), (b, UserId(1))]),
+            hop: HopMap::new(),
+            reuse: false,
+            rx: BTreeMap::new(),
+        };
+        let deliver = |server: &mut Server, from: PeerId, payload: Vec<u8>| {
+            let mut ctx_rng = rand::rngs::StdRng::seed_from_u64(4);
+            let mut ctx = WireCtx::new(&mut ctx_rng, PeerId(0), 0, false);
+            server.on_frame(&mut ctx, from, WireMsg::data(payload, Label::Public));
+            let out = ctx.finish().out.into_iter();
+            out.map(|(to, msg)| (to, msg.payload)).collect::<Vec<_>>()
+        };
+        let mut hops = Vec::new();
+        for (from, seq) in [(a, 5), (b, 9)] {
+            let sealed = hpke::seal(&mut rng, &pk, b"vpn", b"", REQUEST).unwrap();
+            let out = deliver(&mut server, from, wire::frame(seq, &sealed));
+            let [(to, proxied)] = &out[..] else {
+                panic!("one request to the origin: {out:?}")
+            };
+            let (hop, request) = wire::unframe(proxied).unwrap();
+            assert_eq!((*to, request), (origin, REQUEST));
+            hops.push(hop);
+        }
+        let ok = |seq| wire::frame(seq, b"200 OK");
+        assert_eq!(deliver(&mut server, origin, ok(hops[1])), [(b, ok(9))]);
+        assert_eq!(deliver(&mut server, origin, ok(hops[0])), [(a, ok(5))]);
+        assert!(deliver(&mut server, origin, ok(hops[1])).is_empty());
+        // Nothing from a stranger is proxied, nor, with session reuse, a
+        // continuation on no open session or a frame that does not
+        // unframe.
+        let sealed = hpke::seal(&mut rng, &pk, b"vpn", b"", REQUEST).unwrap();
+        assert!(deliver(&mut server, PeerId(7), wire::frame(1, &sealed)).is_empty());
+        server.reuse = true;
+        let cont = Tunnel::Cont { ct: &sealed }.framed(2);
+        assert!(deliver(&mut server, a, cont).is_empty());
+        assert!(deliver(&mut server, a, vec![SESSION_CONT; 7]).is_empty());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The tunnel decoder never panics: arbitrary bytes decode to a
+        /// message that re-encodes to them, or fail closed with the
+        /// reason; every encoded opening and continuation decodes back.
+        #[test]
+        fn tunnel_decoder_fails_closed_and_round_trips(
+            bytes in proptest::collection::vec(any::<u8>(), 0..80),
+            seq in any::<u64>(),
+        ) {
+            match Tunnel::decode(&bytes) {
+                Ok(msg) => prop_assert_eq!(&msg.framed(seq)[wire::SEQ_LEN..], &bytes[..]),
+                Err(TunnelError::Empty) => prop_assert!(bytes.is_empty()),
+                Err(TunnelError::UnknownKind(kind)) => {
+                    prop_assert_eq!(kind, bytes[0]);
+                    prop_assert!(kind != SESSION_INIT && kind != SESSION_CONT);
+                }
+                Err(TunnelError::ShortInit { got }) => {
+                    prop_assert_eq!(bytes[0], SESSION_INIT);
+                    prop_assert_eq!(got, bytes.len() - 1);
+                    prop_assert!(got < hpke::ENC_LEN);
+                }
+            }
+            let mut enc = [0u8; hpke::ENC_LEN];
+            for (e, b) in enc.iter_mut().zip(&bytes) {
+                *e = *b;
+            }
+            let ct = &bytes[bytes.len() / 2..];
+            for sent in [Tunnel::Init { enc: &enc, ct }, Tunnel::Cont { ct }] {
+                let framed = sent.framed(seq);
+                prop_assert_eq!(wire::unframe(&framed), Some((seq, &framed[wire::SEQ_LEN..])));
+                prop_assert_eq!(Tunnel::decode(&framed[wire::SEQ_LEN..]), Ok(sent));
+            }
+        }
     }
 }

@@ -28,8 +28,8 @@ fn serve_cfg(seed: u64) -> ServeConfig {
 /// `(clients, queries, seed)` at which every servable wiring is served:
 /// one client alone, three clients interleaving in nondeterministic
 /// order, and two clients whose calls interleave at shared relays,
-/// origins, issuers and banks (each response, verdict or receipt must
-/// find its way back to the client who asked).
+/// origins, issuers, banks and tunnel servers (each response, verdict or
+/// receipt must find its way back to the client who asked).
 const TWIN_SHAPES: [(usize, usize, u64); 7] = [
     (1, 4, 7),
     (3, 4, 1004),
@@ -95,6 +95,11 @@ fn direct_dns_loopback_matches_simulated_twin() {
     twin("dns_direct");
 }
 
+#[test]
+fn vpn_loopback_matches_simulated_twin() {
+    twin("vpn");
+}
+
 /// A new servable registration fails here until it has its own twin
 /// test above.
 #[test]
@@ -129,7 +134,7 @@ fn dcp(args: &[&str]) -> (Option<i32>, String) {
 /// Pass client asking past one issuance batch gets the batch limit.
 #[test]
 fn dcp_serve_refuses_what_it_cannot_serve() {
-    for scenario in ["vpn", "nosuch"] {
+    for scenario in ["ech", "nosuch"] {
         let (code, stderr) = dcp(&["serve", scenario]);
         assert_eq!(code, Some(1), "dcp serve {scenario}: {stderr}");
         for reg in REGISTRY.iter().filter(|reg| reg.serve.is_some()) {
