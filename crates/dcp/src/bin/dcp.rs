@@ -4,10 +4,11 @@
 //! TCP sockets via `dcp-serve` instead of the simulator. Every registered
 //! wiring with a serve spec ([`decoupling::REGISTRY`]) is servable
 //! through one code path: §3.1.1's blind-signature cash, §3.2.1's
-//! Privacy Pass, the DNS family of §3.2.2 and §5.1 and §3.2.4's
-//! multi-party relay. `--clients` and `--queries` set the users and what
-//! each does: queries, fetches, redemptions (at most four, one issuance
-//! batch) or coins.
+//! Privacy Pass, the DNS family of §3.2.2 and §5.1, §3.2.3's PGPP,
+//! §3.2.4's multi-party relay and §3.3's VPN. `--clients` and `--queries`
+//! set the users and what each does: queries, fetches, redemptions (at
+//! most four, one issuance batch), coins or attaches (all within one
+//! IMSI epoch, which lasts one second).
 //!
 //! ```text
 //! dcp serve SCENARIO [--clients N] [--queries N] [--seed S]
@@ -42,6 +43,9 @@ fn usage() -> String {
          dcp serve SCENARIO [--clients N] [--queries N] [--seed S]\n  \
          dcp serve SCENARIO --role NAME --listen ADDR [--peer NAME=ADDR]... \
          [--seed S] [--deadline SECS]\n\n\
+         --queries N: each client's queries, fetches, redemptions \
+         (privacypass: at most 4),\n  \
+         coins or attaches (pgpp: all within one IMSI epoch, one second long)\n\n\
          scenarios and their roles at two clients:",
     );
     for reg in REGISTRY {

@@ -1,24 +1,43 @@
-//! Legacy vs. PGPP cellular runs on the simulator.
+//! Legacy vs. PGPP cellular runs, written once as seam roles: a handset
+//! per subscriber, the PGPP gateway and the cellular core (NGC). One
+//! `wiring` builds them; the simulator hosts them ([`Pgpp`]) and
+//! [`Pgpp::REGISTRATION`] hands the same roles to `dcp-serve`.
+//!
+//! Every leg carries an 8-byte sequence number (`dcp_runtime::wire`
+//! framing) on every run. The core keys each attach by the handset's
+//! `(peer, seq)` and asks the gateway under a number of its own
+//! ([`CheckForwarder`]), so a verdict settles the attach whose token it
+//! judged, and a duplicated or retransmitted attach is answered from the
+//! first verdict instead of being refused as a double spend. A run's
+//! `RecoverConfig` only arms the handsets' retries.
+//!
+//! Every decoder on received bytes fails closed with a typed error: a
+//! frame that does not parse is dropped, never answered.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, EntityId, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions,
-    Scenario, UserId, World,
+    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions, Scenario, UserId,
+    World,
 };
-use dcp_privacypass::protocol::{Client as TokenClient, Issuer, Token};
-use dcp_runtime::seam::Registration;
+use dcp_crypto::oprf::{BlindedElement, PublicKey};
+use dcp_privacypass::protocol::{
+    decode_batch, decode_evals, encode_evals, exact_len, Client as TokenClient, IssuanceRequest,
+    Issuer, Token, WrongLength,
+};
+use dcp_runtime::seam::{
+    lock, nth, PeerId, Registration, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole,
+};
 use dcp_runtime::{
-    wire, Admits, Attempt, CallEvent, Control, Ctx, Driver, Endpoint, Harness, LinkParams, Message,
-    Node, NodeId, RetryLinkage, Role, Trace, TypedSend, WireLabel,
+    wire, Admits, Attempt, CheckForwarder, Control, Endpoint, Forward, Harness, LinkParams,
+    ReliableCall, RetryLinkage, Role, TimerVerdict, Trace, WireLabel,
 };
 use rand::Rng as _;
 
-use crate::cellular::{trajectory_linkage, CellId, CoreNetwork, Imsi, LinkageResult};
+use crate::cellular::{trajectory_linkage, AttachEvent, CellId, CoreNetwork, Imsi, LinkageResult};
 use crate::types::{
     pgpp_declared_caps, Handset, IssueTokensReq, LegacyAttach, LegacyCore, PgppAttach, PgppCore,
     PgppGateway, VerifyTokenReq,
@@ -123,29 +142,43 @@ impl Scenario for Pgpp {
     const NAME: &'static str = "pgpp";
 
     fn run_with(cfg: &PgppConfig, seed: u64, opts: &RunOptions) -> PgppReport {
-        let config = PgppConfig { seed, ..*cfg };
-        run_impl(&config, opts)
+        simulate(cfg, seed, opts).0
     }
 }
 
+/// The battery shape: five handsets moving twice per epoch between two
+/// cells for two epochs, in PGPP mode.
+const BATTERY: PgppConfig = PgppConfig {
+    mode: Mode::Pgpp,
+    users: 5,
+    cells: 2,
+    epochs: 2,
+    moves_per_epoch: 2,
+    seed: 0, // overridden by the run seed
+};
+
 impl Pgpp {
-    /// Five handsets moving twice per epoch between two cells for two
-    /// epochs, in PGPP mode.
+    /// The [`BATTERY`] shape. Served, each client is a handset that makes
+    /// one attach per query within a single epoch, 1 s on the engine's
+    /// clock; every process of a multi-process run builds the same
+    /// gateway key from the seed. Role order defines peer ids: `gateway`
+    /// 0, `core` 1, then `phone`, `phone-2`, ….
     pub const REGISTRATION: Registration = Registration {
         name: Pgpp::NAME,
-        run: |seed, opts| {
+        run: |seed, opts| Box::new(Pgpp::run_with(&BATTERY, seed, opts)),
+        declared_caps: pgpp_declared_caps,
+        serve: Some(|clients, queries, seed| {
             let cfg = PgppConfig {
                 mode: Mode::Pgpp,
-                users: 5,
+                users: clients,
                 cells: 2,
-                epochs: 2,
-                moves_per_epoch: 2,
-                seed: 0, // overridden by the run seed
+                epochs: 1,
+                moves_per_epoch: queries,
+                seed,
             };
-            Box::new(Pgpp::run_with(&cfg, seed, opts))
-        },
-        declared_caps: pgpp_declared_caps,
-        serve: None,
+            let spec = wiring(&cfg, seed, World::new(), &RunOptions::default()).spec;
+            Ok((spec, Box::new(move || Pgpp::run(&cfg, seed).world)))
+        }),
     };
 }
 
@@ -165,94 +198,232 @@ impl PgppReport {
     }
 }
 
+/// The token of a scheduled move, the handset's only timer of its own.
 const TIMER_MOVE: u64 = 1;
 
-struct Shared {
+/// One IMSI epoch on the engine's clock, µs.
+const EPOCH_LEN_US: u64 = 1_000_000;
+
+/// First byte of a handset's issuance batch to the gateway.
+const BATCH_TAG: u8 = 0x01;
+/// First byte of the core's token check to the gateway.
+const CHECK_TAG: u8 = 0x02;
+
+/// Bytes of an attach's header: the IMSI, the cell and the epoch.
+const HEADER_LEN: usize = 8 + 4 + 4;
+
+/// Bytes of an encoded [`Token`].
+const TOKEN_LEN: usize = 64;
+
+/// The gateway's verdicts on a token.
+const GOOD: &[u8] = &[1];
+const BAD: &[u8] = &[0];
+
+/// The core's answers to an attach, of one length, so a refusal costs on
+/// the wire what a record does.
+const RECORDED: &[u8] = b"ok";
+const REFUSED: &[u8] = b"no";
+
+/// Why a role refused bytes it received.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DecodeError {
+    /// A batch, a token check or an attach of the wrong length.
+    Length(WrongLength),
+    /// A gateway message whose first byte, if any, names neither an
+    /// issuance batch nor a token check.
+    Tag(Option<u8>),
+    /// A verdict or an answer that is neither of its two.
+    Unknown,
+}
+
+/// Tokens in one handset's issuance batch: one per move.
+fn batch_len(cfg: &PgppConfig) -> usize {
+    cfg.epochs as usize * cfg.moves_per_epoch
+}
+
+/// What the gateway takes.
+enum ToGateway {
+    /// A handset's blinded issuance batch.
+    Batch(Vec<BlindedElement>),
+    /// A token the core forwards for checking.
+    Check(Token),
+}
+
+impl ToGateway {
+    /// The gateway's parse: exactly one batch of `batch` blinded
+    /// elements, so no frame makes it evaluate more, or exactly one token.
+    fn decode(payload: &[u8], batch: usize) -> Result<Self, DecodeError> {
+        match payload.split_first() {
+            Some((&BATCH_TAG, elements)) => decode_batch(elements, batch)
+                .map(ToGateway::Batch)
+                .map_err(DecodeError::Length),
+            Some((&CHECK_TAG, token)) => {
+                exact_len(token, TOKEN_LEN).map_err(DecodeError::Length)?;
+                Ok(ToGateway::Check(Token::decode(token).expect("64 bytes")))
+            }
+            other => Err(DecodeError::Tag(other.map(|(&tag, _)| tag))),
+        }
+    }
+}
+
+/// An attach: the IMSI presented, the serving cell and the epoch, then
+/// the token (none in legacy mode).
+fn encode_attach(imsi: Imsi, cell: CellId, epoch: u32, token: &[u8]) -> Vec<u8> {
+    [
+        &imsi.0.to_be_bytes()[..],
+        &cell.0.to_be_bytes(),
+        &epoch.to_be_bytes(),
+        token,
+    ]
+    .concat()
+}
+
+/// The core's parse of an attach arriving at `time_us`: the header, then
+/// exactly one token in PGPP mode or nothing in legacy mode. Returns the
+/// attach as the core would record it, and the token's bytes.
+fn decode_attach(
+    payload: &[u8],
+    mode: Mode,
+    time_us: u64,
+) -> Result<(AttachEvent, &[u8]), DecodeError> {
+    let token_len = match mode {
+        Mode::Legacy => 0,
+        Mode::Pgpp => TOKEN_LEN,
+    };
+    exact_len(payload, HEADER_LEN + token_len).map_err(DecodeError::Length)?;
+    let (h, token) = payload.split_at(HEADER_LEN);
+    let attach = AttachEvent {
+        time_us,
+        imsi: Imsi(u64::from_be_bytes(h[..8].try_into().expect("8 bytes"))),
+        cell: CellId(u32::from_be_bytes(h[8..12].try_into().expect("4 bytes"))),
+        epoch: u32::from_be_bytes(h[12..].try_into().expect("4 bytes")),
+    };
+    Ok((attach, token))
+}
+
+/// The core's parse of a verdict ([`GOOD`] or [`BAD`]) and the handset's
+/// of an answer ([`RECORDED`] or [`REFUSED`]): exactly `yes` or `no`.
+fn decode_choice(payload: &[u8], yes: &[u8], no: &[u8]) -> Result<bool, DecodeError> {
+    match payload {
+        p if p == yes => Ok(true),
+        p if p == no => Ok(false),
+        _ => Err(DecodeError::Unknown),
+    }
+}
+
+/// What the roles of one run keep, shared by all of them.
+struct Stats {
+    /// The core's mobility log.
     core: CoreNetwork,
-    issuer: Issuer,
-    /// Ground truth (epoch, imsi) → subscriber index.
+    /// Ground truth (epoch, IMSI) → subscriber index.
     truth: HashMap<(u32, Imsi), usize>,
     /// Retry-linkage check fed by every issuance attempt's blinded batch.
     linkage: RetryLinkage,
 }
 
-/// What reliable call `seq` of one phone stands for.
-enum PgInflight {
-    /// The token-issuance round (re-blinded fresh on every attempt).
+/// A handset's open call.
+enum Call {
+    /// The issuance round, re-blinded on every attempt.
     Issuance,
-    /// One attach: the *same* payload is retransmitted verbatim (a fresh
-    /// token per attempt would drain the wallet); the NGC and gateway
-    /// dedup instead.
+    /// One attach: the *same* payload on every attempt (a fresh token per
+    /// attempt would drain the wallet); the core answers copies from its
+    /// first verdict.
     Attach { payload: Vec<u8> },
 }
 
-/// The handset, generic over which core it attaches to: `PhoneNode<
-/// PgppCore, PgppAttach>` compiles against the core's `(△, ⊙/●)` cap,
-/// while `PhoneNode<LegacyCore, LegacyAttach>` compiles *only* because
+/// The handset, generic over which core it attaches to: `Phone<PgppCore,
+/// PgppAttach>` compiles against the core's `(△, ⊙/●)` cap, while
+/// `Phone<LegacyCore, LegacyAttach>` compiles *only* because
 /// [`LegacyCore`] declares itself coupled by design — instantiating it
 /// against [`PgppCore`] is a build error.
-struct PhoneNode<R: Role, M: WireLabel> {
-    entity: EntityId,
+struct Phone<R: Role, M: WireLabel> {
     user: UserId,
+    /// The subscriber index: it derives the IMSIs, is the ground truth's
+    /// value and the retry-linkage flow id.
     index: usize,
-    mode: Mode,
-    ngc: Endpoint<M, Control, R>,
-    gw: Endpoint<IssueTokensReq, Control, PgppGateway>,
-    cells: usize,
-    epochs: u32,
-    moves_per_epoch: usize,
-    epoch_len_us: u64,
-    shared: Rc<RefCell<Shared>>,
+    cfg: PgppConfig,
+    core: Endpoint<M, Control, R>,
+    gateway: Endpoint<IssueTokensReq, Control, PgppGateway>,
     wallet: TokenClient,
-    pending_issuance: Option<dcp_privacypass::protocol::IssuanceRequest>,
-    moves_done: usize,
-    /// Per-request reliable-call driver (inert when recovery is disabled).
-    calls: Driver<PgInflight>,
-    flow: u64,
+    /// The blinding of the latest issuance attempt.
+    state: Option<IssuanceRequest>,
+    /// Moves not yet made.
+    moves_left: usize,
+    /// Numbers every call; arms deadlines and retries under recovery
+    /// only.
+    arq: ReliableCall,
+    /// Open calls by sequence number: a move can fire while an earlier
+    /// attach still retries.
+    calls: BTreeMap<u64, Call>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-impl<R: Role, M: WireLabel + Admits<R>> PhoneNode<R, M> {
-    fn current_epoch(&self, now_us: u64) -> u32 {
-        ((now_us / self.epoch_len_us) as u32).min(self.epochs - 1)
+impl<R: Role, M: WireLabel + Admits<R>> Phone<R, M> {
+    fn new(
+        user: UserId,
+        index: usize,
+        cfg: PgppConfig,
+        issuer_pk: PublicKey,
+        arq: ReliableCall,
+        stats: Arc<Mutex<Stats>>,
+    ) -> Self {
+        Phone {
+            user,
+            index,
+            cfg,
+            core: Endpoint::new(1),
+            gateway: Endpoint::new(0),
+            wallet: TokenClient::new(issuer_pk),
+            state: None,
+            moves_left: batch_len(&cfg),
+            arq,
+            calls: BTreeMap::new(),
+            stats,
+        }
     }
 
-    /// Draw a fresh blinded issuance batch. Each call re-blinds from
-    /// scratch, which is exactly what a re-randomized retransmission needs.
-    fn issuance_request(&mut self, ctx: &mut Ctx) -> (Vec<u8>, Label) {
-        let need = (self.epochs as usize) * self.moves_per_epoch;
+    fn current_epoch(&self, now_us: u64) -> u32 {
+        ((now_us / EPOCH_LEN_US) as u32).min(self.cfg.epochs - 1)
+    }
+
+    /// (Re)transmit the issuance round: a fresh blinded batch on every
+    /// attempt, which is exactly what a re-randomized retransmission
+    /// needs.
+    fn transmit_issuance(&mut self, ctx: &mut WireCtx, att: Attempt) {
+        let need = batch_len(&self.cfg);
         for _ in 0..need {
-            ctx.world.crypto_op("voprf_blind");
+            ctx.crypto_op("voprf_blind");
         }
         let req = self.wallet.request_tokens(ctx.rng, need);
-        let mut bytes = vec![0x01u8]; // tag: issuance request
-        for b in &req.blinded {
-            bytes.extend_from_slice(&b.0);
-        }
-        self.pending_issuance = Some(req);
+        let blinded = req.blinded.iter().flat_map(|b| b.0);
+        let bytes: Vec<u8> = std::iter::once(BATCH_TAG).chain(blinded).collect();
+        self.state = Some(req);
+        lock(&self.stats)
+            .linkage
+            .record(self.index as u64, att.seq, att.attempt, &bytes);
         let label = Label::items([
             InfoItem::sensitive_identity(self.user, IdentityKind::Human),
             InfoItem::plain_identity(self.user, IdentityKind::Network),
             InfoItem::plain_data(self.user, DataKind::Payload),
         ]);
-        (bytes, label)
+        ctx.send_to(
+            self.gateway,
+            WireMsg::data(wire::frame(att.seq, &bytes), label),
+        );
+        ctx.arm(&self.arq, &att);
     }
 
-    fn transmit_issuance(&mut self, ctx: &mut Ctx, att: Attempt) {
-        let (bytes, label) = self.issuance_request(ctx);
-        self.shared
-            .borrow_mut()
-            .linkage
-            .record(self.flow, att.seq, att.attempt, &bytes);
-        self.calls.transmit(ctx, self.gw, &att, &bytes, label);
-    }
-
-    /// Retransmit attach `att.seq`. The payload is deliberately
+    /// (Re)transmit attach `att.seq`. The payload is deliberately
     /// byte-identical across attempts — the one-time attach token cannot
     /// be re-randomized without draining the wallet — so it is *not*
-    /// recorded into the linkage check; the NGC dedups by `(phone, seq)`.
-    fn transmit_attach(&mut self, ctx: &mut Ctx, payload: &[u8], att: Attempt) {
+    /// recorded into the linkage check.
+    fn transmit_attach(&mut self, ctx: &mut WireCtx, payload: &[u8], att: Attempt) {
         let label = self.attach_label();
-        self.calls.transmit(ctx, self.ngc, &att, payload, label);
+        ctx.send_to(
+            self.core,
+            WireMsg::data(wire::frame(att.seq, payload), label),
+        );
+        ctx.arm(&self.arq, &att);
     }
 
     fn attach_label(&self) -> Label {
@@ -262,7 +433,7 @@ impl<R: Role, M: WireLabel + Admits<R>> PhoneNode<R, M> {
         // ▲_H). PGPP: a shuffled pseudonym (△_N) — the human identity
         // never appears (△_H comes from "a member of the subscriber
         // aggregate").
-        match self.mode {
+        match self.cfg.mode {
             Mode::Legacy => Label::items([
                 InfoItem::sensitive_identity(self.user, IdentityKind::Network),
                 InfoItem::sensitive_identity(self.user, IdentityKind::Human),
@@ -277,7 +448,7 @@ impl<R: Role, M: WireLabel + Admits<R>> PhoneNode<R, M> {
     }
 
     fn imsi_for(&self, epoch: u32) -> Imsi {
-        match self.mode {
+        match self.cfg.mode {
             // Permanent: derived from the subscriber index only.
             Mode::Legacy => Imsi(1000 + self.index as u64),
             // Shuffled per epoch: a per-epoch pseudonym. (In deployment
@@ -291,612 +462,381 @@ impl<R: Role, M: WireLabel + Admits<R>> PhoneNode<R, M> {
         }
     }
 
-    fn attach(&mut self, ctx: &mut Ctx) {
-        let epoch = self.current_epoch(ctx.now.as_us());
+    /// One move: attach from a freshly drawn cell. With no token left
+    /// (issuance lost), the move is skipped rather than attached
+    /// unauthenticated.
+    fn make_move(&mut self, ctx: &mut WireCtx) {
+        self.moves_left = self.moves_left.saturating_sub(1);
+        let epoch = self.current_epoch(ctx.now_us());
         let imsi = self.imsi_for(epoch);
-        let cell = CellId(ctx.rng.gen_range(0..self.cells) as u32);
-        self.shared
-            .borrow_mut()
-            .truth
-            .insert((epoch, imsi), self.index);
-
-        let mut payload = imsi.0.to_be_bytes().to_vec();
-        payload.extend_from_slice(&cell.0.to_be_bytes());
-        payload.extend_from_slice(&epoch.to_be_bytes());
-        let token = if self.mode == Mode::Pgpp {
-            // No token (issuance lost under faults): skip the attach
-            // entirely rather than attach unauthenticated.
-            let Some(t) = self.wallet.spend() else {
-                return;
-            };
-            t.encode()
-        } else {
-            Vec::new()
+        let cell = CellId(ctx.rng.gen_range(0..self.cfg.cells) as u32);
+        lock(&self.stats).truth.insert((epoch, imsi), self.index);
+        let token = match self.cfg.mode {
+            Mode::Legacy => Vec::new(),
+            Mode::Pgpp => {
+                let Some(token) = self.wallet.spend() else {
+                    return;
+                };
+                token.encode()
+            }
         };
-        payload.extend_from_slice(&token);
-
-        if let Some(att) = self.calls.begin(PgInflight::Attach {
-            payload: payload.clone(),
-        }) {
-            self.transmit_attach(ctx, &payload, att);
-            return;
-        }
-        let label = self.attach_label();
-        ctx.send_to(self.ngc, Message::new(payload, label));
+        let payload = encode_attach(imsi, cell, epoch, &token);
+        let att = self.arq.open();
+        self.transmit_attach(ctx, &payload, att);
+        self.calls.insert(att.seq, Call::Attach { payload });
     }
 
-    /// Schedule every attach up front: `moves_per_epoch` attaches inside
-    /// each epoch, jittered within their slot so arrival order varies but
-    /// every user is active in every epoch.
-    fn schedule_all_moves(&mut self, ctx: &mut Ctx) {
-        let slot = self.epoch_len_us / (self.moves_per_epoch as u64 + 1);
-        for e in 0..self.epochs as u64 {
-            for m in 0..self.moves_per_epoch as u64 {
+    /// Schedule every move up front: `moves_per_epoch` inside each epoch,
+    /// jittered within their slot so arrival order varies but every user
+    /// is active in every epoch.
+    fn schedule_moves(&mut self, ctx: &mut WireCtx) {
+        let slot = EPOCH_LEN_US / (self.cfg.moves_per_epoch as u64 + 1);
+        for e in 0..self.cfg.epochs as u64 {
+            for m in 0..self.cfg.moves_per_epoch as u64 {
                 let jitter = ctx.rng.gen_range(0..slot / 4);
-                let at = e * self.epoch_len_us + (m + 1) * slot + jitter;
-                ctx.set_timer(at.saturating_sub(ctx.now.as_us()), TIMER_MOVE);
+                let at = e * EPOCH_LEN_US + (m + 1) * slot + jitter;
+                ctx.set_timer(at.saturating_sub(ctx.now_us()), TIMER_MOVE);
             }
         }
     }
 }
 
-impl<R: Role + 'static, M: WireLabel + Admits<R> + 'static> Node for PhoneNode<R, M> {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Human),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Network),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::Location),
-        );
-        if self.mode == Mode::Pgpp {
+impl<R: Role + 'static, M: WireLabel + Admits<R> + 'static> WireRole for Phone<R, M> {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Human));
+        ctx.record(InfoItem::sensitive_identity(
+            self.user,
+            IdentityKind::Network,
+        ));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::Location));
+        match self.cfg.mode {
             // Buy service: authenticate to the gateway with the billing
             // identity (▲_H) and obtain blinded attach tokens (⊙).
-            if let Some(att) = self.calls.begin(PgInflight::Issuance) {
+            Mode::Pgpp => {
+                let att = self.arq.open();
+                self.calls.insert(att.seq, Call::Issuance);
                 self.transmit_issuance(ctx, att);
-                return;
             }
-            let (bytes, label) = self.issuance_request(ctx);
-            ctx.send_to(self.gw, Message::new(bytes, label));
-        } else {
-            self.schedule_all_moves(ctx);
+            Mode::Legacy => self.schedule_moves(ctx),
         }
     }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if self.calls.enabled() {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            match self.calls.get(seq) {
-                Some(PgInflight::Issuance) if from.0 == self.gw.index() => {
-                    let evals = decode_evals(body);
-                    let Some(req) = self.pending_issuance.take() else {
-                        return;
-                    };
-                    for _ in 0..evals.len() {
-                        ctx.world.crypto_op("voprf_finalize");
-                    }
-                    if self.wallet.accept_issuance(req, &evals).is_err() {
-                        // A superseded attempt's response fails against the
-                        // re-blinded state: drop it, the timer retries.
-                        return;
-                    }
-                    if self.calls.complete(seq).is_none() {
-                        return;
-                    }
-                    ctx.world.span("issuance", 0, ctx.now.as_us());
-                    self.schedule_all_moves(ctx);
-                }
-                Some(PgInflight::Attach { .. }) if from.0 == self.ngc.index() => {
-                    // Duplicated acks complete (and count) exactly once.
-                    self.calls.complete(seq);
-                }
-                _ => {}
-            }
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        // Only an answer numbered for an open call, from the peer that
+        // call went to, settles it; a duplicated or late one changes
+        // nothing.
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
             return;
-        }
-        if from.0 == self.gw.index() {
-            // Token issuance response.
-            let evals = decode_evals(&msg.bytes);
-            let Some(req) = self.pending_issuance.take() else {
-                return; // duplicate issuance response: already consumed
-            };
-            for _ in 0..evals.len() {
-                ctx.world.crypto_op("voprf_finalize");
+        };
+        match self.calls.get(&seq) {
+            Some(Call::Issuance) if from.index() == self.gateway.index() => {
+                let Ok(evals) = decode_evals(body, batch_len(&self.cfg)) else {
+                    return;
+                };
+                let Some(req) = self.state.take() else {
+                    return;
+                };
+                for _ in 0..evals.len() {
+                    ctx.crypto_op("voprf_finalize");
+                }
+                // A superseded attempt's batch fails against the
+                // re-blinded state, and a bad DLEQ proof refuses the
+                // batch: drop it, a retry re-blinds.
+                if self.wallet.accept_issuance(req, &evals).is_err() {
+                    return;
+                }
+                self.calls.remove(&seq);
+                self.arq.complete(seq);
+                ctx.span("issuance", 0, ctx.now_us());
+                self.schedule_moves(ctx);
             }
-            if self.wallet.accept_issuance(req, &evals).is_err() {
-                return; // bad proof: refuse the batch, attach nothing
+            Some(Call::Attach { .. }) if from.index() == self.core.index() => {
+                let Ok(recorded) = decode_choice(body, RECORDED, REFUSED) else {
+                    return;
+                };
+                self.calls.remove(&seq);
+                self.arq.complete(seq);
+                if recorded {
+                    ctx.unit_done();
+                }
             }
-            ctx.world.span("issuance", 0, ctx.now.as_us());
-            self.schedule_all_moves(ctx);
+            _ => {}
         }
-        // Attach acks need no action.
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match self.calls.on_timer(ctx, token) {
-            CallEvent::App(_) => {
-                // A scheduled move (the only non-ARQ timer this node sets).
-                self.attach(ctx);
-                self.moves_done += 1;
-            }
-            CallEvent::Ignored => {}
-            CallEvent::Retry(att) => match self.calls.get(att.seq) {
-                Some(PgInflight::Issuance) => self.transmit_issuance(ctx, att),
-                Some(PgInflight::Attach { payload }) => {
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        match ctx.arq_timer(&mut self.arq, token) {
+            TimerVerdict::NotMine => self.make_move(ctx),
+            TimerVerdict::Stale => {}
+            TimerVerdict::Retry(att) => match self.calls.get(&att.seq) {
+                Some(Call::Issuance) => self.transmit_issuance(ctx, att),
+                Some(Call::Attach { payload }) => {
                     let payload = payload.clone();
                     self.transmit_attach(ctx, &payload, att);
                 }
                 None => {}
             },
-            // An abandoned issuance leaves an empty wallet, an abandoned
-            // attach an unserved move: the phone never attaches
-            // unauthenticated.
-            CallEvent::Exhausted { .. } => {}
+            // An abandoned issuance leaves an empty wallet, so no move
+            // follows; an abandoned attach leaves its move unserved. The
+            // handset never attaches unauthenticated.
+            TimerVerdict::Exhausted { seq, .. } => {
+                if let Some(Call::Issuance) = self.calls.remove(&seq) {
+                    self.moves_left = 0;
+                }
+            }
         }
     }
-}
 
-fn decode_evals(
-    payload: &[u8],
-) -> Vec<(
-    dcp_crypto::oprf::EvaluatedElement,
-    dcp_crypto::oprf::DleqProof,
-)> {
-    let mut evals = Vec::new();
-    for chunk in payload.chunks_exact(96) {
-        let mut e = [0u8; 32];
-        e.copy_from_slice(&chunk[..32]);
-        let mut c = [0u8; 32];
-        c.copy_from_slice(&chunk[32..64]);
-        let mut s = [0u8; 32];
-        s.copy_from_slice(&chunk[64..96]);
-        evals.push((
-            dcp_crypto::oprf::EvaluatedElement(e),
-            dcp_crypto::oprf::DleqProof { c, s },
-        ));
+    fn finished(&self) -> bool {
+        self.moves_left == 0 && self.calls.is_empty()
     }
-    evals
 }
 
-/// One attach the core is driving (recovery path).
-struct AttachCheck {
-    /// Arrival time of the first transmission (the recorded attach time).
-    t: u64,
-    imsi: Imsi,
-    cell: CellId,
-    epoch: u32,
-    /// Bare token bytes, kept for re-nudging the gateway leg (PGPP).
-    token: Vec<u8>,
-    /// The core's hop-local sequence on the gateway leg.
-    hopseq: u64,
-    /// Has the verdict landed (attach recorded or rejected)?
-    resolved: bool,
+/// The PGPP gateway: bills the subscribers, evaluates their blinded
+/// batches statelessly, and judges each token the core forwards once.
+struct Gateway {
+    issuer: Issuer,
+    /// Blinded elements in one issuance batch.
+    batch: usize,
+    /// Verdict per `(core, hop seq)`: a re-forwarded check replays its
+    /// first verdict instead of reading the retransmitted token as a
+    /// double spend.
+    verdicts: BTreeMap<(PeerId, u64), bool>,
 }
 
-struct NgcNode {
-    entity: EntityId,
+impl WireRole for Gateway {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        let Ok(request) = ToGateway::decode(body, self.batch) else {
+            return;
+        };
+        let answer = match request {
+            // Issuance: evaluation is stateless, so a retransmitted
+            // (re-blinded) batch is simply evaluated again under its own
+            // number.
+            ToGateway::Batch(blinded) => {
+                for _ in 0..blinded.len() {
+                    ctx.crypto_op("voprf_evaluate");
+                }
+                let Ok(evals) = self.issuer.issue(ctx.rng, &blinded) else {
+                    return; // malformed element: refuse to issue
+                };
+                encode_evals(&evals)
+            }
+            // A token check from the core. Tokens are unlinkable: the
+            // gateway learns that *some* attach was paid for, attributable
+            // to no one (`Label::Public` on the way in).
+            ToGateway::Check(token) => {
+                let issuer = &mut self.issuer;
+                let ok = *self.verdicts.entry((from, seq)).or_insert_with(|| {
+                    ctx.crypto_op("voprf_redeem");
+                    issuer.redeem(&token).is_ok()
+                });
+                if ok { GOOD } else { BAD }.to_vec()
+            }
+        };
+        ctx.send(
+            from,
+            WireMsg::response(wire::frame(seq, &answer), Label::Public),
+        );
+    }
+}
+
+/// The cellular core (NGC): records each attach once. In PGPP mode it
+/// forwards only the attach's token to the gateway and records on a good
+/// verdict; in legacy mode its billing database authenticates the IMSI
+/// itself, at once.
+struct Core {
     mode: Mode,
     /// The over-the-top verification endpoint: forwarded tokens are
     /// unlinkable, well under the gateway's `(▲, ⊙)` cap.
-    gw: Endpoint<VerifyTokenReq, Control, PgppGateway>,
-    shared: Rc<RefCell<Shared>>,
-    /// Attaches awaiting gateway token verification (PGPP mode).
-    awaiting: Vec<(u64, Imsi, CellId, u32)>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: one recorded attach per `(phone node, phone seq)` —
-    /// the phone's ARQ drives the chain; retransmitted attaches mutate the
-    /// core log exactly once.
-    checks: BTreeMap<(usize, u64), AttachCheck>,
-    /// Reverse map: gateway-leg hop sequence → (phone node, phone seq).
-    by_hop: BTreeMap<u64, (NodeId, u64)>,
-    next_hop: u64,
+    gateway: Endpoint<VerifyTokenReq, Control, PgppGateway>,
+    /// One check per `(handset, handset seq)`, keyed to the gateway leg
+    /// by a number of the core's own.
+    checks: CheckForwarder<(PeerId, u64), bool>,
+    /// The attach behind each unsettled check, as its first copy arrived.
+    pending: BTreeMap<(PeerId, u64), AttachEvent>,
+    stats: Arc<Mutex<Stats>>,
 }
 
-impl Node for NgcNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if self.recover {
-            self.on_message_recover(ctx, from, msg);
-            return;
-        }
-        if from.0 == self.gw.index() {
-            // Verification verdict for the oldest awaiting attach.
-            let ok = msg.bytes == [1u8];
-            let Some((t, imsi, cell, epoch)) = self.awaiting.pop() else {
-                return; // duplicated verdict: nothing awaits it
-            };
-            let mut shared = self.shared.borrow_mut();
-            if ok {
-                shared.core.record_attach(t, imsi, cell, epoch);
-            } else {
-                shared.core.rejected += 1;
-            }
-            return;
-        }
-        if msg.bytes.len() < 16 {
-            return; // truncated attach: reject
-        }
-        let imsi = Imsi(u64::from_be_bytes(msg.bytes[..8].try_into().unwrap()));
-        let cell = CellId(u32::from_be_bytes(msg.bytes[8..12].try_into().unwrap()));
-        let epoch = u32::from_be_bytes(msg.bytes[12..16].try_into().unwrap());
-        match self.mode {
-            Mode::Legacy => {
-                // Billing database lookup inside the core authenticates the
-                // IMSI directly.
-                self.shared
-                    .borrow_mut()
-                    .core
-                    .record_attach(ctx.now.as_us(), imsi, cell, epoch);
-            }
-            Mode::Pgpp => {
-                // Over-the-top auth: forward the bare token to the gateway.
-                // The token is unlinkable — it attributes to no subject.
-                let mut token = vec![0x02u8]; // tag: verification request
-                token.extend_from_slice(&msg.bytes[16..]);
-                self.awaiting
-                    .insert(0, (ctx.now.as_us(), imsi, cell, epoch));
-                ctx.send_to(self.gw, Message::new(token, Label::Public));
-            }
-        }
-    }
+/// The core's answer to attach `seq`.
+fn answer(seq: u64, recorded: bool) -> WireMsg {
+    let body = if recorded { RECORDED } else { REFUSED };
+    WireMsg::response(wire::frame(seq, body), Label::Public)
 }
 
-impl NgcNode {
-    /// Recovery-mode message handling: everything is seq-framed, every
-    /// attach is acknowledged, and duplicates replay rather than re-record.
-    fn on_message_recover(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        if from.0 == self.gw.index() {
-            // Verification verdict, addressed by our hop sequence.
-            let Some((hopseq, body)) = wire::unframe(&msg.bytes) else {
-                return;
-            };
-            let Some(&(phone, cseq)) = self.by_hop.get(&hopseq) else {
-                return;
-            };
-            let Some(check) = self.checks.get_mut(&(phone.0, cseq)) else {
-                return;
-            };
-            if check.resolved {
-                return; // duplicated verdict: recorded exactly once
-            }
-            check.resolved = true;
-            let ok = body == [1u8];
-            let mut shared = self.shared.borrow_mut();
-            if ok {
-                shared
-                    .core
-                    .record_attach(check.t, check.imsi, check.cell, check.epoch);
-            } else {
-                shared.core.rejected += 1;
-            }
-            drop(shared);
-            ctx.send(phone, Message::public(wire::frame(cseq, b"ok")));
-            return;
-        }
-        let Some((cseq, body)) = wire::unframe(&msg.bytes) else {
+impl Core {
+    /// Verdict `ok` on check `hop`. The first settles its attach,
+    /// recorded or refused, and answers the handset; a later one changes
+    /// nothing, since copies of the attach are answered from the first.
+    fn settle(&mut self, ctx: &mut WireCtx, hop: u64, ok: bool) {
+        let Some(((phone, phone_seq), &recorded, true)) = self.checks.resolve(hop, ok) else {
             return;
         };
-        if body.len() < 16 {
-            return; // truncated attach: reject
-        }
-        let key = (from.0, cseq);
-        if let Some(check) = self.checks.get(&key) {
-            if check.resolved {
-                // Idempotent replay: the attach is on record, ack again.
-                ctx.send(from, Message::public(wire::frame(cseq, b"ok")));
+        if let Some(attach) = self.pending.remove(&(phone, phone_seq)) {
+            let mut stats = lock(&self.stats);
+            if recorded {
+                stats.core.log.push(attach);
             } else {
-                // Still verifying: re-nudge the gateway under the *same*
-                // hop sequence (the gateway replays its verdict).
-                let mut fwd = vec![0x02u8];
-                fwd.extend_from_slice(&check.token);
-                ctx.send_to(
-                    self.gw,
-                    Message::new(wire::frame(check.hopseq, &fwd), Label::Public),
-                );
+                stats.core.rejected += 1;
+            }
+        }
+        ctx.send(phone, answer(phone_seq, recorded));
+    }
+}
+
+impl WireRole for Core {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
+            return;
+        };
+        if from.index() == self.gateway.index() {
+            if let Ok(ok) = decode_choice(body, GOOD, BAD) {
+                self.settle(ctx, seq, ok);
             }
             return;
         }
-        let imsi = Imsi(u64::from_be_bytes(body[..8].try_into().unwrap()));
-        let cell = CellId(u32::from_be_bytes(body[8..12].try_into().unwrap()));
-        let epoch = u32::from_be_bytes(body[12..16].try_into().unwrap());
-        match self.mode {
-            Mode::Legacy => {
-                // No gateway leg: record immediately, remember the ack.
-                self.checks.insert(
-                    key,
-                    AttachCheck {
-                        t: ctx.now.as_us(),
-                        imsi,
-                        cell,
-                        epoch,
-                        token: Vec::new(),
-                        hopseq: 0,
-                        resolved: true,
-                    },
-                );
-                self.shared
-                    .borrow_mut()
-                    .core
-                    .record_attach(ctx.now.as_us(), imsi, cell, epoch);
-                ctx.send(from, Message::public(wire::frame(cseq, b"ok")));
-            }
-            Mode::Pgpp => {
-                let token = body[16..].to_vec();
-                let hopseq = self.next_hop;
-                self.next_hop += 1;
-                let mut fwd = vec![0x02u8];
-                fwd.extend_from_slice(&token);
-                self.checks.insert(
-                    key,
-                    AttachCheck {
-                        t: ctx.now.as_us(),
-                        imsi,
-                        cell,
-                        epoch,
-                        token,
-                        hopseq,
-                        resolved: false,
-                    },
-                );
-                self.by_hop.insert(hopseq, (from, cseq));
-                ctx.send_to(
-                    self.gw,
-                    Message::new(wire::frame(hopseq, &fwd), Label::Public),
-                );
-            }
-        }
-    }
-}
-
-struct GwNode {
-    entity: EntityId,
-    shared: Rc<RefCell<Shared>>,
-    /// Is the run's recovery layer on?
-    recover: bool,
-    /// Recovery path: verdict per NGC hop sequence, so a re-forwarded
-    /// verification replays the first verdict instead of reading the
-    /// retransmission as a double-spent token.
-    verdicts: BTreeMap<u64, bool>,
-}
-
-impl Node for GwNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let (seq, body) = if self.recover {
-            let Some((seq, body)) = wire::unframe(&msg.bytes) else {
+        let Ok((attach, token)) = decode_attach(body, self.mode, ctx.now_us()) else {
+            return;
+        };
+        let key = (from, seq);
+        let hop = match self.checks.forward(key, token) {
+            Forward::Replay(&recorded) => {
+                ctx.send(from, answer(seq, recorded));
                 return;
-            };
-            (Some(seq), body.to_vec())
-        } else {
-            (None, msg.bytes)
-        };
-        let Some(&tag) = body.first() else {
-            return;
-        };
-        if tag == 0x02 {
-            // Token verification from the NGC. A token that fails to even
-            // decode is refused — the reply keeps the NGC queue in sync.
-            if let Some(seq) = seq {
-                if let Some(&ok) = self.verdicts.get(&seq) {
-                    // Replay: the first verification's outcome stands.
-                    ctx.send(
-                        from,
-                        Message::new(wire::frame(seq, &[u8::from(ok)]), Label::Public),
-                    );
+            }
+            Forward::Upstream { hop, body } => {
+                self.pending.entry(key).or_insert(attach);
+                if self.mode == Mode::Pgpp {
+                    // Over-the-top auth: only the bare token goes to the
+                    // gateway, and a copy of the attach re-forwards it
+                    // under the same number.
+                    let check = wire::frame_parts(hop, &[&[CHECK_TAG], body]);
+                    ctx.send_to(self.gateway, WireMsg::data(check, Label::Public));
                     return;
                 }
+                hop
             }
-            ctx.world.crypto_op("voprf_redeem");
-            let ok = match Token::decode(&body[1..]) {
-                Ok(token) => self.shared.borrow_mut().issuer.redeem(&token).is_ok(),
-                Err(_) => false,
-            };
-            let reply = vec![u8::from(ok)];
-            let bytes = match seq {
-                Some(s) => {
-                    self.verdicts.insert(s, ok);
-                    wire::frame(s, &reply)
-                }
-                None => reply,
-            };
-            ctx.send(from, Message::new(bytes, Label::Public));
-        } else {
-            // Issuance request from a phone (batch of 32-byte blinded
-            // elements). Stateless: a retransmitted (re-blinded) batch is
-            // simply evaluated again — no debit to protect.
-            let blinded: Vec<dcp_crypto::oprf::BlindedElement> = body[1..]
-                .chunks_exact(32)
-                .map(|c| {
-                    let mut b = [0u8; 32];
-                    b.copy_from_slice(c);
-                    dcp_crypto::oprf::BlindedElement(b)
-                })
-                .collect();
-            for _ in 0..blinded.len() {
-                ctx.world.crypto_op("voprf_evaluate");
-            }
-            let Ok(evals) = self.shared.borrow_mut().issuer.issue(ctx.rng, &blinded) else {
-                return; // malformed batch: refuse to issue
-            };
-            let mut bytes = Vec::new();
-            for (e, p) in &evals {
-                bytes.extend_from_slice(&e.0);
-                bytes.extend_from_slice(&p.c);
-                bytes.extend_from_slice(&p.s);
-            }
-            let out = match seq {
-                Some(s) => wire::frame(s, &bytes),
-                None => bytes,
-            };
-            ctx.send(from, Message::new(out, Label::Public));
-        }
+        };
+        // Legacy: the billing database inside the core authenticates the
+        // IMSI directly.
+        self.settle(ctx, hop, true);
     }
 }
 
-/// Register one handset against the mode's typed core: the `(R, M)` pair
-/// is where the wiring states, in types, what its attaches reveal.
-#[allow(clippy::too_many_arguments)]
-fn add_phone<R: Role + 'static, M: WireLabel + dcp_core::Admits<R> + 'static>(
-    net: &mut dcp_runtime::Network,
-    config: &PgppConfig,
-    opts: &RunOptions,
-    i: usize,
-    u: UserId,
-    e: EntityId,
-    shared: &Rc<RefCell<Shared>>,
-    issuer_pk: dcp_crypto::oprf::PublicKey,
-    epoch_len_us: u64,
-) {
-    Harness::add_role::<Handset>(
-        net,
-        Box::new(PhoneNode::<R, M> {
-            entity: e,
-            user: u,
-            index: i,
-            mode: config.mode,
-            ngc: Endpoint::new(1),
-            gw: Endpoint::new(0),
-            cells: config.cells,
-            epochs: config.epochs,
-            moves_per_epoch: config.moves_per_epoch,
-            epoch_len_us,
-            shared: shared.clone(),
-            wallet: TokenClient::new(issuer_pk),
-            pending_issuance: None,
-            moves_done: 0,
-            calls: Driver::new(&opts.recover, derive_seed(config.seed, 0x9690 + i as u64)),
-            flow: i as u64,
-        }),
-    );
+/// A built PGPP run: its roles and what they keep.
+struct Wiring {
+    spec: ServeSpec,
+    stats: Arc<Mutex<Stats>>,
 }
 
-fn run_impl(config: &PgppConfig, opts: &RunOptions) -> PgppReport {
+/// Build the cellular world and roles for either engine. Peer ids: the
+/// gateway 0, the core 1, then the handsets.
+///
+/// The world mutation order and the setup RNG's draws are load-bearing:
+/// a metrics sink observes entity creation in sequence, and the DST
+/// probes are byte-identical across refactors only if both hold.
+fn wiring(cfg: &PgppConfig, seed: u64, mut world: World, opts: &RunOptions) -> Wiring {
     use rand::SeedableRng;
-    let config = *config;
-    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0x9699);
-    assert!(config.epochs >= 1);
+    assert!(cfg.epochs >= 1);
+    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9699);
 
-    let (mut world, harness) = Harness::begin(Pgpp::NAME, config.seed, opts);
     let user_org = world.add_org("subscribers");
     let core_org = world.add_org("mobile-operator");
     let gw_org = world.add_org("pgpp-operator");
     let gw_e = world.add_entity("PGPP-GW", gw_org, None);
     let ngc_e = world.add_entity("NGC", core_org, None);
-
     let issuer = Issuer::new(&mut setup_rng);
     let issuer_pk = issuer.public_key();
-    let shared = Rc::new(RefCell::new(Shared {
+
+    let stats = Arc::new(Mutex::new(Stats {
         core: CoreNetwork::new(),
-        issuer,
         truth: HashMap::new(),
         linkage: RetryLinkage::new(),
     }));
-
-    let mut users = Vec::new();
-    let mut phone_entities = Vec::new();
-    for i in 0..config.users {
-        let u = world.add_user();
-        let name = if i == 0 {
-            "User".to_string()
-        } else {
-            format!("User {}", i + 1)
-        };
-        phone_entities.push(world.add_entity(&name, user_org, Some(u)));
-        users.push(u);
-        if config.mode == Mode::Legacy {
-            // The operator's billing DB binds IMSI → human identity.
-            world.record(ngc_e, InfoItem::sensitive_identity(u, IdentityKind::Human));
-        } else {
-            // The gateway bills the subscriber (▲_H) but sees only token
-            // traffic (⊙); it also knows its customers exist as network
-            // users (△_N).
-            world.record(gw_e, InfoItem::sensitive_identity(u, IdentityKind::Human));
-        }
-    }
-
-    let mut net = harness.network(world, LinkParams::wan_ms(5));
-    let gw_ep: Endpoint<VerifyTokenReq, Control, PgppGateway> = Endpoint::new(0);
-    let recover_on = opts.recover.enabled;
-    Harness::add_role::<PgppGateway>(
-        &mut net,
-        Box::new(GwNode {
-            entity: gw_e,
-            shared: shared.clone(),
-            recover: recover_on,
-            verdicts: BTreeMap::new(),
-        }),
-    );
-    let ngc = Box::new(NgcNode {
-        entity: ngc_e,
-        mode: config.mode,
-        gw: gw_ep,
-        shared: shared.clone(),
-        awaiting: Vec::new(),
-        recover: recover_on,
-        checks: BTreeMap::new(),
-        by_hop: BTreeMap::new(),
-        next_hop: 0,
-    });
-    match config.mode {
-        Mode::Legacy => Harness::add_role::<LegacyCore>(&mut net, ngc),
-        Mode::Pgpp => Harness::add_role::<PgppCore>(&mut net, ngc),
+    let gateway = Gateway {
+        issuer,
+        batch: batch_len(cfg),
+        verdicts: BTreeMap::new(),
     };
-    let epoch_len_us = 1_000_000;
-    for (i, (&u, &e)) in users.iter().zip(phone_entities.iter()).enumerate() {
-        match config.mode {
-            Mode::Legacy => add_phone::<LegacyCore, LegacyAttach>(
-                &mut net,
-                &config,
-                opts,
-                i,
-                u,
-                e,
-                &shared,
-                issuer_pk,
-                epoch_len_us,
-            ),
-            Mode::Pgpp => add_phone::<PgppCore, PgppAttach>(
-                &mut net,
-                &config,
-                opts,
-                i,
-                u,
-                e,
-                &shared,
-                issuer_pk,
-                epoch_len_us,
-            ),
-        }
+    let core = Box::new(Core {
+        mode: cfg.mode,
+        gateway: Endpoint::new(0),
+        checks: CheckForwarder::new(),
+        pending: BTreeMap::new(),
+        stats: stats.clone(),
+    });
+    let mut roles = vec![
+        RoleSpec::of::<PgppGateway>("gateway", gw_e, Box::new(gateway)),
+        match cfg.mode {
+            Mode::Legacy => RoleSpec::of::<LegacyCore>("core", ngc_e, core),
+            Mode::Pgpp => RoleSpec::of::<PgppCore>("core", ngc_e, core),
+        },
+    ];
+    for i in 0..cfg.users {
+        let user = world.add_user();
+        let e = world.add_entity(&nth("User", ' ', i), user_org, Some(user));
+        // Who bills the subscriber (▲_H): in legacy mode the operator's
+        // billing DB, which binds IMSI → human identity inside the core;
+        // in PGPP mode the gateway, which sees only token traffic (⊙).
+        let billing = match cfg.mode {
+            Mode::Legacy => ngc_e,
+            Mode::Pgpp => gw_e,
+        };
+        world.record(
+            billing,
+            InfoItem::sensitive_identity(user, IdentityKind::Human),
+        );
+        let arq = ReliableCall::new(&opts.recover, derive_seed(seed, 0x9690 + i as u64));
+        let stats = stats.clone();
+        // The `(R, M)` pair is where the wiring states, in types, what a
+        // handset's attaches reveal to its core.
+        let phone: Box<dyn WireRole> = match cfg.mode {
+            Mode::Legacy => Box::new(Phone::<LegacyCore, LegacyAttach>::new(
+                user, i, *cfg, issuer_pk, arq, stats,
+            )),
+            Mode::Pgpp => Box::new(Phone::<PgppCore, PgppAttach>::new(
+                user, i, *cfg, issuer_pk, arq, stats,
+            )),
+        };
+        roles.push(RoleSpec::of::<Handset>(nth("phone", '-', i), e, phone));
     }
+    Wiring {
+        spec: ServeSpec {
+            scenario: Pgpp::NAME,
+            world,
+            roles,
+            expected_units: (cfg.users * batch_len(cfg)) as u64,
+            taps: Vec::new(),
+        },
+        stats,
+    }
+}
 
-    let core = harness.finish(net);
-    let shared = Rc::try_unwrap(shared).map_err(|_| ()).unwrap().into_inner();
-    let linkage = trajectory_linkage(&shared.core.log, &shared.truth);
-    PgppReport {
+/// One simulated run: its report, and the stats its roles kept.
+fn simulate(cfg: &PgppConfig, seed: u64, opts: &RunOptions) -> (PgppReport, Arc<Mutex<Stats>>) {
+    let (world, harness) = Harness::begin(Pgpp::NAME, seed, opts);
+    let w = wiring(cfg, seed, world, opts);
+    let users = w.spec.world.users().to_vec();
+    let expected = w.spec.expected_units;
+    let core = harness.run_spec(w.spec, LinkParams::wan_ms(5), Vec::new());
+    let stats = lock(&w.stats);
+    let report = PgppReport {
         world: core.world,
         trace: core.trace,
-        attaches: shared.core.log.len(),
-        linkage,
-        distinct_imsis: shared.core.distinct_imsis(),
+        attaches: stats.core.log.len(),
+        linkage: trajectory_linkage(&stats.core.log, &stats.truth),
+        distinct_imsis: stats.core.distinct_imsis(),
         users,
         fault_log: core.fault_log,
         metrics: core.metrics,
-        expected: (config.users * config.epochs as usize * config.moves_per_epoch) as u64,
-        retry_linkage: shared.linkage.violations(),
-    }
+        expected,
+        retry_linkage: stats.linkage.violations(),
+    };
+    drop(stats);
+    (report, w.stats)
 }
 
 #[cfg(test)]
@@ -1051,5 +991,143 @@ mod tests {
         );
         assert_eq!(plain.attaches, rec.attaches);
         assert_eq!(plain.table(0), rec.table(0));
+    }
+
+    /// Without recovery, a duplicated attach is answered from its first
+    /// verdict and recorded once: every leg is numbered and the core keys
+    /// each attach by the handset's `(peer, seq)`. A core that pairs the
+    /// gateway's verdicts with waiting attaches by arrival order records
+    /// some IMSI more often in an epoch than its handset moved, at each
+    /// of these seeds.
+    #[test]
+    fn no_attach_is_recorded_twice_without_recovery() {
+        let opts = RunOptions::with_faults(&FaultConfig::moderate());
+        for seed in [6, 15, 24, 28, 39] {
+            let (report, stats) = simulate(&BATTERY, seed, &opts);
+            assert!(!report.fault_log.is_empty(), "seed {seed}: no faults");
+            let mut records = BTreeMap::new();
+            for attach in &lock(&stats).core.log {
+                *records.entry((attach.imsi, attach.epoch)).or_insert(0) += 1;
+            }
+            assert!(
+                records.values().all(|&n| n <= BATTERY.moves_per_epoch),
+                "seed {seed}: {records:?}"
+            );
+        }
+    }
+
+    /// A verdict other than `[0]` or `[1]` is dropped, not read as a
+    /// refusal: the handset's retry re-forwards its token under the same
+    /// number, the gateway replays its verdict, and every attach is
+    /// recorded once.
+    #[test]
+    fn a_mangled_verdict_is_dropped_and_the_retry_records() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// The core, behind a link that pads the first verdict it carries.
+        struct PadFirstVerdict(Box<dyn WireRole>, Arc<AtomicUsize>);
+        impl WireRole for PadFirstVerdict {
+            fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, mut msg: WireMsg) {
+                if from == PeerId(0) && self.1.fetch_add(1, Ordering::SeqCst) == 0 {
+                    msg.payload.push(0);
+                }
+                self.0.on_frame(ctx, from, msg);
+            }
+        }
+        let c = cfg(Mode::Pgpp);
+        let opts = RunOptions::recovered(&FaultConfig::calm());
+        let (world, harness) = Harness::begin(Pgpp::NAME, 11, &opts);
+        let mut w = wiring(&c, 11, world, &opts);
+        let verdicts = Arc::new(AtomicUsize::new(0));
+        let core = w.spec.roles.remove(1);
+        w.spec.roles.insert(
+            1,
+            RoleSpec {
+                role: Box::new(PadFirstVerdict(core.role, verdicts.clone())),
+                ..core
+            },
+        );
+        harness.run_spec(w.spec, LinkParams::wan_ms(5), Vec::new());
+        let stats = lock(&w.stats);
+        assert_eq!(stats.core.rejected, 0, "the padded verdict refused nothing");
+        assert_eq!(stats.core.log.len(), batch_len(&c) * c.users);
+        // One verdict per attach, plus the replay the retry drew.
+        assert_eq!(verdicts.load(Ordering::SeqCst), stats.core.log.len() + 1);
+    }
+
+    #[test]
+    fn served_roles_are_the_gateway_the_core_then_the_phones() {
+        let serve = Pgpp::REGISTRATION.serve.expect("servable");
+        let (spec, _) = serve(2, 3, 7).unwrap();
+        let names: Vec<&str> = spec.roles.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["gateway", "core", "phone", "phone-2"]);
+        assert_eq!(spec.expected_units, 6, "three attaches per phone");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Each decoder on received bytes accepts exactly one shape,
+        /// refuses everything else with a typed error, and what it
+        /// accepts re-encodes to itself. (The batch and evaluation
+        /// codecs are Privacy Pass's, pinned in its `protocol`.)
+        #[test]
+        fn decoders_fail_closed_and_round_trip(
+            bytes in proptest::collection::vec(any::<u8>(), 0..400),
+            batch in 0usize..8,
+            time_us in any::<u64>(),
+        ) {
+            let fit = |n: usize| {
+                let mut b = bytes.clone();
+                b.resize(n, 0x5a);
+                b
+            };
+            let tagged = |tag: u8, n: usize| [vec![tag], fit(n)].concat();
+            for b in [bytes.clone(), tagged(BATCH_TAG, batch * 32), tagged(CHECK_TAG, TOKEN_LEN)] {
+                match ToGateway::decode(&b, batch) {
+                    Ok(ToGateway::Batch(blinded)) => {
+                        let elements = blinded.iter().flat_map(|e| e.0);
+                        prop_assert_eq!(std::iter::once(BATCH_TAG).chain(elements).collect::<Vec<_>>(), b)
+                    }
+                    Ok(ToGateway::Check(token)) => {
+                        prop_assert_eq!([vec![CHECK_TAG], token.encode()].concat(), b)
+                    }
+                    Err(DecodeError::Length(WrongLength { expected, got })) => {
+                        let want = if b[0] == BATCH_TAG { batch * 32 } else { TOKEN_LEN };
+                        prop_assert_eq!((expected, got), (want, b.len() - 1));
+                        prop_assert_ne!(got, expected);
+                    }
+                    Err(DecodeError::Tag(tag)) => {
+                        prop_assert_eq!(tag, b.first().copied());
+                        prop_assert!(tag != Some(BATCH_TAG) && tag != Some(CHECK_TAG));
+                    }
+                    Err(e) => prop_assert!(false, "{e:?}"),
+                }
+            }
+            for (mode, len) in [(Mode::Legacy, HEADER_LEN), (Mode::Pgpp, HEADER_LEN + TOKEN_LEN)] {
+                for b in [bytes.clone(), fit(len)] {
+                    match decode_attach(&b, mode, time_us) {
+                        Ok((a, token)) => {
+                            prop_assert_eq!(a.time_us, time_us);
+                            prop_assert_eq!(encode_attach(a.imsi, a.cell, a.epoch, token), b)
+                        }
+                        Err(e) => prop_assert_eq!(
+                            e,
+                            DecodeError::Length(WrongLength { expected: len, got: b.len() })
+                        ),
+                    }
+                }
+            }
+            for (yes, no) in [(GOOD, BAD), (RECORDED, REFUSED)] {
+                for b in [&bytes[..bytes.len().min(2)], yes, no, &[0, 1]] {
+                    match decode_choice(b, yes, no) {
+                        Ok(choice) => prop_assert_eq!(b, if choice { yes } else { no }),
+                        Err(e) => {
+                            prop_assert_eq!(e, DecodeError::Unknown);
+                            prop_assert!(b != yes && b != no);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every [`WireLabel`] impl for this crate lives in this module (the CI
 //! layering lint holds wiring crates to that). The scenario runs the
-//! *same* node code in two modes, so the cores are two distinct typed
+//! *same* role code in two modes, so the cores are two distinct typed
 //! roles: [`PgppCore`] is bounded at `(△, ⊙/●)` — shuffled pseudonyms,
 //! cell-granularity location — while [`LegacyCore`] must say
 //! [`KnowledgeCap::coupled_by_design`] out loud, because a permanent

@@ -169,6 +169,75 @@ impl Client {
     }
 }
 
+/// Bytes of one evaluated element and its DLEQ proof `(c, s)` on the
+/// wire.
+pub const EVAL_LEN: usize = 32 + 64;
+
+/// Bytes that are not the one length their reader accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WrongLength {
+    /// The only length accepted.
+    pub expected: usize,
+    /// The length received.
+    pub got: usize,
+}
+
+/// Refuse `bytes` unless they are exactly `expected` long.
+pub fn exact_len(bytes: &[u8], expected: usize) -> core::result::Result<(), WrongLength> {
+    if bytes.len() == expected {
+        Ok(())
+    } else {
+        Err(WrongLength {
+            expected,
+            got: bytes.len(),
+        })
+    }
+}
+
+/// The issuer's parse of an issuance batch: exactly `n` blinded
+/// elements, so no message makes it evaluate more.
+pub fn decode_batch(
+    bytes: &[u8],
+    n: usize,
+) -> core::result::Result<Vec<BlindedElement>, WrongLength> {
+    exact_len(bytes, n * 32)?;
+    Ok(bytes
+        .chunks_exact(32)
+        .map(|c| BlindedElement(c.try_into().expect("32-byte chunk")))
+        .collect())
+}
+
+/// The issuer's answer to a batch: each evaluation followed by its proof.
+pub fn encode_evals(evals: &[(EvaluatedElement, DleqProof)]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(evals.len() * EVAL_LEN);
+    for (e, p) in evals {
+        bytes.extend_from_slice(&e.0);
+        bytes.extend_from_slice(&p.c);
+        bytes.extend_from_slice(&p.s);
+    }
+    bytes
+}
+
+/// The client's parse of the issuer's answer: exactly one evaluation and
+/// proof for each of its batch's `n` blinded elements.
+pub fn decode_evals(
+    bytes: &[u8],
+    n: usize,
+) -> core::result::Result<Vec<(EvaluatedElement, DleqProof)>, WrongLength> {
+    exact_len(bytes, n * EVAL_LEN)?;
+    let arr = |b: &[u8]| -> [u8; 32] { b.try_into().expect("32-byte field") };
+    Ok(bytes
+        .chunks_exact(EVAL_LEN)
+        .map(|c| {
+            let proof = DleqProof {
+                c: arr(&c[32..64]),
+                s: arr(&c[64..]),
+            };
+            (EvaluatedElement(arr(&c[..32])), proof)
+        })
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,6 +353,40 @@ mod tests {
             match Token::decode(&bytes) {
                 Ok(token) => prop_assert_eq!(token.encode(), bytes),
                 Err(_) => prop_assert_ne!(bytes.len(), 64),
+            }
+        }
+    }
+
+    proptest! {
+        /// The issuance codecs accept exactly one length for a batch of
+        /// `n`, refuse every other with [`WrongLength`], and what they
+        /// accept re-encodes to itself.
+        #[test]
+        fn issuance_codecs_fail_closed_and_round_trip(
+            bytes in collection::vec(any::<u8>(), 0..800),
+            n in 0usize..8,
+        ) {
+            let fit = |len: usize| {
+                let mut b = bytes.clone();
+                b.resize(len, 0x5a);
+                b
+            };
+            for b in [bytes.clone(), fit(n * 32)] {
+                match decode_batch(&b, n) {
+                    Ok(batch) => prop_assert_eq!(
+                        batch.iter().flat_map(|e| e.0).collect::<Vec<_>>(),
+                        b
+                    ),
+                    Err(e) => prop_assert_eq!(e, WrongLength { expected: n * 32, got: b.len() }),
+                }
+            }
+            for b in [bytes.clone(), fit(n * EVAL_LEN)] {
+                match decode_evals(&b, n) {
+                    Ok(evals) => prop_assert_eq!(encode_evals(&evals), b),
+                    Err(e) => {
+                        prop_assert_eq!(e, WrongLength { expected: n * EVAL_LEN, got: b.len() })
+                    }
+                }
             }
         }
     }

@@ -4,11 +4,11 @@
 //! sequence number ahead of the protocol payload, so receivers can dedup
 //! retransmissions and responders can echo the number for the client's
 //! call matching. The seam-role wirings (the DNS family — ODoH, legacy
-//! ODNS and direct DNS — MPR, Privacy Pass, blind cash, the VPN and ECH)
-//! frame every leg whether or not recovery is on: real sockets
+//! ODNS and direct DNS — MPR, Privacy Pass, blind cash, PGPP, the VPN and
+//! ECH) frame every leg whether or not recovery is on: real sockets
 //! interleave, so no hop may pair answers with queries by arrival order.
-//! The wirings still on simulator nodes (PGPP, PPM and mixnet) frame only
-//! when recovery is enabled.
+//! The wirings still on simulator nodes (PPM and mixnet) frame only when
+//! recovery is enabled.
 //!
 //! The frame sits *outside* the ciphertext, on one leg only: each relay
 //! re-keys what it forwards under a number of its own (ODoH's proxy,

@@ -14,15 +14,15 @@
 //!
 //! * [`seam`] — the sim/prod transport seam: [`seam::WireRole`] protocol
 //!   logic written once and hosted by both engines. The DNS family
-//!   (ODoH, legacy ODNS, direct DNS), MPR, Privacy Pass, blind cash, the
-//!   VPN and ECH are written this way. `dcp-serve` runs them over real
+//!   (ODoH, legacy ODNS, direct DNS), MPR, Privacy Pass, blind cash,
+//!   PGPP, the VPN and ECH are written this way. `dcp-serve` runs them over real
 //!   TCP sockets, with information-flow labels riding an out-of-band
 //!   verification channel (never the socket); [`Harness::run_spec`] runs
 //!   them here, on the simulator the DST drives, each role through a
 //!   `Node` adapter (the simnet host), with the spec's passive taps
 //!   installed as wiretaps.
-//! * [`Driver`] — the attempt loop of the wirings still written as
-//!   simulator nodes (mixnet, PGPP): an ARQ plus a typed in-flight table,
+//! * [`Driver`] — the attempt loop of mixnet, the last wiring with
+//!   simulator-node clients: an ARQ plus a typed in-flight table,
 //!   with the `RecoveryRetry`/`RecoveryGiveUp` observability emits
 //!   sequenced in one order. Seam clients get the same emits from
 //!   [`seam::WireCtx::arq_timer`].

@@ -43,7 +43,9 @@ use std::time::{Duration, Instant};
 
 use dcp_core::role::RoleKind;
 use dcp_core::{EntityId, Label, World};
-use dcp_runtime::seam::{apply_effects, PeerId, ServeSpec, WireCtx, WireMsg, WireRole, WireTap};
+use dcp_runtime::seam::{
+    apply_effects, PeerId, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole, WireTap,
+};
 use dcp_transport::frame::{Frame, FrameType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,6 +206,38 @@ struct RoleHost {
 }
 
 impl RoleHost {
+    /// Host role `idx` of a wiring on `listener`. Its RNG and the
+    /// engine's nonce RNG are seeded here from the run seed and the peer
+    /// id, in one place, so a role draws the same bytes whether it runs
+    /// in a process of its own or beside its peers in loopback mode.
+    fn new(
+        idx: u16,
+        rs: RoleSpec,
+        listener: TcpListener,
+        peer_addrs: HashMap<u16, SocketAddr>,
+        shared: SharedRun,
+        cfg: &ServeConfig,
+    ) -> Self {
+        let i = u64::from(idx);
+        RoleHost {
+            idx,
+            entity: rs.entity,
+            kind: rs.kind,
+            role: rs.role,
+            listener,
+            peer_addrs,
+            conns: Vec::new(),
+            rng: StdRng::seed_from_u64(cfg.seed ^ (0x5e57e ^ i).wrapping_mul(0x9e37)),
+            nonce_rng: StdRng::seed_from_u64(cfg.seed ^ 0xa0_0e ^ (i << 32)),
+            timers: BTreeMap::new(),
+            timers_armed: 0,
+            shared,
+            max_conns: cfg.max_conns,
+            dial_attempts: cfg.dial_attempts,
+            dial_backoff: cfg.dial_backoff,
+        }
+    }
+
     fn run(mut self) -> Result<(), ServeError> {
         self.listener
             .set_nonblocking(true)
@@ -549,32 +583,17 @@ pub fn run_loopback(spec: ServeSpec, cfg: &ServeConfig) -> Result<ServeOutcome, 
         if rs.kind == RoleKind::Initiator {
             initiators += 1;
         }
-        let host = RoleHost {
-            idx: i as u16,
-            entity: rs.entity,
-            kind: rs.kind,
-            role: rs.role,
-            listener,
-            peer_addrs: peer_addrs.clone(),
-            conns: Vec::new(),
-            rng: StdRng::seed_from_u64(cfg.seed ^ (0x5e57e ^ (i as u64)).wrapping_mul(0x9e37)),
-            nonce_rng: StdRng::seed_from_u64(cfg.seed ^ 0xa0_0e ^ ((i as u64) << 32)),
-            timers: BTreeMap::new(),
-            timers_armed: 0,
-            shared: SharedRun {
-                epoch,
-                world: Some(world.clone()),
-                obs,
-                bus: Some(bus.clone()),
-                shutdown: shutdown.clone(),
-                units: units.clone(),
-                initiators_done: initiators_done.clone(),
-            },
-            max_conns: cfg.max_conns,
-            dial_attempts: cfg.dial_attempts,
-            dial_backoff: cfg.dial_backoff,
-        };
         let name = rs.name.clone();
+        let shared = SharedRun {
+            epoch,
+            world: Some(world.clone()),
+            obs,
+            bus: Some(bus.clone()),
+            shutdown: shutdown.clone(),
+            units: units.clone(),
+            initiators_done: initiators_done.clone(),
+        };
+        let host = RoleHost::new(i as u16, rs, listener, peer_addrs.clone(), shared, cfg);
         handles.push((name, std::thread::spawn(move || host.run())));
     }
 
@@ -636,31 +655,16 @@ pub fn run_role(
     let listener = TcpListener::bind(listen).map_err(ServeError::Io)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let units = Arc::new(AtomicU64::new(0));
-    let host = RoleHost {
-        idx: idx as u16,
-        entity: rs.entity,
-        kind: rs.kind,
-        role: rs.role,
-        listener,
-        peer_addrs,
-        conns: Vec::new(),
-        rng: StdRng::seed_from_u64(cfg.seed ^ (0x5e57e ^ (idx as u64)).wrapping_mul(0x9e37)),
-        nonce_rng: StdRng::seed_from_u64(cfg.seed ^ 0xa0_0e ^ ((idx as u64) << 32)),
-        timers: BTreeMap::new(),
-        timers_armed: 0,
-        shared: SharedRun {
-            epoch: Instant::now(),
-            world: None,
-            obs: false,
-            bus: None,
-            shutdown: shutdown.clone(),
-            units: units.clone(),
-            initiators_done: Arc::new(AtomicUsize::new(0)),
-        },
-        max_conns: cfg.max_conns,
-        dial_attempts: cfg.dial_attempts,
-        dial_backoff: cfg.dial_backoff,
+    let shared = SharedRun {
+        epoch: Instant::now(),
+        world: None,
+        obs: false,
+        bus: None,
+        shutdown: shutdown.clone(),
+        units: units.clone(),
+        initiators_done: Arc::new(AtomicUsize::new(0)),
     };
+    let host = RoleHost::new(idx as u16, rs, listener, peer_addrs, shared, cfg);
     // The deadline doubles as the service-role lifetime: without a
     // cross-process control plane, "graceful shutdown" for a lone
     // service process is a bounded run.

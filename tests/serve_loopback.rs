@@ -28,8 +28,9 @@ fn serve_cfg(seed: u64) -> ServeConfig {
 /// `(clients, queries, seed)` at which every servable wiring is served:
 /// one client alone, three clients interleaving in nondeterministic
 /// order, and two clients whose calls interleave at shared relays,
-/// origins, issuers, banks and tunnel servers (each response, verdict or
-/// receipt must find its way back to the client who asked).
+/// origins, issuers, banks, tunnel servers and cellular cores (each
+/// response, verdict or receipt must find its way back to the client who
+/// asked).
 const TWIN_SHAPES: [(usize, usize, u64); 7] = [
     (1, 4, 7),
     (3, 4, 1004),
@@ -98,6 +99,11 @@ fn direct_dns_loopback_matches_simulated_twin() {
 #[test]
 fn vpn_loopback_matches_simulated_twin() {
     twin("vpn");
+}
+
+#[test]
+fn pgpp_loopback_matches_simulated_twin() {
+    twin("pgpp");
 }
 
 /// A new servable registration fails here until it has its own twin
