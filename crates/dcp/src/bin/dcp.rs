@@ -5,10 +5,12 @@
 //! wiring with a serve spec ([`decoupling::REGISTRY`]) is servable
 //! through one code path: §3.1.1's blind-signature cash, §3.2.1's
 //! Privacy Pass, the DNS family of §3.2.2 and §5.1, §3.2.3's PGPP,
-//! §3.2.4's multi-party relay and §3.3's VPN. `--clients` and `--queries`
-//! set the users and what each does: queries, fetches, redemptions (at
-//! most four, one issuance batch), coins or attaches (all within one
-//! IMSI epoch, which lasts one second).
+//! §3.2.4's multi-party relay, §3.2.5's PPM and §3.3's VPN. `--clients`
+//! and `--queries` set the users and what each does: queries, fetches,
+//! redemptions (at most four, one issuance batch), coins, attaches (all
+//! within one IMSI epoch, which lasts one second, and at most one frame
+//! of token evaluations), or for PPM the bit width (1 to 32) of each
+//! client's one measurement.
 //!
 //! ```text
 //! dcp serve SCENARIO [--clients N] [--queries N] [--seed S]
@@ -45,7 +47,8 @@ fn usage() -> String {
          [--seed S] [--deadline SECS]\n\n\
          --queries N: each client's queries, fetches, redemptions \
          (privacypass: at most 4),\n  \
-         coins or attaches (pgpp: all within one IMSI epoch, one second long)\n\n\
+         coins or attaches (pgpp: all within one IMSI epoch, one second long),\n  \
+         or measurement width in bits (ppm: 1 to 32)\n\n\
          scenarios and their roles at two clients:",
     );
     for reg in REGISTRY {

@@ -18,8 +18,8 @@
 //! * [`runtime`] — the typed protocol-role layer the scenario crates are
 //!   wired through: the seam roles both engines host
 //!   ([`runtime::seam`]), [`runtime::Harness`] run bracketing, and the
-//!   [`runtime::Driver`] attempt loop of the wirings still written as
-//!   simulator nodes.
+//!   [`runtime::Driver`] attempt loop of mixnet, the last wiring still
+//!   written as simulator nodes.
 //! * [`transport`] — framing, encrypted channels, onion tunnels, traffic
 //!   shaping.
 //! * [`dns`] — the DNS substrate (wire codec, zones, resolver, workloads).

@@ -26,10 +26,11 @@ use dcp_core::{
 use dcp_crypto::oprf::{BlindedElement, PublicKey};
 use dcp_privacypass::protocol::{
     decode_batch, decode_evals, encode_evals, exact_len, Client as TokenClient, IssuanceRequest,
-    Issuer, Token, WrongLength,
+    Issuer, Token, WrongLength, EVAL_LEN,
 };
 use dcp_runtime::seam::{
     lock, nth, PeerId, Registration, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole,
+    MAX_FRAME_PAYLOAD,
 };
 use dcp_runtime::{
     wire, Admits, Attempt, CheckForwarder, Control, Endpoint, Forward, Harness, LinkParams,
@@ -160,14 +161,21 @@ const BATTERY: PgppConfig = PgppConfig {
 impl Pgpp {
     /// The [`BATTERY`] shape. Served, each client is a handset that makes
     /// one attach per query within a single epoch, 1 s on the engine's
-    /// clock; every process of a multi-process run builds the same
-    /// gateway key from the seed. Role order defines peer ids: `gateway`
-    /// 0, `core` 1, then `phone`, `phone-2`, ….
+    /// clock, and at most [`MOST_SERVED_ATTACHES`]; every process of a
+    /// multi-process run builds the same gateway key from the seed. Role
+    /// order defines peer ids: `gateway` 0, `core` 1, then `phone`,
+    /// `phone-2`, ….
     pub const REGISTRATION: Registration = Registration {
         name: Pgpp::NAME,
         run: |seed, opts| Box::new(Pgpp::run_with(&BATTERY, seed, opts)),
         declared_caps: pgpp_declared_caps,
         serve: Some(|clients, queries, seed| {
+            if queries > MOST_SERVED_ATTACHES {
+                return Err(format!(
+                    "{queries} attaches per phone: the gateway's evaluations of one \
+                     batch fit one frame for at most {MOST_SERVED_ATTACHES}"
+                ));
+            }
             let cfg = PgppConfig {
                 mode: Mode::Pgpp,
                 users: clients,
@@ -197,6 +205,10 @@ impl PgppReport {
         ])
     }
 }
+
+/// The most attaches a served handset makes: one issuance batch's
+/// evaluations, framed, must fit in one served frame.
+const MOST_SERVED_ATTACHES: usize = (MAX_FRAME_PAYLOAD - wire::SEQ_LEN) / EVAL_LEN;
 
 /// The token of a scheduled move, the handset's only timer of its own.
 const TIMER_MOVE: u64 = 1;
@@ -488,12 +500,16 @@ impl<R: Role, M: WireLabel + Admits<R>> Phone<R, M> {
 
     /// Schedule every move up front: `moves_per_epoch` inside each epoch,
     /// jittered within their slot so arrival order varies but every user
-    /// is active in every epoch.
+    /// is active in every epoch. A slot too short to jitter in (under
+    /// 4 µs) draws no jitter.
     fn schedule_moves(&mut self, ctx: &mut WireCtx) {
         let slot = EPOCH_LEN_US / (self.cfg.moves_per_epoch as u64 + 1);
         for e in 0..self.cfg.epochs as u64 {
             for m in 0..self.cfg.moves_per_epoch as u64 {
-                let jitter = ctx.rng.gen_range(0..slot / 4);
+                let jitter = match slot / 4 {
+                    0 => 0,
+                    room => ctx.rng.gen_range(0..room),
+                };
                 let at = e * EPOCH_LEN_US + (m + 1) * slot + jitter;
                 ctx.set_timer(at.saturating_sub(ctx.now_us()), TIMER_MOVE);
             }
@@ -1052,6 +1068,51 @@ mod tests {
         assert_eq!(stats.core.log.len(), batch_len(&c) * c.users);
         // One verdict per attach, plus the replay the retry drew.
         assert_eq!(verdicts.load(Ordering::SeqCst), stats.core.log.len() + 1);
+    }
+
+    /// From 250,000 moves an epoch a slot is under 4 µs: every move is
+    /// still scheduled, with no jitter drawn.
+    #[test]
+    fn moves_too_dense_to_jitter_are_scheduled_unjittered() {
+        use rand::SeedableRng;
+        let mut setup = rand::rngs::StdRng::seed_from_u64(1);
+        let issuer_pk = Issuer::new(&mut setup).public_key();
+        let cfg = PgppConfig {
+            users: 1,
+            epochs: 1,
+            moves_per_epoch: 250_000,
+            ..cfg(Mode::Legacy)
+        };
+        let stats = Arc::new(Mutex::new(Stats {
+            core: CoreNetwork::new(),
+            truth: HashMap::new(),
+            linkage: RetryLinkage::new(),
+        }));
+        let arq = ReliableCall::new(&RunOptions::default().recover, 0);
+        let mut phone =
+            Phone::<LegacyCore, LegacyAttach>::new(UserId(0), 0, cfg, issuer_pk, arq, stats);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut ctx = WireCtx::new(&mut rng, PeerId(2), 0, false);
+        phone.schedule_moves(&mut ctx);
+        let timers = ctx.finish().timers;
+        assert_eq!(timers.len(), 250_000);
+        // Slot 1 s / 250,001 is 3 µs: move m falls at (m + 1) × 3 µs.
+        assert_eq!(timers[..2], [(3, TIMER_MOVE), (6, TIMER_MOVE)]);
+    }
+
+    /// A served phone's issuance batch is evaluated into one frame, so a
+    /// phone may ask for as many attaches as one frame of evaluations
+    /// holds, and no more.
+    #[test]
+    fn a_served_phone_asks_for_at_most_one_frame_of_evaluations() {
+        let serve = Pgpp::REGISTRATION.serve.expect("servable");
+        let most = MOST_SERVED_ATTACHES;
+        assert!(wire::SEQ_LEN + most * EVAL_LEN <= MAX_FRAME_PAYLOAD);
+        assert!(wire::SEQ_LEN + (most + 1) * EVAL_LEN > MAX_FRAME_PAYLOAD);
+        let (spec, _) = serve(1, most, 7).expect("one frame's worth");
+        assert_eq!(spec.expected_units, most as u64);
+        let refused = serve(1, most + 1, 7).err().expect("past one frame");
+        assert!(refused.contains(&format!("at most {most}")), "{refused}");
     }
 
     #[test]

@@ -196,10 +196,13 @@ impl Aggregator {
             self.rejected += 1;
             return Ok(false);
         }
-        // Value share = Σ bit_i · 2^i.
+        // Value share = Σ bit_i · 2^i, each place value doubled in the
+        // field, so no width overflows a shift.
         let mut v = Fe::ZERO;
-        for (i, &b) in sub.bits.iter().enumerate() {
-            v = v.add(b.mul(Fe::new(1u64 << i)));
+        let mut place = Fe::ONE;
+        for &b in &sub.bits {
+            v = v.add(b.mul(place));
+            place = place.add(place);
         }
         self.accum = self.accum.add(v);
         self.accepted += 1;
@@ -251,10 +254,41 @@ pub fn process_locally(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Both legs of one submission whose bits are those of `parts`'
+    /// honest `(value, width)` submissions laid end to end, low first.
+    pub(crate) fn laid(rng: &mut StdRng, parts: &[(u64, usize)]) -> [SubmissionShare; 2] {
+        let mut legs = submit(rng, 0, 0);
+        for &(value, k) in parts {
+            for (leg, part) in legs.iter_mut().zip(submit(rng, value, k)) {
+                leg.bits.extend(part.bits);
+                leg.triples.extend(part.triples);
+            }
+        }
+        legs
+    }
+
+    #[test]
+    fn any_width_folds_by_place_value_without_panicking() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut leader = Aggregator::new(0);
+        let mut helper = Aggregator::new(1);
+        let forty = laid(&mut rng, &[(7, 32), (200, 8)]);
+        assert!(process_locally(&mut leader, &mut helper, &forty));
+        assert_eq!(collect(leader.accum, helper.accum), 7 + (200 << 32));
+        // Bit 64 is worth 2^64 in the field, where a `u64` place value
+        // would overflow its shift.
+        let sixty_five = laid(&mut rng, &[(0, 32), (0, 32), (1, 1)]);
+        assert!(process_locally(&mut leader, &mut helper, &sixty_five));
+        let two_to_64 = Fe::new(1 << 63).add(Fe::new(1 << 63));
+        let sum = Fe::new(7 + (200 << 32)).add(two_to_64);
+        assert_eq!(collect(leader.accum, helper.accum), sum.value());
+    }
 
     #[test]
     fn honest_submissions_aggregate_correctly() {

@@ -1,19 +1,25 @@
-//! The PPM system on the simulator: clients → leader + helper → collector.
+//! PPM written once as seam roles: clients → leader + helper → collector,
+//! built by one `wiring` for the simulator ([`Ppm`]) and `dcp-serve`
+//! ([`Ppm::REGISTRATION`]). Every message is framed and acked on every
+//! run (the flow is one-way), and a run's `RecoverConfig` only arms the
+//! senders' [`Outbox`] retries. An aggregator or collector input that
+//! does not decode, is not of the task's width, comes from a peer that
+//! does not send its kind, or is a submission under another client's id
+//! is dropped unacked, before any work.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use dcp_core::sweep::derive_seed;
 use dcp_core::table::DecouplingTable;
 use dcp_core::{
-    DataKind, EntityId, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions,
-    Scenario, UserId, World,
+    DataKind, FaultLog, IdentityKind, InfoItem, Label, MetricsReport, RunOptions, Scenario, UserId,
+    World,
 };
-use dcp_runtime::seam::Registration;
-use dcp_runtime::{
-    wire, Control, Ctx, Endpoint, Harness, LinkParams, Message, Node, NodeId, Outbox, Trace,
+use dcp_runtime::seam::{
+    lock, nth, PeerId, Registration, RoleSpec, ServeSpec, WireCtx, WireMsg, WireRole,
 };
+use dcp_runtime::{wire, Control, Endpoint, Harness, LinkParams, Outbox, ReliableCall, Trace};
 use rand::Rng as _;
 
 use crate::field::Fe;
@@ -28,9 +34,15 @@ const TAG_LEADER_R1: u8 = 2;
 const TAG_HELPER_R1Z: u8 = 3;
 const TAG_LEADER_Z: u8 = 4;
 const TAG_ACCUM: u8 = 5;
-/// Recovery-mode acknowledgment of a seq-framed protocol message. The PPM
-/// flow is one-way (no natural responses), so the ARQ needs explicit acks.
+/// The acknowledgment of a framed protocol message. The PPM flow is
+/// one-way (no natural responses), so the senders need explicit acks.
 const TAG_ACK: u8 = 6;
+
+/// Peer ids: the leader 0, the helper 1, the collector 2, then the
+/// clients.
+const LEADER: PeerId = PeerId(0);
+const HELPER: PeerId = PeerId(1);
+const FIRST_CLIENT: usize = 3;
 
 /// Configuration.
 #[derive(Clone, Copy, Debug)]
@@ -144,28 +156,50 @@ impl Scenario for Ppm {
     const NAME: &'static str = "ppm";
 
     fn run_with(cfg: &PpmConfig, seed: u64, opts: &RunOptions) -> PpmReport {
-        let config = PpmConfig { seed, ..*cfg };
-        run_impl(&config, opts, &|_, node| node)
+        simulate(cfg, seed, opts)
     }
 }
 
+/// The battery shape: five honest clients reporting four bits each.
+const BATTERY: PpmConfig = PpmConfig {
+    clients: 5,
+    bits: 4,
+    malicious: 0,
+    seed: 0, // overridden by the run seed
+};
+
+/// The widths `prio::submit` takes.
+const WIDTHS: std::ops::RangeInclusive<usize> = 1..=32;
+
 impl Ppm {
-    /// Five honest clients reporting four bits each. The aggregate is
-    /// released only once every share has arrived, so any verified
-    /// submission that reaches both aggregators counts as progress.
+    /// The [`BATTERY`] shape. The aggregate is released only once every
+    /// share has arrived, so any verified submission that reaches both
+    /// aggregators counts as progress. Served, `--queries` is the bit
+    /// width of each client's one measurement, and the collector counts
+    /// the submissions the released aggregate holds. Role order defines
+    /// peer ids: `leader` 0, `helper` 1, `collector` 2, then `client`,
+    /// `client-2`, ….
     pub const REGISTRATION: Registration = Registration {
         name: Ppm::NAME,
-        run: |seed, opts| {
-            let cfg = PpmConfig {
-                clients: 5,
-                bits: 4,
-                malicious: 0,
-                seed: 0, // overridden by the run seed
-            };
-            Box::new(Ppm::run_with(&cfg, seed, opts))
-        },
+        run: |seed, opts| Box::new(Ppm::run_with(&BATTERY, seed, opts)),
         declared_caps,
-        serve: None,
+        serve: Some(|clients, bits, seed| {
+            if !WIDTHS.contains(&bits) {
+                return Err(format!(
+                    "a {bits}-bit measurement: a task's width is {} to {} bits",
+                    WIDTHS.start(),
+                    WIDTHS.end()
+                ));
+            }
+            let cfg = PpmConfig {
+                clients,
+                bits,
+                malicious: 0,
+                seed,
+            };
+            let spec = wiring(&cfg, seed, World::new(), &RunOptions::default()).spec;
+            Ok((spec, Box::new(move || Ppm::run(&cfg, seed).world)))
+        }),
     };
 }
 
@@ -211,6 +245,13 @@ enum DecodeError {
     TrailingBytes,
     /// A tag the receiving role does not decode.
     Tag,
+    /// A message whose shares, openings or products are not one per bit
+    /// of the task, or an accumulator share folding more submissions
+    /// than there are clients.
+    Width,
+    /// A message from a peer that does not send its kind, or a
+    /// submission under another client's id.
+    Sender,
 }
 
 /// The `N` bytes at `*pos`, advancing past them.
@@ -304,8 +345,11 @@ enum AggMsg {
     LeaderZ(u64, Vec<Fe>),
 }
 
-fn decode_agg(bytes: &[u8]) -> Result<AggMsg, DecodeError> {
-    match bytes.first() {
+/// An aggregator's parse of a message for a task `bits` wide: every
+/// share, opening and product vector holds one entry per bit, and a
+/// leader's Z carries no openings.
+fn decode_agg(bytes: &[u8], bits: usize) -> Result<AggMsg, DecodeError> {
+    let msg = match bytes.first() {
         Some(&TAG_SUBMIT) => decode_submission(bytes).map(|(id, sub)| AggMsg::Submit(id, sub)),
         Some(&TAG_LEADER_R1) => {
             decode_verify(bytes, false).map(|(id, r1, _)| AggMsg::LeaderR1(id, r1))
@@ -313,8 +357,23 @@ fn decode_agg(bytes: &[u8]) -> Result<AggMsg, DecodeError> {
         Some(&TAG_HELPER_R1Z) => {
             decode_verify(bytes, true).map(|(id, r1, z)| AggMsg::HelperR1Z(id, r1, z))
         }
-        Some(&TAG_LEADER_Z) => decode_verify(bytes, true).map(|(id, _, z)| AggMsg::LeaderZ(id, z)),
+        Some(&TAG_LEADER_Z) => match decode_verify(bytes, true)? {
+            (id, r1, z) if r1 == VerifyMsg::default() => Ok(AggMsg::LeaderZ(id, z)),
+            _ => Err(DecodeError::Width),
+        },
         _ => Err(DecodeError::Tag),
+    }?;
+    let wide = |v: &[Fe]| v.len() == bits;
+    let fits = match &msg {
+        AggMsg::Submit(_, sub) => wide(&sub.bits),
+        AggMsg::LeaderR1(_, r1) => wide(&r1.d) && wide(&r1.e),
+        AggMsg::HelperR1Z(_, r1, z) => wide(&r1.d) && wide(&r1.e) && wide(z),
+        AggMsg::LeaderZ(_, z) => wide(z),
+    };
+    if fits {
+        Ok(msg)
+    } else {
+        Err(DecodeError::Width)
     }
 }
 
@@ -327,49 +386,31 @@ fn encode_accum(agg: &Aggregator) -> Vec<u8> {
     bytes
 }
 
-fn decode_accum(bytes: &[u8]) -> Result<Fe, DecodeError> {
+/// The collector's parse of an accumulator share from a task with
+/// `clients` clients: the share, and how many submissions it folds.
+fn decode_accum(bytes: &[u8], clients: usize) -> Result<(Fe, u64), DecodeError> {
     if bytes.first() != Some(&TAG_ACCUM) {
         return Err(DecodeError::Tag);
     }
     let mut pos = 1;
     let share = Fe::from_bytes(&take(bytes, &mut pos)?).ok_or(DecodeError::NonCanonical)?;
-    take::<8>(bytes, &mut pos)?; // the accepted count, which the collector does not use
+    let folded = u64::from_be_bytes(take(bytes, &mut pos)?);
     expect_end(bytes, pos)?;
-    Ok(share)
+    if folded > clients as u64 {
+        return Err(DecodeError::Width);
+    }
+    Ok((share, folded))
 }
 
-/// Decode a delivery. With recovery on, its frame comes off first: an ack
-/// goes to `outbox`, and a body that decodes is acked at once, as the
-/// callback's first send, replays included (the previous ack may have
-/// been lost in flight). A body that does not decode is dropped unacked,
-/// so its sender retries it.
-fn receive<T>(
-    ctx: &mut Ctx,
-    from: NodeId,
-    msg: &Message,
-    recover: bool,
-    outbox: Option<&mut Outbox>,
-    decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
-) -> Option<T> {
-    if !recover {
-        return decode(&msg.bytes).ok();
-    }
-    let (seq, body) = wire::unframe(&msg.bytes)?;
-    if body == [TAG_ACK] {
-        if let Some(outbox) = outbox {
-            outbox.ack(seq);
-        }
-        return None;
-    }
-    let decoded = decode(body).ok()?;
-    ctx.send(from, Message::public(wire::frame(seq, &[TAG_ACK])));
-    Some(decoded)
+/// The ack of framed message `seq`.
+fn ack(seq: u64) -> WireMsg {
+    WireMsg::data(wire::frame(seq, &[TAG_ACK]), Label::Public)
 }
 
 /// The collector's label for an accumulator share: every contributor
 /// appears as an anonymous member with non-sensitive data.
-fn accum_label(user_items: &[(u64, UserId)]) -> Label {
-    Label::items(user_items.iter().flat_map(|&(_, u)| {
+fn accum_label(clients: &[UserId]) -> Label {
+    Label::items(clients.iter().flat_map(|&u| {
         [
             InfoItem::plain_identity(u, IdentityKind::Any),
             InfoItem::plain_data(u, DataKind::Measurement),
@@ -377,8 +418,9 @@ fn accum_label(user_items: &[(u64, UserId)]) -> Label {
     }))
 }
 
-struct ClientNode {
-    entity: EntityId,
+/// A reporting client: splits its measurement into one share per
+/// aggregator and is done once both are acked.
+struct Client {
     user: UserId,
     leader: Endpoint<ShareSubmission, Control, PrioAggregator>,
     helper: Endpoint<ShareSubmission, Control, PrioAggregator>,
@@ -388,20 +430,11 @@ struct ClientNode {
     outbox: Outbox,
 }
 
-impl Node for ClientNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_identity(self.user, IdentityKind::Any),
-        );
-        ctx.world.record(
-            self.entity,
-            InfoItem::sensitive_data(self.user, DataKind::Measurement),
-        );
-        ctx.world.crypto_op("prio_share");
+impl WireRole for Client {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        ctx.record(InfoItem::sensitive_identity(self.user, IdentityKind::Any));
+        ctx.record(InfoItem::sensitive_data(self.user, DataKind::Measurement));
+        ctx.crypto_op("prio_share");
         let shares = if self.malicious {
             crate::prio::submit_malicious(ctx.rng, self.bits)
         } else {
@@ -413,87 +446,149 @@ impl Node for ClientNode {
             InfoItem::sensitive_identity(self.user, IdentityKind::Any),
             InfoItem::plain_data(self.user, DataKind::Measurement),
         ]);
-        let delay = ctx.rng.gen_range(0..50_000u64);
-        let _ = delay; // submissions may race; the protocol is id-keyed
-        let leader = self.leader;
-        let helper = self.helper;
-        self.outbox.send_to(
-            ctx,
-            leader,
-            encode_submission(self.user.0, &shares[0]),
-            label.clone(),
-        );
-        self.outbox.send_to(
-            ctx,
-            helper,
-            encode_submission(self.user.0, &shares[1]),
-            label,
-        );
+        // Unused: the draw keeps the run RNG's order of draws, which the
+        // DST probes pin, from when it delayed the submissions.
+        ctx.rng.gen_range(0..50_000u64);
+        let id = self.user.0;
+        let leader = encode_submission(id, &shares[0]);
+        self.outbox
+            .send_to(ctx, self.leader, &leader, label.clone());
+        let helper = encode_submission(id, &shares[1]);
+        self.outbox.send_to(ctx, self.helper, &helper, label);
     }
-    fn on_message(&mut self, _ctx: &mut Ctx, _from: NodeId, msg: Message) {
-        if !self.outbox.enabled() {
-            return;
-        }
-        let Some((seq, body)) = wire::unframe(&msg.bytes) else {
-            return;
-        };
-        if body == [TAG_ACK] {
-            self.outbox.ack(seq);
+
+    fn on_frame(&mut self, _ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        if let Some((seq, [TAG_ACK])) = wire::unframe(&msg.payload) {
+            self.outbox.ack(from, seq);
         }
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
         self.outbox.on_timer(ctx, token);
+    }
+
+    fn finished(&self) -> bool {
+        self.outbox.is_empty()
     }
 }
 
+/// A submission in verification at one aggregator.
 struct Pending {
     sub: SubmissionShare,
     my_r1: VerifyMsg,
     my_z: Option<Vec<Fe>>,
 }
 
-struct LeaderNode {
-    entity: EntityId,
-    helper: Endpoint<Control, Control, PrioAggregator>,
-    collector: Endpoint<AccumShare, Control, AggCollector>,
+/// What the leader and the helper share: the task, who may send them
+/// what, their Prio state and the collector leg.
+struct Party {
+    bits: usize,
+    /// The clients' users in peer order: peer `FIRST_CLIENT + i` submits
+    /// under `clients[i]`'s id.
+    clients: Vec<UserId>,
     agg: Aggregator,
-    pending: HashMap<u64, Pending>,
-    /// Round-1 messages that arrived before our own share did.
-    early_r1: HashMap<u64, (VerifyMsg, Vec<Fe>)>,
-    expected: usize,
+    collector: Endpoint<AccumShare, Control, AggCollector>,
+    /// Submissions verified, valid or not: at most one per client, since
+    /// each client submits only under its own id.
     done: usize,
-    user_items: Vec<(u64, UserId)>,
-    sent_accum: bool,
-    recover: bool,
     outbox: Outbox,
 }
 
-impl LeaderNode {
-    fn maybe_finish(&mut self, ctx: &mut Ctx) {
-        if self.done == self.expected && !self.sent_accum {
-            self.sent_accum = true;
-            // The collector learns only the aggregate.
-            let collector = self.collector;
-            let label = accum_label(&self.user_items);
+impl Party {
+    /// The parse of a message from `from`: of the task's width, of a kind
+    /// `from` sends in the wiring, and a submission under `from`'s own id.
+    fn accept(&self, from: PeerId, body: &[u8]) -> Result<AggMsg, DecodeError> {
+        let msg = decode_agg(body, self.bits)?;
+        let sent = match &msg {
+            AggMsg::Submit(id, _) => {
+                let client = from.index().checked_sub(FIRST_CLIENT);
+                client.and_then(|i| self.clients.get(i)).map(|u| u.0) == Some(*id)
+            }
+            AggMsg::LeaderR1(..) | AggMsg::LeaderZ(..) => from == LEADER,
+            AggMsg::HelperR1Z(..) => from == HELPER,
+        };
+        if sent {
+            Ok(msg)
+        } else {
+            Err(DecodeError::Sender)
+        }
+    }
+
+    /// Take a delivery. An ack closes the message it names; any other
+    /// body that [`accept`](Party::accept)s is acked at once, as the
+    /// callback's first send, replays included (the previous ack may have
+    /// been lost in flight). A body that fails is dropped unacked, so an
+    /// honest sender retries it.
+    fn receive(&mut self, ctx: &mut WireCtx, from: PeerId, msg: &WireMsg) -> Option<AggMsg> {
+        let (seq, body) = wire::unframe(&msg.payload)?;
+        if body == [TAG_ACK] {
+            self.outbox.ack(from, seq);
+            return None;
+        }
+        let msg = self.accept(from, body).ok()?;
+        ctx.send(from, ack(seq));
+        Some(msg)
+    }
+
+    /// Count one verified submission; once every client's is in, send the
+    /// collector this party's accumulator share. The collector learns
+    /// only the aggregate.
+    fn count_done(&mut self, ctx: &mut WireCtx) {
+        self.done += 1;
+        if self.done == self.clients.len() {
+            let label = accum_label(&self.clients);
             self.outbox
-                .send_to(ctx, collector, encode_accum(&self.agg), label);
+                .send_to(ctx, self.collector, &encode_accum(&self.agg), label);
         }
     }
 }
 
-impl Node for LeaderNode {
-    fn entity(&self) -> EntityId {
-        self.entity
+/// The leader: opens round 1 for each submission and decides it on the
+/// helper's openings and products.
+struct Leader {
+    party: Party,
+    helper: Endpoint<Control, Control, PrioAggregator>,
+    pending: HashMap<u64, Pending>,
+    /// Round-1 messages that arrived before our own share did.
+    early_r1: HashMap<u64, (VerifyMsg, Vec<Fe>)>,
+}
+
+impl Leader {
+    fn finish_verification(
+        &mut self,
+        ctx: &mut WireCtx,
+        id: u64,
+        their_r1: VerifyMsg,
+        their_z: Vec<Fe>,
+    ) {
+        let Some(p) = self.pending.get_mut(&id) else {
+            return;
+        };
+        if p.my_z.is_some() {
+            return; // duplicated round-1: this submission already finished
+        }
+        ctx.crypto_op("prio_verify_r2");
+        let agg = &mut self.party.agg;
+        // The helper's openings or products do not match the submission:
+        // drop its message.
+        let Ok(my_z) = agg.verify_round2(&p.sub, &p.my_r1, &their_r1) else {
+            return;
+        };
+        if agg.finish(&p.sub, &my_z, &their_z).is_err() {
+            return;
+        }
+        // Tell the helper our product shares so it can decide identically.
+        let z = encode_verify(TAG_LEADER_Z, id, &VerifyMsg::default(), Some(&my_z));
+        p.my_z = Some(my_z);
+        let party = &mut self.party;
+        party.outbox.send_to(ctx, self.helper, &z, Label::Public);
+        party.count_done(ctx);
     }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let Some(msg) = receive(
-            ctx,
-            from,
-            &msg,
-            self.recover,
-            Some(&mut self.outbox),
-            decode_agg,
-        ) else {
+}
+
+impl WireRole for Leader {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some(msg) = self.party.receive(ctx, from, &msg) else {
             return;
         };
         match msg {
@@ -501,15 +596,12 @@ impl Node for LeaderNode {
                 if self.pending.contains_key(&id) {
                     return; // duplicated submission: first copy wins
                 }
-                ctx.world.crypto_op("prio_verify_r1");
-                let my_r1 = self.agg.verify_round1(&sub);
-                let helper = self.helper;
-                self.outbox.send_to(
-                    ctx,
-                    helper,
-                    encode_verify(TAG_LEADER_R1, id, &my_r1, None),
-                    Label::Public,
-                );
+                ctx.crypto_op("prio_verify_r1");
+                let my_r1 = self.party.agg.verify_round1(&sub);
+                let r1 = encode_verify(TAG_LEADER_R1, id, &my_r1, None);
+                self.party
+                    .outbox
+                    .send_to(ctx, self.helper, &r1, Label::Public);
                 self.pending.insert(
                     id,
                     Pending {
@@ -529,72 +621,30 @@ impl Node for LeaderNode {
                     self.early_r1.insert(id, (their_r1, their_z));
                 }
             }
-            AggMsg::LeaderR1(..) | AggMsg::LeaderZ(..) => {} // the helper's: ignore
+            AggMsg::LeaderR1(..) | AggMsg::LeaderZ(..) => {} // the leader's own kinds
         }
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        self.outbox.on_timer(ctx, token);
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        self.party.outbox.on_timer(ctx, token);
     }
 }
 
-impl LeaderNode {
-    fn finish_verification(
-        &mut self,
-        ctx: &mut Ctx,
-        id: u64,
-        their_r1: VerifyMsg,
-        their_z: Vec<Fe>,
-    ) {
-        let Some(p) = self.pending.get_mut(&id) else {
-            return;
-        };
-        if p.my_z.is_some() {
-            return; // duplicated round-1: this submission already finished
-        }
-        ctx.world.crypto_op("prio_verify_r2");
-        // The helper's openings or products do not match the submission:
-        // drop its message.
-        let Ok(my_z) = self.agg.verify_round2(&p.sub, &p.my_r1, &their_r1) else {
-            return;
-        };
-        if self.agg.finish(&p.sub, &my_z, &their_z).is_err() {
-            return;
-        }
-        p.my_z = Some(my_z.clone());
-        self.done += 1;
-        // Tell the helper our product shares so it can decide identically.
-        let helper = self.helper;
-        self.outbox.send_to(
-            ctx,
-            helper,
-            encode_verify(TAG_LEADER_Z, id, &VerifyMsg::default(), Some(&my_z)),
-            Label::Public,
-        );
-        self.maybe_finish(ctx);
-    }
-}
-
-struct HelperNode {
-    entity: EntityId,
+/// The helper: answers the leader's openings with its own and its
+/// products, and decides each submission on the leader's products.
+struct Helper {
+    party: Party,
     leader: Endpoint<Control, Control, PrioAggregator>,
-    collector: Endpoint<AccumShare, Control, AggCollector>,
-    agg: Aggregator,
     pending: HashMap<u64, Pending>,
     /// Submission ids ever accepted (dedup under duplicated deliveries).
-    seen: std::collections::HashSet<u64>,
+    seen: HashSet<u64>,
     early_r1: HashMap<u64, VerifyMsg>,
     early_z: HashMap<u64, Vec<Fe>>,
-    expected: usize,
-    done: usize,
-    user_items: Vec<(u64, UserId)>,
-    sent_accum: bool,
-    recover: bool,
-    outbox: Outbox,
 }
 
-impl HelperNode {
-    fn try_round2(&mut self, ctx: &mut Ctx, id: u64) {
-        let Some(p) = self.pending.get(&id) else {
+impl Helper {
+    fn try_round2(&mut self, ctx: &mut WireCtx, id: u64) {
+        let Some(p) = self.pending.get_mut(&id) else {
             return;
         };
         if p.my_z.is_some() {
@@ -603,60 +653,38 @@ impl HelperNode {
         let Some(their_r1) = self.early_r1.get(&id) else {
             return;
         };
-        ctx.world.crypto_op("prio_verify_r2");
-        let Ok(my_z) = self.agg.verify_round2(&p.sub, &p.my_r1, their_r1) else {
+        ctx.crypto_op("prio_verify_r2");
+        let Ok(my_z) = self.party.agg.verify_round2(&p.sub, &p.my_r1, their_r1) else {
             // The leader's openings do not match the submission: drop them.
             self.early_r1.remove(&id);
             return;
         };
         // Send round1 + z to the leader.
-        let my_r1 = p.my_r1.clone();
+        let r1z = encode_verify(TAG_HELPER_R1Z, id, &p.my_r1, Some(&my_z));
+        p.my_z = Some(my_z);
         let leader = self.leader;
-        self.outbox.send_to(
-            ctx,
-            leader,
-            encode_verify(TAG_HELPER_R1Z, id, &my_r1, Some(&my_z)),
-            Label::Public,
-        );
-        self.pending.get_mut(&id).unwrap().my_z = Some(my_z);
+        self.party.outbox.send_to(ctx, leader, &r1z, Label::Public);
         self.try_finish(ctx, id);
     }
 
-    fn try_finish(&mut self, ctx: &mut Ctx, id: u64) {
+    fn try_finish(&mut self, ctx: &mut WireCtx, id: u64) {
         let (Some(leader_z), Some(p)) = (self.early_z.get(&id), self.pending.get(&id)) else {
             return;
         };
         let Some(my_z) = &p.my_z else { return };
-        let verdict = self.agg.finish(&p.sub, my_z, leader_z);
+        let verdict = self.party.agg.finish(&p.sub, my_z, leader_z);
         self.early_z.remove(&id);
         if verdict.is_err() {
             return; // the leader's products do not match the submission: drop them
         }
         self.pending.remove(&id);
-        self.done += 1;
-        if self.done == self.expected && !self.sent_accum {
-            self.sent_accum = true;
-            let collector = self.collector;
-            let label = accum_label(&self.user_items);
-            self.outbox
-                .send_to(ctx, collector, encode_accum(&self.agg), label);
-        }
+        self.party.count_done(ctx);
     }
 }
 
-impl Node for HelperNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let Some(msg) = receive(
-            ctx,
-            from,
-            &msg,
-            self.recover,
-            Some(&mut self.outbox),
-            decode_agg,
-        ) else {
+impl WireRole for Helper {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some(msg) = self.party.receive(ctx, from, &msg) else {
             return;
         };
         match msg {
@@ -664,8 +692,8 @@ impl Node for HelperNode {
                 if !self.seen.insert(id) {
                     return; // duplicated submission: first copy wins
                 }
-                ctx.world.crypto_op("prio_verify_r1");
-                let my_r1 = self.agg.verify_round1(&sub);
+                ctx.crypto_op("prio_verify_r1");
+                let my_r1 = self.party.agg.verify_round1(&sub);
                 self.pending.insert(
                     id,
                     Pending {
@@ -684,55 +712,74 @@ impl Node for HelperNode {
                 self.early_z.insert(id, leader_z);
                 self.try_finish(ctx, id);
             }
-            AggMsg::HelperR1Z(..) => {} // the leader's: ignore
+            AggMsg::HelperR1Z(..) => {} // the helper's own kind
         }
     }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        self.outbox.on_timer(ctx, token);
+
+    fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+        self.party.outbox.on_timer(ctx, token);
     }
 }
 
-struct CollectorNode {
-    entity: EntityId,
-    /// One accumulator share per aggregator node (dedup by sender).
-    shares: Vec<(NodeId, Fe)>,
-    result: Rc<RefCell<Option<u64>>>,
-    /// Is the run's recovery layer on?
-    recover: bool,
+/// The collector: takes one accumulator share from each aggregator and
+/// releases their sum once both fold the same number of submissions.
+struct Collector {
+    /// Clients in the task: no share folds more submissions.
+    clients: usize,
+    /// One `(sender, share, submissions folded)` per aggregator.
+    shares: Vec<(PeerId, Fe, u64)>,
+    aggregate: Arc<Mutex<Option<u64>>>,
 }
 
-impl Node for CollectorNode {
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-    fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-        let Some(share) = receive(ctx, from, &msg, self.recover, None, decode_accum) else {
+impl WireRole for Collector {
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        let Some((seq, body)) = wire::unframe(&msg.payload) else {
             return;
         };
-        if self.shares.iter().any(|(n, _)| *n == from) {
-            return; // duplicated accumulator share from the same node
+        // Only the two aggregators send accumulator shares.
+        if from != LEADER && from != HELPER {
+            return;
         }
-        self.shares.push((from, share));
-        if self.shares.len() == 2 {
-            *self.result.borrow_mut() =
-                Some(crate::prio::collect(self.shares[0].1, self.shares[1].1));
+        let Ok((share, folded)) = decode_accum(body, self.clients) else {
+            return;
+        };
+        ctx.send(from, ack(seq));
+        if self.shares.iter().any(|s| s.0 == from) {
+            return; // duplicated accumulator share from the same aggregator
+        }
+        self.shares.push((from, share, folded));
+        if let [(_, a, n), (_, b, m)] = self.shares[..] {
+            if n != m {
+                return; // the shares sum different submissions: release nothing
+            }
+            *lock(&self.aggregate) = Some(crate::prio::collect(a, b));
             // The whole aggregation round, submission through reconstruction.
-            ctx.world.span("aggregate", 0, ctx.now.as_us());
+            ctx.span("aggregate", 0, ctx.now_us());
+            for _ in 0..n {
+                ctx.unit_done();
+            }
         }
     }
 }
 
-/// Build and run one world. `wrap` gets each service role's node
-/// (leader 0, helper 1, collector 2) as it joins the network.
-fn run_impl(
-    config: &PpmConfig,
-    opts: &RunOptions,
-    wrap: &dyn Fn(usize, Box<dyn Node>) -> Box<dyn Node>,
-) -> PpmReport {
-    use rand::SeedableRng;
-    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0x99a1);
+/// A built PPM run: its roles, where the collector leaves the aggregate,
+/// and the sum of the honest clients' values.
+struct Wiring {
+    spec: ServeSpec,
+    aggregate: Arc<Mutex<Option<u64>>>,
+    expected_sum: u64,
+}
 
-    let (mut world, harness) = Harness::begin(Ppm::NAME, config.seed, opts);
+/// Build the PPM world and roles for either engine. Peer ids: the leader
+/// 0, the helper 1, the collector 2, then the clients.
+///
+/// The world mutation order and the setup RNG's draws are load-bearing:
+/// a metrics sink observes entity creation in sequence, and the DST
+/// probes are byte-identical across refactors only if both hold.
+fn wiring(cfg: &PpmConfig, seed: u64, mut world: World, opts: &RunOptions) -> Wiring {
+    use rand::SeedableRng;
+    let mut setup_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x99a1);
+
     let user_org = world.add_org("users");
     let leader_org = world.add_org("aggregator-a");
     let helper_org = world.add_org("aggregator-b");
@@ -741,131 +788,100 @@ fn run_impl(
     let helper_e = world.add_entity("Helper Aggregator", helper_org, None);
     let collector_e = world.add_entity("Collector", collector_org, None);
 
-    let mut users = Vec::new();
-    let mut client_entities = Vec::new();
-    let mut values = Vec::new();
-    for i in 0..config.clients {
-        let u = world.add_user();
-        let name = if i == 0 {
-            "Client".to_string()
-        } else {
-            format!("Client {}", i + 1)
+    let mut clients = Vec::new();
+    let mut expected_sum = 0;
+    for i in 0..cfg.clients {
+        let user = world.add_user();
+        let e = world.add_entity(&nth("Client", ' ', i), user_org, Some(user));
+        let value = setup_rng.gen_range(0..(1u64 << cfg.bits));
+        if i >= cfg.malicious {
+            expected_sum += value;
+        }
+        clients.push((user, e, value));
+    }
+    let users: Vec<UserId> = clients.iter().map(|c| c.0).collect();
+    let outbox = |salt| Outbox::new(ReliableCall::new(&opts.recover, derive_seed(seed, salt)));
+    let party = |agg, salt| Party {
+        bits: cfg.bits,
+        clients: users.clone(),
+        agg,
+        collector: Endpoint::new(2),
+        done: 0,
+        outbox: outbox(salt),
+    };
+    let leader = Leader {
+        party: party(Aggregator::new(0), 0x991d),
+        helper: Endpoint::new(1),
+        pending: HashMap::new(),
+        early_r1: HashMap::new(),
+    };
+    let helper = Helper {
+        party: party(Aggregator::new(1), 0x991e),
+        leader: Endpoint::new(0),
+        pending: HashMap::new(),
+        seen: HashSet::new(),
+        early_r1: HashMap::new(),
+        early_z: HashMap::new(),
+    };
+    let aggregate = Arc::new(Mutex::new(None));
+    let collector = Collector {
+        clients: cfg.clients,
+        shares: Vec::new(),
+        aggregate: aggregate.clone(),
+    };
+    let mut roles = vec![
+        RoleSpec::of::<PrioAggregator>("leader", leader_e, Box::new(leader)),
+        RoleSpec::of::<PrioAggregator>("helper", helper_e, Box::new(helper)),
+        RoleSpec::of::<AggCollector>("collector", collector_e, Box::new(collector)),
+    ];
+    for (i, (user, e, value)) in clients.into_iter().enumerate() {
+        let client = Client {
+            user,
+            leader: Endpoint::new(0),
+            helper: Endpoint::new(1),
+            value,
+            bits: cfg.bits,
+            malicious: i < cfg.malicious,
+            outbox: outbox(0x99a0 + i as u64),
         };
-        client_entities.push(world.add_entity(&name, user_org, Some(u)));
-        users.push(u);
-        values.push(setup_rng.gen_range(0..(1u64 << config.bits)));
+        roles.push(RoleSpec::of::<Reporter>(
+            nth("client", '-', i),
+            e,
+            Box::new(client),
+        ));
     }
-    let expected_sum: u64 = values
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i >= config.malicious)
-        .map(|(_, &v)| v)
-        .sum();
-
-    let mut net = harness.network(world, LinkParams::wan_ms(10));
-    // One node, several typed views: the helper is a `Control` peer to
-    // the leader but a `ShareSubmission` sink to the clients.
-    let collector_ep: Endpoint<AccumShare, Control, AggCollector> = Endpoint::new(2);
-    let user_items: Vec<(u64, UserId)> = users.iter().map(|&u| (u.0, u)).collect();
-
-    let recover_on = opts.recover.enabled;
-    Harness::add_role::<PrioAggregator>(
-        &mut net,
-        wrap(
-            0,
-            Box::new(LeaderNode {
-                entity: leader_e,
-                helper: Endpoint::new(1),
-                collector: collector_ep,
-                agg: Aggregator::new(0),
-                pending: HashMap::new(),
-                early_r1: HashMap::new(),
-                expected: config.clients,
-                done: 0,
-                user_items: user_items.clone(),
-                sent_accum: false,
-                recover: recover_on,
-                outbox: Outbox::from_config(&opts.recover, derive_seed(config.seed, 0x991d)),
-            }),
-        ),
-    );
-    Harness::add_role::<PrioAggregator>(
-        &mut net,
-        wrap(
-            1,
-            Box::new(HelperNode {
-                entity: helper_e,
-                leader: Endpoint::new(0),
-                collector: collector_ep,
-                agg: Aggregator::new(1),
-                pending: HashMap::new(),
-                seen: std::collections::HashSet::new(),
-                early_r1: HashMap::new(),
-                early_z: HashMap::new(),
-                expected: config.clients,
-                done: 0,
-                user_items,
-                sent_accum: false,
-                recover: recover_on,
-                outbox: Outbox::from_config(&opts.recover, derive_seed(config.seed, 0x991e)),
-            }),
-        ),
-    );
-    let result = Rc::new(RefCell::new(None));
-    Harness::add_role::<AggCollector>(
-        &mut net,
-        wrap(
-            2,
-            Box::new(CollectorNode {
-                entity: collector_e,
-                shares: Vec::new(),
-                result: result.clone(),
-                recover: recover_on,
-            }),
-        ),
-    );
-    for (i, ((&u, &e), &v)) in users
-        .iter()
-        .zip(client_entities.iter())
-        .zip(values.iter())
-        .enumerate()
-    {
-        Harness::add_role::<Reporter>(
-            &mut net,
-            Box::new(ClientNode {
-                entity: e,
-                user: u,
-                leader: Endpoint::new(0),
-                helper: Endpoint::new(1),
-                value: v,
-                bits: config.bits,
-                malicious: i < config.malicious,
-                outbox: Outbox::from_config(
-                    &opts.recover,
-                    derive_seed(config.seed, 0x99a0 + i as u64),
-                ),
-            }),
-        );
+    Wiring {
+        spec: ServeSpec {
+            scenario: Ppm::NAME,
+            world,
+            roles,
+            expected_units: (cfg.clients - cfg.malicious) as u64,
+            taps: Vec::new(),
+        },
+        aggregate,
+        expected_sum,
     }
+}
 
-    let core = harness.finish(net);
-    let aggregate = *result.borrow();
-
-    // Accepted/rejected counts are symmetric; read them from the trace-
-    // independent expectation: recompute from aggregate presence.
-    let rejected = config.malicious;
-    let accepted = config.clients - config.malicious;
+/// One simulated run.
+fn simulate(cfg: &PpmConfig, seed: u64, opts: &RunOptions) -> PpmReport {
+    let (world, harness) = Harness::begin(Ppm::NAME, seed, opts);
+    let w = wiring(cfg, seed, world, opts);
+    let users = w.spec.world.users().to_vec();
+    let expected = w.spec.expected_units;
+    let core = harness.run_spec(w.spec, LinkParams::wan_ms(10), Vec::new());
+    let aggregate = *lock(&w.aggregate);
     PpmReport {
         world: core.world,
         trace: core.trace,
         aggregate,
-        expected_sum,
-        accepted,
-        rejected,
+        expected_sum: w.expected_sum,
+        accepted: cfg.clients - cfg.malicious,
+        rejected: cfg.malicious,
         users,
         fault_log: core.fault_log,
         metrics: core.metrics,
-        expected: (config.clients - config.malicious) as u64,
+        expected,
         retry_linkage: Vec::new(),
     }
 }
@@ -874,8 +890,11 @@ fn run_impl(
 mod tests {
     use super::*;
     use crate::field::P;
+    use crate::prio::tests::laid;
     use dcp_core::{analyze, collusion::entity_collusion, FaultConfig};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn run(config: PpmConfig) -> PpmReport {
         Ppm::run(&config, config.seed)
@@ -962,31 +981,46 @@ mod tests {
         }
     }
 
+    /// Run `cfg` with role `at` wrapped by `wrap`: the aggregate, the
+    /// honest sum, and the run's metrics.
+    fn run_wrapped(
+        cfg: &PpmConfig,
+        opts: &RunOptions,
+        at: usize,
+        wrap: impl FnOnce(Box<dyn WireRole>) -> Box<dyn WireRole>,
+    ) -> (Option<u64>, u64, MetricsReport) {
+        let (world, harness) = Harness::begin(Ppm::NAME, cfg.seed, opts);
+        let mut w = wiring(cfg, cfg.seed, world, opts);
+        let spec = w.spec.roles.remove(at);
+        let role = wrap(spec.role);
+        w.spec.roles.insert(at, RoleSpec { role, ..spec });
+        let core = harness.run_spec(w.spec, LinkParams::wan_ms(10), Vec::new());
+        let aggregate = *lock(&w.aggregate);
+        (aggregate, w.expected_sum, core.metrics)
+    }
+
     /// Hands its role, once, the first framed protocol body it receives
     /// cut to its tag byte: a frame that cannot decode.
     struct CutFirst {
-        inner: Box<dyn Node>,
+        inner: Box<dyn WireRole>,
         cut: bool,
     }
 
-    impl Node for CutFirst {
-        fn entity(&self) -> EntityId {
-            self.inner.entity()
-        }
-        fn on_start(&mut self, ctx: &mut Ctx) {
+    impl WireRole for CutFirst {
+        fn on_start(&mut self, ctx: &mut WireCtx) {
             self.inner.on_start(ctx);
         }
-        fn on_message(&mut self, ctx: &mut Ctx, from: NodeId, msg: Message) {
-            match wire::unframe(&msg.bytes) {
-                Some((seq, body)) if !self.cut && body != [TAG_ACK] => {
+        fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, mut msg: WireMsg) {
+            match wire::unframe(&msg.payload) {
+                Some((_, body)) if !self.cut && body != [TAG_ACK] => {
                     self.cut = true;
-                    let cut = Message::new(wire::frame(seq, &body[..1]), msg.label.clone());
-                    self.inner.on_message(ctx, from, cut);
+                    msg.payload.truncate(wire::SEQ_LEN + 1);
+                    self.inner.on_frame(ctx, from, msg);
                 }
-                _ => self.inner.on_message(ctx, from, msg),
+                _ => self.inner.on_frame(ctx, from, msg),
             }
         }
-        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+        fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
             self.inner.on_timer(ctx, token);
         }
     }
@@ -1000,24 +1034,145 @@ mod tests {
             seed: 9,
         };
         let opts = RunOptions::recovered(&FaultConfig::calm()).observe(true);
-        let calm = run_impl(&config, &opts, &|_, node| node);
+        let calm = Ppm::run_with(&config, config.seed, &opts);
         assert_eq!(calm.aggregate, Some(calm.expected_sum));
         assert_eq!(calm.metrics.recovery_retries, 0, "a calm run never retries");
         for role in ["leader", "helper", "collector"].into_iter().enumerate() {
-            let report = run_impl(&config, &opts, &|i, node| {
-                if i == role.0 {
-                    Box::new(CutFirst {
-                        inner: node,
-                        cut: false,
-                    })
-                } else {
-                    node
-                }
+            let (aggregate, expected_sum, metrics) = run_wrapped(&config, &opts, role.0, |inner| {
+                Box::new(CutFirst { inner, cut: false })
             });
             // An ack would have closed the sender's call: only its retry
             // can deliver the body the role never decoded.
-            assert!(report.metrics.recovery_retries > 0, "{role:?}: no retry");
-            assert_eq!(report.aggregate, Some(report.expected_sum), "{role:?}");
+            assert!(metrics.recovery_retries > 0, "{role:?}: no retry");
+            assert_eq!(aggregate, Some(expected_sum), "{role:?}");
+        }
+    }
+
+    /// A client that first sends each of `forged` to its peer, framed
+    /// under a number from 100 on, which its outbox never uses, then runs
+    /// as itself. It logs the numbers of the acks it gets.
+    struct Forger {
+        inner: Box<dyn WireRole>,
+        forged: Vec<(PeerId, Vec<u8>)>,
+        acks: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl WireRole for Forger {
+        fn on_start(&mut self, ctx: &mut WireCtx) {
+            for (seq, (to, body)) in (100..).zip(self.forged.drain(..)) {
+                ctx.send(to, WireMsg::data(wire::frame(seq, &body), Label::Public));
+            }
+            self.inner.on_start(ctx);
+        }
+        fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+            if let Some((seq, [TAG_ACK])) = wire::unframe(&msg.payload) {
+                lock(&self.acks).push(seq);
+            }
+            self.inner.on_frame(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut WireCtx, token: u64) {
+            self.inner.on_timer(ctx, token);
+        }
+        fn finished(&self) -> bool {
+            self.inner.finished()
+        }
+    }
+
+    /// Three clients in a task `bits` wide, the first of them (user 0, at
+    /// peer 3) a [`Forger`] of what `forge` builds, on a recovered calm
+    /// run. Asserts that no forged frame is acked and that the aggregate
+    /// is the honest sum.
+    fn forge_at_first_client(
+        bits: usize,
+        forge: impl FnOnce(&mut StdRng) -> Vec<(PeerId, Vec<u8>)>,
+    ) {
+        let config = PpmConfig {
+            clients: 3,
+            bits,
+            malicious: 0,
+            seed: 12,
+        };
+        let opts = RunOptions::recovered(&FaultConfig::calm());
+        let forged = forge(&mut StdRng::seed_from_u64(5));
+        let acks = Arc::new(Mutex::new(Vec::new()));
+        let log = acks.clone();
+        let (aggregate, expected_sum, _) = run_wrapped(&config, &opts, FIRST_CLIENT, |inner| {
+            Box::new(Forger {
+                inner,
+                forged,
+                acks: log,
+            })
+        });
+        let acks = lock(&acks).clone();
+        assert_eq!(acks, [0, 1], "only the client's own two shares are acked");
+        assert_eq!(aggregate, Some(expected_sum));
+    }
+
+    #[test]
+    fn submissions_of_another_width_are_dropped_unacked() {
+        forge_at_first_client(32, |rng| {
+            let mut forged = Vec::new();
+            // 40 and 65 bits, under the client's own id.
+            for parts in [&[(1, 32), (1, 8)][..], &[(1, 32), (1, 32), (1, 1)]] {
+                let [a, b] = laid(rng, parts);
+                forged.push((LEADER, encode_submission(0, &a)));
+                forged.push((HELPER, encode_submission(0, &b)));
+            }
+            forged
+        });
+    }
+
+    #[test]
+    fn a_submission_under_another_clients_id_is_dropped_unacked() {
+        forge_at_first_client(4, |rng| {
+            // Client 2's id (user 1), with every bit set.
+            let [a, b] = crate::prio::submit(rng, 15, 4);
+            vec![
+                (LEADER, encode_submission(1, &a)),
+                (HELPER, encode_submission(1, &b)),
+            ]
+        });
+    }
+
+    #[test]
+    fn aggregator_and_collector_messages_from_a_client_change_nothing() {
+        forge_at_first_client(4, |rng| {
+            let fes = |rng: &mut StdRng| (0..4).map(|_| Fe::random(rng)).collect::<Vec<_>>();
+            let r1 = VerifyMsg {
+                d: fes(rng),
+                e: fes(rng),
+            };
+            let z = fes(rng);
+            let mut accum = Aggregator::new(0);
+            accum.accum = Fe::random(rng);
+            accum.accepted = 1;
+            // For client 2's submission (user 1), at the peer each kind
+            // goes to in the wiring.
+            vec![
+                (HELPER, encode_verify(TAG_LEADER_R1, 1, &r1, None)),
+                (
+                    HELPER,
+                    encode_verify(TAG_LEADER_Z, 1, &VerifyMsg::default(), Some(&z)),
+                ),
+                (LEADER, encode_verify(TAG_HELPER_R1Z, 1, &r1, Some(&z))),
+                (PeerId(2), encode_accum(&accum)),
+            ]
+        });
+    }
+
+    #[test]
+    fn served_roles_are_the_aggregators_the_collector_then_the_clients() {
+        let serve = Ppm::REGISTRATION.serve.expect("servable");
+        let (spec, _) = serve(2, 3, 7).unwrap();
+        let names: Vec<&str> = spec.roles.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["leader", "helper", "collector", "client", "client-2"]
+        );
+        assert_eq!(spec.expected_units, 2, "one measurement per client");
+        for bits in [0, 33] {
+            let refused = serve(2, bits, 7).err().expect("outside 1..=32");
+            assert!(refused.contains(&format!("{bits}-bit")), "{refused}");
         }
     }
 

@@ -17,8 +17,8 @@
 //! * **Zero cost when disabled.** With [`RecoverConfig::disabled`] no
 //!   timer is armed and no retry state allocated. Whether a sequence
 //!   number is framed is the wiring's choice ([`wire`]): seam-role
-//!   wirings (the DNS family, MPR, Privacy Pass, blind cash, PGPP, the
-//!   VPN and ECH) always frame, node wirings only under recovery.
+//!   wirings (the DNS family, MPR, Privacy Pass, blind cash, PGPP, PPM,
+//!   the VPN and ECH) always frame, mixnet's nodes only under recovery.
 //! * **Re-randomized retransmission.** A retry never replays bytes; the
 //!   client re-runs the encryption/blinding step (fresh HPKE
 //!   encapsulation, fresh blind factor). Byte-identical retries would let

@@ -15,20 +15,21 @@
 //! * [`seam`] — the sim/prod transport seam: [`seam::WireRole`] protocol
 //!   logic written once and hosted by both engines. The DNS family
 //!   (ODoH, legacy ODNS, direct DNS), MPR, Privacy Pass, blind cash,
-//!   PGPP, the VPN and ECH are written this way. `dcp-serve` runs them over real
-//!   TCP sockets, with information-flow labels riding an out-of-band
-//!   verification channel (never the socket); [`Harness::run_spec`] runs
-//!   them here, on the simulator the DST drives, each role through a
-//!   `Node` adapter (the simnet host), with the spec's passive taps
-//!   installed as wiretaps.
+//!   PGPP, PPM, the VPN and ECH are written this way. `dcp-serve` runs
+//!   them over real TCP sockets, with information-flow labels riding an
+//!   out-of-band verification channel (never the socket);
+//!   [`Harness::run_spec`] runs them here, on the simulator the DST
+//!   drives, each role through a `Node` adapter (the simnet host), with
+//!   the spec's passive taps installed as wiretaps.
 //! * [`Driver`] — the attempt loop of mixnet, the last wiring with
 //!   simulator-node clients: an ARQ plus a typed in-flight table,
 //!   with the `RecoveryRetry`/`RecoveryGiveUp` observability emits
 //!   sequenced in one order. Seam clients get the same emits from
 //!   [`seam::WireCtx::arq_timer`].
-//! * [`Outbox`] — the one-way reliable sender (explicit-ack flows like
-//!   PPM's, where a share pair is a one-time instrument retransmitted
-//!   byte-identically and deduped receiver-side).
+//! * [`Outbox`] — the sender of a seam role whose messages get only an
+//!   ack (PPM's): it frames each message, keeps it open until the peer
+//!   it went to acks it, and under recovery resends it byte-identically
+//!   (a share pair is a one-time instrument, deduped receiver-side).
 //! * [`Harness`] — run setup/teardown: metrics-sink bracketing, network
 //!   construction with fault arming, role-typed node registration, and
 //!   [`RunCore`] assembly (world, trace, fault log, metrics) that every

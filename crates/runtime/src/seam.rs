@@ -49,6 +49,12 @@ use rand::rngs::StdRng;
 pub use dcp_transport::frame::{checked_wire_len, Frame, FrameRef, FrameType, MAX_PAYLOAD};
 pub use dcp_transport::TransportError;
 
+/// Hard cap on one frame's payload over a real socket (`dcp-serve`
+/// refuses a longer length prefix before buffering a byte of it). A
+/// wiring whose served workload would need a longer frame refuses that
+/// workload up front.
+pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
+
 /// Identifies one role instance inside a [`ServeSpec`] wiring: the index
 /// into [`ServeSpec::roles`]. Compact (`u16`) because it rides the
 /// connection-hello frame in multi-process mode.

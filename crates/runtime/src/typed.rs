@@ -4,8 +4,10 @@
 //! a seam [`WireCtx::send`](crate::seam::WireCtx::send) — so those are
 //! the two places the [`Admits`] witness is forced. A wiring that holds
 //! label-bounded [`Endpoint`]s and routes every forward-path transmission
-//! through [`TypedSend::send_to`] (or the [`Driver`](crate::Driver) /
-//! [`Outbox`](crate::Outbox) helpers built on it) cannot deliver a
+//! through [`TypedSend::send_to`] (or the [`Driver`](crate::Driver)
+//! helper built on it) or through
+//! [`WireCtx::send_to`](crate::seam::WireCtx::send_to) (or the
+//! [`Outbox`](crate::Outbox) built on that) cannot deliver a
 //! message whose plaintext-visible caps exceed the receiving role's
 //! declared [`KnowledgeCap`](dcp_core::KnowledgeCap): the build fails at
 //! the send site with a `knowledge-cap violation` const panic.

@@ -14,11 +14,12 @@ use dcp_transport::frame::{Frame, FrameType};
 use dcp_transport::TransportError;
 use std::io::Write;
 
-/// Hard cap on a single frame's payload arriving over a real socket.
-/// Every protocol message in the workspace is well under this; anything
-/// larger is an attack or a bug, and is rejected *from the length prefix
-/// alone* — before buffering a single payload byte.
-pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
+/// Hard cap on a single frame's payload arriving over a real socket,
+/// defined beside the seam so that wirings can size their served
+/// workloads by it. Anything larger is an attack or a bug, and is
+/// rejected *from the length prefix alone* — before buffering a single
+/// payload byte.
+pub use dcp_runtime::seam::MAX_FRAME_PAYLOAD;
 
 /// Incremental frame reassembler for socket streams, the hardened
 /// production twin of `dcp_transport::frame::Framer`.

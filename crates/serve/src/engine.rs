@@ -19,7 +19,9 @@
 //! rule — `world.observe(entity, &label)` *before* the role sees the
 //! frame. The bus also holds the spec's taps: a label pushed onto a
 //! tapped link is observed by the tap's observer right then, as the
-//! simulator's wiretap observes a message when it is sent. In
+//! simulator's wiretap observes a message when it is sent. And it counts
+//! what is pending, so a loopback run ends where the simulator's does
+//! (see [`run_loopback`]). In
 //! multi-process mode there is no shared bus or world: the hello only
 //! identifies the peer, frames deliver with `Label::Public`, and the twin
 //! check belongs to the loopback run.
@@ -105,15 +107,25 @@ impl Default for ServeConfig {
 /// connection per pair keeps bytes and labels in lock-step. A label
 /// pushed onto a link one of `taps` watches is observed by that tap's
 /// observer as it is pushed.
+///
+/// `pending` counts the run's outstanding work: each host from its
+/// creation until its start callback returns, each frame from its
+/// label's push until the receiver's callback for it returns, and each
+/// timer while it is armed. Every count is taken before the work it
+/// stands for can finish, and a callback's own sends and timers are
+/// counted before the callback's item is settled, so zero means quiet
+/// for good.
 #[derive(Default)]
 pub(crate) struct LabelBus {
     queues: Mutex<HashMap<(u16, u16), VecDeque<Label>>>,
     nonces: Mutex<HashMap<u64, u16>>,
     taps: Vec<WireTap>,
+    pending: AtomicUsize,
 }
 
 impl LabelBus {
     fn push(&self, world: &Mutex<World>, from: u16, to: u16, label: Label) {
+        self.pending.fetch_add(1, Ordering::SeqCst);
         for tap in self
             .taps
             .iter()
@@ -238,19 +250,28 @@ impl RoleHost {
         }
     }
 
+    /// Host the role until shutdown. An initiator reports once when it
+    /// finishes; in process mode it then stops, while in loopback mode it
+    /// keeps taking frames and timers, as a finished simulator node does,
+    /// until the run ends.
     fn run(mut self) -> Result<(), ServeError> {
         self.listener
             .set_nonblocking(true)
             .map_err(ServeError::Io)?;
         self.call(|role, ctx| role.on_start(ctx))?;
+        self.settle();
+        let mut reported = false;
         let mut buf = [0u8; 4096];
         loop {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            if self.kind == RoleKind::Initiator && self.role.finished() {
+            if self.kind == RoleKind::Initiator && !reported && self.role.finished() {
+                reported = true;
                 self.shared.initiators_done.fetch_add(1, Ordering::SeqCst);
-                break;
+                if self.shared.bus.is_none() {
+                    break;
+                }
             }
             let mut progress = self.fire_due_timers()?;
 
@@ -382,6 +403,7 @@ impl RoleHost {
                     label,
                 };
                 self.call(|role, ctx| role.on_frame(ctx, PeerId(from), msg))?;
+                self.settle();
                 Ok(true)
             }
         }
@@ -396,6 +418,7 @@ impl RoleHost {
             }
             let token = entry.remove();
             self.call(|role, ctx| role.on_timer(ctx, token))?;
+            self.settle();
             fired = true;
         }
         Ok(fired)
@@ -421,11 +444,22 @@ impl RoleHost {
             };
             self.timers.insert((at, self.timers_armed), token);
             self.timers_armed += 1;
+            if let Some(bus) = &self.shared.bus {
+                bus.pending.fetch_add(1, Ordering::SeqCst);
+            }
         }
         for (to, msg) in fx.out {
             self.send(to.0, msg)?;
         }
         Ok(())
+    }
+
+    /// Loopback only: settle the start, frame or timer a callback just
+    /// handled.
+    fn settle(&self) {
+        if let Some(bus) = &self.shared.bus {
+            bus.pending.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     fn send(&mut self, to: u16, msg: WireMsg) -> Result<(), ServeError> {
@@ -548,9 +582,11 @@ fn write_frame_retry(
 
 /// Run a whole wiring in one process: every role a thread, traffic over
 /// real loopback TCP, labels on the in-memory side channel, the world a
-/// shared twin ledger. Returns when every initiator role reports
-/// [`WireRole::finished`] (or the deadline passes), after gracefully
-/// shutting the service hosts down.
+/// shared twin ledger. The run ends as the simulator's does: once every
+/// initiator role reports [`WireRole::finished`] and nothing is pending
+/// (every host has started, every frame sent has been handled by its
+/// receiver's callback, and no timer is armed), or when the deadline
+/// passes. Then every host is shut down gracefully.
 pub fn run_loopback(spec: ServeSpec, cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     let n = spec.roles.len();
     let mut listeners = Vec::with_capacity(n);
@@ -570,6 +606,7 @@ pub fn run_loopback(spec: ServeSpec, cfg: &ServeConfig) -> Result<ServeOutcome, 
     let world = Arc::new(Mutex::new(spec.world));
     let bus = Arc::new(LabelBus {
         taps: spec.taps,
+        pending: AtomicUsize::new(n),
         ..LabelBus::default()
     });
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -597,10 +634,15 @@ pub fn run_loopback(spec: ServeSpec, cfg: &ServeConfig) -> Result<ServeOutcome, 
         handles.push((name, std::thread::spawn(move || host.run())));
     }
 
-    // Drive the run: initiators finish on their own; services are shut
-    // down gracefully afterwards. The deadline bounds a wedged run.
+    // Drive the run: initiators finish on their own, and what they set
+    // off settles; every host is shut down gracefully afterwards. The
+    // deadline bounds a wedged run.
     let deadline = Instant::now() + cfg.deadline;
-    while initiators_done.load(Ordering::SeqCst) < initiators && Instant::now() < deadline {
+    let quiet = || {
+        initiators_done.load(Ordering::SeqCst) == initiators
+            && bus.pending.load(Ordering::SeqCst) == 0
+    };
+    while !quiet() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
     shutdown.store(true, Ordering::SeqCst);
@@ -773,6 +815,68 @@ mod tests {
         let outcome = run_loopback(spec, &cfg).expect("run completes");
         assert_eq!(outcome.completed_units, 1, "the timer fired exactly once");
         assert!(outcome.complete());
+    }
+
+    /// An initiator that is finished as soon as it has sent one frame,
+    /// and a service that counts that frame only on a timer it arms on
+    /// receipt: the run ends once the timer has fired, not when the
+    /// initiator finishes. With no frame sent, it ends at once.
+    #[test]
+    fn loopback_runs_end_once_nothing_is_pending() {
+        use dcp_core::role::RoleKind;
+        use dcp_runtime::seam::RoleSpec;
+
+        struct Kick(bool);
+        impl WireRole for Kick {
+            fn on_start(&mut self, ctx: &mut WireCtx) {
+                if self.0 {
+                    ctx.send(PeerId(1), WireMsg::data(vec![1], Label::Public));
+                }
+            }
+            fn on_frame(&mut self, _: &mut WireCtx, _: PeerId, _: WireMsg) {}
+            fn finished(&self) -> bool {
+                true
+            }
+        }
+        struct Later;
+        impl WireRole for Later {
+            fn on_frame(&mut self, ctx: &mut WireCtx, _: PeerId, _: WireMsg) {
+                ctx.set_timer(50_000, 1);
+            }
+            fn on_timer(&mut self, ctx: &mut WireCtx, _: u64) {
+                ctx.unit_done();
+            }
+        }
+
+        for kick in [true, false] {
+            let mut world = World::new();
+            let org = world.add_org("o");
+            let entity = world.add_entity("E", org, None);
+            let role = |name: &str, kind, role| RoleSpec {
+                name: name.into(),
+                entity,
+                kind,
+                role,
+            };
+            let spec = ServeSpec {
+                scenario: "settle",
+                world,
+                roles: vec![
+                    role("kick", RoleKind::Initiator, Box::new(Kick(kick))),
+                    role("later", RoleKind::Service, Box::new(Later)),
+                ],
+                expected_units: u64::from(kick),
+                taps: Vec::new(),
+            };
+            let cfg = ServeConfig {
+                deadline: Duration::from_secs(30),
+                ..ServeConfig::default()
+            };
+            let t = Instant::now();
+            let outcome = run_loopback(spec, &cfg).expect("run completes");
+            assert_eq!(outcome.completed_units, u64::from(kick), "kick {kick}");
+            assert!(t.elapsed() < Duration::from_secs(10), "kick {kick}: waited");
+        }
     }
 
     /// A peer that binds late (restart, slow start) is reached by the

@@ -16,8 +16,9 @@
 //! The engine is deliberately minimal: nonblocking sockets polled by a
 //! thread-per-role loop, length-prefixed frames reusing the
 //! `dcp-transport` wire format, a bounded connection set whose cap *is*
-//! the accept backpressure, and graceful shutdown driven by initiator
-//! completion. What it is not minimal about is failure: every byte
+//! the accept backpressure, and graceful shutdown once every initiator
+//! has finished and (in loopback mode) nothing is pending. What it is
+//! not minimal about is failure: every byte
 //! arriving from a socket is treated as hostile until decoded, and every
 //! decode failure closes exactly one connection — nothing in this crate
 //! panics on wire input.

@@ -106,6 +106,11 @@ fn pgpp_loopback_matches_simulated_twin() {
     twin("pgpp");
 }
 
+#[test]
+fn ppm_loopback_matches_simulated_twin() {
+    twin("ppm");
+}
+
 /// A new servable registration fails here until it has its own twin
 /// test above.
 #[test]
@@ -136,8 +141,10 @@ fn dcp(args: &[&str]) -> (Option<i32>, String) {
 }
 
 /// `dcp serve` refuses what it cannot serve with exit 1: a wiring with no
-/// serve spec or no registration gets the servable names, and a Privacy
-/// Pass client asking past one issuance batch gets the batch limit.
+/// serve spec or no registration gets the servable names; a Privacy Pass
+/// client asking past one issuance batch, a PGPP phone whose batch's
+/// evaluations would not fit one frame, and a PPM task wider than 32 bits
+/// each get their limit.
 #[test]
 fn dcp_serve_refuses_what_it_cannot_serve() {
     for scenario in ["ech", "nosuch"] {
@@ -147,12 +154,23 @@ fn dcp_serve_refuses_what_it_cannot_serve() {
             assert!(stderr.contains(reg.name), "dcp serve {scenario}: {stderr}");
         }
     }
-    let (code, stderr) = dcp(&["serve", "privacypass", "--queries", "5"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(
-        stderr.contains("5 redemptions per client: one issuance batch holds 4"),
-        "{stderr}"
-    );
+    for (scenario, queries, limit) in [
+        (
+            "privacypass",
+            "5",
+            "5 redemptions per client: one issuance batch holds 4",
+        ),
+        ("pgpp", "10923", "fit one frame for at most 10922"),
+        (
+            "ppm",
+            "33",
+            "a 33-bit measurement: a task's width is 1 to 32 bits",
+        ),
+    ] {
+        let (code, stderr) = dcp(&["serve", scenario, "--queries", queries]);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains(limit), "{stderr}");
+    }
 }
 
 #[test]
